@@ -20,11 +20,9 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .config import ConfigError, RunConfig, default_config_path
-from .exact import SolveStatus, solve_ilp1, solve_ilp2
 from .nspr import DEFAULT_CATALOG, SliceClass, make_request
-from .p2c import OutcomeStatus, Policy, place
 from .placement import MalformedPlacementError, check_placement
-from .sim import Algorithm, MetricsReport, Scenario, aggregate, run
+from .sim import Algorithm, MetricsReport, Scenario, aggregate, place_request, run
 from .topology import PhysicalNetwork, TopologyError, build_reference_psn
 
 
@@ -81,29 +79,14 @@ def cmd_place(args) -> int:
     net = _load_topology(args, cfg)
     request = _request_from_args(args, net, cfg)
     algorithm = Algorithm.parse(args.algorithm)
-    if algorithm in (Algorithm.P2C_1, Algorithm.P2C_2):
-        policy = Policy.UNIFORM if algorithm is Algorithm.P2C_1 else Policy.TIER_PREFERRED
-        rng = np.random.default_rng(args.seed)
-        outcome = place(net, request, policy, rng)
-        obj = outcome.to_json(net)
-        accepted = outcome.accepted
-    else:
-        solver = solve_ilp1 if algorithm is Algorithm.ILP_1 else solve_ilp2
-        result = solver(net, request, max_nodes=cfg.max_nodes)
-        accepted = result.status is SolveStatus.OPTIMAL
-        obj = {
-            "status": OutcomeStatus.ACCEPTED.value if accepted else OutcomeStatus.REJECTED.value,
-            "placement": result.placement.to_json(net) if accepted else None,
-            "cost": result.placement.cost if accepted else 0.0,
-            "blocking_vnf": (None if accepted else
-                             min(result.deepest_feasible_vnf + 1, request.n_vnfs)),
-            "solver_status": result.status.value,
-        }
+    outcome = place_request(net, request, algorithm, np.random.default_rng(args.seed),
+                            max_nodes=cfg.max_nodes)
+    obj = outcome.to_json(net)
     obj["algorithm"] = algorithm.value
     obj["class"] = request.cls.value
     obj["uap"] = request.uap
     _emit(obj, args.out)
-    return 0 if accepted else 1
+    return 0 if outcome.accepted else 1
 
 
 def cmd_check(args) -> int:

@@ -12,6 +12,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
+from .exact import DEFAULT_NODE_BUDGET
 from .nspr import ClassSpec, SliceClass, catalog_from_json
 from .sim import Scenario, _NAMED_MIXES
 from .topology import TopologyParams
@@ -44,7 +45,7 @@ class RunConfig:
     mix: dict[SliceClass, float] | None = None
     algorithm: str = "p2c-2"
     catalog: dict[SliceClass, ClassSpec] | None = None
-    max_nodes: int | None = 200_000
+    max_nodes: int | None = DEFAULT_NODE_BUDGET
     validate: bool = False
     measure_time: bool = False
     jobs: int = 1

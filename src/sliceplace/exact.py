@@ -6,6 +6,9 @@ virtual link. `solve_ilp1` minimizes the bandwidth objective; the feasibility
 baseline `solve_ilp2` stops at the first complete placement. Determinism
 comes from fixed candidate and path orderings.
 
+Eligibility shares `placement.root_dcs` and `lookahead_ok` with P2C. Each
+search frame holds its VNF and path in a substrate transaction it rolls back.
+
 Searches carry an explored-node budget. A tripped budget (or a truncated path
 enumeration) is reported as BUDGET_EXCEEDED, never as a silently suboptimal
 OPTIMAL; any best-known placement found by then is still returned.
@@ -23,7 +26,8 @@ from enum import Enum
 import networkx as nx
 
 from .nspr import SliceRequest
-from .placement import LATENCY_EPS, Placement, bandwidth_cost, latency_reach
+from .placement import (LATENCY_EPS, Placement, bandwidth_cost, latency_reach,
+                        lookahead_ok, root_dcs)
 from .topology import PhysicalNetwork, Server
 
 DEFAULT_NODE_BUDGET = 200_000
@@ -126,6 +130,7 @@ def _solve(psn: PhysicalNetwork, request: SliceRequest, *, find_optimal: bool,
     servers = {s.id: s for s in psn.servers()}
     alpha_by_dc = {dc_id: psn.access_latency(request.uap, dc_id)
                    for dc_id in psn.data_centers}
+    ok_dcs = root_dcs(psn, request)
 
     best_cost: float | None = None
     best_x: dict[int, int] | None = None
@@ -139,20 +144,6 @@ def _solve(psn: PhysicalNetwork, request: SliceRequest, *, find_optimal: bool,
 
     x: dict[int, int] = {}
     y: dict[int, list[int]] = {}
-
-    def lookahead_ok(srv: Server, v: int) -> bool:
-        d = request.vnf(v)
-        if v == n:
-            return srv.fits(d.cpu, d.ram)
-        d_next = request.vnf(v + 1)
-        if srv.fits(d.cpu + d_next.cpu, d.ram + d_next.ram):
-            return True
-        if not srv.fits(d.cpu, d.ram):
-            return False
-        bw_next = request.vl(v).bw
-        return any(psn.links[lid].bw_residual is not None
-                   and psn.links[lid].bw_residual >= bw_next
-                   for _, lid in psn.adj[srv.id])
 
     def twin_key(srv: Server) -> tuple:
         incident = tuple(sorted(
@@ -179,10 +170,10 @@ def _solve(psn: PhysicalNetwork, request: SliceRequest, *, find_optimal: bool,
         if sum(s.cpu_residual for s in servers.values()) < total_cpu[v - 1] or \
            sum(s.ram_residual for s in servers.values()) < total_ram[v - 1]:
             return []
+        ok = lookahead_ok(psn, request, v)
         if v == 1:
             cands = [sid for sid, srv in sorted(servers.items())
-                     if alpha_by_dc[srv.dc] <= request.alpha_max_ms + LATENCY_EPS
-                     and lookahead_ok(srv, v)]
+                     if srv.dc in ok_dcs and ok(srv)]
             return [(sid, [()]) for sid in dedupe(cands)]
         vl = request.vl(v - 1)
         eff = min(vl.budget_ms, request.e2e_budget_ms - used_e2e)
@@ -192,7 +183,7 @@ def _solve(psn: PhysicalNetwork, request: SliceRequest, *, find_optimal: bool,
         for sid, srv in sorted(servers.items()):
             if sid != last_s and reach.get(sid, float("inf")) > eff + LATENCY_EPS:
                 continue
-            if not lookahead_ok(srv, v):
+            if not ok(srv):
                 continue
             rank = 0 if sid == last_s else (1 if srv.dc == last_dc else 2)
             cands.append((rank, sid))
@@ -238,38 +229,30 @@ def _solve(psn: PhysicalNetwork, request: SliceRequest, *, find_optimal: bool,
                     if objective == "consumption" and v > 1:
                         break  # paths sorted by hops; the rest cost at least this much
                     continue
-                srv.cpu_residual -= d.cpu
-                srv.ram_residual -= d.ram
-                bw = 0.0 if v == 1 else request.vl(v - 1).bw
-                for lid in path:
-                    psn.links[lid].bw_residual -= bw
-                x[v] = sid
-                if v > 1:
-                    y[v - 1] = list(path)
-                path_lat = sum(psn.links[lid].latency_ms for lid in path)
-                next_e2e = alpha_by_dc[srv.dc] if v == 1 else used_e2e + path_lat
-                deepest = max(deepest, v)
+                mark = psn.begin()
                 try:
+                    psn.allocate(sid, d.cpu, d.ram)
+                    for lid in path:
+                        psn.allocate_bw(lid, request.vl(v - 1).bw)
+                    x[v] = sid
+                    if v > 1:
+                        y[v - 1] = list(path)
+                    path_lat = sum(psn.links[lid].latency_ms for lid in path)
+                    next_e2e = alpha_by_dc[srv.dc] if v == 1 else used_e2e + path_lat
+                    deepest = max(deepest, v)
                     expand(v + 1, sid, next_e2e, committed + cost_p)
                 finally:
-                    if v > 1:
-                        del y[v - 1]
-                    del x[v]
-                    for lid in path:
-                        psn.links[lid].bw_residual += bw
-                    srv.cpu_residual += d.cpu
-                    srv.ram_residual += d.ram
+                    y.pop(v - 1, None)
+                    x.pop(v, None)
+                    psn.rollback(mark)
 
     status = SolveStatus.OPTIMAL
-    snap = psn.snapshot()
     try:
         expand(1, None, 0.0, 0.0)
     except _FoundFeasible:
         pass
     except _BudgetExhausted:
         status = SolveStatus.BUDGET_EXCEEDED
-    finally:
-        psn.restore(snap)
 
     if status is not SolveStatus.BUDGET_EXCEEDED and truncated_any:
         if find_optimal or best_cost is None:

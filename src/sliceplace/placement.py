@@ -22,12 +22,11 @@ Latency comparisons use a 1e-9 ms epsilon; capacity arithmetic is exact.
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .nspr import SliceRequest
-from .topology import LinkKind, PhysicalNetwork, Server
+from .topology import PhysicalNetwork, Server
 
 LATENCY_EPS = 1e-9
 
@@ -374,18 +373,37 @@ def _has_uplink(psn: PhysicalNetwork, server_id: int, bw: float) -> bool:
     return False
 
 
+def root_dcs(psn: PhysicalNetwork, request: SliceRequest) -> set[str]:
+    """Data centers that may host the first VNF: access latency from the
+    request's UAP within the class bound."""
+    return {dc_id for dc_id in psn.data_centers
+            if psn.access_latency(request.uap, dc_id) <= request.alpha_max_ms + LATENCY_EPS}
+
+
+def lookahead_ok(psn: PhysicalNetwork, request: SliceRequest,
+                 v: int) -> Callable[[Server], bool]:
+    """Predicate for hosting VNF v: room for it plus, before the final VNF,
+    room for VNF v+1 too or an incident link that can carry VL v."""
+    d = request.vnf(v)
+    if v == request.n_vnfs:
+        return lambda srv: srv.fits(d.cpu, d.ram)
+    d_next = request.vnf(v + 1)
+    cpu_both, ram_both = d.cpu + d_next.cpu, d.ram + d_next.ram
+    bw_next = request.vl(v).bw
+    return lambda srv: (srv.fits(cpu_both, ram_both)
+                        or (srv.fits(d.cpu, d.ram) and _has_uplink(psn, srv.id, bw_next)))
+
+
 def feasible_servers(psn: PhysicalNetwork, request: SliceRequest, v: int,
                      last_s: int | None, *, used_e2e_ms: float = 0.0) -> list[int]:
     """Servers eligible to host VNF v, ascending by id.
 
-    For the first VNF: servers in DCs whose access latency fits the class
-    bound, with room for the VNF, plus a one-step lookahead (room for the next
-    VNF too, or an incident link that can carry the next VL).
+    For the first VNF: servers in `root_dcs` that pass `lookahead_ok`.
 
     For later VNFs, eligibility needs a feasible path for VL(v-1, v) from
     last_s within min(VL budget, end-to-end slack). The previous server and
-    its DC neighbors additionally get the same lookahead; servers in other
-    DCs only need room for the VNF. The final VNF drops the lookahead.
+    its DC neighbors additionally pass `lookahead_ok`; servers in other DCs
+    only need room for the VNF.
 
     `used_e2e_ms` is the latency already committed (access plus placed VLs).
     """
@@ -393,23 +411,13 @@ def feasible_servers(psn: PhysicalNetwork, request: SliceRequest, v: int,
     if not 1 <= v <= n:
         raise ValueError(f"VNF index {v} outside chain 1..{n}")
     d_v = request.vnf(v)
-
-    def lookahead_ok(srv: Server) -> bool:
-        if v == n:
-            return srv.fits(d_v.cpu, d_v.ram)
-        d_next = request.vnf(v + 1)
-        if srv.fits(d_v.cpu + d_next.cpu, d_v.ram + d_next.ram):
-            return True
-        return (srv.fits(d_v.cpu, d_v.ram)
-                and _has_uplink(psn, srv.id, request.vl(v).bw))
+    ok = lookahead_ok(psn, request, v)
 
     out = []
     if v == 1:
-        ok_dcs = {dc.id for dc in psn.data_centers.values()
-                  if psn.access_latency(request.uap, dc.id)
-                  <= request.alpha_max_ms + LATENCY_EPS}
+        ok_dcs = root_dcs(psn, request)
         for srv in psn.servers():
-            if srv.dc in ok_dcs and lookahead_ok(srv):
+            if srv.dc in ok_dcs and ok(srv):
                 out.append(srv.id)
         return out
 
@@ -423,13 +431,13 @@ def feasible_servers(psn: PhysicalNetwork, request: SliceRequest, v: int,
 
     for srv in psn.servers():
         if srv.id == last_s:
-            if lookahead_ok(srv):
+            if ok(srv):
                 out.append(srv.id)
             continue
         if reach.get(srv.id, float("inf")) > eff_budget + LATENCY_EPS:
             continue
         if srv.dc == last_dc:
-            if lookahead_ok(srv):
+            if ok(srv):
                 out.append(srv.id)
         elif srv.fits(d_v.cpu, d_v.ram):
             out.append(srv.id)
@@ -439,24 +447,19 @@ def feasible_servers(psn: PhysicalNetwork, request: SliceRequest, v: int,
 def apply_placement(psn: PhysicalNetwork, request: SliceRequest,
                     placement: Placement) -> None:
     """Commit a placement's resources. Atomic: on failure nothing is held."""
-    done_srv: list[tuple[int, float, float]] = []
-    done_bw: list[tuple[int, float]] = []
+    mark = psn.begin()
     try:
         for v, s in sorted(placement.x.items()):
             d = request.vnf(v)
             psn.allocate(s, d.cpu, d.ram)
-            done_srv.append((s, d.cpu, d.ram))
         for i, path in sorted(placement.y.items()):
             bw = request.vl(i).bw
             for lid in path:
                 psn.allocate_bw(lid, bw)
-                done_bw.append((lid, bw))
     except Exception:
-        for lid, bw in reversed(done_bw):
-            psn.release_bw(lid, bw)
-        for s, cpu, ram in reversed(done_srv):
-            psn.release(s, cpu, ram)
+        psn.rollback(mark)
         raise
+    psn.commit(mark)
 
 
 def release_placement(psn: PhysicalNetwork, request: SliceRequest,

@@ -28,7 +28,7 @@ import numpy as np
 from .exact import DEFAULT_NODE_BUDGET, SolveStatus, solve_ilp1, solve_ilp2
 from .nspr import (DEFAULT_CATALOG, DEFAULT_MIX, ClassSpec, SliceClass,
                    SliceRequest, make_request, sample_class)
-from .p2c import Policy, place
+from .p2c import OutcomeStatus, PlacementOutcome, Policy, place
 from .placement import (Placement, apply_placement, check_placement,
                         release_placement)
 from .topology import LinkKind, PhysicalNetwork
@@ -46,14 +46,9 @@ class Algorithm(str, Enum):
     @classmethod
     def parse(cls, name: str) -> "Algorithm":
         key = name.strip().lower().replace("_", "-")
-        if key in ("p2c1", "p2c-1"):
-            return cls.P2C_1
-        if key in ("p2c2", "p2c-2"):
-            return cls.P2C_2
-        if key in ("ilp1", "ilp-1"):
-            return cls.ILP_1
-        if key in ("ilp2", "ilp-2"):
-            return cls.ILP_2
+        for algorithm in cls:
+            if key in (algorithm.value, algorithm.value.replace("-", "")):
+                return algorithm
         raise ValueError(f"unknown algorithm {name!r}")
 
 
@@ -334,24 +329,22 @@ def _audit_conservation(net: PhysicalNetwork,
                 f"expected {want_bw.get(link.id, 0.0)}")
 
 
-def _place_once(net: PhysicalNetwork, request: SliceRequest, algorithm: Algorithm,
-                rng_place: np.random.Generator, max_nodes: int | None
-                ) -> tuple[Placement | None, int | None, bool]:
-    """Returns (placement or None, blocking VNF on rejection, budget flag).
-    Accepted placements are already committed to net."""
+def place_request(net: PhysicalNetwork, request: SliceRequest, algorithm: Algorithm,
+                  rng: np.random.Generator, *,
+                  max_nodes: int | None = DEFAULT_NODE_BUDGET) -> PlacementOutcome:
+    """Place one request with any algorithm, committing to net on acceptance.
+    `rng` drives P2C, `max_nodes` bounds ILP; `solver_status` is None for P2C."""
     if algorithm in (Algorithm.P2C_1, Algorithm.P2C_2):
         policy = Policy.UNIFORM if algorithm is Algorithm.P2C_1 else Policy.TIER_PREFERRED
-        outcome = place(net, request, policy, rng_place)
-        if outcome.accepted:
-            return outcome.placement, None, False
-        return None, outcome.blocking_vnf, False
+        return place(net, request, policy, rng)
     solver = solve_ilp1 if algorithm is Algorithm.ILP_1 else solve_ilp2
     result = solver(net, request, max_nodes=max_nodes)
     if result.status is SolveStatus.OPTIMAL:
         apply_placement(net, request, result.placement)
-        return result.placement, None, False
+        return PlacementOutcome(OutcomeStatus.ACCEPTED, result.placement,
+                                result.placement.cost, None, result.status)
     blocking = min(result.deepest_feasible_vnf + 1, request.n_vnfs)
-    return None, blocking, result.status is SolveStatus.BUDGET_EXCEEDED
+    return PlacementOutcome(OutcomeStatus.REJECTED, None, 0.0, blocking, result.status)
 
 
 def run(psn: PhysicalNetwork, scenario: Scenario, algorithm: Algorithm | str,
@@ -362,10 +355,10 @@ def run(psn: PhysicalNetwork, scenario: Scenario, algorithm: Algorithm | str,
         series_interval: float | None = None) -> MetricsReport:
     """Simulate one replication and return its metrics.
 
-    The caller's psn is cloned, never mutated. With validate=True every
-    acceptance is re-verified by the independent constraint checker against
-    the pre-commit state and resource conservation is re-derived from held
-    slices after every event (slow; for audits and tests).
+    The caller's psn is cloned, never mutated. With validate=True the
+    independent checker re-verifies every acceptance against the pre-commit
+    state, a full snapshot confirms that every rejection left no trace, and
+    conservation is re-derived after every event (slow; for audits and tests).
     """
     if isinstance(algorithm, str):
         algorithm = Algorithm.parse(algorithm)
@@ -426,11 +419,12 @@ def run(psn: PhysicalNetwork, scenario: Scenario, algorithm: Algorithm | str,
 
             pre_snap = net.snapshot() if validate else None
             t0 = time.perf_counter() if measure_time else 0.0
-            placement, blocking_vnf, budget_hit = _place_once(
-                net, request, algorithm, rng_place, max_nodes)
+            outcome = place_request(net, request, algorithm, rng_place,
+                                    max_nodes=max_nodes)
             if measure_time:
                 times_ms.append((time.perf_counter() - t0) * 1e3)
 
+            placement = outcome.placement
             if placement is not None:
                 if validate:
                     post_snap = net.snapshot()
@@ -450,12 +444,15 @@ def run(psn: PhysicalNetwork, scenario: Scenario, algorithm: Algorithm | str,
                 seq += 1
                 heapq.heappush(events, (t + holding, 0, seq, request.id))
             else:
+                if validate and net.snapshot() != pre_snap:
+                    raise SimulationInvariantError(
+                        "rejected placement left the substrate changed")
                 report.rejected += 1
                 per_class[cls_.value]["rejected"] += 1
-                if budget_hit:
+                if outcome.solver_status is SolveStatus.BUDGET_EXCEEDED:
                     report.rejected_budget += 1
-                report.blocking_attribution[blocking_vnf] = (
-                    report.blocking_attribution.get(blocking_vnf, 0) + 1)
+                report.blocking_attribution[outcome.blocking_vnf] = (
+                    report.blocking_attribution.get(outcome.blocking_vnf, 0) + 1)
 
             seq += 1
             heapq.heappush(events, (t + float(rng_arrival.exponential(1.0 / big_lambda)),

@@ -168,8 +168,10 @@ class PhysicalNetwork:
     """Substrate graph with residual-capacity bookkeeping.
 
     Nodes and links get dense integer ids in creation order; deterministic
-    tie-breaking elsewhere keys on those ids. Mutation is limited to
-    allocate/release calls so snapshots can restore exact prior state.
+    tie-breaking elsewhere keys on those ids. Residuals change only through
+    allocate/release calls; inside a (nestable) transaction, `mark = begin()`
+    then `commit(mark)` or `rollback(mark)`, they log old residuals that a
+    rollback writes back exactly. `snapshot`/`restore` copy every residual.
     """
 
     def __init__(self, params: TopologyParams | None = None) -> None:
@@ -182,6 +184,9 @@ class PhysicalNetwork:
         self.adj: list[list[tuple[int, int]]] = []
         self._token = uuid.uuid4().hex
         self._alpha_cache: dict[int, dict[str, float]] = {}
+        # (server or link, attribute, old value); log length at each open begin
+        self._undo: list[tuple[Server | PhysicalLink, str, float]] = []
+        self._marks: list[int] = []
 
     # -- construction ------------------------------------------------------
 
@@ -221,7 +226,7 @@ class PhysicalNetwork:
                 raise TopologyError(f"unknown node id {n}")
         if a == b:
             raise TopologyError("self links are not allowed")
-        if latency_ms < 0:
+        if not latency_ms >= 0:
             raise TopologyError("latency must be non-negative")
         if kind is LinkKind.INTRA_DC and latency_ms != 0:
             raise TopologyError("intra-DC links must have zero latency")
@@ -280,6 +285,11 @@ class PhysicalNetwork:
 
     # -- capacity bookkeeping ----------------------------------------------
 
+    def _set(self, obj: Server | PhysicalLink, attr: str, value: float) -> None:
+        if self._marks:
+            self._undo.append((obj, attr, getattr(obj, attr)))
+        setattr(obj, attr, value)
+
     def allocate(self, server_id: int, cpu: float, ram: float) -> None:
         if cpu < 0 or ram < 0:
             raise ValueError("demands must be non-negative")
@@ -288,8 +298,8 @@ class PhysicalNetwork:
             raise CapacityError(
                 f"server {server_id}: need {cpu}/{ram}, "
                 f"free {s.cpu_residual}/{s.ram_residual}")
-        s.cpu_residual -= cpu
-        s.ram_residual -= ram
+        self._set(s, "cpu_residual", s.cpu_residual - cpu)
+        self._set(s, "ram_residual", s.ram_residual - ram)
 
     def release(self, server_id: int, cpu: float, ram: float) -> None:
         if cpu < 0 or ram < 0:
@@ -297,8 +307,8 @@ class PhysicalNetwork:
         s = self.server(server_id)
         if s.cpu_residual + cpu > s.cpu_capacity or s.ram_residual + ram > s.ram_capacity:
             raise ReleaseError(f"server {server_id}: release exceeds capacity")
-        s.cpu_residual += cpu
-        s.ram_residual += ram
+        self._set(s, "cpu_residual", s.cpu_residual + cpu)
+        self._set(s, "ram_residual", s.ram_residual + ram)
 
     def allocate_bw(self, link_id: int, bw: float) -> None:
         if bw < 0:
@@ -309,7 +319,7 @@ class PhysicalNetwork:
         if link.bw_residual < bw:
             raise CapacityError(
                 f"link {link_id}: need {bw}, free {link.bw_residual}")
-        link.bw_residual -= bw
+        self._set(link, "bw_residual", link.bw_residual - bw)
 
     def release_bw(self, link_id: int, bw: float) -> None:
         if bw < 0:
@@ -319,7 +329,29 @@ class PhysicalNetwork:
             raise TopologyError(f"link {link_id} carries no bandwidth accounting")
         if link.bw_residual + bw > link.bw_capacity:
             raise ReleaseError(f"link {link_id}: release exceeds capacity")
-        link.bw_residual += bw
+        self._set(link, "bw_residual", link.bw_residual + bw)
+
+    def begin(self) -> int:
+        """Open a transaction; returns the mark that closes it."""
+        self._marks.append(len(self._undo))
+        return self._marks[-1]
+
+    def _close(self, mark: int) -> None:
+        if not self._marks or self._marks.pop() != mark:
+            raise TopologyError("transactions must close innermost first")
+
+    def commit(self, mark: int) -> None:
+        """Keep the changes since `mark`; an enclosing transaction may undo them."""
+        self._close(mark)
+        if not self._marks:
+            self._undo.clear()
+
+    def rollback(self, mark: int) -> None:
+        """Write back the residuals logged since `mark`, newest first."""
+        self._close(mark)
+        while len(self._undo) > mark:
+            obj, attr, old = self._undo.pop()
+            setattr(obj, attr, old)
 
     def snapshot(self) -> CapacitySnapshot:
         servers = list(self.servers())
@@ -344,7 +376,8 @@ class PhysicalNetwork:
 
     def clone(self) -> "PhysicalNetwork":
         """Deep copy sharing the snapshot token, so snapshots stay portable
-        between a network and its clones."""
+        between a network and its clones. It starts with a copy of the
+        access-latency cache, which only `add_link` invalidates."""
         other = PhysicalNetwork(self.params)
         other.nodes = [replace(n) for n in self.nodes]
         other.links = [replace(l) for l in self.links]
@@ -354,6 +387,7 @@ class PhysicalNetwork:
         other.uaps = list(self.uaps)
         other.adj = [list(entries) for entries in self.adj]
         other._token = self._token
+        other._alpha_cache = dict(self._alpha_cache)
         return other
 
     # -- access latency ----------------------------------------------------
@@ -397,12 +431,19 @@ class PhysicalNetwork:
             if s.dc is None or s.dc not in self.data_centers:
                 raise TopologyError(f"server {s.id} belongs to no data center")
         for link in self.links:
+            if (link.bw_capacity is None) != (link.bw_residual is None):
+                raise TopologyError(f"link {link.id}: bandwidth residual and capacity "
+                                    f"must both be set or both be absent")
             if link.bw_capacity is not None and not (0 <= link.bw_residual <= link.bw_capacity):
                 raise TopologyError(f"link {link.id}: bandwidth residual out of bounds")
+        members = [(u, NodeKind.UAP, None) for u in self.uaps]  # (id, kind, DC or any)
         for dc in self.data_centers.values():
-            for sid in dc.servers:
-                if self.nodes[sid].dc != dc.id:
-                    raise TopologyError(f"server {sid} not tagged with {dc.id}")
+            members.append((dc.switch, NodeKind.SWITCH, dc.id))
+            members += [(sid, NodeKind.SERVER, dc.id) for sid in dc.servers]
+        for nid, kind, dc_id in members:
+            node = self.nodes[nid] if isinstance(nid, int) and 0 <= nid < len(self.nodes) else None
+            if node is None or node.kind is not kind or dc_id not in (None, node.dc):
+                raise TopologyError(f"node {nid} is not a {kind.value} of {dc_id or 'the network'}")
         if self.nodes and not self._connected():
             raise TopologyError("network is not connected")
 
@@ -471,16 +512,10 @@ class PhysicalNetwork:
                 if l["id"] != i:
                     raise TopologyError("link ids must be dense and ordered")
                 cap = l["bw_capacity"]
-                link = PhysicalLink(
-                    id=i, a=l["a"], b=l["b"], latency_ms=float(l["latency_ms"]),
-                    kind=LinkKind(l["kind"]),
-                    bw_capacity=None if cap is None else float(cap),
-                    bw_residual=None if l["bw_residual"] is None else float(l["bw_residual"]))
-                if link.kind is LinkKind.INTRA_DC and link.latency_ms != 0:
-                    raise TopologyError("intra-DC links must have zero latency")
-                net.links.append(link)
-                net.adj[link.a].append((link.b, link.id))
-                net.adj[link.b].append((link.a, link.id))
+                lid = net.add_link(l["a"], l["b"], float(l["latency_ms"]), LinkKind(l["kind"]),
+                                   None if cap is None else float(cap))
+                net.links[lid].bw_residual = (None if l["bw_residual"] is None
+                                              else float(l["bw_residual"]))
             net.uaps = list(obj["uaps"])
         except (KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, TopologyError):

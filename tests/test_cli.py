@@ -93,6 +93,28 @@ class TestPlace:
         assert doc["blocking_vnf"] == 1
         assert doc["placement"] is None
 
+    @pytest.mark.parametrize("breakage", ["endpoint", "residual", "latency", "switch"])
+    def test_malformed_topology_exits_two(self, tmp_path, capsys, topo_file, breakage):
+        doc = json.loads(open(topo_file).read())
+        transport = next(l for l in doc["links"] if l["kind"] == "transport")
+        if breakage == "endpoint":
+            transport["b"] = len(doc["nodes"]) + 5
+        elif breakage == "residual":
+            transport["bw_residual"] = None
+        elif breakage == "latency":
+            # a negative link would let the access-latency search loop forever
+            transport["latency_ms"] = -1.0
+        else:
+            dc = doc["data_centers"][0]
+            dc["switch"] = dc["servers"][0]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "place", "--topology", str(path),
+                                 "--class", "urllc")
+        assert code == 2
+        assert out == ""
+        assert "error" in err and "Traceback" not in err
+
     def test_outcome_file(self, tmp_path, capsys, topo_file):
         out_path = tmp_path / "outcome.json"
         code, out, _ = run_cli(capsys, "place", "--topology", topo_file,

@@ -2,17 +2,24 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import statistics
 
+import numpy as np
 import pytest
 
-from sliceplace.nspr import DEFAULT_MIX, SliceClass
+import sliceplace.sim as sim
+from sliceplace.exact import SolveStatus
+from sliceplace.nspr import DEFAULT_MIX, SliceClass, make_request
+from sliceplace.p2c import OutcomeStatus, PlacementOutcome
 from sliceplace.sim import (
     Algorithm,
     Scenario,
+    SimulationInvariantError,
     aggregate,
     arrival_rates_for_load,
+    place_request,
     run,
 )
 from sliceplace.topology import build_reference_psn
@@ -193,6 +200,73 @@ class TestValidateMode:
         assert plain.validated_accepted == 0
         assert (checked.arrivals, checked.accepted, checked.rejected) == \
                (plain.arrivals, plain.accepted, plain.rejected)
+
+
+# sha256 of MetricsReport.to_json() without host timings for MIX, rho=1,
+# horizon 300, seed 7 on the scale-1 reference substrate. A change that
+# alters any placement decision or metric changes these.
+GOLDEN_DIGESTS = {
+    "p2c-1": "71cf1799ec3585b7302bdb228aa59b7133648ebe268cff92233ed5af3aeb5819",
+    "p2c-2": "b9c9759c05d410cb37fd9e8ac8c222790aa0e7458f81cfa0370c572d3c998e00",
+    "ilp-1": "8bbe07276d6ca459bb72bca51a7d1ee8c1442caa3c407aeaabeec492c47fcf71",
+    "ilp-2": "7452402037795e1c99fe61110b7a5ec008c8571d246614fee36dcb9dfe0c8b9c",
+}
+
+
+class TestGoldenResults:
+    @pytest.mark.parametrize("algorithm", sorted(GOLDEN_DIGESTS))
+    def test_results_digest_pinned(self, net, algorithm):
+        report = run(net, Scenario.named("MIX", 1.0, horizon=300.0), algorithm, 7)
+        obj = report.to_json()
+        obj.pop("placement_time_ms", None)
+        digest = hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+        assert digest == GOLDEN_DIGESTS[algorithm]
+
+
+class TestPlaceRequest:
+    @staticmethod
+    def held_cpu(work):
+        return sum(s.cpu_capacity - s.cpu_residual for s in work.servers())
+
+    @pytest.mark.parametrize("algorithm", list(Algorithm))
+    def test_commits_on_acceptance(self, net, algorithm):
+        work = net.clone()
+        request = make_request(SliceClass.URLLC, work.uaps[0])
+        out = place_request(work, request, algorithm, np.random.default_rng(3))
+        assert out.accepted
+        assert self.held_cpu(work) == 5 * 15.0
+        if algorithm in (Algorithm.P2C_1, Algorithm.P2C_2):
+            assert out.solver_status is None
+            assert "solver_status" not in out.to_json(work)
+        else:
+            assert out.solver_status is SolveStatus.OPTIMAL
+            assert out.to_json(work)["solver_status"] == "optimal"
+        assert work._undo == []
+
+    def test_budget_rejection_leaves_substrate(self, net):
+        work = net.clone()
+        before = work.snapshot()
+        request = make_request(SliceClass.URLLC, work.uaps[0])
+        out = place_request(work, request, Algorithm.ILP_1,
+                            np.random.default_rng(3), max_nodes=1)
+        assert out.status is OutcomeStatus.REJECTED
+        assert out.solver_status is SolveStatus.BUDGET_EXCEEDED
+        assert out.blocking_vnf == 2
+        assert work.snapshot() == before
+
+
+class TestValidateAudit:
+    def test_rejection_that_leaks_is_caught(self, net, monkeypatch):
+        # a placer that holds resources yet reports rejection; the snapshot
+        # audit must see it without trusting the transaction log
+        def leaky(psn, request, policy, rng):
+            psn.allocate(next(psn.servers()).id, 1.0, 1.0)
+            return PlacementOutcome(OutcomeStatus.REJECTED, None, 0.0, 1)
+
+        monkeypatch.setattr(sim, "place", leaky)
+        sc = short_scenario(horizon=50.0, warmup=0.0)
+        with pytest.raises(SimulationInvariantError, match="rejected placement"):
+            run(net, sc, "p2c-1", 1, validate=True)
 
 
 class TestWarmup:

@@ -142,6 +142,16 @@ class TestReferenceBuild:
                      if dc.kind == DCKind.EDC and dc.id != home.id}
         assert min(other_edc) == pytest.approx(0.68, abs=1e-12)
 
+    def test_clone_keeps_latency_cache_apart(self):
+        net = make_pair()
+        uap = net.uaps[0]
+        assert net.access_latency(uap, "cdc0") == pytest.approx(0.35)
+        twin = net.clone()
+        # a shortcut on the clone must not leak into the original's latencies
+        twin.add_link(uap, twin.data_centers["cdc0"].switch, 0.05, LinkKind.ACCESS, None)
+        assert twin.access_latency(uap, "cdc0") == pytest.approx(0.05)
+        assert net.access_latency(uap, "cdc0") == pytest.approx(0.35)
+
     def test_uaps_follow_edc_order(self, ref):
         for i, uap in enumerate(ref.uaps):
             neighbor, _ = ref.adj[uap][0]
@@ -280,6 +290,83 @@ class TestSnapshotRestore:
         for sid in servers:
             srv = net.server(sid)
             assert (srv.cpu_residual, srv.ram_residual) == (50.0, 300.0)
+
+
+# one step of a random substrate workload: capacity calls on a fixed pool of
+# servers and links, with fractional demands, and transaction boundaries
+_TX_OPS = st.one_of(
+    st.tuples(st.sampled_from(["allocate", "release"]), st.integers(0, 3),
+              st.sampled_from([0.1, 0.3, 0.7, 2.5]), st.sampled_from([0.1, 0.3, 1.7])),
+    st.tuples(st.sampled_from(["allocate_bw", "release_bw"]), st.integers(0, 3),
+              st.sampled_from([0.1, 0.3, 0.7])),
+    st.tuples(st.sampled_from(["begin", "commit", "rollback"])),
+)
+
+
+class TestTransactions:
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(_TX_OPS, max_size=40), st.lists(st.booleans(), max_size=40))
+    def test_rollback_restores_exactly(self, ops, closes):
+        net = make_pair()
+        servers = sorted(net.data_centers["edc0"].servers
+                         + net.data_centers["cdc0"].servers)
+        links = [l.id for l in net.links if l.bw_capacity is not None]
+        # (mark, full document at begin) per open transaction, innermost last
+        open_tx: list[tuple[int, str]] = []
+
+        def close(commit: bool) -> None:
+            mark, before = open_tx.pop()
+            if commit:
+                net.commit(mark)
+            else:
+                net.rollback(mark)
+                assert json.dumps(net.to_json()) == before
+
+        for op in ops:
+            name = op[0]
+            if name == "begin":
+                open_tx.append((net.begin(), json.dumps(net.to_json())))
+            elif name in ("commit", "rollback"):
+                if open_tx:
+                    close(name == "commit")
+            else:
+                pool = servers if name in ("allocate", "release") else links
+                try:
+                    getattr(net, name)(pool[op[1] % len(pool)], *op[2:])
+                except (CapacityError, ReleaseError):
+                    pass
+            if not open_tx:
+                assert net._undo == []
+        for commit in closes + [False] * len(open_tx):
+            if not open_tx:
+                break
+            close(commit)
+        assert net._undo == []
+        net.validate()
+
+    def test_fractional_rollback_is_exact(self):
+        net = make_pair()
+        sid = net.data_centers["edc0"].servers[0]
+        lid = next(l.id for l in net.links if l.kind == LinkKind.TRANSPORT)
+        net.allocate(sid, 0.3, 0.1)
+        before = json.dumps(net.to_json())
+        mark = net.begin()
+        for _ in range(7):
+            net.allocate(sid, 0.1, 0.3)
+            net.allocate_bw(lid, 0.1)
+        net.release(sid, 0.7, 2.1)
+        net.rollback(mark)
+        assert json.dumps(net.to_json()) == before
+
+    def test_marks_close_innermost_first(self):
+        net = make_pair()
+        outer = net.begin()
+        net.allocate(net.data_centers["edc0"].servers[0], 10, 60)
+        net.begin()
+        with pytest.raises(TopologyError):
+            net.commit(outer)
+        with pytest.raises(TopologyError):
+            make_pair().rollback(0)
 
 
 class TestSerialization:
