@@ -88,12 +88,13 @@ def _enumerate_paths(psn: PhysicalNetwork, src: int, dst: int, bw: float,
     truncated = False
     visited = {src}
     trail: list[int] = []
+    adj_sorted = psn.index().adj_sorted
 
     def dfs(u: int, lat: float) -> None:
         nonlocal truncated
         if truncated:
             return
-        for v, lid in sorted(psn.adj[u]):
+        for v, lid in adj_sorted[u]:
             if v in visited:
                 continue
             link = psn.links[lid]

@@ -71,8 +71,9 @@ def get_two_candidates(psn: PhysicalNetwork, candidates: Sequence[int],
         raise ValueError("candidate list is empty")
     pool = list(candidates)
     if policy is Policy.TIER_PREFERRED:
+        tier = psn.index().tier
         for kind in TIER_ORDER:
-            tier_pool = [s for s in pool if psn.tier_of_server(s) is kind]
+            tier_pool = [s for s in pool if tier[s] is kind]
             if tier_pool:
                 pool = tier_pool
                 break

@@ -285,14 +285,17 @@ def min_cost_path(psn: PhysicalNetwork, src: int, dst: int, bw: float,
         r = psn.links[lid].bw_residual
         return r is not None and r >= bw
 
-    # minimum hops, BFS with ascending-id expansion
+    # minimum hops, BFS with ascending-id expansion; a leaf other than dst
+    # relays nothing, so only dst's neighbors expand their leaf entries
     parent: dict[int, tuple[int, int]] = {src: (-1, -1)}
     level = [src]
     found = False
+    idx = psn.index()
+    dst_nbrs = {w for w, _ in psn.adj[dst]}
     while level and not found:
         nxt_level = []
         for u in sorted(level):
-            for v, lid in sorted(psn.adj[u]):
+            for v, lid in (idx.adj_sorted if u in dst_nbrs else idx.relay_adj)[u]:
                 if v not in parent and usable(lid):
                     parent[v] = (u, lid)
                     if v == dst:
@@ -345,23 +348,34 @@ def min_cost_path(psn: PhysicalNetwork, src: int, dst: int, bw: float,
 def latency_reach(psn: PhysicalNetwork, src: int, bw: float,
                   budget_ms: float) -> dict[int, float]:
     """Latency-shortest distance from src to every node within budget, over
-    links with residual bandwidth >= bw. Nodes beyond the budget are absent."""
+    links with residual bandwidth >= bw. Nodes beyond the budget are absent.
+
+    Dijkstra over the reached part of the substrate only. A degree-1 node
+    (a server behind its switch, a UAP) relays nothing, so it is recorded
+    without a heap push: the cost is one heap operation per reached relay
+    node plus one dict write per reached leaf.
+    """
+    adj = psn.adj
+    links = psn.links
+    limit = budget_ms + LATENCY_EPS
     dist = {src: 0.0}
     pq: list[tuple[float, int]] = [(0.0, src)]
     while pq:
         d, u = heapq.heappop(pq)
-        if d > dist.get(u, float("inf")):
+        if d > dist[u]:
             continue
-        for v, lid in psn.adj[u]:
-            r = psn.links[lid].bw_residual
+        for v, lid in adj[u]:
+            link = links[lid]
+            r = link.bw_residual
             if r is None or r < bw:
                 continue
-            nd = d + psn.links[lid].latency_ms
-            if nd > budget_ms + LATENCY_EPS:
+            nd = d + link.latency_ms
+            if nd > limit:
                 continue
             if nd < dist.get(v, float("inf")):
                 dist[v] = nd
-                heapq.heappush(pq, (nd, v))
+                if len(adj[v]) > 1:
+                    heapq.heappush(pq, (nd, v))
     return dist
 
 
@@ -406,20 +420,24 @@ def feasible_servers(psn: PhysicalNetwork, request: SliceRequest, v: int,
     only need room for the VNF.
 
     `used_e2e_ms` is the latency already committed (access plus placed VLs).
+
+    Only servers that can qualify are tested: those of the root DCs for the
+    first VNF, and for later VNFs the nodes `latency_reach` returns, which
+    always include last_s. The cost is that of the reach search plus
+    sorting what it reached, not a scan of every server.
     """
     n = request.n_vnfs
     if not 1 <= v <= n:
         raise ValueError(f"VNF index {v} outside chain 1..{n}")
     d_v = request.vnf(v)
     ok = lookahead_ok(psn, request, v)
+    nodes = psn.nodes
 
-    out = []
     if v == 1:
-        ok_dcs = root_dcs(psn, request)
-        for srv in psn.servers():
-            if srv.dc in ok_dcs and ok(srv):
-                out.append(srv.id)
-        return out
+        dc_servers = psn.index().dc_servers
+        ids = sorted(sid for dc_id in root_dcs(psn, request)
+                     for sid in dc_servers.get(dc_id, ()))
+        return [sid for sid in ids if ok(nodes[sid])]
 
     if last_s is None:
         raise ValueError("last_s is required for VNFs beyond the first")
@@ -427,20 +445,19 @@ def feasible_servers(psn: PhysicalNetwork, request: SliceRequest, v: int,
     slack = request.e2e_budget_ms - used_e2e_ms
     eff_budget = min(vl.budget_ms, slack)
     reach = latency_reach(psn, last_s, vl.bw, eff_budget)
-    last_dc = psn.nodes[last_s].dc
+    last_dc = nodes[last_s].dc
 
-    for srv in psn.servers():
-        if srv.id == last_s:
-            if ok(srv):
-                out.append(srv.id)
-            continue
-        if reach.get(srv.id, float("inf")) > eff_budget + LATENCY_EPS:
+    # reach holds last_s plus nodes within eff_budget, nothing else
+    out = []
+    for sid in sorted(reach):
+        srv = nodes[sid]
+        if not isinstance(srv, Server):
             continue
         if srv.dc == last_dc:
             if ok(srv):
-                out.append(srv.id)
+                out.append(sid)
         elif srv.fits(d_v.cpu, d_v.ram):
-            out.append(srv.id)
+            out.append(sid)
     return out
 
 

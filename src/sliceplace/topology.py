@@ -17,7 +17,7 @@ import json
 import uuid
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Iterator, Mapping
+from typing import Mapping, NamedTuple
 
 
 class NodeKind(str, Enum):
@@ -154,6 +154,22 @@ class TopologyParams:
                 DCKind.EDC: self.edc_bw_gbps}[kind]
 
 
+class StructureIndex(NamedTuple):
+    """Read-only lookups derived from a network's nodes, data centers and
+    links; residuals are not part of it. Node and adjacency entries are in
+    id order."""
+
+    servers: tuple[Server, ...]
+    # node id -> tier of its data center (None outside any DC)
+    tier: tuple[DCKind | None, ...]
+    # data center id -> ids of the servers whose `dc` names it
+    dc_servers: Mapping[str, tuple[int, ...]]
+    # node id -> its `adj` entries sorted by (neighbor id, link id)
+    adj_sorted: tuple[tuple[tuple[int, int], ...], ...]
+    # the same without entries whose neighbor has degree 1 (a leaf relays nothing)
+    relay_adj: tuple[tuple[tuple[int, int], ...], ...]
+
+
 @dataclass(frozen=True)
 class CapacitySnapshot:
     """Immutable copy of every residual, bound to one network instance."""
@@ -172,6 +188,15 @@ class PhysicalNetwork:
     allocate/release calls; inside a (nestable) transaction, `mark = begin()`
     then `commit(mark)` or `rollback(mark)`, they log old residuals that a
     rollback writes back exactly. `snapshot`/`restore` copy every residual.
+
+    `index()` returns a `StructureIndex` built once per structure: the
+    server list that `servers()` and every full scan read, each node's DC
+    tier, per-DC server ids and sorted adjacency (in full and without leaf
+    neighbors). `add_node`, `add_server`, `add_data_center` and `add_link`
+    drop it; capacity changes keep it. A clone shares the parent's tiers,
+    per-DC ids and sorted adjacency (immutable) but lists its own `Server`
+    objects, so residuals it allocates never show in the parent's
+    `servers()`.
     """
 
     def __init__(self, params: TopologyParams | None = None) -> None:
@@ -187,15 +212,20 @@ class PhysicalNetwork:
         # (server or link, attribute, old value); log length at each open begin
         self._undo: list[tuple[Server | PhysicalLink, str, float]] = []
         self._marks: list[int] = []
+        self._index: StructureIndex | None = None
 
     # -- construction ------------------------------------------------------
+
+    def _append(self, node: Node) -> None:
+        self.nodes.append(node)
+        self.adj.append([])
+        self._index = None
 
     def add_node(self, label: str, kind: NodeKind, dc: str | None = None) -> int:
         if kind is NodeKind.SERVER:
             raise TopologyError("use add_server for servers")
         node = Node(id=len(self.nodes), label=label, kind=kind, dc=dc)
-        self.nodes.append(node)
-        self.adj.append([])
+        self._append(node)
         return node.id
 
     def add_server(self, label: str, dc: str, cpu: float, ram: float) -> int:
@@ -206,8 +236,7 @@ class PhysicalNetwork:
         node = Server(id=len(self.nodes), label=label, kind=NodeKind.SERVER, dc=dc,
                       cpu_capacity=cpu, ram_capacity=ram,
                       cpu_residual=cpu, ram_residual=ram)
-        self.nodes.append(node)
-        self.adj.append([])
+        self._append(node)
         self.data_centers[dc].servers.append(node.id)
         return node.id
 
@@ -217,6 +246,7 @@ class PhysicalNetwork:
         switch = self.add_node(switch_label or f"{dc_id}-sw", NodeKind.SWITCH, dc=dc_id)
         dc = DataCenter(id=dc_id, kind=kind, switch=switch)
         self.data_centers[dc_id] = dc
+        self._index = None
         return dc
 
     def add_link(self, a: int, b: int, latency_ms: float, kind: LinkKind,
@@ -238,6 +268,7 @@ class PhysicalNetwork:
         self.adj[a].append((b, link.id))
         self.adj[b].append((a, link.id))
         self._alpha_cache.clear()
+        self._index = None
         return link.id
 
     # -- lookups -----------------------------------------------------------
@@ -259,23 +290,44 @@ class PhysicalNetwork:
                 return self.links[lid]
         return None
 
-    def servers(self) -> Iterator[Server]:
-        for node in self.nodes:
-            if isinstance(node, Server):
-                yield node
+    def index(self) -> StructureIndex:
+        """The structure index, built on first use after a structural change."""
+        if self._index is None:
+            servers = tuple([n for n in self.nodes if isinstance(n, Server)])
+            dc_servers: dict[str, list[int]] = {}
+            for s in servers:
+                dc_servers.setdefault(s.dc, []).append(s.id)
+            kind = {dc_id: dc.kind for dc_id, dc in self.data_centers.items()}
+            adj_sorted = tuple(map(tuple, map(sorted, self.adj)))
+            relays = [len(entries) > 1 for entries in self.adj]
+            self._index = StructureIndex(
+                servers=servers,
+                tier=tuple([kind.get(n.dc) for n in self.nodes]),
+                dc_servers={k: tuple(v) for k, v in dc_servers.items()},
+                adj_sorted=adj_sorted,
+                # a lone entry to a relay (a server's switch) is reused, not copied
+                relay_adj=tuple([
+                    entries if len(entries) == 1 and relays[entries[0][0]]
+                    else tuple([e for e in entries if relays[e[0]]])
+                    for entries in adj_sorted]))
+        return self._index
+
+    def servers(self) -> tuple[Server, ...]:
+        """Every server, ascending by id."""
+        return self.index().servers
 
     def server_ids(self) -> list[int]:
-        return [n.id for n in self.nodes if n.kind is NodeKind.SERVER]
+        return [s.id for s in self.servers()]
 
     def dc_of(self, node_id: int) -> DataCenter | None:
         dc_id = self.nodes[node_id].dc
         return self.data_centers[dc_id] if dc_id is not None else None
 
     def tier_of_server(self, server_id: int) -> DCKind:
-        dc = self.dc_of(server_id)
-        if dc is None:
+        tier = self.index().tier[server_id]
+        if tier is None:
             raise TopologyError(f"server {server_id} belongs to no data center")
-        return dc.kind
+        return tier
 
     def total_cpu_capacity(self) -> float:
         return sum(s.cpu_capacity for s in self.servers())
@@ -354,7 +406,7 @@ class PhysicalNetwork:
             setattr(obj, attr, old)
 
     def snapshot(self) -> CapacitySnapshot:
-        servers = list(self.servers())
+        servers = self.servers()
         return CapacitySnapshot(
             token=self._token,
             server_cpu=tuple(s.cpu_residual for s in servers),
@@ -365,7 +417,7 @@ class PhysicalNetwork:
     def restore(self, snap: CapacitySnapshot) -> None:
         if snap.token != self._token:
             raise TopologyError("snapshot belongs to a different network instance")
-        servers = list(self.servers())
+        servers = self.servers()
         if len(snap.server_cpu) != len(servers) or len(snap.link_bw) != len(self.links):
             raise TopologyError("snapshot shape does not match network")
         for s, cpu, ram in zip(servers, snap.server_cpu, snap.server_ram):
@@ -377,7 +429,10 @@ class PhysicalNetwork:
     def clone(self) -> "PhysicalNetwork":
         """Deep copy sharing the snapshot token, so snapshots stay portable
         between a network and its clones. It starts with a copy of the
-        access-latency cache, which only `add_link` invalidates."""
+        access-latency cache, which only `add_link` invalidates, and shares
+        the immutable parts of the structure index; its server list holds
+        its own `Server` objects."""
+        idx = self.index()
         other = PhysicalNetwork(self.params)
         other.nodes = [replace(n) for n in self.nodes]
         other.links = [replace(l) for l in self.links]
@@ -388,6 +443,7 @@ class PhysicalNetwork:
         other.adj = [list(entries) for entries in self.adj]
         other._token = self._token
         other._alpha_cache = dict(self._alpha_cache)
+        other._index = idx._replace(servers=tuple([other.nodes[s.id] for s in idx.servers]))
         return other
 
     # -- access latency ----------------------------------------------------
@@ -506,8 +562,7 @@ class PhysicalNetwork:
                         ram_residual=float(n["ram_residual"]))
                 else:
                     node = Node(id=i, label=n["label"], kind=kind, dc=n["dc"])
-                net.nodes.append(node)
-                net.adj.append([])
+                net._append(node)
             for i, l in enumerate(obj["links"]):
                 if l["id"] != i:
                     raise TopologyError("link ids must be dense and ordered")

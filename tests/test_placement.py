@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import dataclasses
+import heapq
 import json
 import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sliceplace.nspr import DEFAULT_CATALOG, SliceClass, make_request
 from sliceplace.placement import (
@@ -20,14 +23,17 @@ from sliceplace.placement import (
     check_placement,
     feasible_servers,
     latency_reach,
+    lookahead_ok,
     min_cost_path,
     release_placement,
+    root_dcs,
 )
 from sliceplace.topology import (
     DCKind,
     LinkKind,
     NodeKind,
     PhysicalNetwork,
+    Server,
     TopologyParams,
     build_reference_psn,
 )
@@ -500,6 +506,177 @@ class TestFeasibleServers:
         net.allocate_bw(link_id(net, root, sw_e), 9.5)
         # attachment link saturated but the server can absorb both v2 and v3
         assert root in feasible_servers(net, req, 2, root, used_e2e_ms=0.02)
+
+
+def plain_reach(net: PhysicalNetwork, src: int, bw: float,
+                budget_ms: float) -> dict[int, float]:
+    """Reference Dijkstra for latency_reach: every reached node is pushed."""
+    dist = {src: 0.0}
+    pq = [(0.0, src)]
+    while pq:
+        d, u = heapq.heappop(pq)
+        if d > dist[u]:
+            continue
+        for v, lid in net.adj[u]:
+            link = net.links[lid]
+            if link.bw_residual is None or link.bw_residual < bw:
+                continue
+            nd = d + link.latency_ms
+            if nd <= budget_ms + LATENCY_EPS and nd < dist.get(v, float("inf")):
+                dist[v] = nd
+                heapq.heappush(pq, (nd, v))
+    return dist
+
+
+def plain_hop_path(net: PhysicalNetwork, src: int, dst: int, bw: float) -> list[int] | None:
+    """Reference for min_cost_path's first stage: BFS that expands every
+    node, leaves included, in ascending id order."""
+    parent = {src: (-1, -1)}
+    level = [src]
+    while level:
+        nxt = []
+        for u in sorted(level):
+            for v, lid in sorted(net.adj[u]):
+                r = net.links[lid].bw_residual
+                if v in parent or r is None or r < bw:
+                    continue
+                parent[v] = (u, lid)
+                if v == dst:
+                    path = []
+                    while v != src:
+                        v, lid = parent[v]
+                        path.append(lid)
+                    return path[::-1]
+                nxt.append(v)
+        level = nxt
+    return None
+
+
+def scan_feasible_servers(net: PhysicalNetwork, request, v: int, last_s: int | None,
+                          used_e2e_ms: float) -> list[int]:
+    """Reference eligibility: the rule of `feasible_servers` applied to every
+    server of the network in id order."""
+    d_v = request.vnf(v)
+    ok = lookahead_ok(net, request, v)
+    servers = [n for n in net.nodes if isinstance(n, Server)]
+    if v == 1:
+        ok_dcs = root_dcs(net, request)
+        return [s.id for s in servers if s.dc in ok_dcs and ok(s)]
+    vl = request.vl(v - 1)
+    eff_budget = min(vl.budget_ms, request.e2e_budget_ms - used_e2e_ms)
+    reach = plain_reach(net, last_s, vl.bw, eff_budget)
+    last_dc = net.nodes[last_s].dc
+    out = []
+    for srv in servers:
+        if srv.id == last_s:
+            if ok(srv):
+                out.append(srv.id)
+            continue
+        if reach.get(srv.id, float("inf")) > eff_budget + LATENCY_EPS:
+            continue
+        if srv.dc == last_dc:
+            if ok(srv):
+                out.append(srv.id)
+        elif srv.fits(d_v.cpu, d_v.ram):
+            out.append(srv.id)
+    return out
+
+
+_LATENCIES = [0.0, 0.1, 0.33, 0.5, 1.0]
+_BWS = [0.5, 1.0, 2.0, 10.0]
+
+
+@st.composite
+def loaded_substrates(draw):
+    """Small substrates of star DCs plus random extra links, so that some
+    servers have two or more links; servers and links are partly loaded and
+    some links are too thin for any demand."""
+    net = PhysicalNetwork(TopologyParams())
+    kinds = list(DCKind)
+    for d in range(draw(st.integers(1, 4))):
+        dc = net.add_data_center(f"dc{d}", draw(st.sampled_from(kinds)))
+        for i in range(draw(st.integers(1, 3))):
+            sid = net.add_server(f"dc{d}-s{i}", f"dc{d}", 50.0, 300.0)
+            if draw(st.integers(0, 5)):  # an occasional server has no uplink
+                net.add_link(dc.switch, sid, 0.0, LinkKind.INTRA_DC,
+                             draw(st.sampled_from(_BWS)))
+    switches = [dc.switch for dc in net.data_centers.values()]
+    for i, a in enumerate(switches):
+        for b in switches[i + 1:]:
+            if draw(st.booleans()):
+                net.add_link(a, b, draw(st.sampled_from(_LATENCIES)),
+                             LinkKind.TRANSPORT, draw(st.sampled_from(_BWS)))
+    for _ in range(draw(st.integers(0, 4))):
+        a, b = draw(st.lists(st.integers(0, len(net.nodes) - 1),
+                             min_size=2, max_size=2, unique=True))
+        net.add_link(a, b, draw(st.sampled_from(_LATENCIES)),
+                     LinkKind.TRANSPORT, draw(st.sampled_from(_BWS)))
+    for u in range(draw(st.integers(1, 2))):
+        uap = net.add_node(f"uap{u}", NodeKind.UAP)
+        net.add_link(uap, draw(st.sampled_from(switches)),
+                     draw(st.sampled_from([0.02, 0.05, 0.1])), LinkKind.ACCESS, None)
+        net.uaps.append(uap)
+    for srv in net.servers():
+        cpu = draw(st.sampled_from([0.0, 10.0, 20.0, 30.0, 40.0, 50.0]))
+        net.allocate(srv.id, cpu, cpu * 6)
+    for link in net.links:
+        if link.bw_capacity is not None:
+            net.allocate_bw(link.id, link.bw_capacity * draw(st.sampled_from([0.0, 0.5, 1.0])))
+    return net
+
+
+class TestReachBoundedEligibility:
+    """`feasible_servers` tests only what `latency_reach` reaches and the
+    searches skip leaves; results must equal those of the full scans."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(loaded_substrates(), st.data())
+    def test_matches_all_server_scan(self, net, data):
+        request = make_request(data.draw(st.sampled_from(list(SliceClass))),
+                               data.draw(st.sampled_from(net.uaps)))
+        # unequal VL demands: reaching a server then says nothing about
+        # whether its links can carry the next VL
+        request = dataclasses.replace(request, vls=tuple(
+            dataclasses.replace(vl, bw=data.draw(st.sampled_from([0.5, 1.0, 2.0])))
+            for vl in request.vls))
+        assert feasible_servers(net, request, 1, None) == \
+               scan_feasible_servers(net, request, 1, None, 0.0)
+        servers = net.server_ids()
+        for v in range(2, request.n_vnfs + 1):
+            last_s = data.draw(st.sampled_from(servers))
+            # beyond the end-to-end budget the slack turns negative
+            used = data.draw(st.sampled_from([0.0, 0.02, 0.7, 1.3,
+                                              request.e2e_budget_ms + 0.5]))
+            got = feasible_servers(net, request, v, last_s, used_e2e_ms=used)
+            assert got == scan_feasible_servers(net, request, v, last_s, used)
+
+    @settings(max_examples=150, deadline=None)
+    @given(loaded_substrates(), st.data())
+    def test_reach_matches_plain_dijkstra(self, net, data):
+        src = data.draw(st.integers(0, len(net.nodes) - 1))
+        bw = data.draw(st.sampled_from([0.0] + _BWS))
+        budget = data.draw(st.sampled_from([-0.5, 0.0, 0.1, 0.33, 1.0, 5.0]))
+        assert latency_reach(net, src, bw, budget) == plain_reach(net, src, bw, budget)
+
+    @settings(max_examples=150, deadline=None)
+    @given(loaded_substrates(), st.data())
+    def test_hop_path_matches_plain_bfs(self, net, data):
+        src, dst = data.draw(st.lists(st.integers(0, len(net.nodes) - 1),
+                                      min_size=2, max_size=2, unique=True))
+        bw = data.draw(st.sampled_from([0.0] + _BWS))
+        # with no latency limit the minimum-hop path always wins
+        assert min_cost_path(net, src, dst, bw, float("inf")) == \
+               plain_hop_path(net, src, dst, bw)
+
+    def test_unreachable_last_s(self):
+        net = make_pair()
+        req = make_request(SliceClass.URLLC, net.uaps[0])
+        anchor = servers_of(net, "edc0")[0]
+        sw = net.data_centers["edc0"].switch
+        net.allocate_bw(link_id(net, anchor, sw), 10.0)
+        assert latency_reach(net, anchor, 1.0, 5.0) == {anchor: 0.0}
+        got = feasible_servers(net, req, 2, anchor, used_e2e_ms=0.02)
+        assert got == [anchor] == scan_feasible_servers(net, req, 2, anchor, 0.02)
 
 
 class TestApplyRelease:

@@ -213,14 +213,31 @@ GOLDEN_DIGESTS = {
 }
 
 
+# The same for MIX, rho=1, horizon 100, seed 7 on the scale-4 substrate (504
+# servers), where latency reach spans many servers per DC.
+GOLDEN_DIGESTS_SCALE4 = {
+    "p2c-1": "68c80dafd27653b7b07dcbcec2237748bf58f736e260e59af87cad84de3baf2b",
+    "p2c-2": "56b34ee0138cb175f1c2f71b17f2e43794f81f7106df719a4ad674ba70ec260f",
+}
+
+
+def results_digest(report) -> str:
+    obj = report.to_json()
+    obj.pop("placement_time_ms", None)
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
 class TestGoldenResults:
     @pytest.mark.parametrize("algorithm", sorted(GOLDEN_DIGESTS))
     def test_results_digest_pinned(self, net, algorithm):
         report = run(net, Scenario.named("MIX", 1.0, horizon=300.0), algorithm, 7)
-        obj = report.to_json()
-        obj.pop("placement_time_ms", None)
-        digest = hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
-        assert digest == GOLDEN_DIGESTS[algorithm]
+        assert results_digest(report) == GOLDEN_DIGESTS[algorithm]
+
+    @pytest.mark.parametrize("algorithm", sorted(GOLDEN_DIGESTS_SCALE4))
+    def test_results_digest_pinned_scale4(self, algorithm):
+        report = run(build_reference_psn(4), Scenario.named("MIX", 1.0, horizon=100.0),
+                     algorithm, 7)
+        assert results_digest(report) == GOLDEN_DIGESTS_SCALE4[algorithm]
 
 
 class TestPlaceRequest:
@@ -260,7 +277,7 @@ class TestValidateAudit:
         # a placer that holds resources yet reports rejection; the snapshot
         # audit must see it without trusting the transaction log
         def leaky(psn, request, policy, rng):
-            psn.allocate(next(psn.servers()).id, 1.0, 1.0)
+            psn.allocate(psn.servers()[0].id, 1.0, 1.0)
             return PlacementOutcome(OutcomeStatus.REJECTED, None, 0.0, 1)
 
         monkeypatch.setattr(sim, "place", leaky)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sliceplace.placement import latency_reach
 from sliceplace.topology import (
     CapacityError,
     DCKind,
@@ -367,6 +368,68 @@ class TestTransactions:
             net.commit(outer)
         with pytest.raises(TopologyError):
             make_pair().rollback(0)
+
+
+class TestStructureIndex:
+    def test_clone_lists_its_own_servers(self):
+        net = make_pair()
+        twin = net.clone()
+        for sid in twin.server_ids():
+            twin.allocate(sid, 10, 60)
+        assert [(s.cpu_residual, s.ram_residual) for s in net.servers()] == \
+               [(50.0, 300.0)] * 4
+        assert [s.cpu_residual for s in twin.servers()] == [40.0] * 4
+        assert all(a is not b for a, b in zip(net.servers(), twin.servers()))
+        # the immutable parts are shared, not rebuilt
+        assert twin.index().adj_sorted is net.index().adj_sorted
+        assert twin.index().tier is net.index().tier
+
+    def test_capacity_changes_keep_the_index(self):
+        net = make_pair()
+        idx = net.index()
+        net.allocate(net.server_ids()[0], 10, 60)
+        net.allocate_bw(net.links[0].id, 1.0)
+        assert net.index() is idx
+
+    def test_add_server_and_link_after_a_search(self):
+        net = make_pair()
+        sw = net.data_centers["edc0"].switch
+        before = set(latency_reach(net, sw, 1.0, 5.0))
+        sid = net.add_server("edc0-s99", "edc0", 50.0, 300.0)
+        assert sid in net.server_ids()
+        assert net.index().tier[sid] is DCKind.EDC
+        assert sid in net.index().dc_servers["edc0"]
+        assert sid not in latency_reach(net, sw, 1.0, 5.0)
+        lid = net.add_link(sid, sw, 0.0, LinkKind.INTRA_DC, 10.0)
+        assert net.index().adj_sorted[sid] == ((sw, lid),)
+        assert (sid, lid) in net.index().adj_sorted[sw]
+        assert set(latency_reach(net, sw, 1.0, 5.0)) == before | {sid}
+
+    def test_add_data_center_and_node_invalidate(self):
+        net = make_pair()
+        n_nodes = len(net.index().tier)
+        dc = net.add_data_center("ccp0", DCKind.CCP)
+        assert net.index().tier[dc.switch] is DCKind.CCP
+        uap = net.add_node("uap01", NodeKind.UAP)
+        assert len(net.index().tier) == n_nodes + 2
+        assert net.index().tier[uap] is None
+
+    def test_sorted_adjacency_keeps_adj_order(self):
+        net = make_pair()
+        a, b = net.data_centers["edc0"].switch, net.data_centers["cdc0"].switch
+        # a second, later link to a lower-id neighbor
+        net.add_link(b, a, 1.0, LinkKind.TRANSPORT, 10.0)
+        for u, entries in enumerate(net.adj):
+            assert net.index().adj_sorted[u] == tuple(sorted(entries))
+        assert net.adj[b] != sorted(net.adj[b])
+
+    def test_from_json_builds_the_same_index(self, ref):
+        loaded = PhysicalNetwork.from_json(ref.to_json())
+        idx, got = ref.index(), loaded.index()
+        assert [s.id for s in got.servers] == [s.id for s in idx.servers]
+        assert got.tier == idx.tier
+        assert got.dc_servers == idx.dc_servers
+        assert got.adj_sorted == idx.adj_sorted
 
 
 class TestSerialization:
