@@ -71,6 +71,8 @@ def _request_from_args(args, net: PhysicalNetwork, cfg: RunConfig):
     if not 0 <= args.uap < len(net.uaps):
         raise ConfigError(f"--uap index {args.uap} outside 0..{len(net.uaps) - 1}")
     catalog = cfg.catalog or DEFAULT_CATALOG
+    if cls_ not in catalog:
+        raise ConfigError(f"catalog has no class {cls_.value!r}")
     return make_request(cls_, net.uaps[args.uap], catalog=catalog)
 
 

@@ -8,6 +8,7 @@ fail loudly instead of silently running defaults.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Any, Mapping
@@ -24,16 +25,34 @@ class ConfigError(ValueError):
     pass
 
 
-_SCENARIO_KEYS = {"name", "mix", "target_load", "horizon", "mean_holding",
-                  "replications", "base_seed", "warmup", "include_holding_time"}
+# scenario key -> JSON type of its value ("mix" is checked on its own)
+_SCENARIO_TYPES = {"name": str, "target_load": float, "horizon": float,
+                   "mean_holding": float, "replications": int, "base_seed": int,
+                   "warmup": float, "include_holding_time": bool}
+_SCENARIO_KEYS = set(_SCENARIO_TYPES) | {"mix"}
 _TOP_KEYS = {"topology", "scenario", "algorithm", "catalog", "solver",
              "validate", "measure_time", "jobs", "series_interval", "output"}
+_TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a finite number",
+               str: "a string"}
 
 
 def _require_keys(obj: Mapping, allowed: set[str], where: str) -> None:
     unknown = set(obj) - allowed
     if unknown:
         raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+
+
+def _typed(value: Any, kind: type, where: str, *, nullable: bool = False) -> Any:
+    """`value` if it is a JSON value of `kind` (float admits integers, int
+    and float exclude booleans), else ConfigError."""
+    if value is None and nullable:
+        return value
+    accepted = (int, float) if kind is float else (kind,)
+    if (isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted)
+            or (kind is float and not math.isfinite(value))):
+        raise ConfigError(f"{where} must be {_TYPE_NAMES[kind]}"
+                          + (" or null" if nullable else ""))
+    return value
 
 
 @dataclass
@@ -72,7 +91,8 @@ class RunConfig:
         if not isinstance(topo, Mapping):
             raise ConfigError("topology section must be an object")
         topo = dict(topo)
-        cfg.topology_file = topo.pop("file", None)
+        cfg.topology_file = _typed(topo.pop("file", None), str, "topology file",
+                                   nullable=True)
         if topo:
             known = set(TopologyParams.__dataclass_fields__)
             _require_keys(topo, known, "topology")
@@ -87,11 +107,16 @@ class RunConfig:
             raise ConfigError("scenario section must be an object")
         _require_keys(scen, _SCENARIO_KEYS, "scenario")
         scen = dict(scen)
-        cfg.scenario_name = scen.pop("name", "MIX")
         raw_mix = scen.pop("mix", None)
+        for key, value in scen.items():
+            _typed(value, _SCENARIO_TYPES[key], f"scenario {key}")
+        cfg.scenario_name = scen.pop("name", "MIX")
         if raw_mix is not None:
+            if not isinstance(raw_mix, Mapping):
+                raise ConfigError("scenario mix must be an object")
             try:
-                cfg.mix = {SliceClass(k): float(v) for k, v in raw_mix.items()}
+                cfg.mix = {SliceClass(k): float(_typed(v, float, f"mix share {k!r}"))
+                           for k, v in raw_mix.items()}
             except ValueError as exc:
                 raise ConfigError(f"bad mix: {exc}") from exc
         elif cfg.scenario_name not in _NAMED_MIXES:
@@ -99,8 +124,10 @@ class RunConfig:
                               f"explicit mix (known: {', '.join(_NAMED_MIXES)})")
         cfg.scenario_fields = scen
 
-        cfg.algorithm = obj.get("algorithm", cfg.algorithm)
+        cfg.algorithm = _typed(obj.get("algorithm", cfg.algorithm), str, "algorithm")
         if "catalog" in obj:
+            if not isinstance(obj["catalog"], Mapping):
+                raise ConfigError("catalog must be an object")
             try:
                 cfg.catalog = catalog_from_json(obj["catalog"])
             except (KeyError, TypeError, ValueError) as exc:
@@ -111,29 +138,30 @@ class RunConfig:
             raise ConfigError("solver section must be an object")
         _require_keys(solver, {"max_nodes"}, "solver")
         if "max_nodes" in solver:
-            cfg.max_nodes = (None if solver["max_nodes"] is None
-                             else int(solver["max_nodes"]))
+            cfg.max_nodes = _typed(solver["max_nodes"], int, "solver max_nodes",
+                                   nullable=True)
+            if cfg.max_nodes is not None and cfg.max_nodes < 1:
+                raise ConfigError("solver max_nodes must be null or >= 1")
 
         for key in ("validate", "measure_time"):
             if key in obj:
-                if not isinstance(obj[key], bool):
-                    raise ConfigError(f"{key} must be a boolean")
-                setattr(cfg, key, obj[key])
+                setattr(cfg, key, _typed(obj[key], bool, key))
         if "jobs" in obj:
-            cfg.jobs = int(obj["jobs"])
+            cfg.jobs = _typed(obj["jobs"], int, "jobs")
             if cfg.jobs < 1:
                 raise ConfigError("jobs must be >= 1")
-        if "series_interval" in obj and obj["series_interval"] is not None:
-            cfg.series_interval = float(obj["series_interval"])
-            if cfg.series_interval <= 0:
+        if "series_interval" in obj:
+            cfg.series_interval = _typed(obj["series_interval"], float,
+                                         "series_interval", nullable=True)
+            if cfg.series_interval is not None and cfg.series_interval <= 0:
                 raise ConfigError("series_interval must be positive")
 
         output = obj.get("output", {})
         if not isinstance(output, Mapping):
             raise ConfigError("output section must be an object")
         _require_keys(output, {"metrics", "series"}, "output")
-        cfg.out_metrics = output.get("metrics")
-        cfg.out_series = output.get("series")
+        cfg.out_metrics = _typed(output.get("metrics"), str, "output metrics", nullable=True)
+        cfg.out_series = _typed(output.get("series"), str, "output series", nullable=True)
         return cfg
 
     @classmethod

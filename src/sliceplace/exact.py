@@ -52,15 +52,6 @@ class SolveResult:
     # deepest VNF index that was ever successfully committed (0 = none)
     deepest_feasible_vnf: int
 
-    def to_json(self, psn: PhysicalNetwork) -> dict:
-        return {
-            "status": self.status.value,
-            "placement": None if self.placement is None else self.placement.to_json(psn),
-            "objective": self.objective,
-            "nodes_explored": self.nodes_explored,
-            "deepest_feasible_vnf": self.deepest_feasible_vnf,
-        }
-
 
 class _BudgetExhausted(Exception):
     pass
@@ -68,13 +59,6 @@ class _BudgetExhausted(Exception):
 
 class _FoundFeasible(Exception):
     pass
-
-
-def _path_cost(psn: PhysicalNetwork, path: tuple[int, ...], d_bw: float,
-               objective: str) -> float:
-    if objective == "consumption":
-        return len(path) * d_bw
-    return sum(psn.links[lid].bw_capacity for lid in path)
 
 
 def _enumerate_paths(psn: PhysicalNetwork, src: int, dst: int, bw: float,
@@ -123,10 +107,7 @@ def _enumerate_paths(psn: PhysicalNetwork, src: int, dst: int, bw: float,
 
 
 def _solve(psn: PhysicalNetwork, request: SliceRequest, *, find_optimal: bool,
-           objective: str, max_nodes: int | None,
-           max_paths_per_vl: int | None) -> SolveResult:
-    if objective not in ("consumption", "capacity"):
-        raise ValueError(f"unknown objective {objective!r}")
+           max_nodes: int | None, max_paths_per_vl: int | None) -> SolveResult:
     n = request.n_vnfs
     servers = {s.id: s for s in psn.servers()}
     alpha_by_dc = {dc_id: psn.access_latency(request.uap, dc_id)
@@ -190,8 +171,6 @@ def _solve(psn: PhysicalNetwork, request: SliceRequest, *, find_optimal: bool,
             cands.append((rank, sid))
         if find_optimal:
             cands.sort()
-        else:
-            cands.sort(key=lambda t: t[1])
         picked = []
         deduped = dedupe([sid for _, sid in cands])
         keep = set(deduped)
@@ -225,9 +204,9 @@ def _solve(psn: PhysicalNetwork, request: SliceRequest, *, find_optimal: bool,
         for sid, paths in candidates(v, last_s, used_e2e):
             srv = servers[sid]
             for path in paths:
-                cost_p = 0.0 if v == 1 else _path_cost(psn, path, request.vl(v - 1).bw, objective)
+                cost_p = 0.0 if v == 1 else len(path) * request.vl(v - 1).bw
                 if best_cost is not None and committed + cost_p >= best_cost:
-                    if objective == "consumption" and v > 1:
+                    if v > 1:
                         break  # paths sorted by hops; the rest cost at least this much
                     continue
                 mark = psn.begin()
@@ -270,18 +249,13 @@ def _solve(psn: PhysicalNetwork, request: SliceRequest, *, find_optimal: bool,
 
 
 def solve_ilp1(psn: PhysicalNetwork, request: SliceRequest, *,
-               objective: str = "consumption",
                max_nodes: int | None = DEFAULT_NODE_BUDGET,
                max_paths_per_vl: int | None = None) -> SolveResult:
-    """Minimum-bandwidth placement of the whole chain.
-
-    The default objective charges each virtual link its demand times path
-    length; objective="capacity" charges the capacity of every link used
-    instead. The substrate is left untouched; callers apply the returned
-    placement explicitly.
-    """
-    return _solve(psn, request, find_optimal=True, objective=objective,
-                  max_nodes=max_nodes, max_paths_per_vl=max_paths_per_vl)
+    """Minimum-bandwidth placement of the whole chain: each virtual link
+    costs its demand times its path length. The substrate is left
+    untouched; callers apply the returned placement explicitly."""
+    return _solve(psn, request, find_optimal=True, max_nodes=max_nodes,
+                  max_paths_per_vl=max_paths_per_vl)
 
 
 def solve_ilp2(psn: PhysicalNetwork, request: SliceRequest, *,
@@ -290,18 +264,15 @@ def solve_ilp2(psn: PhysicalNetwork, request: SliceRequest, *,
     """First complete feasible placement in ascending-server-id order,
     realizing the accept-whenever-possible baseline. OPTIMAL here just means
     a feasible placement was found."""
-    return _solve(psn, request, find_optimal=False, objective="consumption",
-                  max_nodes=max_nodes, max_paths_per_vl=max_paths_per_vl)
+    return _solve(psn, request, find_optimal=False, max_nodes=max_nodes,
+                  max_paths_per_vl=max_paths_per_vl)
 
 
 def brute_force(psn: PhysicalNetwork, request: SliceRequest, *,
-                objective: str = "consumption",
                 max_servers: int = 8, max_vnfs: int = 3) -> SolveResult:
     """Exhaustive oracle: every VNF-to-server assignment crossed with every
     simple-path combination, checked by direct constraint tallies. Guarded to
     tiny instances; raises InstanceTooLargeError beyond the guard."""
-    if objective not in ("consumption", "capacity"):
-        raise ValueError(f"unknown objective {objective!r}")
     server_ids = sorted(s.id for s in psn.servers())
     n = request.n_vnfs
     if len(server_ids) > max_servers or n > max_vnfs:
@@ -384,7 +355,7 @@ def brute_force(psn: PhysicalNetwork, request: SliceRequest, *,
                 for lid in path:
                     bw_need[lid] = bw_need.get(lid, 0.0) + d_bw
                 total_lat += sum(psn.links[lid].latency_ms for lid in path)
-                cost += _path_cost(psn, path, d_bw, objective)
+                cost += len(path) * d_bw
             if any(load > psn.links[lid].bw_residual for lid, load in bw_need.items()):
                 ok = False
             if ok and alpha + total_lat > request.e2e_budget_ms + LATENCY_EPS:
@@ -403,98 +374,3 @@ def brute_force(psn: PhysicalNetwork, request: SliceRequest, *,
     placement.cost = bandwidth_cost(request, placement)
     return SolveResult(SolveStatus.OPTIMAL, placement, best_cost, nodes, deepest)
 
-
-def export_lp(psn: PhysicalNetwork, request: SliceRequest, *,
-              objective: str = "consumption") -> str:
-    """Emit the placement model in CPLEX LP text form for external solvers.
-
-    Arc-flow encoding: x_v_s picks a server per VNF, f_i_a_b routes VL i over
-    directed link copies. Root variables exist only for servers whose DC meets
-    the access bound. Flow conservation permits isolated cycles, which the
-    minimization prunes; feasibility checks of exported models should add
-    their own cycle handling if they need path-pure solutions.
-    """
-    if objective not in ("consumption", "capacity"):
-        raise ValueError(f"unknown objective {objective!r}")
-    n = request.n_vnfs
-    servers = sorted(s.id for s in psn.servers())
-    alpha_by_dc = {dc_id: psn.access_latency(request.uap, dc_id)
-                   for dc_id in psn.data_centers}
-    root_ok = [s for s in servers
-               if alpha_by_dc[psn.nodes[s].dc] <= request.alpha_max_ms + LATENCY_EPS]
-    tracked = [l for l in psn.links if l.bw_residual is not None]
-
-    def xv(v: int, s: int) -> str:
-        return f"x_{v}_{s}"
-
-    def fv(i: int, a: int, b: int) -> str:
-        return f"f_{i}_{a}_{b}"
-
-    lines = ["\\ slice chain placement, arc-flow form", "Minimize"]
-    terms = []
-    for i in range(1, n):
-        for l in tracked:
-            w = request.vl(i).bw if objective == "consumption" else l.bw_capacity
-            terms.append(f"{w:g} {fv(i, l.a, l.b)} + {w:g} {fv(i, l.b, l.a)}")
-    lines.append(" obj: " + (" + ".join(terms) if terms else "0 x_dummy"))
-    lines.append("Subject To")
-
-    def hosts(v: int) -> list[int]:
-        return root_ok if v == 1 else servers
-
-    for v in range(1, n + 1):
-        lines.append(f" assign_{v}: " + " + ".join(xv(v, s) for s in hosts(v)) + " = 1")
-    for s in servers:
-        cpu_terms = [f"{request.vnf(v).cpu:g} {xv(v, s)}" for v in range(1, n + 1) if s in hosts(v)]
-        ram_terms = [f"{request.vnf(v).ram:g} {xv(v, s)}" for v in range(1, n + 1) if s in hosts(v)]
-        if cpu_terms:
-            lines.append(f" cpu_{s}: " + " + ".join(cpu_terms) + f" <= {psn.server(s).cpu_residual:g}")
-            lines.append(f" ram_{s}: " + " + ".join(ram_terms) + f" <= {psn.server(s).ram_residual:g}")
-    for l in tracked:
-        terms = []
-        for i in range(1, n):
-            d = request.vl(i).bw
-            terms.append(f"{d:g} {fv(i, l.a, l.b)} + {d:g} {fv(i, l.b, l.a)}")
-        lines.append(f" bw_{l.id}: " + " + ".join(terms) + f" <= {l.bw_residual:g}")
-    for i in range(1, n):
-        for node in psn.nodes:
-            inc = [(l.a, l.b) for l in tracked if node.id in (l.a, l.b)]
-            if not inc:
-                continue
-            outs = " + ".join(fv(i, node.id, (b if a == node.id else a)) for a, b in inc)
-            ins = " - ".join(fv(i, (b if a == node.id else a), node.id) for a, b in inc)
-            flow = f"{outs} - {ins}"
-            if isinstance(psn.nodes[node.id], Server):
-                s = node.id
-                rhs_terms = []
-                if s in hosts(i):
-                    rhs_terms.append(f"- {xv(i, s)}")
-                if s in hosts(i + 1):
-                    rhs_terms.append(f"+ {xv(i + 1, s)}")
-                lines.append(f" flow_{i}_{s}: {flow} " + " ".join(rhs_terms) + " = 0")
-            else:
-                lines.append(f" flow_{i}_{node.id}: {flow} = 0")
-        for l in tracked:
-            lines.append(f" simple_{i}_{l.id}: {fv(i, l.a, l.b)} + {fv(i, l.b, l.a)} <= 1")
-        lat_terms = [f"{l.latency_ms:g} {fv(i, l.a, l.b)} + {l.latency_ms:g} {fv(i, l.b, l.a)}"
-                     for l in tracked if l.latency_ms > 0]
-        if lat_terms:
-            lines.append(f" vl_lat_{i}: " + " + ".join(lat_terms)
-                         + f" <= {request.vl(i).budget_ms:g}")
-    e2e_terms = [f"{l.latency_ms:g} {fv(i, l.a, l.b)} + {l.latency_ms:g} {fv(i, l.b, l.a)}"
-                 for i in range(1, n) for l in tracked if l.latency_ms > 0]
-    e2e_terms += [f"{alpha_by_dc[psn.nodes[s].dc]:g} {xv(1, s)}"
-                  for s in root_ok if alpha_by_dc[psn.nodes[s].dc] > 0]
-    if e2e_terms:
-        lines.append(" e2e: " + " + ".join(e2e_terms) + f" <= {request.e2e_budget_ms:g}")
-
-    lines.append("Binaries")
-    binaries = [xv(v, s) for v in range(1, n + 1) for s in hosts(v)]
-    binaries += [fv(i, l.a, l.b) for i in range(1, n) for l in tracked]
-    binaries += [fv(i, l.b, l.a) for i in range(1, n) for l in tracked]
-    if not terms:
-        binaries.append("x_dummy")
-    for chunk in range(0, len(binaries), 8):
-        lines.append(" " + " ".join(binaries[chunk:chunk + 8]))
-    lines.append("End")
-    return "\n".join(lines) + "\n"

@@ -434,9 +434,8 @@ def feasible_servers(psn: PhysicalNetwork, request: SliceRequest, v: int,
     nodes = psn.nodes
 
     if v == 1:
-        dc_servers = psn.index().dc_servers
         ids = sorted(sid for dc_id in root_dcs(psn, request)
-                     for sid in dc_servers.get(dc_id, ()))
+                     for sid in psn.data_centers[dc_id].servers)
         return [sid for sid in ids if ok(nodes[sid])]
 
     if last_s is None:

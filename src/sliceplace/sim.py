@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import heapq
+import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -77,10 +78,12 @@ class Scenario:
     include_holding_time: bool = True
 
     def __post_init__(self) -> None:
-        if self.target_load <= 0:
-            raise ValueError("target_load must be positive")
-        if self.horizon <= 0 or self.mean_holding <= 0:
-            raise ValueError("horizon and mean_holding must be positive")
+        # NaN fails every comparison; a non-finite load or duration would
+        # leave the event loop without an end
+        if not 0 < self.target_load < math.inf:
+            raise ValueError("target_load must be positive and finite")
+        if not (0 < self.horizon < math.inf and 0 < self.mean_holding < math.inf):
+            raise ValueError("horizon and mean_holding must be positive and finite")
         if not 0 <= self.warmup < self.horizon:
             raise ValueError("warmup must lie in [0, horizon)")
         if self.replications < 1:
@@ -124,7 +127,9 @@ def arrival_rates_for_load(psn: PhysicalNetwork, mix: Mapping[SliceClass, float]
     hold = mean_holding if include_holding_time else 1.0
     denom = 0.0
     for cls_, share in mix.items():
-        spec = catalog[cls_]
+        spec = catalog.get(cls_)
+        if spec is None:
+            raise ValueError(f"catalog has no class {cls_.value!r} of the mix")
         denom += share * spec.cpu_per_vnf * spec.chain_length * hold
     if denom <= 0:
         raise ValueError("mix carries no CPU demand")

@@ -162,8 +162,6 @@ class StructureIndex(NamedTuple):
     servers: tuple[Server, ...]
     # node id -> tier of its data center (None outside any DC)
     tier: tuple[DCKind | None, ...]
-    # data center id -> ids of the servers whose `dc` names it
-    dc_servers: Mapping[str, tuple[int, ...]]
     # node id -> its `adj` entries sorted by (neighbor id, link id)
     adj_sorted: tuple[tuple[tuple[int, int], ...], ...]
     # the same without entries whose neighbor has degree 1 (a leaf relays nothing)
@@ -191,12 +189,14 @@ class PhysicalNetwork:
 
     `index()` returns a `StructureIndex` built once per structure: the
     server list that `servers()` and every full scan read, each node's DC
-    tier, per-DC server ids and sorted adjacency (in full and without leaf
-    neighbors). `add_node`, `add_server`, `add_data_center` and `add_link`
-    drop it; capacity changes keep it. A clone shares the parent's tiers,
-    per-DC ids and sorted adjacency (immutable) but lists its own `Server`
-    objects, so residuals it allocates never show in the parent's
-    `servers()`.
+    tier and sorted adjacency (in full and without leaf neighbors).
+    `add_node`, `add_server`, `add_data_center` and `add_link` drop it;
+    capacity changes keep it. A clone shares the parent's tiers and sorted
+    adjacency (immutable) but lists its own `Server` objects, so residuals
+    it allocates never show in the parent's `servers()`.
+
+    A data center's `servers` lists its servers in id order: `add_server`
+    appends to it and `validate` (run by `from_json`) checks it.
     """
 
     def __init__(self, params: TopologyParams | None = None) -> None:
@@ -294,16 +294,12 @@ class PhysicalNetwork:
         """The structure index, built on first use after a structural change."""
         if self._index is None:
             servers = tuple([n for n in self.nodes if isinstance(n, Server)])
-            dc_servers: dict[str, list[int]] = {}
-            for s in servers:
-                dc_servers.setdefault(s.dc, []).append(s.id)
             kind = {dc_id: dc.kind for dc_id, dc in self.data_centers.items()}
             adj_sorted = tuple(map(tuple, map(sorted, self.adj)))
             relays = [len(entries) > 1 for entries in self.adj]
             self._index = StructureIndex(
                 servers=servers,
                 tier=tuple([kind.get(n.dc) for n in self.nodes]),
-                dc_servers={k: tuple(v) for k, v in dc_servers.items()},
                 adj_sorted=adj_sorted,
                 # a lone entry to a relay (a server's switch) is reused, not copied
                 relay_adj=tuple([
@@ -479,23 +475,37 @@ class PhysicalNetwork:
     # -- validation and serialization --------------------------------------
 
     def validate(self) -> None:
+        """Raise TopologyError unless residuals lie within capacities, each
+        data center's `servers` lists exactly the servers that name it, in
+        id order, no two links join the same pair of nodes, every switch
+        and UAP entry names a node of that kind, and the graph is connected."""
+        dc_servers: dict[str, list[int]] = {dc_id: [] for dc_id in self.data_centers}
         for s in self.servers():
             if not (0 <= s.cpu_residual <= s.cpu_capacity):
                 raise TopologyError(f"server {s.id}: cpu residual out of bounds")
             if not (0 <= s.ram_residual <= s.ram_capacity):
                 raise TopologyError(f"server {s.id}: ram residual out of bounds")
-            if s.dc is None or s.dc not in self.data_centers:
+            if s.dc not in dc_servers:
                 raise TopologyError(f"server {s.id} belongs to no data center")
+            dc_servers[s.dc].append(s.id)
+        pairs: set[tuple[int, int]] = set()
         for link in self.links:
             if (link.bw_capacity is None) != (link.bw_residual is None):
                 raise TopologyError(f"link {link.id}: bandwidth residual and capacity "
                                     f"must both be set or both be absent")
             if link.bw_capacity is not None and not (0 <= link.bw_residual <= link.bw_capacity):
                 raise TopologyError(f"link {link.id}: bandwidth residual out of bounds")
-        members = [(u, NodeKind.UAP, None) for u in self.uaps]  # (id, kind, DC or any)
+            pair = (link.a, link.b) if link.a < link.b else (link.b, link.a)
+            if pair in pairs:
+                raise TopologyError(f"link {link.id}: nodes {pair[0]} and {pair[1]} "
+                                    f"are already linked")
+            pairs.add(pair)
         for dc in self.data_centers.values():
-            members.append((dc.switch, NodeKind.SWITCH, dc.id))
-            members += [(sid, NodeKind.SERVER, dc.id) for sid in dc.servers]
+            if dc.servers != dc_servers[dc.id]:
+                raise TopologyError(f"data center {dc.id} must list its "
+                                    f"{len(dc_servers[dc.id])} servers once each, in id order")
+        members = [(u, NodeKind.UAP, None) for u in self.uaps]  # (id, kind, DC or any)
+        members += [(dc.switch, NodeKind.SWITCH, dc.id) for dc in self.data_centers.values()]
         for nid, kind, dc_id in members:
             node = self.nodes[nid] if isinstance(nid, int) and 0 <= nid < len(self.nodes) else None
             if node is None or node.kind is not kind or dc_id not in (None, node.dc):

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from sliceplace.cli import main
+from sliceplace.nspr import DEFAULT_CATALOG, SliceClass, catalog_to_json
 from sliceplace.topology import PhysicalNetwork, TopologyParams
 
 from conftest import make_single_dc
@@ -18,6 +19,10 @@ def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+BEF_ONLY_CATALOG = catalog_to_json(
+    {SliceClass.BEST_EFFORT: DEFAULT_CATALOG[SliceClass.BEST_EFFORT]})
 
 
 @pytest.fixture()
@@ -93,10 +98,12 @@ class TestPlace:
         assert doc["blocking_vnf"] == 1
         assert doc["placement"] is None
 
-    @pytest.mark.parametrize("breakage", ["endpoint", "residual", "latency", "switch"])
+    @pytest.mark.parametrize("breakage", ["endpoint", "residual", "latency", "switch",
+                                          "unlisted", "duplicate", "parallel"])
     def test_malformed_topology_exits_two(self, tmp_path, capsys, topo_file, breakage):
         doc = json.loads(open(topo_file).read())
         transport = next(l for l in doc["links"] if l["kind"] == "transport")
+        dc = doc["data_centers"][0]
         if breakage == "endpoint":
             transport["b"] = len(doc["nodes"]) + 5
         elif breakage == "residual":
@@ -104,9 +111,15 @@ class TestPlace:
         elif breakage == "latency":
             # a negative link would let the access-latency search loop forever
             transport["latency_ms"] = -1.0
-        else:
-            dc = doc["data_centers"][0]
+        elif breakage == "switch":
             dc["switch"] = dc["servers"][0]
+        elif breakage == "unlisted":
+            dc["servers"].pop()
+        elif breakage == "duplicate":
+            dc["servers"].append(dc["servers"][0])
+        else:
+            # a second link between the same two switches
+            doc["links"].append(dict(transport, id=len(doc["links"])))
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         code, out, err = run_cli(capsys, "place", "--topology", str(path),
@@ -134,6 +147,15 @@ class TestPlace:
                                "--class", "gaming")
         assert code == 2
         assert "unknown slice class" in err
+
+    def test_class_missing_from_catalog(self, tmp_path, capsys, topo_file):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"catalog": BEF_ONLY_CATALOG}))
+        code, out, err = run_cli(capsys, "place", "--config", str(cfg),
+                                 "--topology", topo_file, "--class", "urllc")
+        assert code == 2
+        assert out == ""
+        assert "urllc" in err and "Traceback" not in err
 
     def test_uap_out_of_range(self, capsys, topo_file):
         code, _, err = run_cli(capsys, "place", "--topology", topo_file,
@@ -262,6 +284,30 @@ class TestSimulate:
                                "--algorithm", "p2c-1", *SIM_ARGS)
         assert code == 2
         assert "nonsense" in err
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("scenario", "target_load", "abc"),
+        ("scenario", "horizon", "10"),
+        ("scenario", "replications", 2.5),
+        ("scenario", "include_holding_time", "no"),
+        ("scenario", "mix", [1, 2]),
+        (None, "algorithm", 7),
+        ("solver", "max_nodes", -5),
+        (None, "catalog", BEF_ONLY_CATALOG),
+        (None, "catalog", [1]),
+        (None, "jobs", 2.5),
+    ], ids=["load", "horizon", "replications", "holding", "mix", "algorithm",
+            "max_nodes", "catalog", "catalog_list", "jobs"])
+    def test_malformed_config_value_exits_two(self, tmp_path, capsys, section, key, value):
+        doc = {"scenario": {"name": "URLLC", "target_load": 0.4, "horizon": 10.0},
+               "algorithm": "ilp-1"}
+        (doc.setdefault(section, {}) if section else doc)[key] = value
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert "error" in err and "Traceback" not in err
 
     def test_config_env_var(self, tmp_path, capsys, monkeypatch):
         cfg = tmp_path / "env.json"

@@ -11,7 +11,6 @@ from sliceplace.exact import (
     InstanceTooLargeError,
     SolveStatus,
     brute_force,
-    export_lp,
     solve_ilp1,
     solve_ilp2,
 )
@@ -32,10 +31,6 @@ SHORT_CATALOG = {
 def short_request(net, cls: SliceClass, uap_index: int = 0, **kwargs):
     """Three-VNF variant of a class, small enough for brute_force."""
     return make_request(cls, net.uaps[uap_index], catalog=SHORT_CATALOG, **kwargs)
-
-
-def capacity_of(net, placement) -> float:
-    return float(sum(net.link(l).bw_capacity for path in placement.y.values() for l in path))
 
 
 def tiny_instance(seed: int):
@@ -106,32 +101,6 @@ class TestObjectives:
         res = solve_ilp1(ref, req)
         assert res.objective == pytest.approx(bandwidth_cost(req, res.placement))
         assert res.placement.cost == pytest.approx(res.objective)
-
-    def test_capacity_objective_sums_link_capacities(self, ref):
-        req = make_request(SliceClass.URLLC, ref.uaps[0])
-        res = solve_ilp1(ref, req, objective="capacity")
-        assert res.status is SolveStatus.OPTIMAL
-        assert res.objective == pytest.approx(capacity_of(ref, res.placement))
-        assert res.objective == pytest.approx(20.0)
-        # placement cost stays in bandwidth-consumption units either way
-        assert res.placement.cost == pytest.approx(bandwidth_cost(req, res.placement))
-
-    def test_unknown_objective_rejected(self, ref):
-        req = make_request(SliceClass.URLLC, ref.uaps[0])
-        with pytest.raises(ValueError, match="objective"):
-            solve_ilp1(ref, req, objective="latency")
-        with pytest.raises(ValueError, match="objective"):
-            brute_force(make_pair(), short_request(make_pair(), SliceClass.BEST_EFFORT), objective="latency")
-
-    @pytest.mark.parametrize("seed", range(20))
-    def test_capacity_agreement_with_brute(self, seed):
-        net, req = tiny_instance(1000 + seed)
-        b = brute_force(net, req, objective="capacity")
-        o = solve_ilp1(net, req, objective="capacity")
-        assert o.status is b.status
-        if b.status is SolveStatus.OPTIMAL:
-            assert o.objective == pytest.approx(b.objective, abs=1e-9)
-            assert o.objective == pytest.approx(capacity_of(net, o.placement), abs=1e-9)
 
 
 class TestAgreement:
@@ -231,24 +200,6 @@ class TestGuards:
         exact = solve_ilp1(net, req)
         assert res.status is SolveStatus.OPTIMAL
         assert res.objective == pytest.approx(exact.objective, abs=1e-9)
-
-
-class TestExportLp:
-    def test_sections_and_variables(self, ref):
-        req = make_request(SliceClass.URLLC, ref.uaps[0])
-        lp = export_lp(ref, req)
-        for section in ("Minimize", "Subject To", "Binaries", "End"):
-            assert section in lp
-        assert "x_" in lp
-        assert "f_" in lp
-
-    def test_deterministic(self, ref):
-        req = make_request(SliceClass.URLLC, ref.uaps[0])
-        assert export_lp(ref, req) == export_lp(ref, req)
-
-    def test_objective_variant_changes_text(self, ref):
-        req = make_request(SliceClass.URLLC, ref.uaps[0])
-        assert export_lp(ref, req) != export_lp(ref, req, objective="capacity")
 
 
 class TestHeuristicDominance:

@@ -85,7 +85,7 @@ class TestScenario:
         with pytest.raises(ValueError, match="unknown scenario"):
             Scenario.named("besteffort", 0.5)
 
-    @pytest.mark.parametrize("load", [0.0, -1.0])
+    @pytest.mark.parametrize("load", [0.0, -1.0, float("nan"), float("inf")])
     def test_bad_load(self, load):
         with pytest.raises(ValueError, match="target_load"):
             Scenario.named("mix", load)
@@ -97,6 +97,11 @@ class TestScenario:
     def test_bad_horizon(self):
         with pytest.raises(ValueError):
             Scenario("x", {SliceClass.URLLC: 1.0}, 0.5, horizon=-1.0)
+
+    @pytest.mark.parametrize("field", ["horizon", "mean_holding"])
+    def test_infinite_duration(self, field):
+        with pytest.raises(ValueError, match="finite"):
+            Scenario("x", {SliceClass.URLLC: 1.0}, 0.5, **{field: float("inf")})
 
     def test_fingerprint_distinguishes_load(self):
         a = Scenario.named("urllc", 0.5)

@@ -398,7 +398,7 @@ class TestStructureIndex:
         sid = net.add_server("edc0-s99", "edc0", 50.0, 300.0)
         assert sid in net.server_ids()
         assert net.index().tier[sid] is DCKind.EDC
-        assert sid in net.index().dc_servers["edc0"]
+        assert sid in net.data_centers["edc0"].servers
         assert sid not in latency_reach(net, sw, 1.0, 5.0)
         lid = net.add_link(sid, sw, 0.0, LinkKind.INTRA_DC, 10.0)
         assert net.index().adj_sorted[sid] == ((sw, lid),)
@@ -428,7 +428,7 @@ class TestStructureIndex:
         idx, got = ref.index(), loaded.index()
         assert [s.id for s in got.servers] == [s.id for s in idx.servers]
         assert got.tier == idx.tier
-        assert got.dc_servers == idx.dc_servers
+        assert loaded.data_centers == ref.data_centers
         assert got.adj_sorted == idx.adj_sorted
 
 
