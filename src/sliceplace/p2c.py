@@ -19,16 +19,13 @@ import numpy as np
 from .exact import SolveStatus
 from .nspr import SliceRequest
 from .placement import Placement, feasible_servers, min_cost_path
-from .topology import DCKind, PhysicalNetwork
+from .topology import TIER_ORDER, PhysicalNetwork
 
 
 class Policy(Enum):
     UNIFORM = 1
+    # candidate draws come from the best non-empty tier of TIER_ORDER
     TIER_PREFERRED = 2
-
-
-# Candidate draws under TIER_PREFERRED come from the best non-empty tier.
-TIER_ORDER = (DCKind.CCP, DCKind.CDC, DCKind.EDC)
 
 
 class OutcomeStatus(str, Enum):
@@ -66,17 +63,20 @@ def get_two_candidates(psn: PhysicalNetwork, candidates: Sequence[int],
                        policy: Policy, rng: np.random.Generator) -> tuple[int, int]:
     """Draw two candidate servers (without replacement) from an eligibility
     list. A single candidate is returned twice. TIER_PREFERRED first narrows
-    the list to the highest tier present, CCP over CDC over EDC."""
+    the list, in one pass, to the highest tier present, CCP over CDC over
+    EDC (servers outside any DC rank last)."""
     if not candidates:
         raise ValueError("candidate list is empty")
-    pool = list(candidates)
+    pool = candidates
     if policy is Policy.TIER_PREFERRED:
-        tier = psn.index().tier
-        for kind in TIER_ORDER:
-            tier_pool = [s for s in pool if tier[s] is kind]
-            if tier_pool:
-                pool = tier_pool
-                break
+        rank = psn.vectors().tier_rank
+        best, pool = len(TIER_ORDER) + 1, []
+        for s in candidates:
+            r = rank[s]
+            if r == best:
+                pool.append(s)
+            elif r < best:
+                best, pool = r, [s]
     if len(pool) == 1:
         return pool[0], pool[0]
     i, j = rng.choice(len(pool), size=2, replace=False)

@@ -25,6 +25,8 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
+import numpy as np
+
 from .nspr import SliceRequest
 from .topology import PhysicalNetwork, Server
 
@@ -285,20 +287,36 @@ def min_cost_path(psn: PhysicalNetwork, src: int, dst: int, bw: float,
         r = psn.links[lid].bw_residual
         return r is not None and r >= bw
 
-    # minimum hops, BFS with ascending-id expansion; a leaf other than dst
-    # relays nothing, so only dst's neighbors expand their leaf entries
+    def unwind(par: dict[int, tuple[int, int]], node: int) -> list[int]:
+        path = []
+        while node != src:
+            node, lid = par[node]
+            path.append(lid)
+        path.reverse()
+        return path
+
+    # a leaf dst is entered only over its one link, so the search needs to
+    # reach only the node across it; a leaf relays nothing, so the BFS
+    # expands relay entries alone
+    target, last_hop = dst, []
+    if len(psn.adj[dst]) == 1:
+        target, lid = psn.adj[dst][0]
+        if not usable(lid):
+            return None
+        last_hop = [lid]
+
+    # minimum hops, BFS with ascending-id expansion
     parent: dict[int, tuple[int, int]] = {src: (-1, -1)}
-    level = [src]
-    found = False
-    idx = psn.index()
-    dst_nbrs = {w for w, _ in psn.adj[dst]}
+    level = [src] if target != src else []
+    found = target == src
+    relay_adj = psn.index().relay_adj
     while level and not found:
         nxt_level = []
         for u in sorted(level):
-            for v, lid in (idx.adj_sorted if u in dst_nbrs else idx.relay_adj)[u]:
+            for v, lid in relay_adj[u]:
                 if v not in parent and usable(lid):
                     parent[v] = (u, lid)
-                    if v == dst:
+                    if v == target:
                         found = True
                         break
                     nxt_level.append(v)
@@ -308,17 +326,7 @@ def min_cost_path(psn: PhysicalNetwork, src: int, dst: int, bw: float,
     if not found:
         return None
 
-    def unwind(par: dict[int, tuple[int, int]]) -> list[int]:
-        path = []
-        node = dst
-        while node != src:
-            u, lid = par[node]
-            path.append(lid)
-            node = u
-        path.reverse()
-        return path
-
-    hop_path = unwind(parent)
+    hop_path = unwind(parent, target) + last_hop
     if sum(psn.links[lid].latency_ms for lid in hop_path) <= budget_ms + LATENCY_EPS:
         return hop_path
 
@@ -331,7 +339,7 @@ def min_cost_path(psn: PhysicalNetwork, src: int, dst: int, bw: float,
         if d > dist.get(u, float("inf")):
             continue
         if u == dst:
-            return unwind(par2)
+            return unwind(par2, dst)
         for v, lid in psn.adj[u]:
             if not usable(lid):
                 continue
@@ -345,37 +353,58 @@ def min_cost_path(psn: PhysicalNetwork, src: int, dst: int, bw: float,
     return None
 
 
-def latency_reach(psn: PhysicalNetwork, src: int, bw: float,
-                  budget_ms: float) -> dict[int, float]:
-    """Latency-shortest distance from src to every node within budget, over
-    links with residual bandwidth >= bw. Nodes beyond the budget are absent.
+def _relay_reach(psn: PhysicalNetwork, src: int, bw: float,
+                 limit: float) -> dict[int, float]:
+    """Latency-shortest distance from src to every relay node (one with two
+    or more links) within `limit`, over links with residual bandwidth >= bw;
+    src is always present, at 0.
 
-    Dijkstra over the reached part of the substrate only. A degree-1 node
-    (a server behind its switch, a UAP) relays nothing, so it is recorded
-    without a heap push: the cost is one heap operation per reached relay
-    node plus one dict write per reached leaf.
+    The one Dijkstra behind `latency_reach` and `feasible_servers`. A leaf
+    relays nothing, so leaves never enter the heap: the cost is one heap
+    operation per reached relay node, whatever the number of servers.
     """
-    adj = psn.adj
+    relay_adj = psn.index().relay_adj
     links = psn.links
-    limit = budget_ms + LATENCY_EPS
     dist = {src: 0.0}
     pq: list[tuple[float, int]] = [(0.0, src)]
     while pq:
         d, u = heapq.heappop(pq)
         if d > dist[u]:
             continue
-        for v, lid in adj[u]:
+        for v, lid in relay_adj[u]:
             link = links[lid]
             r = link.bw_residual
             if r is None or r < bw:
                 continue
             nd = d + link.latency_ms
-            if nd > limit:
-                continue
-            if nd < dist.get(v, float("inf")):
+            if nd <= limit and nd < dist.get(v, float("inf")):
                 dist[v] = nd
-                if len(adj[v]) > 1:
-                    heapq.heappush(pq, (nd, v))
+                heapq.heappush(pq, (nd, v))
+    return dist
+
+
+def latency_reach(psn: PhysicalNetwork, src: int, bw: float,
+                  budget_ms: float) -> dict[int, float]:
+    """Latency-shortest distance from src to every node within budget, over
+    links with residual bandwidth >= bw. Nodes beyond the budget are absent.
+
+    `_relay_reach` finds the relay nodes; a leaf (a server behind its
+    switch, a UAP) is then recorded through its one link from the reached
+    node across it, with one dict write per reached leaf.
+    """
+    limit = budget_ms + LATENCY_EPS
+    dist = _relay_reach(psn, src, bw, limit)
+    leaf_adj = psn.index().leaf_adj
+    links = psn.links
+    for u, d in list(dist.items()):
+        for v, lid in leaf_adj[u]:
+            link = links[lid]
+            r = link.bw_residual
+            if r is None or r < bw or v in dist:
+                continue
+            nd = d + link.latency_ms
+            if nd <= limit:
+                dist[v] = nd
     return dist
 
 
@@ -408,6 +437,34 @@ def lookahead_ok(psn: PhysicalNetwork, request: SliceRequest,
                         or (srv.fits(d.cpu, d.ram) and _has_uplink(psn, srv.id, bw_next)))
 
 
+def _lookahead_mask(psn: PhysicalNetwork, request: SliceRequest, v: int,
+                    fits: np.ndarray) -> np.ndarray:
+    """`lookahead_ok` for every server at once, by server position; `fits`
+    is the mask of servers with room for VNF v."""
+    if v == request.n_vnfs:
+        return fits
+    vec = psn.vectors()
+    d, d_next = request.vnf(v), request.vnf(v + 1)
+    bw_next = request.vl(v).bw
+    uplink = vec.bw[vec.up_link] >= bw_next
+    for p in vec.multi:
+        uplink[p] = _has_uplink(psn, int(vec.id[p]), bw_next)
+    return (((vec.cpu >= d.cpu + d_next.cpu) & (vec.ram >= d.ram + d_next.ram))
+            | (fits & uplink))
+
+
+def _root_mask(psn: PhysicalNetwork, request: SliceRequest) -> np.ndarray:
+    """Servers of `root_dcs`, by server position; cached per (UAP, bound)."""
+    vec = psn.vectors()
+    key = (request.uap, request.alpha_max_ms)
+    mask = vec.root_masks.get(key)
+    if mask is None:
+        mask = np.isin(vec.dc, [vec.dc_index[dc_id] for dc_id in root_dcs(psn, request)])
+        mask.flags.writeable = False
+        vec.root_masks[key] = mask
+    return mask
+
+
 def feasible_servers(psn: PhysicalNetwork, request: SliceRequest, v: int,
                      last_s: int | None, *, used_e2e_ms: float = 0.0) -> list[int]:
     """Servers eligible to host VNF v, ascending by id.
@@ -421,43 +478,46 @@ def feasible_servers(psn: PhysicalNetwork, request: SliceRequest, v: int,
 
     `used_e2e_ms` is the latency already committed (access plus placed VLs).
 
-    Only servers that can qualify are tested: those of the root DCs for the
-    first VNF, and for later VNFs the nodes `latency_reach` returns, which
-    always include last_s. The cost is that of the reach search plus
-    sorting what it reached, not a scan of every server.
+    Cost: O(relay nodes) in Python plus O(servers) in C. `_relay_reach`
+    runs over the relay nodes only (switches, routers; no server of the
+    reference substrate); then a few compares over `psn.vectors()` decide
+    every server at once: a server with one link is reached when the node
+    across it is, within the budget, and the link carries the VL; one with
+    more links is a relay itself. The result equals an all-server scan of
+    the rule, list and order alike.
     """
     n = request.n_vnfs
     if not 1 <= v <= n:
         raise ValueError(f"VNF index {v} outside chain 1..{n}")
+    vec = psn.vectors()
     d_v = request.vnf(v)
-    ok = lookahead_ok(psn, request, v)
-    nodes = psn.nodes
+    fits = (vec.cpu >= d_v.cpu) & (vec.ram >= d_v.ram)
 
     if v == 1:
-        ids = sorted(sid for dc_id in root_dcs(psn, request)
-                     for sid in psn.data_centers[dc_id].servers)
-        return [sid for sid in ids if ok(nodes[sid])]
+        return vec.id[_root_mask(psn, request) & _lookahead_mask(psn, request, 1, fits)].tolist()
 
     if last_s is None:
         raise ValueError("last_s is required for VNFs beyond the first")
     vl = request.vl(v - 1)
     slack = request.e2e_budget_ms - used_e2e_ms
-    eff_budget = min(vl.budget_ms, slack)
-    reach = latency_reach(psn, last_s, vl.bw, eff_budget)
-    last_dc = nodes[last_s].dc
-
-    # reach holds last_s plus nodes within eff_budget, nothing else
-    out = []
-    for sid in sorted(reach):
-        srv = nodes[sid]
-        if not isinstance(srv, Server):
-            continue
-        if srv.dc == last_dc:
-            if ok(srv):
-                out.append(sid)
-        elif srv.fits(d_v.cpu, d_v.ram):
-            out.append(sid)
-    return out
+    limit = min(vl.budget_ms, slack) + LATENCY_EPS
+    relay = _relay_reach(psn, last_s, vl.bw, limit)
+    # by node id plus a last slot for servers without exactly one link; NaN
+    # where unreached, so no comparison holds there
+    dist = np.full(len(psn.nodes) + 1, np.nan)
+    dist[list(relay)] = list(relay.values())
+    reached = (dist[vec.up_nbr] + vec.up_lat <= limit) & (vec.bw[vec.up_link] >= vl.bw)
+    # a server with several links is a relay itself; last_s is always reached
+    for p in vec.multi:
+        reached[p] = int(vec.id[p]) in relay
+    if vec.pos[last_s] >= 0:
+        reached[vec.pos[last_s]] = True
+    ok = fits
+    if v < n:
+        # only last_s's own DC applies the lookahead
+        other_dc = vec.dc != vec.dc_index.get(psn.nodes[last_s].dc, -1)
+        ok = (fits & other_dc) | (_lookahead_mask(psn, request, v, fits) & ~other_dc)
+    return vec.id[reached & ok].tolist()
 
 
 def apply_placement(psn: PhysicalNetwork, request: SliceRequest,

@@ -360,10 +360,12 @@ def run(psn: PhysicalNetwork, scenario: Scenario, algorithm: Algorithm | str,
         series_interval: float | None = None) -> MetricsReport:
     """Simulate one replication and return its metrics.
 
-    The caller's psn is cloned, never mutated. With validate=True the
-    independent checker re-verifies every acceptance against the pre-commit
-    state, a full snapshot confirms that every rejection left no trace, and
-    conservation is re-derived after every event (slow; for audits and tests).
+    The caller's psn is cloned, never mutated (cloning may build its
+    residual vectors). With validate=True the independent checker
+    re-verifies every acceptance against the pre-commit state, a full
+    snapshot confirms that every rejection left no trace, and after every
+    event conservation is re-derived and the residual vectors must equal
+    the residual attributes exactly (slow; for audits and tests).
     """
     if isinstance(algorithm, str):
         algorithm = Algorithm.parse(algorithm)
@@ -464,6 +466,9 @@ def run(psn: PhysicalNetwork, scenario: Scenario, algorithm: Algorithm | str,
                                     1, seq, -1))
 
         if validate:
+            drift = net.vector_drift()
+            if drift is not None:
+                raise SimulationInvariantError(f"residual vectors drifted: {drift}")
             _audit_conservation(net, held)
 
     acct.finish()

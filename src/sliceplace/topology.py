@@ -19,6 +19,8 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Mapping, NamedTuple
 
+import numpy as np
+
 
 class NodeKind(str, Enum):
     UAP = "uap"
@@ -31,6 +33,10 @@ class DCKind(str, Enum):
     EDC = "EDC"
     CDC = "CDC"
     CCP = "CCP"
+
+
+# Tiers from the center outward; a tier's rank is its position here.
+TIER_ORDER = (DCKind.CCP, DCKind.CDC, DCKind.EDC)
 
 
 class LinkKind(str, Enum):
@@ -166,6 +172,42 @@ class StructureIndex(NamedTuple):
     adj_sorted: tuple[tuple[tuple[int, int], ...], ...]
     # the same without entries whose neighbor has degree 1 (a leaf relays nothing)
     relay_adj: tuple[tuple[tuple[int, int], ...], ...]
+    # the entries left out of relay_adj
+    leaf_adj: tuple[tuple[tuple[int, int], ...], ...]
+
+
+class Vectors(NamedTuple):
+    """numpy mirrors of every residual plus static per-server fields.
+
+    Servers are indexed by position, their rank in `servers()`. The
+    residual arrays belong to one network; the static fields are shared
+    with its clones."""
+
+    # residuals: CPU and RAM by server position, bandwidth by link id plus
+    # one trailing slot; NaN marks a link without bandwidth accounting and
+    # fills the trailing slot, so no comparison holds there
+    cpu: np.ndarray
+    ram: np.ndarray
+    bw: np.ndarray
+    # node id -> server position, -1 for other nodes
+    pos: tuple[int, ...]
+    # node id -> rank of its DC's tier in TIER_ORDER, len(TIER_ORDER) outside any DC
+    tier_rank: tuple[int, ...]
+    # data center id -> index in `data_centers` order
+    dc_index: dict[str, int]
+    # by server position: node id, DC index (-1 for none), and for a server
+    # with exactly one link that link's id, the neighbor across it and its
+    # latency; any other server has the trailing bandwidth slot, the
+    # neighbor len(nodes) and latency 0
+    id: np.ndarray
+    dc: np.ndarray
+    up_link: np.ndarray
+    up_nbr: np.ndarray
+    up_lat: np.ndarray
+    # positions of servers with two or more links
+    multi: tuple[int, ...]
+    # cache for eligibility: (UAP, access bound) -> mask of root-DC servers
+    root_masks: dict[tuple[int, float], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -197,6 +239,20 @@ class PhysicalNetwork:
 
     A data center's `servers` lists its servers in id order: `add_server`
     appends to it and `validate` (run by `from_json`) checks it.
+
+    `vectors()` returns `Vectors`: numpy float64 copies of every residual
+    (CPU and RAM by server position, bandwidth by link id) next to static
+    per-server fields, so that eligibility tests every server in a few
+    array compares. They are built on first use after a structural change
+    (never by the constructor or `build_reference_psn`), and from then on
+    written only where residuals change: `_set` (every allocate and
+    release), `rollback` and `restore`; `clone` copies them, building them
+    on the source first, so that clones never rebuild them. The
+    `Server`/`PhysicalLink` residual attributes stay the scalar source that
+    the checker and the exact search read, because an attribute read costs
+    a fraction of a numpy scalar index and the exact search reads link
+    residuals millions of times per run. `vector_drift()` reports where the
+    two disagree.
     """
 
     def __init__(self, params: TopologyParams | None = None) -> None:
@@ -213,6 +269,7 @@ class PhysicalNetwork:
         self._undo: list[tuple[Server | PhysicalLink, str, float]] = []
         self._marks: list[int] = []
         self._index: StructureIndex | None = None
+        self._vectors: Vectors | None = None
 
     # -- construction ------------------------------------------------------
 
@@ -220,6 +277,7 @@ class PhysicalNetwork:
         self.nodes.append(node)
         self.adj.append([])
         self._index = None
+        self._vectors = None
 
     def add_node(self, label: str, kind: NodeKind, dc: str | None = None) -> int:
         if kind is NodeKind.SERVER:
@@ -269,6 +327,7 @@ class PhysicalNetwork:
         self.adj[b].append((a, link.id))
         self._alpha_cache.clear()
         self._index = None
+        self._vectors = None
         return link.id
 
     # -- lookups -----------------------------------------------------------
@@ -305,8 +364,68 @@ class PhysicalNetwork:
                 relay_adj=tuple([
                     entries if len(entries) == 1 and relays[entries[0][0]]
                     else tuple([e for e in entries if relays[e[0]]])
-                    for entries in adj_sorted]))
+                    for entries in adj_sorted]),
+                leaf_adj=tuple([tuple([e for e in entries if not relays[e[0]]])
+                                for entries in adj_sorted]))
         return self._index
+
+    def vectors(self) -> Vectors:
+        """The residual vectors and static server fields, built on first use
+        after a structural change."""
+        if self._vectors is None:
+            idx = self.index()
+            n_nodes, n_links = len(self.nodes), len(self.links)
+            pos = [-1] * n_nodes
+            up: list[tuple[int, int, float]] = []
+            multi = []
+            for p, s in enumerate(idx.servers):
+                pos[s.id] = p
+                entries = self.adj[s.id]
+                if len(entries) == 1:
+                    nbr, lid = entries[0]
+                    up.append((lid, nbr, self.links[lid].latency_ms))
+                else:
+                    up.append((n_links, n_nodes, 0.0))
+                    if entries:
+                        multi.append(p)
+            rank = {kind: r for r, kind in enumerate(TIER_ORDER)}
+            dc_index = {dc_id: i for i, dc_id in enumerate(self.data_centers)}
+            up_link, up_nbr, up_lat = zip(*up) if up else ((), (), ())
+            self._vectors = Vectors(
+                *self._residual_arrays(),
+                pos=tuple(pos),
+                tier_rank=tuple([rank.get(t, len(TIER_ORDER)) for t in idx.tier]),
+                dc_index=dc_index,
+                id=np.array([s.id for s in idx.servers], dtype=np.intp),
+                dc=np.array([dc_index.get(s.dc, -1) for s in idx.servers], dtype=np.intp),
+                up_link=np.array(up_link, dtype=np.intp),
+                up_nbr=np.array(up_nbr, dtype=np.intp),
+                up_lat=np.array(up_lat, dtype=float),
+                multi=tuple(multi),
+                root_masks={})
+        return self._vectors
+
+    def _residual_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        servers = self.servers()
+        return (np.array([s.cpu_residual for s in servers], dtype=float),
+                np.array([s.ram_residual for s in servers], dtype=float),
+                # None (no accounting) and the trailing slot become NaN
+                np.array([l.bw_residual for l in self.links] + [None], dtype=float))
+
+    def vector_drift(self) -> str | None:
+        """None when the residual vectors are unbuilt or equal every residual
+        attribute exactly; otherwise where they first differ."""
+        vec = self._vectors
+        if vec is None:
+            return None
+        for name, have, want in zip(("cpu", "ram", "bw"), (vec.cpu, vec.ram, vec.bw),
+                                    self._residual_arrays()):
+            same = (have == want) | (np.isnan(have) & np.isnan(want))
+            if not same.all():
+                i = int(np.argmin(same))
+                where = f"link {i}" if name == "bw" else f"server {int(vec.id[i])}"
+                return f"{where}: {name} vector holds {have[i]}, residual is {want[i]}"
+        return None
 
     def servers(self) -> tuple[Server, ...]:
         """Every server, ascending by id."""
@@ -337,6 +456,17 @@ class PhysicalNetwork:
         if self._marks:
             self._undo.append((obj, attr, getattr(obj, attr)))
         setattr(obj, attr, value)
+        if self._vectors is not None:
+            self._mirror(obj, attr, value)
+
+    def _mirror(self, obj: Server | PhysicalLink, attr: str, value: float) -> None:
+        vec = self._vectors
+        if attr == "bw_residual":
+            vec.bw[obj.id] = value
+        elif attr == "cpu_residual":
+            vec.cpu[vec.pos[obj.id]] = value
+        else:
+            vec.ram[vec.pos[obj.id]] = value
 
     def allocate(self, server_id: int, cpu: float, ram: float) -> None:
         if cpu < 0 or ram < 0:
@@ -397,9 +527,12 @@ class PhysicalNetwork:
     def rollback(self, mark: int) -> None:
         """Write back the residuals logged since `mark`, newest first."""
         self._close(mark)
+        mirrored = self._vectors is not None
         while len(self._undo) > mark:
             obj, attr, old = self._undo.pop()
             setattr(obj, attr, old)
+            if mirrored:
+                self._mirror(obj, attr, old)
 
     def snapshot(self) -> CapacitySnapshot:
         servers = self.servers()
@@ -421,14 +554,21 @@ class PhysicalNetwork:
             s.ram_residual = ram
         for link, bw in zip(self.links, snap.link_bw):
             link.bw_residual = bw
+        vec = self._vectors
+        if vec is not None:
+            vec.cpu[:] = snap.server_cpu
+            vec.ram[:] = snap.server_ram
+            vec.bw[:-1] = snap.link_bw  # None becomes NaN
 
     def clone(self) -> "PhysicalNetwork":
         """Deep copy sharing the snapshot token, so snapshots stay portable
         between a network and its clones. It starts with a copy of the
         access-latency cache, which only `add_link` invalidates, and shares
-        the immutable parts of the structure index; its server list holds
-        its own `Server` objects."""
+        the immutable parts of the structure index and of the vectors; its
+        server list holds its own `Server` objects and its residual vectors
+        are its own copies."""
         idx = self.index()
+        vec = self.vectors()
         other = PhysicalNetwork(self.params)
         other.nodes = [replace(n) for n in self.nodes]
         other.links = [replace(l) for l in self.links]
@@ -440,6 +580,7 @@ class PhysicalNetwork:
         other._token = self._token
         other._alpha_cache = dict(self._alpha_cache)
         other._index = idx._replace(servers=tuple([other.nodes[s.id] for s in idx.servers]))
+        other._vectors = vec._replace(cpu=vec.cpu.copy(), ram=vec.ram.copy(), bw=vec.bw.copy())
         return other
 
     # -- access latency ----------------------------------------------------

@@ -16,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from sliceplace.exact import SolveStatus, brute_force, solve_ilp1, solve_ilp2
+from sliceplace.exact import SolveStatus, solve_ilp1, solve_ilp2
 from sliceplace.nspr import SliceClass, make_request
 from sliceplace.p2c import OutcomeStatus, Policy
 from sliceplace.p2c import place as p2c_place
@@ -24,6 +24,7 @@ from sliceplace.placement import check_placement
 from sliceplace.sim import Scenario, run
 from sliceplace.topology import build_reference_psn
 
+from oracles import brute_force
 from test_exact import tiny_instance
 
 Z95 = statistics.NormalDist().inv_cdf(0.95)  # one-sided

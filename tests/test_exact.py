@@ -7,13 +7,7 @@ import random
 
 import pytest
 
-from sliceplace.exact import (
-    InstanceTooLargeError,
-    SolveStatus,
-    brute_force,
-    solve_ilp1,
-    solve_ilp2,
-)
+from sliceplace.exact import SolveStatus, solve_ilp1, solve_ilp2
 from sliceplace.nspr import DEFAULT_CATALOG, SliceClass, make_request
 from sliceplace.p2c import OutcomeStatus, Policy
 from sliceplace.p2c import place as p2c_place
@@ -21,6 +15,7 @@ from sliceplace.placement import bandwidth_cost, check_placement
 from sliceplace.topology import TopologyParams, build_reference_psn
 
 from conftest import make_pair, make_single_dc
+from oracles import InstanceTooLargeError, brute_force
 
 SHORT_CATALOG = {
     cls: dataclasses.replace(spec, vl_budgets_ms=spec.vl_budgets_ms[:2])

@@ -593,6 +593,7 @@ def loaded_substrates(draw):
     some links are too thin for any demand."""
     net = PhysicalNetwork(TopologyParams())
     kinds = list(DCKind)
+    unlinked = []
     for d in range(draw(st.integers(1, 4))):
         dc = net.add_data_center(f"dc{d}", draw(st.sampled_from(kinds)))
         for i in range(draw(st.integers(1, 3))):
@@ -600,7 +601,14 @@ def loaded_substrates(draw):
             if draw(st.integers(0, 5)):  # an occasional server has no uplink
                 net.add_link(dc.switch, sid, 0.0, LinkKind.INTRA_DC,
                              draw(st.sampled_from(_BWS)))
+            else:
+                unlinked.append(sid)
     switches = [dc.switch for dc in net.data_centers.values()]
+    for sid in unlinked:
+        if draw(st.booleans()):  # or one with latency, to any switch
+            net.add_link(draw(st.sampled_from(switches)), sid,
+                         draw(st.sampled_from(_LATENCIES)), LinkKind.TRANSPORT,
+                         draw(st.sampled_from(_BWS)))
     for i, a in enumerate(switches):
         for b in switches[i + 1:]:
             if draw(st.booleans()):
@@ -616,6 +624,8 @@ def loaded_substrates(draw):
         net.add_link(uap, draw(st.sampled_from(switches)),
                      draw(st.sampled_from([0.02, 0.05, 0.1])), LinkKind.ACCESS, None)
         net.uaps.append(uap)
+    if draw(st.booleans()):  # load through the residual vectors' write path
+        net.vectors()
     for srv in net.servers():
         cpu = draw(st.sampled_from([0.0, 10.0, 20.0, 30.0, 40.0, 50.0]))
         net.allocate(srv.id, cpu, cpu * 6)
@@ -667,6 +677,31 @@ class TestReachBoundedEligibility:
         # with no latency limit the minimum-hop path always wins
         assert min_cost_path(net, src, dst, bw, float("inf")) == \
                plain_hop_path(net, src, dst, bw)
+
+    def test_servers_without_exactly_one_link(self):
+        net = make_pair(edc_servers=3, cdc_servers=2)
+        req = make_request(SliceClass.BEST_EFFORT, net.uaps[0])
+        e0, e1, e2 = servers_of(net, "edc0")
+        c0, _ = servers_of(net, "cdc0")
+        sw_e = net.data_centers["edc0"].switch
+        loose = net.add_server("edc0-s99", "edc0", 50.0, 300.0)  # no link at all
+        far = net.add_server("cdc0-s99", "cdc0", 50.0, 300.0)  # one link, 0.5 ms long
+        net.add_link(sw_e, far, 0.5, LinkKind.TRANSPORT, 10.0)
+        net.add_link(e1, c0, 0.0, LinkKind.TRANSPORT, 10.0)  # e1 and c0 have two
+        net.add_link(e2, net.data_centers["cdc0"].switch, 0.5, LinkKind.TRANSPORT, 1.0)
+        net.allocate_bw(link_id(net, e1, sw_e), 9.5)
+        net.allocate(e0, 45.0, 10.0)
+        assert sorted(net.vectors().multi) == sorted(
+            net.vectors().pos[s] for s in (e1, e2, c0))
+        assert feasible_servers(net, req, 1, None) == scan_feasible_servers(net, req, 1, None, 0.0)
+        e2e = req.e2e_budget_ms
+        for v in range(2, req.n_vnfs + 1):
+            for last_s in net.server_ids():
+                for used in (0.0, 0.02, 1.0, e2e - 0.6, e2e - 0.4):
+                    got = feasible_servers(net, req, v, last_s, used_e2e_ms=used)
+                    assert got == scan_feasible_servers(net, req, v, last_s, used)
+        assert loose in feasible_servers(net, req, 2, loose, used_e2e_ms=0.02)
+        assert loose not in feasible_servers(net, req, 2, e0, used_e2e_ms=0.02)
 
     def test_unreachable_last_s(self):
         net = make_pair()

@@ -226,6 +226,14 @@ GOLDEN_DIGESTS_SCALE4 = {
 }
 
 
+# The same for MIX, rho=1, horizon 30, seed 7 on the scale-16 substrate (2016
+# servers, up to 256 per DC), where eligibility runs over the residual vectors.
+GOLDEN_DIGESTS_SCALE16 = {
+    "p2c-1": "a8577f152c2a0ad7258d90346695b06366b7ad48a0b660261c15cda6239b31e9",
+    "p2c-2": "92075e48929aec3c536a93dfcd51c402672b7b2ebc4fc4664bcef462206eaccb",
+}
+
+
 def results_digest(report) -> str:
     obj = report.to_json()
     obj.pop("placement_time_ms", None)
@@ -243,6 +251,12 @@ class TestGoldenResults:
         report = run(build_reference_psn(4), Scenario.named("MIX", 1.0, horizon=100.0),
                      algorithm, 7)
         assert results_digest(report) == GOLDEN_DIGESTS_SCALE4[algorithm]
+
+    @pytest.mark.parametrize("algorithm", sorted(GOLDEN_DIGESTS_SCALE16))
+    def test_results_digest_pinned_scale16(self, algorithm):
+        report = run(build_reference_psn(16), Scenario.named("MIX", 1.0, horizon=30.0),
+                     algorithm, 7)
+        assert results_digest(report) == GOLDEN_DIGESTS_SCALE16[algorithm]
 
 
 class TestPlaceRequest:
@@ -289,6 +303,24 @@ class TestValidateAudit:
         sc = short_scenario(horizon=50.0, warmup=0.0)
         with pytest.raises(SimulationInvariantError, match="rejected placement"):
             run(net, sc, "p2c-1", 1, validate=True)
+
+    def test_residual_written_behind_the_network_is_caught(self, net, monkeypatch):
+        # a departure that also writes one residual attribute directly: the
+        # residual vectors never see that write
+        released = []
+
+        def sneaky(psn, request, placement):
+            sim_release(psn, request, placement)
+            if not released:
+                psn.server(placement.x[1]).cpu_residual -= 1.0
+            released.append(request.id)
+
+        sim_release = sim.release_placement
+        monkeypatch.setattr(sim, "release_placement", sneaky)
+        sc = short_scenario(horizon=300.0, warmup=0.0)
+        with pytest.raises(SimulationInvariantError, match="residual vectors drifted"):
+            run(net, sc, "p2c-1", 1, validate=True)
+        assert len(released) == 1
 
 
 class TestWarmup:

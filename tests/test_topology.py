@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sliceplace.placement import latency_reach
+from sliceplace.nspr import SliceClass, make_request
+from sliceplace.placement import feasible_servers, latency_reach
 from sliceplace.topology import (
+    TIER_ORDER,
     CapacityError,
     DCKind,
     LinkKind,
@@ -383,6 +385,8 @@ class TestStructureIndex:
         # the immutable parts are shared, not rebuilt
         assert twin.index().adj_sorted is net.index().adj_sorted
         assert twin.index().tier is net.index().tier
+        assert twin.vectors().up_link is net.vectors().up_link
+        assert twin.vectors().cpu is not net.vectors().cpu
 
     def test_capacity_changes_keep_the_index(self):
         net = make_pair()
@@ -430,6 +434,130 @@ class TestStructureIndex:
         assert got.tier == idx.tier
         assert loaded.data_centers == ref.data_centers
         assert got.adj_sorted == idx.adj_sorted
+
+
+def assert_vectors_match(net: PhysicalNetwork) -> None:
+    """Every field of `net.vectors()` equals what the attributes and the
+    structure say, exactly."""
+    vec = net.vectors()
+    servers = net.servers()
+    assert vec.cpu.tolist() == [s.cpu_residual for s in servers]
+    assert vec.ram.tolist() == [s.ram_residual for s in servers]
+    bw = vec.bw.tolist()
+    assert len(bw) == len(net.links) + 1 and bw[-1] != bw[-1]  # NaN slot
+    for link, got in zip(net.links, bw):
+        assert got == link.bw_residual if link.bw_residual is not None else got != got
+    assert vec.id.tolist() == [s.id for s in servers]
+    assert [vec.pos[s.id] for s in servers] == list(range(len(servers)))
+    dcs = list(net.data_centers)
+    assert vec.dc.tolist() == [dcs.index(s.dc) for s in servers]
+    for node, rank in zip(net.nodes, vec.tier_rank):
+        tier = net.index().tier[node.id]
+        assert rank == (TIER_ORDER.index(tier) if tier else len(TIER_ORDER))
+    for p, s in enumerate(servers):
+        entries = net.adj[s.id]
+        if len(entries) == 1:
+            nbr, lid = entries[0]
+            want = (lid, nbr, net.links[lid].latency_ms)
+        else:
+            want = (len(net.links), len(net.nodes), 0.0)
+        assert (vec.up_link[p], vec.up_nbr[p], vec.up_lat[p]) == want
+        assert (p in vec.multi) == (len(entries) > 1)
+
+
+_VEC_OPS = _TX_OPS | st.tuples(st.sampled_from(
+    ["snapshot", "restore", "clone", "twin_allocate", "add_link"]))
+
+
+class TestResidualVectors:
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(_VEC_OPS, max_size=40), st.data())
+    def test_vectors_follow_every_write(self, ops, data):
+        net = make_pair()
+        assert_vectors_match(net)
+        request = make_request(SliceClass.URLLC, net.uaps[0])
+        marks: list[int] = []
+        snaps = [net.snapshot()]
+        twins: list[tuple[PhysicalNetwork, str]] = []  # (clone, its document)
+        for op in ops:
+            name = op[0]
+            servers = net.server_ids()
+            links = [l.id for l in net.links if l.bw_capacity is not None]
+            if name == "begin":
+                marks.append(net.begin())
+            elif name in ("commit", "rollback"):
+                if marks:
+                    getattr(net, name)(marks.pop())
+            elif name == "snapshot":
+                snaps.append(net.snapshot())
+            elif name == "restore":
+                net.restore(data.draw(st.sampled_from(snaps)))
+            elif name == "clone":
+                twin = net.clone()
+                assert_vectors_match(twin)
+                twins.append((twin, json.dumps(twin.to_json())))
+            elif name == "twin_allocate":
+                if twins:
+                    twin, _ = twins.pop()
+                    try:
+                        twin.allocate(servers[0], 0.5, 0.5)
+                        twin.allocate_bw(links[0], 0.5)
+                    except CapacityError:
+                        pass
+                    assert_vectors_match(twin)
+            elif name == "add_link":
+                # a search builds the vectors; the new link must show after it
+                feasible_servers(net, request, 2, servers[0], used_e2e_ms=0.02)
+                a, b = data.draw(st.lists(st.sampled_from(servers), min_size=2,
+                                          max_size=2, unique=True))
+                net.add_link(a, b, 0.0, LinkKind.TRANSPORT, 10.0)
+                snaps = [net.snapshot()]
+            else:
+                pool = servers if name in ("allocate", "release") else links
+                try:
+                    getattr(net, name)(pool[op[1] % len(pool)], *op[2:])
+                except (CapacityError, ReleaseError):
+                    pass
+            assert_vectors_match(net)
+        while marks:
+            net.rollback(marks.pop())
+            assert_vectors_match(net)
+        # writes to the parent never reach a clone's vectors
+        for twin, doc in twins:
+            assert json.dumps(twin.to_json()) == doc
+            assert twin.vector_drift() is None
+            assert_vectors_match(twin)
+
+    def test_restore_writes_the_vectors(self):
+        net = make_pair()
+        vec = net.vectors()
+        snap = net.snapshot()
+        sid, lid = net.server_ids()[0], net.links[0].id
+        net.allocate(sid, 10, 60)
+        net.allocate_bw(lid, 1.0)
+        net.restore(snap)
+        assert net.vectors() is vec
+        assert_vectors_match(net)
+
+    def test_built_lazily_and_dropped_by_structure(self):
+        net = build_reference_psn(1)
+        assert net._vectors is None
+        vec = net.vectors()
+        assert net.vectors() is vec
+        net.add_node("uap99", NodeKind.UAP)
+        assert net._vectors is None
+        assert_vectors_match(net)
+
+    def test_drift_names_the_first_difference(self):
+        net = make_pair()
+        assert net.vector_drift() is None  # not built: nothing to compare
+        net.vectors()
+        sid = net.server_ids()[1]
+        net.server(sid).cpu_residual = 49.0  # behind the network's back
+        assert net.vector_drift() == f"server {sid}: cpu vector holds 50.0, residual is 49.0"
+        net.server(sid).cpu_residual = 50.0
+        net.links[2].bw_residual = 1.0
+        assert net.vector_drift().startswith("link 2: bw vector holds")
 
 
 class TestSerialization:
