@@ -2,7 +2,9 @@
 
 Both solvers run a depth-first branch-and-bound over chain-order VNF-to-server
 assignments, branching over exhaustively enumerated feasible simple paths per
-virtual link. `solve_ilp1` minimizes the bandwidth objective; the feasibility
+virtual link. Each VNF expansion runs one path search from the previous VNF's
+server that serves every candidate server at once, relaying through candidates
+too. `solve_ilp1` minimizes the bandwidth objective; the feasibility
 baseline `solve_ilp2` stops at the first complete placement. Determinism
 comes from fixed candidate and path orderings.
 
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable
 
 from .nspr import SliceRequest
 from .placement import (LATENCY_EPS, Placement, bandwidth_cost, latency_reach,
@@ -52,49 +55,55 @@ class _FoundFeasible(Exception):
     pass
 
 
-def _enumerate_paths(psn: PhysicalNetwork, src: int, dst: int, bw: float,
-                     budget_ms: float, max_paths: int | None) -> tuple[list[tuple[int, ...]], bool]:
-    """All simple paths src -> dst over links with residual >= bw and total
-    latency within budget, ordered by (hops, latency, link ids). The flag
-    reports truncation by max_paths."""
-    if src == dst:
-        return ([()] if budget_ms >= -LATENCY_EPS else []), False
-    found: list[tuple[int, float, tuple[int, ...]]] = []
-    truncated = False
+def _enumerate_paths(psn: PhysicalNetwork, src: int, dsts: Iterable[int], bw: float,
+                     budget_ms: float, max_paths: int | None
+                     ) -> tuple[dict[int, list[tuple[int, ...]]], set[int]]:
+    """All simple paths from src to each node of dsts (src excluded) over
+    links with residual >= bw and total latency within budget, from one
+    search. Each destination's paths are ordered by (hops, latency, link
+    ids); destinations without a path are left out. With max_paths a
+    destination keeps the first max_paths paths in search order and is
+    reported as truncated."""
+    open_dsts = set(dsts) - {src}
+    found: dict[int, list[tuple[int, float, tuple[int, ...]]]] = {}
+    truncated: set[int] = set()
     visited = {src}
     trail: list[int] = []
     adj_sorted = psn.index().adj_sorted
+    links = psn.links
 
     def dfs(u: int, lat: float) -> None:
-        nonlocal truncated
-        if truncated:
-            return
         for v, lid in adj_sorted[u]:
             if v in visited:
                 continue
-            link = psn.links[lid]
+            link = links[lid]
             if link.bw_residual is None or link.bw_residual < bw:
                 continue
             nl = lat + link.latency_ms
             if nl > budget_ms + LATENCY_EPS:
                 continue
-            if v == dst:
-                found.append((len(trail) + 1, nl, tuple(trail) + (lid,)))
-                if max_paths is not None and len(found) >= max_paths:
-                    truncated = True
+            if v in open_dsts:
+                paths = found.setdefault(v, [])
+                paths.append((len(trail) + 1, nl, tuple(trail) + (lid,)))
+                if max_paths is not None and len(paths) >= max_paths:
+                    open_dsts.discard(v)
+                    truncated.add(v)
+                    if not open_dsts:
+                        return
+            # a destination may relay to another one; a degree-1 node
+            # leads nowhere but back
+            if len(adj_sorted[v]) > 1:
+                visited.add(v)
+                trail.append(lid)
+                dfs(v, nl)
+                trail.pop()
+                visited.discard(v)
+                if not open_dsts:
                     return
-                continue
-            visited.add(v)
-            trail.append(lid)
-            dfs(v, nl)
-            trail.pop()
-            visited.discard(v)
-            if truncated:
-                return
 
-    dfs(src, 0.0)
-    found.sort()
-    return [p for _, _, p in found], truncated
+    if open_dsts:
+        dfs(src, 0.0)
+    return {d: [p for _, _, p in sorted(f)] for d, f in found.items()}, truncated
 
 
 def _solve(psn: PhysicalNetwork, request: SliceRequest, *, find_optimal: bool,
@@ -112,8 +121,8 @@ def _solve(psn: PhysicalNetwork, request: SliceRequest, *, find_optimal: bool,
     deepest = 0
     truncated_any = False
 
-    total_cpu = [sum(request.vnf(v).cpu for v in range(u, n + 1)) for u in range(1, n + 2)]
-    total_ram = [sum(request.vnf(v).ram for v in range(u, n + 1)) for u in range(1, n + 2)]
+    need_cpu = sum(request.vnf(v).cpu for v in range(1, n + 1))
+    need_ram = sum(request.vnf(v).ram for v in range(1, n + 1))
 
     x: dict[int, int] = {}
     y: dict[int, list[int]] = {}
@@ -140,11 +149,12 @@ def _solve(psn: PhysicalNetwork, request: SliceRequest, *, find_optimal: bool,
     def candidates(v: int, last_s: int | None, used_e2e: float) -> list[tuple[int, list[tuple[int, ...]]]]:
         """Eligible (server, feasible paths) pairs for VNF v, search order."""
         nonlocal truncated_any
-        if sum(s.cpu_residual for s in servers.values()) < total_cpu[v - 1] or \
-           sum(s.ram_residual for s in servers.values()) < total_ram[v - 1]:
-            return []
         ok = lookahead_ok(psn, request, v)
         if v == 1:
+            # depth-invariant: deeper, residuals and demands drop by what is held
+            if sum(s.cpu_residual for s in servers.values()) < need_cpu or \
+               sum(s.ram_residual for s in servers.values()) < need_ram:
+                return []
             cands = [sid for sid, srv in sorted(servers.items())
                      if srv.dc in ok_dcs and ok(srv)]
             return [(sid, [()]) for sid in dedupe(cands)]
@@ -162,21 +172,13 @@ def _solve(psn: PhysicalNetwork, request: SliceRequest, *, find_optimal: bool,
             cands.append((rank, sid))
         if find_optimal:
             cands.sort()
-        picked = []
-        deduped = dedupe([sid for _, sid in cands])
-        keep = set(deduped)
-        for _, sid in cands:
-            if sid not in keep:
-                continue
-            if sid == last_s:
-                paths: list[tuple[int, ...]] = [()]
-            else:
-                paths, trunc = _enumerate_paths(psn, last_s, sid, vl.bw, eff,
-                                                max_paths_per_vl)
-                truncated_any = truncated_any or trunc
-            if paths:
-                picked.append((sid, paths))
-        return picked
+        keep = set(dedupe([sid for _, sid in cands]))
+        by_dst, truncated = _enumerate_paths(psn, last_s, keep, vl.bw, eff,
+                                             max_paths_per_vl)
+        truncated_any = truncated_any or bool(truncated)
+        if last_s in keep:
+            by_dst[last_s] = [()]
+        return [(sid, by_dst[sid]) for _, sid in cands if sid in by_dst]
 
     def expand(v: int, last_s: int | None, used_e2e: float, committed: float) -> None:
         nonlocal nodes, deepest, best_cost, best_x, best_y

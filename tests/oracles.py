@@ -3,6 +3,10 @@
 `brute_force` is an exhaustive oracle for tiny instances, built on
 simple-path enumeration via networkx plus direct constraint tallies. It
 shares no search code with `sliceplace.exact`.
+
+`paths_to` is the exact search's former path enumeration, one search per
+destination; the single search of `sliceplace.exact._enumerate_paths` must
+find what it finds for every destination.
 """
 
 from __future__ import annotations
@@ -127,3 +131,47 @@ def brute_force(psn: PhysicalNetwork, request: SliceRequest, *,
     placement.cost = bandwidth_cost(request, placement)
     return SolveResult(SolveStatus.OPTIMAL, placement, best_cost, nodes, deepest)
 
+
+def paths_to(psn: PhysicalNetwork, src: int, dst: int, bw: float,
+             budget_ms: float, max_paths: int | None) -> tuple[list[tuple[int, ...]], bool]:
+    """All simple paths src -> dst over links with residual >= bw and total
+    latency within budget, ordered by (hops, latency, link ids). The search
+    stops at max_paths paths and then reports truncation."""
+    if src == dst:
+        return ([()] if budget_ms >= -LATENCY_EPS else []), False
+    found: list[tuple[int, float, tuple[int, ...]]] = []
+    truncated = False
+    visited = {src}
+    trail: list[int] = []
+    adj_sorted = psn.index().adj_sorted
+
+    def dfs(u: int, lat: float) -> None:
+        nonlocal truncated
+        if truncated:
+            return
+        for v, lid in adj_sorted[u]:
+            if v in visited:
+                continue
+            link = psn.links[lid]
+            if link.bw_residual is None or link.bw_residual < bw:
+                continue
+            nl = lat + link.latency_ms
+            if nl > budget_ms + LATENCY_EPS:
+                continue
+            if v == dst:
+                found.append((len(trail) + 1, nl, tuple(trail) + (lid,)))
+                if max_paths is not None and len(found) >= max_paths:
+                    truncated = True
+                    return
+                continue
+            visited.add(v)
+            trail.append(lid)
+            dfs(v, nl)
+            trail.pop()
+            visited.discard(v)
+            if truncated:
+                return
+
+    dfs(src, 0.0)
+    found.sort()
+    return [p for _, _, p in found], truncated

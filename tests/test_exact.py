@@ -6,16 +6,20 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sliceplace.exact import SolveStatus, solve_ilp1, solve_ilp2
+from sliceplace.exact import SolveStatus, _enumerate_paths, solve_ilp1, solve_ilp2
 from sliceplace.nspr import DEFAULT_CATALOG, SliceClass, make_request
 from sliceplace.p2c import OutcomeStatus, Policy
 from sliceplace.p2c import place as p2c_place
 from sliceplace.placement import bandwidth_cost, check_placement
-from sliceplace.topology import TopologyParams, build_reference_psn
+from sliceplace.topology import (DCKind, LinkKind, NodeKind, PhysicalNetwork,
+                                 TopologyParams, build_reference_psn)
 
 from conftest import make_pair, make_single_dc
-from oracles import InstanceTooLargeError, brute_force
+from oracles import InstanceTooLargeError, brute_force, paths_to
+from test_placement import _BWS, link_id, loaded_substrates
 
 SHORT_CATALOG = {
     cls: dataclasses.replace(spec, vl_budgets_ms=spec.vl_budgets_ms[:2])
@@ -48,6 +52,122 @@ def tiny_instance(seed: int):
             net.allocate_bw(lid, link.bw_residual * rng.uniform(0, 0.9))
     req = short_request(net, rng.choice(list(SliceClass)))
     return net, req
+
+
+def detour_first_network() -> PhysicalNetwork:
+    """Four one-server EDCs a, m, c, z; only a's server is in access reach
+    and m's server is too small for a VNF. From a, the search meets c's
+    server first over the detour a-m-c, whose thin links (1 Gbps) the next
+    virtual link needs to reach z; the direct a-c link comes second. The
+    only feasible placement, a -> c -> z, takes the direct path."""
+    net = PhysicalNetwork(TopologyParams())
+    switch = {}
+    for name, cpu in (("a", 15.0), ("m", 5.0), ("c", 15.0), ("z", 15.0)):
+        dc = net.add_data_center(name, DCKind.EDC)
+        switch[name] = dc.switch
+        sid = net.add_server(f"{name}-s0", name, cpu, 300.0)
+        net.add_link(dc.switch, sid, 0.0, LinkKind.INTRA_DC, 10.0)
+    for a, b, lat, bw in (("a", "m", 0.25, 1.0), ("m", "c", 0.05, 1.0),
+                          ("a", "c", 0.1, 10.0), ("m", "z", 0.1, 10.0)):
+        net.add_link(switch[a], switch[b], lat, LinkKind.TRANSPORT, bw)
+    uap = net.add_node("uap0", NodeKind.UAP)
+    net.add_link(uap, switch["a"], 0.02, LinkKind.ACCESS, None)
+    net.uaps.append(uap)
+    net.validate()
+    return net
+
+
+class TestPathSearch:
+    """One search from the previous server finds, for every destination,
+    what a search per destination finds."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(loaded_substrates(), st.data())
+    def test_matches_one_search_per_destination(self, net, data):
+        nodes = range(len(net.nodes))
+        src = data.draw(st.sampled_from(nodes))
+        dsts = data.draw(st.one_of(st.just(set(nodes)), st.sets(st.sampled_from(nodes))))
+        bw = data.draw(st.sampled_from([0.0] + _BWS))
+        budget = data.draw(st.sampled_from([-0.5, 0.0, 0.1, 0.33, 1.0, 5.0]))
+        max_paths = data.draw(st.sampled_from([None, 1, 2]))
+        by_dst, truncated = _enumerate_paths(net, src, dsts, bw, budget, max_paths)
+        assert src not in by_dst and src not in truncated
+        assert all(by_dst.values()) and truncated <= set(by_dst)
+        for dst in dsts - {src}:
+            paths, trunc = paths_to(net, src, dst, bw, budget, max_paths)
+            assert by_dst.get(dst, []) == paths
+            assert (dst in truncated) == trunc
+
+    def test_relays_through_a_multi_link_server(self):
+        net = make_pair(edc_servers=2, cdc_servers=1, km=10)
+        e0, e1 = sorted(net.data_centers["edc0"].servers)
+        (c0,) = net.data_centers["cdc0"].servers
+        sw_e = net.data_centers["edc0"].switch
+        sw_c = net.data_centers["cdc0"].switch
+        bridge = net.add_link(e1, sw_c, 0.1, LinkKind.TRANSPORT, 10.0)
+        # e1 is a destination itself and the search meets it before the
+        # EDC-CDC link, so c0's first path relays through it
+        relayed = (link_id(net, e0, sw_e), link_id(net, sw_e, e1), bridge,
+                   link_id(net, sw_c, c0))
+        direct = (link_id(net, e0, sw_e), link_id(net, sw_e, sw_c), link_id(net, sw_c, c0))
+        for max_paths, want, cut in ((None, [direct, relayed], False),
+                                     (1, [relayed], True), (2, [direct, relayed], True)):
+            by_dst, truncated = _enumerate_paths(net, e0, {e1, c0}, 1.0, 1.0, max_paths)
+            assert (by_dst[c0], c0 in truncated) == (want, cut)
+            for dst in (e1, c0):
+                assert (by_dst[dst], dst in truncated) == \
+                       paths_to(net, e0, dst, 1.0, 1.0, max_paths)
+
+
+class TestPathLimit:
+    """`max_paths_per_vl` caps the paths kept per virtual link; a capped
+    search claims no optimum and no infeasibility. Expected values were
+    recorded with the search per destination."""
+
+    def test_ilp1_truncated_keeps_best_known(self, ref):
+        req = make_request(SliceClass.URLLC, ref.uaps[0])
+        res = solve_ilp1(ref, req, max_paths_per_vl=1)
+        assert res.status is SolveStatus.BUDGET_EXCEEDED
+        assert res.objective == pytest.approx(2.0)
+        assert res.placement.x == {1: 73, 2: 73, 3: 73, 4: 74, 5: 74}
+        assert check_placement(ref, req, res.placement).ok
+
+    def test_ilp1_detour_hides_then_bounds(self):
+        net = detour_first_network()
+        req = short_request(net, SliceClass.URLLC)
+        res = solve_ilp1(net, req, max_paths_per_vl=1)
+        assert (res.status, res.placement, res.deepest_feasible_vnf) == \
+               (SolveStatus.BUDGET_EXCEEDED, None, 2)
+        res = solve_ilp1(net, req, max_paths_per_vl=2)
+        assert res.status is SolveStatus.BUDGET_EXCEEDED
+        assert res.objective == pytest.approx(7.0)
+        assert res.placement.x == {1: 1, 2: 5, 3: 7}
+
+    def test_ilp2_detour_hides_the_only_placement(self):
+        net = detour_first_network()
+        req = short_request(net, SliceClass.URLLC)
+        assert solve_ilp2(net, req).status is SolveStatus.OPTIMAL
+        res = solve_ilp2(net, req, max_paths_per_vl=1)
+        assert (res.status, res.placement, res.deepest_feasible_vnf) == \
+               (SolveStatus.BUDGET_EXCEEDED, None, 2)
+        # a first feasible placement claims no optimum, so a cap that still
+        # finds one is no reason to refuse it
+        res = solve_ilp2(net, req, max_paths_per_vl=2)
+        assert res.status is SolveStatus.OPTIMAL
+        assert res.placement.x == {1: 1, 2: 5, 3: 7}
+        assert res.placement.y == {1: [0, 6, 2], 2: [2, 5, 7, 3]}
+
+    @pytest.mark.parametrize("solver", [solve_ilp1, solve_ilp2])
+    def test_large_cap_matches_unbounded(self, ref, solver):
+        net = detour_first_network()
+        cases = [(ref, make_request(cls, ref.uaps[0])) for cls in SliceClass]
+        cases.append((net, short_request(net, SliceClass.URLLC)))
+        for psn, req in cases:
+            capped = solver(psn, req, max_paths_per_vl=1000)
+            free = solver(psn, req)
+            assert capped.status is free.status is SolveStatus.OPTIMAL
+            assert capped.objective == free.objective
+            assert capped.placement.x == free.placement.x
 
 
 class TestReferenceOptima:

@@ -218,6 +218,15 @@ GOLDEN_DIGESTS = {
 }
 
 
+# The same for MIX, rho=1, horizon 150, seed 7 on the scale-2 substrate (252
+# servers), where each exact path search serves more data centers' servers
+# over longer paths.
+GOLDEN_DIGESTS_SCALE2 = {
+    "ilp-1": "d64e4ae52dec5ecfd71ab12b08a4fd9373abdac7460f6346b506e8ce3422f879",
+    "ilp-2": "1b63372aaa610ad015f656b16cff945339860bb79f27f16025378269a83bd06f",
+}
+
+
 # The same for MIX, rho=1, horizon 100, seed 7 on the scale-4 substrate (504
 # servers), where latency reach spans many servers per DC.
 GOLDEN_DIGESTS_SCALE4 = {
@@ -245,6 +254,12 @@ class TestGoldenResults:
     def test_results_digest_pinned(self, net, algorithm):
         report = run(net, Scenario.named("MIX", 1.0, horizon=300.0), algorithm, 7)
         assert results_digest(report) == GOLDEN_DIGESTS[algorithm]
+
+    @pytest.mark.parametrize("algorithm", sorted(GOLDEN_DIGESTS_SCALE2))
+    def test_results_digest_pinned_scale2(self, algorithm):
+        report = run(build_reference_psn(2), Scenario.named("MIX", 1.0, horizon=150.0),
+                     algorithm, 7)
+        assert results_digest(report) == GOLDEN_DIGESTS_SCALE2[algorithm]
 
     @pytest.mark.parametrize("algorithm", sorted(GOLDEN_DIGESTS_SCALE4))
     def test_results_digest_pinned_scale4(self, algorithm):
