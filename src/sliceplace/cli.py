@@ -120,13 +120,15 @@ def _run_replications(net: PhysicalNetwork, scenario: Scenario,
     if cfg.jobs > 1 and scenario.replications > 1:
         topo_json = net.to_json()
         payloads = [(topo_json, scenario, algorithm, seed, options) for seed in seeds]
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(seeds))) as pool:
             return list(pool.map(_sim_worker, payloads))
     return [run(net, scenario, algorithm, seed, **options) for seed in seeds]
 
 
 def _apply_sim_flags(cfg: RunConfig, args) -> None:
     if args.jobs is not None:
+        if args.jobs < 1:
+            raise ConfigError("--jobs must be >= 1")
         cfg.jobs = args.jobs
     if args.validate:
         cfg.validate = True

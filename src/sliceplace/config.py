@@ -30,6 +30,10 @@ _SCENARIO_TYPES = {"name": str, "target_load": float, "horizon": float,
                    "mean_holding": float, "replications": int, "base_seed": int,
                    "warmup": float, "include_holding_time": bool}
 _SCENARIO_KEYS = set(_SCENARIO_TYPES) | {"mix"}
+# topology key -> JSON type of its value, that of its default
+# (latency_round_decimals may also be null)
+_TOPOLOGY_TYPES = {name: type(f.default)
+                   for name, f in TopologyParams.__dataclass_fields__.items()}
 _TOP_KEYS = {"topology", "scenario", "algorithm", "catalog", "solver",
              "validate", "measure_time", "jobs", "series_interval", "output"}
 _TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a finite number",
@@ -94,8 +98,10 @@ class RunConfig:
         cfg.topology_file = _typed(topo.pop("file", None), str, "topology file",
                                    nullable=True)
         if topo:
-            known = set(TopologyParams.__dataclass_fields__)
-            _require_keys(topo, known, "topology")
+            _require_keys(topo, set(_TOPOLOGY_TYPES), "topology")
+            for key, value in topo.items():
+                _typed(value, _TOPOLOGY_TYPES[key], f"topology {key}",
+                       nullable=key == "latency_round_decimals")
             try:
                 cfg.topology_params = TopologyParams(**topo)
                 cfg.topology_params.validate()

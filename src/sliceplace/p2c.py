@@ -69,7 +69,7 @@ def get_two_candidates(psn: PhysicalNetwork, candidates: Sequence[int],
         raise ValueError("candidate list is empty")
     pool = candidates
     if policy is Policy.TIER_PREFERRED:
-        rank = psn.vectors().tier_rank
+        rank = psn.index().tier_rank
         best, pool = len(TIER_ORDER) + 1, []
         for s in candidates:
             r = rank[s]

@@ -98,6 +98,8 @@ class Verdict:
 
 def _resolve_path(psn: PhysicalNetwork, i: int, raw: Sequence) -> list[int]:
     """Resolve a VL path given as node pairs or link ids into link ids."""
+    if not isinstance(raw, (list, tuple)):
+        raise MalformedPlacementError(f"VL {i}: path must be a list")
     links = []
     for hop in raw:
         if isinstance(hop, int):
@@ -123,6 +125,8 @@ def _coerce_raw(psn: PhysicalNetwork, obj: Mapping) -> tuple[dict[int, tuple[int
         raw_y = obj.get("y", {})
     except TypeError:
         raise MalformedPlacementError("placement must be a mapping with 'x' and 'y'") from None
+    if not isinstance(raw_x, Mapping) or not isinstance(raw_y, Mapping):
+        raise MalformedPlacementError("placement 'x' and 'y' must be objects")
     x_multi: dict[int, tuple[int, ...]] = {}
     for key, val in raw_x.items():
         try:
@@ -443,25 +447,25 @@ def _lookahead_mask(psn: PhysicalNetwork, request: SliceRequest, v: int,
     is the mask of servers with room for VNF v."""
     if v == request.n_vnfs:
         return fits
-    vec = psn.vectors()
+    idx = psn.index()
     d, d_next = request.vnf(v), request.vnf(v + 1)
     bw_next = request.vl(v).bw
-    uplink = vec.bw[vec.up_link] >= bw_next
-    for p in vec.multi:
-        uplink[p] = _has_uplink(psn, int(vec.id[p]), bw_next)
-    return (((vec.cpu >= d.cpu + d_next.cpu) & (vec.ram >= d.ram + d_next.ram))
+    uplink = idx.bw[idx.up_link] >= bw_next
+    for p in idx.multi:
+        uplink[p] = _has_uplink(psn, int(idx.id[p]), bw_next)
+    return (((idx.cpu >= d.cpu + d_next.cpu) & (idx.ram >= d.ram + d_next.ram))
             | (fits & uplink))
 
 
 def _root_mask(psn: PhysicalNetwork, request: SliceRequest) -> np.ndarray:
     """Servers of `root_dcs`, by server position; cached per (UAP, bound)."""
-    vec = psn.vectors()
+    idx = psn.index()
     key = (request.uap, request.alpha_max_ms)
-    mask = vec.root_masks.get(key)
+    mask = idx.root_masks.get(key)
     if mask is None:
-        mask = np.isin(vec.dc, [vec.dc_index[dc_id] for dc_id in root_dcs(psn, request)])
+        mask = np.isin(idx.dc, [idx.dc_index[dc_id] for dc_id in root_dcs(psn, request)])
         mask.flags.writeable = False
-        vec.root_masks[key] = mask
+        idx.root_masks[key] = mask
     return mask
 
 
@@ -480,21 +484,21 @@ def feasible_servers(psn: PhysicalNetwork, request: SliceRequest, v: int,
 
     Cost: O(relay nodes) in Python plus O(servers) in C. `_relay_reach`
     runs over the relay nodes only (switches, routers; no server of the
-    reference substrate); then a few compares over `psn.vectors()` decide
-    every server at once: a server with one link is reached when the node
-    across it is, within the budget, and the link carries the VL; one with
-    more links is a relay itself. The result equals an all-server scan of
+    reference substrate); then a few compares over the residual arrays of
+    `psn.index()` decide every server at once: a server with one link is
+    reached when the node across it is, within the budget, and the link
+    carries the VL; one with more links is a relay itself. The result equals an all-server scan of
     the rule, list and order alike.
     """
     n = request.n_vnfs
     if not 1 <= v <= n:
         raise ValueError(f"VNF index {v} outside chain 1..{n}")
-    vec = psn.vectors()
+    idx = psn.index()
     d_v = request.vnf(v)
-    fits = (vec.cpu >= d_v.cpu) & (vec.ram >= d_v.ram)
+    fits = (idx.cpu >= d_v.cpu) & (idx.ram >= d_v.ram)
 
     if v == 1:
-        return vec.id[_root_mask(psn, request) & _lookahead_mask(psn, request, 1, fits)].tolist()
+        return idx.id[_root_mask(psn, request) & _lookahead_mask(psn, request, 1, fits)].tolist()
 
     if last_s is None:
         raise ValueError("last_s is required for VNFs beyond the first")
@@ -506,18 +510,18 @@ def feasible_servers(psn: PhysicalNetwork, request: SliceRequest, v: int,
     # where unreached, so no comparison holds there
     dist = np.full(len(psn.nodes) + 1, np.nan)
     dist[list(relay)] = list(relay.values())
-    reached = (dist[vec.up_nbr] + vec.up_lat <= limit) & (vec.bw[vec.up_link] >= vl.bw)
+    reached = (dist[idx.up_nbr] + idx.up_lat <= limit) & (idx.bw[idx.up_link] >= vl.bw)
     # a server with several links is a relay itself; last_s is always reached
-    for p in vec.multi:
-        reached[p] = int(vec.id[p]) in relay
-    if vec.pos[last_s] >= 0:
-        reached[vec.pos[last_s]] = True
+    for p in idx.multi:
+        reached[p] = int(idx.id[p]) in relay
+    if idx.pos[last_s] >= 0:
+        reached[idx.pos[last_s]] = True
     ok = fits
     if v < n:
         # only last_s's own DC applies the lookahead
-        other_dc = vec.dc != vec.dc_index.get(psn.nodes[last_s].dc, -1)
+        other_dc = idx.dc != idx.dc_index.get(psn.nodes[last_s].dc, -1)
         ok = (fits & other_dc) | (_lookahead_mask(psn, request, v, fits) & ~other_dc)
-    return vec.id[reached & ok].tolist()
+    return idx.id[reached & ok].tolist()
 
 
 def apply_placement(psn: PhysicalNetwork, request: SliceRequest,

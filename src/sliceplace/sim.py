@@ -361,11 +361,11 @@ def run(psn: PhysicalNetwork, scenario: Scenario, algorithm: Algorithm | str,
     """Simulate one replication and return its metrics.
 
     The caller's psn is cloned, never mutated (cloning may build its
-    residual vectors). With validate=True the independent checker
+    structure index). With validate=True the independent checker
     re-verifies every acceptance against the pre-commit state, a full
     snapshot confirms that every rejection left no trace, and after every
-    event conservation is re-derived and the residual vectors must equal
-    the residual attributes exactly (slow; for audits and tests).
+    event conservation is re-derived and the index's residual arrays must
+    equal the residual attributes exactly (slow; for audits and tests).
     """
     if isinstance(algorithm, str):
         algorithm = Algorithm.parse(algorithm)

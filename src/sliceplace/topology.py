@@ -161,34 +161,21 @@ class TopologyParams:
 
 
 class StructureIndex(NamedTuple):
-    """Read-only lookups derived from a network's nodes, data centers and
-    links; residuals are not part of it. Node and adjacency entries are in
-    id order."""
+    """Everything a network derives from its nodes, data centers and links,
+    plus numpy mirrors of its residuals.
+
+    Node and adjacency entries are in id order. Servers are also indexed by
+    position, their rank in `servers`. The residual arrays belong to one
+    network; every other field, the two caches included, is shared with its
+    clones."""
 
     servers: tuple[Server, ...]
-    # node id -> tier of its data center (None outside any DC)
-    tier: tuple[DCKind | None, ...]
     # node id -> its `adj` entries sorted by (neighbor id, link id)
     adj_sorted: tuple[tuple[tuple[int, int], ...], ...]
     # the same without entries whose neighbor has degree 1 (a leaf relays nothing)
     relay_adj: tuple[tuple[tuple[int, int], ...], ...]
     # the entries left out of relay_adj
     leaf_adj: tuple[tuple[tuple[int, int], ...], ...]
-
-
-class Vectors(NamedTuple):
-    """numpy mirrors of every residual plus static per-server fields.
-
-    Servers are indexed by position, their rank in `servers()`. The
-    residual arrays belong to one network; the static fields are shared
-    with its clones."""
-
-    # residuals: CPU and RAM by server position, bandwidth by link id plus
-    # one trailing slot; NaN marks a link without bandwidth accounting and
-    # fills the trailing slot, so no comparison holds there
-    cpu: np.ndarray
-    ram: np.ndarray
-    bw: np.ndarray
     # node id -> server position, -1 for other nodes
     pos: tuple[int, ...]
     # node id -> rank of its DC's tier in TIER_ORDER, len(TIER_ORDER) outside any DC
@@ -206,8 +193,16 @@ class Vectors(NamedTuple):
     up_lat: np.ndarray
     # positions of servers with two or more links
     multi: tuple[int, ...]
-    # cache for eligibility: (UAP, access bound) -> mask of root-DC servers
+    # caches filled on use: UAP -> {DC id: access latency}, and for
+    # eligibility (UAP, access bound) -> mask of root-DC servers
+    alpha: dict[int, dict[str, float]]
     root_masks: dict[tuple[int, float], np.ndarray]
+    # residuals: CPU and RAM by server position, bandwidth by link id plus
+    # one trailing slot; NaN marks a link without bandwidth accounting and
+    # fills the trailing slot, so no comparison holds there
+    cpu: np.ndarray
+    ram: np.ndarray
+    bw: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -229,30 +224,28 @@ class PhysicalNetwork:
     then `commit(mark)` or `rollback(mark)`, they log old residuals that a
     rollback writes back exactly. `snapshot`/`restore` copy every residual.
 
-    `index()` returns a `StructureIndex` built once per structure: the
-    server list that `servers()` and every full scan read, each node's DC
-    tier and sorted adjacency (in full and without leaf neighbors).
-    `add_node`, `add_server`, `add_data_center` and `add_link` drop it;
-    capacity changes keep it. A clone shares the parent's tiers and sorted
-    adjacency (immutable) but lists its own `Server` objects, so residuals
-    it allocates never show in the parent's `servers()`.
+    `index()` returns the one `StructureIndex`, built in one pass on first
+    use after a structural change: the server list that `servers()` and
+    every full scan read, sorted adjacency (in full and without leaf
+    neighbors), per-node tier ranks, static per-server fields, the
+    access-latency and root-mask caches, and numpy float64 copies of every
+    residual (CPU and RAM by server position, bandwidth by link id), so
+    that eligibility tests every server in a few array compares. Every
+    structural change (`_append`, behind `add_node`, `add_server` and
+    `add_data_center`, and `add_link`) drops it. Capacity changes keep it
+    and write its residual copies where residuals change: `_set` (every
+    allocate and release), `rollback` and `restore`. A clone shares the
+    index but lists its own `Server` objects and owns copies of the
+    residual arrays, so residuals it allocates never show in the parent.
+
+    The `Server`/`PhysicalLink` residual attributes stay the scalar source
+    that the checker and the exact search read, because an attribute read
+    costs a fraction of a numpy scalar index and the exact search reads
+    link residuals millions of times per run. `vector_drift()` reports
+    where the two disagree.
 
     A data center's `servers` lists its servers in id order: `add_server`
     appends to it and `validate` (run by `from_json`) checks it.
-
-    `vectors()` returns `Vectors`: numpy float64 copies of every residual
-    (CPU and RAM by server position, bandwidth by link id) next to static
-    per-server fields, so that eligibility tests every server in a few
-    array compares. They are built on first use after a structural change
-    (never by the constructor or `build_reference_psn`), and from then on
-    written only where residuals change: `_set` (every allocate and
-    release), `rollback` and `restore`; `clone` copies them, building them
-    on the source first, so that clones never rebuild them. The
-    `Server`/`PhysicalLink` residual attributes stay the scalar source that
-    the checker and the exact search read, because an attribute read costs
-    a fraction of a numpy scalar index and the exact search reads link
-    residuals millions of times per run. `vector_drift()` reports where the
-    two disagree.
     """
 
     def __init__(self, params: TopologyParams | None = None) -> None:
@@ -264,12 +257,10 @@ class PhysicalNetwork:
         # node id -> [(neighbor id, link id)], insertion order
         self.adj: list[list[tuple[int, int]]] = []
         self._token = uuid.uuid4().hex
-        self._alpha_cache: dict[int, dict[str, float]] = {}
         # (server or link, attribute, old value); log length at each open begin
         self._undo: list[tuple[Server | PhysicalLink, str, float]] = []
         self._marks: list[int] = []
         self._index: StructureIndex | None = None
-        self._vectors: Vectors | None = None
 
     # -- construction ------------------------------------------------------
 
@@ -277,7 +268,6 @@ class PhysicalNetwork:
         self.nodes.append(node)
         self.adj.append([])
         self._index = None
-        self._vectors = None
 
     def add_node(self, label: str, kind: NodeKind, dc: str | None = None) -> int:
         if kind is NodeKind.SERVER:
@@ -304,7 +294,6 @@ class PhysicalNetwork:
         switch = self.add_node(switch_label or f"{dc_id}-sw", NodeKind.SWITCH, dc=dc_id)
         dc = DataCenter(id=dc_id, kind=kind, switch=switch)
         self.data_centers[dc_id] = dc
-        self._index = None
         return dc
 
     def add_link(self, a: int, b: int, latency_ms: float, kind: LinkKind,
@@ -325,9 +314,7 @@ class PhysicalNetwork:
         self.links.append(link)
         self.adj[a].append((b, link.id))
         self.adj[b].append((a, link.id))
-        self._alpha_cache.clear()
         self._index = None
-        self._vectors = None
         return link.id
 
     # -- lookups -----------------------------------------------------------
@@ -352,33 +339,14 @@ class PhysicalNetwork:
     def index(self) -> StructureIndex:
         """The structure index, built on first use after a structural change."""
         if self._index is None:
+            n_nodes, n_links = len(self.nodes), len(self.links)
             servers = tuple([n for n in self.nodes if isinstance(n, Server)])
-            kind = {dc_id: dc.kind for dc_id, dc in self.data_centers.items()}
             adj_sorted = tuple(map(tuple, map(sorted, self.adj)))
             relays = [len(entries) > 1 for entries in self.adj]
-            self._index = StructureIndex(
-                servers=servers,
-                tier=tuple([kind.get(n.dc) for n in self.nodes]),
-                adj_sorted=adj_sorted,
-                # a lone entry to a relay (a server's switch) is reused, not copied
-                relay_adj=tuple([
-                    entries if len(entries) == 1 and relays[entries[0][0]]
-                    else tuple([e for e in entries if relays[e[0]]])
-                    for entries in adj_sorted]),
-                leaf_adj=tuple([tuple([e for e in entries if not relays[e[0]]])
-                                for entries in adj_sorted]))
-        return self._index
-
-    def vectors(self) -> Vectors:
-        """The residual vectors and static server fields, built on first use
-        after a structural change."""
-        if self._vectors is None:
-            idx = self.index()
-            n_nodes, n_links = len(self.nodes), len(self.links)
             pos = [-1] * n_nodes
             up: list[tuple[int, int, float]] = []
             multi = []
-            for p, s in enumerate(idx.servers):
+            for p, s in enumerate(servers):
                 pos[s.id] = p
                 entries = self.adj[s.id]
                 if len(entries) == 1:
@@ -388,42 +356,53 @@ class PhysicalNetwork:
                     up.append((n_links, n_nodes, 0.0))
                     if entries:
                         multi.append(p)
-            rank = {kind: r for r, kind in enumerate(TIER_ORDER)}
+            rank = {dc_id: TIER_ORDER.index(dc.kind) for dc_id, dc in self.data_centers.items()}
             dc_index = {dc_id: i for i, dc_id in enumerate(self.data_centers)}
             up_link, up_nbr, up_lat = zip(*up) if up else ((), (), ())
-            self._vectors = Vectors(
-                *self._residual_arrays(),
+            cpu, ram, bw = self._residual_arrays(servers)
+            self._index = StructureIndex(
+                servers=servers,
+                adj_sorted=adj_sorted,
+                # a lone entry to a relay (a server's switch) is reused, not copied
+                relay_adj=tuple([
+                    entries if len(entries) == 1 and relays[entries[0][0]]
+                    else tuple([e for e in entries if relays[e[0]]])
+                    for entries in adj_sorted]),
+                leaf_adj=tuple([tuple([e for e in entries if not relays[e[0]]])
+                                for entries in adj_sorted]),
                 pos=tuple(pos),
-                tier_rank=tuple([rank.get(t, len(TIER_ORDER)) for t in idx.tier]),
+                tier_rank=tuple([rank.get(n.dc, len(TIER_ORDER)) for n in self.nodes]),
                 dc_index=dc_index,
-                id=np.array([s.id for s in idx.servers], dtype=np.intp),
-                dc=np.array([dc_index.get(s.dc, -1) for s in idx.servers], dtype=np.intp),
+                id=np.array([s.id for s in servers], dtype=np.intp),
+                dc=np.array([dc_index.get(s.dc, -1) for s in servers], dtype=np.intp),
                 up_link=np.array(up_link, dtype=np.intp),
                 up_nbr=np.array(up_nbr, dtype=np.intp),
                 up_lat=np.array(up_lat, dtype=float),
                 multi=tuple(multi),
-                root_masks={})
-        return self._vectors
+                alpha={},
+                root_masks={},
+                cpu=cpu, ram=ram, bw=bw)
+        return self._index
 
-    def _residual_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        servers = self.servers()
+    def _residual_arrays(self, servers: tuple[Server, ...]
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return (np.array([s.cpu_residual for s in servers], dtype=float),
                 np.array([s.ram_residual for s in servers], dtype=float),
                 # None (no accounting) and the trailing slot become NaN
                 np.array([l.bw_residual for l in self.links] + [None], dtype=float))
 
     def vector_drift(self) -> str | None:
-        """None when the residual vectors are unbuilt or equal every residual
-        attribute exactly; otherwise where they first differ."""
-        vec = self._vectors
-        if vec is None:
+        """None when the index is unbuilt or its residual arrays equal every
+        residual attribute exactly; otherwise where they first differ."""
+        idx = self._index
+        if idx is None:
             return None
-        for name, have, want in zip(("cpu", "ram", "bw"), (vec.cpu, vec.ram, vec.bw),
-                                    self._residual_arrays()):
+        for name, have, want in zip(("cpu", "ram", "bw"), (idx.cpu, idx.ram, idx.bw),
+                                    self._residual_arrays(idx.servers)):
             same = (have == want) | (np.isnan(have) & np.isnan(want))
             if not same.all():
                 i = int(np.argmin(same))
-                where = f"link {i}" if name == "bw" else f"server {int(vec.id[i])}"
+                where = f"link {i}" if name == "bw" else f"server {int(idx.id[i])}"
                 return f"{where}: {name} vector holds {have[i]}, residual is {want[i]}"
         return None
 
@@ -439,10 +418,10 @@ class PhysicalNetwork:
         return self.data_centers[dc_id] if dc_id is not None else None
 
     def tier_of_server(self, server_id: int) -> DCKind:
-        tier = self.index().tier[server_id]
-        if tier is None:
+        rank = self.index().tier_rank[server_id]
+        if rank == len(TIER_ORDER):
             raise TopologyError(f"server {server_id} belongs to no data center")
-        return tier
+        return TIER_ORDER[rank]
 
     def total_cpu_capacity(self) -> float:
         return sum(s.cpu_capacity for s in self.servers())
@@ -456,17 +435,17 @@ class PhysicalNetwork:
         if self._marks:
             self._undo.append((obj, attr, getattr(obj, attr)))
         setattr(obj, attr, value)
-        if self._vectors is not None:
+        if self._index is not None:
             self._mirror(obj, attr, value)
 
     def _mirror(self, obj: Server | PhysicalLink, attr: str, value: float) -> None:
-        vec = self._vectors
+        idx = self._index
         if attr == "bw_residual":
-            vec.bw[obj.id] = value
+            idx.bw[obj.id] = value
         elif attr == "cpu_residual":
-            vec.cpu[vec.pos[obj.id]] = value
+            idx.cpu[idx.pos[obj.id]] = value
         else:
-            vec.ram[vec.pos[obj.id]] = value
+            idx.ram[idx.pos[obj.id]] = value
 
     def allocate(self, server_id: int, cpu: float, ram: float) -> None:
         if cpu < 0 or ram < 0:
@@ -527,7 +506,7 @@ class PhysicalNetwork:
     def rollback(self, mark: int) -> None:
         """Write back the residuals logged since `mark`, newest first."""
         self._close(mark)
-        mirrored = self._vectors is not None
+        mirrored = self._index is not None
         while len(self._undo) > mark:
             obj, attr, old = self._undo.pop()
             setattr(obj, attr, old)
@@ -554,21 +533,19 @@ class PhysicalNetwork:
             s.ram_residual = ram
         for link, bw in zip(self.links, snap.link_bw):
             link.bw_residual = bw
-        vec = self._vectors
-        if vec is not None:
-            vec.cpu[:] = snap.server_cpu
-            vec.ram[:] = snap.server_ram
-            vec.bw[:-1] = snap.link_bw  # None becomes NaN
+        idx = self._index
+        if idx is not None:
+            idx.cpu[:] = snap.server_cpu
+            idx.ram[:] = snap.server_ram
+            idx.bw[:-1] = snap.link_bw  # None becomes NaN
 
     def clone(self) -> "PhysicalNetwork":
         """Deep copy sharing the snapshot token, so snapshots stay portable
-        between a network and its clones. It starts with a copy of the
-        access-latency cache, which only `add_link` invalidates, and shares
-        the immutable parts of the structure index and of the vectors; its
-        server list holds its own `Server` objects and its residual vectors
-        are its own copies."""
+        between a network and its clones. It shares the structure index and
+        its caches, which depend on structure only, but its server list
+        holds its own `Server` objects and its residual arrays are its own
+        copies."""
         idx = self.index()
-        vec = self.vectors()
         other = PhysicalNetwork(self.params)
         other.nodes = [replace(n) for n in self.nodes]
         other.links = [replace(l) for l in self.links]
@@ -578,9 +555,8 @@ class PhysicalNetwork:
         other.uaps = list(self.uaps)
         other.adj = [list(entries) for entries in self.adj]
         other._token = self._token
-        other._alpha_cache = dict(self._alpha_cache)
-        other._index = idx._replace(servers=tuple([other.nodes[s.id] for s in idx.servers]))
-        other._vectors = vec._replace(cpu=vec.cpu.copy(), ram=vec.ram.copy(), bw=vec.bw.copy())
+        other._index = idx._replace(servers=tuple([other.nodes[s.id] for s in idx.servers]),
+                                    cpu=idx.cpu.copy(), ram=idx.ram.copy(), bw=idx.bw.copy())
         return other
 
     # -- access latency ----------------------------------------------------
@@ -589,13 +565,15 @@ class PhysicalNetwork:
         """Latency of the shortest path from a UAP to a DC's switch (ms).
 
         Uses static link latencies only; bandwidth state does not matter for
-        access delay. Cached per UAP. Unreachable DCs report +inf.
+        access delay. Cached per UAP in the structure index. Unreachable DCs
+        report +inf.
         """
         if self.nodes[uap_id].kind is not NodeKind.UAP:
             raise TopologyError(f"node {uap_id} is not a UAP")
         if dc_id not in self.data_centers:
             raise TopologyError(f"unknown data center {dc_id!r}")
-        cached = self._alpha_cache.get(uap_id)
+        alpha = self.index().alpha
+        cached = alpha.get(uap_id)
         if cached is None:
             dist = [float("inf")] * len(self.nodes)
             dist[uap_id] = 0.0
@@ -610,7 +588,7 @@ class PhysicalNetwork:
                         dist[v] = nd
                         heapq.heappush(pq, (nd, v))
             cached = {d.id: dist[d.switch] for d in self.data_centers.values()}
-            self._alpha_cache[uap_id] = cached
+            alpha[uap_id] = cached
         return cached[dc_id]
 
     # -- validation and serialization --------------------------------------

@@ -200,11 +200,14 @@ class TestCheck:
         doc = json.loads(open(outcome_file).read())
         doc["placement"]["x"]["1"] = 99999
         bad = tmp_path / "malformed.json"
-        bad.write_text(json.dumps(doc))
-        code, _, err = run_cli(capsys, "check", "--topology", topo_file,
-                               "--class", "urllc", "--placement", str(bad))
-        assert code == 2
-        assert "error" in err
+        # an unknown server, then x or y not an object and a path not a list
+        for case in (doc, {"x": 5}, {"x": {"1": 3}, "y": 7}, {"x": {"1": 3}, "y": {"1": 5}}):
+            bad.write_text(json.dumps(case))
+            code, out, err = run_cli(capsys, "check", "--topology", topo_file,
+                                     "--class", "urllc", "--placement", str(bad))
+            assert code == 2, case
+            assert out == ""
+            assert "error" in err and "Traceback" not in err
 
     def test_missing_placement_file(self, capsys, topo_file):
         code, _, err = run_cli(capsys, "check", "--topology", topo_file,
@@ -246,6 +249,43 @@ class TestSimulate:
                      "--jobs", "2", "--out", str(parallel)]) == 0
         capsys.readouterr()
         assert serial.read_bytes() == parallel.read_bytes()
+
+    def test_worker_pool_bounded_by_replications(self, tmp_path, capsys, monkeypatch):
+        workers = []
+
+        class SerialPool:
+            """Records its size and maps in this process: no worker starts."""
+
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr("sliceplace.cli.ProcessPoolExecutor", SerialPool)
+        serial, pooled = tmp_path / "serial.json", tmp_path / "pooled.json"
+        assert main(["simulate", "--algorithm", "p2c-1", *SIM_ARGS,
+                     "--jobs", "1", "--out", str(serial)]) == 0
+        assert workers == []
+        assert main(["simulate", "--algorithm", "p2c-1", *SIM_ARGS,
+                     "--jobs", "64", "--out", str(pooled)]) == 0
+        capsys.readouterr()
+        assert workers == [2]  # SIM_ARGS asks for 2 replications
+        assert serial.read_bytes() == pooled.read_bytes()
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exits_two(self, capsys, jobs):
+        code, out, err = run_cli(capsys, "simulate", "--algorithm", "p2c-1",
+                                 *SIM_ARGS, "--jobs", jobs)
+        assert code == 2
+        assert out == ""
+        assert "--jobs" in err
 
     def test_series_csv(self, tmp_path, capsys):
         csv_path = tmp_path / "series.csv"
@@ -296,8 +336,14 @@ class TestSimulate:
         (None, "catalog", BEF_ONLY_CATALOG),
         (None, "catalog", [1]),
         (None, "jobs", 2.5),
+        ("topology", "scale", 1.5),
+        ("topology", "scale", True),
+        ("topology", "servers_per_edc", 2.5),
+        ("topology", "latency_round_decimals", 2.5),
+        ("topology", "server_cpu", "50"),
     ], ids=["load", "horizon", "replications", "holding", "mix", "algorithm",
-            "max_nodes", "catalog", "catalog_list", "jobs"])
+            "max_nodes", "catalog", "catalog_list", "jobs", "scale_float", "scale_bool",
+            "servers_float", "round_float", "cpu_string"])
     def test_malformed_config_value_exits_two(self, tmp_path, capsys, section, key, value):
         doc = {"scenario": {"name": "URLLC", "target_load": 0.4, "horizon": 10.0},
                "algorithm": "ilp-1"}

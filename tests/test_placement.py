@@ -624,8 +624,8 @@ def loaded_substrates(draw):
         net.add_link(uap, draw(st.sampled_from(switches)),
                      draw(st.sampled_from([0.02, 0.05, 0.1])), LinkKind.ACCESS, None)
         net.uaps.append(uap)
-    if draw(st.booleans()):  # load through the residual vectors' write path
-        net.vectors()
+    if draw(st.booleans()):  # load through the write path of the index's residual arrays
+        net.index()
     for srv in net.servers():
         cpu = draw(st.sampled_from([0.0, 10.0, 20.0, 30.0, 40.0, 50.0]))
         net.allocate(srv.id, cpu, cpu * 6)
@@ -691,8 +691,8 @@ class TestReachBoundedEligibility:
         net.add_link(e2, net.data_centers["cdc0"].switch, 0.5, LinkKind.TRANSPORT, 1.0)
         net.allocate_bw(link_id(net, e1, sw_e), 9.5)
         net.allocate(e0, 45.0, 10.0)
-        assert sorted(net.vectors().multi) == sorted(
-            net.vectors().pos[s] for s in (e1, e2, c0))
+        assert sorted(net.index().multi) == sorted(
+            net.index().pos[s] for s in (e1, e2, c0))
         assert feasible_servers(net, req, 1, None) == scan_feasible_servers(net, req, 1, None, 0.0)
         e2e = req.e2e_budget_ms
         for v in range(2, req.n_vnfs + 1):

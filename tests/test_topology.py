@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from sliceplace.topology import (
     NodeKind,
     PhysicalNetwork,
     ReleaseError,
+    StructureIndex,
     TopologyError,
     TopologyParams,
     build_reference_psn,
@@ -382,11 +384,12 @@ class TestStructureIndex:
                [(50.0, 300.0)] * 4
         assert [s.cpu_residual for s in twin.servers()] == [40.0] * 4
         assert all(a is not b for a, b in zip(net.servers(), twin.servers()))
-        # the immutable parts are shared, not rebuilt
-        assert twin.index().adj_sorted is net.index().adj_sorted
-        assert twin.index().tier is net.index().tier
-        assert twin.vectors().up_link is net.vectors().up_link
-        assert twin.vectors().cpu is not net.vectors().cpu
+        # the structure and its caches are shared, not rebuilt; residuals are not
+        idx, got = net.index(), twin.index()
+        for name in ("adj_sorted", "tier_rank", "up_link", "alpha", "root_masks"):
+            assert getattr(got, name) is getattr(idx, name)
+        for name in ("cpu", "ram", "bw"):
+            assert getattr(got, name) is not getattr(idx, name)
 
     def test_capacity_changes_keep_the_index(self):
         net = make_pair()
@@ -401,7 +404,7 @@ class TestStructureIndex:
         before = set(latency_reach(net, sw, 1.0, 5.0))
         sid = net.add_server("edc0-s99", "edc0", 50.0, 300.0)
         assert sid in net.server_ids()
-        assert net.index().tier[sid] is DCKind.EDC
+        assert net.index().tier_rank[sid] == TIER_ORDER.index(DCKind.EDC)
         assert sid in net.data_centers["edc0"].servers
         assert sid not in latency_reach(net, sw, 1.0, 5.0)
         lid = net.add_link(sid, sw, 0.0, LinkKind.INTRA_DC, 10.0)
@@ -409,14 +412,54 @@ class TestStructureIndex:
         assert (sid, lid) in net.index().adj_sorted[sw]
         assert set(latency_reach(net, sw, 1.0, 5.0)) == before | {sid}
 
+    def test_structural_changes_drop_the_index(self):
+        net = make_pair()
+        uap = net.uaps[0]
+        request = make_request(SliceClass.BEST_EFFORT, uap)
+        twin = net.clone()
+        twin_idx = twin.index()
+        assert net.access_latency(uap, "cdc0") == pytest.approx(0.35)
+        roots = feasible_servers(net, request, 1, None)  # fills the root-mask cache
+        assert net.index().root_masks
+        dc = net.add_data_center("cdc1", DCKind.CDC)
+        # known but not linked yet: unreachable, not a stale cache entry
+        assert net.access_latency(uap, "cdc1") == float("inf")
+        sid = net.add_server("cdc1-s00", "cdc1", 50.0, 300.0)
+        net.add_link(dc.switch, sid, 0.0, LinkKind.INTRA_DC, 100.0)
+        assert net.access_latency(uap, "cdc1") == float("inf")
+        # within the class's access bound, so its server joins the roots
+        net.add_link(net.data_centers["edc0"].switch, dc.switch, 0.03, LinkKind.TRANSPORT, 10.0)
+        net.allocate(sid, 10.0, 60.0)
+        assert net.access_latency(uap, "cdc1") == pytest.approx(0.05)
+        assert feasible_servers(net, request, 1, None) == roots + [sid]
+        fresh = PhysicalNetwork.from_json(net.to_json())
+        fresh.access_latency(uap, "cdc1")
+        feasible_servers(fresh, request, 1, None)
+        idx, want = net.index(), fresh.index()
+        for name in StructureIndex._fields:
+            got, exp = getattr(idx, name), getattr(want, name)
+            if isinstance(got, np.ndarray):
+                assert np.array_equal(got, exp, equal_nan=True), name
+            elif name == "root_masks":
+                assert got.keys() == exp.keys()
+                assert all(np.array_equal(got[k], exp[k]) for k in got)
+            else:
+                assert got == exp, name
+        # the clone taken before the edits keeps its own index
+        assert twin.index() is twin_idx
+        assert [s.id for s in twin.servers()] == [s.id for s in idx.servers[:-1]]
+        assert twin.access_latency(uap, "cdc0") == pytest.approx(0.35)
+        with pytest.raises(TopologyError):
+            twin.access_latency(uap, "cdc1")
+
     def test_add_data_center_and_node_invalidate(self):
         net = make_pair()
-        n_nodes = len(net.index().tier)
+        n_nodes = len(net.index().tier_rank)
         dc = net.add_data_center("ccp0", DCKind.CCP)
-        assert net.index().tier[dc.switch] is DCKind.CCP
+        assert net.index().tier_rank[dc.switch] == TIER_ORDER.index(DCKind.CCP)
         uap = net.add_node("uap01", NodeKind.UAP)
-        assert len(net.index().tier) == n_nodes + 2
-        assert net.index().tier[uap] is None
+        assert len(net.index().tier_rank) == n_nodes + 2
+        assert net.index().tier_rank[uap] == len(TIER_ORDER)
 
     def test_sorted_adjacency_keeps_adj_order(self):
         net = make_pair()
@@ -431,29 +474,30 @@ class TestStructureIndex:
         loaded = PhysicalNetwork.from_json(ref.to_json())
         idx, got = ref.index(), loaded.index()
         assert [s.id for s in got.servers] == [s.id for s in idx.servers]
-        assert got.tier == idx.tier
+        assert got.tier_rank == idx.tier_rank
         assert loaded.data_centers == ref.data_centers
         assert got.adj_sorted == idx.adj_sorted
 
 
-def assert_vectors_match(net: PhysicalNetwork) -> None:
-    """Every field of `net.vectors()` equals what the attributes and the
-    structure say, exactly."""
-    vec = net.vectors()
+def assert_index_matches(net: PhysicalNetwork) -> None:
+    """Every residual array and per-server field of `net.index()` equals
+    what the attributes and the structure say, exactly."""
+    idx = net.index()
     servers = net.servers()
-    assert vec.cpu.tolist() == [s.cpu_residual for s in servers]
-    assert vec.ram.tolist() == [s.ram_residual for s in servers]
-    bw = vec.bw.tolist()
+    assert idx.cpu.tolist() == [s.cpu_residual for s in servers]
+    assert idx.ram.tolist() == [s.ram_residual for s in servers]
+    bw = idx.bw.tolist()
     assert len(bw) == len(net.links) + 1 and bw[-1] != bw[-1]  # NaN slot
     for link, got in zip(net.links, bw):
         assert got == link.bw_residual if link.bw_residual is not None else got != got
-    assert vec.id.tolist() == [s.id for s in servers]
-    assert [vec.pos[s.id] for s in servers] == list(range(len(servers)))
+    assert idx.id.tolist() == [s.id for s in servers]
+    assert [idx.pos[s.id] for s in servers] == list(range(len(servers)))
     dcs = list(net.data_centers)
-    assert vec.dc.tolist() == [dcs.index(s.dc) for s in servers]
-    for node, rank in zip(net.nodes, vec.tier_rank):
-        tier = net.index().tier[node.id]
-        assert rank == (TIER_ORDER.index(tier) if tier else len(TIER_ORDER))
+    assert idx.dc.tolist() == [dcs.index(s.dc) for s in servers]
+    assert len(idx.tier_rank) == len(net.nodes)
+    for node, rank in zip(net.nodes, idx.tier_rank):
+        dc = net.data_centers.get(node.dc)
+        assert rank == (TIER_ORDER.index(dc.kind) if dc else len(TIER_ORDER))
     for p, s in enumerate(servers):
         entries = net.adj[s.id]
         if len(entries) == 1:
@@ -461,20 +505,20 @@ def assert_vectors_match(net: PhysicalNetwork) -> None:
             want = (lid, nbr, net.links[lid].latency_ms)
         else:
             want = (len(net.links), len(net.nodes), 0.0)
-        assert (vec.up_link[p], vec.up_nbr[p], vec.up_lat[p]) == want
-        assert (p in vec.multi) == (len(entries) > 1)
+        assert (idx.up_link[p], idx.up_nbr[p], idx.up_lat[p]) == want
+        assert (p in idx.multi) == (len(entries) > 1)
 
 
 _VEC_OPS = _TX_OPS | st.tuples(st.sampled_from(
     ["snapshot", "restore", "clone", "twin_allocate", "add_link"]))
 
 
-class TestResidualVectors:
+class TestResidualArrays:
     @settings(max_examples=80, deadline=None)
     @given(st.lists(_VEC_OPS, max_size=40), st.data())
-    def test_vectors_follow_every_write(self, ops, data):
+    def test_residual_arrays_follow_every_write(self, ops, data):
         net = make_pair()
-        assert_vectors_match(net)
+        assert_index_matches(net)
         request = make_request(SliceClass.URLLC, net.uaps[0])
         marks: list[int] = []
         snaps = [net.snapshot()]
@@ -494,7 +538,7 @@ class TestResidualVectors:
                 net.restore(data.draw(st.sampled_from(snaps)))
             elif name == "clone":
                 twin = net.clone()
-                assert_vectors_match(twin)
+                assert_index_matches(twin)
                 twins.append((twin, json.dumps(twin.to_json())))
             elif name == "twin_allocate":
                 if twins:
@@ -504,9 +548,9 @@ class TestResidualVectors:
                         twin.allocate_bw(links[0], 0.5)
                     except CapacityError:
                         pass
-                    assert_vectors_match(twin)
+                    assert_index_matches(twin)
             elif name == "add_link":
-                # a search builds the vectors; the new link must show after it
+                # a search reads the index; the new link must show after it
                 feasible_servers(net, request, 2, servers[0], used_e2e_ms=0.02)
                 a, b = data.draw(st.lists(st.sampled_from(servers), min_size=2,
                                           max_size=2, unique=True))
@@ -518,40 +562,40 @@ class TestResidualVectors:
                     getattr(net, name)(pool[op[1] % len(pool)], *op[2:])
                 except (CapacityError, ReleaseError):
                     pass
-            assert_vectors_match(net)
+            assert_index_matches(net)
         while marks:
             net.rollback(marks.pop())
-            assert_vectors_match(net)
+            assert_index_matches(net)
         # writes to the parent never reach a clone's vectors
         for twin, doc in twins:
             assert json.dumps(twin.to_json()) == doc
             assert twin.vector_drift() is None
-            assert_vectors_match(twin)
+            assert_index_matches(twin)
 
-    def test_restore_writes_the_vectors(self):
+    def test_restore_writes_the_residual_arrays(self):
         net = make_pair()
-        vec = net.vectors()
+        vec = net.index()
         snap = net.snapshot()
         sid, lid = net.server_ids()[0], net.links[0].id
         net.allocate(sid, 10, 60)
         net.allocate_bw(lid, 1.0)
         net.restore(snap)
-        assert net.vectors() is vec
-        assert_vectors_match(net)
+        assert net.index() is vec
+        assert_index_matches(net)
 
     def test_built_lazily_and_dropped_by_structure(self):
+        assert PhysicalNetwork()._index is None
         net = build_reference_psn(1)
-        assert net._vectors is None
-        vec = net.vectors()
-        assert net.vectors() is vec
+        vec = net.index()
+        assert net.index() is vec
         net.add_node("uap99", NodeKind.UAP)
-        assert net._vectors is None
-        assert_vectors_match(net)
+        assert net._index is None
+        assert_index_matches(net)
 
     def test_drift_names_the_first_difference(self):
         net = make_pair()
-        assert net.vector_drift() is None  # not built: nothing to compare
-        net.vectors()
+        assert PhysicalNetwork().vector_drift() is None  # not built: nothing to compare
+        assert net.vector_drift() is None
         sid = net.server_ids()[1]
         net.server(sid).cpu_residual = 49.0  # behind the network's back
         assert net.vector_drift() == f"server {sid}: cpu vector holds 50.0, residual is 49.0"
