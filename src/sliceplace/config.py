@@ -16,7 +16,7 @@ from typing import Any, Mapping
 from .exact import DEFAULT_NODE_BUDGET
 from .nspr import ClassSpec, SliceClass, catalog_from_json
 from .sim import Scenario, _NAMED_MIXES
-from .topology import TopologyParams
+from .topology import TopologyError, TopologyParams, params_from_json
 
 ENV_CONFIG = "SLICEPLACE_CONFIG"
 
@@ -30,10 +30,6 @@ _SCENARIO_TYPES = {"name": str, "target_load": float, "horizon": float,
                    "mean_holding": float, "replications": int, "base_seed": int,
                    "warmup": float, "include_holding_time": bool}
 _SCENARIO_KEYS = set(_SCENARIO_TYPES) | {"mix"}
-# topology key -> JSON type of its value, that of its default
-# (latency_round_decimals may also be null)
-_TOPOLOGY_TYPES = {name: type(f.default)
-                   for name, f in TopologyParams.__dataclass_fields__.items()}
 _TOP_KEYS = {"topology", "scenario", "algorithm", "catalog", "solver",
              "validate", "measure_time", "jobs", "series_interval", "output"}
 _TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a finite number",
@@ -98,14 +94,9 @@ class RunConfig:
         cfg.topology_file = _typed(topo.pop("file", None), str, "topology file",
                                    nullable=True)
         if topo:
-            _require_keys(topo, set(_TOPOLOGY_TYPES), "topology")
-            for key, value in topo.items():
-                _typed(value, _TOPOLOGY_TYPES[key], f"topology {key}",
-                       nullable=key == "latency_round_decimals")
             try:
-                cfg.topology_params = TopologyParams(**topo)
-                cfg.topology_params.validate()
-            except (TypeError, ValueError) as exc:
+                cfg.topology_params = params_from_json(topo)
+            except TopologyError as exc:
                 raise ConfigError(f"bad topology parameters: {exc}") from exc
 
         scen = obj.get("scenario", {})

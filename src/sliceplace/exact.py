@@ -8,9 +8,10 @@ too. `solve_ilp1` minimizes the bandwidth objective; the feasibility
 baseline `solve_ilp2` stops at the first complete placement. Determinism
 comes from fixed candidate and path orderings.
 
-Eligibility is the rule of `placement.root_dcs` and `lookahead_ok`, which
-P2C's `feasible_servers` applies to all servers at once. Each search frame
-holds its VNF and path in a substrate transaction it rolls back.
+Eligibility is the rule of `placement.root_dcs` (read from the cached
+root-server mask) and `lookahead_ok`, which P2C's `feasible_servers` applies
+to all servers at once. Each search frame holds its VNF and path in a
+substrate transaction it rolls back.
 
 Searches carry an explored-node budget. A tripped budget (or a truncated path
 enumeration) is reported as BUDGET_EXCEEDED, never as a silently suboptimal
@@ -24,8 +25,8 @@ from enum import Enum
 from typing import Iterable
 
 from .nspr import SliceRequest
-from .placement import (LATENCY_EPS, Placement, bandwidth_cost, latency_reach,
-                        lookahead_ok, root_dcs)
+from .placement import (LATENCY_EPS, Placement, _root_mask, bandwidth_cost,
+                        latency_reach, lookahead_ok)
 from .topology import PhysicalNetwork, Server
 
 DEFAULT_NODE_BUDGET = 200_000
@@ -110,9 +111,6 @@ def _solve(psn: PhysicalNetwork, request: SliceRequest, *, find_optimal: bool,
            max_nodes: int | None, max_paths_per_vl: int | None) -> SolveResult:
     n = request.n_vnfs
     servers = {s.id: s for s in psn.servers()}
-    alpha_by_dc = {dc_id: psn.access_latency(request.uap, dc_id)
-                   for dc_id in psn.data_centers}
-    ok_dcs = root_dcs(psn, request)
 
     best_cost: float | None = None
     best_x: dict[int, int] | None = None
@@ -155,8 +153,8 @@ def _solve(psn: PhysicalNetwork, request: SliceRequest, *, find_optimal: bool,
             if sum(s.cpu_residual for s in servers.values()) < need_cpu or \
                sum(s.ram_residual for s in servers.values()) < need_ram:
                 return []
-            cands = [sid for sid, srv in sorted(servers.items())
-                     if srv.dc in ok_dcs and ok(srv)]
+            roots = psn.index().id[_root_mask(psn, request)].tolist()
+            cands = [sid for sid in roots if ok(servers[sid])]
             return [(sid, [()]) for sid in dedupe(cands)]
         vl = request.vl(v - 1)
         eff = min(vl.budget_ms, request.e2e_budget_ms - used_e2e)
@@ -211,7 +209,8 @@ def _solve(psn: PhysicalNetwork, request: SliceRequest, *, find_optimal: bool,
                     if v > 1:
                         y[v - 1] = list(path)
                     path_lat = sum(psn.links[lid].latency_ms for lid in path)
-                    next_e2e = alpha_by_dc[srv.dc] if v == 1 else used_e2e + path_lat
+                    next_e2e = (psn.access_latency(request.uap, srv.dc) if v == 1
+                                else used_e2e + path_lat)
                     deepest = max(deepest, v)
                     expand(v + 1, sid, next_e2e, committed + cost_p)
                 finally:

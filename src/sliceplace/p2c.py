@@ -1,11 +1,12 @@
 """Power-of-two-choices chain placement.
 
-Walks the chain head to tail. Per VNF it collects eligible servers, draws two
-candidates, and keeps the one whose virtual-link path from the previous VNF's
-server holds less bandwidth (ties favor the first draw; landing on the
-previous server itself costs nothing and wins outright). The episode runs in
-one substrate transaction: rejection at any VNF rolls it back to the exact
-pre-episode state and reports the blocking VNF index.
+Walks the chain head to tail. Per VNF it collects eligible servers (under
+TIER_PREFERRED only those of the best tier present), draws two candidates
+without replacement, and keeps the one whose virtual-link path from the
+previous VNF's server holds less bandwidth (ties favor the first draw;
+landing on the previous server itself costs nothing and wins outright). The
+episode runs in one substrate transaction: rejection at any VNF rolls it back
+to the exact pre-episode state and reports the blocking VNF index.
 """
 
 from __future__ import annotations
@@ -19,12 +20,16 @@ import numpy as np
 from .exact import SolveStatus
 from .nspr import SliceRequest
 from .placement import Placement, feasible_servers, min_cost_path
-from .topology import TIER_ORDER, PhysicalNetwork
+from .topology import PhysicalNetwork
 
 
 class Policy(Enum):
+    """Which eligible servers a P2C draw comes from."""
+
+    # every eligible server
     UNIFORM = 1
-    # candidate draws come from the best non-empty tier of TIER_ORDER
+    # the eligible servers of the best tier present (CCP over CDC over EDC),
+    # narrowed by `feasible_servers(..., best_tier=True)`
     TIER_PREFERRED = 2
 
 
@@ -59,28 +64,28 @@ class PlacementOutcome:
         return obj
 
 
-def get_two_candidates(psn: PhysicalNetwork, candidates: Sequence[int],
-                       policy: Policy, rng: np.random.Generator) -> tuple[int, int]:
-    """Draw two candidate servers (without replacement) from an eligibility
-    list. A single candidate is returned twice. TIER_PREFERRED first narrows
-    the list, in one pass, to the highest tier present, CCP over CDC over
-    EDC (servers outside any DC rank last)."""
+def get_two_candidates(candidates: Sequence[int],
+                       rng: np.random.Generator) -> tuple[int, int]:
+    """Draw two distinct candidates from a list; a single candidate is
+    returned twice.
+
+    The draw is `rng.choice(len(candidates), 2, replace=False)`, value for
+    value and with the generator left in the same state, at a fraction of
+    its cost: numpy draws two of n by Floyd's algorithm (one index below
+    n - 1, then one below n that stands for n - 1 when it repeats the
+    first) and then shuffles the pair with one more bounded draw."""
     if not candidates:
         raise ValueError("candidate list is empty")
-    pool = candidates
-    if policy is Policy.TIER_PREFERRED:
-        rank = psn.index().tier_rank
-        best, pool = len(TIER_ORDER) + 1, []
-        for s in candidates:
-            r = rank[s]
-            if r == best:
-                pool.append(s)
-            elif r < best:
-                best, pool = r, [s]
-    if len(pool) == 1:
-        return pool[0], pool[0]
-    i, j = rng.choice(len(pool), size=2, replace=False)
-    return pool[int(i)], pool[int(j)]
+    n = len(candidates)
+    if n == 1:
+        return candidates[0], candidates[0]
+    i = int(rng.integers(0, n - 1))
+    j = int(rng.integers(0, n))
+    if j == i:
+        j = n - 1
+    if rng.integers(0, 2) == 0:
+        i, j = j, i
+    return candidates[i], candidates[j]
 
 
 def place(psn: PhysicalNetwork, request: SliceRequest, policy: Policy,
@@ -90,6 +95,7 @@ def place(psn: PhysicalNetwork, request: SliceRequest, policy: Policy,
     On rejection the episode's transaction rolls back, so the substrate is
     bit-identical to the pre-call state.
     """
+    best_tier = policy is Policy.TIER_PREFERRED
     x: dict[int, int] = {}
     y: dict[int, list[int]] = {}
     cost = 0.0
@@ -99,10 +105,11 @@ def place(psn: PhysicalNetwork, request: SliceRequest, policy: Policy,
     accepted = False
     try:
         for v in range(1, request.n_vnfs + 1):
-            candidates = feasible_servers(psn, request, v, last_s, used_e2e_ms=used_e2e)
+            candidates = feasible_servers(psn, request, v, last_s, used_e2e_ms=used_e2e,
+                                          best_tier=best_tier)
             if not candidates:
                 return PlacementOutcome(OutcomeStatus.REJECTED, None, 0.0, v)
-            s1, s2 = get_two_candidates(psn, candidates, policy, rng)
+            s1, s2 = get_two_candidates(candidates, rng)
 
             path: list[int] = []
             if v == 1:

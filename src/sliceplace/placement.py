@@ -441,22 +441,6 @@ def lookahead_ok(psn: PhysicalNetwork, request: SliceRequest,
                         or (srv.fits(d.cpu, d.ram) and _has_uplink(psn, srv.id, bw_next)))
 
 
-def _lookahead_mask(psn: PhysicalNetwork, request: SliceRequest, v: int,
-                    fits: np.ndarray) -> np.ndarray:
-    """`lookahead_ok` for every server at once, by server position; `fits`
-    is the mask of servers with room for VNF v."""
-    if v == request.n_vnfs:
-        return fits
-    idx = psn.index()
-    d, d_next = request.vnf(v), request.vnf(v + 1)
-    bw_next = request.vl(v).bw
-    uplink = idx.bw[idx.up_link] >= bw_next
-    for p in idx.multi:
-        uplink[p] = _has_uplink(psn, int(idx.id[p]), bw_next)
-    return (((idx.cpu >= d.cpu + d_next.cpu) & (idx.ram >= d.ram + d_next.ram))
-            | (fits & uplink))
-
-
 def _root_mask(psn: PhysicalNetwork, request: SliceRequest) -> np.ndarray:
     """Servers of `root_dcs`, by server position; cached per (UAP, bound)."""
     idx = psn.index()
@@ -470,7 +454,8 @@ def _root_mask(psn: PhysicalNetwork, request: SliceRequest) -> np.ndarray:
 
 
 def feasible_servers(psn: PhysicalNetwork, request: SliceRequest, v: int,
-                     last_s: int | None, *, used_e2e_ms: float = 0.0) -> list[int]:
+                     last_s: int | None, *, used_e2e_ms: float = 0.0,
+                     best_tier: bool = False) -> list[int]:
     """Servers eligible to host VNF v, ascending by id.
 
     For the first VNF: servers in `root_dcs` that pass `lookahead_ok`.
@@ -481,47 +466,70 @@ def feasible_servers(psn: PhysicalNetwork, request: SliceRequest, v: int,
     only need room for the VNF.
 
     `used_e2e_ms` is the latency already committed (access plus placed VLs).
+    With `best_tier` only the eligible servers of the best tier present are
+    returned, CCP over CDC over EDC over servers outside any DC: the pool
+    P2C-2 draws from.
 
     Cost: O(relay nodes) in Python plus O(servers) in C. `_relay_reach`
     runs over the relay nodes only (switches, routers; no server of the
-    reference substrate); then a few compares over the residual arrays of
+    reference substrate); then a few compares over the arrays of
     `psn.index()` decide every server at once: a server with one link is
     reached when the node across it is, within the budget, and the link
-    carries the VL; one with more links is a relay itself. The result equals an all-server scan of
-    the rule, list and order alike.
+    carries the VL; one with more links is a relay itself. The result
+    equals an all-server scan of the rule, list and order alike.
     """
     n = request.n_vnfs
     if not 1 <= v <= n:
         raise ValueError(f"VNF index {v} outside chain 1..{n}")
     idx = psn.index()
     d_v = request.vnf(v)
-    fits = (idx.cpu >= d_v.cpu) & (idx.ram >= d_v.ram)
+    # residual bandwidth of each server's one link: VL v-1 enters over it,
+    # VL v leaves over it
+    up_bw = idx.bw[idx.up_link]
 
     if v == 1:
-        return idx.id[_root_mask(psn, request) & _lookahead_mask(psn, request, 1, fits)].tolist()
-
-    if last_s is None:
-        raise ValueError("last_s is required for VNFs beyond the first")
-    vl = request.vl(v - 1)
-    slack = request.e2e_budget_ms - used_e2e_ms
-    limit = min(vl.budget_ms, slack) + LATENCY_EPS
-    relay = _relay_reach(psn, last_s, vl.bw, limit)
-    # by node id plus a last slot for servers without exactly one link; NaN
-    # where unreached, so no comparison holds there
-    dist = np.full(len(psn.nodes) + 1, np.nan)
-    dist[list(relay)] = list(relay.values())
-    reached = (dist[idx.up_nbr] + idx.up_lat <= limit) & (idx.bw[idx.up_link] >= vl.bw)
-    # a server with several links is a relay itself; last_s is always reached
-    for p in idx.multi:
-        reached[p] = int(idx.id[p]) in relay
-    if idx.pos[last_s] >= 0:
-        reached[idx.pos[last_s]] = True
-    ok = fits
-    if v < n:
+        base = _root_mask(psn, request)
+        exempt = None
+    else:
+        if last_s is None:
+            raise ValueError("last_s is required for VNFs beyond the first")
+        vl = request.vl(v - 1)
+        slack = request.e2e_budget_ms - used_e2e_ms
+        limit = min(vl.budget_ms, slack) + LATENCY_EPS
+        relay = _relay_reach(psn, last_s, vl.bw, limit)
+        # by node id plus a last slot for servers without exactly one link; NaN
+        # where unreached, so no comparison holds there
+        dist = np.full(len(psn.nodes) + 1, np.nan)
+        dist[list(relay)] = list(relay.values())
+        base = (dist[idx.up_nbr] + idx.up_lat <= limit) & (up_bw >= vl.bw)
+        # a server with several links is a relay itself; last_s is always reached
+        for p in idx.multi:
+            base[p] = int(idx.id[p]) in relay
+        if idx.pos[last_s] >= 0:
+            base[idx.pos[last_s]] = True
         # only last_s's own DC applies the lookahead
-        other_dc = idx.dc != idx.dc_index.get(psn.nodes[last_s].dc, -1)
-        ok = (fits & other_dc) | (_lookahead_mask(psn, request, v, fits) & ~other_dc)
-    return idx.id[reached & ok].tolist()
+        exempt = idx.dc != idx.dc_index.get(psn.nodes[last_s].dc, -1)
+
+    ok = base & (idx.cpu >= d_v.cpu) & (idx.ram >= d_v.ram)
+    if v < n:
+        # `lookahead_ok`: room for VNF v+1 as well, or a link that carries
+        # VL v. Room for both implies room for VNF v, since demands are
+        # non-negative (`ClassSpec` and `allocate` reject negative ones), so
+        # the one expression fits & (exempt | uplink | both) equals the rule
+        d_next, bw_next = request.vnf(v + 1), request.vl(v).bw
+        ahead = up_bw >= bw_next
+        for p in idx.multi:
+            ahead[p] = _has_uplink(psn, int(idx.id[p]), bw_next)
+        ahead |= (idx.cpu >= d_v.cpu + d_next.cpu) & (idx.ram >= d_v.ram + d_next.ram)
+        if exempt is not None:
+            ahead |= exempt
+        ok &= ahead
+    if best_tier:
+        for tier in idx.tier_masks:
+            pick = ok & tier
+            if pick.any():
+                return idx.id[pick].tolist()
+    return idx.id[ok].tolist()
 
 
 def apply_placement(psn: PhysicalNetwork, request: SliceRequest,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import sys
 import uuid
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -160,6 +161,11 @@ class TopologyParams:
                 DCKind.EDC: self.edc_bw_gbps}[kind]
 
 
+# parameter -> JSON type of its value, that of its default: int or float
+_PARAM_TYPES = {name: type(f.default)
+                for name, f in TopologyParams.__dataclass_fields__.items()}
+
+
 class StructureIndex(NamedTuple):
     """Everything a network derives from its nodes, data centers and links,
     plus numpy mirrors of its residuals.
@@ -193,6 +199,9 @@ class StructureIndex(NamedTuple):
     up_lat: np.ndarray
     # positions of servers with two or more links
     multi: tuple[int, ...]
+    # row r: read-only mask, by position, of the servers of tier rank r
+    # (TIER_ORDER, then the last row for servers outside any DC)
+    tier_masks: np.ndarray
     # caches filled on use: UAP -> {DC id: access latency}, and for
     # eligibility (UAP, access bound) -> mask of root-DC servers
     alpha: dict[int, dict[str, float]]
@@ -227,16 +236,17 @@ class PhysicalNetwork:
     `index()` returns the one `StructureIndex`, built in one pass on first
     use after a structural change: the server list that `servers()` and
     every full scan read, sorted adjacency (in full and without leaf
-    neighbors), per-node tier ranks, static per-server fields, the
-    access-latency and root-mask caches, and numpy float64 copies of every
-    residual (CPU and RAM by server position, bandwidth by link id), so
-    that eligibility tests every server in a few array compares. Every
-    structural change (`_append`, behind `add_node`, `add_server` and
-    `add_data_center`, and `add_link`) drops it. Capacity changes keep it
-    and write its residual copies where residuals change: `_set` (every
-    allocate and release), `rollback` and `restore`. A clone shares the
-    index but lists its own `Server` objects and owns copies of the
-    residual arrays, so residuals it allocates never show in the parent.
+    neighbors), per-node tier ranks and per-tier server masks, static
+    per-server fields, the access-latency and root-mask caches, and numpy
+    float64 copies of every residual (CPU and RAM by server position,
+    bandwidth by link id), so that eligibility tests every server in a few
+    array compares. Every structural change (`_append`, behind `add_node`,
+    `add_server` and `add_data_center`, and `add_link`) drops it. Capacity
+    changes keep it and write its residual copies where residuals change:
+    `_set` (every allocate and release), `rollback` and `restore`. A clone
+    shares the index but lists its own `Server` objects and owns copies of
+    the residual arrays, so residuals it allocates never show in the
+    parent.
 
     The `Server`/`PhysicalLink` residual attributes stay the scalar source
     that the checker and the exact search read, because an attribute read
@@ -359,6 +369,10 @@ class PhysicalNetwork:
             rank = {dc_id: TIER_ORDER.index(dc.kind) for dc_id, dc in self.data_centers.items()}
             dc_index = {dc_id: i for i, dc_id in enumerate(self.data_centers)}
             up_link, up_nbr, up_lat = zip(*up) if up else ((), (), ())
+            tier_rank = tuple([rank.get(n.dc, len(TIER_ORDER)) for n in self.nodes])
+            server_rank = np.array([tier_rank[s.id] for s in servers], dtype=np.intp)
+            tier_masks = server_rank == np.arange(len(TIER_ORDER) + 1)[:, None]
+            tier_masks.flags.writeable = False
             cpu, ram, bw = self._residual_arrays(servers)
             self._index = StructureIndex(
                 servers=servers,
@@ -371,7 +385,7 @@ class PhysicalNetwork:
                 leaf_adj=tuple([tuple([e for e in entries if not relays[e[0]]])
                                 for entries in adj_sorted]),
                 pos=tuple(pos),
-                tier_rank=tuple([rank.get(n.dc, len(TIER_ORDER)) for n in self.nodes]),
+                tier_rank=tier_rank,
                 dc_index=dc_index,
                 id=np.array([s.id for s in servers], dtype=np.intp),
                 dc=np.array([dc_index.get(s.dc, -1) for s in servers], dtype=np.intp),
@@ -379,6 +393,7 @@ class PhysicalNetwork:
                 up_nbr=np.array(up_nbr, dtype=np.intp),
                 up_lat=np.array(up_lat, dtype=float),
                 multi=tuple(multi),
+                tier_masks=tier_masks,
                 alpha={},
                 root_masks={},
                 cpu=cpu, ram=ram, bw=bw)
@@ -672,7 +687,7 @@ class PhysicalNetwork:
         try:
             if obj["schema"] != "topology/1":
                 raise TopologyError(f"unsupported schema {obj.get('schema')!r}")
-            params = None if obj["params"] is None else _params_from_json(obj["params"])
+            params = None if obj["params"] is None else params_from_json(obj["params"])
             net = cls(params)
             for dc_obj in obj["data_centers"]:
                 net.data_centers[dc_obj["id"]] = DataCenter(
@@ -723,12 +738,29 @@ def _params_to_json(p: TopologyParams) -> dict:
     return {f: getattr(p, f) for f in TopologyParams.__dataclass_fields__}
 
 
-def _params_from_json(obj: Mapping) -> TopologyParams:
-    known = set(TopologyParams.__dataclass_fields__)
-    unknown = set(obj) - known
+def params_from_json(obj: Mapping) -> TopologyParams:
+    """Topology parameters from a JSON object, validated: every key must
+    name a parameter and hold a JSON number of its default's type, finite as
+    a float (a float parameter also takes an integer, none takes a boolean,
+    `latency_round_decimals` may be null). Raises TopologyError."""
+    if not isinstance(obj, Mapping):
+        raise TopologyError("topology parameters must be an object")
+    unknown = set(obj) - set(_PARAM_TYPES)
     if unknown:
         raise TopologyError(f"unknown topology parameters: {sorted(unknown)}")
-    return TopologyParams(**obj)
+    for key, value in obj.items():
+        if value is None and key == "latency_round_decimals":
+            continue
+        kind = _PARAM_TYPES[key]
+        accepted = (int, float) if kind is float else int
+        if (isinstance(value, bool) or not isinstance(value, accepted)
+                or not abs(value) <= sys.float_info.max):
+            raise TopologyError(f"topology parameter {key} must be "
+                                f"{'a finite number' if kind is float else 'an integer'}, "
+                                f"got {value!r}")
+    params = TopologyParams(**obj)
+    params.validate()
+    return params
 
 
 def build_reference_psn(scale: int = 1, params: TopologyParams | None = None) -> PhysicalNetwork:

@@ -99,7 +99,8 @@ class TestPlace:
         assert doc["placement"] is None
 
     @pytest.mark.parametrize("breakage", ["endpoint", "residual", "latency", "switch",
-                                          "unlisted", "duplicate", "parallel"])
+                                          "unlisted", "duplicate", "parallel",
+                                          "params_scale", "params_cpu", "params_bool"])
     def test_malformed_topology_exits_two(self, tmp_path, capsys, topo_file, breakage):
         doc = json.loads(open(topo_file).read())
         transport = next(l for l in doc["links"] if l["kind"] == "transport")
@@ -117,6 +118,12 @@ class TestPlace:
             dc["servers"].pop()
         elif breakage == "duplicate":
             dc["servers"].append(dc["servers"][0])
+        elif breakage == "params_scale":
+            doc["params"]["scale"] = 1.5
+        elif breakage == "params_cpu":
+            doc["params"]["server_cpu"] = -3
+        elif breakage == "params_bool":
+            doc["params"]["servers_per_edc"] = True
         else:
             # a second link between the same two switches
             doc["links"].append(dict(transport, id=len(doc["links"])))

@@ -7,11 +7,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sliceplace.nspr import SliceClass, make_request
 from sliceplace.p2c import OutcomeStatus, Policy, get_two_candidates, place
-from sliceplace.placement import check_placement
-from sliceplace.topology import DCKind, build_reference_psn
+from sliceplace.placement import check_placement, feasible_servers
+from sliceplace.topology import (DCKind, LinkKind, NodeKind, PhysicalNetwork,
+                                 TopologyParams, build_reference_psn)
 
 from conftest import drain_dc, make_pair, make_single_dc
 
@@ -21,62 +24,117 @@ def snap_tuple(net):
     return (s.server_cpu, s.server_ram, s.link_bw)
 
 
-class TestGetTwoCandidates:
-    def test_singleton_duplicates(self, ref):
-        rng = np.random.default_rng(0)
-        assert get_two_candidates(ref, [77], Policy.UNIFORM, rng) == (77, 77)
-        assert get_two_candidates(ref, [77], Policy.TIER_PREFERRED, rng) == (77, 77)
+def make_three_tiers() -> PhysicalNetwork:
+    """One DC of each tier with two servers each, switches joined by
+    zero-latency links, so that every server reaches every other."""
+    net = PhysicalNetwork(TopologyParams())
+    switches = []
+    for kind in (DCKind.EDC, DCKind.CDC, DCKind.CCP):
+        dc = net.add_data_center(f"{kind.value.lower()}0", kind)
+        for i in range(2):
+            sid = net.add_server(f"{dc.id}-s{i}", dc.id, 50.0, 300.0)
+            net.add_link(dc.switch, sid, 0.0, LinkKind.INTRA_DC, 100.0)
+        switches.append(dc.switch)
+    for i, a in enumerate(switches):
+        for b in switches[i + 1:]:
+            net.add_link(a, b, 0.0, LinkKind.TRANSPORT, 100.0)
+    uap = net.add_node("uap00", NodeKind.UAP)
+    net.add_link(uap, switches[0], 0.02, LinkKind.ACCESS, None)
+    net.uaps.append(uap)
+    net.validate()
+    return net
 
-    def test_pair_draw_is_distinct(self, ref):
+
+class TestGetTwoCandidates:
+    def test_singleton_duplicates(self):
+        rng = np.random.default_rng(0)
+        assert get_two_candidates([77], rng) == (77, 77)
+        assert get_two_candidates((77,), rng) == (77, 77)
+
+    def test_pair_draw_is_distinct(self):
         rng = np.random.default_rng(1)
         for _ in range(200):
-            s1, s2 = get_two_candidates(ref, [73, 74, 75, 76], Policy.UNIFORM, rng)
+            s1, s2 = get_two_candidates([73, 74, 75, 76], rng)
             assert s1 != s2
             assert {s1, s2} <= {73, 74, 75, 76}
 
-    def test_uniform_marginals(self, ref):
+    def test_uniform_marginals(self):
         rng = np.random.default_rng(2024)
         pool = [73, 74, 75, 76, 18, 19]
         hits = collections.Counter()
         n = 30_000
         for _ in range(n):
-            s1, s2 = get_two_candidates(ref, pool, Policy.UNIFORM, rng)
+            s1, s2 = get_two_candidates(pool, rng)
             hits[s1] += 1
             hits[s2] += 1
         for sid in pool:
             assert abs(hits[sid] / (2 * n) - 1 / len(pool)) < 0.01
 
-    def test_tier_preference_order(self, ref):
-        rng = np.random.default_rng(3)
-        mixed = [73, 74, 18, 19, 1, 2]    # two servers each in EDC, CDC, CCP
-        for _ in range(50):
-            pair = get_two_candidates(ref, mixed, Policy.TIER_PREFERRED, rng)
-            assert {ref.tier_of_server(s) for s in pair} == {DCKind.CCP}
-        no_ccp = [73, 74, 18, 19]
-        for _ in range(50):
-            pair = get_two_candidates(ref, no_ccp, Policy.TIER_PREFERRED, rng)
-            assert {ref.tier_of_server(s) for s in pair} == {DCKind.CDC}
-        edc_only = [73, 74, 75]
-        for _ in range(50):
-            pair = get_two_candidates(ref, edc_only, Policy.TIER_PREFERRED, rng)
-            assert {ref.tier_of_server(s) for s in pair} == {DCKind.EDC}
-
-    def test_singleton_preferred_tier_duplicates(self, ref):
-        rng = np.random.default_rng(3)
-        pair = get_two_candidates(ref, [73, 74, 18], Policy.TIER_PREFERRED, rng)
-        assert pair == (18, 18)
-
-    def test_deterministic_under_seed(self, ref):
+    def test_deterministic_under_seed(self):
         pool = list(range(73, 77))
-        a = [get_two_candidates(ref, pool, Policy.UNIFORM,
-                                np.random.default_rng(7)) for _ in range(1)]
-        b = [get_two_candidates(ref, pool, Policy.UNIFORM,
-                                np.random.default_rng(7)) for _ in range(1)]
+        a = [get_two_candidates(pool, np.random.default_rng(7)) for _ in range(1)]
+        b = [get_two_candidates(pool, np.random.default_rng(7)) for _ in range(1)]
         assert a == b
 
-    def test_empty_pool_rejected(self, ref):
+    def test_empty_pool_rejected(self):
         with pytest.raises(ValueError):
-            get_two_candidates(ref, [], Policy.UNIFORM, np.random.default_rng(0))
+            get_two_candidates([], np.random.default_rng(0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 10**6), st.integers(0, 2**63 - 1), st.integers(1, 4),
+           st.integers(0, 3))
+    def test_draw_equals_generator_choice(self, n, seed, draws, warmup):
+        """The draw is numpy's own two-of-n draw, value for value, and leaves
+        the generator where `Generator.choice` leaves it; a single candidate
+        draws nothing. Fails if numpy changes its algorithm."""
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(warmup):  # an odd count leaves half a 64-bit word buffered
+            ours.integers(0, 7)
+            theirs.integers(0, 7)
+        for _ in range(draws):
+            got = get_two_candidates(range(n), ours)
+            if n == 1:
+                assert got == (0, 0)
+            else:
+                assert got == tuple(theirs.choice(n, size=2, replace=False).tolist())
+            assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+class TestBestTierPool:
+    """P2C-2 draws from `feasible_servers(..., best_tier=True)`: the eligible
+    servers of the best tier present, CCP over CDC over EDC."""
+
+    def test_tier_preference_order(self):
+        net = make_three_tiers()
+        req = make_request(SliceClass.BEST_EFFORT, net.uaps[0])
+        edc, cdc, ccp = (net.data_centers[d].servers for d in ("edc0", "cdc0", "ccp0"))
+        anchor = edc[0]
+
+        def pool(best_tier=True):
+            return feasible_servers(net, req, 2, anchor, used_e2e_ms=0.02,
+                                    best_tier=best_tier)
+
+        rng = np.random.default_rng(3)
+        assert pool(best_tier=False) == edc + cdc + ccp  # two servers each in EDC, CDC, CCP
+        for want, kind in ((ccp, DCKind.CCP), (cdc, DCKind.CDC), (edc, DCKind.EDC)):
+            assert pool() == want
+            for _ in range(50):
+                pair = get_two_candidates(pool(), rng)
+                assert {net.tier_of_server(s) for s in pair} == {kind}
+            drain_dc(net, f"{kind.value.lower()}0")
+        assert pool() == pool(best_tier=False) == []
+
+    def test_singleton_preferred_tier_duplicates(self):
+        net = make_three_tiers()
+        req = make_request(SliceClass.BEST_EFFORT, net.uaps[0])
+        drain_dc(net, "ccp0")
+        drain_dc(net, "cdc0")
+        last = net.data_centers["cdc0"].servers[-1]
+        net.release(last, 50.0, 300.0)
+        anchor = net.data_centers["edc0"].servers[0]
+        pool = feasible_servers(net, req, 2, anchor, used_e2e_ms=0.02, best_tier=True)
+        assert pool == [last]
+        assert get_two_candidates(pool, np.random.default_rng(3)) == (last, last)
 
 
 class TestPlace:

@@ -29,6 +29,7 @@ from sliceplace.placement import (
     root_dcs,
 )
 from sliceplace.topology import (
+    TIER_ORDER,
     DCKind,
     LinkKind,
     NodeKind,
@@ -635,6 +636,36 @@ def loaded_substrates(draw):
     return net
 
 
+def narrow_to_best_tier(net: PhysicalNetwork, candidates: list[int]) -> list[int]:
+    """Reference P2C-2 narrowing: one pass over an eligibility list keeping
+    the servers of the best tier present, CCP over CDC over EDC, servers
+    outside any DC last."""
+    best, pool = len(TIER_ORDER) + 1, []
+    for s in candidates:
+        dc = net.data_centers.get(net.nodes[s].dc)
+        r = TIER_ORDER.index(dc.kind) if dc else len(TIER_ORDER)
+        if r == best:
+            pool.append(s)
+        elif r < best:
+            best, pool = r, [s]
+    return pool
+
+
+def add_dc_less_server(net: PhysicalNetwork, data) -> None:
+    """A server outside any data center, linked to one or two random nodes.
+    `validate` rejects such a network and no builder makes one, but the
+    index ranks it below every tier."""
+    sid = len(net.nodes)
+    cpu = data.draw(st.sampled_from([0.0, 20.0, 50.0]))
+    net._append(Server(id=sid, label="loose", kind=NodeKind.SERVER,
+                       cpu_capacity=50.0, ram_capacity=300.0,
+                       cpu_residual=cpu, ram_residual=6 * cpu))
+    for nbr in data.draw(st.lists(st.integers(0, sid - 1), min_size=1, max_size=2,
+                                  unique=True)):
+        net.add_link(nbr, sid, data.draw(st.sampled_from(_LATENCIES)),
+                     LinkKind.TRANSPORT, data.draw(st.sampled_from(_BWS)))
+
+
 class TestReachBoundedEligibility:
     """`feasible_servers` tests only what `latency_reach` reaches and the
     searches skip leaves; results must equal those of the full scans."""
@@ -659,6 +690,24 @@ class TestReachBoundedEligibility:
                                               request.e2e_budget_ms + 0.5]))
             got = feasible_servers(net, request, v, last_s, used_e2e_ms=used)
             assert got == scan_feasible_servers(net, request, v, last_s, used)
+
+    @settings(max_examples=150, deadline=None)
+    @given(loaded_substrates(), st.data())
+    def test_best_tier_narrows_the_full_list(self, net, data):
+        if data.draw(st.booleans()):
+            add_dc_less_server(net, data)
+        request = make_request(data.draw(st.sampled_from(list(SliceClass))),
+                               data.draw(st.sampled_from(net.uaps)))
+        full = feasible_servers(net, request, 1, None)
+        assert feasible_servers(net, request, 1, None, best_tier=True) == \
+               narrow_to_best_tier(net, full)
+        servers = net.server_ids()
+        for v in range(2, request.n_vnfs + 1):
+            last_s = data.draw(st.sampled_from(servers))
+            used = data.draw(st.sampled_from([0.0, 0.02, 0.7, 1.3]))
+            full = feasible_servers(net, request, v, last_s, used_e2e_ms=used)
+            got = feasible_servers(net, request, v, last_s, used_e2e_ms=used, best_tier=True)
+            assert got == narrow_to_best_tier(net, full)
 
     @settings(max_examples=150, deadline=None)
     @given(loaded_substrates(), st.data())
@@ -702,6 +751,24 @@ class TestReachBoundedEligibility:
                     assert got == scan_feasible_servers(net, req, v, last_s, used)
         assert loose in feasible_servers(net, req, 2, loose, used_e2e_ms=0.02)
         assert loose not in feasible_servers(net, req, 2, e0, used_e2e_ms=0.02)
+
+    def test_only_the_anchor_dc_applies_the_lookahead(self):
+        """A server with room for VNF v but neither for VNF v+1 nor for VL v
+        on its link is eligible in another DC than last_s's, not in its own."""
+        net = make_pair(edc_servers=2, cdc_servers=1)
+        req = make_request(SliceClass.URLLC, net.uaps[0])
+        vls = req.vls
+        req = dataclasses.replace(req, vls=(dataclasses.replace(vls[0], bw=1.0),
+                                            dataclasses.replace(vls[1], bw=2.0)) + vls[2:])
+        anchor, twin = servers_of(net, "edc0")
+        (far,) = servers_of(net, "cdc0")
+        for sid, dc_id in ((twin, "edc0"), (far, "cdc0")):
+            net.allocate(sid, 30.0, 180.0)  # room for one 15-CPU VNF, not two
+            lid = link_id(net, sid, net.data_centers[dc_id].switch)
+            net.allocate_bw(lid, net.links[lid].bw_residual - 1.5)  # carries VL 1, not VL 2
+        got = feasible_servers(net, req, 2, anchor, used_e2e_ms=0.02)
+        assert far in got and twin not in got
+        assert got == scan_feasible_servers(net, req, 2, anchor, 0.02)
 
     def test_unreachable_last_s(self):
         net = make_pair()

@@ -386,7 +386,7 @@ class TestStructureIndex:
         assert all(a is not b for a, b in zip(net.servers(), twin.servers()))
         # the structure and its caches are shared, not rebuilt; residuals are not
         idx, got = net.index(), twin.index()
-        for name in ("adj_sorted", "tier_rank", "up_link", "alpha", "root_masks"):
+        for name in ("adj_sorted", "tier_rank", "up_link", "tier_masks", "alpha", "root_masks"):
             assert getattr(got, name) is getattr(idx, name)
         for name in ("cpu", "ram", "bw"):
             assert getattr(got, name) is not getattr(idx, name)
@@ -498,6 +498,9 @@ def assert_index_matches(net: PhysicalNetwork) -> None:
     for node, rank in zip(net.nodes, idx.tier_rank):
         dc = net.data_centers.get(node.dc)
         assert rank == (TIER_ORDER.index(dc.kind) if dc else len(TIER_ORDER))
+    assert not idx.tier_masks.flags.writeable
+    assert idx.tier_masks.tolist() == [[idx.tier_rank[s.id] == r for s in servers]
+                                       for r in range(len(TIER_ORDER) + 1)]
     for p, s in enumerate(servers):
         entries = net.adj[s.id]
         if len(entries) == 1:
