@@ -8,8 +8,8 @@ fail loudly instead of silently running defaults.
 from __future__ import annotations
 
 import json
-import math
 import os
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -43,13 +43,14 @@ def _require_keys(obj: Mapping, allowed: set[str], where: str) -> None:
 
 
 def _typed(value: Any, kind: type, where: str, *, nullable: bool = False) -> Any:
-    """`value` if it is a JSON value of `kind` (float admits integers, int
-    and float exclude booleans), else ConfigError."""
+    """`value` if it is a JSON value of `kind` (float admits integers that
+    a float can hold and no NaN or infinity, int and float exclude
+    booleans), else ConfigError."""
     if value is None and nullable:
         return value
     accepted = (int, float) if kind is float else (kind,)
     if (isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted)
-            or (kind is float and not math.isfinite(value))):
+            or (kind is float and not abs(value) <= sys.float_info.max)):
         raise ConfigError(f"{where} must be {_TYPE_NAMES[kind]}"
                           + (" or null" if nullable else ""))
     return value

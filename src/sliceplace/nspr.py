@@ -8,6 +8,7 @@ Chain length is the number of VL budgets plus one.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
@@ -129,13 +130,21 @@ class SliceRequest:
         return self.vls[i - 1]
 
 
+@functools.lru_cache(maxsize=256)
+def _demands(spec: ClassSpec) -> tuple[tuple[VnfDemand, ...], tuple[VlDemand, ...]]:
+    """A spec's VNF and VL demand tuples, built once and shared by every
+    request of that spec (and of any spec equal to it)."""
+    vnfs = tuple(VnfDemand(spec.cpu_per_vnf, spec.ram_per_vnf)
+                 for _ in range(spec.chain_length))
+    vls = tuple(VlDemand(spec.bw_per_vl, b) for b in spec.vl_budgets_ms)
+    return vnfs, vls
+
+
 def make_request(cls: SliceClass, uap: int, *, request_id: int = 0,
                  arrival_time: float = 0.0, holding_time: float = 0.0,
                  catalog: Mapping[SliceClass, ClassSpec] = DEFAULT_CATALOG) -> SliceRequest:
     spec = catalog[cls]
-    vnfs = tuple(VnfDemand(spec.cpu_per_vnf, spec.ram_per_vnf)
-                 for _ in range(spec.chain_length))
-    vls = tuple(VlDemand(spec.bw_per_vl, b) for b in spec.vl_budgets_ms)
+    vnfs, vls = _demands(spec)
     return SliceRequest(id=request_id, cls=cls, uap=uap, vnfs=vnfs, vls=vls,
                         alpha_max_ms=spec.alpha_max_ms,
                         e2e_budget_ms=spec.effective_e2e_ms(),

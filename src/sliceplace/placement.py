@@ -472,24 +472,24 @@ def feasible_servers(psn: PhysicalNetwork, request: SliceRequest, v: int,
 
     Cost: O(relay nodes) in Python plus O(servers) in C. `_relay_reach`
     runs over the relay nodes only (switches, routers; no server of the
-    reference substrate); then a few compares over the arrays of
-    `psn.index()` decide every server at once: a server with one link is
-    reached when the node across it is, within the budget, and the link
-    carries the VL; one with more links is a relay itself. The result
-    equals an all-server scan of the rule, list and order alike.
+    reference substrate). Each reached anchor, a node across some server's
+    one link (a DC switch), gets the latency left of the limit; then a few
+    compares over the arrays of `psn.index()` decide every server at once:
+    a server with one link is reached when its link's latency is within
+    what its anchor has left and the link carries the VL; one with more
+    links is a relay itself. The result equals an all-server scan of the
+    rule, list and order alike.
     """
     n = request.n_vnfs
     if not 1 <= v <= n:
         raise ValueError(f"VNF index {v} outside chain 1..{n}")
     idx = psn.index()
     d_v = request.vnf(v)
-    # residual bandwidth of each server's one link: VL v-1 enters over it,
-    # VL v leaves over it
-    up_bw = idx.bw[idx.up_link]
+    ok = idx.cpu >= d_v.cpu
+    ok &= idx.ram >= d_v.ram
 
     if v == 1:
-        base = _root_mask(psn, request)
-        exempt = None
+        ok &= _root_mask(psn, request)
     else:
         if last_s is None:
             raise ValueError("last_s is required for VNFs beyond the first")
@@ -497,37 +497,54 @@ def feasible_servers(psn: PhysicalNetwork, request: SliceRequest, v: int,
         slack = request.e2e_budget_ms - used_e2e_ms
         limit = min(vl.budget_ms, slack) + LATENCY_EPS
         relay = _relay_reach(psn, last_s, vl.bw, limit)
-        # by node id plus a last slot for servers without exactly one link; NaN
-        # where unreached, so no comparison holds there
-        dist = np.full(len(psn.nodes) + 1, np.nan)
-        dist[list(relay)] = list(relay.values())
-        base = (dist[idx.up_nbr] + idx.up_lat <= limit) & (up_bw >= vl.bw)
+        # latency left at each reached anchor, by anchor slot; NaN where
+        # unreached and in the trailing slot, so no comparison holds there.
+        # `lat <= limit - d` decides as `d + lat <= limit` does: exactly for
+        # a zero-latency link, and elsewhere unless d + lat lies within
+        # rounding of the limit, which the LATENCY_EPS margin keeps away from
+        # sums of latencies given to a few decimals
+        thr = np.empty(len(idx.anchors) + 1)
+        thr.fill(np.nan)
+        thr[idx.anchor_slot[list(relay)]] = [limit - d for d in relay.values()]
+        thr[-1] = np.nan  # reached relays that anchor no server land here
+        base = idx.up_lat <= thr[idx.up_anchor]
+        base &= idx.up_bw >= vl.bw
         # a server with several links is a relay itself; last_s is always reached
         for p in idx.multi:
             base[p] = int(idx.id[p]) in relay
         if idx.pos[last_s] >= 0:
             base[idx.pos[last_s]] = True
-        # only last_s's own DC applies the lookahead
-        exempt = idx.dc != idx.dc_index.get(psn.nodes[last_s].dc, -1)
+        ok &= base
 
-    ok = base & (idx.cpu >= d_v.cpu) & (idx.ram >= d_v.ram)
     if v < n:
         # `lookahead_ok`: room for VNF v+1 as well, or a link that carries
         # VL v. Room for both implies room for VNF v, since demands are
-        # non-negative (`ClassSpec` and `allocate` reject negative ones), so
-        # the one expression fits & (exempt | uplink | both) equals the rule
+        # non-negative (`ClassSpec` and `allocate` reject negative ones)
         d_next, bw_next = request.vnf(v + 1), request.vl(v).bw
-        ahead = up_bw >= bw_next
-        for p in idx.multi:
-            ahead[p] = _has_uplink(psn, int(idx.id[p]), bw_next)
-        ahead |= (idx.cpu >= d_v.cpu + d_next.cpu) & (idx.ram >= d_v.ram + d_next.ram)
-        if exempt is not None:
-            ahead |= exempt
-        ok &= ahead
+        cpu_both, ram_both = d_v.cpu + d_next.cpu, d_v.ram + d_next.ram
+        if v > 1 and bw_next <= vl.bw:
+            # Implied: every server that passed reach other than last_s was
+            # entered over a link with residual >= bw(VL v-1) >= bw(VL v),
+            # its one link or, for a relay server, a relay link; so it has a
+            # link that carries VL v. Only last_s needs the rule.
+            p = idx.pos[last_s]
+            if p >= 0 and ok[p]:
+                ok[p] = (idx.servers[p].fits(cpu_both, ram_both)
+                         or _has_uplink(psn, last_s, bw_next))
+        else:
+            # the one expression fits & (exempt | uplink | both) equals the rule
+            ahead = idx.up_bw >= bw_next
+            for p in idx.multi:
+                ahead[p] = _has_uplink(psn, int(idx.id[p]), bw_next)
+            ahead |= (idx.cpu >= cpu_both) & (idx.ram >= ram_both)
+            if v > 1:
+                # only last_s's own DC applies the lookahead
+                ahead |= idx.dc != idx.dc_index.get(psn.nodes[last_s].dc, -1)
+            ok &= ahead
     if best_tier:
         for tier in idx.tier_masks:
             pick = ok & tier
-            if pick.any():
+            if np.count_nonzero(pick):
                 return idx.id[pick].tolist()
     return idx.id[ok].tolist()
 

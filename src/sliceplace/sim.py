@@ -102,11 +102,6 @@ class Scenario:
         raise ValueError(f"unknown scenario name {name!r}; "
                          f"known: {', '.join(_NAMED_MIXES)}")
 
-    def fingerprint(self) -> tuple:
-        return (self.name, tuple(sorted((c.value, p) for c, p in self.mix.items())),
-                self.target_load, self.horizon, self.mean_holding, self.warmup,
-                self.include_holding_time)
-
 
 def arrival_rates_for_load(psn: PhysicalNetwork, mix: Mapping[SliceClass, float],
                            rho: float, *,

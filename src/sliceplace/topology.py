@@ -18,7 +18,7 @@ import sys
 import uuid
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Mapping, NamedTuple
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -168,7 +168,7 @@ _PARAM_TYPES = {name: type(f.default)
 
 class StructureIndex(NamedTuple):
     """Everything a network derives from its nodes, data centers and links,
-    plus numpy mirrors of its residuals.
+    plus numpy mirrors of its server residuals.
 
     Node and adjacency entries are in id order. Servers are also indexed by
     position, their rank in `servers`. The residual arrays belong to one
@@ -188,15 +188,21 @@ class StructureIndex(NamedTuple):
     tier_rank: tuple[int, ...]
     # data center id -> index in `data_centers` order
     dc_index: dict[str, int]
+    # anchors, ascending: the nodes across some server's one link (a star
+    # DC's switch); node id -> anchor slot, len(anchors) for other nodes
+    anchors: tuple[int, ...]
+    anchor_slot: np.ndarray
     # by server position: node id, DC index (-1 for none), and for a server
-    # with exactly one link that link's id, the neighbor across it and its
-    # latency; any other server has the trailing bandwidth slot, the
-    # neighbor len(nodes) and latency 0
+    # with exactly one link that link's id, the anchor slot of the node
+    # across it and its latency; any other server has link id len(links),
+    # the trailing slot len(anchors) and latency 0
     id: np.ndarray
     dc: np.ndarray
     up_link: np.ndarray
-    up_nbr: np.ndarray
+    up_anchor: np.ndarray
     up_lat: np.ndarray
+    # link id -> positions of the servers whose one link it is (at most two)
+    link_up_pos: tuple[tuple[int, ...], ...]
     # positions of servers with two or more links
     multi: tuple[int, ...]
     # row r: read-only mask, by position, of the servers of tier rank r
@@ -206,12 +212,12 @@ class StructureIndex(NamedTuple):
     # eligibility (UAP, access bound) -> mask of root-DC servers
     alpha: dict[int, dict[str, float]]
     root_masks: dict[tuple[int, float], np.ndarray]
-    # residuals: CPU and RAM by server position, bandwidth by link id plus
-    # one trailing slot; NaN marks a link without bandwidth accounting and
-    # fills the trailing slot, so no comparison holds there
+    # residuals by server position: CPU, RAM, and the bandwidth of the
+    # server's one link; NaN marks a server without exactly one link or one
+    # whose link carries no bandwidth accounting, so no comparison holds there
     cpu: np.ndarray
     ram: np.ndarray
-    bw: np.ndarray
+    up_bw: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -238,15 +244,16 @@ class PhysicalNetwork:
     every full scan read, sorted adjacency (in full and without leaf
     neighbors), per-node tier ranks and per-tier server masks, static
     per-server fields, the access-latency and root-mask caches, and numpy
-    float64 copies of every residual (CPU and RAM by server position,
-    bandwidth by link id), so that eligibility tests every server in a few
-    array compares. Every structural change (`_append`, behind `add_node`,
-    `add_server` and `add_data_center`, and `add_link`) drops it. Capacity
-    changes keep it and write its residual copies where residuals change:
-    `_set` (every allocate and release), `rollback` and `restore`. A clone
-    shares the index but lists its own `Server` objects and owns copies of
-    the residual arrays, so residuals it allocates never show in the
-    parent.
+    float64 copies of the residuals that eligibility reads, by server
+    position: CPU, RAM and the bandwidth of the server's one link, so that
+    eligibility tests every server in a few array compares. Every
+    structural change (`_append`, behind `add_node`, `add_server` and
+    `add_data_center`, and `add_link`) drops it. Capacity changes keep it
+    and write its residual copies where residuals change: `_set` (every
+    allocate and release; a bandwidth write reaches the servers whose one
+    link it is), `rollback` and `restore`. A clone shares the index but
+    lists its own `Server` objects and owns copies of the residual arrays,
+    so residuals it allocates never show in the parent.
 
     The `Server`/`PhysicalLink` residual attributes stay the scalar source
     that the checker and the exact search read, because an attribute read
@@ -354,26 +361,33 @@ class PhysicalNetwork:
             adj_sorted = tuple(map(tuple, map(sorted, self.adj)))
             relays = [len(entries) > 1 for entries in self.adj]
             pos = [-1] * n_nodes
-            up: list[tuple[int, int, float]] = []
+            up: list[tuple[int, int, float]] = []  # (link id, node across, latency)
             multi = []
+            link_up_pos: list[tuple[int, ...]] = [()] * n_links
             for p, s in enumerate(servers):
                 pos[s.id] = p
                 entries = self.adj[s.id]
                 if len(entries) == 1:
                     nbr, lid = entries[0]
                     up.append((lid, nbr, self.links[lid].latency_ms))
+                    link_up_pos[lid] += (p,)
                 else:
-                    up.append((n_links, n_nodes, 0.0))
+                    up.append((n_links, -1, 0.0))
                     if entries:
                         multi.append(p)
+            anchors = tuple(sorted({nbr for _, nbr, _ in up if nbr >= 0}))
+            slot = {u: i for i, u in enumerate(anchors)}
+            anchor_slot = np.full(n_nodes, len(anchors), dtype=np.intp)
+            anchor_slot[list(anchors)] = np.arange(len(anchors))
+            anchor_slot.flags.writeable = False
             rank = {dc_id: TIER_ORDER.index(dc.kind) for dc_id, dc in self.data_centers.items()}
             dc_index = {dc_id: i for i, dc_id in enumerate(self.data_centers)}
-            up_link, up_nbr, up_lat = zip(*up) if up else ((), (), ())
+            up_link = np.array([lid for lid, _, _ in up], dtype=np.intp)
             tier_rank = tuple([rank.get(n.dc, len(TIER_ORDER)) for n in self.nodes])
             server_rank = np.array([tier_rank[s.id] for s in servers], dtype=np.intp)
             tier_masks = server_rank == np.arange(len(TIER_ORDER) + 1)[:, None]
             tier_masks.flags.writeable = False
-            cpu, ram, bw = self._residual_arrays(servers)
+            cpu, ram = self._residual_arrays(servers)
             self._index = StructureIndex(
                 servers=servers,
                 adj_sorted=adj_sorted,
@@ -387,24 +401,32 @@ class PhysicalNetwork:
                 pos=tuple(pos),
                 tier_rank=tier_rank,
                 dc_index=dc_index,
+                anchors=anchors,
+                anchor_slot=anchor_slot,
                 id=np.array([s.id for s in servers], dtype=np.intp),
                 dc=np.array([dc_index.get(s.dc, -1) for s in servers], dtype=np.intp),
-                up_link=np.array(up_link, dtype=np.intp),
-                up_nbr=np.array(up_nbr, dtype=np.intp),
-                up_lat=np.array(up_lat, dtype=float),
+                up_link=up_link,
+                up_anchor=np.array([slot.get(nbr, len(anchors)) for _, nbr, _ in up],
+                                   dtype=np.intp),
+                up_lat=np.array([lat for _, _, lat in up], dtype=float),
+                link_up_pos=tuple(link_up_pos),
                 multi=tuple(multi),
                 tier_masks=tier_masks,
                 alpha={},
                 root_masks={},
-                cpu=cpu, ram=ram, bw=bw)
+                cpu=cpu, ram=ram,
+                up_bw=self._uplink_residuals([l.bw_residual for l in self.links], up_link))
         return self._index
 
-    def _residual_arrays(self, servers: tuple[Server, ...]
-                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _residual_arrays(self, servers: tuple[Server, ...]) -> tuple[np.ndarray, np.ndarray]:
         return (np.array([s.cpu_residual for s in servers], dtype=float),
-                np.array([s.ram_residual for s in servers], dtype=float),
-                # None (no accounting) and the trailing slot become NaN
-                np.array([l.bw_residual for l in self.links] + [None], dtype=float))
+                np.array([s.ram_residual for s in servers], dtype=float))
+
+    @staticmethod
+    def _uplink_residuals(link_bw: Sequence[float | None], up_link: np.ndarray) -> np.ndarray:
+        """Each server's one-link residual from residuals by link id."""
+        # None (no accounting) and the trailing slot become NaN
+        return np.array([*link_bw, None], dtype=float)[up_link]
 
     def vector_drift(self) -> str | None:
         """None when the index is unbuilt or its residual arrays equal every
@@ -412,13 +434,14 @@ class PhysicalNetwork:
         idx = self._index
         if idx is None:
             return None
-        for name, have, want in zip(("cpu", "ram", "bw"), (idx.cpu, idx.ram, idx.bw),
-                                    self._residual_arrays(idx.servers)):
-            same = (have == want) | (np.isnan(have) & np.isnan(want))
+        want = (*self._residual_arrays(idx.servers),
+                self._uplink_residuals([l.bw_residual for l in self.links], idx.up_link))
+        for name, have, exp in zip(("cpu", "ram", "up_bw"), (idx.cpu, idx.ram, idx.up_bw), want):
+            same = (have == exp) | (np.isnan(have) & np.isnan(exp))
             if not same.all():
                 i = int(np.argmin(same))
-                where = f"link {i}" if name == "bw" else f"server {int(idx.id[i])}"
-                return f"{where}: {name} vector holds {have[i]}, residual is {want[i]}"
+                return (f"server {int(idx.id[i])}: {name} vector holds {have[i]}, "
+                        f"residual is {exp[i]}")
         return None
 
     def servers(self) -> tuple[Server, ...]:
@@ -456,7 +479,8 @@ class PhysicalNetwork:
     def _mirror(self, obj: Server | PhysicalLink, attr: str, value: float) -> None:
         idx = self._index
         if attr == "bw_residual":
-            idx.bw[obj.id] = value
+            for p in idx.link_up_pos[obj.id]:
+                idx.up_bw[p] = value
         elif attr == "cpu_residual":
             idx.cpu[idx.pos[obj.id]] = value
         else:
@@ -552,7 +576,7 @@ class PhysicalNetwork:
         if idx is not None:
             idx.cpu[:] = snap.server_cpu
             idx.ram[:] = snap.server_ram
-            idx.bw[:-1] = snap.link_bw  # None becomes NaN
+            idx.up_bw[:] = self._uplink_residuals(snap.link_bw, idx.up_link)
 
     def clone(self) -> "PhysicalNetwork":
         """Deep copy sharing the snapshot token, so snapshots stay portable
@@ -571,7 +595,8 @@ class PhysicalNetwork:
         other.adj = [list(entries) for entries in self.adj]
         other._token = self._token
         other._index = idx._replace(servers=tuple([other.nodes[s.id] for s in idx.servers]),
-                                    cpu=idx.cpu.copy(), ram=idx.ram.copy(), bw=idx.bw.copy())
+                                    cpu=idx.cpu.copy(), ram=idx.ram.copy(),
+                                    up_bw=idx.up_bw.copy())
         return other
 
     # -- access latency ----------------------------------------------------

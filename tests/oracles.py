@@ -7,18 +7,31 @@ shares no search code with `sliceplace.exact`.
 `paths_to` is the exact search's former path enumeration, one search per
 destination; the single search of `sliceplace.exact._enumerate_paths` must
 find what it finds for every destination.
+
+`plain_reach`, `plain_hop_path`, `scan_feasible_servers` and
+`narrow_to_best_tier` are plain one-pass versions of P2C's reach search,
+hop search, eligibility and tier narrowing. `reference_place` and
+`reference_release` build whole P2C episodes from them, on residual
+attributes written directly, with no transaction and no structure index
+residuals. `loaded_substrates` draws the small random substrates they run on.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 
 import networkx as nx
+import numpy as np
+from hypothesis import strategies as st
 
 from sliceplace.exact import SolveResult, SolveStatus
 from sliceplace.nspr import SliceRequest
-from sliceplace.placement import LATENCY_EPS, Placement, bandwidth_cost
-from sliceplace.topology import PhysicalNetwork
+from sliceplace.p2c import OutcomeStatus, PlacementOutcome, Policy
+from sliceplace.placement import (LATENCY_EPS, Placement, bandwidth_cost, lookahead_ok,
+                                  root_dcs)
+from sliceplace.topology import (TIER_ORDER, DCKind, LinkKind, NodeKind, PhysicalLink,
+                                 PhysicalNetwork, Server, TopologyParams)
 
 
 class InstanceTooLargeError(ValueError):
@@ -175,3 +188,258 @@ def paths_to(psn: PhysicalNetwork, src: int, dst: int, bw: float,
     dfs(src, 0.0)
     found.sort()
     return [p for _, _, p in found], truncated
+
+
+def plain_reach(net: PhysicalNetwork, src: int, bw: float,
+                budget_ms: float) -> dict[int, float]:
+    """Reference Dijkstra for latency_reach: every reached node is pushed."""
+    dist = {src: 0.0}
+    pq = [(0.0, src)]
+    while pq:
+        d, u = heapq.heappop(pq)
+        if d > dist[u]:
+            continue
+        for v, lid in net.adj[u]:
+            link = net.links[lid]
+            if link.bw_residual is None or link.bw_residual < bw:
+                continue
+            nd = d + link.latency_ms
+            if nd <= budget_ms + LATENCY_EPS and nd < dist.get(v, float("inf")):
+                dist[v] = nd
+                heapq.heappush(pq, (nd, v))
+    return dist
+
+
+def plain_hop_path(net: PhysicalNetwork, src: int, dst: int, bw: float) -> list[int] | None:
+    """Reference for min_cost_path's first stage: BFS that expands every
+    node, leaves included, in ascending id order."""
+    parent = {src: (-1, -1)}
+    level = [src]
+    while level:
+        nxt = []
+        for u in sorted(level):
+            for v, lid in sorted(net.adj[u]):
+                r = net.links[lid].bw_residual
+                if v in parent or r is None or r < bw:
+                    continue
+                parent[v] = (u, lid)
+                if v == dst:
+                    path = []
+                    while v != src:
+                        v, lid = parent[v]
+                        path.append(lid)
+                    return path[::-1]
+                nxt.append(v)
+        level = nxt
+    return None
+
+
+def scan_feasible_servers(net: PhysicalNetwork, request, v: int, last_s: int | None,
+                          used_e2e_ms: float) -> list[int]:
+    """Reference eligibility: the rule of `feasible_servers` applied to every
+    server of the network in id order."""
+    d_v = request.vnf(v)
+    ok = lookahead_ok(net, request, v)
+    servers = [n for n in net.nodes if isinstance(n, Server)]
+    if v == 1:
+        ok_dcs = root_dcs(net, request)
+        return [s.id for s in servers if s.dc in ok_dcs and ok(s)]
+    vl = request.vl(v - 1)
+    eff_budget = min(vl.budget_ms, request.e2e_budget_ms - used_e2e_ms)
+    reach = plain_reach(net, last_s, vl.bw, eff_budget)
+    last_dc = net.nodes[last_s].dc
+    out = []
+    for srv in servers:
+        if srv.id == last_s:
+            if ok(srv):
+                out.append(srv.id)
+            continue
+        if reach.get(srv.id, float("inf")) > eff_budget + LATENCY_EPS:
+            continue
+        if srv.dc == last_dc:
+            if ok(srv):
+                out.append(srv.id)
+        elif srv.fits(d_v.cpu, d_v.ram):
+            out.append(srv.id)
+    return out
+
+
+LINK_LATENCIES = [0.0, 0.1, 0.33, 0.5, 1.0]
+LINK_BWS = [0.5, 1.0, 2.0, 10.0]
+
+
+@st.composite
+def loaded_substrates(draw):
+    """Small substrates of star DCs plus random extra links, so that some
+    servers have two or more links; servers and links are partly loaded and
+    some links are too thin for any demand."""
+    net = PhysicalNetwork(TopologyParams())
+    kinds = list(DCKind)
+    unlinked = []
+    for d in range(draw(st.integers(1, 4))):
+        dc = net.add_data_center(f"dc{d}", draw(st.sampled_from(kinds)))
+        for i in range(draw(st.integers(1, 3))):
+            sid = net.add_server(f"dc{d}-s{i}", f"dc{d}", 50.0, 300.0)
+            if draw(st.integers(0, 5)):  # an occasional server has no uplink
+                net.add_link(dc.switch, sid, 0.0, LinkKind.INTRA_DC,
+                             draw(st.sampled_from(LINK_BWS)))
+            else:
+                unlinked.append(sid)
+    switches = [dc.switch for dc in net.data_centers.values()]
+    for sid in unlinked:
+        if draw(st.booleans()):  # or one with latency, to any switch
+            net.add_link(draw(st.sampled_from(switches)), sid,
+                         draw(st.sampled_from(LINK_LATENCIES)), LinkKind.TRANSPORT,
+                         draw(st.sampled_from(LINK_BWS)))
+    for i, a in enumerate(switches):
+        for b in switches[i + 1:]:
+            if draw(st.booleans()):
+                net.add_link(a, b, draw(st.sampled_from(LINK_LATENCIES)),
+                             LinkKind.TRANSPORT, draw(st.sampled_from(LINK_BWS)))
+    for _ in range(draw(st.integers(0, 4))):
+        a, b = draw(st.lists(st.integers(0, len(net.nodes) - 1),
+                             min_size=2, max_size=2, unique=True))
+        net.add_link(a, b, draw(st.sampled_from(LINK_LATENCIES)),
+                     LinkKind.TRANSPORT, draw(st.sampled_from(LINK_BWS)))
+    for u in range(draw(st.integers(1, 2))):
+        uap = net.add_node(f"uap{u}", NodeKind.UAP)
+        net.add_link(uap, draw(st.sampled_from(switches)),
+                     draw(st.sampled_from([0.02, 0.05, 0.1])), LinkKind.ACCESS, None)
+        net.uaps.append(uap)
+    if draw(st.booleans()):  # load through the write path of the index's residual arrays
+        net.index()
+    for srv in net.servers():
+        cpu = draw(st.sampled_from([0.0, 10.0, 20.0, 30.0, 40.0, 50.0]))
+        net.allocate(srv.id, cpu, cpu * 6)
+    for link in net.links:
+        if link.bw_capacity is not None:
+            net.allocate_bw(link.id, link.bw_capacity * draw(st.sampled_from([0.0, 0.5, 1.0])))
+    return net
+
+
+def narrow_to_best_tier(net: PhysicalNetwork, candidates: list[int]) -> list[int]:
+    """Reference P2C-2 narrowing: one pass over an eligibility list keeping
+    the servers of the best tier present, CCP over CDC over EDC, servers
+    outside any DC last."""
+    best, pool = len(TIER_ORDER) + 1, []
+    for s in candidates:
+        dc = net.data_centers.get(net.nodes[s].dc)
+        r = TIER_ORDER.index(dc.kind) if dc else len(TIER_ORDER)
+        if r == best:
+            pool.append(s)
+        elif r < best:
+            best, pool = r, [s]
+    return pool
+
+
+def plain_min_cost_path(net: PhysicalNetwork, src: int, dst: int, bw: float,
+                        budget_ms: float) -> list[int] | None:
+    """Reference for `min_cost_path` between distinct nodes: the plain
+    minimum-hop path if its latency fits the budget, else the minimum-latency
+    path of a plain Dijkstra over every node, if that one fits."""
+    path = plain_hop_path(net, src, dst, bw)
+    if path is None or sum(net.links[lid].latency_ms for lid in path) <= budget_ms + LATENCY_EPS:
+        return path
+    dist = {src: 0.0}
+    parent = {src: (-1, -1)}
+    pq = [(0.0, src)]
+    while pq:
+        d, u = heapq.heappop(pq)
+        if d > dist[u]:
+            continue
+        for v, lid in net.adj[u]:
+            link = net.links[lid]
+            if link.bw_residual is None or link.bw_residual < bw:
+                continue
+            nd = d + link.latency_ms
+            if nd < dist.get(v, float("inf")):
+                dist[v] = nd
+                parent[v] = (u, lid)
+                heapq.heappush(pq, (nd, v))
+    if dist.get(dst, float("inf")) > budget_ms + LATENCY_EPS:
+        return None
+    path = []
+    while dst != src:
+        dst, lid = parent[dst]
+        path.append(lid)
+    return path[::-1]
+
+
+def reference_place(psn: PhysicalNetwork, request: SliceRequest, policy: Policy,
+                    rng: np.random.Generator) -> PlacementOutcome:
+    """Reference P2C episode. Per VNF: the all-server scan, narrowed to the
+    best tier under TIER_PREFERRED; two candidates by
+    `rng.choice(n, 2, replace=False)` (one candidate is taken twice, without
+    a draw); the one whose plain path from the previous server is shorter,
+    the first on a tie, the previous server itself outright. It writes the
+    residual attributes directly and keeps the pre-episode value of each in
+    a dict, which a rejection writes back."""
+    old: dict[tuple[str, int], float] = {}  # (attribute, server or link id) -> value
+
+    def take(obj: Server | PhysicalLink, attr: str, amount: float) -> None:
+        old.setdefault((attr, obj.id), getattr(obj, attr))
+        setattr(obj, attr, getattr(obj, attr) - amount)
+
+    def reject(v: int) -> PlacementOutcome:
+        for (attr, i), value in old.items():
+            setattr(psn.links[i] if attr == "bw_residual" else psn.nodes[i], attr, value)
+        return PlacementOutcome(OutcomeStatus.REJECTED, None, 0.0, v)
+
+    x: dict[int, int] = {}
+    y: dict[int, list[int]] = {}
+    cost = used_e2e = 0.0
+    last_s = None
+    for v in range(1, request.n_vnfs + 1):
+        candidates = scan_feasible_servers(psn, request, v, last_s, used_e2e)
+        if policy is Policy.TIER_PREFERRED:
+            candidates = narrow_to_best_tier(psn, candidates)
+        if not candidates:
+            return reject(v)
+        if len(candidates) == 1:
+            s1 = s2 = candidates[0]
+        else:
+            i, j = rng.choice(len(candidates), 2, replace=False)
+            s1, s2 = candidates[i], candidates[j]
+        path: list[int] = []
+        if v == 1:
+            chosen = s1
+        elif last_s in (s1, s2):
+            chosen = last_s
+        else:
+            vl = request.vl(v - 1)
+            budget = min(vl.budget_ms, request.e2e_budget_ms - used_e2e)
+            p1 = plain_min_cost_path(psn, last_s, s1, vl.bw, budget)
+            p2 = plain_min_cost_path(psn, last_s, s2, vl.bw, budget)
+            if p1 is None and p2 is None:
+                return reject(v)
+            if p2 is None or (p1 is not None and len(p1) <= len(p2)):
+                chosen, path = s1, p1
+            else:
+                chosen, path = s2, p2
+        d = request.vnf(v)
+        take(psn.nodes[chosen], "cpu_residual", d.cpu)
+        take(psn.nodes[chosen], "ram_residual", d.ram)
+        if v == 1:
+            used_e2e = psn.access_latency(request.uap, psn.nodes[chosen].dc)
+        else:
+            vl = request.vl(v - 1)
+            for lid in path:
+                take(psn.links[lid], "bw_residual", vl.bw)
+                used_e2e += psn.links[lid].latency_ms
+            y[v - 1] = path
+            cost += len(path) * vl.bw
+        x[v] = chosen
+        last_s = chosen
+    return PlacementOutcome(OutcomeStatus.ACCEPTED, Placement(x, y, cost), cost, None)
+
+
+def reference_release(psn: PhysicalNetwork, request: SliceRequest,
+                      placement: Placement) -> None:
+    """Give a placement's demands back by direct attribute writes."""
+    for v, s in sorted(placement.x.items()):
+        server = psn.nodes[s]
+        server.cpu_residual += request.vnf(v).cpu
+        server.ram_residual += request.vnf(v).ram
+    for i, path in sorted(placement.y.items()):
+        for lid in path:
+            psn.links[lid].bw_residual += request.vl(i).bw

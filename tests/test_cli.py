@@ -335,6 +335,7 @@ class TestSimulate:
     @pytest.mark.parametrize("section, key, value", [
         ("scenario", "target_load", "abc"),
         ("scenario", "horizon", "10"),
+        ("scenario", "horizon", 10**400),
         ("scenario", "replications", 2.5),
         ("scenario", "include_holding_time", "no"),
         ("scenario", "mix", [1, 2]),
@@ -348,7 +349,7 @@ class TestSimulate:
         ("topology", "servers_per_edc", 2.5),
         ("topology", "latency_round_decimals", 2.5),
         ("topology", "server_cpu", "50"),
-    ], ids=["load", "horizon", "replications", "holding", "mix", "algorithm",
+    ], ids=["load", "horizon", "horizon_huge_int", "replications", "holding", "mix", "algorithm",
             "max_nodes", "catalog", "catalog_list", "jobs", "scale_float", "scale_bool",
             "servers_float", "round_float", "cpu_string"])
     def test_malformed_config_value_exits_two(self, tmp_path, capsys, section, key, value):

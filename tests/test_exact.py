@@ -18,8 +18,8 @@ from sliceplace.topology import (DCKind, LinkKind, NodeKind, PhysicalNetwork,
                                  TopologyParams, build_reference_psn)
 
 from conftest import make_pair, make_single_dc
-from oracles import InstanceTooLargeError, brute_force, paths_to
-from test_placement import _BWS, link_id, loaded_substrates
+from oracles import LINK_BWS, InstanceTooLargeError, brute_force, loaded_substrates, paths_to
+from test_placement import link_id
 
 SHORT_CATALOG = {
     cls: dataclasses.replace(spec, vl_budgets_ms=spec.vl_budgets_ms[:2])
@@ -87,7 +87,7 @@ class TestPathSearch:
         nodes = range(len(net.nodes))
         src = data.draw(st.sampled_from(nodes))
         dsts = data.draw(st.one_of(st.just(set(nodes)), st.sets(st.sampled_from(nodes))))
-        bw = data.draw(st.sampled_from([0.0] + _BWS))
+        bw = data.draw(st.sampled_from([0.0] + LINK_BWS))
         budget = data.draw(st.sampled_from([-0.5, 0.0, 0.1, 0.33, 1.0, 5.0]))
         max_paths = data.draw(st.sampled_from([None, 1, 2]))
         by_dst, truncated = _enumerate_paths(net, src, dsts, bw, budget, max_paths)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import collections
+import copy
+import dataclasses
 import json
 
 import numpy as np
@@ -12,11 +14,12 @@ from hypothesis import strategies as st
 
 from sliceplace.nspr import SliceClass, make_request
 from sliceplace.p2c import OutcomeStatus, Policy, get_two_candidates, place
-from sliceplace.placement import check_placement, feasible_servers
-from sliceplace.topology import (DCKind, LinkKind, NodeKind, PhysicalNetwork,
+from sliceplace.placement import check_placement, feasible_servers, release_placement
+from sliceplace.topology import (DCKind, LinkKind, NodeKind, PhysicalNetwork, Server,
                                  TopologyParams, build_reference_psn)
 
 from conftest import drain_dc, make_pair, make_single_dc
+from oracles import loaded_substrates, reference_place, reference_release
 
 
 def snap_tuple(net):
@@ -272,3 +275,44 @@ class TestPlace:
         tiers = [net.tier_of_server(out.placement.x[v]) for v in range(1, 6)]
         assert tiers[0] is DCKind.EDC
         assert all(t is DCKind.CDC for t in tiers[1:])
+
+
+def residuals(net: PhysicalNetwork) -> tuple[list, list]:
+    return ([(n.cpu_residual, n.ram_residual) for n in net.nodes if isinstance(n, Server)],
+            [link.bw_residual for link in net.links])
+
+
+class TestEpisodeOracle:
+    """Whole arrival/departure sequences against `oracles.reference_place`:
+    a write that the structure index misses, or a rollback that leaves it
+    behind, shows only in a later episode."""
+
+    @pytest.mark.parametrize("policy", list(Policy))
+    @settings(max_examples=300, deadline=None)
+    @given(net=loaded_substrates(), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_episodes_match_the_reference(self, policy, net, seed, data):
+        ref = copy.deepcopy(net)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        held = []
+        for i in range(data.draw(st.integers(1, 20))):
+            if held and data.draw(st.integers(0, 2)) == 0:
+                request, placement = held.pop(data.draw(st.integers(0, len(held) - 1)))
+                release_placement(net, request, placement)
+                reference_release(ref, request, placement)
+            else:
+                request = make_request(data.draw(st.sampled_from(list(SliceClass))),
+                                       data.draw(st.sampled_from(net.uaps)), request_id=i)
+                if data.draw(st.booleans()):  # unequal VL demands
+                    request = dataclasses.replace(request, vls=tuple(
+                        dataclasses.replace(vl, bw=data.draw(st.sampled_from([0.5, 1.0, 2.0])))
+                        for vl in request.vls))
+                got = place(net, request, policy, rng)
+                want = reference_place(ref, request, policy, ref_rng)
+                assert (got.status, got.blocking_vnf, got.cost) == \
+                       (want.status, want.blocking_vnf, want.cost)
+                if got.accepted:
+                    assert (got.placement.x, got.placement.y) == \
+                           (want.placement.x, want.placement.y)
+                    held.append((request, got.placement))
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+            assert residuals(net) == residuals(ref)

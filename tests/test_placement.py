@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import heapq
 import json
 import random
 
@@ -23,13 +22,10 @@ from sliceplace.placement import (
     check_placement,
     feasible_servers,
     latency_reach,
-    lookahead_ok,
     min_cost_path,
     release_placement,
-    root_dcs,
 )
 from sliceplace.topology import (
-    TIER_ORDER,
     DCKind,
     LinkKind,
     NodeKind,
@@ -40,6 +36,8 @@ from sliceplace.topology import (
 )
 
 from conftest import drain_dc, make_pair, make_single_dc
+from oracles import (LINK_BWS, LINK_LATENCIES, loaded_substrates, narrow_to_best_tier,
+                     plain_hop_path, plain_reach, scan_feasible_servers)
 
 
 def link_id(net: PhysicalNetwork, a: int, b: int) -> int:
@@ -509,148 +507,6 @@ class TestFeasibleServers:
         assert root in feasible_servers(net, req, 2, root, used_e2e_ms=0.02)
 
 
-def plain_reach(net: PhysicalNetwork, src: int, bw: float,
-                budget_ms: float) -> dict[int, float]:
-    """Reference Dijkstra for latency_reach: every reached node is pushed."""
-    dist = {src: 0.0}
-    pq = [(0.0, src)]
-    while pq:
-        d, u = heapq.heappop(pq)
-        if d > dist[u]:
-            continue
-        for v, lid in net.adj[u]:
-            link = net.links[lid]
-            if link.bw_residual is None or link.bw_residual < bw:
-                continue
-            nd = d + link.latency_ms
-            if nd <= budget_ms + LATENCY_EPS and nd < dist.get(v, float("inf")):
-                dist[v] = nd
-                heapq.heappush(pq, (nd, v))
-    return dist
-
-
-def plain_hop_path(net: PhysicalNetwork, src: int, dst: int, bw: float) -> list[int] | None:
-    """Reference for min_cost_path's first stage: BFS that expands every
-    node, leaves included, in ascending id order."""
-    parent = {src: (-1, -1)}
-    level = [src]
-    while level:
-        nxt = []
-        for u in sorted(level):
-            for v, lid in sorted(net.adj[u]):
-                r = net.links[lid].bw_residual
-                if v in parent or r is None or r < bw:
-                    continue
-                parent[v] = (u, lid)
-                if v == dst:
-                    path = []
-                    while v != src:
-                        v, lid = parent[v]
-                        path.append(lid)
-                    return path[::-1]
-                nxt.append(v)
-        level = nxt
-    return None
-
-
-def scan_feasible_servers(net: PhysicalNetwork, request, v: int, last_s: int | None,
-                          used_e2e_ms: float) -> list[int]:
-    """Reference eligibility: the rule of `feasible_servers` applied to every
-    server of the network in id order."""
-    d_v = request.vnf(v)
-    ok = lookahead_ok(net, request, v)
-    servers = [n for n in net.nodes if isinstance(n, Server)]
-    if v == 1:
-        ok_dcs = root_dcs(net, request)
-        return [s.id for s in servers if s.dc in ok_dcs and ok(s)]
-    vl = request.vl(v - 1)
-    eff_budget = min(vl.budget_ms, request.e2e_budget_ms - used_e2e_ms)
-    reach = plain_reach(net, last_s, vl.bw, eff_budget)
-    last_dc = net.nodes[last_s].dc
-    out = []
-    for srv in servers:
-        if srv.id == last_s:
-            if ok(srv):
-                out.append(srv.id)
-            continue
-        if reach.get(srv.id, float("inf")) > eff_budget + LATENCY_EPS:
-            continue
-        if srv.dc == last_dc:
-            if ok(srv):
-                out.append(srv.id)
-        elif srv.fits(d_v.cpu, d_v.ram):
-            out.append(srv.id)
-    return out
-
-
-_LATENCIES = [0.0, 0.1, 0.33, 0.5, 1.0]
-_BWS = [0.5, 1.0, 2.0, 10.0]
-
-
-@st.composite
-def loaded_substrates(draw):
-    """Small substrates of star DCs plus random extra links, so that some
-    servers have two or more links; servers and links are partly loaded and
-    some links are too thin for any demand."""
-    net = PhysicalNetwork(TopologyParams())
-    kinds = list(DCKind)
-    unlinked = []
-    for d in range(draw(st.integers(1, 4))):
-        dc = net.add_data_center(f"dc{d}", draw(st.sampled_from(kinds)))
-        for i in range(draw(st.integers(1, 3))):
-            sid = net.add_server(f"dc{d}-s{i}", f"dc{d}", 50.0, 300.0)
-            if draw(st.integers(0, 5)):  # an occasional server has no uplink
-                net.add_link(dc.switch, sid, 0.0, LinkKind.INTRA_DC,
-                             draw(st.sampled_from(_BWS)))
-            else:
-                unlinked.append(sid)
-    switches = [dc.switch for dc in net.data_centers.values()]
-    for sid in unlinked:
-        if draw(st.booleans()):  # or one with latency, to any switch
-            net.add_link(draw(st.sampled_from(switches)), sid,
-                         draw(st.sampled_from(_LATENCIES)), LinkKind.TRANSPORT,
-                         draw(st.sampled_from(_BWS)))
-    for i, a in enumerate(switches):
-        for b in switches[i + 1:]:
-            if draw(st.booleans()):
-                net.add_link(a, b, draw(st.sampled_from(_LATENCIES)),
-                             LinkKind.TRANSPORT, draw(st.sampled_from(_BWS)))
-    for _ in range(draw(st.integers(0, 4))):
-        a, b = draw(st.lists(st.integers(0, len(net.nodes) - 1),
-                             min_size=2, max_size=2, unique=True))
-        net.add_link(a, b, draw(st.sampled_from(_LATENCIES)),
-                     LinkKind.TRANSPORT, draw(st.sampled_from(_BWS)))
-    for u in range(draw(st.integers(1, 2))):
-        uap = net.add_node(f"uap{u}", NodeKind.UAP)
-        net.add_link(uap, draw(st.sampled_from(switches)),
-                     draw(st.sampled_from([0.02, 0.05, 0.1])), LinkKind.ACCESS, None)
-        net.uaps.append(uap)
-    if draw(st.booleans()):  # load through the write path of the index's residual arrays
-        net.index()
-    for srv in net.servers():
-        cpu = draw(st.sampled_from([0.0, 10.0, 20.0, 30.0, 40.0, 50.0]))
-        net.allocate(srv.id, cpu, cpu * 6)
-    for link in net.links:
-        if link.bw_capacity is not None:
-            net.allocate_bw(link.id, link.bw_capacity * draw(st.sampled_from([0.0, 0.5, 1.0])))
-    return net
-
-
-def narrow_to_best_tier(net: PhysicalNetwork, candidates: list[int]) -> list[int]:
-    """Reference P2C-2 narrowing: one pass over an eligibility list keeping
-    the servers of the best tier present, CCP over CDC over EDC, servers
-    outside any DC last."""
-    best, pool = len(TIER_ORDER) + 1, []
-    for s in candidates:
-        dc = net.data_centers.get(net.nodes[s].dc)
-        r = TIER_ORDER.index(dc.kind) if dc else len(TIER_ORDER)
-        if r == best:
-            pool.append(s)
-        elif r < best:
-            best, pool = r, [s]
-    return pool
-
-
 def add_dc_less_server(net: PhysicalNetwork, data) -> None:
     """A server outside any data center, linked to one or two random nodes.
     `validate` rejects such a network and no builder makes one, but the
@@ -662,8 +518,8 @@ def add_dc_less_server(net: PhysicalNetwork, data) -> None:
                        cpu_residual=cpu, ram_residual=6 * cpu))
     for nbr in data.draw(st.lists(st.integers(0, sid - 1), min_size=1, max_size=2,
                                   unique=True)):
-        net.add_link(nbr, sid, data.draw(st.sampled_from(_LATENCIES)),
-                     LinkKind.TRANSPORT, data.draw(st.sampled_from(_BWS)))
+        net.add_link(nbr, sid, data.draw(st.sampled_from(LINK_LATENCIES)),
+                     LinkKind.TRANSPORT, data.draw(st.sampled_from(LINK_BWS)))
 
 
 class TestReachBoundedEligibility:
@@ -713,7 +569,7 @@ class TestReachBoundedEligibility:
     @given(loaded_substrates(), st.data())
     def test_reach_matches_plain_dijkstra(self, net, data):
         src = data.draw(st.integers(0, len(net.nodes) - 1))
-        bw = data.draw(st.sampled_from([0.0] + _BWS))
+        bw = data.draw(st.sampled_from([0.0] + LINK_BWS))
         budget = data.draw(st.sampled_from([-0.5, 0.0, 0.1, 0.33, 1.0, 5.0]))
         assert latency_reach(net, src, bw, budget) == plain_reach(net, src, bw, budget)
 
@@ -722,7 +578,7 @@ class TestReachBoundedEligibility:
     def test_hop_path_matches_plain_bfs(self, net, data):
         src, dst = data.draw(st.lists(st.integers(0, len(net.nodes) - 1),
                                       min_size=2, max_size=2, unique=True))
-        bw = data.draw(st.sampled_from([0.0] + _BWS))
+        bw = data.draw(st.sampled_from([0.0] + LINK_BWS))
         # with no latency limit the minimum-hop path always wins
         assert min_cost_path(net, src, dst, bw, float("inf")) == \
                plain_hop_path(net, src, dst, bw)

@@ -103,12 +103,6 @@ class TestScenario:
         with pytest.raises(ValueError, match="finite"):
             Scenario("x", {SliceClass.URLLC: 1.0}, 0.5, **{field: float("inf")})
 
-    def test_fingerprint_distinguishes_load(self):
-        a = Scenario.named("urllc", 0.5)
-        b = Scenario.named("urllc", 0.6)
-        assert a.fingerprint() == Scenario.named("urllc", 0.5).fingerprint()
-        assert a.fingerprint() != b.fingerprint()
-
     def test_algorithm_parse(self):
         assert Algorithm.parse("p2c-1") is Algorithm.P2C_1
         assert Algorithm.parse("ILP-2") is Algorithm.ILP_2
@@ -334,6 +328,25 @@ class TestValidateAudit:
         monkeypatch.setattr(sim, "release_placement", sneaky)
         sc = short_scenario(horizon=300.0, warmup=0.0)
         with pytest.raises(SimulationInvariantError, match="residual vectors drifted"):
+            run(net, sc, "p2c-1", 1, validate=True)
+        assert len(released) == 1
+
+    def test_uplink_written_behind_the_network_is_caught(self, net, monkeypatch):
+        # the same for the bandwidth of a server's one link, which the
+        # residual vectors keep by server position
+        released = []
+
+        def sneaky(psn, request, placement):
+            sim_release(psn, request, placement)
+            if not released:
+                (_, lid), = psn.adj[placement.x[1]]
+                psn.links[lid].bw_residual -= 1.0
+            released.append(request.id)
+
+        sim_release = sim.release_placement
+        monkeypatch.setattr(sim, "release_placement", sneaky)
+        sc = short_scenario(horizon=300.0, warmup=0.0)
+        with pytest.raises(SimulationInvariantError, match="up_bw vector holds"):
             run(net, sc, "p2c-1", 1, validate=True)
         assert len(released) == 1
 

@@ -386,9 +386,10 @@ class TestStructureIndex:
         assert all(a is not b for a, b in zip(net.servers(), twin.servers()))
         # the structure and its caches are shared, not rebuilt; residuals are not
         idx, got = net.index(), twin.index()
-        for name in ("adj_sorted", "tier_rank", "up_link", "tier_masks", "alpha", "root_masks"):
+        for name in ("adj_sorted", "tier_rank", "up_link", "anchor_slot", "link_up_pos",
+                     "tier_masks", "alpha", "root_masks"):
             assert getattr(got, name) is getattr(idx, name)
-        for name in ("cpu", "ram", "bw"):
+        for name in ("cpu", "ram", "up_bw"):
             assert getattr(got, name) is not getattr(idx, name)
 
     def test_capacity_changes_keep_the_index(self):
@@ -486,10 +487,6 @@ def assert_index_matches(net: PhysicalNetwork) -> None:
     servers = net.servers()
     assert idx.cpu.tolist() == [s.cpu_residual for s in servers]
     assert idx.ram.tolist() == [s.ram_residual for s in servers]
-    bw = idx.bw.tolist()
-    assert len(bw) == len(net.links) + 1 and bw[-1] != bw[-1]  # NaN slot
-    for link, got in zip(net.links, bw):
-        assert got == link.bw_residual if link.bw_residual is not None else got != got
     assert idx.id.tolist() == [s.id for s in servers]
     assert [idx.pos[s.id] for s in servers] == list(range(len(servers)))
     dcs = list(net.data_centers)
@@ -501,15 +498,27 @@ def assert_index_matches(net: PhysicalNetwork) -> None:
     assert not idx.tier_masks.flags.writeable
     assert idx.tier_masks.tolist() == [[idx.tier_rank[s.id] == r for s in servers]
                                        for r in range(len(TIER_ORDER) + 1)]
+    anchors = sorted({net.adj[s.id][0][0] for s in servers if len(net.adj[s.id]) == 1})
+    assert list(idx.anchors) == anchors
+    assert not idx.anchor_slot.flags.writeable
+    assert idx.anchor_slot.tolist() == [anchors.index(u) if u in anchors else len(anchors)
+                                        for u in range(len(net.nodes))]
+    link_up_pos: list[list[int]] = [[] for _ in net.links]
     for p, s in enumerate(servers):
         entries = net.adj[s.id]
         if len(entries) == 1:
             nbr, lid = entries[0]
-            want = (lid, nbr, net.links[lid].latency_ms)
+            link_up_pos[lid].append(p)
+            bw = net.links[lid].bw_residual
+            want = (lid, anchors.index(nbr), net.links[lid].latency_ms)
         else:
-            want = (len(net.links), len(net.nodes), 0.0)
-        assert (idx.up_link[p], idx.up_nbr[p], idx.up_lat[p]) == want
+            bw = None
+            want = (len(net.links), len(anchors), 0.0)
+        assert (idx.up_link[p], idx.up_anchor[p], idx.up_lat[p]) == want
+        got = idx.up_bw[p]
+        assert got == bw if bw is not None else got != got  # NaN
         assert (p in idx.multi) == (len(entries) > 1)
+    assert [list(ps) for ps in idx.link_up_pos] == link_up_pos
 
 
 _VEC_OPS = _TX_OPS | st.tuples(st.sampled_from(
@@ -603,8 +612,8 @@ class TestResidualArrays:
         net.server(sid).cpu_residual = 49.0  # behind the network's back
         assert net.vector_drift() == f"server {sid}: cpu vector holds 50.0, residual is 49.0"
         net.server(sid).cpu_residual = 50.0
-        net.links[2].bw_residual = 1.0
-        assert net.vector_drift().startswith("link 2: bw vector holds")
+        net.links[2].bw_residual = 1.0  # server 4's one link
+        assert net.vector_drift() == "server 4: up_bw vector holds 100.0, residual is 1.0"
 
 
 class TestSerialization:
