@@ -127,6 +127,12 @@ class RunConfig:
             if not isinstance(obj["catalog"], Mapping):
                 raise ConfigError("catalog must be an object")
             try:
+                for name, entry in obj["catalog"].items():
+                    for key in ("cpu_per_vnf", "ram_per_vnf", "bw_per_vl", "alpha_max_ms"):
+                        _typed(entry[key], float, f"{name} {key}")
+                    _typed(entry.get("e2e_budget_ms"), float, f"{name} e2e_budget_ms", nullable=True)
+                    for b in entry["vl_budgets_ms"]:
+                        _typed(b, float, f"{name} vl_budgets_ms")
                 cfg.catalog = catalog_from_json(obj["catalog"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"bad catalog: {exc}") from exc

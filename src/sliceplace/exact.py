@@ -27,7 +27,7 @@ from typing import Iterable
 from .nspr import SliceRequest
 from .placement import (LATENCY_EPS, Placement, _root_mask, bandwidth_cost,
                         latency_reach, lookahead_ok)
-from .topology import PhysicalNetwork, Server
+from .topology import PhysicalNetwork, Server, to_units
 
 DEFAULT_NODE_BUDGET = 200_000
 
@@ -71,16 +71,16 @@ def _enumerate_paths(psn: PhysicalNetwork, src: int, dsts: Iterable[int], bw: fl
     visited = {src}
     trail: list[int] = []
     adj_sorted = psn.index().adj_sorted
-    links = psn.links
+    links, bw_units, need = psn.links, psn.bw_units, to_units(bw)
 
     def dfs(u: int, lat: float) -> None:
         for v, lid in adj_sorted[u]:
-            if v in visited:
+            # a destination may relay to another one; a degree-1 node leads
+            # nowhere but back, so one that is no destination is skipped
+            leaf = len(adj_sorted[v]) == 1
+            if v in visited or (leaf and v not in open_dsts) or bw_units[lid] < need:
                 continue
-            link = links[lid]
-            if link.bw_residual is None or link.bw_residual < bw:
-                continue
-            nl = lat + link.latency_ms
+            nl = lat + links[lid].latency_ms
             if nl > budget_ms + LATENCY_EPS:
                 continue
             if v in open_dsts:
@@ -91,9 +91,7 @@ def _enumerate_paths(psn: PhysicalNetwork, src: int, dsts: Iterable[int], bw: fl
                     truncated.add(v)
                     if not open_dsts:
                         return
-            # a destination may relay to another one; a degree-1 node
-            # leads nowhere but back
-            if len(adj_sorted[v]) > 1:
+            if not leaf:
                 visited.add(v)
                 trail.append(lid)
                 dfs(v, nl)
@@ -111,6 +109,7 @@ def _solve(psn: PhysicalNetwork, request: SliceRequest, *, find_optimal: bool,
            max_nodes: int | None, max_paths_per_vl: int | None) -> SolveResult:
     n = request.n_vnfs
     servers = {s.id: s for s in psn.servers()}
+    pos, cpu, ram, bw_units = psn.index().pos, psn.cpu_units, psn.ram_units, psn.bw_units
 
     best_cost: float | None = None
     best_x: dict[int, int] | None = None
@@ -119,17 +118,18 @@ def _solve(psn: PhysicalNetwork, request: SliceRequest, *, find_optimal: bool,
     deepest = 0
     truncated_any = False
 
-    need_cpu = sum(request.vnf(v).cpu for v in range(1, n + 1))
-    need_ram = sum(request.vnf(v).ram for v in range(1, n + 1))
+    need_cpu = sum(to_units(request.vnf(v).cpu) for v in range(1, n + 1))
+    need_ram = sum(to_units(request.vnf(v).ram) for v in range(1, n + 1))
 
     x: dict[int, int] = {}
     y: dict[int, list[int]] = {}
 
     def twin_key(srv: Server) -> tuple:
         incident = tuple(sorted(
-            (nbr, psn.links[lid].bw_residual, psn.links[lid].latency_ms)
+            (nbr, bw_units[lid], psn.links[lid].latency_ms)
             for nbr, lid in psn.adj[srv.id]))
-        return (srv.dc, srv.cpu_residual, srv.ram_residual, incident)
+        p = pos[srv.id]
+        return (srv.dc, cpu[p], ram[p], incident)
 
     def dedupe(cands: list[int]) -> list[int]:
         # same-signature servers behind the same neighbors are automorphic
@@ -150,8 +150,7 @@ def _solve(psn: PhysicalNetwork, request: SliceRequest, *, find_optimal: bool,
         ok = lookahead_ok(psn, request, v)
         if v == 1:
             # depth-invariant: deeper, residuals and demands drop by what is held
-            if sum(s.cpu_residual for s in servers.values()) < need_cpu or \
-               sum(s.ram_residual for s in servers.values()) < need_ram:
+            if sum(cpu) < need_cpu or sum(ram) < need_ram:
                 return []
             roots = psn.index().id[_root_mask(psn, request)].tolist()
             cands = [sid for sid in roots if ok(servers[sid])]

@@ -9,11 +9,14 @@ Chain length is the number of VL budgets plus one.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
 
 import numpy as np
+
+from .topology import to_units
 
 
 class SliceClass(str, Enum):
@@ -27,6 +30,7 @@ class ClassSpec:
     """Per-class demand and latency profile.
 
     `e2e_budget_ms` of None means the access bound plus the sum of VL budgets.
+    Numbers must be finite, demands whole residual units (`to_units`).
     """
 
     cpu_per_vnf: float
@@ -37,7 +41,11 @@ class ClassSpec:
     e2e_budget_ms: float | None = None
 
     def __post_init__(self) -> None:
-        if self.cpu_per_vnf <= 0 or self.ram_per_vnf <= 0 or self.bw_per_vl <= 0:
+        demands = (self.cpu_per_vnf, self.ram_per_vnf, self.bw_per_vl)
+        if not all(map(math.isfinite, (*demands, self.alpha_max_ms, *self.vl_budgets_ms,
+                                       self.effective_e2e_ms()))):
+            raise ValueError("class numbers must be finite")
+        if min(map(to_units, demands)) <= 0:
             raise ValueError("demands must be positive")
         if self.alpha_max_ms <= 0:
             raise ValueError("alpha_max_ms must be positive")

@@ -16,7 +16,8 @@ routines that produce placements:
   9  access latency of the first VNF's DC within the class bound
   10 access latency plus total path latency within the end-to-end budget
 
-Latency comparisons use a 1e-9 ms epsilon; capacity arithmetic is exact.
+Latency comparisons use a 1e-9 ms epsilon. Capacity arithmetic is exact: it
+runs on integer counts of 1/SCALE CPU units, GB or Gbps (`to_units`).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .nspr import SliceRequest
-from .topology import PhysicalNetwork, Server
+from .topology import SCALE, PhysicalNetwork, Server, to_units
 
 LATENCY_EPS = 1e-9
 
@@ -188,20 +189,21 @@ def check_placement(psn: PhysicalNetwork, request: SliceRequest,
         else:
             assigned[v] = servers[0]
 
-    cpu_load: dict[int, float] = {}
-    ram_load: dict[int, float] = {}
+    cpu_load: dict[int, int] = {}  # in residual units, as bw_load
+    ram_load: dict[int, int] = {}
     for v, s in assigned.items():
         d = request.vnf(v)
-        cpu_load[s] = cpu_load.get(s, 0.0) + d.cpu
-        ram_load[s] = ram_load.get(s, 0.0) + d.ram
+        cpu_load[s] = cpu_load.get(s, 0) + to_units(d.cpu)
+        ram_load[s] = ram_load.get(s, 0) + to_units(d.ram)
+    pos = psn.index().pos
     for s, load in sorted(cpu_load.items()):
-        srv = psn.server(s)
-        if load > srv.cpu_residual:
-            violations.append((2, f"server {s}: CPU demand {load} exceeds free {srv.cpu_residual}"))
-        if ram_load[s] > srv.ram_residual:
-            violations.append((3, f"server {s}: RAM demand {ram_load[s]} exceeds free {srv.ram_residual}"))
+        cpu, ram = psn.cpu_units[pos[s]], psn.ram_units[pos[s]]
+        if load > cpu:
+            violations.append((2, f"server {s}: CPU demand {load / SCALE} exceeds free {cpu / SCALE}"))
+        if ram_load[s] > ram:
+            violations.append((3, f"server {s}: RAM demand {ram_load[s] / SCALE} exceeds free {ram / SCALE}"))
 
-    bw_load: dict[int, float] = {}
+    bw_load: dict[int, int] = {}
     total_path_latency = 0.0
     for i in range(1, n):
         path = y_paths.get(i, [])
@@ -238,22 +240,22 @@ def check_placement(psn: PhysicalNetwork, request: SliceRequest,
                         cur = nxt
                     if contiguous and cur != b:
                         violations.append((5, f"VL {i}: path ends at {cur}, not server {b}"))
-        d_bw = request.vl(i).bw
+        d_bw = to_units(request.vl(i).bw)
         for lid in path:
             link = psn.links[lid]
             if link.bw_capacity is None:
                 violations.append((4, f"VL {i}: link {lid} carries no bandwidth accounting"))
             else:
-                bw_load[lid] = bw_load.get(lid, 0.0) + d_bw
+                bw_load[lid] = bw_load.get(lid, 0) + d_bw
         latency = sum(psn.links[lid].latency_ms for lid in path)
         if latency > request.vl(i).budget_ms + LATENCY_EPS:
             violations.append((8, f"VL {i}: latency {latency} exceeds budget {request.vl(i).budget_ms}"))
         total_path_latency += latency
 
     for lid, load in sorted(bw_load.items()):
-        link = psn.links[lid]
-        if load > link.bw_residual:
-            violations.append((4, f"link {lid}: bandwidth demand {load} exceeds free {link.bw_residual}"))
+        free = psn.bw_units[lid]
+        if load > free:
+            violations.append((4, f"link {lid}: bandwidth demand {load / SCALE} exceeds free {free / SCALE}"))
 
     root = assigned.get(1)
     if root is not None:
@@ -287,9 +289,10 @@ def min_cost_path(psn: PhysicalNetwork, src: int, dst: int, bw: float,
     if src == dst:
         return [] if budget_ms >= -LATENCY_EPS else None
 
+    need, bw_units = to_units(bw), psn.bw_units
+
     def usable(lid: int) -> bool:
-        r = psn.links[lid].bw_residual
-        return r is not None and r >= bw
+        return bw_units[lid] >= need
 
     def unwind(par: dict[int, tuple[int, int]], node: int) -> list[int]:
         path = []
@@ -368,7 +371,7 @@ def _relay_reach(psn: PhysicalNetwork, src: int, bw: float,
     operation per reached relay node, whatever the number of servers.
     """
     relay_adj = psn.index().relay_adj
-    links = psn.links
+    links, bw_units, need = psn.links, psn.bw_units, to_units(bw)
     dist = {src: 0.0}
     pq: list[tuple[float, int]] = [(0.0, src)]
     while pq:
@@ -376,11 +379,9 @@ def _relay_reach(psn: PhysicalNetwork, src: int, bw: float,
         if d > dist[u]:
             continue
         for v, lid in relay_adj[u]:
-            link = links[lid]
-            r = link.bw_residual
-            if r is None or r < bw:
+            if bw_units[lid] < need:
                 continue
-            nd = d + link.latency_ms
+            nd = d + links[lid].latency_ms
             if nd <= limit and nd < dist.get(v, float("inf")):
                 dist[v] = nd
                 heapq.heappush(pq, (nd, v))
@@ -399,23 +400,20 @@ def latency_reach(psn: PhysicalNetwork, src: int, bw: float,
     limit = budget_ms + LATENCY_EPS
     dist = _relay_reach(psn, src, bw, limit)
     leaf_adj = psn.index().leaf_adj
-    links = psn.links
+    links, bw_units, need = psn.links, psn.bw_units, to_units(bw)
     for u, d in list(dist.items()):
         for v, lid in leaf_adj[u]:
-            link = links[lid]
-            r = link.bw_residual
-            if r is None or r < bw or v in dist:
+            if bw_units[lid] < need or v in dist:
                 continue
-            nd = d + link.latency_ms
+            nd = d + links[lid].latency_ms
             if nd <= limit:
                 dist[v] = nd
     return dist
 
 
-def _has_uplink(psn: PhysicalNetwork, server_id: int, bw: float) -> bool:
+def _has_uplink(psn: PhysicalNetwork, server_id: int, need: int) -> bool:
     for _, lid in psn.adj[server_id]:
-        r = psn.links[lid].bw_residual
-        if r is not None and r >= bw:
+        if psn.bw_units[lid] >= need:
             return True
     return False
 
@@ -431,14 +429,20 @@ def lookahead_ok(psn: PhysicalNetwork, request: SliceRequest,
                  v: int) -> Callable[[Server], bool]:
     """Predicate for hosting VNF v: room for it plus, before the final VNF,
     room for VNF v+1 too or an incident link that can carry VL v."""
+    pos, cpu_units, ram_units = psn.index().pos, psn.cpu_units, psn.ram_units
     d = request.vnf(v)
+    cpu, ram = to_units(d.cpu), to_units(d.ram)
     if v == request.n_vnfs:
-        return lambda srv: srv.fits(d.cpu, d.ram)
+        return lambda srv: cpu_units[pos[srv.id]] >= cpu and ram_units[pos[srv.id]] >= ram
     d_next = request.vnf(v + 1)
-    cpu_both, ram_both = d.cpu + d_next.cpu, d.ram + d_next.ram
-    bw_next = request.vl(v).bw
-    return lambda srv: (srv.fits(cpu_both, ram_both)
-                        or (srv.fits(d.cpu, d.ram) and _has_uplink(psn, srv.id, bw_next)))
+    cpu_both, ram_both = cpu + to_units(d_next.cpu), ram + to_units(d_next.ram)
+    bw_next = to_units(request.vl(v).bw)
+
+    def ok(srv: Server) -> bool:
+        c, r = cpu_units[pos[srv.id]], ram_units[pos[srv.id]]
+        return ((c >= cpu_both and r >= ram_both)
+                or (c >= cpu and r >= ram and _has_uplink(psn, srv.id, bw_next)))
+    return ok
 
 
 def _root_mask(psn: PhysicalNetwork, request: SliceRequest) -> np.ndarray:
@@ -474,7 +478,8 @@ def feasible_servers(psn: PhysicalNetwork, request: SliceRequest, v: int,
     runs over the relay nodes only (switches, routers; no server of the
     reference substrate). Each reached anchor, a node across some server's
     one link (a DC switch), gets the latency left of the limit; then a few
-    compares over the arrays of `psn.index()` decide every server at once:
+    compares over the arrays of `psn.index()` and the residual views of
+    `psn.vectors()`, all in integer units, decide every server at once:
     a server with one link is reached when its link's latency is within
     what its anchor has left and the link carries the VL; one with more
     links is a relay itself. The result equals an all-server scan of the
@@ -484,9 +489,14 @@ def feasible_servers(psn: PhysicalNetwork, request: SliceRequest, v: int,
     if not 1 <= v <= n:
         raise ValueError(f"VNF index {v} outside chain 1..{n}")
     idx = psn.index()
+    cpu, ram, bw = psn.vectors()
     d_v = request.vnf(v)
-    ok = idx.cpu >= d_v.cpu
-    ok &= idx.ram >= d_v.ram
+    cpu_v, ram_v = to_units(d_v.cpu), to_units(d_v.ram)
+    ok = cpu >= cpu_v
+    ok &= ram >= ram_v
+    # by server position, the bandwidth left on its one link; -1 (no accounting,
+    # or no one link: the trailing slot) passes no demand
+    up_bw = bw[idx.up_link]
 
     if v == 1:
         ok &= _root_mask(psn, request)
@@ -494,6 +504,7 @@ def feasible_servers(psn: PhysicalNetwork, request: SliceRequest, v: int,
         if last_s is None:
             raise ValueError("last_s is required for VNFs beyond the first")
         vl = request.vl(v - 1)
+        bw_vl = to_units(vl.bw)
         slack = request.e2e_budget_ms - used_e2e_ms
         limit = min(vl.budget_ms, slack) + LATENCY_EPS
         relay = _relay_reach(psn, last_s, vl.bw, limit)
@@ -508,7 +519,7 @@ def feasible_servers(psn: PhysicalNetwork, request: SliceRequest, v: int,
         thr[idx.anchor_slot[list(relay)]] = [limit - d for d in relay.values()]
         thr[-1] = np.nan  # reached relays that anchor no server land here
         base = idx.up_lat <= thr[idx.up_anchor]
-        base &= idx.up_bw >= vl.bw
+        base &= up_bw >= bw_vl
         # a server with several links is a relay itself; last_s is always reached
         for p in idx.multi:
             base[p] = int(idx.id[p]) in relay
@@ -520,23 +531,23 @@ def feasible_servers(psn: PhysicalNetwork, request: SliceRequest, v: int,
         # `lookahead_ok`: room for VNF v+1 as well, or a link that carries
         # VL v. Room for both implies room for VNF v, since demands are
         # non-negative (`ClassSpec` and `allocate` reject negative ones)
-        d_next, bw_next = request.vnf(v + 1), request.vl(v).bw
-        cpu_both, ram_both = d_v.cpu + d_next.cpu, d_v.ram + d_next.ram
-        if v > 1 and bw_next <= vl.bw:
+        d_next, bw_next = request.vnf(v + 1), to_units(request.vl(v).bw)
+        cpu_both, ram_both = cpu_v + to_units(d_next.cpu), ram_v + to_units(d_next.ram)
+        if v > 1 and bw_next <= bw_vl:
             # Implied: every server that passed reach other than last_s was
             # entered over a link with residual >= bw(VL v-1) >= bw(VL v),
             # its one link or, for a relay server, a relay link; so it has a
             # link that carries VL v. Only last_s needs the rule.
             p = idx.pos[last_s]
             if p >= 0 and ok[p]:
-                ok[p] = (idx.servers[p].fits(cpu_both, ram_both)
+                ok[p] = ((psn.cpu_units[p] >= cpu_both and psn.ram_units[p] >= ram_both)
                          or _has_uplink(psn, last_s, bw_next))
         else:
             # the one expression fits & (exempt | uplink | both) equals the rule
-            ahead = idx.up_bw >= bw_next
+            ahead = up_bw >= bw_next
             for p in idx.multi:
                 ahead[p] = _has_uplink(psn, int(idx.id[p]), bw_next)
-            ahead |= (idx.cpu >= cpu_both) & (idx.ram >= ram_both)
+            ahead |= (cpu >= cpu_both) & (ram >= ram_both)
             if v > 1:
                 # only last_s's own DC applies the lookahead
                 ahead |= idx.dc != idx.dc_index.get(psn.nodes[last_s].dc, -1)

@@ -19,6 +19,7 @@ import csv
 import heapq
 import math
 import time
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from statistics import NormalDist
@@ -32,7 +33,7 @@ from .nspr import (DEFAULT_CATALOG, DEFAULT_MIX, ClassSpec, SliceClass,
 from .p2c import OutcomeStatus, PlacementOutcome, Policy, place
 from .placement import (Placement, apply_placement, check_placement,
                         release_placement)
-from .topology import LinkKind, PhysicalNetwork
+from .topology import SCALE, LinkKind, PhysicalNetwork, to_units
 
 TIER_GROUPS = ("EDC", "CDC", "CCP")
 ALL_GROUPS = TIER_GROUPS + ("transport",)
@@ -298,35 +299,35 @@ class _Accounting:
         return util, avg, total_bw
 
 
-def _audit_conservation(net: PhysicalNetwork,
-                        held: dict[int, tuple[SliceRequest, Placement]]) -> None:
-    want_cpu: dict[int, float] = {}
-    want_ram: dict[int, float] = {}
-    want_bw: dict[int, float] = {}
-    for request, placement in held.values():
+class _Ledger:
+    """The residuals a run should see, in residual units: those it started
+    from less what the held placements hold. It is kept from the placements
+    themselves, on commit and on departure, never from the transaction log."""
+
+    def __init__(self, net: PhysicalNetwork) -> None:
+        self.pos = net.index().pos
+        self.expect = tuple(array("q", a) for a in (net.cpu_units, net.ram_units, net.bw_units))
+
+    def commit(self, request: SliceRequest, placement: Placement, sign: int) -> None:
+        cpu, ram, bw = self.expect
         for v, s in placement.x.items():
             d = request.vnf(v)
-            want_cpu[s] = want_cpu.get(s, 0.0) + d.cpu
-            want_ram[s] = want_ram.get(s, 0.0) + d.ram
+            cpu[self.pos[s]] -= sign * to_units(d.cpu)
+            ram[self.pos[s]] -= sign * to_units(d.ram)
         for i, path in placement.y.items():
-            bw = request.vl(i).bw
+            units = sign * to_units(request.vl(i).bw)
             for lid in path:
-                want_bw[lid] = want_bw.get(lid, 0.0) + bw
-    for srv in net.servers():
-        used_cpu = srv.cpu_capacity - srv.cpu_residual
-        used_ram = srv.ram_capacity - srv.ram_residual
-        if used_cpu != want_cpu.get(srv.id, 0.0) or used_ram != want_ram.get(srv.id, 0.0):
-            raise SimulationInvariantError(
-                f"server {srv.id}: held {used_cpu}/{used_ram}, "
-                f"expected {want_cpu.get(srv.id, 0.0)}/{want_ram.get(srv.id, 0.0)}")
-    for link in net.links:
-        if link.bw_capacity is None:
-            continue
-        used = link.bw_capacity - link.bw_residual
-        if used != want_bw.get(link.id, 0.0):
-            raise SimulationInvariantError(
-                f"link {link.id}: held bandwidth {used}, "
-                f"expected {want_bw.get(link.id, 0.0)}")
+                bw[lid] -= units
+
+    def audit(self, net: PhysicalNetwork) -> None:
+        """Every residual must be what the ledger expects (one memcmp each)."""
+        for name, want, have in zip(("cpu", "ram", "bandwidth"), self.expect,
+                                    (net.cpu_units, net.ram_units, net.bw_units)):
+            if want != have:
+                i = next(i for i, (w, h) in enumerate(zip(want, have)) if w != h)
+                where = f"link {i}" if name == "bandwidth" else f"server {net.servers()[i].id}"
+                raise SimulationInvariantError(
+                    f"{where}: {name} residual {have[i] / SCALE}, expected {want[i] / SCALE}")
 
 
 def place_request(net: PhysicalNetwork, request: SliceRequest, algorithm: Algorithm,
@@ -359,8 +360,8 @@ def run(psn: PhysicalNetwork, scenario: Scenario, algorithm: Algorithm | str,
     structure index). With validate=True the independent checker
     re-verifies every acceptance against the pre-commit state, a full
     snapshot confirms that every rejection left no trace, and after every
-    event conservation is re-derived and the index's residual arrays must
-    equal the residual attributes exactly (slow; for audits and tests).
+    event every residual must equal, in residual units, what a ledger kept
+    from the held placements expects.
     """
     if isinstance(algorithm, str):
         algorithm = Algorithm.parse(algorithm)
@@ -389,6 +390,7 @@ def run(psn: PhysicalNetwork, scenario: Scenario, algorithm: Algorithm | str,
                  for c in scenario.mix}
 
     held: dict[int, tuple[SliceRequest, Placement]] = {}
+    ledger = _Ledger(net) if validate else None
     total_cost = 0.0
     times_ms: list[float] = []
 
@@ -408,6 +410,8 @@ def run(psn: PhysicalNetwork, scenario: Scenario, algorithm: Algorithm | str,
             request, placement = held.pop(req_id)
             release_placement(net, request, placement)
             acct.commit(request, placement, -1.0)
+            if validate:
+                ledger.commit(request, placement, -1)
             report.departures += 1
         else:
             report.arrivals += 1
@@ -443,6 +447,8 @@ def run(psn: PhysicalNetwork, scenario: Scenario, algorithm: Algorithm | str,
                 total_cost += placement.cost
                 held[request.id] = (request, placement)
                 acct.commit(request, placement, +1.0)
+                if validate:
+                    ledger.commit(request, placement, +1)
                 seq += 1
                 heapq.heappush(events, (t + holding, 0, seq, request.id))
             else:
@@ -461,10 +467,7 @@ def run(psn: PhysicalNetwork, scenario: Scenario, algorithm: Algorithm | str,
                                     1, seq, -1))
 
         if validate:
-            drift = net.vector_drift()
-            if drift is not None:
-                raise SimulationInvariantError(f"residual vectors drifted: {drift}")
-            _audit_conservation(net, held)
+            ledger.audit(net)
 
     acct.finish()
 

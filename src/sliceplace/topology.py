@@ -1,24 +1,27 @@
 """Physical substrate network: typed nodes, capacitated links, data centers.
 
 The substrate is an undirected multigraph-free graph of user access points,
-switches, routers and servers. Servers track CPU/RAM residuals, links track
-bandwidth residuals plus a fixed latency. Data centers group servers behind a
+switches, routers and servers. Servers have CPU/RAM capacities, links a
+bandwidth capacity plus a fixed latency. Data centers group servers behind a
 single switch in three tiers (EDC, CDC, CCP) wired as a star; intra-DC links
 have zero latency, transport links derive latency from fiber length.
 
 Units: latency in milliseconds, bandwidth in Gbps, CPU in abstract units,
-RAM in GB, distances in km.
+RAM in GB, distances in km. The network holds residuals as exact integer
+counts of 1/SCALE of these units (`to_units`).
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import json
 import sys
 import uuid
+from array import array
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -58,6 +61,22 @@ class ReleaseError(ValueError):
     """Release would push a residual above its capacity."""
 
 
+# Residual units per CPU unit, GB and Gbps: an amount given to six decimals
+# is a whole number of units, and up to _MAX_AMOUNT each count is its own float.
+SCALE = 10**6
+_MAX_AMOUNT = 10**9
+
+
+@functools.lru_cache(maxsize=4096)
+def to_units(amount: float) -> int:
+    """`amount` as a count of residual units. Raises TopologyError unless it
+    is finite, in [0, _MAX_AMOUNT] and exactly units / SCALE. Each distinct
+    amount is converted once."""
+    if not 0 <= amount <= _MAX_AMOUNT or round(amount * SCALE) / SCALE != amount:
+        raise TopologyError(f"amount {amount!r} is not a multiple of {1 / SCALE} in [0, {_MAX_AMOUNT}]")
+    return round(amount * SCALE)
+
+
 @dataclass
 class Node:
     id: int
@@ -70,11 +89,6 @@ class Node:
 class Server(Node):
     cpu_capacity: float = 0.0
     ram_capacity: float = 0.0
-    cpu_residual: float = 0.0
-    ram_residual: float = 0.0
-
-    def fits(self, cpu: float, ram: float) -> bool:
-        return self.cpu_residual >= cpu and self.ram_residual >= ram
 
 
 @dataclass
@@ -86,7 +100,6 @@ class PhysicalLink:
     kind: LinkKind
     # None means the link carries no bandwidth accounting (access links).
     bw_capacity: float | None = None
-    bw_residual: float | None = None
 
     def other(self, node_id: int) -> int:
         if node_id == self.a:
@@ -143,6 +156,8 @@ class TopologyParams:
                      "edc_bw_gbps", "propagation_mps"):
             if getattr(self, name) <= 0:
                 raise TopologyError(f"{name} must be positive")
+        for name in ("server_cpu", "server_ram", "ccp_bw_gbps", "cdc_bw_gbps", "edc_bw_gbps"):
+            to_units(getattr(self, name))
         for name in ("cdc_edc_km", "cdc_ccp_km", "cdc_cdc_km", "access_latency_ms"):
             if getattr(self, name) < 0:
                 raise TopologyError(f"{name} must be non-negative")
@@ -168,12 +183,11 @@ _PARAM_TYPES = {name: type(f.default)
 
 class StructureIndex(NamedTuple):
     """Everything a network derives from its nodes, data centers and links,
-    plus numpy mirrors of its server residuals.
+    shared, with its two caches, by the network's clones.
 
     Node and adjacency entries are in id order. Servers are also indexed by
-    position, their rank in `servers`. The residual arrays belong to one
-    network; every other field, the two caches included, is shared with its
-    clones."""
+    position, their rank in `servers` and their slot in the CPU and RAM
+    residual arrays."""
 
     servers: tuple[Server, ...]
     # node id -> its `adj` entries sorted by (neighbor id, link id)
@@ -195,14 +209,14 @@ class StructureIndex(NamedTuple):
     # by server position: node id, DC index (-1 for none), and for a server
     # with exactly one link that link's id, the anchor slot of the node
     # across it and its latency; any other server has link id len(links),
-    # the trailing slot len(anchors) and latency 0
+    # the bandwidth array's trailing slot, anchor slot len(anchors), latency 0.
+    # up_link is a slice where the links are 0..n-1 in server order, as the
+    # reference builder makes them, so that indexing with it copies nothing
     id: np.ndarray
     dc: np.ndarray
-    up_link: np.ndarray
+    up_link: np.ndarray | slice
     up_anchor: np.ndarray
     up_lat: np.ndarray
-    # link id -> positions of the servers whose one link it is (at most two)
-    link_up_pos: tuple[tuple[int, ...], ...]
     # positions of servers with two or more links
     multi: tuple[int, ...]
     # row r: read-only mask, by position, of the servers of tier rank r
@@ -212,54 +226,41 @@ class StructureIndex(NamedTuple):
     # eligibility (UAP, access bound) -> mask of root-DC servers
     alpha: dict[int, dict[str, float]]
     root_masks: dict[tuple[int, float], np.ndarray]
-    # residuals by server position: CPU, RAM, and the bandwidth of the
-    # server's one link; NaN marks a server without exactly one link or one
-    # whose link carries no bandwidth accounting, so no comparison holds there
-    cpu: np.ndarray
-    ram: np.ndarray
-    up_bw: np.ndarray
 
 
 @dataclass(frozen=True)
 class CapacitySnapshot:
-    """Immutable copy of every residual, bound to one network instance."""
+    """The bytes of the three residual arrays, bound to one network
+    instance: equal snapshots hold equal residuals."""
 
     token: str
-    server_cpu: tuple[float, ...]
-    server_ram: tuple[float, ...]
-    link_bw: tuple[float | None, ...]
+    server_cpu: bytes
+    server_ram: bytes
+    link_bw: bytes
 
 
 class PhysicalNetwork:
     """Substrate graph with residual-capacity bookkeeping.
 
     Nodes and links get dense integer ids in creation order; deterministic
-    tie-breaking elsewhere keys on those ids. Residuals change only through
-    allocate/release calls; inside a (nestable) transaction, `mark = begin()`
-    then `commit(mark)` or `rollback(mark)`, they log old residuals that a
-    rollback writes back exactly. `snapshot`/`restore` copy every residual.
+    tie-breaking elsewhere keys on those ids.
+
+    The one residual store is three `array('q')` of units (`to_units`):
+    `cpu_units` and `ram_units` by server position, and `bw_units` by link
+    id, -1 where a link has no bandwidth accounting, plus a trailing -1
+    slot for "no link". Scalar readers index them; `vectors()` gives
+    zero-copy numpy views. Residuals change only through allocate/release;
+    inside a (nestable) transaction, `mark = begin()` then `commit(mark)` or
+    `rollback(mark)`, each write logs (array, slot, old units) for a
+    rollback to write back. `snapshot`/`restore` copy the arrays whole.
 
     `index()` returns the one `StructureIndex`, built in one pass on first
-    use after a structural change: the server list that `servers()` and
-    every full scan read, sorted adjacency (in full and without leaf
-    neighbors), per-node tier ranks and per-tier server masks, static
-    per-server fields, the access-latency and root-mask caches, and numpy
-    float64 copies of the residuals that eligibility reads, by server
-    position: CPU, RAM and the bandwidth of the server's one link, so that
-    eligibility tests every server in a few array compares. Every
-    structural change (`_append`, behind `add_node`, `add_server` and
-    `add_data_center`, and `add_link`) drops it. Capacity changes keep it
-    and write its residual copies where residuals change: `_set` (every
-    allocate and release; a bandwidth write reaches the servers whose one
-    link it is), `rollback` and `restore`. A clone shares the index but
-    lists its own `Server` objects and owns copies of the residual arrays,
-    so residuals it allocates never show in the parent.
-
-    The `Server`/`PhysicalLink` residual attributes stay the scalar source
-    that the checker and the exact search read, because an attribute read
-    costs a fraction of a numpy scalar index and the exact search reads
-    link residuals millions of times per run. `vector_drift()` reports
-    where the two disagree.
+    use after a structural change (`_append`, behind `add_node`,
+    `add_server` and `add_data_center`, and `add_link`), which drops it and
+    the views. An array cannot grow while views of it are out, so it is
+    carried over to a fresh one first. A clone shares the index, the node
+    and link objects; it copies the containers a structural change writes
+    and the residual arrays, so nothing it changes shows in the parent.
 
     A data center's `servers` lists its servers in id order: `add_server`
     appends to it and `validate` (run by `from_json`) checks it.
@@ -274,17 +275,37 @@ class PhysicalNetwork:
         # node id -> [(neighbor id, link id)], insertion order
         self.adj: list[list[tuple[int, int]]] = []
         self._token = uuid.uuid4().hex
-        # (server or link, attribute, old value); log length at each open begin
-        self._undo: list[tuple[Server | PhysicalLink, str, float]] = []
+        self.cpu_units = array("q")
+        self.ram_units = array("q")
+        self.bw_units = array("q", [-1])
+        self._views: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        # (residual array, slot, old units); log length at each open begin
+        self._undo: list[tuple[array, int, int]] = []
         self._marks: list[int] = []
         self._index: StructureIndex | None = None
 
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "_views": None}  # a copied view shows no copy
+
     # -- construction ------------------------------------------------------
 
-    def _append(self, node: Node) -> None:
+    def _restructure(self) -> None:
+        """Drop the index and views; arrays that had views go to fresh copies."""
+        self._index = None
+        if self._views is not None:
+            self._views = None
+            fresh = {id(a): array("q", a) for a in self._stores()}
+            self._undo = [(fresh[id(a)], i, units) for a, i, units in self._undo]
+            self.cpu_units, self.ram_units, self.bw_units = fresh.values()
+
+    def _append(self, node: Node, cpu: int = 0, ram: int = 0) -> None:
+        """Add a node; a server's residual units fill its new slots."""
+        self._restructure()
         self.nodes.append(node)
         self.adj.append([])
-        self._index = None
+        if isinstance(node, Server):
+            self.cpu_units.append(cpu)
+            self.ram_units.append(ram)
 
     def add_node(self, label: str, kind: NodeKind, dc: str | None = None) -> int:
         if kind is NodeKind.SERVER:
@@ -294,14 +315,12 @@ class PhysicalNetwork:
         return node.id
 
     def add_server(self, label: str, dc: str, cpu: float, ram: float) -> int:
-        if cpu < 0 or ram < 0:
-            raise TopologyError("server capacities must be non-negative")
+        cpu_units, ram_units = to_units(cpu), to_units(ram)
         if dc not in self.data_centers:
             raise TopologyError(f"unknown data center {dc!r}")
         node = Server(id=len(self.nodes), label=label, kind=NodeKind.SERVER, dc=dc,
-                      cpu_capacity=cpu, ram_capacity=ram,
-                      cpu_residual=cpu, ram_residual=ram)
-        self._append(node)
+                      cpu_capacity=cpu, ram_capacity=ram)
+        self._append(node, cpu_units, ram_units)
         self.data_centers[dc].servers.append(node.id)
         return node.id
 
@@ -324,23 +343,18 @@ class PhysicalNetwork:
             raise TopologyError("latency must be non-negative")
         if kind is LinkKind.INTRA_DC and latency_ms != 0:
             raise TopologyError("intra-DC links must have zero latency")
-        if bw_capacity is not None and bw_capacity < 0:
-            raise TopologyError("bandwidth capacity must be non-negative")
+        units = -1 if bw_capacity is None else to_units(bw_capacity)
+        self._restructure()
         link = PhysicalLink(id=len(self.links), a=a, b=b, latency_ms=latency_ms,
-                            kind=kind, bw_capacity=bw_capacity, bw_residual=bw_capacity)
+                            kind=kind, bw_capacity=bw_capacity)
         self.links.append(link)
         self.adj[a].append((b, link.id))
         self.adj[b].append((a, link.id))
-        self._index = None
+        self.bw_units[-1] = units
+        self.bw_units.append(-1)
         return link.id
 
     # -- lookups -----------------------------------------------------------
-
-    def server(self, node_id: int) -> Server:
-        node = self.nodes[node_id]
-        if not isinstance(node, Server):
-            raise TopologyError(f"node {node_id} is not a server")
-        return node
 
     def link(self, link_id: int) -> PhysicalLink:
         if not 0 <= link_id < len(self.links):
@@ -363,14 +377,12 @@ class PhysicalNetwork:
             pos = [-1] * n_nodes
             up: list[tuple[int, int, float]] = []  # (link id, node across, latency)
             multi = []
-            link_up_pos: list[tuple[int, ...]] = [()] * n_links
             for p, s in enumerate(servers):
                 pos[s.id] = p
                 entries = self.adj[s.id]
                 if len(entries) == 1:
                     nbr, lid = entries[0]
                     up.append((lid, nbr, self.links[lid].latency_ms))
-                    link_up_pos[lid] += (p,)
                 else:
                     up.append((n_links, -1, 0.0))
                     if entries:
@@ -382,12 +394,10 @@ class PhysicalNetwork:
             anchor_slot.flags.writeable = False
             rank = {dc_id: TIER_ORDER.index(dc.kind) for dc_id, dc in self.data_centers.items()}
             dc_index = {dc_id: i for i, dc_id in enumerate(self.data_centers)}
-            up_link = np.array([lid for lid, _, _ in up], dtype=np.intp)
             tier_rank = tuple([rank.get(n.dc, len(TIER_ORDER)) for n in self.nodes])
             server_rank = np.array([tier_rank[s.id] for s in servers], dtype=np.intp)
             tier_masks = server_rank == np.arange(len(TIER_ORDER) + 1)[:, None]
             tier_masks.flags.writeable = False
-            cpu, ram = self._residual_arrays(servers)
             self._index = StructureIndex(
                 servers=servers,
                 adj_sorted=adj_sorted,
@@ -405,44 +415,38 @@ class PhysicalNetwork:
                 anchor_slot=anchor_slot,
                 id=np.array([s.id for s in servers], dtype=np.intp),
                 dc=np.array([dc_index.get(s.dc, -1) for s in servers], dtype=np.intp),
-                up_link=up_link,
+                up_link=(slice(0, len(up)) if [lid for lid, _, _ in up] == list(range(len(up)))
+                         else np.array([lid for lid, _, _ in up], dtype=np.intp)),
                 up_anchor=np.array([slot.get(nbr, len(anchors)) for _, nbr, _ in up],
                                    dtype=np.intp),
                 up_lat=np.array([lat for _, _, lat in up], dtype=float),
-                link_up_pos=tuple(link_up_pos),
                 multi=tuple(multi),
                 tier_masks=tier_masks,
                 alpha={},
-                root_masks={},
-                cpu=cpu, ram=ram,
-                up_bw=self._uplink_residuals([l.bw_residual for l in self.links], up_link))
+                root_masks={})
         return self._index
 
-    def _residual_arrays(self, servers: tuple[Server, ...]) -> tuple[np.ndarray, np.ndarray]:
-        return (np.array([s.cpu_residual for s in servers], dtype=float),
-                np.array([s.ram_residual for s in servers], dtype=float))
+    def vectors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Zero-copy int64 views of the residual arrays, until the next structural change."""
+        if self._views is None:
+            self._views = tuple(np.frombuffer(a, dtype=np.int64) for a in self._stores())
+        return self._views
 
-    @staticmethod
-    def _uplink_residuals(link_bw: Sequence[float | None], up_link: np.ndarray) -> np.ndarray:
-        """Each server's one-link residual from residuals by link id."""
-        # None (no accounting) and the trailing slot become NaN
-        return np.array([*link_bw, None], dtype=float)[up_link]
+    def _pos(self, server_id: int) -> int:
+        p = self.index().pos[server_id]
+        if p < 0:
+            raise TopologyError(f"node {server_id} is not a server")
+        return p
 
-    def vector_drift(self) -> str | None:
-        """None when the index is unbuilt or its residual arrays equal every
-        residual attribute exactly; otherwise where they first differ."""
-        idx = self._index
-        if idx is None:
-            return None
-        want = (*self._residual_arrays(idx.servers),
-                self._uplink_residuals([l.bw_residual for l in self.links], idx.up_link))
-        for name, have, exp in zip(("cpu", "ram", "up_bw"), (idx.cpu, idx.ram, idx.up_bw), want):
-            same = (have == exp) | (np.isnan(have) & np.isnan(exp))
-            if not same.all():
-                i = int(np.argmin(same))
-                return (f"server {int(idx.id[i])}: {name} vector holds {have[i]}, "
-                        f"residual is {exp[i]}")
-        return None
+    def residual(self, server_id: int) -> tuple[float, float]:
+        """A server's CPU and RAM residuals, in CPU units and GB."""
+        p = self._pos(server_id)
+        return self.cpu_units[p] / SCALE, self.ram_units[p] / SCALE
+
+    def bw_residual(self, link_id: int) -> float | None:
+        """A link's bandwidth residual in Gbps; None without accounting."""
+        units = self.bw_units[self.link(link_id).id]
+        return None if units < 0 else units / SCALE
 
     def servers(self) -> tuple[Server, ...]:
         """Every server, ascending by id."""
@@ -469,63 +473,45 @@ class PhysicalNetwork:
 
     # -- capacity bookkeeping ----------------------------------------------
 
-    def _set(self, obj: Server | PhysicalLink, attr: str, value: float) -> None:
+    def _set(self, store: array, i: int, units: int) -> None:
         if self._marks:
-            self._undo.append((obj, attr, getattr(obj, attr)))
-        setattr(obj, attr, value)
-        if self._index is not None:
-            self._mirror(obj, attr, value)
-
-    def _mirror(self, obj: Server | PhysicalLink, attr: str, value: float) -> None:
-        idx = self._index
-        if attr == "bw_residual":
-            for p in idx.link_up_pos[obj.id]:
-                idx.up_bw[p] = value
-        elif attr == "cpu_residual":
-            idx.cpu[idx.pos[obj.id]] = value
-        else:
-            idx.ram[idx.pos[obj.id]] = value
+            self._undo.append((store, i, store[i]))
+        store[i] = units
 
     def allocate(self, server_id: int, cpu: float, ram: float) -> None:
-        if cpu < 0 or ram < 0:
-            raise ValueError("demands must be non-negative")
-        s = self.server(server_id)
-        if s.cpu_residual < cpu or s.ram_residual < ram:
-            raise CapacityError(
-                f"server {server_id}: need {cpu}/{ram}, "
-                f"free {s.cpu_residual}/{s.ram_residual}")
-        self._set(s, "cpu_residual", s.cpu_residual - cpu)
-        self._set(s, "ram_residual", s.ram_residual - ram)
+        need_cpu, need_ram, p = to_units(cpu), to_units(ram), self._pos(server_id)
+        free_cpu, free_ram = self.cpu_units[p], self.ram_units[p]
+        if free_cpu < need_cpu or free_ram < need_ram:
+            raise CapacityError(f"server {server_id}: need {cpu}/{ram}, "
+                                f"free {free_cpu / SCALE}/{free_ram / SCALE}")
+        self._set(self.cpu_units, p, free_cpu - need_cpu)
+        self._set(self.ram_units, p, free_ram - need_ram)
 
     def release(self, server_id: int, cpu: float, ram: float) -> None:
-        if cpu < 0 or ram < 0:
-            raise ValueError("demands must be non-negative")
-        s = self.server(server_id)
-        if s.cpu_residual + cpu > s.cpu_capacity or s.ram_residual + ram > s.ram_capacity:
+        p, s = self._pos(server_id), self.nodes[server_id]
+        cpu_units, ram_units = self.cpu_units[p] + to_units(cpu), self.ram_units[p] + to_units(ram)
+        if cpu_units > to_units(s.cpu_capacity) or ram_units > to_units(s.ram_capacity):
             raise ReleaseError(f"server {server_id}: release exceeds capacity")
-        self._set(s, "cpu_residual", s.cpu_residual + cpu)
-        self._set(s, "ram_residual", s.ram_residual + ram)
+        self._set(self.cpu_units, p, cpu_units)
+        self._set(self.ram_units, p, ram_units)
+
+    def _link_units(self, link_id: int) -> int:
+        units = self.bw_units[self.link(link_id).id]
+        if units < 0:
+            raise TopologyError(f"link {link_id} carries no bandwidth accounting")
+        return units
 
     def allocate_bw(self, link_id: int, bw: float) -> None:
-        if bw < 0:
-            raise ValueError("bandwidth demand must be non-negative")
-        link = self.link(link_id)
-        if link.bw_residual is None:
-            raise TopologyError(f"link {link_id} carries no bandwidth accounting")
-        if link.bw_residual < bw:
-            raise CapacityError(
-                f"link {link_id}: need {bw}, free {link.bw_residual}")
-        self._set(link, "bw_residual", link.bw_residual - bw)
+        need, free = to_units(bw), self._link_units(link_id)
+        if free < need:
+            raise CapacityError(f"link {link_id}: need {bw}, free {free / SCALE}")
+        self._set(self.bw_units, link_id, free - need)
 
     def release_bw(self, link_id: int, bw: float) -> None:
-        if bw < 0:
-            raise ValueError("bandwidth demand must be non-negative")
-        link = self.link(link_id)
-        if link.bw_residual is None:
-            raise TopologyError(f"link {link_id} carries no bandwidth accounting")
-        if link.bw_residual + bw > link.bw_capacity:
+        units = self._link_units(link_id) + to_units(bw)
+        if units > to_units(self.links[link_id].bw_capacity):
             raise ReleaseError(f"link {link_id}: release exceeds capacity")
-        self._set(link, "bw_residual", link.bw_residual + bw)
+        self._set(self.bw_units, link_id, units)
 
     def begin(self) -> int:
         """Open a transaction; returns the mark that closes it."""
@@ -545,58 +531,42 @@ class PhysicalNetwork:
     def rollback(self, mark: int) -> None:
         """Write back the residuals logged since `mark`, newest first."""
         self._close(mark)
-        mirrored = self._index is not None
         while len(self._undo) > mark:
-            obj, attr, old = self._undo.pop()
-            setattr(obj, attr, old)
-            if mirrored:
-                self._mirror(obj, attr, old)
+            store, i, units = self._undo.pop()
+            store[i] = units
+
+    def _stores(self) -> tuple[array, array, array]:
+        return self.cpu_units, self.ram_units, self.bw_units
 
     def snapshot(self) -> CapacitySnapshot:
-        servers = self.servers()
-        return CapacitySnapshot(
-            token=self._token,
-            server_cpu=tuple(s.cpu_residual for s in servers),
-            server_ram=tuple(s.ram_residual for s in servers),
-            link_bw=tuple(l.bw_residual for l in self.links),
-        )
+        return CapacitySnapshot(self._token, *(a.tobytes() for a in self._stores()))
 
     def restore(self, snap: CapacitySnapshot) -> None:
         if snap.token != self._token:
             raise TopologyError("snapshot belongs to a different network instance")
-        servers = self.servers()
-        if len(snap.server_cpu) != len(servers) or len(snap.link_bw) != len(self.links):
+        saved = (snap.server_cpu, snap.server_ram, snap.link_bw)
+        if [len(b) for b in saved] != [a.itemsize * len(a) for a in self._stores()]:
             raise TopologyError("snapshot shape does not match network")
-        for s, cpu, ram in zip(servers, snap.server_cpu, snap.server_ram):
-            s.cpu_residual = cpu
-            s.ram_residual = ram
-        for link, bw in zip(self.links, snap.link_bw):
-            link.bw_residual = bw
-        idx = self._index
-        if idx is not None:
-            idx.cpu[:] = snap.server_cpu
-            idx.ram[:] = snap.server_ram
-            idx.up_bw[:] = self._uplink_residuals(snap.link_bw, idx.up_link)
+        # written in place: views of the arrays stay valid
+        for a, b in zip(self._stores(), saved):
+            memoryview(a).cast("B")[:] = b
 
     def clone(self) -> "PhysicalNetwork":
-        """Deep copy sharing the snapshot token, so snapshots stay portable
-        between a network and its clones. It shares the structure index and
-        its caches, which depend on structure only, but its server list
-        holds its own `Server` objects and its residual arrays are its own
-        copies."""
-        idx = self.index()
+        """Copy sharing the snapshot token, so snapshots stay portable between
+        a network and its clones, and the structure index, nodes and links;
+        it copies the containers a structural change writes and the residuals."""
         other = PhysicalNetwork(self.params)
-        other.nodes = [replace(n) for n in self.nodes]
-        other.links = [replace(l) for l in self.links]
+        other.nodes = list(self.nodes)
+        other.links = list(self.links)
         other.data_centers = {
             k: DataCenter(id=d.id, kind=d.kind, switch=d.switch, servers=list(d.servers))
             for k, d in self.data_centers.items()}
         other.uaps = list(self.uaps)
         other.adj = [list(entries) for entries in self.adj]
         other._token = self._token
-        other._index = idx._replace(servers=tuple([other.nodes[s.id] for s in idx.servers]),
-                                    cpu=idx.cpu.copy(), ram=idx.ram.copy(),
-                                    up_bw=idx.up_bw.copy())
+        other._index = self.index()
+        other.cpu_units, other.ram_units, other.bw_units = (
+            array("q", a) for a in self._stores())
         return other
 
     # -- access latency ----------------------------------------------------
@@ -639,21 +609,20 @@ class PhysicalNetwork:
         id order, no two links join the same pair of nodes, every switch
         and UAP entry names a node of that kind, and the graph is connected."""
         dc_servers: dict[str, list[int]] = {dc_id: [] for dc_id in self.data_centers}
-        for s in self.servers():
-            if not (0 <= s.cpu_residual <= s.cpu_capacity):
-                raise TopologyError(f"server {s.id}: cpu residual out of bounds")
-            if not (0 <= s.ram_residual <= s.ram_capacity):
-                raise TopologyError(f"server {s.id}: ram residual out of bounds")
+        for p, s in enumerate(self.servers()):
+            if not (0 <= self.cpu_units[p] <= to_units(s.cpu_capacity)
+                    and 0 <= self.ram_units[p] <= to_units(s.ram_capacity)):
+                raise TopologyError(f"server {s.id}: residual out of bounds")
             if s.dc not in dc_servers:
                 raise TopologyError(f"server {s.id} belongs to no data center")
             dc_servers[s.dc].append(s.id)
         pairs: set[tuple[int, int]] = set()
         for link in self.links:
-            if (link.bw_capacity is None) != (link.bw_residual is None):
-                raise TopologyError(f"link {link.id}: bandwidth residual and capacity "
-                                    f"must both be set or both be absent")
-            if link.bw_capacity is not None and not (0 <= link.bw_residual <= link.bw_capacity):
-                raise TopologyError(f"link {link.id}: bandwidth residual out of bounds")
+            units = self.bw_units[link.id]
+            cap = -1 if link.bw_capacity is None else to_units(link.bw_capacity)
+            if not (units == cap == -1 or 0 <= units <= cap):
+                raise TopologyError(f"link {link.id}: bandwidth residual out of bounds "
+                                    f"or without a capacity")
             pair = (link.a, link.b) if link.a < link.b else (link.b, link.a)
             if pair in pairs:
                 raise TopologyError(f"link {link.id}: nodes {pair[0]} and {pair[1]} "
@@ -687,11 +656,14 @@ class PhysicalNetwork:
         return count == len(self.nodes)
 
     def to_json(self) -> dict:
+        pos = self.index().pos
+
         def node_obj(n: Node) -> dict:
             obj = {"id": n.id, "label": n.label, "kind": n.kind.value, "dc": n.dc}
             if isinstance(n, Server):
+                cpu, ram = self.cpu_units[pos[n.id]], self.ram_units[pos[n.id]]
                 obj.update(cpu_capacity=n.cpu_capacity, ram_capacity=n.ram_capacity,
-                           cpu_residual=n.cpu_residual, ram_residual=n.ram_residual)
+                           cpu_residual=cpu / SCALE, ram_residual=ram / SCALE)
             return obj
 
         return {
@@ -700,7 +672,7 @@ class PhysicalNetwork:
             "nodes": [node_obj(n) for n in self.nodes],
             "links": [{"id": l.id, "a": l.a, "b": l.b, "latency_ms": l.latency_ms,
                        "kind": l.kind.value, "bw_capacity": l.bw_capacity,
-                       "bw_residual": l.bw_residual} for l in self.links],
+                       "bw_residual": self.bw_residual(l.id)} for l in self.links],
             "data_centers": [{"id": d.id, "kind": d.kind.value, "switch": d.switch,
                               "servers": d.servers}
                              for d in self.data_centers.values()],
@@ -723,23 +695,22 @@ class PhysicalNetwork:
                     raise TopologyError("node ids must be dense and ordered")
                 kind = NodeKind(n["kind"])
                 if kind is NodeKind.SERVER:
-                    node: Node = Server(
-                        id=i, label=n["label"], kind=kind, dc=n["dc"],
-                        cpu_capacity=float(n["cpu_capacity"]),
-                        ram_capacity=float(n["ram_capacity"]),
-                        cpu_residual=float(n["cpu_residual"]),
-                        ram_residual=float(n["ram_residual"]))
+                    # `validate` converts the capacities
+                    net._append(Server(id=i, label=n["label"], kind=kind, dc=n["dc"],
+                                       cpu_capacity=float(n["cpu_capacity"]),
+                                       ram_capacity=float(n["ram_capacity"])),
+                                to_units(float(n["cpu_residual"])),
+                                to_units(float(n["ram_residual"])))
                 else:
-                    node = Node(id=i, label=n["label"], kind=kind, dc=n["dc"])
-                net._append(node)
+                    net._append(Node(id=i, label=n["label"], kind=kind, dc=n["dc"]))
             for i, l in enumerate(obj["links"]):
                 if l["id"] != i:
                     raise TopologyError("link ids must be dense and ordered")
                 cap = l["bw_capacity"]
                 lid = net.add_link(l["a"], l["b"], float(l["latency_ms"]), LinkKind(l["kind"]),
                                    None if cap is None else float(cap))
-                net.links[lid].bw_residual = (None if l["bw_residual"] is None
-                                              else float(l["bw_residual"]))
+                net.bw_units[lid] = (-1 if l["bw_residual"] is None
+                                     else to_units(float(l["bw_residual"])))
             net.uaps = list(obj["uaps"])
         except (KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, TopologyError):

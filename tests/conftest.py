@@ -96,5 +96,4 @@ def edc_server_ids(net: PhysicalNetwork, dc_id: str) -> list[int]:
 def drain_dc(net: PhysicalNetwork, dc_id: str) -> None:
     """Allocate every server in a DC down to zero residual."""
     for sid in net.data_centers[dc_id].servers:
-        srv = net.server(sid)
-        net.allocate(sid, srv.cpu_residual, srv.ram_residual)
+        net.allocate(sid, *net.residual(sid))

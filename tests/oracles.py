@@ -11,9 +11,13 @@ find what it finds for every destination.
 `plain_reach`, `plain_hop_path`, `scan_feasible_servers` and
 `narrow_to_best_tier` are plain one-pass versions of P2C's reach search,
 hop search, eligibility and tier narrowing. `reference_place` and
-`reference_release` build whole P2C episodes from them, on residual
-attributes written directly, with no transaction and no structure index
-residuals. `loaded_substrates` draws the small random substrates they run on.
+`reference_release` build whole P2C episodes from them, writing the residual
+arrays directly, with no transaction and no numpy view. `loaded_substrates`
+draws the small random substrates they run on.
+
+The oracles read residuals through `PhysicalNetwork.residual` and
+`bw_residual`, in CPU units, GB and Gbps, and compare them with demands as
+floats.
 """
 
 from __future__ import annotations
@@ -30,12 +34,24 @@ from sliceplace.nspr import SliceRequest
 from sliceplace.p2c import OutcomeStatus, PlacementOutcome, Policy
 from sliceplace.placement import (LATENCY_EPS, Placement, bandwidth_cost, lookahead_ok,
                                   root_dcs)
-from sliceplace.topology import (TIER_ORDER, DCKind, LinkKind, NodeKind, PhysicalLink,
-                                 PhysicalNetwork, Server, TopologyParams)
+from sliceplace.topology import (TIER_ORDER, DCKind, LinkKind, NodeKind, PhysicalNetwork,
+                                 Server, TopologyParams, to_units)
 
 
 class InstanceTooLargeError(ValueError):
     """Brute-force oracle refused an instance beyond its guard rails."""
+
+
+def usable(net: PhysicalNetwork, lid: int, bw: float) -> bool:
+    """Whether a link has bandwidth accounting and `bw` of it left."""
+    r = net.bw_residual(lid)
+    return r is not None and r >= bw
+
+
+def fits(net: PhysicalNetwork, sid: int, cpu: float, ram: float) -> bool:
+    """Whether a server has `cpu` and `ram` left."""
+    cpu_left, ram_left = net.residual(sid)
+    return cpu_left >= cpu and ram_left >= ram
 
 
 def brute_force(psn: PhysicalNetwork, request: SliceRequest, *,
@@ -54,7 +70,7 @@ def brute_force(psn: PhysicalNetwork, request: SliceRequest, *,
     for node in psn.nodes:
         graph.add_node(node.id)
     for link in psn.links:
-        if link.bw_residual is not None:
+        if psn.bw_residual(link.id) is not None:
             graph.add_edge(link.a, link.b, lid=link.id)
 
     def simple_paths(a: int, b: int, bw: float, budget: float) -> list[tuple[int, ...]]:
@@ -67,7 +83,7 @@ def brute_force(psn: PhysicalNetwork, request: SliceRequest, *,
             ok = True
             for u, w in zip(node_path, node_path[1:]):
                 link = psn.links[graph[u][w]["lid"]]
-                if link.bw_residual < bw:
+                if psn.bw_residual(link.id) < bw:
                     ok = False
                     break
                 lids.append(link.id)
@@ -93,8 +109,8 @@ def brute_force(psn: PhysicalNetwork, request: SliceRequest, *,
         for v, sid in enumerate(assign, start=1):
             cpu_need[sid] = cpu_need.get(sid, 0.0) + request.vnf(v).cpu
             ram_need[sid] = ram_need.get(sid, 0.0) + request.vnf(v).ram
-        if any(cpu_need[sid] > psn.server(sid).cpu_residual
-               or ram_need[sid] > psn.server(sid).ram_residual for sid in cpu_need):
+        if any(cpu_need[sid] > psn.residual(sid)[0]
+               or ram_need[sid] > psn.residual(sid)[1] for sid in cpu_need):
             continue
         alpha = alpha_by_dc[psn.nodes[assign[0]].dc]
         if alpha > request.alpha_max_ms + LATENCY_EPS:
@@ -126,7 +142,7 @@ def brute_force(psn: PhysicalNetwork, request: SliceRequest, *,
                     bw_need[lid] = bw_need.get(lid, 0.0) + d_bw
                 total_lat += sum(psn.links[lid].latency_ms for lid in path)
                 cost += len(path) * d_bw
-            if any(load > psn.links[lid].bw_residual for lid, load in bw_need.items()):
+            if any(load > psn.bw_residual(lid) for lid, load in bw_need.items()):
                 ok = False
             if ok and alpha + total_lat > request.e2e_budget_ms + LATENCY_EPS:
                 ok = False
@@ -166,7 +182,7 @@ def paths_to(psn: PhysicalNetwork, src: int, dst: int, bw: float,
             if v in visited:
                 continue
             link = psn.links[lid]
-            if link.bw_residual is None or link.bw_residual < bw:
+            if not usable(psn, lid, bw):
                 continue
             nl = lat + link.latency_ms
             if nl > budget_ms + LATENCY_EPS:
@@ -201,7 +217,7 @@ def plain_reach(net: PhysicalNetwork, src: int, bw: float,
             continue
         for v, lid in net.adj[u]:
             link = net.links[lid]
-            if link.bw_residual is None or link.bw_residual < bw:
+            if not usable(net, lid, bw):
                 continue
             nd = d + link.latency_ms
             if nd <= budget_ms + LATENCY_EPS and nd < dist.get(v, float("inf")):
@@ -219,8 +235,7 @@ def plain_hop_path(net: PhysicalNetwork, src: int, dst: int, bw: float) -> list[
         nxt = []
         for u in sorted(level):
             for v, lid in sorted(net.adj[u]):
-                r = net.links[lid].bw_residual
-                if v in parent or r is None or r < bw:
+                if v in parent or not usable(net, lid, bw):
                     continue
                 parent[v] = (u, lid)
                 if v == dst:
@@ -259,7 +274,7 @@ def scan_feasible_servers(net: PhysicalNetwork, request, v: int, last_s: int | N
         if srv.dc == last_dc:
             if ok(srv):
                 out.append(srv.id)
-        elif srv.fits(d_v.cpu, d_v.ram):
+        elif fits(net, srv.id, d_v.cpu, d_v.ram):
             out.append(srv.id)
     return out
 
@@ -272,17 +287,23 @@ LINK_BWS = [0.5, 1.0, 2.0, 10.0]
 def loaded_substrates(draw):
     """Small substrates of star DCs plus random extra links, so that some
     servers have two or more links; servers and links are partly loaded and
-    some links are too thin for any demand."""
+    some links are too thin for any demand.
+
+    On some draws one DC, `spare`, keeps room: its uplinks carry any demand
+    and stay unloaded, its servers are lightly loaded, and the first UAP sits
+    next to it within every class's access bound. More episodes then get
+    past VNF 1 to the VNFs where the lookahead and the bandwidth writes act."""
     net = PhysicalNetwork(TopologyParams())
     kinds = list(DCKind)
     unlinked = []
+    spare = draw(st.one_of(st.none(), st.integers(0, 3)))
     for d in range(draw(st.integers(1, 4))):
         dc = net.add_data_center(f"dc{d}", draw(st.sampled_from(kinds)))
         for i in range(draw(st.integers(1, 3))):
             sid = net.add_server(f"dc{d}-s{i}", f"dc{d}", 50.0, 300.0)
             if draw(st.integers(0, 5)):  # an occasional server has no uplink
                 net.add_link(dc.switch, sid, 0.0, LinkKind.INTRA_DC,
-                             draw(st.sampled_from(LINK_BWS)))
+                             draw(st.sampled_from(LINK_BWS[1:] if d == spare else LINK_BWS)))
             else:
                 unlinked.append(sid)
     switches = [dc.switch for dc in net.data_centers.values()]
@@ -301,19 +322,27 @@ def loaded_substrates(draw):
                              min_size=2, max_size=2, unique=True))
         net.add_link(a, b, draw(st.sampled_from(LINK_LATENCIES)),
                      LinkKind.TRANSPORT, draw(st.sampled_from(LINK_BWS)))
+    spare_dc = net.data_centers.get(f"dc{spare}")
     for u in range(draw(st.integers(1, 2))):
         uap = net.add_node(f"uap{u}", NodeKind.UAP)
-        net.add_link(uap, draw(st.sampled_from(switches)),
-                     draw(st.sampled_from([0.02, 0.05, 0.1])), LinkKind.ACCESS, None)
+        if u == 0 and spare_dc is not None:
+            net.add_link(uap, spare_dc.switch, 0.02, LinkKind.ACCESS, None)
+        else:
+            net.add_link(uap, draw(st.sampled_from(switches)),
+                         draw(st.sampled_from([0.02, 0.05, 0.1])), LinkKind.ACCESS, None)
         net.uaps.append(uap)
-    if draw(st.booleans()):  # load through the write path of the index's residual arrays
-        net.index()
+    if draw(st.booleans()):  # load with views of the residual arrays out
+        net.vectors()
+    spare_id = spare_dc.id if spare_dc is not None else None
     for srv in net.servers():
-        cpu = draw(st.sampled_from([0.0, 10.0, 20.0, 30.0, 40.0, 50.0]))
+        loads = [0.0, 10.0] if srv.dc == spare_id else [0.0, 10.0, 20.0, 30.0, 40.0, 50.0]
+        cpu = draw(st.sampled_from(loads))
         net.allocate(srv.id, cpu, cpu * 6)
     for link in net.links:
         if link.bw_capacity is not None:
-            net.allocate_bw(link.id, link.bw_capacity * draw(st.sampled_from([0.0, 0.5, 1.0])))
+            light = link.kind is LinkKind.INTRA_DC and net.nodes[link.a].dc == spare_id
+            share = draw(st.sampled_from([0.0] if light else [0.0, 0.5, 1.0]))
+            net.allocate_bw(link.id, link.bw_capacity * share)
     return net
 
 
@@ -349,7 +378,7 @@ def plain_min_cost_path(net: PhysicalNetwork, src: int, dst: int, bw: float,
             continue
         for v, lid in net.adj[u]:
             link = net.links[lid]
-            if link.bw_residual is None or link.bw_residual < bw:
+            if not usable(net, lid, bw):
                 continue
             nd = d + link.latency_ms
             if nd < dist.get(v, float("inf")):
@@ -372,17 +401,18 @@ def reference_place(psn: PhysicalNetwork, request: SliceRequest, policy: Policy,
     `rng.choice(n, 2, replace=False)` (one candidate is taken twice, without
     a draw); the one whose plain path from the previous server is shorter,
     the first on a tie, the previous server itself outright. It writes the
-    residual attributes directly and keeps the pre-episode value of each in
+    residual arrays directly and keeps the pre-episode value of each slot in
     a dict, which a rejection writes back."""
-    old: dict[tuple[str, int], float] = {}  # (attribute, server or link id) -> value
+    old: dict[tuple[int, int], int] = {}  # (array, slot) -> units before the episode
+    stores = (psn.cpu_units, psn.ram_units, psn.bw_units)
 
-    def take(obj: Server | PhysicalLink, attr: str, amount: float) -> None:
-        old.setdefault((attr, obj.id), getattr(obj, attr))
-        setattr(obj, attr, getattr(obj, attr) - amount)
+    def take(k: int, i: int, amount: float) -> None:
+        old.setdefault((k, i), stores[k][i])
+        stores[k][i] -= to_units(amount)
 
     def reject(v: int) -> PlacementOutcome:
-        for (attr, i), value in old.items():
-            setattr(psn.links[i] if attr == "bw_residual" else psn.nodes[i], attr, value)
+        for (k, i), units in old.items():
+            stores[k][i] = units
         return PlacementOutcome(OutcomeStatus.REJECTED, None, 0.0, v)
 
     x: dict[int, int] = {}
@@ -417,14 +447,15 @@ def reference_place(psn: PhysicalNetwork, request: SliceRequest, policy: Policy,
             else:
                 chosen, path = s2, p2
         d = request.vnf(v)
-        take(psn.nodes[chosen], "cpu_residual", d.cpu)
-        take(psn.nodes[chosen], "ram_residual", d.ram)
+        p = psn.index().pos[chosen]
+        take(0, p, d.cpu)
+        take(1, p, d.ram)
         if v == 1:
             used_e2e = psn.access_latency(request.uap, psn.nodes[chosen].dc)
         else:
             vl = request.vl(v - 1)
             for lid in path:
-                take(psn.links[lid], "bw_residual", vl.bw)
+                take(2, lid, vl.bw)
                 used_e2e += psn.links[lid].latency_ms
             y[v - 1] = path
             cost += len(path) * vl.bw
@@ -435,11 +466,11 @@ def reference_place(psn: PhysicalNetwork, request: SliceRequest, policy: Policy,
 
 def reference_release(psn: PhysicalNetwork, request: SliceRequest,
                       placement: Placement) -> None:
-    """Give a placement's demands back by direct attribute writes."""
+    """Give a placement's demands back by direct writes to the residual arrays."""
     for v, s in sorted(placement.x.items()):
-        server = psn.nodes[s]
-        server.cpu_residual += request.vnf(v).cpu
-        server.ram_residual += request.vnf(v).ram
+        p = psn.index().pos[s]
+        psn.cpu_units[p] += to_units(request.vnf(v).cpu)
+        psn.ram_units[p] += to_units(request.vnf(v).ram)
     for i, path in sorted(placement.y.items()):
         for lid in path:
-            psn.links[lid].bw_residual += request.vl(i).bw
+            psn.bw_units[lid] += to_units(request.vl(i).bw)

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from sliceplace.cli import main
+from sliceplace.config import ConfigError, RunConfig
 from sliceplace.nspr import DEFAULT_CATALOG, SliceClass, catalog_to_json
 from sliceplace.topology import PhysicalNetwork, TopologyParams
 
@@ -23,6 +24,11 @@ def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
 
 BEF_ONLY_CATALOG = catalog_to_json(
     {SliceClass.BEST_EFFORT: DEFAULT_CATALOG[SliceClass.BEST_EFFORT]})
+
+
+def bef_only_catalog(**fields) -> dict:
+    """BEF_ONLY_CATALOG with some fields of its one entry replaced."""
+    return {"best_effort": {**BEF_ONLY_CATALOG["best_effort"], **fields}}
 
 
 @pytest.fixture()
@@ -100,7 +106,8 @@ class TestPlace:
 
     @pytest.mark.parametrize("breakage", ["endpoint", "residual", "latency", "switch",
                                           "unlisted", "duplicate", "parallel",
-                                          "params_scale", "params_cpu", "params_bool"])
+                                          "params_scale", "params_cpu", "params_bool",
+                                          "residual_units", "params_units"])
     def test_malformed_topology_exits_two(self, tmp_path, capsys, topo_file, breakage):
         doc = json.loads(open(topo_file).read())
         transport = next(l for l in doc["links"] if l["kind"] == "transport")
@@ -124,6 +131,11 @@ class TestPlace:
             doc["params"]["server_cpu"] = -3
         elif breakage == "params_bool":
             doc["params"]["servers_per_edc"] = True
+        elif breakage == "residual_units":
+            # below the residual unit of 1e-6 Gbps
+            transport["bw_residual"] = transport["bw_capacity"] - 1e-7
+        elif breakage == "params_units":
+            doc["params"]["server_cpu"] = 0.1234567
         else:
             # a second link between the same two switches
             doc["links"].append(dict(transport, id=len(doc["links"])))
@@ -349,13 +361,24 @@ class TestSimulate:
         ("topology", "servers_per_edc", 2.5),
         ("topology", "latency_round_decimals", 2.5),
         ("topology", "server_cpu", "50"),
+        (None, "catalog", bef_only_catalog(cpu_per_vnf="nan")),
+        (None, "catalog", bef_only_catalog(cpu_per_vnf=True)),
+        (None, "catalog", bef_only_catalog(vl_budgets_ms=["inf", 1.0, 1.33, 1.33])),
+        (None, "catalog", bef_only_catalog(cpu_per_vnf=0.1234567)),
     ], ids=["load", "horizon", "horizon_huge_int", "replications", "holding", "mix", "algorithm",
             "max_nodes", "catalog", "catalog_list", "jobs", "scale_float", "scale_bool",
-            "servers_float", "round_float", "cpu_string"])
+            "servers_float", "round_float", "cpu_string", "catalog_nan_string",
+            "catalog_bool", "catalog_inf_string", "catalog_below_the_unit"])
     def test_malformed_config_value_exits_two(self, tmp_path, capsys, section, key, value):
         doc = {"scenario": {"name": "URLLC", "target_load": 0.4, "horizon": 10.0},
                "algorithm": "ilp-1"}
         (doc.setdefault(section, {}) if section else doc)[key] = value
+        if value is not BEF_ONLY_CATALOG:
+            # refused when read, before anything runs: a NaN class that got
+            # through would leave the simulation without an end. The plain
+            # BEF-only catalog lacks the URLLC class, which shows only at run time
+            with pytest.raises(ConfigError):
+                RunConfig.from_json(doc)
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(doc))
         code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))

@@ -43,13 +43,16 @@ def tiny_instance(seed: int):
         edc_bw=rng.choice([1.0, 2.0, 10.0]),
         km=rng.choice([100, 300]),
     )
+    # fractional loads, to the six decimals that residual units hold
     for sid in net.server_ids():
         if rng.random() < 0.5:
-            srv = net.server(sid)
-            net.allocate(sid, rng.uniform(0, srv.cpu_residual * 0.9), rng.uniform(0, srv.ram_residual * 0.9))
-    for lid, link in enumerate(net.links):
-        if link.bw_residual is not None and rng.random() < 0.3:
-            net.allocate_bw(lid, link.bw_residual * rng.uniform(0, 0.9))
+            cpu, ram = net.residual(sid)
+            net.allocate(sid, round(rng.uniform(0, cpu * 0.9), 6),
+                         round(rng.uniform(0, ram * 0.9), 6))
+    for lid in range(len(net.links)):
+        bw = net.bw_residual(lid)
+        if bw is not None and rng.random() < 0.3:
+            net.allocate_bw(lid, round(bw * rng.uniform(0, 0.9), 6))
     req = short_request(net, rng.choice(list(SliceClass)))
     return net, req
 

@@ -150,19 +150,18 @@ class TestPlace:
         sid = net.data_centers["dc0"].servers[0]
         assert out.placement.x == {v: sid for v in range(1, 6)}
         assert all(path == [] for path in out.placement.y.values())
-        srv = net.server(sid)
-        assert (srv.cpu_residual, srv.ram_residual) == (0.0, 0.0)
+        assert net.residual(sid) == (0.0, 0.0)
 
     def test_accept_commits_exact_demands(self):
         net = build_reference_psn()
         req = make_request(SliceClass.EMBB, net.uaps[4])
         out = place(net, req, Policy.TIER_PREFERRED, np.random.default_rng(5))
         assert out.status is OutcomeStatus.ACCEPTED
-        used_cpu = sum(50.0 - s.cpu_residual for s in net.servers())
-        used_ram = sum(300.0 - s.ram_residual for s in net.servers())
+        used_cpu = sum(50.0 - net.residual(s.id)[0] for s in net.servers())
+        used_ram = sum(300.0 - net.residual(s.id)[1] for s in net.servers())
         assert used_cpu == 5 * 25.0
         assert used_ram == 5 * 150.0
-        held_bw = sum((l.bw_capacity - l.bw_residual)
+        held_bw = sum((l.bw_capacity - net.bw_residual(l.id))
                       for l in net.links if l.bw_capacity is not None)
         assert held_bw == out.cost
 
@@ -278,8 +277,8 @@ class TestPlace:
 
 
 def residuals(net: PhysicalNetwork) -> tuple[list, list]:
-    return ([(n.cpu_residual, n.ram_residual) for n in net.nodes if isinstance(n, Server)],
-            [link.bw_residual for link in net.links])
+    return ([net.residual(n.id) for n in net.nodes if isinstance(n, Server)],
+            [net.bw_residual(link.id) for link in net.links])
 
 
 class TestEpisodeOracle:
@@ -316,3 +315,16 @@ class TestEpisodeOracle:
                     held.append((request, got.placement))
                 assert rng.bit_generator.state == ref_rng.bit_generator.state
             assert residuals(net) == residuals(ref)
+
+    @pytest.mark.parametrize("policy", list(Policy))
+    @settings(max_examples=100, deadline=None)
+    @given(net=loaded_substrates(), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_rejected_episode_leaves_the_store_bit_identical(self, policy, net, seed, data):
+        rng = np.random.default_rng(seed)
+        for i in range(data.draw(st.integers(1, 10))):
+            request = make_request(data.draw(st.sampled_from(list(SliceClass))),
+                                   data.draw(st.sampled_from(net.uaps)), request_id=i)
+            before = [bytes(a) for a in (net.cpu_units, net.ram_units, net.bw_units)]
+            if not place(net, request, policy, rng).accepted:
+                assert [bytes(a) for a in (net.cpu_units, net.ram_units, net.bw_units)] == before
+            assert net._undo == []

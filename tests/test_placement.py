@@ -26,6 +26,7 @@ from sliceplace.placement import (
     release_placement,
 )
 from sliceplace.topology import (
+    SCALE,
     DCKind,
     LinkKind,
     NodeKind,
@@ -365,7 +366,7 @@ class TestMinCostPath:
         g = nx.Graph()
         for link in net.links:
             g.add_edge(link.a, link.b, lid=link.id,
-                       lat=link.latency_ms, bw=link.bw_residual)
+                       lat=link.latency_ms, bw=net.bw_residual(link.id))
         servers = net.server_ids()
         for _ in range(30):
             src, dst = rnd.sample(servers, 2) if len(servers) > 1 else (servers[0],) * 2
@@ -388,7 +389,7 @@ class TestMinCostPath:
                 assert got is not None
                 lat = sum(net.link(l).latency_ms for l in got)
                 assert lat <= budget + LATENCY_EPS
-                assert all(net.link(l).bw_residual >= bw for l in got)
+                assert all(net.bw_residual(l) >= bw for l in got)
                 walk_ok = _is_walk(net, src, dst, got)
                 assert walk_ok
                 best = min(len(e) for e in feasible)
@@ -514,8 +515,8 @@ def add_dc_less_server(net: PhysicalNetwork, data) -> None:
     sid = len(net.nodes)
     cpu = data.draw(st.sampled_from([0.0, 20.0, 50.0]))
     net._append(Server(id=sid, label="loose", kind=NodeKind.SERVER,
-                       cpu_capacity=50.0, ram_capacity=300.0,
-                       cpu_residual=cpu, ram_residual=6 * cpu))
+                       cpu_capacity=50.0, ram_capacity=300.0),
+                round(cpu * SCALE), round(6 * cpu * SCALE))
     for nbr in data.draw(st.lists(st.integers(0, sid - 1), min_size=1, max_size=2,
                                   unique=True)):
         net.add_link(nbr, sid, data.draw(st.sampled_from(LINK_LATENCIES)),
@@ -621,7 +622,7 @@ class TestReachBoundedEligibility:
         for sid, dc_id in ((twin, "edc0"), (far, "cdc0")):
             net.allocate(sid, 30.0, 180.0)  # room for one 15-CPU VNF, not two
             lid = link_id(net, sid, net.data_centers[dc_id].switch)
-            net.allocate_bw(lid, net.links[lid].bw_residual - 1.5)  # carries VL 1, not VL 2
+            net.allocate_bw(lid, net.bw_residual(lid) - 1.5)  # carries VL 1, not VL 2
         got = feasible_servers(net, req, 2, anchor, used_e2e_ms=0.02)
         assert far in got and twin not in got
         assert got == scan_feasible_servers(net, req, 2, anchor, 0.02)
@@ -652,12 +653,12 @@ class TestApplyRelease:
         plc = Placement(x={1: root, 2: c_a, 3: c_a, 4: c_b, 5: c_b},
                         y={1: up, 2: [], 3: hop, 4: []}, cost=5.0)
         apply_placement(net, req, plc)
-        assert net.server(root).cpu_residual == 35.0
-        assert net.server(c_a).cpu_residual == 20.0
-        assert net.server(c_b).cpu_residual == 20.0
-        assert net.link(up[1]).bw_residual == 9.0
+        assert net.residual(root)[0] == 35.0
+        assert net.residual(c_a)[0] == 20.0
+        assert net.residual(c_b)[0] == 20.0
+        assert net.bw_residual(up[1]) == 9.0
         # VL2 is colocated and VL3 stays inside the CDC: uplink carries one VL
-        assert net.link(link_id(net, sw_c, c_a)).bw_residual == 100.0 - 2.0
+        assert net.bw_residual(link_id(net, sw_c, c_a)) == 100.0 - 2.0
         release_placement(net, req, plc)
         after = net.snapshot()
         assert before.server_cpu == after.server_cpu

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 from sliceplace.nspr import SliceClass, make_request
 from sliceplace.placement import feasible_servers, latency_reach
 from sliceplace.topology import (
+    SCALE,
     TIER_ORDER,
     CapacityError,
     DCKind,
@@ -182,10 +185,9 @@ class TestCapacityAccounting:
         net = make_pair()
         sid = net.data_centers["edc0"].servers[0]
         net.allocate(sid, 15, 90)
-        srv = net.server(sid)
-        assert (srv.cpu_residual, srv.ram_residual) == (35.0, 210.0)
+        assert net.residual(sid) == (35.0, 210.0)
         net.release(sid, 15, 90)
-        assert (srv.cpu_residual, srv.ram_residual) == (50.0, 300.0)
+        assert net.residual(sid) == (50.0, 300.0)
 
     def test_over_allocate_raises_and_leaves_state(self):
         net = make_pair()
@@ -193,8 +195,7 @@ class TestCapacityAccounting:
         net.allocate(sid, 40, 100)
         with pytest.raises(CapacityError):
             net.allocate(sid, 20, 10)
-        srv = net.server(sid)
-        assert (srv.cpu_residual, srv.ram_residual) == (10.0, 200.0)
+        assert net.residual(sid) == (10.0, 200.0)
 
     def test_partial_fit_rejected_atomically(self):
         # enough cpu, not enough ram: neither dimension may move
@@ -202,8 +203,7 @@ class TestCapacityAccounting:
         sid = net.data_centers["edc0"].servers[0]
         with pytest.raises(CapacityError):
             net.allocate(sid, 10, 400)
-        srv = net.server(sid)
-        assert (srv.cpu_residual, srv.ram_residual) == (50.0, 300.0)
+        assert net.residual(sid) == (50.0, 300.0)
 
     def test_release_above_capacity_raises(self):
         net = make_pair()
@@ -223,11 +223,11 @@ class TestCapacityAccounting:
         net = make_pair()
         link = next(l for l in net.links if l.kind == LinkKind.TRANSPORT)
         net.allocate_bw(link.id, 1)
-        assert link.bw_residual == 9.0
+        assert net.bw_residual(link.id) == 9.0
         with pytest.raises(CapacityError):
             net.allocate_bw(link.id, 9.5)
         net.release_bw(link.id, 1)
-        assert link.bw_residual == 10.0
+        assert net.bw_residual(link.id) == 10.0
         with pytest.raises(ReleaseError):
             net.release_bw(link.id, 0.5)
 
@@ -238,14 +238,32 @@ class TestCapacityAccounting:
             net.allocate_bw(access.id, 1)
 
     def test_server_fits(self):
+        # a demand fits up to the residual, to the unit
         net = make_pair()
         sid = net.data_centers["edc0"].servers[0]
-        srv = net.server(sid)
-        assert srv.fits(50, 300)
-        assert not srv.fits(50.0001, 300)
+        with pytest.raises(CapacityError):
+            net.allocate(sid, 50 + 1 / SCALE, 300)
         net.allocate(sid, 15, 90)
-        assert srv.fits(35, 210)
-        assert not srv.fits(35, 211)
+        with pytest.raises(CapacityError):
+            net.allocate(sid, 35, 210 + 1 / SCALE)
+        net.allocate(sid, 35, 210)
+        assert net.residual(sid) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("amount", [0.1234567, -1.0, float("nan"), float("inf"), 1e10])
+    def test_amount_outside_the_unit_rejected(self, amount):
+        net = make_pair()
+        sid = net.data_centers["edc0"].servers[0]
+        lid = next(l.id for l in net.links if l.kind == LinkKind.TRANSPORT)
+        for call in (lambda: net.allocate(sid, amount, 1.0),
+                     lambda: net.allocate(sid, 1.0, amount),
+                     lambda: net.allocate_bw(lid, amount),
+                     lambda: net.add_server("s", "edc0", amount, 300.0),
+                     lambda: net.add_link(sid, net.data_centers["cdc0"].switch, 0.0,
+                                          LinkKind.TRANSPORT, amount)):
+            with pytest.raises(TopologyError):
+                call()
+        assert net.residual(sid) == (50.0, 300.0)
+        assert net.bw_residual(lid) == 10.0
 
 
 class TestSnapshotRestore:
@@ -257,9 +275,8 @@ class TestSnapshotRestore:
         net.allocate(sid, 15, 90)
         net.allocate_bw(link.id, 3)
         net.restore(snap)
-        srv = net.server(sid)
-        assert (srv.cpu_residual, srv.ram_residual) == (50.0, 300.0)
-        assert link.bw_residual == 10.0
+        assert net.residual(sid) == (50.0, 300.0)
+        assert net.bw_residual(link.id) == 10.0
 
     def test_foreign_snapshot_rejected(self):
         a = make_pair()
@@ -272,14 +289,14 @@ class TestSnapshotRestore:
         twin = net.clone()
         sid = net.data_centers["edc0"].servers[0]
         twin.allocate(sid, 10, 60)
-        assert net.server(sid).cpu_residual == 50.0
-        assert twin.server(sid).cpu_residual == 40.0
+        assert net.residual(sid) == (50.0, 300.0)
+        assert twin.residual(sid) == (40.0, 240.0)
         twin.restore(net.snapshot())
-        assert twin.server(sid).cpu_residual == 50.0
+        assert twin.residual(sid) == (50.0, 300.0)
 
     @settings(max_examples=40, deadline=None)
-    @given(st.lists(st.tuples(st.integers(0, 3), st.floats(0.5, 12.0),
-                              st.floats(1.0, 70.0)), max_size=12),
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(500_000, 12_000_000),
+                              st.integers(1_000_000, 70_000_000)), max_size=12),
            st.data())
     def test_restore_after_arbitrary_traffic(self, ops, data):
         net = make_pair()
@@ -287,14 +304,13 @@ class TestSnapshotRestore:
                          + net.data_centers["cdc0"].servers)
         snap = net.snapshot()
         for idx, cpu, ram in ops:
-            sid = servers[idx]
-            srv = net.server(sid)
-            if srv.fits(cpu, ram):
-                net.allocate(sid, cpu, ram)
+            try:
+                net.allocate(servers[idx], cpu / SCALE, ram / SCALE)
+            except CapacityError:
+                pass
         net.restore(snap)
         for sid in servers:
-            srv = net.server(sid)
-            assert (srv.cpu_residual, srv.ram_residual) == (50.0, 300.0)
+            assert net.residual(sid) == (50.0, 300.0)
 
 
 # one step of a random substrate workload: capacity calls on a fixed pool of
@@ -380,17 +396,16 @@ class TestStructureIndex:
         twin = net.clone()
         for sid in twin.server_ids():
             twin.allocate(sid, 10, 60)
-        assert [(s.cpu_residual, s.ram_residual) for s in net.servers()] == \
-               [(50.0, 300.0)] * 4
-        assert [s.cpu_residual for s in twin.servers()] == [40.0] * 4
-        assert all(a is not b for a, b in zip(net.servers(), twin.servers()))
-        # the structure and its caches are shared, not rebuilt; residuals are not
-        idx, got = net.index(), twin.index()
-        for name in ("adj_sorted", "tier_rank", "up_link", "anchor_slot", "link_up_pos",
-                     "tier_masks", "alpha", "root_masks"):
-            assert getattr(got, name) is getattr(idx, name)
-        for name in ("cpu", "ram", "up_bw"):
-            assert getattr(got, name) is not getattr(idx, name)
+        assert [net.residual(sid) for sid in net.server_ids()] == [(50.0, 300.0)] * 4
+        assert [twin.residual(sid) for sid in twin.server_ids()] == [(40.0, 240.0)] * 4
+        # its own containers and residual arrays; the structure index with
+        # its caches and the node objects are shared, not rebuilt
+        assert twin.data_centers["edc0"].servers is not net.data_centers["edc0"].servers
+        assert twin.nodes is not net.nodes and twin.adj[0] is not net.adj[0]
+        assert twin.index() is net.index()
+        assert all(a is b for a, b in zip(net.nodes, twin.nodes))
+        for a, b in zip(net.vectors(), twin.vectors()):
+            assert not np.shares_memory(a, b)
 
     def test_capacity_changes_keep_the_index(self):
         net = make_pair()
@@ -481,12 +496,10 @@ class TestStructureIndex:
 
 
 def assert_index_matches(net: PhysicalNetwork) -> None:
-    """Every residual array and per-server field of `net.index()` equals
-    what the attributes and the structure say, exactly."""
+    """Every per-server field of `net.index()` equals what the structure
+    says, and the residual views show the residual arrays."""
     idx = net.index()
     servers = net.servers()
-    assert idx.cpu.tolist() == [s.cpu_residual for s in servers]
-    assert idx.ram.tolist() == [s.ram_residual for s in servers]
     assert idx.id.tolist() == [s.id for s in servers]
     assert [idx.pos[s.id] for s in servers] == list(range(len(servers)))
     dcs = list(net.data_centers)
@@ -503,117 +516,175 @@ def assert_index_matches(net: PhysicalNetwork) -> None:
     assert not idx.anchor_slot.flags.writeable
     assert idx.anchor_slot.tolist() == [anchors.index(u) if u in anchors else len(anchors)
                                         for u in range(len(net.nodes))]
-    link_up_pos: list[list[int]] = [[] for _ in net.links]
     for p, s in enumerate(servers):
         entries = net.adj[s.id]
         if len(entries) == 1:
             nbr, lid = entries[0]
-            link_up_pos[lid].append(p)
-            bw = net.links[lid].bw_residual
             want = (lid, anchors.index(nbr), net.links[lid].latency_ms)
         else:
-            bw = None
             want = (len(net.links), len(anchors), 0.0)
-        assert (idx.up_link[p], idx.up_anchor[p], idx.up_lat[p]) == want
-        got = idx.up_bw[p]
-        assert got == bw if bw is not None else got != got  # NaN
+        up_link = np.arange(len(net.bw_units))[idx.up_link]
+        assert (up_link[p], idx.up_anchor[p], idx.up_lat[p]) == want
         assert (p in idx.multi) == (len(entries) > 1)
-    assert [list(ps) for ps in idx.link_up_pos] == link_up_pos
+    assert len(net.cpu_units) == len(net.ram_units) == len(servers)
+    assert len(net.bw_units) == len(net.links) + 1 and net.bw_units[-1] == -1
+    for view, store in zip(net.vectors(), (net.cpu_units, net.ram_units, net.bw_units)):
+        assert view.tolist() == store.tolist()
 
 
-_VEC_OPS = _TX_OPS | st.tuples(st.sampled_from(
-    ["snapshot", "restore", "clone", "twin_allocate", "add_link"]))
+# one step of a random workload against the residual store: capacity calls
+# with fractional demands drawn in units, transactions, copies and a new link
+_STORE_OPS = st.one_of(
+    st.tuples(st.sampled_from(["allocate", "release"]), st.integers(0, 7),
+              st.integers(0, 3_000_000), st.integers(0, 9_000_000)),
+    st.tuples(st.sampled_from(["allocate_bw", "release_bw"]), st.integers(0, 7),
+              st.integers(0, 2_500_000)),
+    st.tuples(st.sampled_from(["begin", "commit", "rollback", "snapshot", "restore",
+                               "clone", "twin_allocate", "add_link"])),
+)
 
 
 class TestResidualArrays:
     @settings(max_examples=80, deadline=None)
-    @given(st.lists(_VEC_OPS, max_size=40), st.data())
+    @given(st.lists(_STORE_OPS, max_size=40), st.data())
     def test_residual_arrays_follow_every_write(self, ops, data):
-        net = make_pair()
-        assert_index_matches(net)
-        request = make_request(SliceClass.URLLC, net.uaps[0])
-        marks: list[int] = []
-        snaps = [net.snapshot()]
-        twins: list[tuple[PhysicalNetwork, str]] = []  # (clone, its document)
+        """Against a plain dict model in units: every capacity call succeeds
+        or fails as the model says and moves the units it says, a rollback
+        and a restore (outside transactions) bring back the model's saved
+        state, and a clone's writes and the parent's never meet."""
+        net = make_pair(cpu=5.0, ram=30.0, edc_bw=2.0, cdc_bw=2.0)
+        units = {("cpu", p): 5 * SCALE for p in range(4)}
+        units.update({("ram", p): 30 * SCALE for p in range(4)})
+        units.update({("bw", l.id): 2 * SCALE for l in net.links if l.bw_capacity})
+        cap = dict(units)
+        marks: list[tuple[int, dict]] = []
+        snaps = [(net.snapshot(), dict(units))]
+        twins: list[tuple[PhysicalNetwork, dict]] = []  # (clone, its model)
+
+        def residuals(of: PhysicalNetwork) -> dict:
+            got = {("cpu", p): u for p, u in enumerate(of.cpu_units)}
+            got.update({("ram", p): u for p, u in enumerate(of.ram_units)})
+            got.update({("bw", i): u for i, u in enumerate(of.bw_units) if u >= 0})
+            return got
+
         for op in ops:
             name = op[0]
             servers = net.server_ids()
-            links = [l.id for l in net.links if l.bw_capacity is not None]
+            links = sorted(i for kind, i in units if kind == "bw")
             if name == "begin":
-                marks.append(net.begin())
+                marks.append((net.begin(), dict(units)))
             elif name in ("commit", "rollback"):
                 if marks:
-                    getattr(net, name)(marks.pop())
+                    mark, saved = marks.pop()
+                    getattr(net, name)(mark)
+                    if name == "rollback":
+                        units = saved
             elif name == "snapshot":
-                snaps.append(net.snapshot())
+                snaps.append((net.snapshot(), dict(units)))
             elif name == "restore":
-                net.restore(data.draw(st.sampled_from(snaps)))
+                if not marks:  # a rollback undoes logged writes, not a restore
+                    snap, saved = data.draw(st.sampled_from(snaps))
+                    net.restore(snap)
+                    units = dict(saved)
             elif name == "clone":
                 twin = net.clone()
+                twins.append((twin, dict(units)))
                 assert_index_matches(twin)
-                twins.append((twin, json.dumps(twin.to_json())))
             elif name == "twin_allocate":
                 if twins:
-                    twin, _ = twins.pop()
-                    try:
-                        twin.allocate(servers[0], 0.5, 0.5)
-                        twin.allocate_bw(links[0], 0.5)
-                    except CapacityError:
-                        pass
-                    assert_index_matches(twin)
+                    twin, model = twins[-1]
+                    if model[("cpu", 0)] >= SCALE // 2:
+                        twin.allocate(servers[0], 0.5, 0)
+                        model[("cpu", 0)] -= SCALE // 2
             elif name == "add_link":
-                # a search reads the index; the new link must show after it
+                # a search reads the views; the new link must show after it
+                request = make_request(SliceClass.URLLC, net.uaps[0])
                 feasible_servers(net, request, 2, servers[0], used_e2e_ms=0.02)
                 a, b = data.draw(st.lists(st.sampled_from(servers), min_size=2,
                                           max_size=2, unique=True))
-                net.add_link(a, b, 0.0, LinkKind.TRANSPORT, 10.0)
-                snaps = [net.snapshot()]
+                lid = net.add_link(a, b, 0.0, LinkKind.TRANSPORT, 1.5)
+                units[("bw", lid)] = cap[("bw", lid)] = 1_500_000
+                snaps = [(net.snapshot(), dict(units))]
+                marks = [(m, {**saved, ("bw", lid): 1_500_000}) for m, saved in marks]
             else:
-                pool = servers if name in ("allocate", "release") else links
-                try:
-                    getattr(net, name)(pool[op[1] % len(pool)], *op[2:])
-                except (CapacityError, ReleaseError):
-                    pass
+                sign = -1 if name.startswith("allocate") else 1
+                if name in ("allocate", "release"):
+                    p = op[1] % len(servers)
+                    moves = {("cpu", p): op[2], ("ram", p): op[3]}
+                    call = lambda: getattr(net, name)(servers[p], op[2] / SCALE, op[3] / SCALE)
+                else:
+                    lid = links[op[1] % len(links)]
+                    moves = {("bw", lid): op[2]}
+                    call = lambda: getattr(net, name)(lid, op[2] / SCALE)
+                after = {k: units[k] + sign * u for k, u in moves.items()}
+                if all(0 <= u <= cap[k] for k, u in after.items()):
+                    call()
+                    units.update(after)
+                else:
+                    with pytest.raises(CapacityError if sign < 0 else ReleaseError):
+                        call()
+            assert residuals(net) == units
             assert_index_matches(net)
         while marks:
-            net.rollback(marks.pop())
-            assert_index_matches(net)
-        # writes to the parent never reach a clone's vectors
-        for twin, doc in twins:
-            assert json.dumps(twin.to_json()) == doc
-            assert twin.vector_drift() is None
+            mark, units = marks.pop()
+            net.rollback(mark)
+            assert residuals(net) == units
+        for twin, model in twins:
+            assert residuals(twin) == model
             assert_index_matches(twin)
 
     def test_restore_writes_the_residual_arrays(self):
         net = make_pair()
-        vec = net.index()
+        idx, views = net.index(), net.vectors()
         snap = net.snapshot()
         sid, lid = net.server_ids()[0], net.links[0].id
         net.allocate(sid, 10, 60)
         net.allocate_bw(lid, 1.0)
         net.restore(snap)
-        assert net.index() is vec
+        # in place: the index and the views taken before stay valid
+        assert net.index() is idx and net.vectors() is views
+        assert views[0][0] == 50 * SCALE and views[2][lid] == 10 * SCALE
         assert_index_matches(net)
 
     def test_built_lazily_and_dropped_by_structure(self):
         assert PhysicalNetwork()._index is None
         net = build_reference_psn(1)
         vec = net.index()
+        views = net.vectors()
         assert net.index() is vec
         net.add_node("uap99", NodeKind.UAP)
-        assert net._index is None
+        assert net._index is None and net._views is None
+        # the arrays the old views show are left behind, unchanged
+        assert views[0].tolist() == net.cpu_units.tolist()
+        assert not np.shares_memory(views[0], net.vectors()[0])
         assert_index_matches(net)
 
-    def test_drift_names_the_first_difference(self):
+    @pytest.mark.parametrize("copy_of", [copy.deepcopy,
+                                         lambda net: pickle.loads(pickle.dumps(net))])
+    def test_copies_get_views_of_their_own_arrays(self, copy_of):
         net = make_pair()
-        assert PhysicalNetwork().vector_drift() is None  # not built: nothing to compare
-        assert net.vector_drift() is None
-        sid = net.server_ids()[1]
-        net.server(sid).cpu_residual = 49.0  # behind the network's back
-        assert net.vector_drift() == f"server {sid}: cpu vector holds 50.0, residual is 49.0"
-        net.server(sid).cpu_residual = 50.0
-        net.links[2].bw_residual = 1.0  # server 4's one link
-        assert net.vector_drift() == "server 4: up_bw vector holds 100.0, residual is 1.0"
+        net.vectors()
+        twin = copy_of(net)
+        sid = twin.server_ids()[0]
+        twin.allocate(sid, 10, 60)
+        assert twin.vectors()[0][0] == 40 * SCALE
+        assert net.vectors()[0][0] == 50 * SCALE
+
+    def test_structural_change_inside_a_transaction(self):
+        # the arrays are carried over to fresh ones; the undo log follows them
+        net = make_pair()
+        sid = net.server_ids()[0]
+        net.vectors()
+        mark = net.begin()
+        net.allocate(sid, 0.3, 0.1)
+        edc = net.data_centers["edc0"]
+        new = net.add_server("edc0-s99", "edc0", 5.0, 30.0)
+        net.add_link(edc.switch, new, 0.0, LinkKind.INTRA_DC, 10.0)
+        net.allocate(new, 1.0, 1.0)
+        net.rollback(mark)
+        assert net.residual(sid) == (50.0, 300.0)
+        assert net.residual(new) == (5.0, 30.0)
+        assert_index_matches(net)
 
 
 class TestSerialization:
@@ -629,8 +700,7 @@ class TestSerialization:
         sid = net.data_centers["edc0"].servers[0]
         net.allocate(sid, 15, 90)
         clone = PhysicalNetwork.from_json(net.to_json())
-        srv = clone.server(sid)
-        assert (srv.cpu_residual, srv.ram_residual) == (35.0, 210.0)
+        assert clone.residual(sid) == (35.0, 210.0)
 
     def test_save_load(self, tmp_path):
         net = make_pair()
