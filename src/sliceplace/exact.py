@@ -8,10 +8,11 @@ too. `solve_ilp1` minimizes the bandwidth objective; the feasibility
 baseline `solve_ilp2` stops at the first complete placement. Determinism
 comes from fixed candidate and path orderings.
 
-Eligibility is the rule of `placement.root_dcs` (read from the cached
-root-server mask) and `lookahead_ok`, which P2C's `feasible_servers` applies
-to all servers at once. Each search frame holds its VNF and path in a
-substrate transaction it rolls back.
+Eligibility is P2C's, read from the same masks: VNF-1 candidates are
+`placement.feasible_servers`, and a later VNF's are the servers of
+`latency_reach` from the previous server that pass `lookahead_mask`, in
+every DC (P2C exempts the other DCs from the lookahead). Each search frame
+holds its VNF and path in a substrate transaction it rolls back.
 
 Searches carry an explored-node budget. A tripped budget (or a truncated path
 enumeration) is reported as BUDGET_EXCEEDED, never as a silently suboptimal
@@ -25,9 +26,9 @@ from enum import Enum
 from typing import Iterable
 
 from .nspr import SliceRequest
-from .placement import (LATENCY_EPS, Placement, _root_mask, bandwidth_cost,
-                        latency_reach, lookahead_ok)
-from .topology import PhysicalNetwork, Server, to_units
+from .placement import (LATENCY_EPS, Placement, bandwidth_cost, feasible_servers,
+                        latency_reach, lookahead_mask)
+from .topology import PhysicalNetwork, to_units
 
 DEFAULT_NODE_BUDGET = 200_000
 
@@ -108,8 +109,9 @@ def _enumerate_paths(psn: PhysicalNetwork, src: int, dsts: Iterable[int], bw: fl
 def _solve(psn: PhysicalNetwork, request: SliceRequest, *, find_optimal: bool,
            max_nodes: int | None, max_paths_per_vl: int | None) -> SolveResult:
     n = request.n_vnfs
-    servers = {s.id: s for s in psn.servers()}
-    pos, cpu, ram, bw_units = psn.index().pos, psn.cpu_units, psn.ram_units, psn.bw_units
+    idx = psn.index()
+    net_nodes, links, adj_sorted = psn.nodes, psn.links, idx.adj_sorted
+    pos, cpu, ram, bw_units = idx.pos, psn.cpu_units, psn.ram_units, psn.bw_units
 
     best_cost: float | None = None
     best_x: dict[int, int] | None = None
@@ -124,12 +126,12 @@ def _solve(psn: PhysicalNetwork, request: SliceRequest, *, find_optimal: bool,
     x: dict[int, int] = {}
     y: dict[int, list[int]] = {}
 
-    def twin_key(srv: Server) -> tuple:
-        incident = tuple(sorted(
-            (nbr, bw_units[lid], psn.links[lid].latency_ms)
-            for nbr, lid in psn.adj[srv.id]))
-        p = pos[srv.id]
-        return (srv.dc, cpu[p], ram[p], incident)
+    def twin_key(sid: int) -> tuple:
+        # neighbours are distinct (`add_link`), so adj_sorted orders by neighbour
+        incident = tuple([(nbr, bw_units[lid], links[lid].latency_ms)
+                          for nbr, lid in adj_sorted[sid]])
+        p = pos[sid]
+        return (net_nodes[sid].dc, cpu[p], ram[p], incident)
 
     def dedupe(cands: list[int]) -> list[int]:
         # same-signature servers behind the same neighbors are automorphic
@@ -137,7 +139,7 @@ def _solve(psn: PhysicalNetwork, request: SliceRequest, *, find_optimal: bool,
         seen: set[tuple] = set()
         out = []
         for sid in cands:
-            key = twin_key(servers[sid])
+            key = twin_key(sid)
             if key in seen:
                 continue
             seen.add(key)
@@ -147,35 +149,29 @@ def _solve(psn: PhysicalNetwork, request: SliceRequest, *, find_optimal: bool,
     def candidates(v: int, last_s: int | None, used_e2e: float) -> list[tuple[int, list[tuple[int, ...]]]]:
         """Eligible (server, feasible paths) pairs for VNF v, search order."""
         nonlocal truncated_any
-        ok = lookahead_ok(psn, request, v)
         if v == 1:
             # depth-invariant: deeper, residuals and demands drop by what is held
             if sum(cpu) < need_cpu or sum(ram) < need_ram:
                 return []
-            roots = psn.index().id[_root_mask(psn, request)].tolist()
-            cands = [sid for sid in roots if ok(servers[sid])]
-            return [(sid, [()]) for sid in dedupe(cands)]
+            return [(sid, [()]) for sid in dedupe(feasible_servers(psn, request, 1, None))]
         vl = request.vl(v - 1)
         eff = min(vl.budget_ms, request.e2e_budget_ms - used_e2e)
+        # every entry lies within eff; last_s, at 0, always does
         reach = latency_reach(psn, last_s, vl.bw, eff)
-        last_dc = psn.nodes[last_s].dc
-        cands = []
-        for sid, srv in sorted(servers.items()):
-            if sid != last_s and reach.get(sid, float("inf")) > eff + LATENCY_EPS:
-                continue
-            if not ok(srv):
-                continue
-            rank = 0 if sid == last_s else (1 if srv.dc == last_dc else 2)
-            cands.append((rank, sid))
+        cands = [sid for sid in idx.id[lookahead_mask(psn, request, v)].tolist()
+                 if sid in reach]
         if find_optimal:
-            cands.sort()
-        keep = set(dedupe([sid for _, sid in cands]))
+            # last_s, then its DC, then the rest; the sort is stable
+            last_dc = net_nodes[last_s].dc
+            cands.sort(key=lambda sid: 0 if sid == last_s
+                       else (1 if net_nodes[sid].dc == last_dc else 2))
+        keep = set(dedupe(cands))
         by_dst, truncated = _enumerate_paths(psn, last_s, keep, vl.bw, eff,
                                              max_paths_per_vl)
         truncated_any = truncated_any or bool(truncated)
         if last_s in keep:
             by_dst[last_s] = [()]
-        return [(sid, by_dst[sid]) for _, sid in cands if sid in by_dst]
+        return [(sid, by_dst[sid]) for sid in cands if sid in by_dst]
 
     def expand(v: int, last_s: int | None, used_e2e: float, committed: float) -> None:
         nonlocal nodes, deepest, best_cost, best_x, best_y
@@ -192,7 +188,6 @@ def _solve(psn: PhysicalNetwork, request: SliceRequest, *, find_optimal: bool,
             return
         d = request.vnf(v)
         for sid, paths in candidates(v, last_s, used_e2e):
-            srv = servers[sid]
             for path in paths:
                 cost_p = 0.0 if v == 1 else len(path) * request.vl(v - 1).bw
                 if best_cost is not None and committed + cost_p >= best_cost:
@@ -208,7 +203,7 @@ def _solve(psn: PhysicalNetwork, request: SliceRequest, *, find_optimal: bool,
                     if v > 1:
                         y[v - 1] = list(path)
                     path_lat = sum(psn.links[lid].latency_ms for lid in path)
-                    next_e2e = (psn.access_latency(request.uap, srv.dc) if v == 1
+                    next_e2e = (psn.access_latency(request.uap, net_nodes[sid].dc) if v == 1
                                 else used_e2e + path_lat)
                     deepest = max(deepest, v)
                     expand(v + 1, sid, next_e2e, committed + cost_p)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -418,40 +418,43 @@ def _has_uplink(psn: PhysicalNetwork, server_id: int, need: int) -> bool:
     return False
 
 
-def root_dcs(psn: PhysicalNetwork, request: SliceRequest) -> set[str]:
-    """Data centers that may host the first VNF: access latency from the
-    request's UAP within the class bound."""
-    return {dc_id for dc_id in psn.data_centers
-            if psn.access_latency(request.uap, dc_id) <= request.alpha_max_ms + LATENCY_EPS}
+def _room(psn: PhysicalNetwork, cpu: int, ram: int) -> np.ndarray:
+    """By server position, the servers with `cpu` and `ram` units left."""
+    cpu_units, ram_units, _ = psn.vectors()
+    ok = cpu_units >= cpu
+    ok &= ram_units >= ram
+    return ok
 
 
-def lookahead_ok(psn: PhysicalNetwork, request: SliceRequest,
-                 v: int) -> Callable[[Server], bool]:
-    """Predicate for hosting VNF v: room for it plus, before the final VNF,
-    room for VNF v+1 too or an incident link that can carry VL v."""
-    pos, cpu_units, ram_units = psn.index().pos, psn.cpu_units, psn.ram_units
-    d = request.vnf(v)
-    cpu, ram = to_units(d.cpu), to_units(d.ram)
-    if v == request.n_vnfs:
-        return lambda srv: cpu_units[pos[srv.id]] >= cpu and ram_units[pos[srv.id]] >= ram
-    d_next = request.vnf(v + 1)
-    cpu_both, ram_both = cpu + to_units(d_next.cpu), ram + to_units(d_next.ram)
-    bw_next = to_units(request.vl(v).bw)
-
-    def ok(srv: Server) -> bool:
-        c, r = cpu_units[pos[srv.id]], ram_units[pos[srv.id]]
-        return ((c >= cpu_both and r >= ram_both)
-                or (c >= cpu and r >= ram and _has_uplink(psn, srv.id, bw_next)))
+def lookahead_mask(psn: PhysicalNetwork, request: SliceRequest, v: int) -> np.ndarray:
+    """By server position, the servers that may host VNF v: room for it
+    and, before the final VNF, room for VNF v+1 too or an incident link that
+    can carry VL v. The one lookahead rule of P2C and the exact search."""
+    d_v = request.vnf(v)
+    cpu_v, ram_v = to_units(d_v.cpu), to_units(d_v.ram)
+    ok = _room(psn, cpu_v, ram_v)
+    if v < request.n_vnfs:
+        idx, d_next, bw_next = psn.index(), request.vnf(v + 1), to_units(request.vl(v).bw)
+        # -1 (no accounting, or no one link: the trailing slot) passes no demand
+        ahead = psn.vectors()[2][idx.up_link] >= bw_next
+        for p in idx.multi:
+            ahead[p] = _has_uplink(psn, int(idx.id[p]), bw_next)
+        ahead |= _room(psn, cpu_v + to_units(d_next.cpu), ram_v + to_units(d_next.ram))
+        ok &= ahead
     return ok
 
 
 def _root_mask(psn: PhysicalNetwork, request: SliceRequest) -> np.ndarray:
-    """Servers of `root_dcs`, by server position; cached per (UAP, bound)."""
+    """By server position, the servers of the data centers that may host the
+    first VNF: access latency from the request's UAP within the class
+    bound. Cached per (UAP, bound)."""
     idx = psn.index()
     key = (request.uap, request.alpha_max_ms)
     mask = idx.root_masks.get(key)
     if mask is None:
-        mask = np.isin(idx.dc, [idx.dc_index[dc_id] for dc_id in root_dcs(psn, request)])
+        bound = request.alpha_max_ms + LATENCY_EPS
+        mask = np.isin(idx.dc, [i for dc_id, i in idx.dc_index.items()
+                                if psn.access_latency(request.uap, dc_id) <= bound])
         mask.flags.writeable = False
         idx.root_masks[key] = mask
     return mask
@@ -462,12 +465,13 @@ def feasible_servers(psn: PhysicalNetwork, request: SliceRequest, v: int,
                      best_tier: bool = False) -> list[int]:
     """Servers eligible to host VNF v, ascending by id.
 
-    For the first VNF: servers in `root_dcs` that pass `lookahead_ok`.
+    For the first VNF: the servers of `_root_mask` that pass
+    `lookahead_mask`, the exact search's VNF-1 candidates too.
 
     For later VNFs, eligibility needs a feasible path for VL(v-1, v) from
     last_s within min(VL budget, end-to-end slack). The previous server and
-    its DC neighbors additionally pass `lookahead_ok`; servers in other DCs
-    only need room for the VNF.
+    its DC neighbors additionally pass `lookahead_mask`; servers in other
+    DCs only need room for the VNF.
 
     `used_e2e_ms` is the latency already committed (access plus placed VLs).
     With `best_tier` only the eligible servers of the best tier present are
@@ -489,16 +493,9 @@ def feasible_servers(psn: PhysicalNetwork, request: SliceRequest, v: int,
     if not 1 <= v <= n:
         raise ValueError(f"VNF index {v} outside chain 1..{n}")
     idx = psn.index()
-    cpu, ram, bw = psn.vectors()
-    d_v = request.vnf(v)
-    cpu_v, ram_v = to_units(d_v.cpu), to_units(d_v.ram)
-    ok = cpu >= cpu_v
-    ok &= ram >= ram_v
-    # by server position, the bandwidth left on its one link; -1 (no accounting,
-    # or no one link: the trailing slot) passes no demand
-    up_bw = bw[idx.up_link]
 
     if v == 1:
+        ok = lookahead_mask(psn, request, 1)
         ok &= _root_mask(psn, request)
     else:
         if last_s is None:
@@ -519,39 +516,36 @@ def feasible_servers(psn: PhysicalNetwork, request: SliceRequest, v: int,
         thr[idx.anchor_slot[list(relay)]] = [limit - d for d in relay.values()]
         thr[-1] = np.nan  # reached relays that anchor no server land here
         base = idx.up_lat <= thr[idx.up_anchor]
-        base &= up_bw >= bw_vl
+        base &= psn.vectors()[2][idx.up_link] >= bw_vl
         # a server with several links is a relay itself; last_s is always reached
         for p in idx.multi:
             base[p] = int(idx.id[p]) in relay
         if idx.pos[last_s] >= 0:
             base[idx.pos[last_s]] = True
+
+        d_v = request.vnf(v)
+        cpu_v, ram_v = to_units(d_v.cpu), to_units(d_v.ram)
+        bw_next = to_units(request.vl(v).bw) if v < n else 0
+        if bw_next > bw_vl:
+            # only last_s's own DC applies the lookahead
+            ok = lookahead_mask(psn, request, v)
+            ok |= _room(psn, cpu_v, ram_v) & (
+                idx.dc != idx.dc_index.get(psn.nodes[last_s].dc, -1))
+        else:
+            ok = _room(psn, cpu_v, ram_v)
+            # Implied before the final VNF: every server that passed reach
+            # other than last_s was entered over a link with residual
+            # >= bw(VL v-1) >= bw(VL v), its one link or, for a relay
+            # server, a relay link; so it has a link that carries VL v.
+            # Only last_s needs the lookahead.
+            p = idx.pos[last_s]
+            if v < n and p >= 0 and ok[p]:
+                d_next = request.vnf(v + 1)
+                ok[p] = ((psn.cpu_units[p] >= cpu_v + to_units(d_next.cpu)
+                          and psn.ram_units[p] >= ram_v + to_units(d_next.ram))
+                         or _has_uplink(psn, last_s, bw_next))
         ok &= base
 
-    if v < n:
-        # `lookahead_ok`: room for VNF v+1 as well, or a link that carries
-        # VL v. Room for both implies room for VNF v, since demands are
-        # non-negative (`ClassSpec` and `allocate` reject negative ones)
-        d_next, bw_next = request.vnf(v + 1), to_units(request.vl(v).bw)
-        cpu_both, ram_both = cpu_v + to_units(d_next.cpu), ram_v + to_units(d_next.ram)
-        if v > 1 and bw_next <= bw_vl:
-            # Implied: every server that passed reach other than last_s was
-            # entered over a link with residual >= bw(VL v-1) >= bw(VL v),
-            # its one link or, for a relay server, a relay link; so it has a
-            # link that carries VL v. Only last_s needs the rule.
-            p = idx.pos[last_s]
-            if p >= 0 and ok[p]:
-                ok[p] = ((psn.cpu_units[p] >= cpu_both and psn.ram_units[p] >= ram_both)
-                         or _has_uplink(psn, last_s, bw_next))
-        else:
-            # the one expression fits & (exempt | uplink | both) equals the rule
-            ahead = up_bw >= bw_next
-            for p in idx.multi:
-                ahead[p] = _has_uplink(psn, int(idx.id[p]), bw_next)
-            ahead |= (cpu >= cpu_both) & (ram >= ram_both)
-            if v > 1:
-                # only last_s's own DC applies the lookahead
-                ahead |= idx.dc != idx.dc_index.get(psn.nodes[last_s].dc, -1)
-            ok &= ahead
     if best_tier:
         for tier in idx.tier_masks:
             pick = ok & tier

@@ -19,7 +19,6 @@ import csv
 import heapq
 import math
 import time
-from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from statistics import NormalDist
@@ -300,28 +299,30 @@ class _Accounting:
 
 
 class _Ledger:
-    """The residuals a run should see, in residual units: those it started
-    from less what the held placements hold. It is kept from the placements
-    themselves, on commit and on departure, never from the transaction log."""
+    """The network a run should see: a clone of the network the run starts
+    from, whose residual arrays are written from the held placements
+    themselves, on commit and on departure, never through the transaction
+    log. Between events it holds the state before the next placement."""
 
     def __init__(self, net: PhysicalNetwork) -> None:
-        self.pos = net.index().pos
-        self.expect = tuple(array("q", a) for a in (net.cpu_units, net.ram_units, net.bw_units))
+        self.net = net.clone()
 
     def commit(self, request: SliceRequest, placement: Placement, sign: int) -> None:
-        cpu, ram, bw = self.expect
+        net = self.net
+        pos = net.index().pos
         for v, s in placement.x.items():
             d = request.vnf(v)
-            cpu[self.pos[s]] -= sign * to_units(d.cpu)
-            ram[self.pos[s]] -= sign * to_units(d.ram)
+            net.cpu_units[pos[s]] -= sign * to_units(d.cpu)
+            net.ram_units[pos[s]] -= sign * to_units(d.ram)
         for i, path in placement.y.items():
             units = sign * to_units(request.vl(i).bw)
             for lid in path:
-                bw[lid] -= units
+                net.bw_units[lid] -= units
 
     def audit(self, net: PhysicalNetwork) -> None:
         """Every residual must be what the ledger expects (one memcmp each)."""
-        for name, want, have in zip(("cpu", "ram", "bandwidth"), self.expect,
+        for name, want, have in zip(("cpu", "ram", "bandwidth"),
+                                    (self.net.cpu_units, self.net.ram_units, self.net.bw_units),
                                     (net.cpu_units, net.ram_units, net.bw_units)):
             if want != have:
                 i = next(i for i, (w, h) in enumerate(zip(want, have)) if w != h)
@@ -357,11 +358,11 @@ def run(psn: PhysicalNetwork, scenario: Scenario, algorithm: Algorithm | str,
     """Simulate one replication and return its metrics.
 
     The caller's psn is cloned, never mutated (cloning may build its
-    structure index). With validate=True the independent checker
-    re-verifies every acceptance against the pre-commit state, a full
-    snapshot confirms that every rejection left no trace, and after every
-    event every residual must equal, in residual units, what a ledger kept
-    from the held placements expects.
+    structure index). With validate=True a ledger keeps a clone of the
+    network written from the held placements alone; the independent checker
+    re-verifies every acceptance against the ledger's pre-commit state, and
+    after every event every residual must equal the ledger's, in residual
+    units, so a rejection that leaves a trace fails at its own event.
     """
     if isinstance(algorithm, str):
         algorithm = Algorithm.parse(algorithm)
@@ -423,7 +424,6 @@ def run(psn: PhysicalNetwork, scenario: Scenario, algorithm: Algorithm | str,
                                    catalog=catalog)
             per_class[cls_.value]["arrivals"] += 1
 
-            pre_snap = net.snapshot() if validate else None
             t0 = time.perf_counter() if measure_time else 0.0
             outcome = place_request(net, request, algorithm, rng_place,
                                     max_nodes=max_nodes)
@@ -433,14 +433,11 @@ def run(psn: PhysicalNetwork, scenario: Scenario, algorithm: Algorithm | str,
             placement = outcome.placement
             if placement is not None:
                 if validate:
-                    post_snap = net.snapshot()
-                    net.restore(pre_snap)
-                    verdict = check_placement(net, request, placement)
+                    verdict = check_placement(ledger.net, request, placement)
                     if not verdict.ok:
                         raise SimulationInvariantError(
                             f"accepted placement violates constraints: "
                             f"{verdict.violations}")
-                    net.restore(post_snap)
                     report.validated_accepted += 1
                 report.accepted += 1
                 per_class[cls_.value]["accepted"] += 1
@@ -452,9 +449,6 @@ def run(psn: PhysicalNetwork, scenario: Scenario, algorithm: Algorithm | str,
                 seq += 1
                 heapq.heappush(events, (t + holding, 0, seq, request.id))
             else:
-                if validate and net.snapshot() != pre_snap:
-                    raise SimulationInvariantError(
-                        "rejected placement left the substrate changed")
                 report.rejected += 1
                 per_class[cls_.value]["rejected"] += 1
                 if outcome.solver_status is SolveStatus.BUDGET_EXCEEDED:

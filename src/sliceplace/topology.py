@@ -263,7 +263,9 @@ class PhysicalNetwork:
     and the residual arrays, so nothing it changes shows in the parent.
 
     A data center's `servers` lists its servers in id order: `add_server`
-    appends to it and `validate` (run by `from_json`) checks it.
+    appends to it and `validate` (run by `from_json`) checks it. `add_link`
+    refuses a second link between two nodes, so a node's neighbours are
+    distinct.
     """
 
     def __init__(self, params: TopologyParams | None = None) -> None:
@@ -343,6 +345,9 @@ class PhysicalNetwork:
             raise TopologyError("latency must be non-negative")
         if kind is LinkKind.INTRA_DC and latency_ms != 0:
             raise TopologyError("intra-DC links must have zero latency")
+        near, far = (a, b) if len(self.adj[a]) <= len(self.adj[b]) else (b, a)
+        if any(nbr == far for nbr, _ in self.adj[near]):
+            raise TopologyError(f"nodes {a} and {b} are already linked")
         units = -1 if bw_capacity is None else to_units(bw_capacity)
         self._restructure()
         link = PhysicalLink(id=len(self.links), a=a, b=b, latency_ms=latency_ms,
@@ -606,8 +611,8 @@ class PhysicalNetwork:
     def validate(self) -> None:
         """Raise TopologyError unless residuals lie within capacities, each
         data center's `servers` lists exactly the servers that name it, in
-        id order, no two links join the same pair of nodes, every switch
-        and UAP entry names a node of that kind, and the graph is connected."""
+        id order, every switch and UAP entry names a node of that kind, and
+        the graph is connected."""
         dc_servers: dict[str, list[int]] = {dc_id: [] for dc_id in self.data_centers}
         for p, s in enumerate(self.servers()):
             if not (0 <= self.cpu_units[p] <= to_units(s.cpu_capacity)
@@ -616,18 +621,12 @@ class PhysicalNetwork:
             if s.dc not in dc_servers:
                 raise TopologyError(f"server {s.id} belongs to no data center")
             dc_servers[s.dc].append(s.id)
-        pairs: set[tuple[int, int]] = set()
         for link in self.links:
             units = self.bw_units[link.id]
             cap = -1 if link.bw_capacity is None else to_units(link.bw_capacity)
             if not (units == cap == -1 or 0 <= units <= cap):
                 raise TopologyError(f"link {link.id}: bandwidth residual out of bounds "
                                     f"or without a capacity")
-            pair = (link.a, link.b) if link.a < link.b else (link.b, link.a)
-            if pair in pairs:
-                raise TopologyError(f"link {link.id}: nodes {pair[0]} and {pair[1]} "
-                                    f"are already linked")
-            pairs.add(pair)
         for dc in self.data_centers.values():
             if dc.servers != dc_servers[dc.id]:
                 raise TopologyError(f"data center {dc.id} must list its "

@@ -8,12 +8,13 @@ shares no search code with `sliceplace.exact`.
 destination; the single search of `sliceplace.exact._enumerate_paths` must
 find what it finds for every destination.
 
-`plain_reach`, `plain_hop_path`, `scan_feasible_servers` and
+`plain_reach`, `plain_hop_path`, `lookahead`, `scan_feasible_servers` and
 `narrow_to_best_tier` are plain one-pass versions of P2C's reach search,
-hop search, eligibility and tier narrowing. `reference_place` and
-`reference_release` build whole P2C episodes from them, writing the residual
-arrays directly, with no transaction and no numpy view. `loaded_substrates`
-draws the small random substrates they run on.
+hop search, lookahead rule, eligibility and tier narrowing.
+`reference_place` and `reference_release` build whole P2C episodes from
+them, writing the residual arrays directly, with no transaction and no
+numpy view. `loaded_substrates` draws the small random substrates they run
+on.
 
 The oracles read residuals through `PhysicalNetwork.residual` and
 `bw_residual`, in CPU units, GB and Gbps, and compare them with demands as
@@ -32,8 +33,7 @@ from hypothesis import strategies as st
 from sliceplace.exact import SolveResult, SolveStatus
 from sliceplace.nspr import SliceRequest
 from sliceplace.p2c import OutcomeStatus, PlacementOutcome, Policy
-from sliceplace.placement import (LATENCY_EPS, Placement, bandwidth_cost, lookahead_ok,
-                                  root_dcs)
+from sliceplace.placement import LATENCY_EPS, Placement, bandwidth_cost
 from sliceplace.topology import (TIER_ORDER, DCKind, LinkKind, NodeKind, PhysicalNetwork,
                                  Server, TopologyParams, to_units)
 
@@ -249,16 +249,30 @@ def plain_hop_path(net: PhysicalNetwork, src: int, dst: int, bw: float) -> list[
     return None
 
 
+def lookahead(net: PhysicalNetwork, request, v: int, sid: int) -> bool:
+    """Reference lookahead for one server: room for VNF v and, before the
+    final VNF, room for VNF v+1 too or an incident link that carries VL v."""
+    d = request.vnf(v)
+    if not fits(net, sid, d.cpu, d.ram):
+        return False
+    if v == request.n_vnfs:
+        return True
+    d_next = request.vnf(v + 1)
+    return (fits(net, sid, d.cpu + d_next.cpu, d.ram + d_next.ram)
+            or any(usable(net, lid, request.vl(v).bw) for _, lid in net.adj[sid]))
+
+
 def scan_feasible_servers(net: PhysicalNetwork, request, v: int, last_s: int | None,
                           used_e2e_ms: float) -> list[int]:
     """Reference eligibility: the rule of `feasible_servers` applied to every
     server of the network in id order."""
     d_v = request.vnf(v)
-    ok = lookahead_ok(net, request, v)
     servers = [n for n in net.nodes if isinstance(n, Server)]
     if v == 1:
-        ok_dcs = root_dcs(net, request)
-        return [s.id for s in servers if s.dc in ok_dcs and ok(s)]
+        bound = request.alpha_max_ms + LATENCY_EPS
+        ok_dcs = {dc_id for dc_id in net.data_centers
+                  if net.access_latency(request.uap, dc_id) <= bound}
+        return [s.id for s in servers if s.dc in ok_dcs and lookahead(net, request, 1, s.id)]
     vl = request.vl(v - 1)
     eff_budget = min(vl.budget_ms, request.e2e_budget_ms - used_e2e_ms)
     reach = plain_reach(net, last_s, vl.bw, eff_budget)
@@ -266,13 +280,13 @@ def scan_feasible_servers(net: PhysicalNetwork, request, v: int, last_s: int | N
     out = []
     for srv in servers:
         if srv.id == last_s:
-            if ok(srv):
+            if lookahead(net, request, v, srv.id):
                 out.append(srv.id)
             continue
         if reach.get(srv.id, float("inf")) > eff_budget + LATENCY_EPS:
             continue
         if srv.dc == last_dc:
-            if ok(srv):
+            if lookahead(net, request, v, srv.id):
                 out.append(srv.id)
         elif fits(net, srv.id, d_v.cpu, d_v.ram):
             out.append(srv.id)
@@ -320,8 +334,9 @@ def loaded_substrates(draw):
     for _ in range(draw(st.integers(0, 4))):
         a, b = draw(st.lists(st.integers(0, len(net.nodes) - 1),
                              min_size=2, max_size=2, unique=True))
-        net.add_link(a, b, draw(st.sampled_from(LINK_LATENCIES)),
-                     LinkKind.TRANSPORT, draw(st.sampled_from(LINK_BWS)))
+        if net.link_between(a, b) is None:  # two nodes hold one link at most
+            net.add_link(a, b, draw(st.sampled_from(LINK_LATENCIES)),
+                         LinkKind.TRANSPORT, draw(st.sampled_from(LINK_BWS)))
     spare_dc = net.data_centers.get(f"dc{spare}")
     for u in range(draw(st.integers(1, 2))):
         uap = net.add_node(f"uap{u}", NodeKind.UAP)

@@ -13,7 +13,7 @@ from sliceplace.exact import SolveStatus, _enumerate_paths, solve_ilp1, solve_il
 from sliceplace.nspr import DEFAULT_CATALOG, SliceClass, make_request
 from sliceplace.p2c import OutcomeStatus, Policy
 from sliceplace.p2c import place as p2c_place
-from sliceplace.placement import bandwidth_cost, check_placement
+from sliceplace.placement import bandwidth_cost, check_placement, feasible_servers
 from sliceplace.topology import (DCKind, LinkKind, NodeKind, PhysicalNetwork,
                                  TopologyParams, build_reference_psn)
 
@@ -239,6 +239,29 @@ class TestAgreement:
             assert check_placement(net, req, res.placement).ok
             assert res.placement.cost == pytest.approx(bandwidth_cost(req, res.placement), abs=1e-9)
 
+    @settings(max_examples=100, deadline=None)
+    @given(loaded_substrates(), st.data())
+    def test_agree_on_loaded_substrates(self, net, data):
+        """Servers with two links or none, thin links, and VL demands that
+        rise or fall along a three-VNF chain. VNFs of 20 or 25 CPU do not
+        all fit on one server, so the chain needs a path."""
+        req = short_request(net, data.draw(st.sampled_from(list(SliceClass))),
+                            data.draw(st.integers(0, len(net.uaps) - 1)))
+        bws = data.draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=2, max_size=2,
+                                 unique=True))
+        cpu = data.draw(st.sampled_from([15.0, 20.0, 25.0]))
+        req = dataclasses.replace(
+            req, vnfs=tuple(dataclasses.replace(d, cpu=cpu, ram=6 * cpu) for d in req.vnfs),
+            vls=tuple(dataclasses.replace(vl, bw=bw) for vl, bw in zip(req.vls, bws)))
+        b = brute_force(net, req, max_servers=12)
+        o, f = solve_ilp1(net, req), solve_ilp2(net, req)
+        assert o.status is f.status is b.status
+        if b.status is SolveStatus.OPTIMAL:
+            assert o.objective == pytest.approx(b.objective, abs=1e-9)
+            assert f.objective >= o.objective - 1e-9
+            assert check_placement(net, req, o.placement).ok
+            assert check_placement(net, req, f.placement).ok
+
     def test_colocated_optimum_is_zero(self):
         net = make_single_dc(servers=1, cpu=200.0, ram=1200.0)
         req = short_request(net, SliceClass.EMBB)
@@ -273,6 +296,26 @@ class TestInfeasibility:
         b = brute_force(net, req)
         assert b.status is SolveStatus.INFEASIBLE
         assert b.deepest_feasible_vnf >= 1
+
+    def test_every_dc_applies_the_lookahead(self):
+        """Unlike P2C, the exact search applies the lookahead outside the
+        previous server's DC too: the one server that VL 1 reaches, in the
+        CDC, fits VNF 2 but can neither take VNF 3 nor carry VL 2, so VNF 2
+        is never committed."""
+        net = make_pair(edc_servers=1, cdc_servers=2)
+        (root,) = net.data_centers["edc0"].servers
+        near, cut_off = net.data_centers["cdc0"].servers
+        req = short_request(net, SliceClass.URLLC)
+        req = dataclasses.replace(req, vls=(dataclasses.replace(req.vls[0], bw=1.0),
+                                            dataclasses.replace(req.vls[1], bw=2.0)))
+        net.allocate(root, 35.0, 210.0)  # room for VNF 1 alone
+        net.allocate(near, 30.0, 180.0)  # room for one VNF
+        net.allocate_bw(link_id(net, near, net.data_centers["cdc0"].switch), 98.5)
+        net.allocate_bw(link_id(net, cut_off, net.data_centers["cdc0"].switch), 100.0)
+        assert near in feasible_servers(net, req, 2, root, used_e2e_ms=0.02)  # P2C exempts it
+        for solver in (solve_ilp1, solve_ilp2):
+            res = solver(net, req)
+            assert (res.status, res.deepest_feasible_vnf) == (SolveStatus.INFEASIBLE, 1)
 
     def test_aggregate_capacity_prunes_at_root(self):
         net = make_single_dc(servers=1, cpu=30.0)

@@ -22,6 +22,7 @@ from sliceplace.placement import (
     check_placement,
     feasible_servers,
     latency_reach,
+    lookahead_mask,
     min_cost_path,
     release_placement,
 )
@@ -37,8 +38,8 @@ from sliceplace.topology import (
 )
 
 from conftest import drain_dc, make_pair, make_single_dc
-from oracles import (LINK_BWS, LINK_LATENCIES, loaded_substrates, narrow_to_best_tier,
-                     plain_hop_path, plain_reach, scan_feasible_servers)
+from oracles import (LINK_BWS, LINK_LATENCIES, loaded_substrates, lookahead,
+                     narrow_to_best_tier, plain_hop_path, plain_reach, scan_feasible_servers)
 
 
 def link_id(net: PhysicalNetwork, a: int, b: int) -> int:
@@ -636,6 +637,26 @@ class TestReachBoundedEligibility:
         assert latency_reach(net, anchor, 1.0, 5.0) == {anchor: 0.0}
         got = feasible_servers(net, req, 2, anchor, used_e2e_ms=0.02)
         assert got == [anchor] == scan_feasible_servers(net, req, 2, anchor, 0.02)
+
+
+class TestLookaheadMask:
+    """`lookahead_mask`, the lookahead rule of P2C and the exact search,
+    equals the oracle's plain rule for every server and every VNF."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(loaded_substrates(), st.data())
+    def test_matches_the_plain_rule(self, net, data):
+        if data.draw(st.booleans()):
+            add_dc_less_server(net, data)
+        request = make_request(data.draw(st.sampled_from(list(SliceClass))),
+                               data.draw(st.sampled_from(net.uaps)))
+        # unequal VL demands, some beyond a thin link's residual
+        request = dataclasses.replace(request, vls=tuple(
+            dataclasses.replace(vl, bw=data.draw(st.sampled_from([0.5, 1.0, 2.0, 10.0])))
+            for vl in request.vls))
+        for v in range(1, request.n_vnfs + 1):
+            assert lookahead_mask(net, request, v).tolist() == \
+                   [lookahead(net, request, v, s.id) for s in net.servers()]
 
 
 class TestApplyRelease:

@@ -303,7 +303,7 @@ class TestPlaceRequest:
 
 class TestValidateAudit:
     def test_rejection_that_leaks_is_caught(self, net, monkeypatch):
-        # a placer that holds resources yet reports rejection; the snapshot
+        # a placer that holds resources yet reports rejection; the ledger
         # audit must see it without trusting the transaction log
         def leaky(psn, request, policy, rng):
             psn.allocate(psn.servers()[0].id, 1.0, 1.0)
@@ -311,7 +311,8 @@ class TestValidateAudit:
 
         monkeypatch.setattr(sim, "place", leaky)
         sc = short_scenario(horizon=50.0, warmup=0.0)
-        with pytest.raises(SimulationInvariantError, match="rejected placement"):
+        with pytest.raises(SimulationInvariantError,
+                           match=r"server 1: cpu residual 49\.0, expected 50\.0"):
             run(net, sc, "p2c-1", 1, validate=True)
 
     def test_residual_written_behind_the_network_is_caught(self, net, monkeypatch):

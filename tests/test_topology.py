@@ -175,6 +175,17 @@ class TestReferenceBuild:
         with pytest.raises(TopologyError):
             net.add_link(edc.switch, edc.servers[0], 0.1, LinkKind.INTRA_DC, 10.0)
 
+    def test_second_link_between_two_nodes_rejected(self):
+        net = make_pair()
+        edc, cdc = net.data_centers["edc0"], net.data_centers["cdc0"]
+        adj = [list(entries) for entries in net.adj]
+        # either direction, and from the busier end (a switch) or the lone one
+        for a, b in ((edc.switch, cdc.switch), (cdc.switch, edc.switch),
+                     (edc.switch, edc.servers[0]), (edc.servers[0], edc.switch)):
+            with pytest.raises(TopologyError, match="already linked"):
+                net.add_link(a, b, 0.0, LinkKind.TRANSPORT, 10.0)
+        assert net.adj == adj and len(net.bw_units) == len(net.links) + 1
+
     def test_scale_zero_rejected(self):
         with pytest.raises((ValueError, TopologyError)):
             build_reference_psn(0)
@@ -479,9 +490,9 @@ class TestStructureIndex:
 
     def test_sorted_adjacency_keeps_adj_order(self):
         net = make_pair()
-        a, b = net.data_centers["edc0"].switch, net.data_centers["cdc0"].switch
-        # a second, later link to a lower-id neighbor
-        net.add_link(b, a, 1.0, LinkKind.TRANSPORT, 10.0)
+        b = net.data_centers["cdc0"].switch
+        # a later link to a lower-id neighbor than b's own servers
+        net.add_link(b, net.data_centers["edc0"].servers[0], 1.0, LinkKind.TRANSPORT, 10.0)
         for u, entries in enumerate(net.adj):
             assert net.index().adj_sorted[u] == tuple(sorted(entries))
         assert net.adj[b] != sorted(net.adj[b])
@@ -602,10 +613,14 @@ class TestResidualArrays:
                 feasible_servers(net, request, 2, servers[0], used_e2e_ms=0.02)
                 a, b = data.draw(st.lists(st.sampled_from(servers), min_size=2,
                                           max_size=2, unique=True))
-                lid = net.add_link(a, b, 0.0, LinkKind.TRANSPORT, 1.5)
-                units[("bw", lid)] = cap[("bw", lid)] = 1_500_000
-                snaps = [(net.snapshot(), dict(units))]
-                marks = [(m, {**saved, ("bw", lid): 1_500_000}) for m, saved in marks]
+                if net.link_between(a, b) is not None:  # refused, changing nothing
+                    with pytest.raises(TopologyError, match="already linked"):
+                        net.add_link(a, b, 0.0, LinkKind.TRANSPORT, 1.5)
+                else:
+                    lid = net.add_link(a, b, 0.0, LinkKind.TRANSPORT, 1.5)
+                    units[("bw", lid)] = cap[("bw", lid)] = 1_500_000
+                    snaps = [(net.snapshot(), dict(units))]
+                    marks = [(m, {**saved, ("bw", lid): 1_500_000}) for m, saved in marks]
             else:
                 sign = -1 if name.startswith("allocate") else 1
                 if name in ("allocate", "release"):
