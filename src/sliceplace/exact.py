@@ -14,9 +14,22 @@ Eligibility is P2C's, read from the same masks: VNF-1 candidates are
 every DC (P2C exempts the other DCs from the lookahead). Each search frame
 holds its VNF and path in a substrate transaction it rolls back.
 
-Searches carry an explored-node budget. A tripped budget (or a truncated path
-enumeration) is reported as BUDGET_EXCEEDED, never as a silently suboptimal
-OPTIMAL; any best-known placement found by then is still returned.
+Search order: VNF-1 candidates, and ILP-2's later ones, in id order; ILP-1
+takes the previous server (colocation, at cost 0) first, then its DC, then
+the rest; each server's paths by (hops, latency, link ids). A branch is
+pruned once the cost held plus its path's reaches the best found. ILP-1
+tests that bound before it builds a list: it tries colocation from the
+one-server `lookahead_at`, and builds the other candidates (reach, twin
+dedupe, path search) only if a path of h links could still win, h being the
+fewest links from the previous server to another server (1 if a neighbour
+is a server, 2 otherwise). Every listed path has at least h links, so what
+the bound skips, the list's loop would have pruned.
+
+Searches carry an explored-node budget. A tripped budget, or a path
+enumeration that the search used and `max_paths_per_vl` truncated, is
+reported as BUDGET_EXCEEDED, never as a silently suboptimal OPTIMAL; any
+best-known placement found by then is still returned. An enumeration the
+bound skips could not improve the result, so it never counts.
 """
 
 from __future__ import annotations
@@ -25,9 +38,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
-from .nspr import SliceRequest
+from .nspr import SliceRequest, VlDemand, VnfDemand
 from .placement import (LATENCY_EPS, Placement, bandwidth_cost, feasible_servers,
-                        latency_reach, lookahead_mask)
+                        latency_reach, lookahead_at, lookahead_mask)
 from .topology import PhysicalNetwork, to_units
 
 DEFAULT_NODE_BUDGET = 200_000
@@ -120,8 +133,8 @@ def _solve(psn: PhysicalNetwork, request: SliceRequest, *, find_optimal: bool,
     deepest = 0
     truncated_any = False
 
-    need_cpu = sum(to_units(request.vnf(v).cpu) for v in range(1, n + 1))
-    need_ram = sum(to_units(request.vnf(v).ram) for v in range(1, n + 1))
+    need_cpu = sum(to_units(d.cpu) for d in request.vnfs)
+    need_ram = sum(to_units(d.ram) for d in request.vnfs)
 
     x: dict[int, int] = {}
     y: dict[int, list[int]] = {}
@@ -146,15 +159,10 @@ def _solve(psn: PhysicalNetwork, request: SliceRequest, *, find_optimal: bool,
             out.append(sid)
         return out
 
-    def candidates(v: int, last_s: int | None, used_e2e: float) -> list[tuple[int, list[tuple[int, ...]]]]:
-        """Eligible (server, feasible paths) pairs for VNF v, search order."""
+    def candidates(v: int, last_s: int, used_e2e: float,
+                   vl: VlDemand) -> list[tuple[int, list[tuple[int, ...]]]]:
+        """Eligible (server, feasible paths) pairs for VNF v > 1, search order."""
         nonlocal truncated_any
-        if v == 1:
-            # depth-invariant: deeper, residuals and demands drop by what is held
-            if sum(cpu) < need_cpu or sum(ram) < need_ram:
-                return []
-            return [(sid, [()]) for sid in dedupe(feasible_servers(psn, request, 1, None))]
-        vl = request.vl(v - 1)
         eff = min(vl.budget_ms, request.e2e_budget_ms - used_e2e)
         # every entry lies within eff; last_s, at 0, always does
         reach = latency_reach(psn, last_s, vl.bw, eff)
@@ -173,8 +181,29 @@ def _solve(psn: PhysicalNetwork, request: SliceRequest, *, find_optimal: bool,
             by_dst[last_s] = [()]
         return [(sid, by_dst[sid]) for sid in cands if sid in by_dst]
 
+    def branch(v: int, sid: int, path: tuple[int, ...], d: VnfDemand, bw: float,
+               used_e2e: float, committed: float) -> None:
+        """Hold VNF v on sid and VL v-1 on path, search on, roll back."""
+        nonlocal deepest
+        mark = psn.begin()
+        try:
+            psn.allocate(sid, d.cpu, d.ram)
+            for lid in path:
+                psn.allocate_bw(lid, bw)
+            x[v] = sid
+            if v > 1:
+                y[v - 1] = list(path)
+            next_e2e = (psn.access_latency(request.uap, net_nodes[sid].dc) if v == 1
+                        else used_e2e + sum(links[lid].latency_ms for lid in path))
+            deepest = max(deepest, v)
+            expand(v + 1, sid, next_e2e, committed)
+        finally:
+            y.pop(v - 1, None)
+            x.pop(v, None)
+            psn.rollback(mark)
+
     def expand(v: int, last_s: int | None, used_e2e: float, committed: float) -> None:
-        nonlocal nodes, deepest, best_cost, best_x, best_y
+        nonlocal nodes, best_cost, best_x, best_y
         nodes += 1
         if max_nodes is not None and nodes > max_nodes:
             raise _BudgetExhausted
@@ -187,30 +216,38 @@ def _solve(psn: PhysicalNetwork, request: SliceRequest, *, find_optimal: bool,
                 raise _FoundFeasible
             return
         d = request.vnf(v)
-        for sid, paths in candidates(v, last_s, used_e2e):
+        if v == 1:
+            # depth-invariant: deeper, residuals and demands drop by what is
+            # held. A root branch holds no cost, and a zero best ends the search
+            if sum(cpu) >= need_cpu and sum(ram) >= need_ram:
+                for sid in dedupe(feasible_servers(psn, request, 1, None)):
+                    branch(1, sid, (), d, 0.0, 0.0, 0.0)
+            return
+        vl = request.vl(v - 1)
+        bw = vl.bw
+        tried = False
+        if find_optimal:
+            # ILP-1's list heads with last_s, at cost 0, exactly when last_s
+            # passes the lookahead: try it before building the list
+            if (best_cost is None or committed < best_cost) and \
+                    lookahead_at(psn, request, v, last_s):
+                branch(v, last_s, (), d, bw, used_e2e, committed)
+                tried = True
+            if best_cost is not None:
+                # every other server is at least h links away, so no path of
+                # the list could beat the best
+                h = 1 if any(pos[nbr] >= 0 for nbr, _ in adj_sorted[last_s]) else 2
+                if committed + h * bw >= best_cost:
+                    return
+        cands = candidates(v, last_s, used_e2e, vl)
+        if tried:
+            del cands[0]  # last_s; its subtree rolled back, so the list is as before
+        for sid, paths in cands:
             for path in paths:
-                cost_p = 0.0 if v == 1 else len(path) * request.vl(v - 1).bw
-                if best_cost is not None and committed + cost_p >= best_cost:
-                    if v > 1:
-                        break  # paths sorted by hops; the rest cost at least this much
-                    continue
-                mark = psn.begin()
-                try:
-                    psn.allocate(sid, d.cpu, d.ram)
-                    for lid in path:
-                        psn.allocate_bw(lid, request.vl(v - 1).bw)
-                    x[v] = sid
-                    if v > 1:
-                        y[v - 1] = list(path)
-                    path_lat = sum(psn.links[lid].latency_ms for lid in path)
-                    next_e2e = (psn.access_latency(request.uap, net_nodes[sid].dc) if v == 1
-                                else used_e2e + path_lat)
-                    deepest = max(deepest, v)
-                    expand(v + 1, sid, next_e2e, committed + cost_p)
-                finally:
-                    y.pop(v - 1, None)
-                    x.pop(v, None)
-                    psn.rollback(mark)
+                cost = committed + len(path) * bw
+                if best_cost is not None and cost >= best_cost:
+                    break  # paths sorted by hops; the rest cost at least this much
+                branch(v, sid, path, d, bw, used_e2e, cost)
 
     status = SolveStatus.OPTIMAL
     try:

@@ -444,6 +444,26 @@ def lookahead_mask(psn: PhysicalNetwork, request: SliceRequest, v: int) -> np.nd
     return ok
 
 
+def lookahead_at(psn: PhysicalNetwork, request: SliceRequest, v: int,
+                 server_id: int) -> bool:
+    """`lookahead_mask(psn, request, v)` at one server, for v in 1..n, from
+    scalar reads: what `feasible_servers` asks of last_s and ILP-1 of a
+    colocation. Both ask it on every later VNF, so it indexes the demand
+    tuples without `request.vnf`'s range check."""
+    p = psn.index().pos[server_id]
+    vnfs = request.vnfs
+    d_v = vnfs[v - 1]
+    cpu_v, ram_v = to_units(d_v.cpu), to_units(d_v.ram)
+    cpu, ram = psn.cpu_units[p], psn.ram_units[p]
+    if cpu < cpu_v or ram < ram_v:
+        return False
+    if v == len(vnfs):
+        return True
+    d_next = vnfs[v]
+    return ((cpu >= cpu_v + to_units(d_next.cpu) and ram >= ram_v + to_units(d_next.ram))
+            or _has_uplink(psn, server_id, to_units(request.vls[v - 1].bw)))
+
+
 def _root_mask(psn: PhysicalNetwork, request: SliceRequest) -> np.ndarray:
     """By server position, the servers of the data centers that may host the
     first VNF: access latency from the request's UAP within the class
@@ -537,13 +557,11 @@ def feasible_servers(psn: PhysicalNetwork, request: SliceRequest, v: int,
             # other than last_s was entered over a link with residual
             # >= bw(VL v-1) >= bw(VL v), its one link or, for a relay
             # server, a relay link; so it has a link that carries VL v.
-            # Only last_s needs the lookahead.
+            # Only last_s needs the lookahead; at the final VNF, or without
+            # room, it equals ok[p] already.
             p = idx.pos[last_s]
             if v < n and p >= 0 and ok[p]:
-                d_next = request.vnf(v + 1)
-                ok[p] = ((psn.cpu_units[p] >= cpu_v + to_units(d_next.cpu)
-                          and psn.ram_units[p] >= ram_v + to_units(d_next.ram))
-                         or _has_uplink(psn, last_s, bw_next))
+                ok[p] = lookahead_at(psn, request, v, last_s)
         ok &= base
 
     if best_tier:

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sliceplace.exact import SolveStatus, _enumerate_paths, solve_ilp1, solve_ilp2
-from sliceplace.nspr import DEFAULT_CATALOG, SliceClass, make_request
+from sliceplace import exact
+from sliceplace.nspr import DEFAULT_CATALOG, SliceClass, VnfDemand, make_request
 from sliceplace.p2c import OutcomeStatus, Policy
 from sliceplace.p2c import place as p2c_place
 from sliceplace.placement import bandwidth_cost, check_placement, feasible_servers
@@ -78,6 +79,30 @@ def detour_first_network() -> PhysicalNetwork:
     net.uaps.append(uap)
     net.validate()
     return net
+
+
+def two_slot_request(net: PhysicalNetwork, vl_budgets_ms=(0.33, 0.33)):
+    """Three 25-CPU, 150-GB VNFs joined by 1 Gbps VLs: an empty 50-CPU,
+    300-GB server holds two of them."""
+    req = short_request(net, SliceClass.URLLC)
+    return dataclasses.replace(
+        req, vnfs=tuple(VnfDemand(25.0, 150.0) for _ in req.vnfs),
+        vls=tuple(dataclasses.replace(vl, budget_ms=b)
+                  for vl, b in zip(req.vls, vl_budgets_ms)))
+
+
+def one_slot_and_two_slot_network() -> tuple[PhysicalNetwork, int, int]:
+    """One star DC with two servers: a, loaded to room for one VNF of
+    `two_slot_request`, and b, with room for two. Besides the switch, a
+    0.4 ms detour over a router joins them, too slow for VL 1 but within
+    VL 2's budget of 0.6 ms."""
+    net = make_single_dc(servers=2)
+    a, b = sorted(net.data_centers["dc0"].servers)
+    net.allocate(a, 25.0, 150.0)
+    router = net.add_node("r", NodeKind.ROUTER)
+    for sid in (a, b):
+        net.add_link(router, sid, 0.2, LinkKind.TRANSPORT, 10.0)
+    return net, a, b
 
 
 class TestPathSearch:
@@ -160,6 +185,20 @@ class TestPathLimit:
         assert res.placement.x == {1: 1, 2: 5, 3: 7}
         assert res.placement.y == {1: [0, 6, 2], 2: [2, 5, 7, 3]}
 
+    def test_ilp1_cap_counts_only_searched_enumerations(self):
+        """A capped enumeration that the bound skips cannot hide a better
+        placement, so it does not turn ILP-1's verdict into BUDGET_EXCEEDED.
+        With a cap of 2, the one enumeration the search uses (from a, one
+        path to b) is whole; the one from b at VNF 3, where both of a's
+        paths fit VL 2's budget, would be cut, but the bound skips it."""
+        net, a, b = one_slot_and_two_slot_network()
+        req = two_slot_request(net, vl_budgets_ms=(0.33, 0.6))
+        res = solve_ilp1(net, req, max_paths_per_vl=2)
+        assert res.status is SolveStatus.OPTIMAL
+        assert (res.objective, res.placement.x) == (2.0, {1: a, 2: b, 3: b})
+        # a cap of 1 cuts the enumeration the search uses
+        assert solve_ilp1(net, req, max_paths_per_vl=1).status is SolveStatus.BUDGET_EXCEEDED
+
     @pytest.mark.parametrize("solver", [solve_ilp1, solve_ilp2])
     def test_large_cap_matches_unbounded(self, ref, solver):
         net = detour_first_network()
@@ -171,6 +210,50 @@ class TestPathLimit:
             assert capped.status is free.status is SolveStatus.OPTIMAL
             assert capped.objective == free.objective
             assert capped.placement.x == free.placement.x
+
+
+class TestBound:
+    """ILP-1 tries colocation on last_s first, then builds the other
+    candidates only if a path of the fewest links from last_s to another
+    server (one if a neighbour is a server, two otherwise) can still beat
+    the best placement."""
+
+    def test_one_link_to_a_server_neighbour(self):
+        """a and b are linked directly as well as over their switch, and
+        the search roots at a first. a -> a -> b costs VL 2's 1.5 over the
+        direct link. The better a -> b -> b, at VL 1's 1.0, is
+        found only after that colocated subtree, over the same one link: a
+        bound that counted two links (2.0 >= 1.5) would skip it."""
+        net = make_single_dc(servers=2)
+        a, b = sorted(net.data_centers["dc0"].servers)
+        direct = net.add_link(a, b, 0.0, LinkKind.TRANSPORT, 10.0)
+        req = two_slot_request(net)
+        req = dataclasses.replace(req, vls=(req.vls[0], dataclasses.replace(req.vls[1], bw=1.5)))
+        res = solve_ilp1(net, req)
+        assert res.status is SolveStatus.OPTIMAL
+        assert (res.objective, res.placement.x, res.placement.y) == \
+               (1.0, {1: a, 2: b, 3: b}, {1: [direct], 2: []})
+        assert brute_force(net, req).objective == pytest.approx(1.0)
+
+    def test_failed_lookahead_skips_the_list(self, monkeypatch):
+        """From a, only b can take VNF 2, two links away: 2.0. With the root
+        on b and VNF 2 colocated, b is full for VNF 3 and every other
+        server is two links away, so neither VNF 3 nor, after it, VNF 2
+        builds a candidate list: the one path search runs from a."""
+        net, a, b = one_slot_and_two_slot_network()
+        req = two_slot_request(net)
+        sources = []
+
+        def enumerate_paths(psn, src, *args):
+            sources.append(src)
+            return _enumerate_paths(psn, src, *args)
+
+        monkeypatch.setattr(exact, "_enumerate_paths", enumerate_paths)
+        res = solve_ilp1(net, req)
+        assert res.status is SolveStatus.OPTIMAL
+        assert (res.objective, res.placement.x) == (2.0, {1: a, 2: b, 3: b})
+        assert sources == [a]
+        assert brute_force(net, req).objective == pytest.approx(2.0)
 
 
 class TestReferenceOptima:

@@ -22,6 +22,7 @@ from sliceplace.placement import (
     check_placement,
     feasible_servers,
     latency_reach,
+    lookahead_at,
     lookahead_mask,
     min_cost_path,
     release_placement,
@@ -657,6 +658,22 @@ class TestLookaheadMask:
         for v in range(1, request.n_vnfs + 1):
             assert lookahead_mask(net, request, v).tolist() == \
                    [lookahead(net, request, v, s.id) for s in net.servers()]
+
+    @settings(max_examples=150, deadline=None)
+    @given(loaded_substrates(), st.data())
+    def test_one_server_matches_the_mask(self, net, data):
+        """`lookahead_at` reads the rule at one server: servers with several
+        links, with none and outside any DC included."""
+        if data.draw(st.booleans()):
+            add_dc_less_server(net, data)
+        request = make_request(data.draw(st.sampled_from(list(SliceClass))),
+                               data.draw(st.sampled_from(net.uaps)))
+        request = dataclasses.replace(request, vls=tuple(
+            dataclasses.replace(vl, bw=data.draw(st.sampled_from([0.5, 1.0, 2.0, 10.0])))
+            for vl in request.vls))
+        for v in range(1, request.n_vnfs + 1):
+            assert [lookahead_at(net, request, v, s.id) for s in net.servers()] == \
+                   lookahead_mask(net, request, v).tolist()
 
 
 class TestApplyRelease:
