@@ -116,6 +116,7 @@ def _enumerate_paths(psn: PhysicalNetwork, src: int, dsts: Iterable[int], bw: fl
 
     if open_dsts:
         dfs(src, 0.0)
+    del dfs  # it refers to itself through its cell: see the note in _solve
     return {d: [p for _, _, p in sorted(f)] for d, f in found.items()}, truncated
 
 
@@ -133,11 +134,12 @@ def _solve(psn: PhysicalNetwork, request: SliceRequest, *, find_optimal: bool,
     deepest = 0
     truncated_any = False
 
-    need_cpu = sum(to_units(d.cpu) for d in request.vnfs)
-    need_ram = sum(to_units(d.ram) for d in request.vnfs)
+    vnfs, vls = request.vnfs, request.vls
+    need_cpu = sum(to_units(d.cpu) for d in vnfs)
+    need_ram = sum(to_units(d.ram) for d in vnfs)
 
     x: dict[int, int] = {}
-    y: dict[int, list[int]] = {}
+    y: dict[int, tuple[int, ...]] = {}
 
     def twin_key(sid: int) -> tuple:
         # neighbours are distinct (`add_link`), so adj_sorted orders by neighbour
@@ -190,16 +192,19 @@ def _solve(psn: PhysicalNetwork, request: SliceRequest, *, find_optimal: bool,
             psn.allocate(sid, d.cpu, d.ram)
             for lid in path:
                 psn.allocate_bw(lid, bw)
+            # a frame overwrites its own keys and a leaf reads keys 1..n of
+            # its path only, so nothing is popped on the way back
             x[v] = sid
-            if v > 1:
-                y[v - 1] = list(path)
-            next_e2e = (psn.access_latency(request.uap, net_nodes[sid].dc) if v == 1
-                        else used_e2e + sum(links[lid].latency_ms for lid in path))
-            deepest = max(deepest, v)
+            if v == 1:
+                next_e2e = psn.access_latency(request.uap, net_nodes[sid].dc)
+            else:
+                y[v - 1] = path
+                next_e2e = (used_e2e + sum(links[lid].latency_ms for lid in path)
+                            if path else used_e2e)
+            if v > deepest:
+                deepest = v
             expand(v + 1, sid, next_e2e, committed)
         finally:
-            y.pop(v - 1, None)
-            x.pop(v, None)
             psn.rollback(mark)
 
     def expand(v: int, last_s: int | None, used_e2e: float, committed: float) -> None:
@@ -215,7 +220,7 @@ def _solve(psn: PhysicalNetwork, request: SliceRequest, *, find_optimal: bool,
             if not find_optimal or best_cost == 0.0:
                 raise _FoundFeasible
             return
-        d = request.vnf(v)
+        d = vnfs[v - 1]
         if v == 1:
             # depth-invariant: deeper, residuals and demands drop by what is
             # held. A root branch holds no cost, and a zero best ends the search
@@ -223,7 +228,7 @@ def _solve(psn: PhysicalNetwork, request: SliceRequest, *, find_optimal: bool,
                 for sid in dedupe(feasible_servers(psn, request, 1, None)):
                     branch(1, sid, (), d, 0.0, 0.0, 0.0)
             return
-        vl = request.vl(v - 1)
+        vl = vls[v - 2]
         bw = vl.bw
         tried = False
         if find_optimal:
@@ -239,10 +244,9 @@ def _solve(psn: PhysicalNetwork, request: SliceRequest, *, find_optimal: bool,
                 h = 1 if any(pos[nbr] >= 0 for nbr, _ in adj_sorted[last_s]) else 2
                 if committed + h * bw >= best_cost:
                     return
-        cands = candidates(v, last_s, used_e2e, vl)
-        if tried:
-            del cands[0]  # last_s; its subtree rolled back, so the list is as before
-        for sid, paths in cands:
+        for sid, paths in candidates(v, last_s, used_e2e, vl):
+            if tried and sid == last_s:
+                continue  # its subtree rolled back, so the rest of the list is as before
             for path in paths:
                 cost = committed + len(path) * bw
                 if best_cost is not None and cost >= best_cost:
@@ -256,6 +260,11 @@ def _solve(psn: PhysicalNetwork, request: SliceRequest, *, find_optimal: bool,
         pass
     except _BudgetExhausted:
         status = SolveStatus.BUDGET_EXCEEDED
+    finally:
+        # expand and branch call each other through their closure cells, a
+        # reference cycle that holds the search state until the cyclic
+        # collector runs; emptying one cell frees it on return
+        del expand
 
     if status is not SolveStatus.BUDGET_EXCEEDED and truncated_any:
         if find_optimal or best_cost is None:
