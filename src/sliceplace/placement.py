@@ -23,13 +23,14 @@ runs on integer counts of 1/SCALE CPU units, GB or Gbps (`to_units`).
 from __future__ import annotations
 
 import heapq
+from bisect import insort
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Container, Mapping, Sequence
 
 import numpy as np
 
 from .nspr import SliceRequest
-from .topology import SCALE, PhysicalNetwork, Server, to_units
+from .topology import SCALE, PhysicalNetwork, Run, Server, to_units
 
 LATENCY_EPS = 1e-9
 
@@ -437,8 +438,8 @@ def lookahead_mask(psn: PhysicalNetwork, request: SliceRequest, v: int) -> np.nd
         idx, d_next, bw_next = psn.index(), request.vnf(v + 1), to_units(request.vl(v).bw)
         # -1 (no accounting, or no one link: the trailing slot) passes no demand
         ahead = psn.vectors()[2][idx.up_link] >= bw_next
-        for p in idx.multi:
-            ahead[p] = _has_uplink(psn, int(idx.id[p]), bw_next)
+        for p in idx.off_run:
+            ahead[p] = _has_uplink(psn, idx.servers[p].id, bw_next)
         ahead |= _room(psn, cpu_v + to_units(d_next.cpu), ram_v + to_units(d_next.ram))
         ok &= ahead
     return ok
@@ -464,20 +465,103 @@ def lookahead_at(psn: PhysicalNetwork, request: SliceRequest, v: int,
             or _has_uplink(psn, server_id, to_units(request.vls[v - 1].bw)))
 
 
-def _root_mask(psn: PhysicalNetwork, request: SliceRequest) -> np.ndarray:
-    """By server position, the servers of the data centers that may host the
-    first VNF: access latency from the request's UAP within the class
-    bound. Cached per (UAP, bound)."""
+def _root_groups(psn: PhysicalNetwork, request: SliceRequest,
+                 best_tier: bool) -> tuple[tuple[int, tuple, tuple[int, ...]], ...]:
+    """Where the first VNF may go: the groups of `_slices` over the runs of
+    the data centers within the class's access bound of the request's UAP,
+    each with the positions of those data centers' servers outside every
+    run, best first. Cached per (UAP, bound, best_tier) in the index."""
     idx = psn.index()
-    key = (request.uap, request.alpha_max_ms)
-    mask = idx.root_masks.get(key)
-    if mask is None:
+    key = (request.uap, request.alpha_max_ms, best_tier)
+    groups = idx.root_runs.get(key)
+    if groups is None:
         bound = request.alpha_max_ms + LATENCY_EPS
-        mask = np.isin(idx.dc, [i for dc_id, i in idx.dc_index.items()
-                                if psn.access_latency(request.uap, dc_id) <= bound])
-        mask.flags.writeable = False
-        idx.root_masks[key] = mask
-    return mask
+        dcs = {dc_id for dc_id in psn.data_centers
+               if psn.access_latency(request.uap, dc_id) <= bound}
+        by_key = _slices(idx.runs, [k for k, run in enumerate(idx.runs) if run.dc in dcs],
+                         best_tier, dcs)
+        for p in idx.off_run:
+            server = idx.servers[p]
+            if server.dc in dcs:
+                by_key.setdefault(idx.tier_rank[server.id] if best_tier else 0,
+                                  ([], []))[1].append(p)
+        groups = idx.root_runs[key] = tuple(
+            (r, tuple([(*sl[:4], tuple(sl[4])) for sl in by_key[r][0]]), tuple(by_key[r][1]))
+            for r in sorted(by_key))
+    return groups
+
+
+# Slices at most this many positions apart are compared as one, the
+# positions between them masked off: a numpy pass costs about a microsecond
+# however short it is, as much as comparing some hundreds more entries
+BRIDGE = 256
+
+
+def _slices(runs: Sequence[Run], ks: list[int], by_rank: bool,
+            look_dcs: Container[str | None]) -> dict[int, tuple[list, list]]:
+    """Runs ks, ascending, merged into slices [start, stop, link, look,
+    gaps]: look tells whether the slice's DCs are in look_dcs, and gaps
+    lists the (start, stop) position ranges inside it that belong to none of
+    its runs. Grouped by tier rank with by_rank, else all under 0, each
+    group with an empty list for servers decided one at a time. A run joins
+    the group's last slice, with the same look, when it continues that
+    slice's links as it does its positions, at most BRIDGE positions on."""
+    groups: dict[int, tuple[list, list]] = {}
+    key = slices = cur = None
+    for k in ks:
+        start, stop, link, _, dc, rank, _ = runs[k]
+        look = dc in look_dcs
+        if by_rank and rank != key or slices is None:
+            key = rank if by_rank else 0
+            slices = groups.setdefault(key, ([], []))[0]
+            cur = slices[-1] if slices else None
+        if (cur is not None and start - cur[1] <= BRIDGE and link - start == cur[2] - cur[0]
+                and cur[3] is look):
+            if start > cur[1]:
+                cur[4].append((cur[1], start))
+            cur[1] = stop
+        else:
+            cur = [start, stop, link, look, []]
+            slices.append(cur)
+    return groups
+
+
+def _collect(psn: PhysicalNetwork, slices: Sequence[Sequence], extras: Sequence[int],
+             reach_bw: int | None, cpu: int, ram: int, ahead: tuple[int, int, int] | None,
+             pin: tuple[int, int, bool] | None) -> list[int]:
+    """Ids, ascending, of `extras` (servers decided already) and of the
+    servers of `slices` that have `cpu` and `ram` units left and, with
+    `reach_bw`, a link that carries it. In a look slice, with ahead = (bw,
+    cpu, ram), a server's link must also carry bw or the server have cpu and
+    ram left. pin = (position, id, verdict) decides one server, inside the
+    slices or not. Every compare reads a zero-copy slice of the residual
+    views."""
+    cpu_units, ram_units, bw_units = psn.vectors()
+    ids = psn.index().id
+    out: list[int] = []
+    for start, stop, link, look, gaps in slices:
+        c, r, up = cpu_units[start:stop], ram_units[start:stop], bw_units[link:link + stop - start]
+        ok = c >= cpu
+        ok &= r >= ram
+        if reach_bw is not None:
+            ok &= up >= reach_bw
+        if look and ahead is not None:
+            bw_next, cpu_next, ram_next = ahead
+            more = c >= cpu_next
+            more &= r >= ram_next
+            more |= up >= bw_next
+            ok &= more
+        for a, b in gaps:
+            ok[a - start:b - start] = False
+        if pin is not None and start <= pin[0] < stop:
+            ok[pin[0] - start] = pin[2]
+            pin = None
+        out += ids[start:stop][ok].tolist()
+    if pin is not None and pin[2]:
+        insort(out, pin[1])
+    for sid in extras:
+        insort(out, sid)
+    return out
 
 
 def feasible_servers(psn: PhysicalNetwork, request: SliceRequest, v: int,
@@ -485,8 +569,9 @@ def feasible_servers(psn: PhysicalNetwork, request: SliceRequest, v: int,
                      best_tier: bool = False) -> list[int]:
     """Servers eligible to host VNF v, ascending by id.
 
-    For the first VNF: the servers of `_root_mask` that pass
-    `lookahead_mask`, the exact search's VNF-1 candidates too.
+    For the first VNF: the servers of the data centers within the class's
+    access bound of the request's UAP that pass `lookahead_mask`, the exact
+    search's VNF-1 candidates too.
 
     For later VNFs, eligibility needs a feasible path for VL(v-1, v) from
     last_s within min(VL budget, end-to-end slack). The previous server and
@@ -498,78 +583,91 @@ def feasible_servers(psn: PhysicalNetwork, request: SliceRequest, v: int,
     returned, CCP over CDC over EDC over servers outside any DC: the pool
     P2C-2 draws from.
 
-    Cost: O(relay nodes) in Python plus O(servers) in C. `_relay_reach`
-    runs over the relay nodes only (switches, routers; no server of the
-    reference substrate). Each reached anchor, a node across some server's
-    one link (a DC switch), gets the latency left of the limit; then a few
-    compares over the arrays of `psn.index()` and the residual views of
-    `psn.vectors()`, all in integer units, decide every server at once:
-    a server with one link is reached when its link's latency is within
-    what its anchor has left and the link carries the VL; one with more
-    links is a relay itself. The result equals an all-server scan of the
-    rule, list and order alike.
+    Cost: O(relay nodes reached + runs reached) in Python plus O(servers of
+    the reached runs + BRIDGE per slice) in C; for the first VNF, O(root
+    runs) after a cache hit. `_relay_reach` runs over the relay nodes only
+    (switches, routers; no server of the reference substrate). The one-link
+    servers are held as runs (`topology.Run`, one per DC on the reference
+    substrate), and a run is reached when its anchor is and the latency
+    left there covers its uplink's. Reached runs merge into slices
+    (`_slices`), and a few integer compares over zero-copy slices of
+    `psn.vectors()` decide their servers; `best_tier` merges and decides
+    tier by tier, best first, and stops at the first tier with an eligible
+    server. last_s and the servers without exactly one link (relays when
+    reached) are decided one at a time, by `lookahead_at` and the room
+    test. The result equals an all-server scan of the rule, list and order
+    alike.
     """
-    n = request.n_vnfs
+    vnfs, vls = request.vnfs, request.vls
+    n = len(vnfs)
     if not 1 <= v <= n:
         raise ValueError(f"VNF index {v} outside chain 1..{n}")
     idx = psn.index()
+    servers, tier_rank = idx.servers, idx.tier_rank
+    d_v = vnfs[v - 1]
+    cpu_v, ram_v = to_units(d_v.cpu), to_units(d_v.ram)
+    ahead = None  # VL v's bandwidth, and the units VNFs v and v+1 take together
+    if v < n:
+        d_next = vnfs[v]
+        ahead = (to_units(vls[v - 1].bw), cpu_v + to_units(d_next.cpu),
+                 ram_v + to_units(d_next.ram))
 
     if v == 1:
-        ok = lookahead_mask(psn, request, 1)
-        ok &= _root_mask(psn, request)
+        reach_bw = pin = pin_key = None
+        groups = [(key, slices, [servers[p].id for p in offs
+                                 if lookahead_at(psn, request, 1, servers[p].id)])
+                  for key, slices, offs in _root_groups(psn, request, best_tier)]
     else:
         if last_s is None:
             raise ValueError("last_s is required for VNFs beyond the first")
-        vl = request.vl(v - 1)
-        bw_vl = to_units(vl.bw)
-        slack = request.e2e_budget_ms - used_e2e_ms
-        limit = min(vl.budget_ms, slack) + LATENCY_EPS
+        vl = vls[v - 2]
+        reach_bw = to_units(vl.bw)
+        limit = min(vl.budget_ms, request.e2e_budget_ms - used_e2e_ms) + LATENCY_EPS
         relay = _relay_reach(psn, last_s, vl.bw, limit)
-        # latency left at each reached anchor, by anchor slot; NaN where
-        # unreached and in the trailing slot, so no comparison holds there.
         # `lat <= limit - d` decides as `d + lat <= limit` does: exactly for
         # a zero-latency link, and elsewhere unless d + lat lies within
         # rounding of the limit, which the LATENCY_EPS margin keeps away from
         # sums of latencies given to a few decimals
-        thr = np.empty(len(idx.anchors) + 1)
-        thr.fill(np.nan)
-        thr[idx.anchor_slot[list(relay)]] = [limit - d for d in relay.values()]
-        thr[-1] = np.nan  # reached relays that anchor no server land here
-        base = idx.up_lat <= thr[idx.up_anchor]
-        base &= psn.vectors()[2][idx.up_link] >= bw_vl
-        # a server with several links is a relay itself; last_s is always reached
-        for p in idx.multi:
-            base[p] = int(idx.id[p]) in relay
-        if idx.pos[last_s] >= 0:
-            base[idx.pos[last_s]] = True
+        anchor_runs = idx.anchor_runs
+        reached: list[int] = []
+        for u, d in relay.items():
+            for lat, k in anchor_runs.get(u, ()):
+                if lat <= limit - d:
+                    reached.append(k)
+        reached.sort()
+        # Only last_s's own DC applies the lookahead, and only when VL v
+        # needs more than VL v-1. Otherwise it is implied before the final
+        # VNF: every reached server but last_s was entered over a link with
+        # residual >= bw(VL v-1) >= bw(VL v), its one link or, for a relay
+        # server, a relay link; so it has a link that carries VL v.
+        last_dc = psn.nodes[last_s].dc
+        look = ahead is not None and ahead[0] > reach_bw
+        by_key = _slices(idx.runs, reached, best_tier, (last_dc,) if look else ())
+        cpu_units, ram_units = psn.cpu_units, psn.ram_units
+        for p in idx.off_run:
+            sid = servers[p].id
+            if sid != last_s and sid in relay and (
+                    lookahead_at(psn, request, v, sid) if look and servers[p].dc == last_dc
+                    else cpu_units[p] >= cpu_v and ram_units[p] >= ram_v):
+                by_key.setdefault(tier_rank[sid] if best_tier else 0, ([], []))[1].append(sid)
+        # last_s is always reached, and needs the lookahead wherever it is;
+        # without room, or at the final VNF, that is the room test
+        pin = pin_key = None
+        p = idx.pos[last_s]
+        if p >= 0:
+            pin = (p, last_s, cpu_units[p] >= cpu_v and ram_units[p] >= ram_v and (
+                v == n or lookahead_at(psn, request, v, last_s)))
+            pin_key = tier_rank[last_s] if best_tier else 0
+            if pin[2] and pin_key not in by_key:
+                by_key[pin_key] = ([], [])
+        groups = [(key, *by_key[key]) for key in sorted(by_key)]
 
-        d_v = request.vnf(v)
-        cpu_v, ram_v = to_units(d_v.cpu), to_units(d_v.ram)
-        bw_next = to_units(request.vl(v).bw) if v < n else 0
-        if bw_next > bw_vl:
-            # only last_s's own DC applies the lookahead
-            ok = lookahead_mask(psn, request, v)
-            ok |= _room(psn, cpu_v, ram_v) & (
-                idx.dc != idx.dc_index.get(psn.nodes[last_s].dc, -1))
-        else:
-            ok = _room(psn, cpu_v, ram_v)
-            # Implied before the final VNF: every server that passed reach
-            # other than last_s was entered over a link with residual
-            # >= bw(VL v-1) >= bw(VL v), its one link or, for a relay
-            # server, a relay link; so it has a link that carries VL v.
-            # Only last_s needs the lookahead; at the final VNF, or without
-            # room, it equals ok[p] already.
-            p = idx.pos[last_s]
-            if v < n and p >= 0 and ok[p]:
-                ok[p] = lookahead_at(psn, request, v, last_s)
-        ok &= base
-
-    if best_tier:
-        for tier in idx.tier_masks:
-            pick = ok & tier
-            if np.count_nonzero(pick):
-                return idx.id[pick].tolist()
-    return idx.id[ok].tolist()
+    for key, slices, extras in groups:
+        out = _collect(psn, slices, extras, reach_bw, cpu_v, ram_v, ahead,
+                       pin if key == pin_key else None)
+        if out or not best_tier:
+            return out
+    return []
 
 
 def apply_placement(psn: PhysicalNetwork, request: SliceRequest,

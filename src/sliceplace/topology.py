@@ -181,6 +181,22 @@ _PARAM_TYPES = {name: type(f.default)
                 for name, f in TopologyParams.__dataclass_fields__.items()}
 
 
+class Run(NamedTuple):
+    """Server positions start..stop-1, each a server with exactly one link:
+    links link..link+stop-start-1 in the same order, every one to node
+    `anchor` and of latency `lat`, all in data center `dc` (None outside
+    any) of tier rank `rank`. The index keeps runs maximal, so the
+    reference substrate has one per data center."""
+
+    start: int
+    stop: int
+    link: int
+    anchor: int
+    dc: str | None
+    rank: int
+    lat: float
+
+
 class StructureIndex(NamedTuple):
     """Everything a network derives from its nodes, data centers and links,
     shared, with its two caches, by the network's clones.
@@ -200,32 +216,24 @@ class StructureIndex(NamedTuple):
     pos: tuple[int, ...]
     # node id -> rank of its DC's tier in TIER_ORDER, len(TIER_ORDER) outside any DC
     tier_rank: tuple[int, ...]
-    # data center id -> index in `data_centers` order
-    dc_index: dict[str, int]
-    # anchors, ascending: the nodes across some server's one link (a star
-    # DC's switch); node id -> anchor slot, len(anchors) for other nodes
-    anchors: tuple[int, ...]
-    anchor_slot: np.ndarray
-    # by server position: node id, DC index (-1 for none), and for a server
-    # with exactly one link that link's id, the anchor slot of the node
-    # across it and its latency; any other server has link id len(links),
-    # the bandwidth array's trailing slot, anchor slot len(anchors), latency 0.
-    # up_link is a slice where the links are 0..n-1 in server order, as the
-    # reference builder makes them, so that indexing with it copies nothing
+    # by server position: node id, and for a server with exactly one link
+    # that link's id; any other server has link id len(links), the bandwidth
+    # array's trailing slot. up_link is a slice where the links are 0..n-1 in
+    # server order, as the reference builder makes them, so that indexing
+    # with it copies nothing
     id: np.ndarray
-    dc: np.ndarray
     up_link: np.ndarray | slice
-    up_anchor: np.ndarray
-    up_lat: np.ndarray
-    # positions of servers with two or more links
-    multi: tuple[int, ...]
-    # row r: read-only mask, by position, of the servers of tier rank r
-    # (TIER_ORDER, then the last row for servers outside any DC)
-    tier_masks: np.ndarray
+    # the one-link servers as runs, ascending (see `Run`), and for each
+    # anchor (a node across some server's one link, a star DC's switch)
+    # (uplink latency, index) of its runs, ascending by index
+    runs: tuple[Run, ...]
+    anchor_runs: dict[int, tuple[tuple[float, int], ...]]
+    # positions of the servers outside every run: zero or several links
+    off_run: tuple[int, ...]
     # caches filled on use: UAP -> {DC id: access latency}, and for
-    # eligibility (UAP, access bound) -> mask of root-DC servers
+    # eligibility (UAP, access bound, best tier) -> `placement._root_groups`
     alpha: dict[int, dict[str, float]]
-    root_masks: dict[tuple[int, float], np.ndarray]
+    root_runs: dict[tuple[int, float, bool], tuple]
 
 
 @dataclass(frozen=True)
@@ -380,29 +388,30 @@ class PhysicalNetwork:
             adj_sorted = tuple(map(tuple, map(sorted, self.adj)))
             relays = [len(entries) > 1 for entries in self.adj]
             pos = [-1] * n_nodes
-            up: list[tuple[int, int, float]] = []  # (link id, node across, latency)
-            multi = []
+            rank = {dc_id: TIER_ORDER.index(dc.kind) for dc_id, dc in self.data_centers.items()}
+            tier_rank = tuple([rank.get(n.dc, len(TIER_ORDER)) for n in self.nodes])
+            up_link = []
+            runs: list[list] = []  # [start, stop, link, anchor, dc, rank, lat], grown in place
+            off_run = []
             for p, s in enumerate(servers):
                 pos[s.id] = p
                 entries = self.adj[s.id]
-                if len(entries) == 1:
-                    nbr, lid = entries[0]
-                    up.append((lid, nbr, self.links[lid].latency_ms))
+                if len(entries) != 1:
+                    up_link.append(n_links)
+                    off_run.append(p)
+                    continue
+                nbr, lid = entries[0]
+                lat = self.links[lid].latency_ms
+                up_link.append(lid)
+                last = runs[-1] if runs else None
+                if (last and last[1] == p and last[2] + p - last[0] == lid
+                        and last[3:] == [nbr, s.dc, tier_rank[s.id], lat]):
+                    last[1] = p + 1
                 else:
-                    up.append((n_links, -1, 0.0))
-                    if entries:
-                        multi.append(p)
-            anchors = tuple(sorted({nbr for _, nbr, _ in up if nbr >= 0}))
-            slot = {u: i for i, u in enumerate(anchors)}
-            anchor_slot = np.full(n_nodes, len(anchors), dtype=np.intp)
-            anchor_slot[list(anchors)] = np.arange(len(anchors))
-            anchor_slot.flags.writeable = False
-            rank = {dc_id: TIER_ORDER.index(dc.kind) for dc_id, dc in self.data_centers.items()}
-            dc_index = {dc_id: i for i, dc_id in enumerate(self.data_centers)}
-            tier_rank = tuple([rank.get(n.dc, len(TIER_ORDER)) for n in self.nodes])
-            server_rank = np.array([tier_rank[s.id] for s in servers], dtype=np.intp)
-            tier_masks = server_rank == np.arange(len(TIER_ORDER) + 1)[:, None]
-            tier_masks.flags.writeable = False
+                    runs.append([p, p + 1, lid, nbr, s.dc, tier_rank[s.id], lat])
+            anchor_runs: dict[int, list[tuple[float, int]]] = {}
+            for k, run in enumerate(runs):
+                anchor_runs.setdefault(run[3], []).append((run[6], k))
             self._index = StructureIndex(
                 servers=servers,
                 adj_sorted=adj_sorted,
@@ -415,20 +424,14 @@ class PhysicalNetwork:
                                 for entries in adj_sorted]),
                 pos=tuple(pos),
                 tier_rank=tier_rank,
-                dc_index=dc_index,
-                anchors=anchors,
-                anchor_slot=anchor_slot,
                 id=np.array([s.id for s in servers], dtype=np.intp),
-                dc=np.array([dc_index.get(s.dc, -1) for s in servers], dtype=np.intp),
-                up_link=(slice(0, len(up)) if [lid for lid, _, _ in up] == list(range(len(up)))
-                         else np.array([lid for lid, _, _ in up], dtype=np.intp)),
-                up_anchor=np.array([slot.get(nbr, len(anchors)) for _, nbr, _ in up],
-                                   dtype=np.intp),
-                up_lat=np.array([lat for _, _, lat in up], dtype=float),
-                multi=tuple(multi),
-                tier_masks=tier_masks,
+                up_link=(slice(0, len(up_link)) if up_link == list(range(len(up_link)))
+                         else np.array(up_link, dtype=np.intp)),
+                runs=tuple([Run(*run) for run in runs]),
+                anchor_runs={u: tuple(ks) for u, ks in anchor_runs.items()},
+                off_run=tuple(off_run),
                 alpha={},
-                root_masks={})
+                root_runs={})
         return self._index
 
     def vectors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -303,23 +303,40 @@ def loaded_substrates(draw):
     servers have two or more links; servers and links are partly loaded and
     some links are too thin for any demand.
 
+    On some draws the servers are created across DCs in a shuffled order,
+    so that a switch's servers are not consecutive in id order, and some
+    uplinks have latency, so that one switch holds servers of two uplink
+    latencies. Those are what split `StructureIndex.runs`.
+
     On some draws one DC, `spare`, keeps room: its uplinks carry any demand
     and stay unloaded, its servers are lightly loaded, and the first UAP sits
     next to it within every class's access bound. More episodes then get
-    past VNF 1 to the VNFs where the lookahead and the bandwidth writes act."""
+    past VNF 1 to the VNFs where the lookahead and the bandwidth writes act.
+    One of its servers may then get a second link, or lose its uplink, so
+    that a root DC holds a server with several links or none."""
     net = PhysicalNetwork(TopologyParams())
     kinds = list(DCKind)
     unlinked = []
     spare = draw(st.one_of(st.none(), st.integers(0, 3)))
-    for d in range(draw(st.integers(1, 4))):
-        dc = net.add_data_center(f"dc{d}", draw(st.sampled_from(kinds)))
-        for i in range(draw(st.integers(1, 3))):
-            sid = net.add_server(f"dc{d}-s{i}", f"dc{d}", 50.0, 300.0)
-            if draw(st.integers(0, 5)):  # an occasional server has no uplink
-                net.add_link(dc.switch, sid, 0.0, LinkKind.INTRA_DC,
-                             draw(st.sampled_from(LINK_BWS[1:] if d == spare else LINK_BWS)))
-            else:
-                unlinked.append(sid)
+    dcs = [net.add_data_center(f"dc{d}", draw(st.sampled_from(kinds)))
+           for d in range(draw(st.integers(1, 4)))]
+    homes = [d for d in range(len(dcs)) for _ in range(draw(st.integers(1, 3)))]
+    if draw(st.booleans()):
+        homes = draw(st.permutations(homes))
+    lagged = draw(st.booleans())  # some uplinks with latency
+    spare_cut = spare is not None and draw(st.booleans())  # spare's first server unlinked
+    for i, d in enumerate(homes):
+        dc = dcs[d]
+        sid = net.add_server(f"dc{d}-s{i}", dc.id, 50.0, 300.0)
+        if spare_cut and d == spare and sid == dc.servers[0]:
+            unlinked.append(sid)
+        elif draw(st.integers(0, 5)):  # an occasional server has no uplink
+            lat = draw(st.sampled_from(LINK_LATENCIES)) if lagged and d != spare else 0.0
+            net.add_link(dc.switch, sid, lat,
+                         LinkKind.INTRA_DC if lat == 0 else LinkKind.TRANSPORT,
+                         draw(st.sampled_from(LINK_BWS[1:] if d == spare else LINK_BWS)))
+        else:
+            unlinked.append(sid)
     switches = [dc.switch for dc in net.data_centers.values()]
     for sid in unlinked:
         if draw(st.booleans()):  # or one with latency, to any switch
@@ -338,6 +355,13 @@ def loaded_substrates(draw):
             net.add_link(a, b, draw(st.sampled_from(LINK_LATENCIES)),
                          LinkKind.TRANSPORT, draw(st.sampled_from(LINK_BWS)))
     spare_dc = net.data_centers.get(f"dc{spare}")
+    if spare_dc is not None and not spare_cut and draw(st.booleans()):
+        # a second link for one of its servers, to another node it has none to
+        sid = draw(st.sampled_from(spare_dc.servers))
+        others = [u for u in range(len(net.nodes)) if u != sid and net.link_between(u, sid) is None]
+        if others:
+            net.add_link(sid, draw(st.sampled_from(others)), draw(st.sampled_from(LINK_LATENCIES)),
+                         LinkKind.TRANSPORT, draw(st.sampled_from(LINK_BWS[1:])))
     for u in range(draw(st.integers(1, 2))):
         uap = net.add_node(f"uap{u}", NodeKind.UAP)
         if u == 0 and spare_dc is not None:

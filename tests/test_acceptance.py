@@ -209,47 +209,54 @@ def test_a6_resource_distribution(ref_net):
 
 
 def test_a7_scaling_shape():
-    """Heuristic per-request time grows slower than exact across 1 -> 2 -> 4."""
+    """Heuristic per-request time grows slower than exact across 1 -> 2 -> 4.
+
+    Each round times a batch at every scale back to back and takes its
+    growth ratios from its own medians, so that a change of host speed
+    between rounds cancels out of them; the check compares the medians of
+    the per-round ratios."""
 
     scales = (1, 2, 4)
+    rounds, per_batch = 9, 24
     nets = {scale: build_reference_psn(scale) for scale in scales}
-    samples = {scale: ([], []) for scale in scales}
     classes = list(SliceClass)
 
-    def batch(scale: int, n: int, record: bool) -> None:
+    def batch(scale: int, n: int) -> tuple[float, float]:
+        """Median P2C and exact times over n requests at one scale."""
         net = nets[scale]
         rng = random.Random(5)
+        heuristic, exact = [], []
         for i in range(n):
             request = make_request(classes[i % 3], net.uaps[rng.randrange(len(net.uaps))])
             work = net.clone()
             rng_np = np.random.default_rng(9)
             t0 = time.perf_counter()
             p2c_place(work, request, Policy.UNIFORM, rng_np)
-            t_heuristic = time.perf_counter() - t0
+            heuristic.append(time.perf_counter() - t0)
             t0 = time.perf_counter()
             solve_ilp1(net, request)
-            t_exact = time.perf_counter() - t0
-            if record:
-                samples[scale][0].append(t_heuristic)
-                samples[scale][1].append(t_exact)
+            exact.append(time.perf_counter() - t0)
+        return statistics.median(heuristic), statistics.median(exact)
 
-    # one untimed warm pass, then interleaved batches so slow machine-load
-    # drift hits every scale alike
-    for scale in scales:
-        batch(scale, 10, record=False)
-    for _ in range(3):
-        for scale in scales:
-            batch(scale, 40, record=True)
+    for scale in scales:  # one untimed warm pass
+        batch(scale, 10)
+    growth: dict[tuple[int, int], tuple[list[float], list[float]]] = {
+        (1, 2): ([], []), (2, 4): ([], [])}
+    for r in range(rounds):
+        # the order alternates, so that a slow drift within a round favours no scale
+        times = {scale: batch(scale, per_batch)
+                 for scale in (scales if r % 2 == 0 else scales[::-1])}
+        for (a, b), (heuristic, exact) in growth.items():
+            heuristic.append(times[b][0] / times[a][0])
+            exact.append(times[b][1] / times[a][1])
 
-    times = {scale: (statistics.median(samples[scale][0]),
-                     statistics.median(samples[scale][1]))
-             for scale in scales}
     growth_ok = True
     steps = []
-    for a, b in ((1, 2), (2, 4)):
-        heuristic_growth = times[b][0] / times[a][0]
-        exact_growth = times[b][1] / times[a][1]
-        steps.append(f"{a}->{b}: p2c x{heuristic_growth:.2f} vs exact x{exact_growth:.2f}")
+    for (a, b), (heuristic, exact) in growth.items():
+        heuristic_growth = statistics.median(heuristic)
+        exact_growth = statistics.median(exact)
+        steps.append(f"{a}->{b}: p2c x{heuristic_growth:.2f} vs exact x{exact_growth:.2f} "
+                     f"(median of {rounds} rounds)")
         growth_ok = growth_ok and heuristic_growth < exact_growth
 
     big = build_reference_psn(128)

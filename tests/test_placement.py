@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import random
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sliceplace import placement
 from sliceplace.nspr import DEFAULT_CATALOG, SliceClass, make_request
 from sliceplace.placement import (
     LATENCY_EPS,
@@ -525,6 +527,17 @@ def add_dc_less_server(net: PhysicalNetwork, data) -> None:
                      LinkKind.TRANSPORT, data.draw(st.sampled_from(LINK_BWS)))
 
 
+@contextlib.contextmanager
+def bridge(width: int):
+    """`placement.BRIDGE` set to width: at 0 only adjacent runs merge; the
+    small substrates drawn here bridge every gap at the default width."""
+    saved, placement.BRIDGE = placement.BRIDGE, width
+    try:
+        yield
+    finally:
+        placement.BRIDGE = saved
+
+
 class TestReachBoundedEligibility:
     """`feasible_servers` tests only what `latency_reach` reaches and the
     searches skip leaves; results must equal those of the full scans."""
@@ -539,16 +552,17 @@ class TestReachBoundedEligibility:
         request = dataclasses.replace(request, vls=tuple(
             dataclasses.replace(vl, bw=data.draw(st.sampled_from([0.5, 1.0, 2.0])))
             for vl in request.vls))
-        assert feasible_servers(net, request, 1, None) == \
-               scan_feasible_servers(net, request, 1, None, 0.0)
-        servers = net.server_ids()
-        for v in range(2, request.n_vnfs + 1):
-            last_s = data.draw(st.sampled_from(servers))
-            # beyond the end-to-end budget the slack turns negative
-            used = data.draw(st.sampled_from([0.0, 0.02, 0.7, 1.3,
-                                              request.e2e_budget_ms + 0.5]))
-            got = feasible_servers(net, request, v, last_s, used_e2e_ms=used)
-            assert got == scan_feasible_servers(net, request, v, last_s, used)
+        with bridge(data.draw(st.sampled_from([0, 1, placement.BRIDGE]))):
+            assert feasible_servers(net, request, 1, None) == \
+                   scan_feasible_servers(net, request, 1, None, 0.0)
+            servers = net.server_ids()
+            for v in range(2, request.n_vnfs + 1):
+                last_s = data.draw(st.sampled_from(servers))
+                # beyond the end-to-end budget the slack turns negative
+                used = data.draw(st.sampled_from([0.0, 0.02, 0.7, 1.3,
+                                                  request.e2e_budget_ms + 0.5]))
+                got = feasible_servers(net, request, v, last_s, used_e2e_ms=used)
+                assert got == scan_feasible_servers(net, request, v, last_s, used)
 
     @settings(max_examples=150, deadline=None)
     @given(loaded_substrates(), st.data())
@@ -557,16 +571,21 @@ class TestReachBoundedEligibility:
             add_dc_less_server(net, data)
         request = make_request(data.draw(st.sampled_from(list(SliceClass))),
                                data.draw(st.sampled_from(net.uaps)))
-        full = feasible_servers(net, request, 1, None)
-        assert feasible_servers(net, request, 1, None, best_tier=True) == \
-               narrow_to_best_tier(net, full)
-        servers = net.server_ids()
-        for v in range(2, request.n_vnfs + 1):
-            last_s = data.draw(st.sampled_from(servers))
-            used = data.draw(st.sampled_from([0.0, 0.02, 0.7, 1.3]))
-            full = feasible_servers(net, request, v, last_s, used_e2e_ms=used)
-            got = feasible_servers(net, request, v, last_s, used_e2e_ms=used, best_tier=True)
-            assert got == narrow_to_best_tier(net, full)
+        request = dataclasses.replace(request, vls=tuple(
+            dataclasses.replace(vl, bw=data.draw(st.sampled_from([0.5, 1.0, 2.0])))
+            for vl in request.vls))
+        with bridge(data.draw(st.sampled_from([0, 1, placement.BRIDGE]))):
+            full = scan_feasible_servers(net, request, 1, None, 0.0)
+            assert feasible_servers(net, request, 1, None, best_tier=True) == \
+                   narrow_to_best_tier(net, full)
+            servers = net.server_ids()
+            for v in range(2, request.n_vnfs + 1):
+                last_s = data.draw(st.sampled_from(servers))
+                used = data.draw(st.sampled_from([0.0, 0.02, 0.7, 1.3]))
+                full = scan_feasible_servers(net, request, v, last_s, used)
+                got = feasible_servers(net, request, v, last_s, used_e2e_ms=used,
+                                       best_tier=True)
+                assert got == narrow_to_best_tier(net, full)
 
     @settings(max_examples=150, deadline=None)
     @given(loaded_substrates(), st.data())
@@ -599,8 +618,8 @@ class TestReachBoundedEligibility:
         net.add_link(e2, net.data_centers["cdc0"].switch, 0.5, LinkKind.TRANSPORT, 1.0)
         net.allocate_bw(link_id(net, e1, sw_e), 9.5)
         net.allocate(e0, 45.0, 10.0)
-        assert sorted(net.index().multi) == sorted(
-            net.index().pos[s] for s in (e1, e2, c0))
+        assert sorted(net.index().off_run) == sorted(
+            net.index().pos[s] for s in (e1, e2, c0, loose))
         assert feasible_servers(net, req, 1, None) == scan_feasible_servers(net, req, 1, None, 0.0)
         e2e = req.e2e_budget_ms
         for v in range(2, req.n_vnfs + 1):

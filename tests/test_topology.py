@@ -29,6 +29,7 @@ from sliceplace.topology import (
 )
 
 from conftest import make_pair
+from oracles import loaded_substrates
 
 
 class TestParams:
@@ -446,8 +447,8 @@ class TestStructureIndex:
         twin = net.clone()
         twin_idx = twin.index()
         assert net.access_latency(uap, "cdc0") == pytest.approx(0.35)
-        roots = feasible_servers(net, request, 1, None)  # fills the root-mask cache
-        assert net.index().root_masks
+        roots = feasible_servers(net, request, 1, None)  # fills the root-run cache
+        assert net.index().root_runs
         dc = net.add_data_center("cdc1", DCKind.CDC)
         # known but not linked yet: unreachable, not a stale cache entry
         assert net.access_latency(uap, "cdc1") == float("inf")
@@ -467,9 +468,6 @@ class TestStructureIndex:
             got, exp = getattr(idx, name), getattr(want, name)
             if isinstance(got, np.ndarray):
                 assert np.array_equal(got, exp, equal_nan=True), name
-            elif name == "root_masks":
-                assert got.keys() == exp.keys()
-                assert all(np.array_equal(got[k], exp[k]) for k in got)
             else:
                 assert got == exp, name
         # the clone taken before the edits keeps its own index
@@ -497,6 +495,23 @@ class TestStructureIndex:
             assert net.index().adj_sorted[u] == tuple(sorted(entries))
         assert net.adj[b] != sorted(net.adj[b])
 
+    def test_reference_runs_one_per_data_center(self):
+        for scale in (1, 2):
+            net = build_reference_psn(scale)
+            idx = net.index()
+            assert [run.dc for run in idx.runs] == list(net.data_centers)
+            assert [run.anchor for run in idx.runs] == \
+                   [dc.switch for dc in net.data_centers.values()]
+            assert idx.off_run == ()
+            assert_index_matches(net)
+
+    @settings(max_examples=100, deadline=None)
+    @given(loaded_substrates())
+    def test_runs_of_loaded_substrates(self, net):
+        """Interleaved server ids, mixed uplink latencies and servers with
+        zero or several links split the runs; each stays maximal."""
+        assert_index_matches(net)
+
     def test_from_json_builds_the_same_index(self, ref):
         loaded = PhysicalNetwork.from_json(ref.to_json())
         idx, got = ref.index(), loaded.index()
@@ -513,34 +528,53 @@ def assert_index_matches(net: PhysicalNetwork) -> None:
     servers = net.servers()
     assert idx.id.tolist() == [s.id for s in servers]
     assert [idx.pos[s.id] for s in servers] == list(range(len(servers)))
-    dcs = list(net.data_centers)
-    assert idx.dc.tolist() == [dcs.index(s.dc) for s in servers]
     assert len(idx.tier_rank) == len(net.nodes)
     for node, rank in zip(net.nodes, idx.tier_rank):
         dc = net.data_centers.get(node.dc)
         assert rank == (TIER_ORDER.index(dc.kind) if dc else len(TIER_ORDER))
-    assert not idx.tier_masks.flags.writeable
-    assert idx.tier_masks.tolist() == [[idx.tier_rank[s.id] == r for s in servers]
-                                       for r in range(len(TIER_ORDER) + 1)]
-    anchors = sorted({net.adj[s.id][0][0] for s in servers if len(net.adj[s.id]) == 1})
-    assert list(idx.anchors) == anchors
-    assert not idx.anchor_slot.flags.writeable
-    assert idx.anchor_slot.tolist() == [anchors.index(u) if u in anchors else len(anchors)
-                                        for u in range(len(net.nodes))]
-    for p, s in enumerate(servers):
-        entries = net.adj[s.id]
-        if len(entries) == 1:
-            nbr, lid = entries[0]
-            want = (lid, anchors.index(nbr), net.links[lid].latency_ms)
-        else:
-            want = (len(net.links), len(anchors), 0.0)
-        up_link = np.arange(len(net.bw_units))[idx.up_link]
-        assert (up_link[p], idx.up_anchor[p], idx.up_lat[p]) == want
-        assert (p in idx.multi) == (len(entries) > 1)
+    assert np.arange(len(net.bw_units))[idx.up_link].tolist() == [
+        net.adj[s.id][0][1] if len(net.adj[s.id]) == 1 else len(net.links) for s in servers]
+    assert_runs_match(net)
     assert len(net.cpu_units) == len(net.ram_units) == len(servers)
     assert len(net.bw_units) == len(net.links) + 1 and net.bw_units[-1] == -1
     for view, store in zip(net.vectors(), (net.cpu_units, net.ram_units, net.bw_units)):
         assert view.tolist() == store.tolist()
+
+
+def assert_runs_match(net: PhysicalNetwork) -> None:
+    """`index().runs`, `anchor_runs` and `off_run` against a derivation from
+    scratch: each one-link server lies in exactly one run, each run holds
+    what its fields say and is maximal, and the rest is off the runs."""
+    idx = net.index()
+    servers = net.servers()
+
+    def key(p: int) -> tuple | None:
+        """What a run asks of the server at position p, or None off the runs."""
+        s = servers[p]
+        if len(net.adj[s.id]) != 1:
+            return None
+        nbr, lid = net.adj[s.id][0]
+        dc = net.data_centers.get(s.dc)
+        rank = TIER_ORDER.index(dc.kind) if dc else len(TIER_ORDER)
+        return lid, (nbr, s.dc, rank, net.links[lid].latency_ms)
+
+    covered = [0] * len(servers)
+    for run in idx.runs:
+        assert 0 <= run.start < run.stop <= len(servers)
+        for p in range(run.start, run.stop):
+            covered[p] += 1
+            assert key(p) == (run.link + p - run.start, tuple(run[3:]))
+        # maximal: neither neighbouring position could extend it
+        for p, link in ((run.start - 1, run.link - 1), (run.stop, run.link + run.stop - run.start)):
+            if 0 <= p < len(servers):
+                assert key(p) != (link, tuple(run[3:]))
+    assert [run.start for run in idx.runs] == sorted(run.start for run in idx.runs)
+    assert covered == [0 if key(p) is None else 1 for p in range(len(servers))]
+    assert idx.off_run == tuple(p for p in range(len(servers)) if key(p) is None)
+    anchors: dict[int, list[tuple[float, int]]] = {}
+    for k, run in enumerate(idx.runs):
+        anchors.setdefault(run.anchor, []).append((run.lat, k))
+    assert idx.anchor_runs == {u: tuple(ks) for u, ks in anchors.items()}
 
 
 # one step of a random workload against the residual store: capacity calls
