@@ -8,11 +8,11 @@ too. `solve_ilp1` minimizes the bandwidth objective; the feasibility
 baseline `solve_ilp2` stops at the first complete placement. Determinism
 comes from fixed candidate and path orderings.
 
-Eligibility is P2C's, read from the same masks: VNF-1 candidates are
+Eligibility is P2C's, read from the same rules: VNF-1 candidates are
 `placement.feasible_servers`, and a later VNF's are the servers of
-`latency_reach` from the previous server that pass `lookahead_mask`, in
-every DC (P2C exempts the other DCs from the lookahead). Each search frame
-holds its VNF and path in a substrate transaction it rolls back.
+`latency_reach` from the previous server that pass `lookahead_at`, in every
+DC (P2C exempts the other DCs from the lookahead). Each search frame holds
+its VNF and path in a substrate transaction it rolls back.
 
 Search order: VNF-1 candidates, and ILP-2's later ones, in id order; ILP-1
 takes the previous server (colocation, at cost 0) first, then its DC, then
@@ -40,7 +40,7 @@ from typing import Iterable
 
 from .nspr import SliceRequest, VlDemand, VnfDemand
 from .placement import (LATENCY_EPS, Placement, bandwidth_cost, feasible_servers,
-                        latency_reach, lookahead_at, lookahead_mask)
+                        latency_reach, lookahead_at)
 from .topology import PhysicalNetwork, to_units
 
 DEFAULT_NODE_BUDGET = 200_000
@@ -168,8 +168,8 @@ def _solve(psn: PhysicalNetwork, request: SliceRequest, *, find_optimal: bool,
         eff = min(vl.budget_ms, request.e2e_budget_ms - used_e2e)
         # every entry lies within eff; last_s, at 0, always does
         reach = latency_reach(psn, last_s, vl.bw, eff)
-        cands = [sid for sid in idx.id[lookahead_mask(psn, request, v)].tolist()
-                 if sid in reach]
+        cands = sorted([sid for sid in reach
+                        if pos[sid] >= 0 and lookahead_at(psn, request, v, sid)])
         if find_optimal:
             # last_s, then its DC, then the rest; the sort is stable
             last_dc = net_nodes[last_s].dc

@@ -91,11 +91,21 @@ class VnfDemand:
     cpu: float
     ram: float
 
+    @functools.cached_property
+    def units(self) -> tuple[int, int]:
+        """CPU and RAM as residual units (`to_units`), converted on first use."""
+        return to_units(self.cpu), to_units(self.ram)
+
 
 @dataclass(frozen=True)
 class VlDemand:
     bw: float
     budget_ms: float
+
+    @functools.cached_property
+    def bw_units(self) -> int:
+        """Bandwidth as residual units (`to_units`), converted on first use."""
+        return to_units(self.bw)
 
 
 @dataclass(frozen=True)
@@ -177,20 +187,6 @@ def sample_class(rng: np.random.Generator, mix: Mapping[SliceClass, float]) -> S
         if u < acc:
             return c
     return classes[-1]
-
-
-def catalog_to_json(catalog: Mapping[SliceClass, ClassSpec]) -> dict:
-    return {
-        cls.value: {
-            "cpu_per_vnf": spec.cpu_per_vnf,
-            "ram_per_vnf": spec.ram_per_vnf,
-            "bw_per_vl": spec.bw_per_vl,
-            "alpha_max_ms": spec.alpha_max_ms,
-            "vl_budgets_ms": list(spec.vl_budgets_ms),
-            "e2e_budget_ms": spec.e2e_budget_ms,
-        }
-        for cls, spec in catalog.items()
-    }
 
 
 def catalog_from_json(obj: Mapping) -> dict[SliceClass, ClassSpec]:

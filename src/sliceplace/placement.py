@@ -27,8 +27,6 @@ from bisect import insort
 from dataclasses import dataclass, field
 from typing import Container, Mapping, Sequence
 
-import numpy as np
-
 from .nspr import SliceRequest
 from .topology import SCALE, PhysicalNetwork, Run, Server, to_units
 
@@ -68,17 +66,6 @@ class Placement:
             "cost": self.cost,
         }
 
-    @classmethod
-    def from_json(cls, psn: PhysicalNetwork, obj: Mapping) -> "Placement":
-        x_multi, y = _coerce_raw(psn, obj)
-        x = {}
-        for v, servers in x_multi.items():
-            if len(servers) != 1:
-                raise MalformedPlacementError(
-                    f"VNF {v} maps to {len(servers)} servers, expected exactly one")
-            x[v] = servers[0]
-        return cls(x=x, y=y, cost=float(obj.get("cost", 0.0)))
-
 
 @dataclass
 class Verdict:
@@ -98,13 +85,18 @@ class Verdict:
         }
 
 
+def _is_id(value: object, count: int) -> bool:
+    """Whether value is an id in 0..count-1: an integer, never a boolean."""
+    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < count
+
+
 def _resolve_path(psn: PhysicalNetwork, i: int, raw: Sequence) -> list[int]:
     """Resolve a VL path given as node pairs or link ids into link ids."""
     if not isinstance(raw, (list, tuple)):
         raise MalformedPlacementError(f"VL {i}: path must be a list")
     links = []
     for hop in raw:
-        if isinstance(hop, int):
+        if isinstance(hop, int) and not isinstance(hop, bool):
             if not 0 <= hop < len(psn.links):
                 raise MalformedPlacementError(f"VL {i}: unknown link id {hop}")
             links.append(hop)
@@ -114,7 +106,10 @@ def _resolve_path(psn: PhysicalNetwork, i: int, raw: Sequence) -> list[int]:
             except (TypeError, ValueError):
                 raise MalformedPlacementError(
                     f"VL {i}: path entries must be link ids or [a, b] pairs") from None
-            link = psn.link_between(int(a), int(b))
+            for node in (a, b):
+                if not _is_id(node, len(psn.nodes)):
+                    raise MalformedPlacementError(f"VL {i}: unknown node id {node!r}")
+            link = psn.link_between(a, b)
             if link is None:
                 raise MalformedPlacementError(f"VL {i}: no link between {a} and {b}")
             links.append(link.id)
@@ -137,11 +132,11 @@ def _coerce_raw(psn: PhysicalNetwork, obj: Mapping) -> tuple[dict[int, tuple[int
             raise MalformedPlacementError(f"bad VNF index {key!r}") from None
         servers = tuple(val) if isinstance(val, (list, tuple)) else (val,)
         for s in servers:
-            if not isinstance(s, int) or not 0 <= s < len(psn.nodes):
+            if not _is_id(s, len(psn.nodes)):
                 raise MalformedPlacementError(f"VNF {v}: unknown node id {s!r}")
             if not isinstance(psn.nodes[s], Server):
                 raise MalformedPlacementError(f"VNF {v}: node {s} is not a server")
-        x_multi[v] = tuple(int(s) for s in servers)
+        x_multi[v] = servers
     y: dict[int, list[int]] = {}
     for key, val in raw_y.items():
         try:
@@ -419,50 +414,24 @@ def _has_uplink(psn: PhysicalNetwork, server_id: int, need: int) -> bool:
     return False
 
 
-def _room(psn: PhysicalNetwork, cpu: int, ram: int) -> np.ndarray:
-    """By server position, the servers with `cpu` and `ram` units left."""
-    cpu_units, ram_units, _ = psn.vectors()
-    ok = cpu_units >= cpu
-    ok &= ram_units >= ram
-    return ok
-
-
-def lookahead_mask(psn: PhysicalNetwork, request: SliceRequest, v: int) -> np.ndarray:
-    """By server position, the servers that may host VNF v: room for it
-    and, before the final VNF, room for VNF v+1 too or an incident link that
-    can carry VL v. The one lookahead rule of P2C and the exact search."""
-    d_v = request.vnf(v)
-    cpu_v, ram_v = to_units(d_v.cpu), to_units(d_v.ram)
-    ok = _room(psn, cpu_v, ram_v)
-    if v < request.n_vnfs:
-        idx, d_next, bw_next = psn.index(), request.vnf(v + 1), to_units(request.vl(v).bw)
-        # -1 (no accounting, or no one link: the trailing slot) passes no demand
-        ahead = psn.vectors()[2][idx.up_link] >= bw_next
-        for p in idx.off_run:
-            ahead[p] = _has_uplink(psn, idx.servers[p].id, bw_next)
-        ahead |= _room(psn, cpu_v + to_units(d_next.cpu), ram_v + to_units(d_next.ram))
-        ok &= ahead
-    return ok
-
-
 def lookahead_at(psn: PhysicalNetwork, request: SliceRequest, v: int,
                  server_id: int) -> bool:
-    """`lookahead_mask(psn, request, v)` at one server, for v in 1..n, from
-    scalar reads: what `feasible_servers` asks of last_s and ILP-1 of a
-    colocation. Both ask it on every later VNF, so it indexes the demand
-    tuples without `request.vnf`'s range check."""
+    """Whether server server_id may host VNF v, for v in 1..n: it has room
+    for VNF v and, before the final VNF, room for VNF v+1 too or an incident
+    link that can carry VL v. The one lookahead rule of P2C and the exact
+    search, from scalar reads; both ask it on every later VNF, so it indexes
+    the demand tuples without `request.vnf`'s range check."""
     p = psn.index().pos[server_id]
     vnfs = request.vnfs
-    d_v = vnfs[v - 1]
-    cpu_v, ram_v = to_units(d_v.cpu), to_units(d_v.ram)
+    cpu_v, ram_v = vnfs[v - 1].units
     cpu, ram = psn.cpu_units[p], psn.ram_units[p]
     if cpu < cpu_v or ram < ram_v:
         return False
     if v == len(vnfs):
         return True
-    d_next = vnfs[v]
-    return ((cpu >= cpu_v + to_units(d_next.cpu) and ram >= ram_v + to_units(d_next.ram))
-            or _has_uplink(psn, server_id, to_units(request.vls[v - 1].bw)))
+    cpu_next, ram_next = vnfs[v].units
+    return ((cpu >= cpu_v + cpu_next and ram >= ram_v + ram_next)
+            or _has_uplink(psn, server_id, request.vls[v - 1].bw_units))
 
 
 def _root_groups(psn: PhysicalNetwork, request: SliceRequest,
@@ -570,12 +539,14 @@ def feasible_servers(psn: PhysicalNetwork, request: SliceRequest, v: int,
     """Servers eligible to host VNF v, ascending by id.
 
     For the first VNF: the servers of the data centers within the class's
-    access bound of the request's UAP that pass `lookahead_mask`, the exact
-    search's VNF-1 candidates too.
+    access bound of the request's UAP that pass the lookahead rule
+    (`lookahead_at`): room for VNF 1 and either room for VNF 2 too or an
+    incident link that can carry VL 1. These are the exact search's VNF-1
+    candidates too.
 
     For later VNFs, eligibility needs a feasible path for VL(v-1, v) from
     last_s within min(VL budget, end-to-end slack). The previous server and
-    its DC neighbors additionally pass `lookahead_mask`; servers in other
+    its DC neighbors additionally pass the lookahead rule; servers in other
     DCs only need room for the VNF.
 
     `used_e2e_ms` is the latency already committed (access plus placed VLs).
@@ -604,13 +575,11 @@ def feasible_servers(psn: PhysicalNetwork, request: SliceRequest, v: int,
         raise ValueError(f"VNF index {v} outside chain 1..{n}")
     idx = psn.index()
     servers, tier_rank = idx.servers, idx.tier_rank
-    d_v = vnfs[v - 1]
-    cpu_v, ram_v = to_units(d_v.cpu), to_units(d_v.ram)
+    cpu_v, ram_v = vnfs[v - 1].units
     ahead = None  # VL v's bandwidth, and the units VNFs v and v+1 take together
     if v < n:
-        d_next = vnfs[v]
-        ahead = (to_units(vls[v - 1].bw), cpu_v + to_units(d_next.cpu),
-                 ram_v + to_units(d_next.ram))
+        cpu_next, ram_next = vnfs[v].units
+        ahead = (vls[v - 1].bw_units, cpu_v + cpu_next, ram_v + ram_next)
 
     if v == 1:
         reach_bw = pin = pin_key = None
@@ -621,7 +590,7 @@ def feasible_servers(psn: PhysicalNetwork, request: SliceRequest, v: int,
         if last_s is None:
             raise ValueError("last_s is required for VNFs beyond the first")
         vl = vls[v - 2]
-        reach_bw = to_units(vl.bw)
+        reach_bw = vl.bw_units
         limit = min(vl.budget_ms, request.e2e_budget_ms - used_e2e_ms) + LATENCY_EPS
         relay = _relay_reach(psn, last_s, vl.bw, limit)
         # `lat <= limit - d` decides as `d + lat <= limit` does: exactly for

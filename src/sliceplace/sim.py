@@ -196,7 +196,9 @@ class MetricsReport:
 
 
 class _Accounting:
-    """Tier-grouped capacity bookkeeping plus time-weighted integrals."""
+    """Tier-grouped capacity bookkeeping plus time-weighted integrals. Held
+    amounts are exact counts of residual units (`to_units`); series rows and
+    the integrals read them in CPU units, GB and Gbps."""
 
     def __init__(self, net: PhysicalNetwork, warmup: float, horizon: float,
                  series_interval: float | None) -> None:
@@ -223,7 +225,7 @@ class _Accounting:
                 continue
             self.link_group[link.id] = g
             self.cap[(g, "bw")] += link.bw_capacity
-        self.held: dict[tuple[str, str], float] = {k: 0.0 for k in self.cap}
+        self.held: dict[tuple[str, str], int] = {k: 0 for k in self.cap}
         self.integral: dict[tuple[str, str], float] = {k: 0.0 for k in self.cap}
         self.last_t = 0.0
         self.series: list[tuple[float, str, str, float, float]] = []
@@ -236,7 +238,7 @@ class _Accounting:
                 capacity = self.cap[(g, res)]
                 if capacity == 0.0:
                     continue
-                self.series.append((t, g, res, self.held[(g, res)], capacity))
+                self.series.append((t, g, res, self.held[(g, res)] / SCALE, capacity))
 
     def advance(self, t: float) -> None:
         t = min(t, self.horizon)
@@ -247,24 +249,24 @@ class _Accounting:
         lo = max(self.last_t, self.warmup)
         if t > lo:
             dt = t - lo
-            for key, amount in self.held.items():
-                if amount:
-                    self.integral[key] += amount * dt
+            for key, units in self.held.items():
+                if units:
+                    self.integral[key] += units / SCALE * dt
         self.last_t = max(self.last_t, t)
 
     def commit(self, request: SliceRequest, placement: Placement,
-               sign: float) -> None:
+               sign: int) -> None:
         for v, s in placement.x.items():
-            d = request.vnf(v)
+            cpu, ram = request.vnf(v).units
             g = self.server_group[s]
-            self.held[(g, "cpu")] += sign * d.cpu
-            self.held[(g, "ram")] += sign * d.ram
+            self.held[(g, "cpu")] += sign * cpu
+            self.held[(g, "ram")] += sign * ram
         for i, path in placement.y.items():
-            bw = request.vl(i).bw
+            units = sign * request.vl(i).bw_units
             for lid in path:
                 g = self.link_group[lid]
                 if g is not None:
-                    self.held[(g, "bw")] += sign * bw
+                    self.held[(g, "bw")] += units
 
     def finish(self) -> None:
         self.advance(self.horizon)
@@ -410,7 +412,7 @@ def run(psn: PhysicalNetwork, scenario: Scenario, algorithm: Algorithm | str,
         if kind == 0:
             request, placement = held.pop(req_id)
             release_placement(net, request, placement)
-            acct.commit(request, placement, -1.0)
+            acct.commit(request, placement, -1)
             if validate:
                 ledger.commit(request, placement, -1)
             report.departures += 1
@@ -443,7 +445,7 @@ def run(psn: PhysicalNetwork, scenario: Scenario, algorithm: Algorithm | str,
                 per_class[cls_.value]["accepted"] += 1
                 total_cost += placement.cost
                 held[request.id] = (request, placement)
-                acct.commit(request, placement, +1.0)
+                acct.commit(request, placement, +1)
                 if validate:
                     ledger.commit(request, placement, +1)
                 seq += 1

@@ -216,13 +216,8 @@ class StructureIndex(NamedTuple):
     pos: tuple[int, ...]
     # node id -> rank of its DC's tier in TIER_ORDER, len(TIER_ORDER) outside any DC
     tier_rank: tuple[int, ...]
-    # by server position: node id, and for a server with exactly one link
-    # that link's id; any other server has link id len(links), the bandwidth
-    # array's trailing slot. up_link is a slice where the links are 0..n-1 in
-    # server order, as the reference builder makes them, so that indexing
-    # with it copies nothing
+    # by server position: node id
     id: np.ndarray
-    up_link: np.ndarray | slice
     # the one-link servers as runs, ascending (see `Run`), and for each
     # anchor (a node across some server's one link, a star DC's switch)
     # (uplink latency, index) of its runs, ascending by index
@@ -255,12 +250,12 @@ class PhysicalNetwork:
 
     The one residual store is three `array('q')` of units (`to_units`):
     `cpu_units` and `ram_units` by server position, and `bw_units` by link
-    id, -1 where a link has no bandwidth accounting, plus a trailing -1
-    slot for "no link". Scalar readers index them; `vectors()` gives
-    zero-copy numpy views. Residuals change only through allocate/release;
-    inside a (nestable) transaction, `mark = begin()` then `commit(mark)` or
-    `rollback(mark)`, each write logs (array, slot, old units) for a
-    rollback to write back. `snapshot`/`restore` copy the arrays whole.
+    id, -1 where a link has no bandwidth accounting. Scalar readers index
+    them; `vectors()` gives zero-copy numpy views. Residuals change only
+    through allocate/release; inside a (nestable) transaction, `mark =
+    begin()` then `commit(mark)` or `rollback(mark)`, each write logs
+    (array, slot, old units) for a rollback to write back.
+    `snapshot`/`restore` copy the arrays whole.
 
     `index()` returns the one `StructureIndex`, built in one pass on first
     use after a structural change (`_append`, behind `add_node`,
@@ -287,7 +282,7 @@ class PhysicalNetwork:
         self._token = uuid.uuid4().hex
         self.cpu_units = array("q")
         self.ram_units = array("q")
-        self.bw_units = array("q", [-1])
+        self.bw_units = array("q")
         self._views: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         # (residual array, slot, old units); log length at each open begin
         self._undo: list[tuple[array, int, int]] = []
@@ -363,8 +358,7 @@ class PhysicalNetwork:
         self.links.append(link)
         self.adj[a].append((b, link.id))
         self.adj[b].append((a, link.id))
-        self.bw_units[-1] = units
-        self.bw_units.append(-1)
+        self.bw_units.append(units)
         return link.id
 
     # -- lookups -----------------------------------------------------------
@@ -381,57 +375,54 @@ class PhysicalNetwork:
         return None
 
     def index(self) -> StructureIndex:
-        """The structure index, built on first use after a structural change."""
-        if self._index is None:
-            n_nodes, n_links = len(self.nodes), len(self.links)
-            servers = tuple([n for n in self.nodes if isinstance(n, Server)])
-            adj_sorted = tuple(map(tuple, map(sorted, self.adj)))
-            relays = [len(entries) > 1 for entries in self.adj]
-            pos = [-1] * n_nodes
-            rank = {dc_id: TIER_ORDER.index(dc.kind) for dc_id, dc in self.data_centers.items()}
-            tier_rank = tuple([rank.get(n.dc, len(TIER_ORDER)) for n in self.nodes])
-            up_link = []
-            runs: list[list] = []  # [start, stop, link, anchor, dc, rank, lat], grown in place
-            off_run = []
-            for p, s in enumerate(servers):
-                pos[s.id] = p
-                entries = self.adj[s.id]
-                if len(entries) != 1:
-                    up_link.append(n_links)
-                    off_run.append(p)
-                    continue
-                nbr, lid = entries[0]
-                lat = self.links[lid].latency_ms
-                up_link.append(lid)
-                last = runs[-1] if runs else None
-                if (last and last[1] == p and last[2] + p - last[0] == lid
-                        and last[3:] == [nbr, s.dc, tier_rank[s.id], lat]):
-                    last[1] = p + 1
-                else:
-                    runs.append([p, p + 1, lid, nbr, s.dc, tier_rank[s.id], lat])
-            anchor_runs: dict[int, list[tuple[float, int]]] = {}
-            for k, run in enumerate(runs):
-                anchor_runs.setdefault(run[3], []).append((run[6], k))
-            self._index = StructureIndex(
-                servers=servers,
-                adj_sorted=adj_sorted,
-                # a lone entry to a relay (a server's switch) is reused, not copied
-                relay_adj=tuple([
-                    entries if len(entries) == 1 and relays[entries[0][0]]
-                    else tuple([e for e in entries if relays[e[0]]])
-                    for entries in adj_sorted]),
-                leaf_adj=tuple([tuple([e for e in entries if not relays[e[0]]])
-                                for entries in adj_sorted]),
-                pos=tuple(pos),
-                tier_rank=tier_rank,
-                id=np.array([s.id for s in servers], dtype=np.intp),
-                up_link=(slice(0, len(up_link)) if up_link == list(range(len(up_link)))
-                         else np.array(up_link, dtype=np.intp)),
-                runs=tuple([Run(*run) for run in runs]),
-                anchor_runs={u: tuple(ks) for u, ks in anchor_runs.items()},
-                off_run=tuple(off_run),
-                alpha={},
-                root_runs={})
+        """The structure index, built on first use after a structural change.
+        One expression: every residual write and lookahead test calls it."""
+        return self._index or self._build_index()
+
+    def _build_index(self) -> StructureIndex:
+        servers = tuple([n for n in self.nodes if isinstance(n, Server)])
+        adj_sorted = tuple(map(tuple, map(sorted, self.adj)))
+        relays = [len(entries) > 1 for entries in self.adj]
+        pos = [-1] * len(self.nodes)
+        rank = {dc_id: TIER_ORDER.index(dc.kind) for dc_id, dc in self.data_centers.items()}
+        tier_rank = tuple([rank.get(n.dc, len(TIER_ORDER)) for n in self.nodes])
+        runs: list[list] = []  # [start, stop, link, anchor, dc, rank, lat], grown in place
+        off_run = []
+        for p, s in enumerate(servers):
+            pos[s.id] = p
+            entries = self.adj[s.id]
+            if len(entries) != 1:
+                off_run.append(p)
+                continue
+            nbr, lid = entries[0]
+            lat = self.links[lid].latency_ms
+            last = runs[-1] if runs else None
+            if (last and last[1] == p and last[2] + p - last[0] == lid
+                    and last[3:] == [nbr, s.dc, tier_rank[s.id], lat]):
+                last[1] = p + 1
+            else:
+                runs.append([p, p + 1, lid, nbr, s.dc, tier_rank[s.id], lat])
+        anchor_runs: dict[int, list[tuple[float, int]]] = {}
+        for k, run in enumerate(runs):
+            anchor_runs.setdefault(run[3], []).append((run[6], k))
+        self._index = StructureIndex(
+            servers=servers,
+            adj_sorted=adj_sorted,
+            # a lone entry to a relay (a server's switch) is reused, not copied
+            relay_adj=tuple([
+                entries if len(entries) == 1 and relays[entries[0][0]]
+                else tuple([e for e in entries if relays[e[0]]])
+                for entries in adj_sorted]),
+            leaf_adj=tuple([tuple([e for e in entries if not relays[e[0]]])
+                            for entries in adj_sorted]),
+            pos=tuple(pos),
+            tier_rank=tier_rank,
+            id=np.array([s.id for s in servers], dtype=np.intp),
+            runs=tuple([Run(*run) for run in runs]),
+            anchor_runs={u: tuple(ks) for u, ks in anchor_runs.items()},
+            off_run=tuple(off_run),
+            alpha={},
+            root_runs={})
         return self._index
 
     def vectors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -460,24 +451,12 @@ class PhysicalNetwork:
         """Every server, ascending by id."""
         return self.index().servers
 
-    def server_ids(self) -> list[int]:
-        return [s.id for s in self.servers()]
-
     def dc_of(self, node_id: int) -> DataCenter | None:
         dc_id = self.nodes[node_id].dc
         return self.data_centers[dc_id] if dc_id is not None else None
 
-    def tier_of_server(self, server_id: int) -> DCKind:
-        rank = self.index().tier_rank[server_id]
-        if rank == len(TIER_ORDER):
-            raise TopologyError(f"server {server_id} belongs to no data center")
-        return TIER_ORDER[rank]
-
     def total_cpu_capacity(self) -> float:
         return sum(s.cpu_capacity for s in self.servers())
-
-    def total_ram_capacity(self) -> float:
-        return sum(s.ram_capacity for s in self.servers())
 
     # -- capacity bookkeeping ----------------------------------------------
 
@@ -720,11 +699,6 @@ class PhysicalNetwork:
             raise TopologyError(f"malformed topology document: {exc}") from exc
         net.validate()
         return net
-
-    def save(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
     @classmethod
     def load(cls, path: str) -> "PhysicalNetwork":

@@ -10,7 +10,6 @@ import pytest
 
 from sliceplace.cli import main
 from sliceplace.config import ConfigError, RunConfig
-from sliceplace.nspr import DEFAULT_CATALOG, SliceClass, catalog_to_json
 from sliceplace.topology import PhysicalNetwork, TopologyParams
 
 from conftest import make_single_dc
@@ -22,8 +21,10 @@ def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
     return code, captured.out, captured.err
 
 
-BEF_ONLY_CATALOG = catalog_to_json(
-    {SliceClass.BEST_EFFORT: DEFAULT_CATALOG[SliceClass.BEST_EFFORT]})
+# the default best-effort entry, as a config file states it
+BEF_ONLY_CATALOG = {"best_effort": {
+    "cpu_per_vnf": 10.0, "ram_per_vnf": 60.0, "bw_per_vl": 1.0,
+    "alpha_max_ms": 0.07, "vl_budgets_ms": [0.67, 1.0, 1.33, 1.33], "e2e_budget_ms": None}}
 
 
 def bef_only_catalog(**fields) -> dict:
@@ -95,7 +96,7 @@ class TestPlace:
         # access latency beyond every class bound: nothing can host the root
         net = make_single_dc(servers=2, params=TopologyParams(access_latency_ms=0.05))
         path = tmp_path / "far.json"
-        net.save(str(path))
+        path.write_text(json.dumps(net.to_json()))
         code, out, _ = run_cli(capsys, "place", "--topology", str(path),
                                "--class", "urllc")
         assert code == 1
@@ -219,8 +220,14 @@ class TestCheck:
         doc = json.loads(open(outcome_file).read())
         doc["placement"]["x"]["1"] = 99999
         bad = tmp_path / "malformed.json"
-        # an unknown server, then x or y not an object and a path not a list
-        for case in (doc, {"x": 5}, {"x": {"1": 3}, "y": 7}, {"x": {"1": 3}, "y": {"1": 5}}):
+        # an unknown server, then x or y not an object and a path not a list;
+        # a hop from a node past the last, one from a negative node (Python
+        # would index from the end, to uap10's access link) and a boolean
+        # for a server
+        for case in (doc, {"x": 5}, {"x": {"1": 3}, "y": 7}, {"x": {"1": 3}, "y": {"1": 5}},
+                     {"x": {"1": 3}, "y": {"1": [[5000, 0]]}},
+                     {"x": {"1": 3}, "y": {"1": [[-5, 122]]}},
+                     {"x": {"1": True}}):
             bad.write_text(json.dumps(case))
             code, out, err = run_cli(capsys, "check", "--topology", topo_file,
                                      "--class", "urllc", "--placement", str(bad))

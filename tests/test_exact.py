@@ -45,10 +45,10 @@ def tiny_instance(seed: int):
         km=rng.choice([100, 300]),
     )
     # fractional loads, to the six decimals that residual units hold
-    for sid in net.server_ids():
+    for s in net.servers():
         if rng.random() < 0.5:
-            cpu, ram = net.residual(sid)
-            net.allocate(sid, round(rng.uniform(0, cpu * 0.9), 6),
+            cpu, ram = net.residual(s.id)
+            net.allocate(s.id, round(rng.uniform(0, cpu * 0.9), 6),
                          round(rng.uniform(0, ram * 0.9), 6))
     for lid in range(len(net.links)):
         bw = net.bw_residual(lid)

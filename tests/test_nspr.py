@@ -13,7 +13,6 @@ from sliceplace.nspr import (
     ClassSpec,
     SliceClass,
     catalog_from_json,
-    catalog_to_json,
     make_request,
     sample_class,
 )
@@ -147,23 +146,30 @@ class TestSampleClass:
             sample_class(rng, {SliceClass.URLLC: 1.2, SliceClass.EMBB: -0.2})
 
 
+# the default catalog as a config file states it
+DEFAULT_CATALOG_DOC = {
+    "best_effort": {"cpu_per_vnf": 10.0, "ram_per_vnf": 60.0, "bw_per_vl": 1.0,
+                    "alpha_max_ms": 0.07, "vl_budgets_ms": [0.67, 1.0, 1.33, 1.33]},
+    "urllc": {"cpu_per_vnf": 15.0, "ram_per_vnf": 90.0, "bw_per_vl": 1.0,
+              "alpha_max_ms": 0.03, "vl_budgets_ms": [0.33, 0.33, 0.33, 0.33]},
+    "embb": {"cpu_per_vnf": 25.0, "ram_per_vnf": 150.0, "bw_per_vl": 2.0,
+             "alpha_max_ms": 0.07, "vl_budgets_ms": [0.33, 1.0, 1.0, 1.0]},
+}
+
+
 class TestCatalogSerialization:
     def test_roundtrip(self):
-        doc = catalog_to_json(DEFAULT_CATALOG)
-        back = catalog_from_json(doc)
-        assert back == DEFAULT_CATALOG
+        assert catalog_from_json(DEFAULT_CATALOG_DOC) == DEFAULT_CATALOG
 
     def test_roundtrip_with_override(self):
-        spec = dataclasses.replace(DEFAULT_CATALOG[SliceClass.EMBB],
-                                   e2e_budget_ms=2.5)
-        catalog = dict(DEFAULT_CATALOG)
-        catalog[SliceClass.EMBB] = spec
-        back = catalog_from_json(catalog_to_json(catalog))
-        assert back[SliceClass.EMBB].e2e_budget_ms == 2.5
+        embb = {**DEFAULT_CATALOG_DOC["embb"], "e2e_budget_ms": 2.5}
+        doc = {**DEFAULT_CATALOG_DOC, "embb": embb}
+        back = catalog_from_json(doc)
+        assert back[SliceClass.EMBB] == dataclasses.replace(DEFAULT_CATALOG[SliceClass.EMBB],
+                                                            e2e_budget_ms=2.5)
         assert back[SliceClass.EMBB].effective_e2e_ms() == 2.5
 
     def test_unknown_class_rejected(self):
-        doc = catalog_to_json(DEFAULT_CATALOG)
-        doc["hologram"] = doc["urllc"]
+        doc = {**DEFAULT_CATALOG_DOC, "hologram": DEFAULT_CATALOG_DOC["urllc"]}
         with pytest.raises((ValueError, KeyError)):
             catalog_from_json(doc)

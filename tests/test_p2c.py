@@ -123,7 +123,7 @@ class TestBestTierPool:
             assert pool() == want
             for _ in range(50):
                 pair = get_two_candidates(pool(), rng)
-                assert {net.tier_of_server(s) for s in pair} == {kind}
+                assert {net.dc_of(s).kind for s in pair} == {kind}
             drain_dc(net, f"{kind.value.lower()}0")
         assert pool() == pool(best_tier=False) == []
 
@@ -271,7 +271,7 @@ class TestPlace:
         req = make_request(SliceClass.URLLC, net.uaps[0])
         out = place(net, req, Policy.TIER_PREFERRED, np.random.default_rng(2))
         assert out.status is OutcomeStatus.ACCEPTED
-        tiers = [net.tier_of_server(out.placement.x[v]) for v in range(1, 6)]
+        tiers = [net.dc_of(out.placement.x[v]).kind for v in range(1, 6)]
         assert tiers[0] is DCKind.EDC
         assert all(t is DCKind.CDC for t in tiers[1:])
 

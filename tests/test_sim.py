@@ -23,7 +23,7 @@ from sliceplace.sim import (
     place_request,
     run,
 )
-from sliceplace.topology import build_reference_psn
+from sliceplace.topology import SCALE, build_reference_psn
 
 
 @pytest.fixture(scope="module")
@@ -355,13 +355,28 @@ class TestValidateAudit:
     def test_fractional_demands_pass_the_audit(self, net, algorithm):
         # 0.3 CPU and 0.1 Gbps have no exact binary form; held in float
         # residuals they drifted from the ledger within a few events
-        catalog = dict(DEFAULT_CATALOG)
-        catalog[SliceClass.BEST_EFFORT] = dataclasses.replace(
-            catalog[SliceClass.BEST_EFFORT], cpu_per_vnf=0.3, bw_per_vl=0.1)
         report = run(net, Scenario.named("BEF", 1.0, horizon=30.0), algorithm, 1,
-                     catalog=catalog, validate=True)
+                     catalog=fractional_catalog(), validate=True)
         assert report.accepted == report.validated_accepted > 0
         assert report.departures > 0
+
+    def test_fractional_demands_are_held_in_whole_units(self, net):
+        # the held amounts behind the series and the utilization count
+        # residual units; summed as floats, this run's held CPU ended at
+        # 188.99999999999918 where the residuals say 189.0
+        report = run(net, Scenario.named("BEF", 0.9, horizon=100.0), "p2c-1", 1,
+                     catalog=fractional_catalog())
+        assert report.departures > 0
+        for t, group, res, used, _ in report.series:
+            assert round(used * SCALE) / SCALE == used, (t, group, res, used)
+
+
+def fractional_catalog() -> dict:
+    """The default catalog with best effort at 0.3 CPU and 0.1 Gbps."""
+    catalog = dict(DEFAULT_CATALOG)
+    catalog[SliceClass.BEST_EFFORT] = dataclasses.replace(
+        catalog[SliceClass.BEST_EFFORT], cpu_per_vnf=0.3, bw_per_vl=0.1)
+    return catalog
 
 
 class TestWarmup:
