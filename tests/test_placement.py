@@ -653,10 +653,11 @@ class TestReachBoundedEligibility:
         assert got == [anchor] == scan_feasible_servers(net, req, 2, anchor, 0.02)
 
 
-class TestLookaheadAt:
-    """`lookahead_at`, the lookahead rule of P2C and the exact search,
-    equals the oracle's plain rule for every server and every VNF: servers
-    with several links, with none and outside any DC included."""
+class TestLookaheadMask:
+    """The lookahead rule of P2C and the exact search, read at one server
+    (`lookahead_at`) and as the mask `feasible_servers` computes with a few
+    compares over run slices, equals the oracle's plain rule: servers with
+    several links, with none and outside any DC included."""
 
     @settings(max_examples=150, deadline=None)
     @given(loaded_substrates(), st.data())
@@ -672,6 +673,39 @@ class TestLookaheadAt:
         for v in range(1, request.n_vnfs + 1):
             assert [lookahead_at(net, request, v, s.id) for s in net.servers()] == \
                    [lookahead(net, request, v, s.id) for s in net.servers()]
+
+    @settings(max_examples=150, deadline=None)
+    @given(loaded_substrates(), st.data())
+    def test_one_server_matches_the_mask(self, net, data):
+        """Wherever `feasible_servers` applies the rule (the root DCs for
+        VNF 1; last_s and the reached servers of its DC later), a server is
+        listed exactly when `lookahead_at` passes it."""
+        if data.draw(st.booleans()):
+            add_dc_less_server(net, data)
+        request = make_request(data.draw(st.sampled_from(list(SliceClass))),
+                               data.draw(st.sampled_from(net.uaps)))
+        request = dataclasses.replace(request, vls=tuple(
+            dataclasses.replace(vl, bw=data.draw(st.sampled_from([0.5, 1.0, 2.0, 10.0])))
+            for vl in request.vls))
+        bound = request.alpha_max_ms + LATENCY_EPS
+        servers = list(net.servers())
+        with bridge(data.draw(st.sampled_from([0, 1, placement.BRIDGE]))):
+            got = set(feasible_servers(net, request, 1, None))
+            ruled = [s.id for s in servers if s.dc is not None
+                     and net.access_latency(request.uap, s.dc) <= bound]
+            assert [sid in got for sid in ruled] == \
+                   [lookahead_at(net, request, 1, sid) for sid in ruled]
+            for v in range(2, request.n_vnfs + 1):
+                last = data.draw(st.sampled_from(servers))
+                vl = request.vl(v - 1)
+                budget = min(vl.budget_ms, request.e2e_budget_ms)
+                reach = plain_reach(net, last.id, vl.bw, budget)
+                got = set(feasible_servers(net, request, v, last.id))
+                ruled = [last.id] + [s.id for s in servers if s.id != last.id
+                                     and s.dc == last.dc
+                                     and reach.get(s.id, float("inf")) <= budget + LATENCY_EPS]
+                assert [sid in got for sid in ruled] == \
+                       [lookahead_at(net, request, v, sid) for sid in ruled]
 
 
 class TestApplyRelease:
