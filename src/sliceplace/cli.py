@@ -4,15 +4,17 @@ Subcommands: generate (reference topologies), place (one request), simulate
 (replicated event-loop campaigns), check (audit a placement file against the
 constraint checker), compare (all four algorithms on one scenario).
 
-Exit codes: 0 ok; 1 placement rejected or check failed; 2 usage or config
-error; 3 I/O error. The SLICEPLACE_CONFIG environment variable supplies a
-default --config path.
+Exit codes: 0 ok; 1 placement rejected or check failed; 2 usage error or a
+malformed config, topology or placement document (not JSON included); 3 a
+file that cannot be read or written. The SLICEPLACE_CONFIG environment
+variable supplies a default --config path.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -23,7 +25,7 @@ from .config import ConfigError, RunConfig, default_config_path
 from .nspr import DEFAULT_CATALOG, SliceClass, make_request
 from .placement import MalformedPlacementError, check_placement
 from .sim import Algorithm, MetricsReport, Scenario, aggregate, place_request, run
-from .topology import PhysicalNetwork, TopologyError, build_reference_psn
+from .topology import PhysicalNetwork, TopologyError, build_reference_psn, load_json
 
 
 def _load_config(path: str | None) -> RunConfig:
@@ -95,19 +97,12 @@ def cmd_check(args) -> int:
     cfg = _load_config(args.config)
     net = _load_topology(args, cfg)
     request = _request_from_args(args, net, cfg)
-    with open(args.placement) as fh:
-        obj = json.load(fh)
-    if isinstance(obj, dict) and isinstance(obj.get("placement"), dict):
+    obj = load_json(args.placement, MalformedPlacementError)
+    if isinstance(obj, dict) and "placement" in obj:
         obj = obj["placement"]  # accept cmd_place outcome files as-is
     verdict = check_placement(net, request, obj)
     _emit(verdict.to_json(), args.out)
     return 0 if verdict.ok else 1
-
-
-def _sim_worker(payload: tuple) -> MetricsReport:
-    topo_json, scenario, algorithm, seed, options = payload
-    net = PhysicalNetwork.from_json(topo_json)
-    return run(net, scenario, algorithm, seed, **options)
 
 
 def _run_replications(net: PhysicalNetwork, scenario: Scenario,
@@ -116,13 +111,13 @@ def _run_replications(net: PhysicalNetwork, scenario: Scenario,
                    max_nodes=cfg.max_nodes, series_interval=cfg.series_interval)
     if cfg.catalog is not None:
         options["catalog"] = cfg.catalog
+    # one replication per seed; a worker gets the network pickled, as read
+    replicate = functools.partial(run, net, scenario, algorithm, **options)
     seeds = [(scenario.base_seed, i) for i in range(scenario.replications)]
     if cfg.jobs > 1 and scenario.replications > 1:
-        topo_json = net.to_json()
-        payloads = [(topo_json, scenario, algorithm, seed, options) for seed in seeds]
         with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(seeds))) as pool:
-            return list(pool.map(_sim_worker, payloads))
-    return [run(net, scenario, algorithm, seed, **options) for seed in seeds]
+            return list(pool.map(replicate, seeds))
+    return list(map(replicate, seeds))
 
 
 def _apply_sim_flags(cfg: RunConfig, args) -> None:
@@ -269,9 +264,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except json.JSONDecodeError as exc:
-        print(f"sliceplace: error: bad JSON input: {exc}", file=sys.stderr)
-        return 3
     except OSError as exc:
         print(f"sliceplace: error: {exc}", file=sys.stderr)
         return 3

@@ -7,16 +7,15 @@ fail loudly instead of silently running defaults.
 
 from __future__ import annotations
 
-import json
+import functools
 import os
-import sys
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from .exact import DEFAULT_NODE_BUDGET
 from .nspr import ClassSpec, SliceClass, catalog_from_json
 from .sim import Scenario, _NAMED_MIXES
-from .topology import TopologyError, TopologyParams, params_from_json
+from .topology import TopologyError, TopologyParams, load_json, params_from_json, typed
 
 ENV_CONFIG = "SLICEPLACE_CONFIG"
 
@@ -32,28 +31,13 @@ _SCENARIO_TYPES = {"name": str, "target_load": float, "horizon": float,
 _SCENARIO_KEYS = set(_SCENARIO_TYPES) | {"mix"}
 _TOP_KEYS = {"topology", "scenario", "algorithm", "catalog", "solver",
              "validate", "measure_time", "jobs", "series_interval", "output"}
-_TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a finite number",
-               str: "a string"}
+_typed = functools.partial(typed, error=ConfigError)
 
 
 def _require_keys(obj: Mapping, allowed: set[str], where: str) -> None:
     unknown = set(obj) - allowed
     if unknown:
         raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
-
-
-def _typed(value: Any, kind: type, where: str, *, nullable: bool = False) -> Any:
-    """`value` if it is a JSON value of `kind` (float admits integers that
-    a float can hold and no NaN or infinity, int and float exclude
-    booleans), else ConfigError."""
-    if value is None and nullable:
-        return value
-    accepted = (int, float) if kind is float else (kind,)
-    if (isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted)
-            or (kind is float and not abs(value) <= sys.float_info.max)):
-        raise ConfigError(f"{where} must be {_TYPE_NAMES[kind]}"
-                          + (" or null" if nullable else ""))
-    return value
 
 
 @dataclass
@@ -113,7 +97,7 @@ class RunConfig:
             if not isinstance(raw_mix, Mapping):
                 raise ConfigError("scenario mix must be an object")
             try:
-                cfg.mix = {SliceClass(k): float(_typed(v, float, f"mix share {k!r}"))
+                cfg.mix = {SliceClass(k): _typed(v, float, f"mix share {k!r}")
                            for k, v in raw_mix.items()}
             except ValueError as exc:
                 raise ConfigError(f"bad mix: {exc}") from exc
@@ -127,12 +111,6 @@ class RunConfig:
             if not isinstance(obj["catalog"], Mapping):
                 raise ConfigError("catalog must be an object")
             try:
-                for name, entry in obj["catalog"].items():
-                    for key in ("cpu_per_vnf", "ram_per_vnf", "bw_per_vl", "alpha_max_ms"):
-                        _typed(entry[key], float, f"{name} {key}")
-                    _typed(entry.get("e2e_budget_ms"), float, f"{name} e2e_budget_ms", nullable=True)
-                    for b in entry["vl_budgets_ms"]:
-                        _typed(b, float, f"{name} vl_budgets_ms")
                 cfg.catalog = catalog_from_json(obj["catalog"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"bad catalog: {exc}") from exc
@@ -170,12 +148,7 @@ class RunConfig:
 
     @classmethod
     def load(cls, path: str) -> "RunConfig":
-        with open(path) as fh:
-            try:
-                obj = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
-        return cls.from_json(obj)
+        return cls.from_json(load_json(path, ConfigError))
 
 
 def default_config_path() -> str | None:

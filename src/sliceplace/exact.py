@@ -84,14 +84,13 @@ def _enumerate_paths(psn: PhysicalNetwork, src: int, dsts: Iterable[int], bw: fl
     truncated: set[int] = set()
     visited = {src}
     trail: list[int] = []
-    adj_sorted = psn.index().adj_sorted
-    links, bw_units, need = psn.links, psn.bw_units, to_units(bw)
+    adj, links, bw_units, need = psn.adj, psn.links, psn.bw_units, to_units(bw)
 
     def dfs(u: int, lat: float) -> None:
-        for v, lid in adj_sorted[u]:
+        for v, lid in adj[u]:
             # a destination may relay to another one; a degree-1 node leads
             # nowhere but back, so one that is no destination is skipped
-            leaf = len(adj_sorted[v]) == 1
+            leaf = len(adj[v]) == 1
             if v in visited or (leaf and v not in open_dsts) or bw_units[lid] < need:
                 continue
             nl = lat + links[lid].latency_ms
@@ -124,7 +123,7 @@ def _solve(psn: PhysicalNetwork, request: SliceRequest, *, find_optimal: bool,
            max_nodes: int | None, max_paths_per_vl: int | None) -> SolveResult:
     n = request.n_vnfs
     idx = psn.index()
-    net_nodes, links, adj_sorted = psn.nodes, psn.links, idx.adj_sorted
+    net_nodes, links, adj = psn.nodes, psn.links, psn.adj
     pos, cpu, ram, bw_units = idx.pos, psn.cpu_units, psn.ram_units, psn.bw_units
 
     best_cost: float | None = None
@@ -142,9 +141,9 @@ def _solve(psn: PhysicalNetwork, request: SliceRequest, *, find_optimal: bool,
     y: dict[int, tuple[int, ...]] = {}
 
     def twin_key(sid: int) -> tuple:
-        # neighbours are distinct (`add_link`), so adj_sorted orders by neighbour
+        # `add_link` keeps adj ascending by neighbour, each one distinct
         incident = tuple([(nbr, bw_units[lid], links[lid].latency_ms)
-                          for nbr, lid in adj_sorted[sid]])
+                          for nbr, lid in adj[sid]])
         p = pos[sid]
         return (net_nodes[sid].dc, cpu[p], ram[p], incident)
 
@@ -241,7 +240,7 @@ def _solve(psn: PhysicalNetwork, request: SliceRequest, *, find_optimal: bool,
             if best_cost is not None:
                 # every other server is at least h links away, so no path of
                 # the list could beat the best
-                h = 1 if any(pos[nbr] >= 0 for nbr, _ in adj_sorted[last_s]) else 2
+                h = 1 if any(pos[nbr] >= 0 for nbr, _ in adj[last_s]) else 2
                 if committed + h * bw >= best_cost:
                     return
         for sid, paths in candidates(v, last_s, used_e2e, vl):

@@ -16,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .topology import to_units
+from .topology import to_units, typed
 
 
 class SliceClass(str, Enum):
@@ -190,15 +190,17 @@ def sample_class(rng: np.random.Generator, mix: Mapping[SliceClass, float]) -> S
 
 
 def catalog_from_json(obj: Mapping) -> dict[SliceClass, ClassSpec]:
+    """Classes from a JSON object: class name -> the `ClassSpec` fields, each
+    a JSON number (`typed`; `e2e_budget_ms` may be null or absent). Raises
+    KeyError, TypeError or ValueError."""
     catalog = {}
     for key, fields in obj.items():
-        spec = ClassSpec(
-            cpu_per_vnf=float(fields["cpu_per_vnf"]),
-            ram_per_vnf=float(fields["ram_per_vnf"]),
-            bw_per_vl=float(fields["bw_per_vl"]),
-            alpha_max_ms=float(fields["alpha_max_ms"]),
-            vl_budgets_ms=tuple(float(b) for b in fields["vl_budgets_ms"]),
-            e2e_budget_ms=(None if fields.get("e2e_budget_ms") is None
-                           else float(fields["e2e_budget_ms"])))
-        catalog[SliceClass(key)] = spec
+        def number(value, name: str, nullable: bool = False) -> float | None:
+            return typed(value, float, f"{key} {name}", ValueError, nullable=nullable)
+
+        catalog[SliceClass(key)] = ClassSpec(
+            **{name: number(fields[name], name)
+               for name in ("cpu_per_vnf", "ram_per_vnf", "bw_per_vl", "alpha_max_ms")},
+            vl_budgets_ms=tuple(number(b, "vl_budgets_ms") for b in fields["vl_budgets_ms"]),
+            e2e_budget_ms=number(fields.get("e2e_budget_ms"), "e2e_budget_ms", True))
     return catalog

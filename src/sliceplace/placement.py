@@ -116,20 +116,30 @@ def _resolve_path(psn: PhysicalNetwork, i: int, raw: Sequence) -> list[int]:
     return links
 
 
-def _coerce_raw(psn: PhysicalNetwork, obj: Mapping) -> tuple[dict[int, tuple[int, ...]], dict[int, list[int]]]:
-    try:
-        raw_x = obj["x"]
-        raw_y = obj.get("y", {})
-    except TypeError:
-        raise MalformedPlacementError("placement must be a mapping with 'x' and 'y'") from None
-    if not isinstance(raw_x, Mapping) or not isinstance(raw_y, Mapping):
-        raise MalformedPlacementError("placement 'x' and 'y' must be objects")
+def _index(key: object, what: str) -> int:
+    """A VNF or VL index given as an integer or its canonical decimal
+    string: "01" or "1_0", which int() would read as 1 and 10, is refused."""
+    value = int(key) if isinstance(key, str) and key.isascii() and key.isdigit() else key
+    if not isinstance(value, int) or isinstance(value, bool) or str(value) != str(key):
+        raise MalformedPlacementError(f"bad {what} index {key!r}")
+    return value
+
+
+def _coerce_raw(psn: PhysicalNetwork, obj: Placement | Mapping
+                ) -> tuple[dict[int, tuple[int, ...]], dict[int, list[int]]]:
+    """A placement's x as VNF -> servers and y as VL -> link ids, or
+    MalformedPlacementError. The one reader of both placement forms."""
+    if isinstance(obj, Placement):
+        obj = {"x": obj.x, "y": obj.y}
+    if not (isinstance(obj, Mapping) and isinstance(obj.get("x"), Mapping)
+            and isinstance(obj.get("y", {}), Mapping)):
+        raise MalformedPlacementError("placement must be an object whose 'x' "
+                                      "and 'y' (if present) are objects")
     x_multi: dict[int, tuple[int, ...]] = {}
-    for key, val in raw_x.items():
-        try:
-            v = int(key)
-        except (TypeError, ValueError):
-            raise MalformedPlacementError(f"bad VNF index {key!r}") from None
+    for key, val in obj["x"].items():
+        v = _index(key, "VNF")
+        if v in x_multi:
+            raise MalformedPlacementError(f"VNF {v} is listed twice")
         servers = tuple(val) if isinstance(val, (list, tuple)) else (val,)
         for s in servers:
             if not _is_id(s, len(psn.nodes)):
@@ -138,11 +148,10 @@ def _coerce_raw(psn: PhysicalNetwork, obj: Mapping) -> tuple[dict[int, tuple[int
                 raise MalformedPlacementError(f"VNF {v}: node {s} is not a server")
         x_multi[v] = servers
     y: dict[int, list[int]] = {}
-    for key, val in raw_y.items():
-        try:
-            i = int(key)
-        except (TypeError, ValueError):
-            raise MalformedPlacementError(f"bad VL index {key!r}") from None
+    for key, val in obj.get("y", {}).items():
+        i = _index(key, "VL")
+        if i in y:
+            raise MalformedPlacementError(f"VL {i} is listed twice")
         y[i] = _resolve_path(psn, i, val)
     return x_multi, y
 
@@ -152,18 +161,12 @@ def check_placement(psn: PhysicalNetwork, request: SliceRequest,
     """Check a placement against all ten constraints of the current substrate
     state (capacities compare against residuals, so check before applying).
 
-    Accepts either a Placement or its raw JSON mapping; the raw form may map a
-    VNF to several servers, which is reported as a constraint-1 violation.
-    Structurally impossible inputs (unknown ids) raise MalformedPlacementError.
+    Accepts either a Placement or its raw JSON mapping, read alike; the raw
+    form may map a VNF to several servers, which is reported as a
+    constraint-1 violation. Structurally impossible inputs (unknown ids,
+    indices that are not integers) raise MalformedPlacementError.
     """
-    if isinstance(placement, Placement):
-        x_multi = {v: (s,) for v, s in placement.x.items()}
-        for v, (s,) in x_multi.items():
-            if not 0 <= s < len(psn.nodes) or not isinstance(psn.nodes[s], Server):
-                raise MalformedPlacementError(f"VNF {v}: node {s} is not a server")
-        y_paths = {i: _resolve_path(psn, i, path) for i, path in placement.y.items()}
-    else:
-        x_multi, y_paths = _coerce_raw(psn, placement)
+    x_multi, y_paths = _coerce_raw(psn, placement)
 
     n = request.n_vnfs
     for v in x_multi:

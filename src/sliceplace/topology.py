@@ -19,6 +19,7 @@ import json
 import sys
 import uuid
 from array import array
+from bisect import insort
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Mapping, NamedTuple
@@ -59,6 +60,36 @@ class CapacityError(ValueError):
 
 class ReleaseError(ValueError):
     """Release would push a residual above its capacity."""
+
+
+_TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a finite number",
+               str: "a string"}
+
+
+def typed(value, kind: type, where: str, error: type[Exception] = TopologyError, *,
+          nullable: bool = False):
+    """`value` if it is a JSON value of `kind`, a float for float, else
+    error(...): float admits integers that a float can hold and no NaN or
+    infinity, int and float exclude booleans, null passes with `nullable`.
+    The one reader of a number, id, flag or string in topology, catalog and
+    config documents."""
+    if value is None and nullable:
+        return value
+    accepted = (int, float) if kind is float else (kind,)
+    if (isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted)
+            or (kind is float and not abs(value) <= sys.float_info.max)):
+        raise error(f"{where} must be {_TYPE_NAMES[kind]}"
+                    + (" or null" if nullable else "") + f", got {value!r}")
+    return float(value) if kind is float else value
+
+
+def load_json(path: str, error: type[Exception] = TopologyError):
+    """The JSON document in file `path`; error(...) if it is not JSON."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # not JSON, or not text
+            raise error(f"{path}: not valid JSON: {exc}") from exc
 
 
 # Residual units per CPU unit, GB and Gbps: an amount given to six decimals
@@ -206,9 +237,8 @@ class StructureIndex(NamedTuple):
     residual arrays."""
 
     servers: tuple[Server, ...]
-    # node id -> its `adj` entries sorted by (neighbor id, link id)
-    adj_sorted: tuple[tuple[tuple[int, int], ...], ...]
-    # the same without entries whose neighbor has degree 1 (a leaf relays nothing)
+    # node id -> its `adj` entries without those whose neighbor has degree 1
+    # (a leaf relays nothing)
     relay_adj: tuple[tuple[tuple[int, int], ...], ...]
     # the entries left out of relay_adj
     leaf_adj: tuple[tuple[tuple[int, int], ...], ...]
@@ -268,7 +298,7 @@ class PhysicalNetwork:
     A data center's `servers` lists its servers in id order: `add_server`
     appends to it and `validate` (run by `from_json`) checks it. `add_link`
     refuses a second link between two nodes, so a node's neighbours are
-    distinct.
+    distinct, and keeps each node's `adj` ascending by neighbour id.
     """
 
     def __init__(self, params: TopologyParams | None = None) -> None:
@@ -277,7 +307,7 @@ class PhysicalNetwork:
         self.links: list[PhysicalLink] = []
         self.data_centers: dict[str, DataCenter] = {}
         self.uaps: list[int] = []
-        # node id -> [(neighbor id, link id)], insertion order
+        # node id -> [(neighbor id, link id)], ascending
         self.adj: list[list[tuple[int, int]]] = []
         self._token = uuid.uuid4().hex
         self.cpu_units = array("q")
@@ -356,8 +386,8 @@ class PhysicalNetwork:
         link = PhysicalLink(id=len(self.links), a=a, b=b, latency_ms=latency_ms,
                             kind=kind, bw_capacity=bw_capacity)
         self.links.append(link)
-        self.adj[a].append((b, link.id))
-        self.adj[b].append((a, link.id))
+        insort(self.adj[a], (b, link.id))
+        insort(self.adj[b], (a, link.id))
         self.bw_units.append(units)
         return link.id
 
@@ -381,7 +411,6 @@ class PhysicalNetwork:
 
     def _build_index(self) -> StructureIndex:
         servers = tuple([n for n in self.nodes if isinstance(n, Server)])
-        adj_sorted = tuple(map(tuple, map(sorted, self.adj)))
         relays = [len(entries) > 1 for entries in self.adj]
         pos = [-1] * len(self.nodes)
         rank = {dc_id: TIER_ORDER.index(dc.kind) for dc_id, dc in self.data_centers.items()}
@@ -407,14 +436,10 @@ class PhysicalNetwork:
             anchor_runs.setdefault(run[3], []).append((run[6], k))
         self._index = StructureIndex(
             servers=servers,
-            adj_sorted=adj_sorted,
-            # a lone entry to a relay (a server's switch) is reused, not copied
-            relay_adj=tuple([
-                entries if len(entries) == 1 and relays[entries[0][0]]
-                else tuple([e for e in entries if relays[e[0]]])
-                for entries in adj_sorted]),
+            relay_adj=tuple([tuple([e for e in entries if relays[e[0]]])
+                             for entries in self.adj]),
             leaf_adj=tuple([tuple([e for e in entries if not relays[e[0]]])
-                            for entries in adj_sorted]),
+                            for entries in self.adj]),
             pos=tuple(pos),
             tier_rank=tier_rank,
             id=np.array([s.id for s in servers], dtype=np.intp),
@@ -668,31 +693,39 @@ class PhysicalNetwork:
             params = None if obj["params"] is None else params_from_json(obj["params"])
             net = cls(params)
             for dc_obj in obj["data_centers"]:
-                net.data_centers[dc_obj["id"]] = DataCenter(
-                    id=dc_obj["id"], kind=DCKind(dc_obj["kind"]),
-                    switch=dc_obj["switch"], servers=list(dc_obj["servers"]))
+                dc_id = typed(dc_obj["id"], str, "data center id")
+                if dc_id in net.data_centers:
+                    raise TopologyError(f"duplicate data center id {dc_id!r}")
+                net.data_centers[dc_id] = DataCenter(
+                    id=dc_id, kind=DCKind(dc_obj["kind"]),
+                    switch=typed(dc_obj["switch"], int, f"data center {dc_id} switch"),
+                    servers=[typed(s, int, f"data center {dc_id} server")
+                             for s in dc_obj["servers"]])
             for i, n in enumerate(obj["nodes"]):
-                if n["id"] != i:
+                if typed(n["id"], int, "node id") != i:
                     raise TopologyError("node ids must be dense and ordered")
                 kind = NodeKind(n["kind"])
+                fields = dict(id=i, label=typed(n["label"], str, f"node {i} label"),
+                              kind=kind, dc=typed(n["dc"], str, f"node {i} dc", nullable=True))
                 if kind is NodeKind.SERVER:
+                    cpu, ram, cpu_res, ram_res = (
+                        typed(n[key], float, f"node {i} {key}")
+                        for key in ("cpu_capacity", "ram_capacity", "cpu_residual", "ram_residual"))
                     # `validate` converts the capacities
-                    net._append(Server(id=i, label=n["label"], kind=kind, dc=n["dc"],
-                                       cpu_capacity=float(n["cpu_capacity"]),
-                                       ram_capacity=float(n["ram_capacity"])),
-                                to_units(float(n["cpu_residual"])),
-                                to_units(float(n["ram_residual"])))
+                    net._append(Server(**fields, cpu_capacity=cpu, ram_capacity=ram),
+                                to_units(cpu_res), to_units(ram_res))
                 else:
-                    net._append(Node(id=i, label=n["label"], kind=kind, dc=n["dc"]))
+                    net._append(Node(**fields))
             for i, l in enumerate(obj["links"]):
-                if l["id"] != i:
+                if typed(l["id"], int, "link id") != i:
                     raise TopologyError("link ids must be dense and ordered")
-                cap = l["bw_capacity"]
-                lid = net.add_link(l["a"], l["b"], float(l["latency_ms"]), LinkKind(l["kind"]),
-                                   None if cap is None else float(cap))
-                net.bw_units[lid] = (-1 if l["bw_residual"] is None
-                                     else to_units(float(l["bw_residual"])))
-            net.uaps = list(obj["uaps"])
+                a, b = (typed(l[end], int, f"link {i} endpoint {end}") for end in "ab")
+                cap, residual = (typed(l[key], float, f"link {i} {key}", nullable=True)
+                                 for key in ("bw_capacity", "bw_residual"))
+                lid = net.add_link(a, b, typed(l["latency_ms"], float, f"link {i} latency_ms"),
+                                   LinkKind(l["kind"]), cap)
+                net.bw_units[lid] = -1 if residual is None else to_units(residual)
+            net.uaps = [typed(u, int, "UAP id") for u in obj["uaps"]]
         except (KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, TopologyError):
                 raise
@@ -702,8 +735,7 @@ class PhysicalNetwork:
 
     @classmethod
     def load(cls, path: str) -> "PhysicalNetwork":
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
+        return cls.from_json(load_json(path))
 
 
 def _params_to_json(p: TopologyParams) -> dict:
@@ -712,25 +744,17 @@ def _params_to_json(p: TopologyParams) -> dict:
 
 def params_from_json(obj: Mapping) -> TopologyParams:
     """Topology parameters from a JSON object, validated: every key must
-    name a parameter and hold a JSON number of its default's type, finite as
-    a float (a float parameter also takes an integer, none takes a boolean,
+    name a parameter and hold a JSON number of its default's type (`typed`;
     `latency_round_decimals` may be null). Raises TopologyError."""
     if not isinstance(obj, Mapping):
         raise TopologyError("topology parameters must be an object")
     unknown = set(obj) - set(_PARAM_TYPES)
     if unknown:
         raise TopologyError(f"unknown topology parameters: {sorted(unknown)}")
-    for key, value in obj.items():
-        if value is None and key == "latency_round_decimals":
-            continue
-        kind = _PARAM_TYPES[key]
-        accepted = (int, float) if kind is float else int
-        if (isinstance(value, bool) or not isinstance(value, accepted)
-                or not abs(value) <= sys.float_info.max):
-            raise TopologyError(f"topology parameter {key} must be "
-                                f"{'a finite number' if kind is float else 'an integer'}, "
-                                f"got {value!r}")
-    params = TopologyParams(**obj)
+    params = TopologyParams(**{
+        key: typed(value, _PARAM_TYPES[key], f"topology parameter {key}",
+                   nullable=key == "latency_round_decimals")
+        for key, value in obj.items()})
     params.validate()
     return params
 

@@ -172,13 +172,12 @@ def paths_to(psn: PhysicalNetwork, src: int, dst: int, bw: float,
     truncated = False
     visited = {src}
     trail: list[int] = []
-    adj_sorted = psn.index().adj_sorted
 
     def dfs(u: int, lat: float) -> None:
         nonlocal truncated
         if truncated:
             return
-        for v, lid in adj_sorted[u]:
+        for v, lid in psn.adj[u]:
             if v in visited:
                 continue
             link = psn.links[lid]

@@ -10,6 +10,7 @@ import pytest
 
 from sliceplace.cli import main
 from sliceplace.config import ConfigError, RunConfig
+from sliceplace.nspr import SliceClass
 from sliceplace.topology import PhysicalNetwork, TopologyParams
 
 from conftest import make_single_dc
@@ -108,12 +109,32 @@ class TestPlace:
     @pytest.mark.parametrize("breakage", ["endpoint", "residual", "latency", "switch",
                                           "unlisted", "duplicate", "parallel",
                                           "params_scale", "params_cpu", "params_bool",
-                                          "residual_units", "params_units"])
+                                          "residual_units", "params_units", "node_id_bool",
+                                          "switch_bool", "endpoint_bool", "capacity_bool",
+                                          "latency_string", "duplicate_dc"])
     def test_malformed_topology_exits_two(self, tmp_path, capsys, topo_file, breakage):
         doc = json.loads(open(topo_file).read())
         transport = next(l for l in doc["links"] if l["kind"] == "transport")
         dc = doc["data_centers"][0]
-        if breakage == "endpoint":
+        server = doc["nodes"][dc["servers"][0]]
+        # each boolean or string below reads, through a bare cast or an
+        # equality test, as a valid number or id of the same document
+        if breakage == "node_id_bool":
+            doc["nodes"][1]["id"] = True
+        elif breakage == "switch_bool":
+            assert dc["switch"] == 0
+            dc["switch"] = False
+        elif breakage == "endpoint_bool":
+            link = next(l for l in doc["links"] if l["a"] == 0)
+            link["a"] = False
+        elif breakage == "capacity_bool":
+            server["cpu_capacity"], server["cpu_residual"] = True, 1.0
+        elif breakage == "latency_string":
+            transport["latency_ms"] = str(transport["latency_ms"])
+        elif breakage == "duplicate_dc":
+            # read into a dict by id, the copy would replace its original
+            doc["data_centers"].append(dict(dc))
+        elif breakage == "endpoint":
             transport["b"] = len(doc["nodes"]) + 5
         elif breakage == "residual":
             transport["bw_residual"] = None
@@ -147,6 +168,21 @@ class TestPlace:
         assert code == 2
         assert out == ""
         assert "error" in err and "Traceback" not in err
+
+    def test_topology_not_json_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "topo.json"
+        path.write_text("{not json")
+        code, out, err = run_cli(capsys, "place", "--topology", str(path), "--class", "urllc")
+        assert code == 2
+        assert out == ""
+        assert "not valid JSON" in err and "Traceback" not in err
+
+    def test_missing_topology_file_exits_three(self, capsys):
+        code, out, err = run_cli(capsys, "place", "--topology", "/no/such/topo.json",
+                                 "--class", "urllc")
+        assert code == 3
+        assert out == ""
+        assert "error" in err
 
     def test_outcome_file(self, tmp_path, capsys, topo_file):
         out_path = tmp_path / "outcome.json"
@@ -223,17 +259,30 @@ class TestCheck:
         # an unknown server, then x or y not an object and a path not a list;
         # a hop from a node past the last, one from a negative node (Python
         # would index from the end, to uap10's access link) and a boolean
-        # for a server
+        # for a server; a rejected place outcome and a document without x;
+        # VNF indices that int() reads as another one's, and JSON that is
+        # not a document
         for case in (doc, {"x": 5}, {"x": {"1": 3}, "y": 7}, {"x": {"1": 3}, "y": {"1": 5}},
                      {"x": {"1": 3}, "y": {"1": [[5000, 0]]}},
                      {"x": {"1": 3}, "y": {"1": [[-5, 122]]}},
-                     {"x": {"1": True}}):
+                     {"x": {"1": True}},
+                     {"status": "rejected", "placement": None}, {"y": {}},
+                     {"x": {"1": 3, "01": 4}}, {"x": {"1_0": 3}}, [1, 2]):
             bad.write_text(json.dumps(case))
             code, out, err = run_cli(capsys, "check", "--topology", topo_file,
                                      "--class", "urllc", "--placement", str(bad))
             assert code == 2, case
             assert out == ""
             assert "error" in err and "Traceback" not in err
+
+    def test_placement_not_json_exits_two(self, tmp_path, capsys, topo_file):
+        bad = tmp_path / "placement.json"
+        bad.write_text("x = {1: 3}")
+        code, out, err = run_cli(capsys, "check", "--topology", topo_file,
+                                 "--class", "urllc", "--placement", str(bad))
+        assert code == 2
+        assert out == ""
+        assert "not valid JSON" in err and "Traceback" not in err
 
     def test_missing_placement_file(self, capsys, topo_file):
         code, _, err = run_cli(capsys, "check", "--topology", topo_file,
@@ -304,6 +353,38 @@ class TestSimulate:
         capsys.readouterr()
         assert workers == [2]  # SIM_ARGS asks for 2 replications
         assert serial.read_bytes() == pooled.read_bytes()
+
+    def test_validate_and_measure_time_flags(self, tmp_path, capsys):
+        out_path = tmp_path / "metrics.json"
+        assert main(["simulate", "--algorithm", "p2c-1", *SIM_ARGS, "--validate",
+                     "--measure-time", "--out", str(out_path)]) == 0
+        plain = tmp_path / "plain.json"
+        assert main(["simulate", "--algorithm", "p2c-1", *SIM_ARGS, "--out", str(plain)]) == 0
+        capsys.readouterr()
+        checked = json.loads(out_path.read_text())["replications"]
+        for report, unchecked in zip(checked, json.loads(plain.read_text())["replications"]):
+            assert report["validated_accepted"] == report["accepted"] > 0
+            assert report["placement_time_ms"]["count"] == report["arrivals"]
+            assert unchecked["validated_accepted"] == 0 and "placement_time_ms" not in unchecked
+            assert report["accepted"] == unchecked["accepted"]
+
+    def test_config_with_an_explicit_mix(self, tmp_path, capsys):
+        doc = {"scenario": {"name": "split", "mix": {"urllc": 0.5, "embb": 0.5},
+                            "horizon": 40.0, "replications": 1},
+               "algorithm": "p2c-1"}
+        scenario = RunConfig.from_json(doc).scenario(target_load=0.4)
+        assert scenario.name == "split"
+        assert scenario.mix == {SliceClass.URLLC: 0.5, SliceClass.EMBB: 0.5}
+        cfg = tmp_path / "mix.json"
+        cfg.write_text(json.dumps(doc))
+        out_path = tmp_path / "metrics.json"
+        assert main(["simulate", "--config", str(cfg), "--load", "0.4",
+                     "--out", str(out_path)]) == 0
+        capsys.readouterr()
+        report, = json.loads(out_path.read_text())["replications"]
+        assert report["scenario"] == "split"
+        assert set(report["per_class"]) == {"urllc", "embb"}
+        assert all(c["arrivals"] > 0 for c in report["per_class"].values())
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_exits_two(self, capsys, jobs):

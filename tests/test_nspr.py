@@ -173,3 +173,14 @@ class TestCatalogSerialization:
         doc = {**DEFAULT_CATALOG_DOC, "hologram": DEFAULT_CATALOG_DOC["urllc"]}
         with pytest.raises((ValueError, KeyError)):
             catalog_from_json(doc)
+
+    @pytest.mark.parametrize("field, value", [
+        ("cpu_per_vnf", True), ("cpu_per_vnf", "10"), ("alpha_max_ms", "0.03"),
+        ("vl_budgets_ms", [0.33, True, 0.33, 0.33]), ("vl_budgets_ms", ["0.33"] * 4),
+        ("vl_budgets_ms", "0.33"), ("e2e_budget_ms", False)])
+    def test_non_number_rejected(self, field, value):
+        """A boolean or a string is no number, read directly as through a
+        config: float() would take true as 1.0 and "10" as 10.0."""
+        doc = {**DEFAULT_CATALOG_DOC, "urllc": {**DEFAULT_CATALOG_DOC["urllc"], field: value}}
+        with pytest.raises(ValueError, match=f"urllc {field}"):
+            catalog_from_json(doc)

@@ -254,6 +254,43 @@ class TestChecker:
         with pytest.raises(MalformedPlacementError):
             check_placement(ref, req, plc)
 
+    def test_colocated_vnfs_with_a_path(self, ref):
+        req = make_request(SliceClass.URLLC, ref.uaps[0])
+        s_a, s_b = servers_of(ref, "edc0")[:2]
+        sw = ref.data_centers["edc0"].switch
+        # VL 1 goes out to s_b and back while VNFs 1 and 2 share s_a
+        plc = Placement(x={v: s_a for v in range(1, 6)},
+                        y={1: [link_id(ref, s_a, sw), link_id(ref, sw, s_b),
+                               link_id(ref, s_b, sw), link_id(ref, sw, s_a)],
+                           2: [], 3: [], 4: []})
+        verdict = check_placement(ref, req, plc)
+        assert (5, "VL 1: colocated VNFs but non-empty path") in verdict.violations
+
+    def test_distinct_servers_with_an_empty_path(self, ref):
+        req = make_request(SliceClass.URLLC, ref.uaps[0])
+        s_a, s_b = servers_of(ref, "edc0")[:2]
+        plc = Placement(x={1: s_a, 2: s_a, 3: s_a, 4: s_b, 5: s_b},
+                        y={1: [], 2: [], 3: [], 4: []})
+        verdict = check_placement(ref, req, plc)
+        assert verdict.violations == [(5, "VL 3: distinct servers but empty path")]
+
+    @pytest.mark.parametrize("x", [{"1": 0, "01": 0}, {"1_0": 0}, {" 1": 0}, {True: 0},
+                                   {1: 0, "1": 0}, {1.0: 0}])
+    def test_indices_read_once_in_both_forms(self, ref, x):
+        """An index must be an integer or its canonical decimal string, and
+        name its VNF once, whether in a document or in a Placement: int()
+        would read "01" as 1 and "1_0" as 10."""
+        req = make_request(SliceClass.URLLC, ref.uaps[0])
+        s = servers_of(ref, "edc0")[0]
+        x = {k: s for k in x}
+        for plc in ({"x": x, "y": {}}, Placement(x=x, y={})):
+            with pytest.raises(MalformedPlacementError):
+                check_placement(ref, req, plc)
+        for y in ({"1": [], "01": []}, {"1_0": []}):
+            for plc in ({"x": {}, "y": y}, Placement(x={}, y=y)):
+                with pytest.raises(MalformedPlacementError):
+                    check_placement(ref, req, plc)
+
     def test_verdict_json(self, ref):
         req = make_request(SliceClass.URLLC, ref.uaps[0])
         s = servers_of(ref, "edc0")[0]
@@ -336,6 +373,27 @@ class TestMinCostPath:
             path = min_cost_path(ref, s_a, target, 1.0, 5.0)
             assert path is not None
             assert all(ref.link(l).kind != LinkKind.ACCESS for l in path)
+
+    def test_latency_fallback_breaks_ties_by_node_id(self):
+        """The hop-shortest route is over budget, so the minimum-latency
+        search decides between two equal-latency routes, via routers r1 <
+        r2. r2's links come first, so a node's neighbours in link order put
+        r2 first; the search takes r1's route however they are listed."""
+        net = PhysicalNetwork(TopologyParams())
+        ends = []
+        for d in range(2):
+            dc = net.add_data_center(f"dc{d}", DCKind.CDC)
+            sid = net.add_server(f"dc{d}-s0", f"dc{d}", 50, 300)
+            ends.append((sid, net.add_link(dc.switch, sid, 0.0, LinkKind.INTRA_DC, 10.0)))
+        (src, src_up), (dst, dst_up) = ends
+        a, b = (net.data_centers[f"dc{d}"].switch for d in range(2))
+        net.add_link(a, b, 1.0, LinkKind.TRANSPORT, 10.0)
+        r1, r2 = (net.add_node(f"r{k}", NodeKind.ROUTER) for k in (1, 2))
+        via = {r: [net.add_link(a, r, 0.1, LinkKind.TRANSPORT, 10.0),
+                   net.add_link(r, b, 0.1, LinkKind.TRANSPORT, 10.0)] for r in (r2, r1)}
+        assert len(min_cost_path(net, src, dst, 1.0, 5.0)) == 3
+        assert min_cost_path(net, src, dst, 1.0, 0.5) == [src_up, *via[r1], dst_up]
+        assert min_cost_path(net, dst, src, 1.0, 0.5) == [dst_up, via[r1][1], via[r1][0], src_up]
 
     @pytest.mark.parametrize("seed", range(12))
     def test_random_graph_equivalence(self, seed):

@@ -14,6 +14,7 @@ import sliceplace.sim as sim
 from sliceplace.exact import SolveStatus
 from sliceplace.nspr import DEFAULT_CATALOG, DEFAULT_MIX, SliceClass, make_request
 from sliceplace.p2c import OutcomeStatus, PlacementOutcome
+from sliceplace.placement import Placement, apply_placement
 from sliceplace.sim import (
     Algorithm,
     Scenario,
@@ -313,6 +314,22 @@ class TestValidateAudit:
         sc = short_scenario(horizon=50.0, warmup=0.0)
         with pytest.raises(SimulationInvariantError,
                            match=r"server 1: cpu residual 49\.0, expected 50\.0"):
+            run(net, sc, "p2c-1", 1, validate=True)
+
+    def test_acceptance_the_checker_refuses_is_caught(self, net, monkeypatch):
+        # a placer that commits a whole chain to one CCP server, beyond every
+        # class's access bound: the checker refuses it at its own arrival
+        def far(psn, request, algorithm, rng, *, max_nodes):
+            s = psn.data_centers["ccp0"].servers[0]
+            plc = Placement(x={v: s for v in range(1, request.n_vnfs + 1)},
+                            y={i: [] for i in range(1, request.n_vnfs)})
+            apply_placement(psn, request, plc)
+            return PlacementOutcome(OutcomeStatus.ACCEPTED, plc, 0.0, None)
+
+        monkeypatch.setattr(sim, "place_request", far)
+        sc = short_scenario("BEF", horizon=50.0, warmup=0.0)
+        with pytest.raises(SimulationInvariantError,
+                           match=r"accepted placement violates constraints: \[\(9, "):
             run(net, sc, "p2c-1", 1, validate=True)
 
     def test_residual_written_behind_the_network_is_caught(self, net, monkeypatch):

@@ -436,8 +436,9 @@ class TestStructureIndex:
         assert sid in net.data_centers["edc0"].servers
         assert sid not in latency_reach(net, sw, 1.0, 5.0)
         lid = net.add_link(sid, sw, 0.0, LinkKind.INTRA_DC, 10.0)
-        assert net.index().adj_sorted[sid] == ((sw, lid),)
-        assert (sid, lid) in net.index().adj_sorted[sw]
+        assert net.adj[sid] == [(sw, lid)]
+        assert net.index().relay_adj[sid] == ((sw, lid),)
+        assert (sid, lid) in net.index().leaf_adj[sw]
         assert set(latency_reach(net, sw, 1.0, 5.0)) == before | {sid}
 
     def test_structural_changes_drop_the_index(self):
@@ -486,14 +487,16 @@ class TestStructureIndex:
         assert len(net.index().tier_rank) == n_nodes + 2
         assert net.index().tier_rank[uap] == len(TIER_ORDER)
 
-    def test_sorted_adjacency_keeps_adj_order(self):
+    def test_adj_stays_ascending(self):
         net = make_pair()
         b = net.data_centers["cdc0"].switch
         # a later link to a lower-id neighbor than b's own servers
-        net.add_link(b, net.data_centers["edc0"].servers[0], 1.0, LinkKind.TRANSPORT, 10.0)
-        for u, entries in enumerate(net.adj):
-            assert net.index().adj_sorted[u] == tuple(sorted(entries))
-        assert net.adj[b] != sorted(net.adj[b])
+        low = net.data_centers["edc0"].servers[0]
+        lid = net.add_link(b, low, 1.0, LinkKind.TRANSPORT, 10.0)
+        assert (low, lid) in net.adj[b][:-1]  # inserted, not appended
+        for entries in net.adj:
+            assert entries == sorted(entries)
+            assert len({nbr for nbr, _ in entries}) == len(entries)
 
     def test_reference_runs_one_per_data_center(self):
         for scale in (1, 2):
@@ -518,7 +521,7 @@ class TestStructureIndex:
         assert [s.id for s in got.servers] == [s.id for s in idx.servers]
         assert got.tier_rank == idx.tier_rank
         assert loaded.data_centers == ref.data_centers
-        assert got.adj_sorted == idx.adj_sorted
+        assert loaded.adj == ref.adj
 
 
 def assert_index_matches(net: PhysicalNetwork) -> None:
