@@ -9,10 +9,12 @@ Chain length is the number of VL budgets plus one.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -169,24 +171,36 @@ def make_request(cls: SliceClass, uap: int, *, request_id: int = 0,
                         arrival_time=arrival_time, holding_time=holding_time)
 
 
+class ClassTable(NamedTuple):
+    """A validated mix as running totals of its shares, summed in enum
+    declaration order, so identical seeds give identical draws whatever
+    the mix's insertion order. `pick(u)` returns the first class whose
+    running total exceeds u, and the last class when none does: the rule
+    `acc += p; if u < acc: return c` decides the same, as the totals never
+    fall."""
+
+    classes: tuple[SliceClass, ...]
+    bounds: tuple[float, ...]
+
+    @classmethod
+    def of(cls, mix: Mapping[SliceClass, float]) -> "ClassTable":
+        classes = tuple(c for c in SliceClass if c in mix)
+        if len(classes) != len(mix):
+            raise ValueError("mix contains unknown classes")
+        probs = [mix[c] for c in classes]
+        if not all(p >= 0 for p in probs):
+            raise ValueError("mix probabilities must be non-negative")
+        if abs(sum(probs) - 1.0) > 1e-9:
+            raise ValueError(f"mix probabilities sum to {sum(probs)}, need 1")
+        return cls(classes, tuple(itertools.accumulate(probs)))
+
+    def pick(self, u: float) -> SliceClass:
+        return self.classes[min(bisect_right(self.bounds, u), len(self.classes) - 1)]
+
+
 def sample_class(rng: np.random.Generator, mix: Mapping[SliceClass, float]) -> SliceClass:
-    """Draw a class from a probability mix. Iteration order is fixed by enum
-    declaration order so identical seeds give identical draws."""
-    classes = [c for c in SliceClass if c in mix]
-    if len(classes) != len(mix):
-        raise ValueError("mix contains unknown classes")
-    probs = [mix[c] for c in classes]
-    if any(p < 0 for p in probs):
-        raise ValueError("mix probabilities must be non-negative")
-    if abs(sum(probs) - 1.0) > 1e-9:
-        raise ValueError(f"mix probabilities sum to {sum(probs)}, need 1")
-    u = rng.random()
-    acc = 0.0
-    for c, p in zip(classes, probs):
-        acc += p
-        if u < acc:
-            return c
-    return classes[-1]
+    """Draw a class from a probability mix with one uniform (`ClassTable`)."""
+    return ClassTable.of(mix).pick(rng.random())
 
 
 def catalog_from_json(obj: Mapping) -> dict[SliceClass, ClassSpec]:

@@ -642,31 +642,36 @@ def feasible_servers(psn: PhysicalNetwork, request: SliceRequest, v: int,
     return []
 
 
+def _demand_units(request: SliceRequest, placement: Placement
+                  ) -> tuple[dict[int, list[int]], dict[int, int]]:
+    """A placement's demand units, summed per server ([CPU, RAM]) and per link."""
+    servers: dict[int, list[int]] = {}
+    for v, s in placement.x.items():
+        cpu, ram = request.vnf(v).units
+        held = servers.get(s)
+        if held is None:
+            servers[s] = [cpu, ram]
+        else:
+            held[0] += cpu
+            held[1] += ram
+    links: dict[int, int] = {}
+    for i, path in placement.y.items():
+        bw = request.vl(i).bw_units
+        for lid in path:
+            links[lid] = links.get(lid, 0) + bw
+    return servers, links
+
+
 def apply_placement(psn: PhysicalNetwork, request: SliceRequest,
                     placement: Placement) -> None:
-    """Commit a placement's resources. Atomic: on failure nothing is held."""
-    mark = psn.begin()
-    try:
-        for v, s in sorted(placement.x.items()):
-            d = request.vnf(v)
-            psn.allocate(s, d.cpu, d.ram)
-        for i, path in sorted(placement.y.items()):
-            bw = request.vl(i).bw
-            for lid in path:
-                psn.allocate_bw(lid, bw)
-    except Exception:
-        psn.rollback(mark)
-        raise
-    psn.commit(mark)
+    """Commit a placement's resources, one write per server and per link.
+    Atomic: on failure nothing is held."""
+    psn.write_units(-1, *_demand_units(request, placement))
 
 
 def release_placement(psn: PhysicalNetwork, request: SliceRequest,
                       placement: Placement) -> None:
-    """Return a placement's resources (exact inverse of apply_placement)."""
-    for v, s in sorted(placement.x.items()):
-        d = request.vnf(v)
-        psn.release(s, d.cpu, d.ram)
-    for i, path in sorted(placement.y.items()):
-        bw = request.vl(i).bw
-        for lid in path:
-            psn.release_bw(lid, bw)
+    """Return a placement's resources (exact inverse of apply_placement),
+    one write per server and per link. Atomic: on failure nothing is
+    returned."""
+    psn.write_units(1, *_demand_units(request, placement))

@@ -10,7 +10,9 @@ Simultaneous events process departures before arrivals so capacity freed at
 time t is visible to an arrival at t. Randomness is split into five
 independent streams (arrival gaps, class draws, UAP draws, holding times,
 placement decisions), so runs with the same seed pair arrival processes
-across algorithms while placement draws stay independent.
+across algorithms while placement draws stay independent. The first four
+are drawn in blocks, which give the values one draw at a time would give;
+P2C draws its own stream one call at a time.
 """
 
 from __future__ import annotations
@@ -22,20 +24,25 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 from statistics import NormalDist
-from typing import Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .exact import DEFAULT_NODE_BUDGET, SolveStatus, solve_ilp1, solve_ilp2
-from .nspr import (DEFAULT_CATALOG, DEFAULT_MIX, ClassSpec, SliceClass,
-                   SliceRequest, make_request, sample_class)
+from .nspr import (DEFAULT_CATALOG, DEFAULT_MIX, ClassSpec, ClassTable, SliceClass,
+                   SliceRequest, make_request)
 from .p2c import OutcomeStatus, PlacementOutcome, Policy, place
 from .placement import (Placement, apply_placement, check_placement,
                         release_placement)
-from .topology import SCALE, LinkKind, PhysicalNetwork, to_units
+from .topology import SCALE, LinkKind, PhysicalNetwork
 
 TIER_GROUPS = ("EDC", "CDC", "CCP")
 ALL_GROUPS = TIER_GROUPS + ("transport",)
+RESOURCES = ("cpu", "ram", "bw")
+# (group, resource) of each accounting slot
+_SLOTS = tuple((g, res) for g in ALL_GROUPS for res in RESOURCES)
+# values drawn per call of a block-drawn stream
+_BLOCK = 256
 
 
 class Algorithm(str, Enum):
@@ -196,49 +203,45 @@ class MetricsReport:
 
 
 class _Accounting:
-    """Tier-grouped capacity bookkeeping plus time-weighted integrals. Held
-    amounts are exact counts of residual units (`to_units`); series rows and
-    the integrals read them in CPU units, GB and Gbps."""
+    """Tier-grouped capacity bookkeeping plus time-weighted integrals, one
+    slot per (group, resource) of `_SLOTS`. Held amounts are exact counts of
+    residual units (`to_units`); series rows and the integrals read them in
+    CPU units, GB and Gbps."""
 
     def __init__(self, net: PhysicalNetwork, warmup: float, horizon: float,
                  series_interval: float | None) -> None:
         self.warmup = warmup
         self.horizon = horizon
-        self.server_group: dict[int, str] = {}
-        self.link_group: dict[int, str | None] = {}
-        self.cap: dict[tuple[str, str], float] = {}
-        for g in ALL_GROUPS:
-            for res in ("cpu", "ram", "bw"):
-                self.cap[(g, res)] = 0.0
+        slot = {key: k for k, key in enumerate(_SLOTS)}
+        self.cap = [0.0] * len(_SLOTS)
+        # node id -> its group's CPU slot (RAM is the next); link id -> its
+        # group's bandwidth slot, -1 for a link outside every group
+        self.server_slot = [-1] * len(net.nodes)
+        self.link_slot = [-1] * len(net.links)
         for srv in net.servers():
-            g = net.dc_of(srv.id).kind.value
-            self.server_group[srv.id] = g
-            self.cap[(g, "cpu")] += srv.cpu_capacity
-            self.cap[(g, "ram")] += srv.ram_capacity
+            k = self.server_slot[srv.id] = slot[(net.dc_of(srv.id).kind.value, "cpu")]
+            self.cap[k] += srv.cpu_capacity
+            self.cap[k + 1] += srv.ram_capacity
         for link in net.links:
             if link.kind is LinkKind.TRANSPORT:
                 g = "transport"
             elif link.kind is LinkKind.INTRA_DC:
                 g = net.data_centers[net.nodes[link.a].dc or net.nodes[link.b].dc].kind.value
             else:
-                self.link_group[link.id] = None
                 continue
-            self.link_group[link.id] = g
-            self.cap[(g, "bw")] += link.bw_capacity
-        self.held: dict[tuple[str, str], int] = {k: 0 for k in self.cap}
-        self.integral: dict[tuple[str, str], float] = {k: 0.0 for k in self.cap}
+            k = self.link_slot[link.id] = slot[(g, "bw")]
+            self.cap[k] += link.bw_capacity
+        self.held = [0] * len(_SLOTS)
+        self.integral = [0.0] * len(_SLOTS)
         self.last_t = 0.0
         self.series: list[tuple[float, str, str, float, float]] = []
         self.interval = series_interval
         self.next_sample = 0.0
 
     def _rows_at(self, t: float) -> None:
-        for g in ALL_GROUPS:
-            for res in ("cpu", "ram", "bw"):
-                capacity = self.cap[(g, res)]
-                if capacity == 0.0:
-                    continue
-                self.series.append((t, g, res, self.held[(g, res)] / SCALE, capacity))
+        for (g, res), capacity, units in zip(_SLOTS, self.cap, self.held):
+            if capacity != 0.0:
+                self.series.append((t, g, res, units / SCALE, capacity))
 
     def advance(self, t: float) -> None:
         t = min(t, self.horizon)
@@ -249,24 +252,27 @@ class _Accounting:
         lo = max(self.last_t, self.warmup)
         if t > lo:
             dt = t - lo
-            for key, units in self.held.items():
+            integral = self.integral
+            for k, units in enumerate(self.held):
                 if units:
-                    self.integral[key] += units / SCALE * dt
+                    integral[k] += units / SCALE * dt
         self.last_t = max(self.last_t, t)
 
     def commit(self, request: SliceRequest, placement: Placement,
                sign: int) -> None:
+        held, server_slot, link_slot = self.held, self.server_slot, self.link_slot
+        vnfs, vls = request.vnfs, request.vls
         for v, s in placement.x.items():
-            cpu, ram = request.vnf(v).units
-            g = self.server_group[s]
-            self.held[(g, "cpu")] += sign * cpu
-            self.held[(g, "ram")] += sign * ram
+            cpu, ram = vnfs[v - 1].units
+            k = server_slot[s]
+            held[k] += sign * cpu
+            held[k + 1] += sign * ram
         for i, path in placement.y.items():
-            units = sign * request.vl(i).bw_units
+            units = sign * vls[i - 1].bw_units
             for lid in path:
-                g = self.link_group[lid]
-                if g is not None:
-                    self.held[(g, "bw")] += units
+                k = link_slot[lid]
+                if k >= 0:
+                    held[k] += units
 
     def finish(self) -> None:
         self.advance(self.horizon)
@@ -280,21 +286,19 @@ class _Accounting:
         util: dict[str, dict[str, float]] = {}
         avg: dict[str, dict[str, float]] = {}
         total_bw = 0.0
-        for g in ALL_GROUPS:
-            for res in ("cpu", "ram", "bw"):
-                capacity = self.cap[(g, res)]
-                if capacity == 0.0:
-                    continue
-                mean_held = self.integral[(g, res)] / duration
-                avg.setdefault(g, {})[res] = mean_held
-                util.setdefault(g, {})[res] = mean_held / capacity
-                if res == "bw":
-                    total_bw += mean_held
-        # whole-substrate roll-up
-        for res in ("cpu", "ram", "bw"):
-            cap_total = sum(self.cap[(g, res)] for g in ALL_GROUPS)
+        for (g, res), capacity, integral in zip(_SLOTS, self.cap, self.integral):
+            if capacity == 0.0:
+                continue
+            mean_held = integral / duration
+            avg.setdefault(g, {})[res] = mean_held
+            util.setdefault(g, {})[res] = mean_held / capacity
+            if res == "bw":
+                total_bw += mean_held
+        # whole-substrate roll-up: a resource's slots, one per group in order
+        for r, res in enumerate(RESOURCES):
+            cap_total = sum(self.cap[r::len(RESOURCES)])
             if cap_total:
-                mean_held = sum(self.integral[(g, res)] for g in ALL_GROUPS) / duration
+                mean_held = sum(self.integral[r::len(RESOURCES)]) / duration
                 avg.setdefault("total", {})[res] = mean_held
                 util.setdefault("total", {})[res] = mean_held / cap_total
         return util, avg, total_bw
@@ -313,11 +317,11 @@ class _Ledger:
         net = self.net
         pos = net.index().pos
         for v, s in placement.x.items():
-            d = request.vnf(v)
-            net.cpu_units[pos[s]] -= sign * to_units(d.cpu)
-            net.ram_units[pos[s]] -= sign * to_units(d.ram)
+            cpu, ram = request.vnf(v).units
+            net.cpu_units[pos[s]] -= sign * cpu
+            net.ram_units[pos[s]] -= sign * ram
         for i, path in placement.y.items():
-            units = sign * to_units(request.vl(i).bw)
+            units = sign * request.vl(i).bw_units
             for lid in path:
                 net.bw_units[lid] -= units
 
@@ -331,6 +335,14 @@ class _Ledger:
                 where = f"link {i}" if name == "bandwidth" else f"server {net.servers()[i].id}"
                 raise SimulationInvariantError(
                     f"{where}: {name} residual {have[i] / SCALE}, expected {want[i] / SCALE}")
+
+
+def _blocks(draw: Callable[[int], np.ndarray]) -> Iterator:
+    """The values of `draw(_BLOCK)`, block after block, one at a time as
+    Python numbers. numpy's exponential, integer and uniform draws give the
+    same values in blocks as one by one."""
+    while True:
+        yield from draw(_BLOCK).tolist()
 
 
 def place_request(net: PhysicalNetwork, request: SliceRequest, algorithm: Algorithm,
@@ -381,6 +393,11 @@ def run(psn: PhysicalNetwork, scenario: Scenario, algorithm: Algorithm | str,
     ss = np.random.SeedSequence(seed)
     rng_arrival, rng_class, rng_uap, rng_hold, rng_place = (
         np.random.default_rng(child) for child in ss.spawn(5))
+    gaps = _blocks(lambda n: rng_arrival.exponential(1.0 / big_lambda, n))
+    uniforms = _blocks(rng_class.random)
+    uap_picks = _blocks(lambda n: rng_uap.integers(len(net.uaps), size=n))
+    holdings = _blocks(lambda n: rng_hold.exponential(scenario.mean_holding, n))
+    pick_class = ClassTable.of(scenario.mix).pick
 
     interval = scenario.horizon / 100.0 if series_interval is None else series_interval
     acct = _Accounting(net, scenario.warmup, scenario.horizon, interval)
@@ -401,7 +418,7 @@ def run(psn: PhysicalNetwork, scenario: Scenario, algorithm: Algorithm | str,
     # arrivals (kind 1) at equal times
     events: list[tuple[float, int, int, int]] = []
     seq = 0
-    heapq.heappush(events, (float(rng_arrival.exponential(1.0 / big_lambda)), 1, seq, -1))
+    heapq.heappush(events, (next(gaps), 1, seq, -1))
 
     while events:
         t, kind, _, req_id = heapq.heappop(events)
@@ -418,13 +435,14 @@ def run(psn: PhysicalNetwork, scenario: Scenario, algorithm: Algorithm | str,
             report.departures += 1
         else:
             report.arrivals += 1
-            cls_ = sample_class(rng_class, scenario.mix)
-            uap = net.uaps[int(rng_uap.integers(len(net.uaps)))]
-            holding = float(rng_hold.exponential(scenario.mean_holding))
+            cls_ = pick_class(next(uniforms))
+            uap = net.uaps[next(uap_picks)]
+            holding = next(holdings)
             request = make_request(cls_, uap, request_id=report.arrivals,
                                    arrival_time=t, holding_time=holding,
                                    catalog=catalog)
-            per_class[cls_.value]["arrivals"] += 1
+            row = per_class[cls_.value]
+            row["arrivals"] += 1
 
             t0 = time.perf_counter() if measure_time else 0.0
             outcome = place_request(net, request, algorithm, rng_place,
@@ -442,7 +460,7 @@ def run(psn: PhysicalNetwork, scenario: Scenario, algorithm: Algorithm | str,
                             f"{verdict.violations}")
                     report.validated_accepted += 1
                 report.accepted += 1
-                per_class[cls_.value]["accepted"] += 1
+                row["accepted"] += 1
                 total_cost += placement.cost
                 held[request.id] = (request, placement)
                 acct.commit(request, placement, +1)
@@ -452,15 +470,14 @@ def run(psn: PhysicalNetwork, scenario: Scenario, algorithm: Algorithm | str,
                 heapq.heappush(events, (t + holding, 0, seq, request.id))
             else:
                 report.rejected += 1
-                per_class[cls_.value]["rejected"] += 1
+                row["rejected"] += 1
                 if outcome.solver_status is SolveStatus.BUDGET_EXCEEDED:
                     report.rejected_budget += 1
                 report.blocking_attribution[outcome.blocking_vnf] = (
                     report.blocking_attribution.get(outcome.blocking_vnf, 0) + 1)
 
             seq += 1
-            heapq.heappush(events, (t + float(rng_arrival.exponential(1.0 / big_lambda)),
-                                    1, seq, -1))
+            heapq.heappush(events, (t + next(gaps), 1, seq, -1))
 
         if validate:
             ledger.audit(net)

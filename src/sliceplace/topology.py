@@ -282,9 +282,12 @@ class PhysicalNetwork:
     `cpu_units` and `ram_units` by server position, and `bw_units` by link
     id, -1 where a link has no bandwidth accounting. Scalar readers index
     them; `vectors()` gives zero-copy numpy views. Residuals change only
-    through allocate/release; inside a (nestable) transaction, `mark =
-    begin()` then `commit(mark)` or `rollback(mark)`, each write logs
-    (array, slot, old units) for a rollback to write back.
+    through `allocate`/`allocate_bw`, one demand at a time, and
+    `write_units`, which takes or returns a whole placement's summed units
+    (`release`/`release_bw` return one demand through it); inside a
+    (nestable) transaction, `mark = begin()` then `commit(mark)` or
+    `rollback(mark)`, each write logs (array, slot, old units) for a
+    rollback to write back.
     `snapshot`/`restore` copy the arrays whole.
 
     `index()` returns the one `StructureIndex`, built in one pass on first
@@ -500,12 +503,7 @@ class PhysicalNetwork:
         self._set(self.ram_units, p, free_ram - need_ram)
 
     def release(self, server_id: int, cpu: float, ram: float) -> None:
-        p, s = self._pos(server_id), self.nodes[server_id]
-        cpu_units, ram_units = self.cpu_units[p] + to_units(cpu), self.ram_units[p] + to_units(ram)
-        if cpu_units > to_units(s.cpu_capacity) or ram_units > to_units(s.ram_capacity):
-            raise ReleaseError(f"server {server_id}: release exceeds capacity")
-        self._set(self.cpu_units, p, cpu_units)
-        self._set(self.ram_units, p, ram_units)
+        self.write_units(1, {server_id: (to_units(cpu), to_units(ram))}, {})
 
     def _link_units(self, link_id: int) -> int:
         units = self.bw_units[self.link(link_id).id]
@@ -520,10 +518,52 @@ class PhysicalNetwork:
         self._set(self.bw_units, link_id, free - need)
 
     def release_bw(self, link_id: int, bw: float) -> None:
-        units = self._link_units(link_id) + to_units(bw)
-        if units > to_units(self.links[link_id].bw_capacity):
-            raise ReleaseError(f"link {link_id}: release exceeds capacity")
-        self._set(self.bw_units, link_id, units)
+        self.write_units(1, {}, {link_id: to_units(bw)})
+
+    def write_units(self, sign: int, servers: Mapping[int, tuple[int, int]],
+                    links: Mapping[int, int]) -> None:
+        """Return (sign 1) or take (sign -1) whole units: each listed
+        server's (CPU, RAM) and each listed link's bandwidth, all
+        non-negative. Every new residual is checked before any is written,
+        so a refusal writes nothing: CapacityError when a take exceeds what
+        is free, ReleaseError when a return exceeds capacity, TopologyError
+        for a node that is not a server or a link without bandwidth
+        accounting. Then each slot is written once, logged as `_set` logs."""
+        # the checks of `_pos` and `_link_units` and the log of `_set`, inline:
+        # every departure of a run writes through here
+        cpu_units, ram_units, bw_units = self.cpu_units, self.ram_units, self.bw_units
+        pos, nodes, n_links = self.index().pos, self.nodes, len(self.links)
+        writes = []
+        for sid, (cpu, ram) in servers.items():
+            p = pos[sid] if 0 <= sid < len(pos) else -1
+            if p < 0:
+                raise TopologyError(f"node {sid} is not a server")
+            new_cpu, new_ram = cpu_units[p] + sign * cpu, ram_units[p] + sign * ram
+            if sign < 0:
+                if new_cpu < 0 or new_ram < 0:
+                    raise CapacityError(f"server {sid}: need {cpu / SCALE}/{ram / SCALE}, "
+                                        f"free {cpu_units[p] / SCALE}/{ram_units[p] / SCALE}")
+            elif (new_cpu > to_units(nodes[sid].cpu_capacity)
+                  or new_ram > to_units(nodes[sid].ram_capacity)):
+                raise ReleaseError(f"server {sid}: release exceeds capacity")
+            writes += ((cpu_units, p, new_cpu), (ram_units, p, new_ram))
+        for lid, bw in links.items():
+            if not 0 <= lid < n_links:
+                raise TopologyError(f"unknown link id {lid}")
+            free = bw_units[lid]
+            if free < 0:
+                raise TopologyError(f"link {lid} carries no bandwidth accounting")
+            new = free + sign * bw
+            if sign < 0:
+                if new < 0:
+                    raise CapacityError(f"link {lid}: need {bw / SCALE}, free {free / SCALE}")
+            elif new > to_units(self.links[lid].bw_capacity):
+                raise ReleaseError(f"link {lid}: release exceeds capacity")
+            writes.append((bw_units, lid, new))
+        if self._marks:
+            self._undo += [(store, i, store[i]) for store, i, _ in writes]
+        for store, i, units in writes:
+            store[i] = units
 
     def begin(self) -> int:
         """Open a transaction; returns the mark that closes it."""
@@ -618,8 +658,8 @@ class PhysicalNetwork:
     def validate(self) -> None:
         """Raise TopologyError unless residuals lie within capacities, each
         data center's `servers` lists exactly the servers that name it, in
-        id order, every switch and UAP entry names a node of that kind, and
-        the graph is connected."""
+        id order, every switch and UAP entry names a node of that kind, no
+        UAP is listed twice, and the graph is connected."""
         dc_servers: dict[str, list[int]] = {dc_id: [] for dc_id in self.data_centers}
         for p, s in enumerate(self.servers()):
             if not (0 <= self.cpu_units[p] <= to_units(s.cpu_capacity)
@@ -644,6 +684,8 @@ class PhysicalNetwork:
             node = self.nodes[nid] if isinstance(nid, int) and 0 <= nid < len(self.nodes) else None
             if node is None or node.kind is not kind or dc_id not in (None, node.dc):
                 raise TopologyError(f"node {nid} is not a {kind.value} of {dc_id or 'the network'}")
+        if len(set(self.uaps)) != len(self.uaps):
+            raise TopologyError("a UAP is listed more than once")
         if self.nodes and not self._connected():
             raise TopologyError("network is not connected")
 

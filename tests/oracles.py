@@ -16,6 +16,10 @@ them, writing the residual arrays directly, with no transaction and no
 numpy view. `loaded_substrates` draws the small random substrates they run
 on.
 
+`per_vnf_writes` is a plain units model of `apply_placement` and
+`release_placement`: one write per VNF and per hop, as lists.
+`residual_bytes` gives the bytes of the three residual arrays.
+
 The oracles read residuals through `PhysicalNetwork.residual` and
 `bw_residual`, in CPU units, GB and Gbps, and compare them with demands as
 floats.
@@ -500,6 +504,33 @@ def reference_place(psn: PhysicalNetwork, request: SliceRequest, policy: Policy,
         x[v] = chosen
         last_s = chosen
     return PlacementOutcome(OutcomeStatus.ACCEPTED, Placement(x, y, cost), cost, None)
+
+
+def residual_bytes(net: PhysicalNetwork) -> tuple[bytes, bytes, bytes]:
+    """The bytes of the CPU, RAM and bandwidth residual arrays."""
+    return tuple(a.tobytes() for a in (net.cpu_units, net.ram_units, net.bw_units))
+
+
+def per_vnf_writes(net: PhysicalNetwork, request: SliceRequest, placement: Placement,
+                   sign: int) -> tuple[list[int], list[int], list[int]] | None:
+    """The CPU, RAM and bandwidth residuals, as lists, after a placement's
+    demands are taken (sign -1) or returned (sign 1) one VNF and one hop at
+    a time, in VNF and VL order, each demand converted on its own. None if
+    a write on the way leaves [0, capacity]."""
+    cpu, ram, bw = (list(a) for a in (net.cpu_units, net.ram_units, net.bw_units))
+    for v, s in sorted(placement.x.items()):
+        d, srv, p = request.vnf(v), net.nodes[s], net.index().pos[s]
+        cpu[p] += sign * to_units(d.cpu)
+        ram[p] += sign * to_units(d.ram)
+        if not (0 <= cpu[p] <= to_units(srv.cpu_capacity)
+                and 0 <= ram[p] <= to_units(srv.ram_capacity)):
+            return None
+    for i, path in sorted(placement.y.items()):
+        for lid in path:
+            bw[lid] += sign * to_units(request.vl(i).bw)
+            if not 0 <= bw[lid] <= to_units(net.links[lid].bw_capacity):
+                return None
+    return cpu, ram, bw
 
 
 def reference_release(psn: PhysicalNetwork, request: SliceRequest,

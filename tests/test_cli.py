@@ -111,7 +111,7 @@ class TestPlace:
                                           "params_scale", "params_cpu", "params_bool",
                                           "residual_units", "params_units", "node_id_bool",
                                           "switch_bool", "endpoint_bool", "capacity_bool",
-                                          "latency_string", "duplicate_dc"])
+                                          "latency_string", "duplicate_dc", "duplicate_uap"])
     def test_malformed_topology_exits_two(self, tmp_path, capsys, topo_file, breakage):
         doc = json.loads(open(topo_file).read())
         transport = next(l for l in doc["links"] if l["kind"] == "transport")
@@ -134,6 +134,9 @@ class TestPlace:
         elif breakage == "duplicate_dc":
             # read into a dict by id, the copy would replace its original
             doc["data_centers"].append(dict(dc))
+        elif breakage == "duplicate_uap":
+            # a UAP listed twice would be drawn twice as often as the others
+            doc["uaps"].append(doc["uaps"][0])
         elif breakage == "endpoint":
             transport["b"] = len(doc["nodes"]) + 5
         elif breakage == "residual":

@@ -3,14 +3,18 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sliceplace.nspr import (
     DEFAULT_CATALOG,
     DEFAULT_MIX,
     ClassSpec,
+    ClassTable,
     SliceClass,
     catalog_from_json,
     make_request,
@@ -140,10 +144,77 @@ class TestSampleClass:
 
     def test_bad_mix_rejected(self):
         rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="sum to 0.5, need 1"):
             sample_class(rng, {SliceClass.URLLC: 0.5})
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="must be non-negative"):
             sample_class(rng, {SliceClass.URLLC: 1.2, SliceClass.EMBB: -0.2})
+        with pytest.raises(ValueError, match="unknown classes"):
+            sample_class(rng, {SliceClass.URLLC: 0.5, "hologram": 0.5})
+
+    def test_one_uniform_per_draw(self):
+        mix = {SliceClass.URLLC: 0.3, SliceClass.EMBB: 0.7}
+        rng, uniforms = np.random.default_rng(8), np.random.default_rng(8)
+        table = ClassTable.of(mix)
+        for _ in range(200):
+            assert sample_class(rng, mix) is table.pick(uniforms.random())
+        assert rng.bit_generator.state == uniforms.bit_generator.state
+
+
+def running_sum_pick(mix, u: float) -> SliceClass:
+    """The sequential rule the class table replaces."""
+    classes = [c for c in SliceClass if c in mix]
+    acc = 0.0
+    for c in classes:
+        acc += mix[c]
+        if u < acc:
+            return c
+    return classes[-1]
+
+
+def running_sums(mix) -> list[float]:
+    acc, out = 0.0, []
+    for c in SliceClass:
+        if c in mix:
+            acc += mix[c]
+            out.append(acc)
+    return out
+
+
+@st.composite
+def mixes(draw):
+    """Valid mixes over a subset of the classes, some shares zero."""
+    classes = draw(st.lists(st.sampled_from(list(SliceClass)), min_size=1, unique=True))
+    weights = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)),
+                            min_size=len(classes), max_size=len(classes)))
+    if not any(weights):
+        weights[-1] = 1.0
+    total = sum(weights)
+    return {c: w / total for c, w in zip(classes, weights)}
+
+
+class TestClassTable:
+    @given(mix=mixes(), data=st.data())
+    def test_picks_as_the_running_sum(self, mix, data):
+        edges = running_sums(mix)
+        u = data.draw(st.one_of(
+            st.floats(0.0, 1.0, exclude_max=True),
+            st.sampled_from(edges),  # exactly at a running total
+            st.sampled_from([math.nextafter(e, 0.0) for e in edges])))
+        assert ClassTable.of(mix).pick(u) is running_sum_pick(mix, u)
+
+    def test_mix_short_of_one(self):
+        # within the 1e-9 tolerance, a uniform past the last running total
+        # falls to the last class
+        mix = {SliceClass.BEST_EFFORT: 0.5, SliceClass.EMBB: 0.25,
+               SliceClass.URLLC: 0.25 - 1e-10}
+        table = ClassTable.of(mix)
+        last = running_sums(mix)[-1]
+        assert last < 1.0
+        for u in (0.0, 0.25, 0.5, 0.75, math.nextafter(last, 0.0), last,
+                  (last + 1.0) / 2, math.nextafter(1.0, 0.0)):
+            assert table.pick(u) is running_sum_pick(mix, u)
+        assert table.pick(math.nextafter(1.0, 0.0)) is SliceClass.EMBB
+        assert table.pick(0.5) is SliceClass.URLLC
 
 
 # the default catalog as a config file states it

@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sliceplace import placement
-from sliceplace.nspr import DEFAULT_CATALOG, SliceClass, make_request
+from sliceplace.nspr import (DEFAULT_CATALOG, SliceClass, SliceRequest, VlDemand, VnfDemand,
+                             make_request)
 from sliceplace.placement import (
     LATENCY_EPS,
     CONSTRAINT_NAMES,
@@ -30,10 +31,12 @@ from sliceplace.placement import (
 )
 from sliceplace.topology import (
     SCALE,
+    CapacityError,
     DCKind,
     LinkKind,
     NodeKind,
     PhysicalNetwork,
+    ReleaseError,
     Server,
     TopologyParams,
     build_reference_psn,
@@ -41,7 +44,8 @@ from sliceplace.topology import (
 
 from conftest import drain_dc, make_pair, make_single_dc
 from oracles import (LINK_BWS, LINK_LATENCIES, loaded_substrates, lookahead,
-                     narrow_to_best_tier, plain_hop_path, plain_reach, scan_feasible_servers)
+                     narrow_to_best_tier, per_vnf_writes, plain_hop_path, plain_reach,
+                     residual_bytes, scan_feasible_servers)
 
 
 def link_id(net: PhysicalNetwork, a: int, b: int) -> int:
@@ -792,6 +796,85 @@ class TestApplyRelease:
         assert before.server_cpu == after.server_cpu
         assert before.server_ram == after.server_ram
         assert before.link_bw == after.link_bw
+
+    def test_release_is_atomic(self, ref):
+        # VNFs 1-3 could go back to root, VNFs 4 and 5 not to s_b, which holds
+        # nothing: the release refuses before it returns anything
+        net = ref.clone()
+        req = make_request(SliceClass.URLLC, net.uaps[0])
+        root, s_b = servers_of(net, "edc0")[:2]
+        net.allocate(root, 45, 270)
+        before = residual_bytes(net)
+        plc = Placement(x={1: root, 2: root, 3: root, 4: s_b, 5: s_b},
+                        y={1: [], 2: [], 3: [], 4: []}, cost=0.0)
+        with pytest.raises(ReleaseError, match=f"server {s_b}: release exceeds capacity"):
+            release_placement(net, req, plc)
+        assert residual_bytes(net) == before
+
+    def test_release_in_a_transaction_rolls_back(self, ref):
+        net = ref.clone()
+        req = make_request(SliceClass.URLLC, net.uaps[0])
+        root, s_b = servers_of(net, "edc0")[:2]
+        sw = net.data_centers["edc0"].switch
+        plc = Placement(x={1: root, 2: root, 3: s_b, 4: s_b, 5: s_b},
+                        y={1: [], 2: [link_id(net, root, sw), link_id(net, sw, s_b)],
+                           3: [], 4: []}, cost=2.0)
+        apply_placement(net, req, plc)
+        held = residual_bytes(net)
+        mark = net.begin()
+        release_placement(net, req, plc)
+        assert residual_bytes(net) != held
+        net.rollback(mark)
+        assert residual_bytes(net) == held
+        assert net._undo == []
+
+    @settings(max_examples=150, deadline=None)
+    @given(loaded_substrates(), st.data())
+    def test_summed_writes_equal_per_vnf_writes(self, net, data):
+        """Colocated VNFs and VLs that share links: each summed write leaves
+        what one write per VNF and per hop left, refuses what it refused
+        and then writes nothing, and apply then release restores the arrays
+        byte for byte, also inside a transaction that rolls back."""
+        n = data.draw(st.integers(1, 5))
+        request = SliceRequest(
+            id=1, cls=SliceClass.URLLC, uap=net.uaps[0], alpha_max_ms=1.0, e2e_budget_ms=5.0,
+            vnfs=tuple(VnfDemand(*data.draw(st.sampled_from([(0.3, 0.1), (10.0, 60.0),
+                                                              (15.0, 90.0), (25.0, 150.0)])))
+                       for _ in range(n)),
+            vls=tuple(VlDemand(data.draw(st.sampled_from([0.1, 0.5, 1.0, 2.0])), 1.0)
+                      for _ in range(n - 1)))
+        # few servers and links to draw from, so that repeats are common
+        servers = [s.id for s in net.servers()][:3]
+        links = [l.id for l in net.links if l.bw_capacity is not None][:4]
+        plc = Placement(
+            x={v: data.draw(st.sampled_from(servers)) for v in range(1, n + 1)},
+            y={i: data.draw(st.lists(st.sampled_from(links), max_size=3) if links
+                            else st.just([])) for i in range(1, n)})
+        start, applied = residual_bytes(net), False
+        arrays = lambda: [list(a) for a in (net.cpu_units, net.ram_units, net.bw_units)]
+        # apply, release, then release once more: an over-release where the
+        # load left no room for it
+        for k, (sign, write, error) in enumerate(((-1, apply_placement, CapacityError),
+                                                  (1, release_placement, ReleaseError),
+                                                  (1, release_placement, ReleaseError))):
+            want, before = per_vnf_writes(net, request, plc, sign), residual_bytes(net)
+            if data.draw(st.booleans()):
+                mark = net.begin()
+                with contextlib.suppress(error):
+                    write(net, request, plc)
+                net.rollback(mark)
+                assert residual_bytes(net) == before
+            if want is None:
+                with pytest.raises(error):
+                    write(net, request, plc)
+                assert residual_bytes(net) == before
+                continue
+            write(net, request, plc)
+            assert arrays() == list(want)
+            applied = applied or k == 0
+            if k == 1 and applied:
+                assert residual_bytes(net) == start
+        assert net._undo == [] and net._marks == []
 
     def test_apply_is_atomic(self, ref):
         net = ref.clone()

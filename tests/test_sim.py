@@ -191,6 +191,40 @@ class TestDeterminism:
         assert net.snapshot() == snap
 
 
+BLOCK_DRAWS = {
+    # name: (n draws at once, one draw), as `sim.run` reads its four streams
+    "exponential": (lambda rng, n: rng.exponential(0.37, n), lambda rng: rng.exponential(0.37)),
+    "integers-1": (lambda rng, n: rng.integers(1, size=n), lambda rng: rng.integers(1)),
+    "integers-2": (lambda rng, n: rng.integers(2, size=n), lambda rng: rng.integers(2)),
+    "integers-15": (lambda rng, n: rng.integers(15, size=n), lambda rng: rng.integers(15)),
+    "random": (lambda rng, n: rng.random(n), lambda rng: rng.random()),
+}
+
+
+class TestBlockDraws:
+    """`sim.run` draws arrival gaps, holding times, UAP indices and class
+    uniforms in blocks. numpy must give the values one draw at a time
+    gives, and leave the generator where those draws leave it; a numpy that
+    breaks this fails here by name, not only through the golden digests."""
+
+    @pytest.mark.parametrize("name", list(BLOCK_DRAWS))
+    def test_block_equals_scalar_draws(self, name):
+        block, one = BLOCK_DRAWS[name]
+        a, b = np.random.default_rng(2024), np.random.default_rng(2024)
+        n = 2 * sim._BLOCK + 3
+        assert block(a, n).tolist() == [one(b) for _ in range(n)]
+        assert a.bit_generator.state == b.bit_generator.state
+
+    @pytest.mark.parametrize("name", list(BLOCK_DRAWS))
+    def test_stream_reads_as_scalar_draws(self, name):
+        block, one = BLOCK_DRAWS[name]
+        a, b = np.random.default_rng(7), np.random.default_rng(7)
+        stream = sim._blocks(lambda n: block(a, n))
+        values = [next(stream) for _ in range(2 * sim._BLOCK + 3)]
+        assert values == [one(b) for _ in values]
+        assert all(type(v) in (int, float) for v in values)
+
+
 class TestValidateMode:
     @pytest.mark.parametrize("algorithm", ["p2c-1", "p2c-2", "ilp-1", "ilp-2"])
     def test_validated_counts_match(self, net, algorithm):

@@ -29,7 +29,7 @@ from sliceplace.topology import (
 )
 
 from conftest import make_pair
-from oracles import loaded_substrates
+from oracles import loaded_substrates, residual_bytes
 
 
 class TestParams:
@@ -242,6 +242,28 @@ class TestCapacityAccounting:
         assert net.bw_residual(link.id) == 10.0
         with pytest.raises(ReleaseError):
             net.release_bw(link.id, 0.5)
+
+    def test_write_units_checks_every_slot_before_writing(self):
+        net = make_pair()
+        sid = net.data_centers["edc0"].servers[0]
+        other = net.data_centers["cdc0"].servers[0]
+        transport = next(l.id for l in net.links if l.kind == LinkKind.TRANSPORT)
+        access = next(l.id for l in net.links if l.kind == LinkKind.ACCESS)
+        net.allocate(sid, 15, 90)
+        before = residual_bytes(net)
+        # the first server and link would fit; a later slot refuses them all
+        for sign, servers, links, error in (
+                (1, {sid: (1, 1), other: (1, 0)}, {}, ReleaseError),
+                (-1, {sid: (1, 1)}, {transport: 1, access: 1}, TopologyError),
+                (-1, {sid: (1, 1)}, {transport: 10 * SCALE + 1}, CapacityError),
+                (1, {sid: (1, 1), net.data_centers["edc0"].switch: (1, 1)}, {}, TopologyError),
+                (1, {sid: (1, 1), len(net.nodes): (1, 1)}, {}, TopologyError),
+                (-1, {}, {transport: 1, len(net.links): 1}, TopologyError)):
+            with pytest.raises(error):
+                net.write_units(sign, servers, links)
+            assert residual_bytes(net) == before
+        net.write_units(1, {sid: (15 * SCALE, 90 * SCALE)}, {transport: 0})
+        assert net.residual(sid) == (50.0, 300.0)
 
     def test_bw_on_uncapacitated_link_rejected(self):
         net = make_pair()
