@@ -23,6 +23,7 @@ import numpy as np
 
 from .config import ConfigError, RunConfig, default_config_path
 from .nspr import DEFAULT_CATALOG, SliceClass, make_request
+from .p2c import DrawStream
 from .placement import MalformedPlacementError, check_placement
 from .sim import Algorithm, MetricsReport, Scenario, aggregate, place_request, run
 from .topology import PhysicalNetwork, TopologyError, build_reference_psn, load_json
@@ -83,7 +84,8 @@ def cmd_place(args) -> int:
     net = _load_topology(args, cfg)
     request = _request_from_args(args, net, cfg)
     algorithm = Algorithm.parse(args.algorithm)
-    outcome = place_request(net, request, algorithm, np.random.default_rng(args.seed),
+    outcome = place_request(net, request, algorithm,
+                            DrawStream(np.random.default_rng(args.seed)),
                             max_nodes=cfg.max_nodes)
     obj = outcome.to_json(net)
     obj["algorithm"] = algorithm.value

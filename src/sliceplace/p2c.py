@@ -2,18 +2,19 @@
 
 Walks the chain head to tail. Per VNF it collects eligible servers (under
 TIER_PREFERRED only those of the best tier present), draws two candidates
-without replacement, and keeps the one whose virtual-link path from the
-previous VNF's server holds less bandwidth (ties favor the first draw;
-landing on the previous server itself costs nothing and wins outright). The
-episode runs in one substrate transaction: rejection at any VNF rolls it back
-to the exact pre-episode state and reports the blocking VNF index.
+without replacement from a `DrawStream`, and keeps the one whose
+virtual-link path from the previous VNF's server holds less bandwidth (ties
+favor the first draw; landing on the previous server itself costs nothing
+and wins outright). The episode runs in one substrate transaction: rejection
+at any VNF rolls it back to the exact pre-episode state and reports the
+blocking VNF index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -21,6 +22,48 @@ from .exact import SolveStatus
 from .nspr import SliceRequest
 from .placement import Placement, feasible_servers, min_cost_path
 from .topology import PhysicalNetwork
+
+
+# values drawn per call of a block-drawn stream
+BLOCK = 256
+
+
+def blocks(draw: Callable[[int], np.ndarray]) -> Iterator:
+    """The values of `draw(BLOCK)`, block after block, one at a time as
+    Python numbers. numpy's exponential, integer and uniform draws give the
+    same values in blocks as one by one."""
+    while True:
+        yield from draw(BLOCK).tolist()
+
+
+class DrawStream:
+    """P2C's bounded integer draws, value for value those of
+    `Generator.integers(0, n)` on the generator it is built from.
+
+    Raw uint32 values come from the generator in blocks, so the generator
+    runs up to a block ahead of the values handed out; `raw()` hands out the
+    next one. `below(n)` reduces them as numpy does, by D. Lemire's
+    method ("Fast Random Integer Generation in an Interval", ACM TOMACS
+    29(1), 2019): the high word of u * n, with u redrawn while the low word
+    falls below 2**32 % n, a test made only when the low word is below n.
+    n == 1 draws nothing."""
+
+    __slots__ = ("raw",)
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self.raw: Callable[[], int] = blocks(
+            lambda k: rng.integers(1 << 32, size=k, dtype=np.uint32)).__next__
+
+    def below(self, n: int) -> int:
+        """A uniform integer in [0, n), for 1 <= n < 2**32."""
+        if n == 1:
+            return 0
+        m = self.raw() * n
+        if m & 0xFFFFFFFF < n:
+            floor = (1 << 32) % n
+            while m & 0xFFFFFFFF < floor:
+                m = self.raw() * n
+        return m >> 32
 
 
 class Policy(Enum):
@@ -65,31 +108,32 @@ class PlacementOutcome:
 
 
 def get_two_candidates(candidates: Sequence[int],
-                       rng: np.random.Generator) -> tuple[int, int]:
+                       stream: DrawStream) -> tuple[int, int]:
     """Draw two distinct candidates from a list; a single candidate is
-    returned twice.
+    returned twice, without a draw.
 
-    The draw is `rng.choice(len(candidates), 2, replace=False)`, value for
-    value and with the generator left in the same state, at a fraction of
-    its cost: numpy draws two of n by Floyd's algorithm (one index below
-    n - 1, then one below n that stands for n - 1 when it repeats the
+    The draw is the one `rng.choice(len(candidates), 2, replace=False)`
+    makes on the stream's generator, value for value and with as many raw
+    values taken: numpy draws two of n by Floyd's algorithm (one index
+    below n - 1, then one below n that stands for n - 1 when it repeats the
     first) and then shuffles the pair with one more bounded draw."""
     if not candidates:
         raise ValueError("candidate list is empty")
     n = len(candidates)
     if n == 1:
         return candidates[0], candidates[0]
-    i = int(rng.integers(0, n - 1))
-    j = int(rng.integers(0, n))
+    below = stream.below
+    i = below(n - 1)
+    j = below(n)
     if j == i:
         j = n - 1
-    if rng.integers(0, 2) == 0:
+    if below(2) == 0:
         i, j = j, i
     return candidates[i], candidates[j]
 
 
 def place(psn: PhysicalNetwork, request: SliceRequest, policy: Policy,
-          rng: np.random.Generator) -> PlacementOutcome:
+          stream: DrawStream) -> PlacementOutcome:
     """Place one request, committing resources on acceptance.
 
     On rejection the episode's transaction rolls back, so the substrate is
@@ -109,7 +153,7 @@ def place(psn: PhysicalNetwork, request: SliceRequest, policy: Policy,
                                           best_tier=best_tier)
             if not candidates:
                 return PlacementOutcome(OutcomeStatus.REJECTED, None, 0.0, v)
-            s1, s2 = get_two_candidates(candidates, rng)
+            s1, s2 = get_two_candidates(candidates, stream)
 
             path: list[int] = []
             if v == 1:

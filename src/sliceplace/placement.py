@@ -288,73 +288,76 @@ def min_cost_path(psn: PhysicalNetwork, src: int, dst: int, bw: float,
     if src == dst:
         return [] if budget_ms >= -LATENCY_EPS else None
 
-    need, bw_units = to_units(bw), psn.bw_units
-
-    def usable(lid: int) -> bool:
-        return bw_units[lid] >= need
-
-    def unwind(par: dict[int, tuple[int, int]], node: int) -> list[int]:
-        path = []
-        while node != src:
-            node, lid = par[node]
-            path.append(lid)
-        path.reverse()
-        return path
+    need, bw_units, links = to_units(bw), psn.bw_units, psn.links
 
     # a leaf dst is entered only over its one link, so the search needs to
     # reach only the node across it; a leaf relays nothing, so the BFS
     # expands relay entries alone
-    target, last_hop = dst, []
+    target, last_hop = dst, -1
     if len(psn.adj[dst]) == 1:
-        target, lid = psn.adj[dst][0]
-        if not usable(lid):
+        target, last_hop = psn.adj[dst][0]
+        if bw_units[last_hop] < need:
             return None
-        last_hop = [lid]
 
     # minimum hops, BFS with ascending-id expansion
     parent: dict[int, tuple[int, int]] = {src: (-1, -1)}
-    level = [src] if target != src else []
-    found = target == src
-    relay_adj = psn.index().relay_adj
-    while level and not found:
-        nxt_level = []
-        for u in sorted(level):
-            for v, lid in relay_adj[u]:
-                if v not in parent and usable(lid):
-                    parent[v] = (u, lid)
-                    if v == target:
-                        found = True
-                        break
-                    nxt_level.append(v)
-            if found:
-                break
-        level = nxt_level
-    if not found:
-        return None
+    if target != src:
+        relay_adj = psn.index().relay_adj
+        level, found = [src], False
+        while level and not found:
+            nxt_level = []
+            for u in sorted(level) if len(level) > 1 else level:
+                for v, lid in relay_adj[u]:
+                    if v not in parent and bw_units[lid] >= need:
+                        parent[v] = (u, lid)
+                        if v == target:
+                            found = True
+                            break
+                        nxt_level.append(v)
+                if found:
+                    break
+            level = nxt_level
+        if not found:
+            return None
 
-    hop_path = unwind(parent, target) + last_hop
-    if sum(psn.links[lid].latency_ms for lid in hop_path) <= budget_ms + LATENCY_EPS:
+    hop_path, node = [], target
+    while node != src:
+        node, lid = parent[node]
+        hop_path.append(lid)
+    hop_path.reverse()
+    if last_hop >= 0:
+        hop_path.append(last_hop)
+    # summed first link to last, as the checker sums it
+    latency = 0.0
+    for lid in hop_path:
+        latency += links[lid].latency_ms
+    if latency <= budget_ms + LATENCY_EPS:
         return hop_path
 
     # minimum latency, Dijkstra pruned at the budget
     dist = {src: 0.0}
-    par2: dict[int, tuple[int, int]] = {src: (-1, -1)}
+    parent = {src: (-1, -1)}
     pq: list[tuple[float, int]] = [(0.0, src)]
     while pq:
         d, u = heapq.heappop(pq)
         if d > dist.get(u, float("inf")):
             continue
         if u == dst:
-            return unwind(par2, dst)
+            path = []
+            while u != src:
+                u, lid = parent[u]
+                path.append(lid)
+            path.reverse()
+            return path
         for v, lid in psn.adj[u]:
-            if not usable(lid):
+            if bw_units[lid] < need:
                 continue
-            nd = d + psn.links[lid].latency_ms
+            nd = d + links[lid].latency_ms
             if nd > budget_ms + LATENCY_EPS:
                 continue
             if nd < dist.get(v, float("inf")):
                 dist[v] = nd
-                par2[v] = (u, lid)
+                parent[v] = (u, lid)
                 heapq.heappush(pq, (nd, v))
     return None
 

@@ -10,9 +10,10 @@ Simultaneous events process departures before arrivals so capacity freed at
 time t is visible to an arrival at t. Randomness is split into five
 independent streams (arrival gaps, class draws, UAP draws, holding times,
 placement decisions), so runs with the same seed pair arrival processes
-across algorithms while placement draws stay independent. The first four
-are drawn in blocks, which give the values one draw at a time would give;
-P2C draws its own stream one call at a time.
+across algorithms while placement draws stay independent. All five are
+drawn in blocks, which give the values one draw at a time would give: the
+first four as their own values, the placement stream as raw 32-bit values
+that `p2c.DrawStream` reduces to P2C's bounded draws.
 """
 
 from __future__ import annotations
@@ -24,14 +25,14 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 from statistics import NormalDist
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .exact import DEFAULT_NODE_BUDGET, SolveStatus, solve_ilp1, solve_ilp2
 from .nspr import (DEFAULT_CATALOG, DEFAULT_MIX, ClassSpec, ClassTable, SliceClass,
                    SliceRequest, make_request)
-from .p2c import OutcomeStatus, PlacementOutcome, Policy, place
+from .p2c import DrawStream, OutcomeStatus, PlacementOutcome, Policy, blocks, place
 from .placement import (Placement, apply_placement, check_placement,
                         release_placement)
 from .topology import SCALE, LinkKind, PhysicalNetwork
@@ -41,8 +42,6 @@ ALL_GROUPS = TIER_GROUPS + ("transport",)
 RESOURCES = ("cpu", "ram", "bw")
 # (group, resource) of each accounting slot
 _SLOTS = tuple((g, res) for g in ALL_GROUPS for res in RESOURCES)
-# values drawn per call of a block-drawn stream
-_BLOCK = 256
 
 
 class Algorithm(str, Enum):
@@ -337,22 +336,14 @@ class _Ledger:
                     f"{where}: {name} residual {have[i] / SCALE}, expected {want[i] / SCALE}")
 
 
-def _blocks(draw: Callable[[int], np.ndarray]) -> Iterator:
-    """The values of `draw(_BLOCK)`, block after block, one at a time as
-    Python numbers. numpy's exponential, integer and uniform draws give the
-    same values in blocks as one by one."""
-    while True:
-        yield from draw(_BLOCK).tolist()
-
-
 def place_request(net: PhysicalNetwork, request: SliceRequest, algorithm: Algorithm,
-                  rng: np.random.Generator, *,
+                  stream: DrawStream, *,
                   max_nodes: int | None = DEFAULT_NODE_BUDGET) -> PlacementOutcome:
     """Place one request with any algorithm, committing to net on acceptance.
-    `rng` drives P2C, `max_nodes` bounds ILP; `solver_status` is None for P2C."""
+    `stream` drives P2C, `max_nodes` bounds ILP; `solver_status` is None for P2C."""
     if algorithm in (Algorithm.P2C_1, Algorithm.P2C_2):
         policy = Policy.UNIFORM if algorithm is Algorithm.P2C_1 else Policy.TIER_PREFERRED
-        return place(net, request, policy, rng)
+        return place(net, request, policy, stream)
     solver = solve_ilp1 if algorithm is Algorithm.ILP_1 else solve_ilp2
     result = solver(net, request, max_nodes=max_nodes)
     if result.status is SolveStatus.OPTIMAL:
@@ -393,10 +384,11 @@ def run(psn: PhysicalNetwork, scenario: Scenario, algorithm: Algorithm | str,
     ss = np.random.SeedSequence(seed)
     rng_arrival, rng_class, rng_uap, rng_hold, rng_place = (
         np.random.default_rng(child) for child in ss.spawn(5))
-    gaps = _blocks(lambda n: rng_arrival.exponential(1.0 / big_lambda, n))
-    uniforms = _blocks(rng_class.random)
-    uap_picks = _blocks(lambda n: rng_uap.integers(len(net.uaps), size=n))
-    holdings = _blocks(lambda n: rng_hold.exponential(scenario.mean_holding, n))
+    gaps = blocks(lambda n: rng_arrival.exponential(1.0 / big_lambda, n))
+    uniforms = blocks(rng_class.random)
+    uap_picks = blocks(lambda n: rng_uap.integers(len(net.uaps), size=n))
+    holdings = blocks(lambda n: rng_hold.exponential(scenario.mean_holding, n))
+    place_draws = DrawStream(rng_place)
     pick_class = ClassTable.of(scenario.mix).pick
 
     interval = scenario.horizon / 100.0 if series_interval is None else series_interval
@@ -445,7 +437,7 @@ def run(psn: PhysicalNetwork, scenario: Scenario, algorithm: Algorithm | str,
             row["arrivals"] += 1
 
             t0 = time.perf_counter() if measure_time else 0.0
-            outcome = place_request(net, request, algorithm, rng_place,
+            outcome = place_request(net, request, algorithm, place_draws,
                                     max_nodes=max_nodes)
             if measure_time:
                 times_ms.append((time.perf_counter() - t0) * 1e3)

@@ -316,10 +316,15 @@ def loaded_substrates(draw):
     next to it within every class's access bound. More episodes then get
     past VNF 1 to the VNFs where the lookahead and the bandwidth writes act.
     One of its servers may then get a second link, or lose its uplink, so
-    that a root DC holds a server with several links or none."""
+    that a root DC holds a server with several links or none.
+
+    On some draws the whole substrate is `light`: every server and link is
+    lightly loaded and every UAP sits within every class's access bound, so
+    that most episodes reach VNF 3 and later."""
     net = PhysicalNetwork(TopologyParams())
     kinds = list(DCKind)
     unlinked = []
+    light = draw(st.booleans())
     spare = draw(st.one_of(st.none(), st.integers(0, 3)))
     dcs = [net.add_data_center(f"dc{d}", draw(st.sampled_from(kinds)))
            for d in range(draw(st.integers(1, 4)))]
@@ -371,19 +376,24 @@ def loaded_substrates(draw):
             net.add_link(uap, spare_dc.switch, 0.02, LinkKind.ACCESS, None)
         else:
             net.add_link(uap, draw(st.sampled_from(switches)),
-                         draw(st.sampled_from([0.02, 0.05, 0.1])), LinkKind.ACCESS, None)
+                         draw(st.sampled_from([0.02] if light else [0.02, 0.05, 0.1])),
+                         LinkKind.ACCESS, None)
         net.uaps.append(uap)
     if draw(st.booleans()):  # load with views of the residual arrays out
         net.vectors()
     spare_id = spare_dc.id if spare_dc is not None else None
     for srv in net.servers():
-        loads = [0.0, 10.0] if srv.dc == spare_id else [0.0, 10.0, 20.0, 30.0, 40.0, 50.0]
+        loads = ([0.0, 10.0] if light or srv.dc == spare_id
+                 else [0.0, 10.0, 20.0, 30.0, 40.0, 50.0])
         cpu = draw(st.sampled_from(loads))
         net.allocate(srv.id, cpu, cpu * 6)
     for link in net.links:
         if link.bw_capacity is not None:
-            light = link.kind is LinkKind.INTRA_DC and net.nodes[link.a].dc == spare_id
-            share = draw(st.sampled_from([0.0] if light else [0.0, 0.5, 1.0]))
+            if link.kind is LinkKind.INTRA_DC and net.nodes[link.a].dc == spare_id:
+                shares = [0.0]
+            else:
+                shares = [0.0, 0.5] if light else [0.0, 0.5, 1.0]
+            share = draw(st.sampled_from(shares))
             net.allocate_bw(link.id, link.bw_capacity * share)
     return net
 

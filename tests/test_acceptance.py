@@ -18,7 +18,7 @@ import pytest
 
 from sliceplace.exact import SolveStatus, solve_ilp1, solve_ilp2
 from sliceplace.nspr import SliceClass, make_request
-from sliceplace.p2c import OutcomeStatus, Policy
+from sliceplace.p2c import DrawStream, OutcomeStatus, Policy
 from sliceplace.p2c import place as p2c_place
 from sliceplace.placement import check_placement
 from sliceplace.sim import Scenario, run
@@ -87,7 +87,7 @@ def test_a3_optimality_dominance(ref_net):
     """Where ILP-1 and P2C both accept the same state, cost(P2C) >= cost(ILP-1)."""
     net = ref_net.clone()
     rng = random.Random(31)
-    rng_np = np.random.default_rng(31)
+    stream = DrawStream(np.random.default_rng(31))
     classes = [SliceClass.BEST_EFFORT] * 67 + [SliceClass.EMBB] * 22 + [SliceClass.URLLC] * 11
     departures: list[tuple[float, object]] = []
     clock = 0.0
@@ -105,7 +105,7 @@ def test_a3_optimality_dominance(ref_net):
                                request_id=i)
         exact = solve_ilp1(net, request)
         outcome = p2c_place(net, request, Policy.UNIFORM if i % 2 else Policy.TIER_PREFERRED,
-                            rng_np)
+                            stream)
         if outcome.status is OutcomeStatus.ACCEPTED:
             assert exact.status is SolveStatus.OPTIMAL
             pairs += 1
@@ -229,9 +229,9 @@ def test_a7_scaling_shape():
         for i in range(n):
             request = make_request(classes[i % 3], net.uaps[rng.randrange(len(net.uaps))])
             work = net.clone()
-            rng_np = np.random.default_rng(9)
+            stream = DrawStream(np.random.default_rng(9))
             t0 = time.perf_counter()
-            p2c_place(work, request, Policy.UNIFORM, rng_np)
+            p2c_place(work, request, Policy.UNIFORM, stream)
             heuristic.append(time.perf_counter() - t0)
             t0 = time.perf_counter()
             solve_ilp1(net, request)
@@ -262,7 +262,7 @@ def test_a7_scaling_shape():
     big = build_reference_psn(128)
     request = make_request(SliceClass.URLLC, big.uaps[0])
     t0 = time.monotonic()
-    outcome = p2c_place(big, request, Policy.UNIFORM, np.random.default_rng(1))
+    outcome = p2c_place(big, request, Policy.UNIFORM, DrawStream(np.random.default_rng(1)))
     big_elapsed = time.monotonic() - t0
     big_ok = big_elapsed < 30.0 and outcome.status is OutcomeStatus.ACCEPTED
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from sliceplace.exact import SolveStatus, _enumerate_paths, solve_ilp1, solve_ilp2
 from sliceplace import exact
 from sliceplace.nspr import DEFAULT_CATALOG, SliceClass, VnfDemand, make_request
-from sliceplace.p2c import OutcomeStatus, Policy
+from sliceplace.p2c import DrawStream, OutcomeStatus, Policy
 from sliceplace.p2c import place as p2c_place
 from sliceplace.placement import bandwidth_cost, check_placement, feasible_servers
 from sliceplace.topology import (DCKind, LinkKind, NodeKind, PhysicalNetwork,
@@ -452,14 +452,14 @@ class TestHeuristicDominance:
         import numpy as np
 
         net = ref.clone()
-        rng_np = np.random.default_rng(7)
+        stream = DrawStream(np.random.default_rng(7))
         rng = random.Random(11)
         accepted = 0
         for i in range(40):
             cls = rng.choice(list(SliceClass))
             req = make_request(cls, net.uaps[rng.randrange(len(net.uaps))], request_id=i)
             exact = solve_ilp1(net, req)
-            outcome = p2c_place(net, req, policy, rng_np)
+            outcome = p2c_place(net, req, policy, stream)
             if outcome.status is OutcomeStatus.ACCEPTED:
                 accepted += 1
                 assert exact.status is SolveStatus.OPTIMAL

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sliceplace.nspr import SliceClass, make_request
-from sliceplace.p2c import OutcomeStatus, Policy, get_two_candidates, place
+from sliceplace.p2c import DrawStream, OutcomeStatus, Policy, get_two_candidates, place
 from sliceplace.placement import check_placement, feasible_servers, release_placement
 from sliceplace.topology import (DCKind, LinkKind, NodeKind, PhysicalNetwork, Server,
                                  TopologyParams, build_reference_psn)
@@ -48,26 +48,69 @@ def make_three_tiers() -> PhysicalNetwork:
     return net
 
 
+# bounds for `DrawStream.below`: any, and just above 2**31, where about
+# half the raw values fall in the rejection zone, and just below 2**32
+BOUNDS = st.one_of(st.integers(1, 2**32 - 1), st.integers(2**31 + 1, 2**31 + 2**20),
+                   st.integers(2**32 - 2**20, 2**32 - 1), st.integers(1, 8))
+
+
+class TestDrawStream:
+    """P2C's draws come from `DrawStream`, which must give what numpy's
+    `Generator.integers(0, n)` gives on the same generator."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**63 - 1), st.lists(BOUNDS, min_size=1, max_size=40),
+           st.integers(0, 3))
+    def test_below_equals_generator_integers(self, seed, bounds, warmup):
+        rng, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(warmup):  # an odd count leaves half a 64-bit word buffered
+            rng.integers(0, 7)
+            theirs.integers(0, 7)
+        stream = DrawStream(rng)
+        for n in bounds:
+            assert stream.below(n) == theirs.integers(0, n)
+        # as many raw values taken as numpy took
+        assert stream.raw() == theirs.integers(1 << 32, dtype=np.uint32)
+
+    def test_one_value_draws_nothing(self):
+        stream = DrawStream(np.random.default_rng(5))
+        assert [stream.below(1) for _ in range(3)] == [0, 0, 0]
+        assert stream.raw() == np.random.default_rng(5).integers(1 << 32, dtype=np.uint32)
+
+    def test_rejections_take_more_raw_values(self):
+        """Just above 2**31 about half the raw values are redrawn; the draws
+        still agree with numpy's, and more raw values than draws went."""
+        n, k = 2**31 + 1, 64
+        stream = DrawStream(np.random.default_rng(11))
+        theirs = np.random.default_rng(11)
+        assert [stream.below(n) for _ in range(k)] == [theirs.integers(0, n) for _ in range(k)]
+        nxt = stream.raw()
+        assert nxt == theirs.integers(1 << 32, dtype=np.uint32)
+        raw = np.random.default_rng(11).integers(1 << 32, size=4 * k, dtype=np.uint32)
+        assert raw.tolist().index(nxt) > k
+
+
 class TestGetTwoCandidates:
     def test_singleton_duplicates(self):
-        rng = np.random.default_rng(0)
-        assert get_two_candidates([77], rng) == (77, 77)
-        assert get_two_candidates((77,), rng) == (77, 77)
+        stream = DrawStream(np.random.default_rng(0))
+        assert get_two_candidates([77], stream) == (77, 77)
+        assert get_two_candidates((77,), stream) == (77, 77)
+        assert stream.raw() == np.random.default_rng(0).integers(1 << 32, dtype=np.uint32)
 
     def test_pair_draw_is_distinct(self):
-        rng = np.random.default_rng(1)
+        stream = DrawStream(np.random.default_rng(1))
         for _ in range(200):
-            s1, s2 = get_two_candidates([73, 74, 75, 76], rng)
+            s1, s2 = get_two_candidates([73, 74, 75, 76], stream)
             assert s1 != s2
             assert {s1, s2} <= {73, 74, 75, 76}
 
     def test_uniform_marginals(self):
-        rng = np.random.default_rng(2024)
+        stream = DrawStream(np.random.default_rng(2024))
         pool = [73, 74, 75, 76, 18, 19]
         hits = collections.Counter()
         n = 30_000
         for _ in range(n):
-            s1, s2 = get_two_candidates(pool, rng)
+            s1, s2 = get_two_candidates(pool, stream)
             hits[s1] += 1
             hits[s2] += 1
         for sid in pool:
@@ -75,32 +118,35 @@ class TestGetTwoCandidates:
 
     def test_deterministic_under_seed(self):
         pool = list(range(73, 77))
-        a = [get_two_candidates(pool, np.random.default_rng(7)) for _ in range(1)]
-        b = [get_two_candidates(pool, np.random.default_rng(7)) for _ in range(1)]
+        a = [get_two_candidates(pool, DrawStream(np.random.default_rng(7))) for _ in range(1)]
+        b = [get_two_candidates(pool, DrawStream(np.random.default_rng(7))) for _ in range(1)]
         assert a == b
 
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError):
-            get_two_candidates([], np.random.default_rng(0))
+            get_two_candidates([], DrawStream(np.random.default_rng(0)))
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 10**6), st.integers(0, 2**63 - 1), st.integers(1, 4),
            st.integers(0, 3))
     def test_draw_equals_generator_choice(self, n, seed, draws, warmup):
-        """The draw is numpy's own two-of-n draw, value for value, and leaves
-        the generator where `Generator.choice` leaves it; a single candidate
-        draws nothing. Fails if numpy changes its algorithm."""
-        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        """The draw is numpy's own two-of-n draw, value for value, and takes
+        as many raw values as `Generator.choice` does; a single candidate
+        draws nothing. The stream reads ahead of the generator, so the raw
+        value after each draw is compared, not the generator states. Fails
+        if numpy changes its algorithm."""
+        rng, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(warmup):  # an odd count leaves half a 64-bit word buffered
-            ours.integers(0, 7)
+            rng.integers(0, 7)
             theirs.integers(0, 7)
+        ours = DrawStream(rng)
         for _ in range(draws):
             got = get_two_candidates(range(n), ours)
             if n == 1:
                 assert got == (0, 0)
             else:
                 assert got == tuple(theirs.choice(n, size=2, replace=False).tolist())
-            assert ours.bit_generator.state == theirs.bit_generator.state
+            assert ours.raw() == theirs.integers(1 << 32, dtype=np.uint32)
 
 
 class TestBestTierPool:
@@ -117,12 +163,12 @@ class TestBestTierPool:
             return feasible_servers(net, req, 2, anchor, used_e2e_ms=0.02,
                                     best_tier=best_tier)
 
-        rng = np.random.default_rng(3)
+        stream = DrawStream(np.random.default_rng(3))
         assert pool(best_tier=False) == edc + cdc + ccp  # two servers each in EDC, CDC, CCP
         for want, kind in ((ccp, DCKind.CCP), (cdc, DCKind.CDC), (edc, DCKind.EDC)):
             assert pool() == want
             for _ in range(50):
-                pair = get_two_candidates(pool(), rng)
+                pair = get_two_candidates(pool(), stream)
                 assert {net.dc_of(s).kind for s in pair} == {kind}
             drain_dc(net, f"{kind.value.lower()}0")
         assert pool() == pool(best_tier=False) == []
@@ -137,14 +183,14 @@ class TestBestTierPool:
         anchor = net.data_centers["edc0"].servers[0]
         pool = feasible_servers(net, req, 2, anchor, used_e2e_ms=0.02, best_tier=True)
         assert pool == [last]
-        assert get_two_candidates(pool, np.random.default_rng(3)) == (last, last)
+        assert get_two_candidates(pool, DrawStream(np.random.default_rng(3))) == (last, last)
 
 
 class TestPlace:
     def test_forced_colocation_costs_nothing(self):
         net = make_single_dc(servers=1)
         req = make_request(SliceClass.BEST_EFFORT, net.uaps[0])
-        out = place(net, req, Policy.UNIFORM, np.random.default_rng(0))
+        out = place(net, req, Policy.UNIFORM, DrawStream(np.random.default_rng(0)))
         assert out.status is OutcomeStatus.ACCEPTED
         assert out.cost == 0.0
         sid = net.data_centers["dc0"].servers[0]
@@ -155,7 +201,7 @@ class TestPlace:
     def test_accept_commits_exact_demands(self):
         net = build_reference_psn()
         req = make_request(SliceClass.EMBB, net.uaps[4])
-        out = place(net, req, Policy.TIER_PREFERRED, np.random.default_rng(5))
+        out = place(net, req, Policy.TIER_PREFERRED, DrawStream(np.random.default_rng(5)))
         assert out.status is OutcomeStatus.ACCEPTED
         used_cpu = sum(50.0 - net.residual(s.id)[0] for s in net.servers())
         used_ram = sum(300.0 - net.residual(s.id)[1] for s in net.servers())
@@ -167,6 +213,7 @@ class TestPlace:
 
     def test_accepted_placement_passes_checker(self):
         rng = np.random.default_rng(99)
+        stream = DrawStream(rng)
         for policy in Policy:
             net = build_reference_psn()
             accepted = 0
@@ -175,7 +222,7 @@ class TestPlace:
                        SliceClass.EMBB][k % 3]
                 req = make_request(cls, int(rng.choice(net.uaps)), request_id=k)
                 pre = net.snapshot()
-                out = place(net, req, policy, rng)
+                out = place(net, req, policy, stream)
                 if out.status is OutcomeStatus.REJECTED:
                     continue
                 accepted += 1
@@ -191,7 +238,7 @@ class TestPlace:
         drain_dc(net, "edc0")
         req = make_request(SliceClass.URLLC, net.uaps[0])
         before = snap_tuple(net)
-        out = place(net, req, Policy.UNIFORM, np.random.default_rng(0))
+        out = place(net, req, Policy.UNIFORM, DrawStream(np.random.default_rng(0)))
         assert out.status is OutcomeStatus.REJECTED
         assert out.blocking_vnf == 1
         assert out.placement is None
@@ -203,7 +250,7 @@ class TestPlace:
         net = make_pair(edc_servers=1, cdc_servers=1, cpu=30.0, ram=180.0)
         req = make_request(SliceClass.URLLC, net.uaps[0])
         before = snap_tuple(net)
-        out = place(net, req, Policy.UNIFORM, np.random.default_rng(1))
+        out = place(net, req, Policy.UNIFORM, DrawStream(np.random.default_rng(1)))
         assert out.status is OutcomeStatus.REJECTED
         assert out.blocking_vnf > 1
         assert snap_tuple(net) == before
@@ -214,7 +261,7 @@ class TestPlace:
         net = make_single_dc(servers=4,
                              params=TopologyParams(access_latency_ms=0.05))
         req = make_request(SliceClass.URLLC, net.uaps[0])
-        out = place(net, req, Policy.UNIFORM, np.random.default_rng(0))
+        out = place(net, req, Policy.UNIFORM, DrawStream(np.random.default_rng(0)))
         assert out.status is OutcomeStatus.REJECTED
         assert out.blocking_vnf == 1
 
@@ -224,13 +271,14 @@ class TestPlace:
             for _ in range(2):
                 net = build_reference_psn()
                 rng = np.random.default_rng(31337)
+                stream = DrawStream(rng)
                 docs = []
                 for k in range(40):
                     cls = [SliceClass.BEST_EFFORT, SliceClass.URLLC,
                            SliceClass.EMBB][k % 3]
                     req = make_request(cls, int(rng.choice(net.uaps)),
                                        request_id=k)
-                    out = place(net, req, policy, rng)
+                    out = place(net, req, policy, stream)
                     docs.append(out.to_json(net))
                 outs.append(json.dumps(docs, sort_keys=True))
             assert outs[0] == outs[1]
@@ -240,8 +288,7 @@ class TestPlace:
         # CDC server (3 links); the twin must win on cost
         net = make_pair(edc_servers=2, cdc_servers=1)
         req = make_request(SliceClass.URLLC, net.uaps[0])
-        rng = np.random.default_rng(0)
-        out = place(net, req, Policy.UNIFORM, rng)
+        out = place(net, req, Policy.UNIFORM, DrawStream(np.random.default_rng(0)))
         assert out.status is OutcomeStatus.ACCEPTED
         # regardless of draw order, no single vl may pay more than 3 links
         per_vl = {i: len(p) for i, p in out.placement.y.items()}
@@ -251,7 +298,7 @@ class TestPlace:
     def test_outcome_json_shape(self):
         net = build_reference_psn()
         req = make_request(SliceClass.URLLC, net.uaps[2])
-        out = place(net, req, Policy.TIER_PREFERRED, np.random.default_rng(11))
+        out = place(net, req, Policy.TIER_PREFERRED, DrawStream(np.random.default_rng(11)))
         doc = out.to_json(net)
         assert doc["status"] == "accepted"
         assert doc["cost"] == out.cost
@@ -259,7 +306,7 @@ class TestPlace:
         # single 50-cpu server: vnfs 1-3 colocate (45), nothing can take vnf 4
         rej = make_single_dc(kind=DCKind.CCP, servers=1, bw=100.0)
         req2 = make_request(SliceClass.URLLC, rej.uaps[0])
-        out2 = place(rej, req2, Policy.UNIFORM, np.random.default_rng(0))
+        out2 = place(rej, req2, Policy.UNIFORM, DrawStream(np.random.default_rng(0)))
         doc2 = out2.to_json(rej)
         assert doc2["status"] == "rejected"
         assert doc2["placement"] is None
@@ -269,7 +316,7 @@ class TestPlace:
         """Interior VNFs land in the parent CDC while it has room."""
         net = build_reference_psn()
         req = make_request(SliceClass.URLLC, net.uaps[0])
-        out = place(net, req, Policy.TIER_PREFERRED, np.random.default_rng(2))
+        out = place(net, req, Policy.TIER_PREFERRED, DrawStream(np.random.default_rng(2)))
         assert out.status is OutcomeStatus.ACCEPTED
         tiers = [net.dc_of(out.placement.x[v]).kind for v in range(1, 6)]
         assert tiers[0] is DCKind.EDC
@@ -291,7 +338,7 @@ class TestEpisodeOracle:
     @given(net=loaded_substrates(), seed=st.integers(0, 2**32 - 1), data=st.data())
     def test_episodes_match_the_reference(self, policy, net, seed, data):
         ref = copy.deepcopy(net)
-        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        stream, ref_rng = DrawStream(np.random.default_rng(seed)), np.random.default_rng(seed)
         held = []
         for i in range(data.draw(st.integers(1, 20))):
             if held and data.draw(st.integers(0, 2)) == 0:
@@ -305,7 +352,7 @@ class TestEpisodeOracle:
                     request = dataclasses.replace(request, vls=tuple(
                         dataclasses.replace(vl, bw=data.draw(st.sampled_from([0.5, 1.0, 2.0])))
                         for vl in request.vls))
-                got = place(net, request, policy, rng)
+                got = place(net, request, policy, stream)
                 want = reference_place(ref, request, policy, ref_rng)
                 assert (got.status, got.blocking_vnf, got.cost) == \
                        (want.status, want.blocking_vnf, want.cost)
@@ -313,18 +360,19 @@ class TestEpisodeOracle:
                     assert (got.placement.x, got.placement.y) == \
                            (want.placement.x, want.placement.y)
                     held.append((request, got.placement))
-                assert rng.bit_generator.state == ref_rng.bit_generator.state
+                # one raw value too many or too few taken shows here
+                assert stream.raw() == ref_rng.integers(1 << 32, dtype=np.uint32)
             assert residuals(net) == residuals(ref)
 
     @pytest.mark.parametrize("policy", list(Policy))
     @settings(max_examples=100, deadline=None)
     @given(net=loaded_substrates(), seed=st.integers(0, 2**32 - 1), data=st.data())
     def test_rejected_episode_leaves_the_store_bit_identical(self, policy, net, seed, data):
-        rng = np.random.default_rng(seed)
+        stream = DrawStream(np.random.default_rng(seed))
         for i in range(data.draw(st.integers(1, 10))):
             request = make_request(data.draw(st.sampled_from(list(SliceClass))),
                                    data.draw(st.sampled_from(net.uaps)), request_id=i)
             before = [bytes(a) for a in (net.cpu_units, net.ram_units, net.bw_units)]
-            if not place(net, request, policy, rng).accepted:
+            if not place(net, request, policy, stream).accepted:
                 assert [bytes(a) for a in (net.cpu_units, net.ram_units, net.bw_units)] == before
             assert net._undo == []

@@ -44,8 +44,9 @@ from sliceplace.topology import (
 
 from conftest import drain_dc, make_pair, make_single_dc
 from oracles import (LINK_BWS, LINK_LATENCIES, loaded_substrates, lookahead,
-                     narrow_to_best_tier, per_vnf_writes, plain_hop_path, plain_reach,
-                     residual_bytes, scan_feasible_servers)
+                     narrow_to_best_tier, per_vnf_writes, plain_hop_path,
+                     plain_min_cost_path, plain_reach, residual_bytes,
+                     scan_feasible_servers)
 
 
 def link_id(net: PhysicalNetwork, a: int, b: int) -> int:
@@ -399,6 +400,16 @@ class TestMinCostPath:
         assert min_cost_path(net, src, dst, 1.0, 0.5) == [src_up, *via[r1], dst_up]
         assert min_cost_path(net, dst, src, 1.0, 0.5) == [dst_up, via[r1][1], via[r1][0], src_up]
 
+    def test_hop_search_expands_each_level_in_id_order(self):
+        """Routers s < a < b < y < x < t: the second level is found as
+        [x, y] (a is expanded before b), and t lies next to both. Expanding
+        the level in ascending id order reaches t from y."""
+        net = PhysicalNetwork(TopologyParams())
+        s, a, b, y, x, t = (net.add_node(f"r{k}", NodeKind.ROUTER) for k in range(6))
+        lid = {pair: net.add_link(*pair, 0.0, LinkKind.TRANSPORT, 10.0)
+               for pair in ((s, a), (s, b), (a, x), (b, y), (x, t), (y, t))}
+        assert min_cost_path(net, s, t, 1.0, 5.0) == [lid[s, b], lid[b, y], lid[y, t]]
+
     @pytest.mark.parametrize("seed", range(12))
     def test_random_graph_equivalence(self, seed):
         """Feasibility agrees with exhaustive enumeration; results are valid."""
@@ -598,7 +609,7 @@ class TestReachBoundedEligibility:
     """`feasible_servers` tests only what `latency_reach` reaches and the
     searches skip leaves; results must equal those of the full scans."""
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(loaded_substrates(), st.data())
     def test_matches_all_server_scan(self, net, data):
         request = make_request(data.draw(st.sampled_from(list(SliceClass))),
@@ -611,14 +622,13 @@ class TestReachBoundedEligibility:
         with bridge(data.draw(st.sampled_from([0, 1, placement.BRIDGE]))):
             assert feasible_servers(net, request, 1, None) == \
                    scan_feasible_servers(net, request, 1, None, 0.0)
-            servers = [s.id for s in net.servers()]
             for v in range(2, request.n_vnfs + 1):
-                last_s = data.draw(st.sampled_from(servers))
                 # beyond the end-to-end budget the slack turns negative
                 used = data.draw(st.sampled_from([0.0, 0.02, 0.7, 1.3,
                                                   request.e2e_budget_ms + 0.5]))
-                got = feasible_servers(net, request, v, last_s, used_e2e_ms=used)
-                assert got == scan_feasible_servers(net, request, v, last_s, used)
+                for last_s in (s.id for s in net.servers()):
+                    got = feasible_servers(net, request, v, last_s, used_e2e_ms=used)
+                    assert got == scan_feasible_servers(net, request, v, last_s, used)
 
     @settings(max_examples=150, deadline=None)
     @given(loaded_substrates(), st.data())
@@ -660,6 +670,26 @@ class TestReachBoundedEligibility:
         # with no latency limit the minimum-hop path always wins
         assert min_cost_path(net, src, dst, bw, float("inf")) == \
                plain_hop_path(net, src, dst, bw)
+
+    @settings(max_examples=300, deadline=None)
+    @given(loaded_substrates(), st.data())
+    def test_min_cost_path_matches_plain_search(self, net, data):
+        """Finite budgets: the minimum-hop path while its latency fits,
+        else the minimum-latency path if that fits, else None. Every
+        destination is also asked with a budget just under its minimum-hop
+        path's latency, so that the latency fallback runs wherever that
+        path has latency."""
+        src = data.draw(st.integers(0, len(net.nodes) - 1))
+        bw = data.draw(st.sampled_from([0.0] + LINK_BWS))
+        budget = data.draw(st.sampled_from([-0.5, 0.0, 0.1, 0.33, 0.5, 1.0, 1.33, 5.0]))
+        for dst in range(len(net.nodes)):
+            if dst == src:
+                continue
+            hop = plain_hop_path(net, src, dst, bw) or []
+            under = sum(net.links[lid].latency_ms for lid in hop) - 0.05
+            for b in (budget, under):
+                assert min_cost_path(net, src, dst, bw, b) == \
+                       plain_min_cost_path(net, src, dst, bw, b)
 
     def test_servers_without_exactly_one_link(self):
         net = make_pair(edc_servers=3, cdc_servers=2)

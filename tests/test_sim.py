@@ -13,7 +13,7 @@ import pytest
 import sliceplace.sim as sim
 from sliceplace.exact import SolveStatus
 from sliceplace.nspr import DEFAULT_CATALOG, DEFAULT_MIX, SliceClass, make_request
-from sliceplace.p2c import OutcomeStatus, PlacementOutcome
+from sliceplace.p2c import BLOCK, DrawStream, OutcomeStatus, PlacementOutcome, blocks
 from sliceplace.placement import Placement, apply_placement
 from sliceplace.sim import (
     Algorithm,
@@ -211,7 +211,7 @@ class TestBlockDraws:
     def test_block_equals_scalar_draws(self, name):
         block, one = BLOCK_DRAWS[name]
         a, b = np.random.default_rng(2024), np.random.default_rng(2024)
-        n = 2 * sim._BLOCK + 3
+        n = 2 * BLOCK + 3
         assert block(a, n).tolist() == [one(b) for _ in range(n)]
         assert a.bit_generator.state == b.bit_generator.state
 
@@ -219,8 +219,8 @@ class TestBlockDraws:
     def test_stream_reads_as_scalar_draws(self, name):
         block, one = BLOCK_DRAWS[name]
         a, b = np.random.default_rng(7), np.random.default_rng(7)
-        stream = sim._blocks(lambda n: block(a, n))
-        values = [next(stream) for _ in range(2 * sim._BLOCK + 3)]
+        stream = blocks(lambda n: block(a, n))
+        values = [next(stream) for _ in range(2 * BLOCK + 3)]
         assert values == [one(b) for _ in values]
         assert all(type(v) in (int, float) for v in values)
 
@@ -313,7 +313,7 @@ class TestPlaceRequest:
     def test_commits_on_acceptance(self, net, algorithm):
         work = net.clone()
         request = make_request(SliceClass.URLLC, work.uaps[0])
-        out = place_request(work, request, algorithm, np.random.default_rng(3))
+        out = place_request(work, request, algorithm, DrawStream(np.random.default_rng(3)))
         assert out.accepted
         assert self.held_cpu(work) == 5 * 15.0
         if algorithm in (Algorithm.P2C_1, Algorithm.P2C_2):
@@ -329,7 +329,7 @@ class TestPlaceRequest:
         before = work.snapshot()
         request = make_request(SliceClass.URLLC, work.uaps[0])
         out = place_request(work, request, Algorithm.ILP_1,
-                            np.random.default_rng(3), max_nodes=1)
+                            DrawStream(np.random.default_rng(3)), max_nodes=1)
         assert out.status is OutcomeStatus.REJECTED
         assert out.solver_status is SolveStatus.BUDGET_EXCEEDED
         assert out.blocking_vnf == 2
