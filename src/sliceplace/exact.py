@@ -10,20 +10,25 @@ comes from fixed candidate and path orderings.
 
 Eligibility is P2C's, read from the same rules: VNF-1 candidates are
 `placement.feasible_servers`, and a later VNF's are the servers of
-`latency_reach` from the previous server that pass `lookahead_at`, in every
-DC (P2C exempts the other DCs from the lookahead). Each search frame holds
-its VNF and path in a substrate transaction it rolls back.
+`latency_reach` from the previous server that pass the lookahead rule of
+`lookahead_at`, in every DC (P2C exempts the other DCs from the
+lookahead). Of interchangeable twin servers (`_twin_key`) only the first in
+search order is searched. A later VNF's list (`_later_candidates`) is
+built in one pass over the reach, in id order, that decides each server's
+rule from thresholds read once per list (`lookahead_units`), its twin
+class and its group in the search order. Each search frame holds its VNF
+and path in a substrate transaction it rolls back.
 
 Search order: VNF-1 candidates, and ILP-2's later ones, in id order; ILP-1
 takes the previous server (colocation, at cost 0) first, then its DC, then
 the rest; each server's paths by (hops, latency, link ids). A branch is
 pruned once the cost held plus its path's reaches the best found. ILP-1
 tests that bound before it builds a list: it tries colocation from the
-one-server `lookahead_at`, and builds the other candidates (reach, twin
-dedupe, path search) only if a path of h links could still win, h being the
-fewest links from the previous server to another server (1 if a neighbour
-is a server, 2 otherwise). Every listed path has at least h links, so what
-the bound skips, the list's loop would have pruned.
+one-server `lookahead_at`, and builds the other candidates (the one pass,
+then the path search) only if a path of h links could still win, h being
+the fewest links from the previous server to another server (1 if a
+neighbour is a server, 2 otherwise). Every listed path has at least h
+links, so what the bound skips, the list's loop would have pruned.
 
 Searches carry an explored-node budget. A tripped budget, or a path
 enumeration that the search used and `max_paths_per_vl` truncated, is
@@ -40,7 +45,7 @@ from typing import Iterable
 
 from .nspr import SliceRequest, VlDemand, VnfDemand
 from .placement import (LATENCY_EPS, Placement, bandwidth_cost, feasible_servers,
-                        latency_reach, lookahead_at)
+                        latency_reach, lookahead_at, lookahead_units)
 from .topology import PhysicalNetwork, to_units
 
 DEFAULT_NODE_BUDGET = 200_000
@@ -119,12 +124,95 @@ def _enumerate_paths(psn: PhysicalNetwork, src: int, dsts: Iterable[int], bw: fl
     return {d: [p for _, _, p in sorted(f)] for d, f in found.items()}, truncated
 
 
+def _twin_key(psn: PhysicalNetwork, sid: int, cpu: int, ram: int) -> tuple:
+    """The class of server sid, with cpu and ram residual units, among its
+    interchangeable twins: servers of one DC with equal residuals behind the
+    same neighbours over links of equal residual and latency. Exploring one
+    of a class covers them all. A one-link server's key is flat, (DC,
+    neighbour, latency, CPU, RAM, link residual); any other's is (DC, CPU,
+    RAM, incident links as (neighbour, residual, latency)), ascending by
+    neighbour as `add_link` keeps `adj`. The two shapes never compare equal."""
+    entries = psn.adj[sid]
+    if len(entries) == 1:
+        (nbr, lid), = entries
+        return (psn.nodes[sid].dc, nbr, psn.links[lid].latency_ms, cpu, ram,
+                psn.bw_units[lid])
+    links, bw_units = psn.links, psn.bw_units
+    return (psn.nodes[sid].dc, cpu, ram,
+            tuple([(nbr, bw_units[lid], links[lid].latency_ms) for nbr, lid in entries]))
+
+
+def _dedupe(psn: PhysicalNetwork, sids: Iterable[int]) -> list[int]:
+    """sids without the twins (`_twin_key`) of a server listed before them."""
+    pos, cpu, ram = psn.index().pos, psn.cpu_units, psn.ram_units
+    kept: dict[tuple, int] = {}
+    for sid in sids:
+        p = pos[sid]
+        kept.setdefault(_twin_key(psn, sid, cpu[p], ram[p]), sid)
+    return list(kept.values())
+
+
+def _later_candidates(psn: PhysicalNetwork, request: SliceRequest, v: int, last_s: int,
+                      eff: float, dc_first: bool) -> list[int]:
+    """VNF v's candidate servers, for v > 1, in search order, one per twin
+    class (`_twin_key`): the servers of `latency_reach` from last_s within
+    eff over links that carry VL v-1 that pass `lookahead_at`'s rule. In id
+    order; with dc_first (ILP-1), last_s first, then the rest of its DC,
+    then the others. A class keeps its first server in that order.
+
+    One pass over the reach in id order decides each server's rule, from
+    thresholds read once (`lookahead_units`), and its key. Keys hold the
+    DC, so the two groups share none: each dedupes as it fills, and only
+    last_s, which heads its DC's group, can take a class from a server of
+    lower id."""
+    pos, cpu, ram, bw_units = psn.index().pos, psn.cpu_units, psn.ram_units, psn.bw_units
+    nodes, adj, links = psn.nodes, psn.adj, psn.links
+    cpu_v, ram_v, ahead = lookahead_units(request, v)
+    bw_next, cpu_both, ram_both = ahead or (0, 0, 0)
+    last_dc = nodes[last_s].dc if dc_first else None
+    head = None  # last_s's key once it passes
+    near: dict[tuple, int] = {}  # last_s's DC, with dc_first
+    far: dict[tuple, int] = {}
+    for sid in sorted(latency_reach(psn, last_s, request.vls[v - 2].bw, eff)):
+        p = pos[sid]
+        if p < 0:
+            continue
+        c, r = cpu[p], ram[p]
+        if c < cpu_v or r < ram_v:
+            continue
+        entries = adj[sid]
+        if ahead is not None and (c < cpu_both or r < ram_both):
+            for _, lid in entries:
+                if bw_units[lid] >= bw_next:
+                    break
+            else:
+                continue
+        # `_twin_key`, inline
+        dc = nodes[sid].dc
+        if len(entries) == 1:
+            (nbr, lid), = entries
+            key = (dc, nbr, links[lid].latency_ms, c, r, bw_units[lid])
+        else:
+            key = (dc, c, r, tuple([(nbr, bw_units[u], links[u].latency_ms)
+                                    for nbr, u in entries]))
+        if dc_first and dc == last_dc:
+            if sid == last_s:
+                head = key
+            elif key not in near:
+                near[key] = sid
+        elif key not in far:
+            far[key] = sid
+    if head is None:
+        return [*near.values(), *far.values()]
+    near.pop(head, None)
+    return [last_s, *near.values(), *far.values()]
+
+
 def _solve(psn: PhysicalNetwork, request: SliceRequest, *, find_optimal: bool,
            max_nodes: int | None, max_paths_per_vl: int | None) -> SolveResult:
     n = request.n_vnfs
-    idx = psn.index()
     net_nodes, links, adj = psn.nodes, psn.links, psn.adj
-    pos, cpu, ram, bw_units = idx.pos, psn.cpu_units, psn.ram_units, psn.bw_units
+    pos, cpu, ram = psn.index().pos, psn.cpu_units, psn.ram_units
 
     best_cost: float | None = None
     best_x: dict[int, int] | None = None
@@ -140,47 +228,18 @@ def _solve(psn: PhysicalNetwork, request: SliceRequest, *, find_optimal: bool,
     x: dict[int, int] = {}
     y: dict[int, tuple[int, ...]] = {}
 
-    def twin_key(sid: int) -> tuple:
-        # `add_link` keeps adj ascending by neighbour, each one distinct
-        incident = tuple([(nbr, bw_units[lid], links[lid].latency_ms)
-                          for nbr, lid in adj[sid]])
-        p = pos[sid]
-        return (net_nodes[sid].dc, cpu[p], ram[p], incident)
-
-    def dedupe(cands: list[int]) -> list[int]:
-        # same-signature servers behind the same neighbors are automorphic
-        # twins; exploring one of them covers all
-        seen: set[tuple] = set()
-        out = []
-        for sid in cands:
-            key = twin_key(sid)
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(sid)
-        return out
-
     def candidates(v: int, last_s: int, used_e2e: float,
                    vl: VlDemand) -> list[tuple[int, list[tuple[int, ...]]]]:
         """Eligible (server, feasible paths) pairs for VNF v > 1, search order."""
         nonlocal truncated_any
         eff = min(vl.budget_ms, request.e2e_budget_ms - used_e2e)
-        # every entry lies within eff; last_s, at 0, always does
-        reach = latency_reach(psn, last_s, vl.bw, eff)
-        cands = sorted([sid for sid in reach
-                        if pos[sid] >= 0 and lookahead_at(psn, request, v, sid)])
-        if find_optimal:
-            # last_s, then its DC, then the rest; the sort is stable
-            last_dc = net_nodes[last_s].dc
-            cands.sort(key=lambda sid: 0 if sid == last_s
-                       else (1 if net_nodes[sid].dc == last_dc else 2))
-        keep = set(dedupe(cands))
+        keep = _later_candidates(psn, request, v, last_s, eff, find_optimal)
         by_dst, truncated = _enumerate_paths(psn, last_s, keep, vl.bw, eff,
                                              max_paths_per_vl)
         truncated_any = truncated_any or bool(truncated)
         if last_s in keep:
             by_dst[last_s] = [()]
-        return [(sid, by_dst[sid]) for sid in cands if sid in by_dst]
+        return [(sid, by_dst[sid]) for sid in keep if sid in by_dst]
 
     def branch(v: int, sid: int, path: tuple[int, ...], d: VnfDemand, bw: float,
                used_e2e: float, committed: float) -> None:
@@ -224,7 +283,7 @@ def _solve(psn: PhysicalNetwork, request: SliceRequest, *, find_optimal: bool,
             # depth-invariant: deeper, residuals and demands drop by what is
             # held. A root branch holds no cost, and a zero best ends the search
             if sum(cpu) >= need_cpu and sum(ram) >= need_ram:
-                for sid in dedupe(feasible_servers(psn, request, 1, None)):
+                for sid in _dedupe(psn, feasible_servers(psn, request, 1, None)):
                     branch(1, sid, (), d, 0.0, 0.0, 0.0)
             return
         vl = vls[v - 2]

@@ -420,24 +420,36 @@ def _has_uplink(psn: PhysicalNetwork, server_id: int, need: int) -> bool:
     return False
 
 
+def lookahead_units(request: SliceRequest, v: int
+                    ) -> tuple[int, int, tuple[int, int, int] | None]:
+    """The thresholds of the lookahead rule for VNF v, in residual units:
+    VNF v's CPU and RAM and, before the final VNF, (VL v's bandwidth, the
+    CPU and RAM of VNFs v and v+1 together); None at the final VNF. Every
+    reader of the rule takes them from here. It indexes the demand tuples
+    without `request.vnf`'s range check."""
+    vnfs = request.vnfs
+    cpu_v, ram_v = vnfs[v - 1].units
+    if v == len(vnfs):
+        return cpu_v, ram_v, None
+    cpu_next, ram_next = vnfs[v].units
+    return cpu_v, ram_v, (request.vls[v - 1].bw_units, cpu_v + cpu_next, ram_v + ram_next)
+
+
 def lookahead_at(psn: PhysicalNetwork, request: SliceRequest, v: int,
                  server_id: int) -> bool:
     """Whether server server_id may host VNF v, for v in 1..n: it has room
     for VNF v and, before the final VNF, room for VNF v+1 too or an incident
-    link that can carry VL v. The one lookahead rule of P2C and the exact
-    search, from scalar reads; both ask it on every later VNF, so it indexes
-    the demand tuples without `request.vnf`'s range check."""
+    link that can carry VL v (thresholds from `lookahead_units`). The one
+    lookahead rule of P2C and the exact search, from scalar reads."""
     p = psn.index().pos[server_id]
-    vnfs = request.vnfs
-    cpu_v, ram_v = vnfs[v - 1].units
+    cpu_v, ram_v, ahead = lookahead_units(request, v)
     cpu, ram = psn.cpu_units[p], psn.ram_units[p]
     if cpu < cpu_v or ram < ram_v:
         return False
-    if v == len(vnfs):
+    if ahead is None:
         return True
-    cpu_next, ram_next = vnfs[v].units
-    return ((cpu >= cpu_v + cpu_next and ram >= ram_v + ram_next)
-            or _has_uplink(psn, server_id, request.vls[v - 1].bw_units))
+    bw_next, cpu_both, ram_both = ahead
+    return (cpu >= cpu_both and ram >= ram_both) or _has_uplink(psn, server_id, bw_next)
 
 
 def _root_groups(psn: PhysicalNetwork, request: SliceRequest,
@@ -581,11 +593,7 @@ def feasible_servers(psn: PhysicalNetwork, request: SliceRequest, v: int,
         raise ValueError(f"VNF index {v} outside chain 1..{n}")
     idx = psn.index()
     servers, tier_rank = idx.servers, idx.tier_rank
-    cpu_v, ram_v = vnfs[v - 1].units
-    ahead = None  # VL v's bandwidth, and the units VNFs v and v+1 take together
-    if v < n:
-        cpu_next, ram_next = vnfs[v].units
-        ahead = (vls[v - 1].bw_units, cpu_v + cpu_next, ram_v + ram_next)
+    cpu_v, ram_v, ahead = lookahead_units(request, v)
 
     if v == 1:
         reach_bw = pin = pin_key = None

@@ -246,8 +246,12 @@ class StructureIndex(NamedTuple):
     pos: tuple[int, ...]
     # node id -> rank of its DC's tier in TIER_ORDER, len(TIER_ORDER) outside any DC
     tier_rank: tuple[int, ...]
-    # by server position: node id
+    # by server position: node id, and CPU and RAM capacity in units
     id: np.ndarray
+    cpu_cap: tuple[int, ...]
+    ram_cap: tuple[int, ...]
+    # by link id: bandwidth capacity in units, -1 without accounting
+    bw_cap: tuple[int, ...]
     # the one-link servers as runs, ascending (see `Run`), and for each
     # anchor (a node across some server's one link, a star DC's switch)
     # (uplink latency, index) of its runs, ascending by index
@@ -446,6 +450,10 @@ class PhysicalNetwork:
             pos=tuple(pos),
             tier_rank=tier_rank,
             id=np.array([s.id for s in servers], dtype=np.intp),
+            cpu_cap=tuple([to_units(s.cpu_capacity) for s in servers]),
+            ram_cap=tuple([to_units(s.ram_capacity) for s in servers]),
+            bw_cap=tuple([-1 if link.bw_capacity is None else to_units(link.bw_capacity)
+                          for link in self.links]),
             runs=tuple([Run(*run) for run in runs]),
             anchor_runs={u: tuple(ks) for u, ks in anchor_runs.items()},
             off_run=tuple(off_run),
@@ -532,7 +540,9 @@ class PhysicalNetwork:
         # the checks of `_pos` and `_link_units` and the log of `_set`, inline:
         # every departure of a run writes through here
         cpu_units, ram_units, bw_units = self.cpu_units, self.ram_units, self.bw_units
-        pos, nodes, n_links = self.index().pos, self.nodes, len(self.links)
+        idx = self.index()
+        pos, cpu_cap, ram_cap, bw_cap = idx.pos, idx.cpu_cap, idx.ram_cap, idx.bw_cap
+        n_links = len(self.links)
         writes = []
         for sid, (cpu, ram) in servers.items():
             p = pos[sid] if 0 <= sid < len(pos) else -1
@@ -543,8 +553,7 @@ class PhysicalNetwork:
                 if new_cpu < 0 or new_ram < 0:
                     raise CapacityError(f"server {sid}: need {cpu / SCALE}/{ram / SCALE}, "
                                         f"free {cpu_units[p] / SCALE}/{ram_units[p] / SCALE}")
-            elif (new_cpu > to_units(nodes[sid].cpu_capacity)
-                  or new_ram > to_units(nodes[sid].ram_capacity)):
+            elif new_cpu > cpu_cap[p] or new_ram > ram_cap[p]:
                 raise ReleaseError(f"server {sid}: release exceeds capacity")
             writes += ((cpu_units, p, new_cpu), (ram_units, p, new_ram))
         for lid, bw in links.items():
@@ -557,7 +566,7 @@ class PhysicalNetwork:
             if sign < 0:
                 if new < 0:
                     raise CapacityError(f"link {lid}: need {bw / SCALE}, free {free / SCALE}")
-            elif new > to_units(self.links[lid].bw_capacity):
+            elif new > bw_cap[lid]:
                 raise ReleaseError(f"link {lid}: release exceeds capacity")
             writes.append((bw_units, lid, new))
         if self._marks:
@@ -661,16 +670,16 @@ class PhysicalNetwork:
         id order, every switch and UAP entry names a node of that kind, no
         UAP is listed twice, and the graph is connected."""
         dc_servers: dict[str, list[int]] = {dc_id: [] for dc_id in self.data_centers}
-        for p, s in enumerate(self.servers()):
-            if not (0 <= self.cpu_units[p] <= to_units(s.cpu_capacity)
-                    and 0 <= self.ram_units[p] <= to_units(s.ram_capacity)):
+        idx = self.index()
+        for p, s in enumerate(idx.servers):
+            if not (0 <= self.cpu_units[p] <= idx.cpu_cap[p]
+                    and 0 <= self.ram_units[p] <= idx.ram_cap[p]):
                 raise TopologyError(f"server {s.id}: residual out of bounds")
             if s.dc not in dc_servers:
                 raise TopologyError(f"server {s.id} belongs to no data center")
             dc_servers[s.dc].append(s.id)
         for link in self.links:
-            units = self.bw_units[link.id]
-            cap = -1 if link.bw_capacity is None else to_units(link.bw_capacity)
+            units, cap = self.bw_units[link.id], idx.bw_cap[link.id]
             if not (units == cap == -1 or 0 <= units <= cap):
                 raise TopologyError(f"link {link.id}: bandwidth residual out of bounds "
                                     f"or without a capacity")
@@ -753,7 +762,7 @@ class PhysicalNetwork:
                     cpu, ram, cpu_res, ram_res = (
                         typed(n[key], float, f"node {i} {key}")
                         for key in ("cpu_capacity", "ram_capacity", "cpu_residual", "ram_residual"))
-                    # `validate` converts the capacities
+                    # `validate` converts the capacities, building the index
                     net._append(Server(**fields, cpu_capacity=cpu, ram_capacity=ram),
                                 to_units(cpu_res), to_units(ram_res))
                 else:

@@ -11,6 +11,8 @@ find what it finds for every destination.
 `plain_reach`, `plain_hop_path`, `lookahead`, `scan_feasible_servers` and
 `narrow_to_best_tier` are plain one-pass versions of P2C's reach search,
 hop search, lookahead rule, eligibility and tier narrowing.
+`exact_candidates` builds the exact search's later-VNF list from them, pass
+by pass, and `plain_dedupe` drops twin servers by their incident links.
 `reference_place` and `reference_release` build whole P2C episodes from
 them, writing the residual arrays directly, with no transaction and no
 numpy view. `loaded_substrates` draws the small random substrates they run
@@ -294,6 +296,38 @@ def scan_feasible_servers(net: PhysicalNetwork, request, v: int, last_s: int | N
         elif fits(net, srv.id, d_v.cpu, d_v.ram):
             out.append(srv.id)
     return out
+
+
+def plain_dedupe(net: PhysicalNetwork, candidates: list[int]) -> list[int]:
+    """Reference twin dedupe: keep each server whose (DC, CPU, RAM, incident
+    links as (neighbour, residual, latency)) no server before it shares."""
+    seen, out = set(), []
+    for sid in candidates:
+        key = (net.nodes[sid].dc, net.residual(sid),
+               tuple(sorted((nbr, net.bw_residual(lid), net.links[lid].latency_ms)
+                            for nbr, lid in net.adj[sid])))
+        if key not in seen:
+            seen.add(key)
+            out.append(sid)
+    return out
+
+
+def exact_candidates(net: PhysicalNetwork, request, v: int, last_s: int, budget_ms: float,
+                     dc_first: bool) -> list[int]:
+    """Reference for the exact search's VNF-v list, v > 1: the servers of
+    `plain_reach` from last_s within budget_ms over links that carry VL v-1,
+    in id order, that pass `lookahead`; with dc_first, regrouped as ILP-1
+    searches (last_s, then the rest of its DC, then the others); then
+    `plain_dedupe`."""
+    reach = plain_reach(net, last_s, request.vl(v - 1).bw, budget_ms)
+    cands = [sid for sid in sorted(reach)
+             if isinstance(net.nodes[sid], Server) and lookahead(net, request, v, sid)]
+    if dc_first:
+        dc = net.nodes[last_s].dc
+        cands = ([sid for sid in cands if sid == last_s]
+                 + [sid for sid in cands if sid != last_s and net.nodes[sid].dc == dc]
+                 + [sid for sid in cands if net.nodes[sid].dc != dc])
+    return plain_dedupe(net, cands)
 
 
 LINK_LATENCIES = [0.0, 0.1, 0.33, 0.5, 1.0]

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 import random
 
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sliceplace.exact import SolveStatus, _enumerate_paths, solve_ilp1, solve_ilp2
-from sliceplace import exact
+from sliceplace import exact, sim
 from sliceplace.nspr import DEFAULT_CATALOG, SliceClass, VnfDemand, make_request
 from sliceplace.p2c import DrawStream, OutcomeStatus, Policy
 from sliceplace.p2c import place as p2c_place
@@ -19,7 +21,8 @@ from sliceplace.topology import (DCKind, LinkKind, NodeKind, PhysicalNetwork,
                                  TopologyParams, build_reference_psn)
 
 from conftest import make_pair, make_single_dc
-from oracles import LINK_BWS, InstanceTooLargeError, brute_force, loaded_substrates, paths_to
+from oracles import (LINK_BWS, InstanceTooLargeError, brute_force, exact_candidates,
+                     loaded_substrates, paths_to, plain_dedupe, scan_feasible_servers)
 from test_placement import link_id
 
 SHORT_CATALOG = {
@@ -145,6 +148,44 @@ class TestPathSearch:
             for dst in (e1, c0):
                 assert (by_dst[dst], dst in truncated) == \
                        paths_to(net, e0, dst, 1.0, 1.0, max_paths)
+
+
+class TestCandidateList:
+    """The exact search's candidate lists, built in one pass, are the lists
+    the plain passes build one after another: reach, lookahead, ILP-1's
+    grouping and the incident-link twin dedupe. Same servers, same order,
+    same representatives."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(loaded_substrates(), st.data())
+    def test_matches_the_passes(self, net, data):
+        req = make_request(data.draw(st.sampled_from(list(SliceClass))),
+                           net.uaps[data.draw(st.integers(0, len(net.uaps) - 1))])
+        assert exact._dedupe(net, feasible_servers(net, req, 1, None)) == \
+               plain_dedupe(net, scan_feasible_servers(net, req, 1, None, 0.0))
+        # from the whole budget down to none: the reach shrinks, and the
+        # latency slack may undercut the VL budget
+        spent = [0.0, req.alpha_max_ms, req.e2e_budget_ms - req.vls[0].budget_ms / 2,
+                 req.e2e_budget_ms]
+        used = data.draw(st.lists(st.sampled_from(spent), min_size=2, max_size=2, unique=True))
+        for v in range(2, req.n_vnfs + 1):
+            vl = req.vl(v - 1)
+            for last_s in (s.id for s in net.servers()):
+                for used_e2e in used:
+                    eff = min(vl.budget_ms, req.e2e_budget_ms - used_e2e)
+                    for dc_first in (True, False):
+                        assert exact._later_candidates(net, req, v, last_s, eff, dc_first) == \
+                               exact_candidates(net, req, v, last_s, eff, dc_first)
+
+    def test_last_s_takes_its_class_from_a_lower_id(self):
+        """a and b are twins and a has the lower id: ILP-2's list keeps a,
+        ILP-1's keeps b, which it searches first."""
+        net = make_single_dc(servers=2)
+        a, b = sorted(net.data_centers["dc0"].servers)
+        req = make_request(SliceClass.BEST_EFFORT, net.uaps[0])
+        assert exact._later_candidates(net, req, 2, b, 1.0, False) == [a]
+        assert exact._later_candidates(net, req, 2, b, 1.0, True) == [b]
+        assert exact_candidates(net, req, 2, b, 1.0, True) == [b]
 
 
 class TestPathLimit:
@@ -465,3 +506,44 @@ class TestHeuristicDominance:
                 assert exact.status is SolveStatus.OPTIMAL
                 assert outcome.cost >= exact.objective - 1e-9
         assert accepted >= 20
+
+
+def search_records(monkeypatch, scale: int, horizon: float) -> list[tuple]:
+    """(status, objective, nodes explored, deepest feasible VNF) of ILP-2
+    and then ILP-1 on each request of a seeded ILP-1 run, MIX at rho 1, on
+    the state the request met. ILP-1's result drives the run."""
+    records = []
+
+    def solve(net, request, **kwargs):
+        for solver in (exact.solve_ilp2, exact.solve_ilp1):
+            res = solver(net, request, **kwargs)
+            records.append((res.status.value, res.objective, res.nodes_explored,
+                            res.deepest_feasible_vnf))
+        return res
+
+    monkeypatch.setattr(sim, "solve_ilp1", solve)
+    sim.run(build_reference_psn(scale), sim.Scenario.named("MIX", 1.0, horizon=horizon),
+            "ilp-1", 3)
+    return records
+
+
+# scale -> (horizon, solves, ILP-2 nodes, ILP-1 nodes, sha256 of the
+# records' JSON), as the search explored them before its candidate list was
+# built in one pass. The results digests see only placements; these see the
+# search: a twin representative or candidate order that changes which
+# branches are explored changes them.
+SEARCH_GOLDEN = {
+    1: (400.0, 363, 1453, 1970, "f64c85ebf3b3e15379885768a03736223fc92f4c48355cd60afa0eb8c006f6d0"),
+    2: (200.0, 363, 1628, 2633, "aa7953f12ac6b8035391e99ecba98ba63c9a009c43b98f4bef4462fd641ba72a"),
+}
+
+
+class TestSearchGolden:
+    @pytest.mark.parametrize("scale", sorted(SEARCH_GOLDEN))
+    def test_node_counts_pinned(self, monkeypatch, scale):
+        horizon, *want = SEARCH_GOLDEN[scale]
+        records = search_records(monkeypatch, scale, horizon)
+        got = [len(records) // 2, sum(r[2] for r in records[::2]),
+               sum(r[2] for r in records[1::2]),
+               hashlib.sha256(json.dumps(records).encode()).hexdigest()]
+        assert got == want
