@@ -17,18 +17,32 @@ search order is searched. A later VNF's list (`_later_candidates`) is
 built in one pass over the reach, in id order, that decides each server's
 rule from thresholds read once per list (`lookahead_units`), its twin
 class and its group in the search order. Each search frame holds its VNF
-and path in a substrate transaction it rolls back.
+and path in residual units, through one `PhysicalNetwork.hold`, in a
+substrate transaction it rolls back; a solve converts the chain's demands
+to units once, and a path's latency is the one its enumeration summed.
 
 Search order: VNF-1 candidates, and ILP-2's later ones, in id order; ILP-1
 takes the previous server (colocation, at cost 0) first, then its DC, then
 the rest; each server's paths by (hops, latency, link ids). A branch is
 pruned once the cost held plus its path's reaches the best found. ILP-1
-tests that bound before it builds a list: it tries colocation from the
-one-server `lookahead_at`, and builds the other candidates (the one pass,
-then the path search) only if a path of h links could still win, h being
-the fewest links from the previous server to another server (1 if a
-neighbour is a server, 2 otherwise). Every listed path has at least h
-links, so what the bound skips, the list's loop would have pruned.
+tests that bound before it builds a list: it tries colocation by the
+lookahead rule on the previous server alone (thresholds read once per
+solve), and builds the other candidates (the one pass, then the path
+search) only if a path of h links could still win, h being the fewest
+links from the previous server to another server (1 if a neighbour is a
+server, 2 otherwise). Every listed path has at least h links, so what the
+bound skips, the list's loop would have pruned.
+
+ILP-1's colocated tail in closed form: when colocation at VNF v may still
+win and the previous server has room for VNFs v..n together, the frames'
+next leaf puts all of them there with empty paths at the cost held, the
+lookahead passing at every level; after it the bound prunes every sibling
+up to level v. That leaf is recorded directly, with the n - v + 1 nodes
+and the deepest VNF the frames would count, and ends level v (a leaf at
+its subtree's lower bound ends the subtree: A. H. Land and A. G. Doig,
+"An Automatic Method of Solving Discrete Programming Problems",
+Econometrica 28(3), 1960). Where those nodes would trip the budget the
+frames run instead, so BUDGET_EXCEEDED is reported as they report it.
 
 Searches carry an explored-node budget. A tripped budget, or a path
 enumeration that the search used and `max_paths_per_vl` truncated, is
@@ -43,9 +57,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
-from .nspr import SliceRequest, VlDemand, VnfDemand
+from .nspr import SliceRequest, VlDemand
 from .placement import (LATENCY_EPS, Placement, bandwidth_cost, feasible_servers,
-                        latency_reach, lookahead_at, lookahead_units)
+                        latency_reach, lookahead_units)
 from .topology import PhysicalNetwork, to_units
 
 DEFAULT_NODE_BUDGET = 200_000
@@ -77,10 +91,11 @@ class _FoundFeasible(Exception):
 
 def _enumerate_paths(psn: PhysicalNetwork, src: int, dsts: Iterable[int], bw: float,
                      budget_ms: float, max_paths: int | None
-                     ) -> tuple[dict[int, list[tuple[int, ...]]], set[int]]:
+                     ) -> tuple[dict[int, list[tuple[tuple[int, ...], float]]], set[int]]:
     """All simple paths from src to each node of dsts (src excluded) over
     links with residual >= bw and total latency within budget, from one
-    search. Each destination's paths are ordered by (hops, latency, link
+    search, each as (link ids, latency), the latency summed first link to
+    last. Each destination's paths are ordered by (hops, latency, link
     ids); destinations without a path are left out. With max_paths a
     destination keeps the first max_paths paths in search order and is
     reported as truncated."""
@@ -121,7 +136,7 @@ def _enumerate_paths(psn: PhysicalNetwork, src: int, dsts: Iterable[int], bw: fl
     if open_dsts:
         dfs(src, 0.0)
     del dfs  # it refers to itself through its cell: see the note in _solve
-    return {d: [p for _, _, p in sorted(f)] for d, f in found.items()}, truncated
+    return {d: [(p, lat) for _, lat, p in sorted(f)] for d, f in found.items()}, truncated
 
 
 def _twin_key(psn: PhysicalNetwork, sid: int, cpu: int, ram: int) -> tuple:
@@ -211,8 +226,8 @@ def _later_candidates(psn: PhysicalNetwork, request: SliceRequest, v: int, last_
 def _solve(psn: PhysicalNetwork, request: SliceRequest, *, find_optimal: bool,
            max_nodes: int | None, max_paths_per_vl: int | None) -> SolveResult:
     n = request.n_vnfs
-    net_nodes, links, adj = psn.nodes, psn.links, psn.adj
-    pos, cpu, ram = psn.index().pos, psn.cpu_units, psn.ram_units
+    net_nodes, adj = psn.nodes, psn.adj
+    pos, cpu, ram, bw_units = psn.index().pos, psn.cpu_units, psn.ram_units, psn.bw_units
 
     best_cost: float | None = None
     best_x: dict[int, int] | None = None
@@ -222,15 +237,24 @@ def _solve(psn: PhysicalNetwork, request: SliceRequest, *, find_optimal: bool,
     truncated_any = False
 
     vnfs, vls = request.vnfs, request.vls
-    need_cpu = sum(to_units(d.cpu) for d in vnfs)
-    need_ram = sum(to_units(d.ram) for d in vnfs)
+    # per VNF v, what its frame holds: CPU, RAM and VL v-1's bandwidth
+    # units; and the CPU and RAM units of VNFs v..n together
+    need = [(*vnfs[0].units, 0)] + [(*d.units, vl.bw_units) for d, vl in zip(vnfs[1:], vls)]
+    tail_cpu, tail_ram = [0] * (n + 2), [0] * (n + 2)
+    for v in range(n, 0, -1):
+        tail_cpu[v] = tail_cpu[v + 1] + need[v - 1][0]
+        tail_ram[v] = tail_ram[v + 1] + need[v - 1][1]
+    # VNF v -> its lookahead thresholds, read once per solve by ILP-1's
+    # colocation try
+    rules: dict[int, tuple] = {}
 
     x: dict[int, int] = {}
     y: dict[int, tuple[int, ...]] = {}
 
-    def candidates(v: int, last_s: int, used_e2e: float,
-                   vl: VlDemand) -> list[tuple[int, list[tuple[int, ...]]]]:
-        """Eligible (server, feasible paths) pairs for VNF v > 1, search order."""
+    def candidates(v: int, last_s: int, used_e2e: float, vl: VlDemand
+                   ) -> list[tuple[int, list[tuple[tuple[int, ...], float]]]]:
+        """Eligible (server, feasible (path, latency) pairs) for VNF v > 1,
+        in search order."""
         nonlocal truncated_any
         eff = min(vl.budget_ms, request.e2e_budget_ms - used_e2e)
         keep = _later_candidates(psn, request, v, last_s, eff, find_optimal)
@@ -238,18 +262,18 @@ def _solve(psn: PhysicalNetwork, request: SliceRequest, *, find_optimal: bool,
                                              max_paths_per_vl)
         truncated_any = truncated_any or bool(truncated)
         if last_s in keep:
-            by_dst[last_s] = [()]
+            by_dst[last_s] = [((), 0.0)]
         return [(sid, by_dst[sid]) for sid in keep if sid in by_dst]
 
-    def branch(v: int, sid: int, path: tuple[int, ...], d: VnfDemand, bw: float,
-               used_e2e: float, committed: float) -> None:
-        """Hold VNF v on sid and VL v-1 on path, search on, roll back."""
+    def branch(v: int, sid: int, path: tuple[int, ...], lat: float, used_e2e: float,
+               committed: float) -> None:
+        """Hold VNF v on sid and VL v-1 on path, of latency lat, search on,
+        roll back."""
         nonlocal deepest
         mark = psn.begin()
         try:
-            psn.allocate(sid, d.cpu, d.ram)
-            for lid in path:
-                psn.allocate_bw(lid, bw)
+            cpu_v, ram_v, bw_v = need[v - 1]
+            psn.hold(sid, cpu_v, ram_v, path, bw_v)
             # a frame overwrites its own keys and a leaf reads keys 1..n of
             # its path only, so nothing is popped on the way back
             x[v] = sid
@@ -257,8 +281,7 @@ def _solve(psn: PhysicalNetwork, request: SliceRequest, *, find_optimal: bool,
                 next_e2e = psn.access_latency(request.uap, net_nodes[sid].dc)
             else:
                 y[v - 1] = path
-                next_e2e = (used_e2e + sum(links[lid].latency_ms for lid in path)
-                            if path else used_e2e)
+                next_e2e = used_e2e + lat
             if v > deepest:
                 deepest = v
             expand(v + 1, sid, next_e2e, committed)
@@ -266,7 +289,7 @@ def _solve(psn: PhysicalNetwork, request: SliceRequest, *, find_optimal: bool,
             psn.rollback(mark)
 
     def expand(v: int, last_s: int | None, used_e2e: float, committed: float) -> None:
-        nonlocal nodes, best_cost, best_x, best_y
+        nonlocal nodes, best_cost, best_x, best_y, deepest
         nodes += 1
         if max_nodes is not None and nodes > max_nodes:
             raise _BudgetExhausted
@@ -278,24 +301,51 @@ def _solve(psn: PhysicalNetwork, request: SliceRequest, *, find_optimal: bool,
             if not find_optimal or best_cost == 0.0:
                 raise _FoundFeasible
             return
-        d = vnfs[v - 1]
         if v == 1:
             # depth-invariant: deeper, residuals and demands drop by what is
             # held. A root branch holds no cost, and a zero best ends the search
-            if sum(cpu) >= need_cpu and sum(ram) >= need_ram:
+            if sum(cpu) >= tail_cpu[1] and sum(ram) >= tail_ram[1]:
                 for sid in _dedupe(psn, feasible_servers(psn, request, 1, None)):
-                    branch(1, sid, (), d, 0.0, 0.0, 0.0)
+                    branch(1, sid, (), 0.0, 0.0, 0.0)
             return
         vl = vls[v - 2]
         bw = vl.bw
         tried = False
         if find_optimal:
-            # ILP-1's list heads with last_s, at cost 0, exactly when last_s
-            # passes the lookahead: try it before building the list
-            if (best_cost is None or committed < best_cost) and \
-                    lookahead_at(psn, request, v, last_s):
-                branch(v, last_s, (), d, bw, used_e2e, committed)
-                tried = True
+            if best_cost is None or committed < best_cost:
+                p = pos[last_s]
+                c, r = cpu[p], ram[p]
+                if c >= tail_cpu[v] and r >= tail_ram[v] and \
+                        (max_nodes is None or nodes + n - v + 1 <= max_nodes):
+                    # the colocated tail in closed form (module docstring)
+                    nodes += n - v + 1
+                    deepest = n
+                    for k in range(v, n + 1):
+                        x[k] = last_s
+                        y[k - 1] = ()
+                    best_cost = committed
+                    best_x = dict(x)
+                    best_y = {i: list(q) for i, q in y.items()}
+                    if committed == 0.0:
+                        raise _FoundFeasible
+                    return
+                # ILP-1's list heads with last_s, at cost 0, exactly when
+                # last_s passes the lookahead: try it before building the list
+                rule = rules.get(v)
+                if rule is None:
+                    rule = rules[v] = lookahead_units(request, v)
+                cpu_v, ram_v, ahead = rule
+                look = c >= cpu_v and r >= ram_v
+                if look and ahead is not None and (c < ahead[1] or r < ahead[2]):
+                    bw_next = ahead[0]
+                    for _, lid in adj[last_s]:
+                        if bw_units[lid] >= bw_next:
+                            break
+                    else:
+                        look = False
+                if look:
+                    branch(v, last_s, (), 0.0, used_e2e, committed)
+                    tried = True
             if best_cost is not None:
                 # every other server is at least h links away, so no path of
                 # the list could beat the best
@@ -305,11 +355,11 @@ def _solve(psn: PhysicalNetwork, request: SliceRequest, *, find_optimal: bool,
         for sid, paths in candidates(v, last_s, used_e2e, vl):
             if tried and sid == last_s:
                 continue  # its subtree rolled back, so the rest of the list is as before
-            for path in paths:
+            for path, lat in paths:
                 cost = committed + len(path) * bw
                 if best_cost is not None and cost >= best_cost:
                     break  # paths sorted by hops; the rest cost at least this much
-                branch(v, sid, path, d, bw, used_e2e, cost)
+                branch(v, sid, path, lat, used_e2e, cost)
 
     status = SolveStatus.OPTIMAL
     try:

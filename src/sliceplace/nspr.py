@@ -67,6 +67,16 @@ class ClassSpec:
             return self.e2e_budget_ms
         return self.alpha_max_ms + sum(self.vl_budgets_ms)
 
+    @functools.cached_property
+    def chain(self) -> tuple[tuple[VnfDemand, ...], tuple[VlDemand, ...], float]:
+        """The VNF and VL demand tuples and the effective end-to-end budget
+        of this spec's requests, built on first use and shared by all of
+        them."""
+        vnfs = tuple(VnfDemand(self.cpu_per_vnf, self.ram_per_vnf)
+                     for _ in range(self.chain_length))
+        vls = tuple(VlDemand(self.bw_per_vl, b) for b in self.vl_budgets_ms)
+        return vnfs, vls, self.effective_e2e_ms()
+
 
 DEFAULT_CATALOG: Mapping[SliceClass, ClassSpec] = {
     SliceClass.BEST_EFFORT: ClassSpec(
@@ -150,24 +160,13 @@ class SliceRequest:
         return self.vls[i - 1]
 
 
-@functools.lru_cache(maxsize=256)
-def _demands(spec: ClassSpec) -> tuple[tuple[VnfDemand, ...], tuple[VlDemand, ...]]:
-    """A spec's VNF and VL demand tuples, built once and shared by every
-    request of that spec (and of any spec equal to it)."""
-    vnfs = tuple(VnfDemand(spec.cpu_per_vnf, spec.ram_per_vnf)
-                 for _ in range(spec.chain_length))
-    vls = tuple(VlDemand(spec.bw_per_vl, b) for b in spec.vl_budgets_ms)
-    return vnfs, vls
-
-
 def make_request(cls: SliceClass, uap: int, *, request_id: int = 0,
                  arrival_time: float = 0.0, holding_time: float = 0.0,
                  catalog: Mapping[SliceClass, ClassSpec] = DEFAULT_CATALOG) -> SliceRequest:
     spec = catalog[cls]
-    vnfs, vls = _demands(spec)
+    vnfs, vls, e2e_budget_ms = spec.chain
     return SliceRequest(id=request_id, cls=cls, uap=uap, vnfs=vnfs, vls=vls,
-                        alpha_max_ms=spec.alpha_max_ms,
-                        e2e_budget_ms=spec.effective_e2e_ms(),
+                        alpha_max_ms=spec.alpha_max_ms, e2e_budget_ms=e2e_budget_ms,
                         arrival_time=arrival_time, holding_time=holding_time)
 
 

@@ -172,14 +172,14 @@ def place(psn: PhysicalNetwork, request: SliceRequest, policy: Policy,
                 else:
                     chosen, path = s2, p2
 
-            d = request.vnf(v)
-            psn.allocate(chosen, d.cpu, d.ram)
+            cpu, ram = request.vnfs[v - 1].units
             if v == 1:
+                psn.hold(chosen, cpu, ram, path, 0)
                 used_e2e = psn.access_latency(request.uap, psn.nodes[chosen].dc)
             else:
-                vl = request.vl(v - 1)
+                vl = request.vls[v - 2]
+                psn.hold(chosen, cpu, ram, path, vl.bw_units)
                 for lid in path:
-                    psn.allocate_bw(lid, vl.bw)
                     used_e2e += psn.links[lid].latency_ms
                 y[v - 1] = path
                 cost += len(path) * vl.bw

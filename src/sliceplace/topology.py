@@ -22,7 +22,7 @@ from array import array
 from bisect import insort
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Mapping, NamedTuple
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -286,12 +286,15 @@ class PhysicalNetwork:
     `cpu_units` and `ram_units` by server position, and `bw_units` by link
     id, -1 where a link has no bandwidth accounting. Scalar readers index
     them; `vectors()` gives zero-copy numpy views. Residuals change only
-    through `allocate`/`allocate_bw`, one demand at a time, and
-    `write_units`, which takes or returns a whole placement's summed units
-    (`release`/`release_bw` return one demand through it); inside a
-    (nestable) transaction, `mark = begin()` then `commit(mark)` or
-    `rollback(mark)`, each write logs (array, slot, old units) for a
-    rollback to write back.
+    through two unit-level writes, each of which checks every slot before
+    it writes one: `hold`, which takes one VNF's units on a server and one
+    VL's on each link of a path (the exact search's frames and P2C's
+    per-VNF step hold through it; `allocate` takes a VNF's demand through
+    it, `allocate_bw` one link's), and `write_units`, which takes or
+    returns a whole placement's summed units (`release`/`release_bw`
+    return one demand through it). Inside a (nestable) transaction,
+    `mark = begin()` then `commit(mark)` or `rollback(mark)`, each write
+    logs (array, slot, old units) for a rollback to write back.
     `snapshot`/`restore` copy the arrays whole.
 
     `index()` returns the one `StructureIndex`, built in one pass on first
@@ -501,14 +504,44 @@ class PhysicalNetwork:
             self._undo.append((store, i, store[i]))
         store[i] = units
 
-    def allocate(self, server_id: int, cpu: float, ram: float) -> None:
-        need_cpu, need_ram, p = to_units(cpu), to_units(ram), self._pos(server_id)
-        free_cpu, free_ram = self.cpu_units[p], self.ram_units[p]
-        if free_cpu < need_cpu or free_ram < need_ram:
-            raise CapacityError(f"server {server_id}: need {cpu}/{ram}, "
+    def hold(self, server_id: int, cpu: int, ram: int, path: Sequence[int], bw: int) -> None:
+        """Take whole, non-negative units: a VNF's CPU and RAM on server
+        server_id and a VL's bandwidth `bw` on each link of path, whose
+        links are distinct (a simple path). Every slot is checked before any
+        is written, so a refusal writes nothing: TopologyError for a node
+        that is not a server or a link unknown or without bandwidth
+        accounting, CapacityError when a slot is short. Each write logs as
+        `_set` logs."""
+        pos = self.index().pos
+        p = pos[server_id] if 0 <= server_id < len(pos) else -1
+        if p < 0:
+            raise TopologyError(f"node {server_id} is not a server")
+        cpu_units, ram_units, bw_units = self.cpu_units, self.ram_units, self.bw_units
+        free_cpu, free_ram = cpu_units[p], ram_units[p]
+        if free_cpu < cpu or free_ram < ram:
+            raise CapacityError(f"server {server_id}: need {cpu / SCALE}/{ram / SCALE}, "
                                 f"free {free_cpu / SCALE}/{free_ram / SCALE}")
-        self._set(self.cpu_units, p, free_cpu - need_cpu)
-        self._set(self.ram_units, p, free_ram - need_ram)
+        n_links = len(bw_units)
+        for lid in path:
+            if not 0 <= lid < n_links:
+                raise TopologyError(f"unknown link id {lid}")
+            free = bw_units[lid]
+            if free < bw:
+                if free < 0:
+                    raise TopologyError(f"link {lid} carries no bandwidth accounting")
+                raise CapacityError(f"link {lid}: need {bw / SCALE}, free {free / SCALE}")
+        if self._marks:
+            undo = self._undo
+            undo += ((cpu_units, p, free_cpu), (ram_units, p, free_ram))
+            undo += [(bw_units, lid, bw_units[lid]) for lid in path]
+        cpu_units[p] = free_cpu - cpu
+        ram_units[p] = free_ram - ram
+        for lid in path:
+            bw_units[lid] -= bw
+
+    def allocate(self, server_id: int, cpu: float, ram: float) -> None:
+        """Take one VNF's CPU units and GB on a server (`hold`, no path)."""
+        self.hold(server_id, to_units(cpu), to_units(ram), (), 0)
 
     def release(self, server_id: int, cpu: float, ram: float) -> None:
         self.write_units(1, {server_id: (to_units(cpu), to_units(ram))}, {})

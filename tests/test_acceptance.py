@@ -1,4 +1,4 @@
-"""Acceptance gate: eight checks, one PASS/FAIL line each.
+"""Acceptance gate: nine checks, one PASS/FAIL line each.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see every line as it
 completes. Each check states its claim, tolerance, and measured values, then
@@ -28,6 +28,9 @@ from oracles import brute_force
 from test_exact import tiny_instance
 
 Z95 = statistics.NormalDist().inv_cdf(0.95)  # one-sided
+# one-sided 95 % Student t quantile for four degrees of freedom: five paired
+# seeds are too few for the normal quantile
+T95_4 = 2.132
 
 
 def report(label: str, ok: bool, detail: str) -> None:
@@ -288,3 +291,26 @@ def test_a8_determinism_and_conservation(ref_net):
     report("A8 determinism and conservation", deterministic and conserved,
            f"rerun byte-identical={deterministic}; 2000-tu MIX audit run: "
            f"{rep.arrivals} arrivals, {rep.accepted} accepted, all re-checked")
+
+
+def test_a9_p2c_blocks_less_than_online_ilp(ref_net):
+    """The paper's headline: at rho=1, scale 1, both P2C policies block
+    less than the online ILP-1 in every named scenario, over five paired
+    seeds. ILP-1 colocates each chain at cost 0, which fills the UAP's EDC
+    while the other tiers sit idle."""
+    ok = True
+    parts = []
+    for name in ("MIX", "URLLC", "eMBB", "BEF"):
+        scenario = Scenario.named(name, 1.0, horizon=500.0)
+        blocking = {algorithm: [run(ref_net, scenario, algorithm, seed).blocking_ratio
+                                for seed in range(1, 6)]
+                    for algorithm in ("p2c-1", "p2c-2", "ilp-1")}
+        for algorithm in ("p2c-1", "p2c-2"):
+            diffs = [p - i for p, i in zip(blocking[algorithm], blocking["ilp-1"])]
+            mean_diff = statistics.fmean(diffs)
+            bound = T95_4 * statistics.stdev(diffs) / len(diffs) ** 0.5
+            # one-sided 95%: strictly below ILP-1, significantly
+            ok = ok and mean_diff + bound < 0
+            parts.append(f"{name} {algorithm} {mean_diff:+.4f} +/- {bound:.4f}")
+    report("A9 P2C blocks less than online ILP-1", ok,
+           "mean blocking minus ILP-1's over seeds 1-5, need < 0: " + "; ".join(parts))

@@ -126,8 +126,11 @@ class TestPathSearch:
         assert all(by_dst.values()) and truncated <= set(by_dst)
         for dst in dsts - {src}:
             paths, trunc = paths_to(net, src, dst, bw, budget, max_paths)
-            assert by_dst.get(dst, []) == paths
+            assert [p for p, _ in by_dst.get(dst, [])] == paths
             assert (dst in truncated) == trunc
+        for found in by_dst.values():
+            # each latency is the float the search summed, first link to last
+            assert all(lat == sum(net.links[lid].latency_ms for lid in p) for p, lat in found)
 
     def test_relays_through_a_multi_link_server(self):
         net = make_pair(edc_servers=2, cdc_servers=1, km=10)
@@ -144,9 +147,10 @@ class TestPathSearch:
         for max_paths, want, cut in ((None, [direct, relayed], False),
                                      (1, [relayed], True), (2, [direct, relayed], True)):
             by_dst, truncated = _enumerate_paths(net, e0, {e1, c0}, 1.0, 1.0, max_paths)
-            assert (by_dst[c0], c0 in truncated) == (want, cut)
+            paths = {dst: [p for p, _ in found] for dst, found in by_dst.items()}
+            assert (paths[c0], c0 in truncated) == (want, cut)
             for dst in (e1, c0):
-                assert (by_dst[dst], dst in truncated) == \
+                assert (paths[dst], dst in truncated) == \
                        paths_to(net, e0, dst, 1.0, 1.0, max_paths)
 
 
@@ -547,3 +551,54 @@ class TestSearchGolden:
                sum(r[2] for r in records[1::2]),
                hashlib.sha256(json.dumps(records).encode()).hexdigest()]
         assert got == want
+
+
+def boundary_cases(monkeypatch) -> list[tuple]:
+    """About twenty (substrate, request) pairs of the scale-1 ILP-1 run of
+    `search_records`, each on the state the request met: the first six
+    whose optimum colocates the whole chain, the six accepted ones that
+    explore the most nodes among those whose last two VNFs share a server
+    while the chain does not, the first four other accepted ones and the
+    first four rejections."""
+    met = []
+
+    def solve(net, request, **kwargs):
+        met.append((net.clone(), request))
+        return solve_ilp1(net, request, **kwargs)
+
+    monkeypatch.setattr(sim, "solve_ilp1", solve)
+    sim.run(build_reference_psn(1), sim.Scenario.named("MIX", 1.0, horizon=400.0),
+            "ilp-1", 3)
+    kinds: dict[str, list[tuple]] = {"whole": [], "tail": [], "other": [], "rejected": []}
+    for net, req in met:
+        res = solve_ilp1(net, req, max_nodes=None)
+        x = res.placement.x if res.placement else None
+        kind = ("rejected" if x is None else "whole" if len(set(x.values())) == 1
+                else "tail" if x[req.n_vnfs - 1] == x[req.n_vnfs] else "other")
+        kinds[kind].append((net, req, res.nodes_explored))
+    kinds["tail"].sort(key=lambda case: -case[2])  # stable: ties in request order
+    return [case for kind, k in (("whole", 6), ("tail", 6), ("other", 4), ("rejected", 4))
+            for case in kinds[kind][:k]]
+
+
+# (records, sha256 of their JSON) of `TestBudgetBoundary`, recorded before
+# ILP-1's colocated tail was taken in closed form
+BOUNDARY_GOLDEN = (243, "0cd57508353be7f941f8a2f97c0bfe8a7bccfd6061b722f266e3e10110f83234")
+
+
+class TestBudgetBoundary:
+    def test_every_budget_pinned(self, monkeypatch):
+        """ILP-1 on each boundary case at every node budget from 1 to one
+        past the nodes the unbudgeted solve explores: where the budget
+        trips, what it reports and the best placement known by then."""
+        records = []
+        for net, req, nodes in boundary_cases(monkeypatch):
+            for budget in range(1, nodes + 2):
+                res = solve_ilp1(net, req, max_nodes=budget)
+                plc = res.placement
+                records.append((req.id, budget, res.status.value, res.objective,
+                                res.nodes_explored, res.deepest_feasible_vnf,
+                                plc and list(plc.x.items()),
+                                plc and [(i, list(p)) for i, p in plc.y.items()]))
+        assert (len(records), hashlib.sha256(json.dumps(records).encode()).hexdigest()) == \
+               BOUNDARY_GOLDEN

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sliceplace.nspr import SliceClass, make_request
-from sliceplace.placement import feasible_servers, latency_reach
+from sliceplace.placement import Placement, feasible_servers, latency_reach
 from sliceplace.topology import (
     SCALE,
     TIER_ORDER,
@@ -22,6 +22,7 @@ from sliceplace.topology import (
     NodeKind,
     PhysicalNetwork,
     ReleaseError,
+    Server,
     StructureIndex,
     TopologyError,
     TopologyParams,
@@ -29,7 +30,7 @@ from sliceplace.topology import (
 )
 
 from conftest import make_pair
-from oracles import loaded_substrates, residual_bytes
+from oracles import fits, loaded_substrates, per_vnf_writes, residual_bytes
 
 
 class TestParams:
@@ -298,6 +299,113 @@ class TestCapacityAccounting:
                 call()
         assert net.residual(sid) == (50.0, 300.0)
         assert net.bw_residual(lid) == 10.0
+
+
+# demands in residual units, around the 50-CPU, 300-GB servers and the
+# 0.5-10 Gbps links of `loaded_substrates`
+_HOLD_UNITS = st.sampled_from([0, 1, 10 * SCALE, 25 * SCALE, 60 * SCALE, 300 * SCALE + 1])
+_HOLD_BW = st.sampled_from([0, 1, SCALE // 2, SCALE, 10 * SCALE + 1])
+
+
+class TestHold:
+    """`hold` takes a VNF's units on a server and a VL's on each link of a
+    path: all of them or, refusing as `allocate` and `allocate_bw` would,
+    none."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(loaded_substrates(), st.data())
+    def test_refuses_as_allocate_and_allocate_bw(self, net, data):
+        sid = data.draw(st.integers(-1, len(net.nodes)))
+        cpu, ram = data.draw(_HOLD_UNITS), data.draw(_HOLD_UNITS)
+        path = data.draw(st.lists(st.integers(-1, len(net.links)), unique=True, max_size=4))
+        bw = data.draw(_HOLD_BW)
+        # the float calls, one demand at a time, in a transaction on a clone
+        ref = net.clone()
+        mark = ref.begin()
+        try:
+            ref.allocate(sid, cpu / SCALE, ram / SCALE)
+            for lid in path:
+                ref.allocate_bw(lid, bw / SCALE)
+        except (TopologyError, CapacityError) as exc:
+            want = type(exc)
+            ref.rollback(mark)
+        else:
+            want = None
+            ref.commit(mark)
+        # `allocate` itself holds, so its server verdict is checked on its own
+        if not (0 <= sid < len(net.nodes) and isinstance(net.nodes[sid], Server)):
+            assert want is TopologyError
+        elif not fits(net, sid, cpu / SCALE, ram / SCALE):
+            assert want is CapacityError
+        before = residual_bytes(net)
+        if want is None:
+            net.hold(sid, cpu, ram, path, bw)
+            assert residual_bytes(net) == residual_bytes(ref)
+        else:
+            with pytest.raises((TopologyError, CapacityError)) as info:
+                net.hold(sid, cpu, ram, path, bw)
+            assert type(info.value) is want
+            assert residual_bytes(net) == before
+        assert net._undo == []
+
+    def test_logs_only_inside_a_transaction(self):
+        net = make_pair()
+        sid = net.data_centers["edc0"].servers[0]
+        path = [lid for _, lid in net.adj[sid]] + [
+            next(l.id for l in net.links if l.kind == LinkKind.TRANSPORT)]
+        before = residual_bytes(net)
+        mark = net.begin()
+        net.hold(sid, 15 * SCALE, 90 * SCALE, path, SCALE)
+        net.hold(sid, 15 * SCALE, 90 * SCALE, path, SCALE)
+        assert net.residual(sid) == (20.0, 120.0)
+        assert [net.bw_residual(lid) for lid in path] == [8.0, 8.0]
+        net.rollback(mark)
+        assert residual_bytes(net) == before and net._undo == []
+        net.hold(sid, 15 * SCALE, 90 * SCALE, path, SCALE)
+        assert net._undo == []
+        assert net.residual(sid) == (35.0, 210.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(loaded_substrates(), st.data())
+    def test_nested_holds_roll_back_and_commit_as_per_vnf_writes(self, net, data):
+        """A chain's holds, each in a transaction opened or not before it,
+        inside one outer transaction: rolled back they leave the starting
+        bytes; committed, the residuals a plain per-VNF model writes."""
+        req = make_request(data.draw(st.sampled_from(list(SliceClass))), net.uaps[0])
+        servers = [s.id for s in net.servers()]
+        accounted = [l.id for l in net.links if l.bw_capacity is not None]
+        x = {v: data.draw(st.sampled_from(servers)) for v in range(1, req.n_vnfs + 1)}
+        y = {i: data.draw(st.lists(st.sampled_from(accounted), unique=True, max_size=3))
+             if accounted else [] for i in range(1, req.n_vnfs)}
+        start = residual_bytes(net)
+        want = per_vnf_writes(net, req, Placement(x, y, 0.0), -1)
+        outer = net.begin()
+        marks = []
+        held = True
+        for v, sid in x.items():
+            if data.draw(st.booleans()):
+                marks.append(net.begin())
+            cpu, ram = req.vnfs[v - 1].units
+            path, bw = (y[v - 1], req.vls[v - 2].bw_units) if v > 1 else ((), 0)
+            try:
+                net.hold(sid, cpu, ram, path, bw)
+            except CapacityError:
+                held = False
+                break
+        assert held == (want is not None)
+        commit = held and data.draw(st.booleans())
+        for mark in reversed(marks):
+            if commit or data.draw(st.booleans()):
+                net.commit(mark)
+            else:
+                net.rollback(mark)
+        if commit:
+            net.commit(outer)
+            assert [list(a) for a in (net.cpu_units, net.ram_units, net.bw_units)] == list(want)
+        else:
+            net.rollback(outer)
+            assert residual_bytes(net) == start
+        assert net._undo == []
 
 
 class TestSnapshotRestore:
