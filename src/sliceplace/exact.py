@@ -9,17 +9,29 @@ baseline `solve_ilp2` stops at the first complete placement. Determinism
 comes from fixed candidate and path orderings.
 
 Eligibility is P2C's, read from the same rules: VNF-1 candidates are
-`placement.feasible_servers`, and a later VNF's are the servers of
-`latency_reach` from the previous server that pass the lookahead rule of
-`lookahead_at`, in every DC (P2C exempts the other DCs from the
-lookahead). Of interchangeable twin servers (`_twin_key`) only the first in
-search order is searched. A later VNF's list (`_later_candidates`) is
-built in one pass over the reach, in id order, that decides each server's
-rule from thresholds read once per list (`lookahead_units`), its twin
-class and its group in the search order. Each search frame holds its VNF
-and path in residual units, through one `PhysicalNetwork.hold`, in a
-substrate transaction it rolls back; a solve converts the chain's demands
-to units once, and a path's latency is the one its enumeration summed.
+`placement.feasible_servers`, and a later VNF's are the servers that
+`latency_reach` from the previous server would reach that pass the
+lookahead rule of `lookahead_at`, in every DC (P2C exempts the other DCs
+from the lookahead). Of interchangeable twin servers (`_twin_key`) only the
+first in search order is searched. Each search frame holds its VNF and path
+in residual units, through one `PhysicalNetwork.hold`, in a substrate
+transaction it rolls back; a solve converts the chain's demands to units
+once, and a path's latency is the one its enumeration summed.
+
+A later VNF's expansion follows relays and runs (`topology.Run`), never
+the graph node by node. Its list (`_later_candidates`) reads reach as
+`feasible_servers` does: `_relay_reach` from the previous server, then
+the runs anchored at the relays reached; one walk over those servers in
+position (= id) order decides each one's reach, rule (thresholds read once
+per list, `lookahead_units`), twin class and group in the search order,
+with no per-server reach entry and no sort. The path search
+(`_enumerate_paths`) recurses over relay nodes alone and attaches each
+one-link candidate when the node across its link is visited. Nor does
+the root loop over the whole network in Python: its aggregate-capacity
+prune sums the residual views in numpy, exact while the capacities sum
+within int64 (`StructureIndex.sums_fit`; Python ints otherwise), and it
+dedupes the VNF-1 candidates lazily (`_dedupe`), so a search that ends
+under its first root computes one twin key.
 
 Search order: VNF-1 candidates, and ILP-2's later ones, in id order; ILP-1
 takes the previous server (colocation, at cost 0) first, then its DC, then
@@ -55,11 +67,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .nspr import SliceRequest, VlDemand
-from .placement import (LATENCY_EPS, Placement, bandwidth_cost, feasible_servers,
-                        latency_reach, lookahead_units)
+from .placement import (LATENCY_EPS, Placement, _relay_reach, bandwidth_cost,
+                        feasible_servers, lookahead_units)
+# unused here: kept for the benchmark, whose reach span and tests look it up in this module
+from .placement import latency_reach  # noqa: F401
 from .topology import PhysicalNetwork, to_units
 
 DEFAULT_NODE_BUDGET = 200_000
@@ -98,40 +112,61 @@ def _enumerate_paths(psn: PhysicalNetwork, src: int, dsts: Iterable[int], bw: fl
     last. Each destination's paths are ordered by (hops, latency, link
     ids); destinations without a path are left out. With max_paths a
     destination keeps the first max_paths paths in search order and is
-    reported as truncated."""
+    reported as truncated.
+
+    The search recurses over `relay_adj` alone, since a leaf relays
+    nothing. A leaf destination (one link) is attached when the node across
+    its link is visited, one path per visit, so a visit costs that node's
+    relay degree plus the destinations behind it, whatever the number of
+    servers there. A destination may relay to another one."""
+    adj = psn.adj
     open_dsts = set(dsts) - {src}
+    behind: dict[int, list[tuple[int, int]]] = {}  # node -> (leaf destination, its link)
+    for d in open_dsts:
+        if len(adj[d]) == 1:
+            (u, lid), = adj[d]
+            behind.setdefault(u, []).append((d, lid))
     found: dict[int, list[tuple[int, float, tuple[int, ...]]]] = {}
     truncated: set[int] = set()
     visited = {src}
     trail: list[int] = []
-    adj, links, bw_units, need = psn.adj, psn.links, psn.bw_units, to_units(bw)
+    relay_adj, links, bw_units = psn.index().relay_adj, psn.links, psn.bw_units
+    need, limit = to_units(bw), budget_ms + LATENCY_EPS
 
-    def dfs(u: int, lat: float) -> None:
-        for v, lid in adj[u]:
-            # a destination may relay to another one; a degree-1 node leads
-            # nowhere but back, so one that is no destination is skipped
-            leaf = len(adj[v]) == 1
-            if v in visited or (leaf and v not in open_dsts) or bw_units[lid] < need:
+    def arrive(v: int, lid: int, nl: float) -> bool:
+        """Record a path to destination v; whether every destination is closed."""
+        paths = found.setdefault(v, [])
+        paths.append((len(trail) + 1, nl, tuple(trail) + (lid,)))
+        if max_paths is not None and len(paths) >= max_paths:
+            open_dsts.discard(v)
+            truncated.add(v)
+            return not open_dsts
+        return False
+
+    def dfs(u: int, lat: float) -> bool:
+        """Search on from u, reached at latency lat; whether every
+        destination is closed."""
+        for v, lid in behind.get(u, ()):
+            if v in open_dsts and bw_units[lid] >= need:
+                nl = lat + links[lid].latency_ms
+                if nl <= limit and arrive(v, lid, nl):
+                    return True
+        for v, lid in relay_adj[u]:
+            if v in visited or bw_units[lid] < need:
                 continue
             nl = lat + links[lid].latency_ms
-            if nl > budget_ms + LATENCY_EPS:
+            if nl > limit:
                 continue
-            if v in open_dsts:
-                paths = found.setdefault(v, [])
-                paths.append((len(trail) + 1, nl, tuple(trail) + (lid,)))
-                if max_paths is not None and len(paths) >= max_paths:
-                    open_dsts.discard(v)
-                    truncated.add(v)
-                    if not open_dsts:
-                        return
-            if not leaf:
-                visited.add(v)
-                trail.append(lid)
-                dfs(v, nl)
-                trail.pop()
-                visited.discard(v)
-                if not open_dsts:
-                    return
+            if v in open_dsts and arrive(v, lid, nl):
+                return True
+            visited.add(v)
+            trail.append(lid)
+            done = dfs(v, nl)
+            trail.pop()
+            visited.discard(v)
+            if done:
+                return True
+        return False
 
     if open_dsts:
         dfs(src, 0.0)
@@ -157,66 +192,101 @@ def _twin_key(psn: PhysicalNetwork, sid: int, cpu: int, ram: int) -> tuple:
             tuple([(nbr, bw_units[lid], links[lid].latency_ms) for nbr, lid in entries]))
 
 
-def _dedupe(psn: PhysicalNetwork, sids: Iterable[int]) -> list[int]:
-    """sids without the twins (`_twin_key`) of a server listed before them."""
+def _dedupe(psn: PhysicalNetwork, sids: Iterable[int]) -> Iterator[int]:
+    """sids without the twins (`_twin_key`) of a server listed before them,
+    lazily: a server's key is computed when the next one is asked for, so a
+    search that ends under its first root computes one."""
     pos, cpu, ram = psn.index().pos, psn.cpu_units, psn.ram_units
-    kept: dict[tuple, int] = {}
+    seen: set[tuple] = set()
     for sid in sids:
         p = pos[sid]
-        kept.setdefault(_twin_key(psn, sid, cpu[p], ram[p]), sid)
-    return list(kept.values())
+        key = _twin_key(psn, sid, cpu[p], ram[p])
+        if key not in seen:
+            seen.add(key)
+            yield sid
 
 
 def _later_candidates(psn: PhysicalNetwork, request: SliceRequest, v: int, last_s: int,
                       eff: float, dc_first: bool) -> list[int]:
     """VNF v's candidate servers, for v > 1, in search order, one per twin
-    class (`_twin_key`): the servers of `latency_reach` from last_s within
-    eff over links that carry VL v-1 that pass `lookahead_at`'s rule. In id
-    order; with dc_first (ILP-1), last_s first, then the rest of its DC,
-    then the others. A class keeps its first server in that order.
+    class (`_twin_key`): the servers that `latency_reach` from last_s
+    within eff over links that carry VL v-1 would reach that pass
+    `lookahead_at`'s rule. In id order; with dc_first (ILP-1), last_s
+    first, then the rest of its DC, then the others. A class keeps its
+    first server in that order.
 
-    One pass over the reach in id order decides each server's rule, from
-    thresholds read once (`lookahead_units`), and its key. Keys hold the
-    DC, so the two groups share none: each dedupes as it fills, and only
-    last_s, which heads its DC's group, can take a class from a server of
-    lower id."""
-    pos, cpu, ram, bw_units = psn.index().pos, psn.cpu_units, psn.ram_units, psn.bw_units
-    nodes, adj, links = psn.nodes, psn.adj, psn.links
+    Reach is read as `feasible_servers` reads it, at relay and run grain:
+    `_relay_reach` from last_s, then the runs anchored at reached relays
+    whose uplink latency keeps the sum within the limit (the float compare
+    `latency_reach` makes), each run server's uplink tested against VL v-1;
+    plus the reached servers outside every run and last_s itself. One walk
+    over those in position (= id) order decides each server's rule, from
+    thresholds read once (`lookahead_units`), and its key, which a run
+    server takes from its run. Keys hold the DC, so the two groups share
+    none: each dedupes as it fills, and only last_s, which heads its DC's
+    group, can take a class from a server of lower id."""
+    idx = psn.index()
+    pos, servers, runs, anchor_runs = idx.pos, idx.servers, idx.runs, idx.anchor_runs
+    cpu, ram, bw_units = psn.cpu_units, psn.ram_units, psn.bw_units
     cpu_v, ram_v, ahead = lookahead_units(request, v)
     bw_next, cpu_both, ram_both = ahead or (0, 0, 0)
-    last_dc = nodes[last_s].dc if dc_first else None
+    vl = request.vls[v - 2]
+    need, limit = vl.bw_units, eff + LATENCY_EPS
+    # (start, stop, run index) of the run positions reached, and
+    # (position, position + 1, -1) of each server decided alone: last_s,
+    # reached whatever its links, and the relay servers reached
+    p_last = pos[last_s]
+    segments = [(p_last, p_last + 1, -1)]
+    for u, d in _relay_reach(psn, last_s, vl.bw, limit).items():
+        p = pos[u]
+        if p >= 0 and u != last_s:
+            segments.append((p, p + 1, -1))
+        for lat, k in anchor_runs.get(u, ()):
+            if d + lat <= limit:
+                start, stop = runs[k][:2]
+                if start <= p_last < stop:  # last_s's run: last_s is decided alone
+                    segments += ((start, p_last, k), (p_last + 1, stop, k))
+                else:
+                    segments.append((start, stop, k))
+    last_dc = psn.nodes[last_s].dc if dc_first else None
     head = None  # last_s's key once it passes
     near: dict[tuple, int] = {}  # last_s's DC, with dc_first
     far: dict[tuple, int] = {}
-    for sid in sorted(latency_reach(psn, last_s, request.vls[v - 2].bw, eff)):
-        p = pos[sid]
-        if p < 0:
-            continue
-        c, r = cpu[p], ram[p]
-        if c < cpu_v or r < ram_v:
-            continue
-        entries = adj[sid]
-        if ahead is not None and (c < cpu_both or r < ram_both):
-            for _, lid in entries:
-                if bw_units[lid] >= bw_next:
-                    break
-            else:
+    for start, stop, k in sorted(segments):
+        if k < 0:
+            c, r = cpu[start], ram[start]
+            if c < cpu_v or r < ram_v:
                 continue
-        # `_twin_key`, inline
-        dc = nodes[sid].dc
-        if len(entries) == 1:
-            (nbr, lid), = entries
-            key = (dc, nbr, links[lid].latency_ms, c, r, bw_units[lid])
-        else:
-            key = (dc, c, r, tuple([(nbr, bw_units[u], links[u].latency_ms)
-                                    for nbr, u in entries]))
-        if dc_first and dc == last_dc:
-            if sid == last_s:
-                head = key
-            elif key not in near:
-                near[key] = sid
-        elif key not in far:
-            far[key] = sid
+            sid = servers[start].id
+            if ahead is not None and (c < cpu_both or r < ram_both):
+                for _, lid in psn.adj[sid]:
+                    if bw_units[lid] >= bw_next:
+                        break
+                else:
+                    continue
+            key = _twin_key(psn, sid, c, r)
+            if dc_first and key[0] == last_dc:
+                if sid == last_s:
+                    head = key
+                elif key not in near:
+                    near[key] = sid
+            elif key not in far:
+                far[key] = sid
+            continue
+        first, _, link, anchor, dc, _, lat = runs[k]
+        group = near if dc_first and dc == last_dc else far
+        shift = link - first  # the uplink of position p is link shift + p
+        for p in range(start, stop):
+            c, r = cpu[p], ram[p]
+            if c < cpu_v or r < ram_v:
+                continue
+            up = bw_units[shift + p]
+            if up < need or ahead is not None and (c < cpu_both or r < ram_both) and up < bw_next:
+                continue
+            # `_twin_key` of a one-link server
+            key = (dc, anchor, lat, c, r, up)
+            if key not in group:
+                group[key] = servers[p].id
     if head is None:
         return [*near.values(), *far.values()]
     near.pop(head, None)
@@ -226,8 +296,8 @@ def _later_candidates(psn: PhysicalNetwork, request: SliceRequest, v: int, last_
 def _solve(psn: PhysicalNetwork, request: SliceRequest, *, find_optimal: bool,
            max_nodes: int | None, max_paths_per_vl: int | None) -> SolveResult:
     n = request.n_vnfs
-    net_nodes, adj = psn.nodes, psn.adj
-    pos, cpu, ram, bw_units = psn.index().pos, psn.cpu_units, psn.ram_units, psn.bw_units
+    net_nodes, adj, idx = psn.nodes, psn.adj, psn.index()
+    pos, cpu, ram, bw_units = idx.pos, psn.cpu_units, psn.ram_units, psn.bw_units
 
     best_cost: float | None = None
     best_x: dict[int, int] | None = None
@@ -304,7 +374,12 @@ def _solve(psn: PhysicalNetwork, request: SliceRequest, *, find_optimal: bool,
         if v == 1:
             # depth-invariant: deeper, residuals and demands drop by what is
             # held. A root branch holds no cost, and a zero best ends the search
-            if sum(cpu) >= tail_cpu[1] and sum(ram) >= tail_ram[1]:
+            if idx.sums_fit:
+                cpu_view, ram_view, _ = psn.vectors()
+                room = cpu_view.sum() >= tail_cpu[1] and ram_view.sum() >= tail_ram[1]
+            else:
+                room = sum(cpu) >= tail_cpu[1] and sum(ram) >= tail_ram[1]
+            if room:
                 for sid in _dedupe(psn, feasible_servers(psn, request, 1, None)):
                     branch(1, sid, (), 0.0, 0.0, 0.0)
             return

@@ -368,9 +368,12 @@ def _relay_reach(psn: PhysicalNetwork, src: int, bw: float,
     or more links) within `limit`, over links with residual bandwidth >= bw;
     src is always present, at 0.
 
-    The one Dijkstra behind `latency_reach` and `feasible_servers`. A leaf
-    relays nothing, so leaves never enter the heap: the cost is one heap
-    operation per reached relay node, whatever the number of servers.
+    The one Dijkstra behind both `feasible_servers` and the exact search's
+    candidate lists (`exact._later_candidates`), each of which reads the
+    one-link servers from the runs anchored at the relays it reaches;
+    `latency_reach`, which no code of the package calls, runs it too. A
+    leaf relays nothing, so leaves never enter the heap: the cost is one
+    heap operation per reached relay node, whatever the number of servers.
     """
     relay_adj = psn.index().relay_adj
     links, bw_units, need = psn.links, psn.bw_units, to_units(bw)
@@ -482,6 +485,12 @@ def _root_groups(psn: PhysicalNetwork, request: SliceRequest,
 # positions between them masked off: a numpy pass costs about a microsecond
 # however short it is, as much as comparing some hundreds more entries
 BRIDGE = 256
+# Slices shorter than this are decided by scalar reads (`_collect`). On one
+# star DC of n servers, a third of them loaded, a URLLC root took 8.5-9.2 us
+# with numpy at every n from 4 to 40, and 3.1, 5.0, 7.7 and 8.7 us by scalar
+# reads at 4, 16, 32 and 40; VNF 2's list from one of its servers broke even
+# between 24 and 32 (CPython 3.11, one x86-64 core)
+SHORT_SLICE = 32
 
 
 def _slices(runs: Sequence[Run], ks: list[int], by_rank: bool,
@@ -521,19 +530,37 @@ def _collect(psn: PhysicalNetwork, slices: Sequence[Sequence], extras: Sequence[
     `reach_bw`, a link that carries it. In a look slice, with ahead = (bw,
     cpu, ram), a server's link must also carry bw or the server have cpu and
     ram left. pin = (position, id, verdict) decides one server, inside the
-    slices or not. Every compare reads a zero-copy slice of the residual
-    views."""
-    cpu_units, ram_units, bw_units = psn.vectors()
-    ids = psn.index().id
+    slices or not. A slice of SHORT_SLICE positions or more is decided by a
+    few compares over zero-copy slices of the residual views, a shorter one
+    by scalar reads of the residual arrays."""
+    idx = psn.index()
+    cpu_units, ram_units, bw_units = psn.cpu_units, psn.ram_units, psn.bw_units
+    bw_next, cpu_next, ram_next = ahead or (0, 0, 0)
+    reach = -1 if reach_bw is None else reach_bw  # every residual is at least -1
     out: list[int] = []
     for start, stop, link, look, gaps in slices:
-        c, r, up = cpu_units[start:stop], ram_units[start:stop], bw_units[link:link + stop - start]
+        look = look and ahead is not None
+        if stop - start < SHORT_SLICE:
+            # the pin's position is skipped here and inserted below
+            skip, shift, lo = -1 if pin is None else pin[0], link - start, start
+            for a, b in (*gaps, (stop, stop)):
+                for p in range(lo, a):
+                    c, r = cpu_units[p], ram_units[p]
+                    if c < cpu or r < ram or p == skip:
+                        continue
+                    up = bw_units[shift + p]
+                    if up < reach or look and (c < cpu_next or r < ram_next) and up < bw_next:
+                        continue
+                    out.append(idx.servers[p].id)
+                lo = b
+            continue
+        cpu_view, ram_view, bw_view = psn.vectors()
+        c, r, up = cpu_view[start:stop], ram_view[start:stop], bw_view[link:link + stop - start]
         ok = c >= cpu
         ok &= r >= ram
         if reach_bw is not None:
             ok &= up >= reach_bw
-        if look and ahead is not None:
-            bw_next, cpu_next, ram_next = ahead
+        if look:
             more = c >= cpu_next
             more &= r >= ram_next
             more |= up >= bw_next
@@ -543,7 +570,7 @@ def _collect(psn: PhysicalNetwork, slices: Sequence[Sequence], extras: Sequence[
         if pin is not None and start <= pin[0] < stop:
             ok[pin[0] - start] = pin[2]
             pin = None
-        out += ids[start:stop][ok].tolist()
+        out += idx.id[start:stop][ok].tolist()
     if pin is not None and pin[2]:
         insort(out, pin[1])
     for sid in extras:
@@ -572,15 +599,16 @@ def feasible_servers(psn: PhysicalNetwork, request: SliceRequest, v: int,
     returned, CCP over CDC over EDC over servers outside any DC: the pool
     P2C-2 draws from.
 
-    Cost: O(relay nodes reached + runs reached) in Python plus O(servers of
-    the reached runs + BRIDGE per slice) in C; for the first VNF, O(root
-    runs) after a cache hit. `_relay_reach` runs over the relay nodes only
-    (switches, routers; no server of the reference substrate). The one-link
-    servers are held as runs (`topology.Run`, one per DC on the reference
-    substrate), and a run is reached when its anchor is and the latency
-    left there covers its uplink's. Reached runs merge into slices
-    (`_slices`), and a few integer compares over zero-copy slices of
-    `psn.vectors()` decide their servers; `best_tier` merges and decides
+    Cost: O(relay nodes reached + runs reached) in Python plus, per slice,
+    O(servers + BRIDGE) in C, or O(servers) in Python for a slice shorter
+    than SHORT_SLICE; for the first VNF, O(root runs) after a cache hit.
+    `_relay_reach` runs over the relay nodes only (switches, routers; no
+    server of the reference substrate). The one-link servers are held as
+    runs (`topology.Run`, one per DC on the reference substrate), and a run
+    is reached when its anchor is and the latency left there covers its
+    uplink's. Reached runs merge into slices (`_slices`), and a few integer
+    compares over zero-copy slices of `psn.vectors()`, or scalar reads of a
+    short slice, decide their servers; `best_tier` merges and decides
     tier by tier, best first, and stops at the first tier with an eligible
     server. last_s and the servers without exactly one link (relays when
     reached) are decided one at a time, by `lookahead_at` and the room

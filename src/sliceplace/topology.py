@@ -252,6 +252,9 @@ class StructureIndex(NamedTuple):
     ram_cap: tuple[int, ...]
     # by link id: bandwidth capacity in units, -1 without accounting
     bw_cap: tuple[int, ...]
+    # whether the capacities of all servers sum within int64, CPU and RAM
+    # alike: residuals lie within capacity, so numpy may then sum them
+    sums_fit: bool
     # the one-link servers as runs, ascending (see `Run`), and for each
     # anchor (a node across some server's one link, a star DC's switch)
     # (uplink latency, index) of its runs, ascending by index
@@ -444,6 +447,8 @@ class PhysicalNetwork:
         anchor_runs: dict[int, list[tuple[float, int]]] = {}
         for k, run in enumerate(runs):
             anchor_runs.setdefault(run[3], []).append((run[6], k))
+        cpu_cap = tuple([to_units(s.cpu_capacity) for s in servers])
+        ram_cap = tuple([to_units(s.ram_capacity) for s in servers])
         self._index = StructureIndex(
             servers=servers,
             relay_adj=tuple([tuple([e for e in entries if relays[e[0]]])
@@ -453,10 +458,11 @@ class PhysicalNetwork:
             pos=tuple(pos),
             tier_rank=tier_rank,
             id=np.array([s.id for s in servers], dtype=np.intp),
-            cpu_cap=tuple([to_units(s.cpu_capacity) for s in servers]),
-            ram_cap=tuple([to_units(s.ram_capacity) for s in servers]),
+            cpu_cap=cpu_cap,
+            ram_cap=ram_cap,
             bw_cap=tuple([-1 if link.bw_capacity is None else to_units(link.bw_capacity)
                           for link in self.links]),
+            sums_fit=max(sum(cpu_cap), sum(ram_cap)) < 2**63,
             runs=tuple([Run(*run) for run in runs]),
             anchor_runs={u: tuple(ks) for u, ks in anchor_runs.items()},
             off_run=tuple(off_run),

@@ -17,7 +17,7 @@ from sliceplace.nspr import DEFAULT_CATALOG, SliceClass, VnfDemand, make_request
 from sliceplace.p2c import DrawStream, OutcomeStatus, Policy
 from sliceplace.p2c import place as p2c_place
 from sliceplace.placement import bandwidth_cost, check_placement, feasible_servers
-from sliceplace.topology import (DCKind, LinkKind, NodeKind, PhysicalNetwork,
+from sliceplace.topology import (SCALE, DCKind, LinkKind, NodeKind, PhysicalNetwork,
                                  TopologyParams, build_reference_psn)
 
 from conftest import make_pair, make_single_dc
@@ -154,6 +154,53 @@ class TestPathSearch:
                        paths_to(net, e0, dst, 1.0, 1.0, max_paths)
 
 
+    def test_leaf_behind_a_multi_link_source(self):
+        """The source e0 has two links, to its switch and to w, a server
+        whose one link is to e0: w is met at the source's own visit."""
+        net = make_pair(edc_servers=2, cdc_servers=1)
+        e0, e1 = sorted(net.data_centers["edc0"].servers)
+        (c0,) = net.data_centers["cdc0"].servers
+        w = net.add_server("edc0-w", "edc0", 50.0, 300.0)
+        net.add_link(e0, w, 0.0, LinkKind.INTRA_DC, 10.0)
+        by_dst, truncated = _enumerate_paths(net, e0, {w, e1, c0}, 1.0, 1.0, None)
+        assert [p for p, _ in by_dst[w]] == [(link_id(net, e0, w),)]
+        for dst in (w, e1, c0):
+            assert ([p for p, _ in by_dst[dst]], False) == paths_to(net, e0, dst, 1.0, 1.0, None)
+
+    def test_leaf_on_a_thin_link_is_absent(self):
+        """e1's one link has less than the demand left: no path reaches it,
+        while c0, behind the same kind of link with room, is reached."""
+        net = make_pair(edc_servers=2, cdc_servers=1)
+        e0, e1 = sorted(net.data_centers["edc0"].servers)
+        (c0,) = net.data_centers["cdc0"].servers
+        net.allocate_bw(link_id(net, e1, net.data_centers["edc0"].switch), 9.5)
+        by_dst, truncated = _enumerate_paths(net, e0, {e1, c0}, 1.0, 1.0, None)
+        assert e1 not in by_dst and c0 in by_dst and not truncated
+        assert paths_to(net, e0, e1, 1.0, 1.0, None) == ([], False)
+        assert ([p for p, _ in by_dst[c0]], False) == paths_to(net, e0, c0, 1.0, 1.0, None)
+
+    @pytest.mark.parametrize("max_paths", [None, 1, 2, 3])
+    def test_truncation_behind_one_switch(self, max_paths):
+        """Behind the CDC switch sit leaf servers c0 and c1 and a relay
+        server c2, linked to the EDC switch as well; the switch is reached
+        over three routes, so each destination behind it has several paths
+        and a cap cuts them."""
+        net = make_pair(edc_servers=1, cdc_servers=3, km=10)
+        (e0,) = net.data_centers["edc0"].servers
+        c0, c1, c2 = sorted(net.data_centers["cdc0"].servers)
+        sw_e, sw_c = net.data_centers["edc0"].switch, net.data_centers["cdc0"].switch
+        router = net.add_node("r", NodeKind.ROUTER)
+        net.add_link(sw_e, router, 0.05, LinkKind.TRANSPORT, 10.0)
+        net.add_link(router, sw_c, 0.05, LinkKind.TRANSPORT, 10.0)
+        net.add_link(sw_e, c2, 0.1, LinkKind.TRANSPORT, 10.0)
+        dsts = {c0, c1, c2}
+        by_dst, truncated = _enumerate_paths(net, e0, dsts, 1.0, 1.0, max_paths)
+        for dst in dsts:
+            paths, cut = paths_to(net, e0, dst, 1.0, 1.0, max_paths)
+            assert ([p for p, _ in by_dst[dst]], dst in truncated) == (paths, cut)
+        assert len(by_dst[c0]) == (3 if max_paths is None else min(max_paths, 3))
+
+
 class TestCandidateList:
     """The exact search's candidate lists, built in one pass, are the lists
     the plain passes build one after another: reach, lookahead, ILP-1's
@@ -165,7 +212,7 @@ class TestCandidateList:
     def test_matches_the_passes(self, net, data):
         req = make_request(data.draw(st.sampled_from(list(SliceClass))),
                            net.uaps[data.draw(st.integers(0, len(net.uaps) - 1))])
-        assert exact._dedupe(net, feasible_servers(net, req, 1, None)) == \
+        assert list(exact._dedupe(net, feasible_servers(net, req, 1, None))) == \
                plain_dedupe(net, scan_feasible_servers(net, req, 1, None, 0.0))
         # from the whole budget down to none: the reach shrinks, and the
         # latency slack may undercut the VL budget
@@ -190,6 +237,22 @@ class TestCandidateList:
         assert exact._later_candidates(net, req, 2, b, 1.0, False) == [a]
         assert exact._later_candidates(net, req, 2, b, 1.0, True) == [b]
         assert exact_candidates(net, req, 2, b, 1.0, True) == [b]
+
+
+    def test_root_dedupe_is_lazy(self, ref, monkeypatch):
+        """A zero-cost placement under the first root ends the search before
+        the root dedupe asks for a second key: one of the home EDC's four."""
+        keys = []
+
+        def twin_key(psn, sid, cpu, ram):
+            keys.append(sid)
+            return exact_twin_key(psn, sid, cpu, ram)
+
+        exact_twin_key = exact._twin_key
+        monkeypatch.setattr(exact, "_twin_key", twin_key)
+        res = solve_ilp1(ref, make_request(SliceClass.BEST_EFFORT, ref.uaps[0]))
+        assert (res.status, res.objective) == (SolveStatus.OPTIMAL, 0.0)
+        assert keys == [res.placement.x[1]]
 
 
 class TestPathLimit:
@@ -444,6 +507,42 @@ class TestInfeasibility:
         for solver in (solve_ilp1, solve_ilp2):
             res = solver(net, req)
             assert (res.status, res.deepest_feasible_vnf) == (SolveStatus.INFEASIBLE, 1)
+
+    @pytest.mark.parametrize("resource", ["cpu", "ram"])
+    def test_root_prune_at_the_exact_total(self, resource):
+        """Two servers hold, between them, exactly the chain's CPU (or RAM):
+        two VNFs on a, one on b. One unit less and the root prune ends the
+        search before any node below the root."""
+        # short units -> (status, nodes explored, deepest VNF) of ILP-1, ILP-2
+        pins = {0: [("optimal", 5, 3), ("optimal", 4, 3)],
+                1: [("infeasible", 1, 0), ("infeasible", 1, 0)]}
+        for short, want in pins.items():
+            net = make_single_dc(servers=2)
+            a, b = sorted(net.data_centers["dc0"].servers)
+            if resource == "cpu":
+                net.allocate(b, 25.0 + short / SCALE, 0.0)
+            else:
+                net.allocate(b, 0.0, 150.0 + short / SCALE)
+            req = two_slot_request(net)
+            got = [solver(net, req) for solver in (solve_ilp1, solve_ilp2)]
+            assert [(r.status.value, r.nodes_explored, r.deepest_feasible_vnf)
+                    for r in got] == want
+            for res in got:
+                assert res.placement is None or res.placement.x == {1: a, 2: a, 3: b}
+
+    def test_root_prune_sums_past_int64(self):
+        """9,300 servers of the largest capacity a count admits hold more
+        CPU units than int64 can: the prune must not wrap."""
+        net = PhysicalNetwork(TopologyParams())
+        net.add_data_center("dc0", DCKind.EDC)
+        for i in range(9300):
+            net.add_server(f"s{i}", "dc0", 1e9, 1e9)
+        uap = net.add_node("uap0", NodeKind.UAP)
+        net.add_link(uap, net.data_centers["dc0"].switch, 0.02, LinkKind.ACCESS, None)
+        net.uaps.append(uap)
+        assert not net.index().sums_fit
+        res = solve_ilp1(net, short_request(net, SliceClass.BEST_EFFORT))
+        assert (res.status, res.objective, res.nodes_explored) == (SolveStatus.OPTIMAL, 0.0, 4)
 
     def test_aggregate_capacity_prunes_at_root(self):
         net = make_single_dc(servers=1, cpu=30.0)

@@ -605,6 +605,22 @@ def bridge(width: int):
         placement.BRIDGE = saved
 
 
+@contextlib.contextmanager
+def short_slice(width: int):
+    """`placement.SHORT_SLICE` set to width: at 0 `_collect` decides every
+    slice by numpy compares, above every slice's length by scalar reads."""
+    saved, placement.SHORT_SLICE = placement.SHORT_SLICE, width
+    try:
+        yield
+    finally:
+        placement.SHORT_SLICE = saved
+
+
+# both of `_collect`'s paths: the small substrates drawn here would
+# otherwise take the scalar one alone
+COLLECT_PATHS = (0, 10**9)
+
+
 class TestReachBoundedEligibility:
     """`feasible_servers` tests only what `latency_reach` reaches and the
     searches skip leaves; results must equal those of the full scans."""
@@ -619,16 +635,18 @@ class TestReachBoundedEligibility:
         request = dataclasses.replace(request, vls=tuple(
             dataclasses.replace(vl, bw=data.draw(st.sampled_from([0.5, 1.0, 2.0])))
             for vl in request.vls))
+        # beyond the end-to-end budget the slack turns negative
+        used = [data.draw(st.sampled_from([0.0, 0.02, 0.7, 1.3, request.e2e_budget_ms + 0.5]))
+                for _ in range(2, request.n_vnfs + 1)]
         with bridge(data.draw(st.sampled_from([0, 1, placement.BRIDGE]))):
-            assert feasible_servers(net, request, 1, None) == \
-                   scan_feasible_servers(net, request, 1, None, 0.0)
-            for v in range(2, request.n_vnfs + 1):
-                # beyond the end-to-end budget the slack turns negative
-                used = data.draw(st.sampled_from([0.0, 0.02, 0.7, 1.3,
-                                                  request.e2e_budget_ms + 0.5]))
-                for last_s in (s.id for s in net.servers()):
-                    got = feasible_servers(net, request, v, last_s, used_e2e_ms=used)
-                    assert got == scan_feasible_servers(net, request, v, last_s, used)
+            for width in COLLECT_PATHS:
+                with short_slice(width):
+                    assert feasible_servers(net, request, 1, None) == \
+                           scan_feasible_servers(net, request, 1, None, 0.0)
+                    for v, spent in enumerate(used, 2):
+                        for last_s in (s.id for s in net.servers()):
+                            got = feasible_servers(net, request, v, last_s, used_e2e_ms=spent)
+                            assert got == scan_feasible_servers(net, request, v, last_s, spent)
 
     @settings(max_examples=150, deadline=None)
     @given(loaded_substrates(), st.data())
@@ -640,7 +658,8 @@ class TestReachBoundedEligibility:
         request = dataclasses.replace(request, vls=tuple(
             dataclasses.replace(vl, bw=data.draw(st.sampled_from([0.5, 1.0, 2.0])))
             for vl in request.vls))
-        with bridge(data.draw(st.sampled_from([0, 1, placement.BRIDGE]))):
+        with bridge(data.draw(st.sampled_from([0, 1, placement.BRIDGE]))), \
+                short_slice(data.draw(st.sampled_from(COLLECT_PATHS))):
             full = scan_feasible_servers(net, request, 1, None, 0.0)
             assert feasible_servers(net, request, 1, None, best_tier=True) == \
                    narrow_to_best_tier(net, full)
@@ -781,23 +800,25 @@ class TestLookaheadMask:
             for vl in request.vls))
         bound = request.alpha_max_ms + LATENCY_EPS
         servers = list(net.servers())
+        lasts = [data.draw(st.sampled_from(servers)) for _ in range(2, request.n_vnfs + 1)]
         with bridge(data.draw(st.sampled_from([0, 1, placement.BRIDGE]))):
-            got = set(feasible_servers(net, request, 1, None))
-            ruled = [s.id for s in servers if s.dc is not None
-                     and net.access_latency(request.uap, s.dc) <= bound]
-            assert [sid in got for sid in ruled] == \
-                   [lookahead_at(net, request, 1, sid) for sid in ruled]
-            for v in range(2, request.n_vnfs + 1):
-                last = data.draw(st.sampled_from(servers))
-                vl = request.vl(v - 1)
-                budget = min(vl.budget_ms, request.e2e_budget_ms)
-                reach = plain_reach(net, last.id, vl.bw, budget)
-                got = set(feasible_servers(net, request, v, last.id))
-                ruled = [last.id] + [s.id for s in servers if s.id != last.id
-                                     and s.dc == last.dc
-                                     and reach.get(s.id, float("inf")) <= budget + LATENCY_EPS]
-                assert [sid in got for sid in ruled] == \
-                       [lookahead_at(net, request, v, sid) for sid in ruled]
+            for width in COLLECT_PATHS:
+                with short_slice(width):
+                    got = set(feasible_servers(net, request, 1, None))
+                    ruled = [s.id for s in servers if s.dc is not None
+                             and net.access_latency(request.uap, s.dc) <= bound]
+                    assert [sid in got for sid in ruled] == \
+                           [lookahead_at(net, request, 1, sid) for sid in ruled]
+                    for v, last in enumerate(lasts, 2):
+                        vl = request.vl(v - 1)
+                        budget = min(vl.budget_ms, request.e2e_budget_ms)
+                        reach = plain_reach(net, last.id, vl.bw, budget)
+                        got = set(feasible_servers(net, request, v, last.id))
+                        ruled = [last.id] + [
+                            s.id for s in servers if s.id != last.id and s.dc == last.dc
+                            and reach.get(s.id, float("inf")) <= budget + LATENCY_EPS]
+                        assert [sid in got for sid in ruled] == \
+                               [lookahead_at(net, request, v, sid) for sid in ruled]
 
 
 class TestApplyRelease:
