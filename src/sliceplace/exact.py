@@ -20,18 +20,18 @@ once, and a path's latency is the one its enumeration summed.
 
 A later VNF's expansion follows relays and runs (`topology.Run`), never
 the graph node by node. Its list (`_later_candidates`) reads reach as
-`feasible_servers` does: `_relay_reach` from the previous server, then
-the runs anchored at the relays reached; one walk over those servers in
-position (= id) order decides each one's reach, rule (thresholds read once
-per list, `lookahead_units`), twin class and group in the search order,
-with no per-server reach entry and no sort. The path search
-(`_enumerate_paths`) recurses over relay nodes alone and attaches each
-one-link candidate when the node across its link is visited. Nor does
-the root loop over the whole network in Python: its aggregate-capacity
-prune sums the residual views in numpy, exact while the capacities sum
-within int64 (`StructureIndex.sums_fit`; Python ints otherwise), and it
-dedupes the VNF-1 candidates lazily (`_dedupe`), so a search that ends
-under its first root computes one twin key.
+`feasible_servers` does, from one `_reached_runs` from the previous
+server: the relays reached and the runs anchored at them. One walk over
+those servers in position (= id) order decides each one's reach, rule
+(thresholds read once per list, `lookahead_units`), twin class and group
+in the search order, with no per-server reach entry and no sort. The
+path search (`_enumerate_paths`) recurses over relay nodes alone and
+attaches each one-link candidate when the node across its link is
+visited. Nor does the root loop over the whole network in Python: its
+aggregate-capacity prune sums the residual views in numpy, exact while
+the capacities sum within int64 (`StructureIndex.sums_fit`; Python ints
+otherwise), and it dedupes the VNF-1 candidates lazily (`_dedupe`), so a
+search that ends under its first root computes one twin key.
 
 Search order: VNF-1 candidates, and ILP-2's later ones, in id order; ILP-1
 takes the previous server (colocation, at cost 0) first, then its DC, then
@@ -56,11 +56,9 @@ its subtree's lower bound ends the subtree: A. H. Land and A. G. Doig,
 Econometrica 28(3), 1960). Where those nodes would trip the budget the
 frames run instead, so BUDGET_EXCEEDED is reported as they report it.
 
-Searches carry an explored-node budget. A tripped budget, or a path
-enumeration that the search used and `max_paths_per_vl` truncated, is
-reported as BUDGET_EXCEEDED, never as a silently suboptimal OPTIMAL; any
-best-known placement found by then is still returned. An enumeration the
-bound skips could not improve the result, so it never counts.
+Searches carry an explored-node budget, the one source of BUDGET_EXCEEDED:
+a tripped budget is reported as such, never as a silently suboptimal
+OPTIMAL, and any best-known placement found by then is still returned.
 """
 
 from __future__ import annotations
@@ -70,7 +68,7 @@ from enum import Enum
 from typing import Iterable, Iterator
 
 from .nspr import SliceRequest, VlDemand
-from .placement import (LATENCY_EPS, Placement, _relay_reach, bandwidth_cost,
+from .placement import (LATENCY_EPS, Placement, _reached_runs, bandwidth_cost,
                         feasible_servers, lookahead_units)
 # unused here: kept for the benchmark, whose reach span and tests look it up in this module
 from .placement import latency_reach  # noqa: F401
@@ -104,15 +102,13 @@ class _FoundFeasible(Exception):
 
 
 def _enumerate_paths(psn: PhysicalNetwork, src: int, dsts: Iterable[int], bw: float,
-                     budget_ms: float, max_paths: int | None
+                     budget_ms: float
                      ) -> tuple[dict[int, list[tuple[tuple[int, ...], float]]], set[int]]:
     """All simple paths from src to each node of dsts (src excluded) over
     links with residual >= bw and total latency within budget, from one
     search, each as (link ids, latency), the latency summed first link to
     last. Each destination's paths are ordered by (hops, latency, link
-    ids); destinations without a path are left out. With max_paths a
-    destination keeps the first max_paths paths in search order and is
-    reported as truncated.
+    ids); destinations without a path are left out.
 
     The search recurses over `relay_adj` alone, since a leaf relays
     nothing. A leaf destination (one link) is attached when the node across
@@ -120,58 +116,44 @@ def _enumerate_paths(psn: PhysicalNetwork, src: int, dsts: Iterable[int], bw: fl
     relay degree plus the destinations behind it, whatever the number of
     servers there. A destination may relay to another one."""
     adj = psn.adj
-    open_dsts = set(dsts) - {src}
+    targets = set(dsts) - {src}
     behind: dict[int, list[tuple[int, int]]] = {}  # node -> (leaf destination, its link)
-    for d in open_dsts:
+    for d in targets:
         if len(adj[d]) == 1:
             (u, lid), = adj[d]
             behind.setdefault(u, []).append((d, lid))
     found: dict[int, list[tuple[int, float, tuple[int, ...]]]] = {}
-    truncated: set[int] = set()
     visited = {src}
     trail: list[int] = []
     relay_adj, links, bw_units = psn.index().relay_adj, psn.links, psn.bw_units
     need, limit = to_units(bw), budget_ms + LATENCY_EPS
 
-    def arrive(v: int, lid: int, nl: float) -> bool:
-        """Record a path to destination v; whether every destination is closed."""
-        paths = found.setdefault(v, [])
-        paths.append((len(trail) + 1, nl, tuple(trail) + (lid,)))
-        if max_paths is not None and len(paths) >= max_paths:
-            open_dsts.discard(v)
-            truncated.add(v)
-            return not open_dsts
-        return False
-
-    def dfs(u: int, lat: float) -> bool:
-        """Search on from u, reached at latency lat; whether every
-        destination is closed."""
+    def dfs(u: int, lat: float) -> None:
+        """Search on from u, reached at latency lat."""
         for v, lid in behind.get(u, ()):
-            if v in open_dsts and bw_units[lid] >= need:
+            if bw_units[lid] >= need:
                 nl = lat + links[lid].latency_ms
-                if nl <= limit and arrive(v, lid, nl):
-                    return True
+                if nl <= limit:
+                    found.setdefault(v, []).append((len(trail) + 1, nl, tuple(trail) + (lid,)))
         for v, lid in relay_adj[u]:
             if v in visited or bw_units[lid] < need:
                 continue
             nl = lat + links[lid].latency_ms
             if nl > limit:
                 continue
-            if v in open_dsts and arrive(v, lid, nl):
-                return True
+            if v in targets:
+                found.setdefault(v, []).append((len(trail) + 1, nl, tuple(trail) + (lid,)))
             visited.add(v)
             trail.append(lid)
-            done = dfs(v, nl)
+            dfs(v, nl)
             trail.pop()
             visited.discard(v)
-            if done:
-                return True
-        return False
 
-    if open_dsts:
+    if targets:
         dfs(src, 0.0)
     del dfs  # it refers to itself through its cell: see the note in _solve
-    return {d: [(p, lat) for _, lat, p in sorted(f)] for d, f in found.items()}, truncated
+    # always empty: the benchmark's path span unpacks (paths, truncated)
+    return {d: [(p, lat) for _, lat, p in sorted(f)] for d, f in found.items()}, set()
 
 
 def _twin_key(psn: PhysicalNetwork, sid: int, cpu: int, ram: int) -> tuple:
@@ -215,39 +197,37 @@ def _later_candidates(psn: PhysicalNetwork, request: SliceRequest, v: int, last_
     first, then the rest of its DC, then the others. A class keeps its
     first server in that order.
 
-    Reach is read as `feasible_servers` reads it, at relay and run grain:
-    `_relay_reach` from last_s, then the runs anchored at reached relays
-    whose uplink latency keeps the sum within the limit (the float compare
-    `latency_reach` makes), each run server's uplink tested against VL v-1;
-    plus the reached servers outside every run and last_s itself. One walk
-    over those in position (= id) order decides each server's rule, from
-    thresholds read once (`lookahead_units`), and its key, which a run
-    server takes from its run. Keys hold the DC, so the two groups share
+    Reach is read as `feasible_servers` reads it, at relay and run grain,
+    from the relays and runs of `_reached_runs`, each run server's uplink
+    tested against VL v-1; plus the reached servers outside every run and
+    last_s itself. One walk over those in position (= id) order decides
+    each server's rule, from thresholds read once (`lookahead_units`), and
+    its key, which a run server takes from its run. Keys hold the DC, so the two groups share
     none: each dedupes as it fills, and only last_s, which heads its DC's
     group, can take a class from a server of lower id."""
     idx = psn.index()
-    pos, servers, runs, anchor_runs = idx.pos, idx.servers, idx.runs, idx.anchor_runs
+    pos, servers, runs = idx.pos, idx.servers, idx.runs
     cpu, ram, bw_units = psn.cpu_units, psn.ram_units, psn.bw_units
     cpu_v, ram_v, ahead = lookahead_units(request, v)
     bw_next, cpu_both, ram_both = ahead or (0, 0, 0)
     vl = request.vls[v - 2]
     need, limit = vl.bw_units, eff + LATENCY_EPS
+    relay, reached = _reached_runs(psn, last_s, vl, limit)
     # (start, stop, run index) of the run positions reached, and
     # (position, position + 1, -1) of each server decided alone: last_s,
     # reached whatever its links, and the relay servers reached
     p_last = pos[last_s]
     segments = [(p_last, p_last + 1, -1)]
-    for u, d in _relay_reach(psn, last_s, vl.bw, limit).items():
+    for u in relay:
         p = pos[u]
         if p >= 0 and u != last_s:
             segments.append((p, p + 1, -1))
-        for lat, k in anchor_runs.get(u, ()):
-            if d + lat <= limit:
-                start, stop = runs[k][:2]
-                if start <= p_last < stop:  # last_s's run: last_s is decided alone
-                    segments += ((start, p_last, k), (p_last + 1, stop, k))
-                else:
-                    segments.append((start, stop, k))
+    for k in reached:
+        start, stop = runs[k][:2]
+        if start <= p_last < stop:  # last_s's run: last_s is decided alone
+            segments += ((start, p_last, k), (p_last + 1, stop, k))
+        else:
+            segments.append((start, stop, k))
     last_dc = psn.nodes[last_s].dc if dc_first else None
     head = None  # last_s's key once it passes
     near: dict[tuple, int] = {}  # last_s's DC, with dc_first
@@ -294,7 +274,7 @@ def _later_candidates(psn: PhysicalNetwork, request: SliceRequest, v: int, last_
 
 
 def _solve(psn: PhysicalNetwork, request: SliceRequest, *, find_optimal: bool,
-           max_nodes: int | None, max_paths_per_vl: int | None) -> SolveResult:
+           max_nodes: int | None) -> SolveResult:
     n = request.n_vnfs
     net_nodes, adj, idx = psn.nodes, psn.adj, psn.index()
     pos, cpu, ram, bw_units = idx.pos, psn.cpu_units, psn.ram_units, psn.bw_units
@@ -304,7 +284,6 @@ def _solve(psn: PhysicalNetwork, request: SliceRequest, *, find_optimal: bool,
     best_y: dict[int, list[int]] | None = None
     nodes = 0
     deepest = 0
-    truncated_any = False
 
     vnfs, vls = request.vnfs, request.vls
     # per VNF v, what its frame holds: CPU, RAM and VL v-1's bandwidth
@@ -325,12 +304,9 @@ def _solve(psn: PhysicalNetwork, request: SliceRequest, *, find_optimal: bool,
                    ) -> list[tuple[int, list[tuple[tuple[int, ...], float]]]]:
         """Eligible (server, feasible (path, latency) pairs) for VNF v > 1,
         in search order."""
-        nonlocal truncated_any
         eff = min(vl.budget_ms, request.e2e_budget_ms - used_e2e)
         keep = _later_candidates(psn, request, v, last_s, eff, find_optimal)
-        by_dst, truncated = _enumerate_paths(psn, last_s, keep, vl.bw, eff,
-                                             max_paths_per_vl)
-        truncated_any = truncated_any or bool(truncated)
+        by_dst, _ = _enumerate_paths(psn, last_s, keep, vl.bw, eff)
         if last_s in keep:
             by_dst[last_s] = [((), 0.0)]
         return [(sid, by_dst[sid]) for sid in keep if sid in by_dst]
@@ -449,10 +425,6 @@ def _solve(psn: PhysicalNetwork, request: SliceRequest, *, find_optimal: bool,
         # collector runs; emptying one cell frees it on return
         del expand
 
-    if status is not SolveStatus.BUDGET_EXCEEDED and truncated_any:
-        if find_optimal or best_cost is None:
-            status = SolveStatus.BUDGET_EXCEEDED
-
     if best_cost is None:
         if status is SolveStatus.OPTIMAL:
             status = SolveStatus.INFEASIBLE
@@ -464,20 +436,16 @@ def _solve(psn: PhysicalNetwork, request: SliceRequest, *, find_optimal: bool,
 
 
 def solve_ilp1(psn: PhysicalNetwork, request: SliceRequest, *,
-               max_nodes: int | None = DEFAULT_NODE_BUDGET,
-               max_paths_per_vl: int | None = None) -> SolveResult:
+               max_nodes: int | None = DEFAULT_NODE_BUDGET) -> SolveResult:
     """Minimum-bandwidth placement of the whole chain: each virtual link
     costs its demand times its path length. The substrate is left
     untouched; callers apply the returned placement explicitly."""
-    return _solve(psn, request, find_optimal=True, max_nodes=max_nodes,
-                  max_paths_per_vl=max_paths_per_vl)
+    return _solve(psn, request, find_optimal=True, max_nodes=max_nodes)
 
 
 def solve_ilp2(psn: PhysicalNetwork, request: SliceRequest, *,
-               max_nodes: int | None = DEFAULT_NODE_BUDGET,
-               max_paths_per_vl: int | None = None) -> SolveResult:
+               max_nodes: int | None = DEFAULT_NODE_BUDGET) -> SolveResult:
     """First complete feasible placement in ascending-server-id order,
     realizing the accept-whenever-possible baseline. OPTIMAL here just means
     a feasible placement was found."""
-    return _solve(psn, request, find_optimal=False, max_nodes=max_nodes,
-                  max_paths_per_vl=max_paths_per_vl)
+    return _solve(psn, request, find_optimal=False, max_nodes=max_nodes)

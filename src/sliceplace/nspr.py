@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, NamedTuple
 
-import numpy as np
-
 from .topology import to_units, typed
 
 
@@ -195,11 +193,6 @@ class ClassTable(NamedTuple):
 
     def pick(self, u: float) -> SliceClass:
         return self.classes[min(bisect_right(self.bounds, u), len(self.classes) - 1)]
-
-
-def sample_class(rng: np.random.Generator, mix: Mapping[SliceClass, float]) -> SliceClass:
-    """Draw a class from a probability mix with one uniform (`ClassTable`)."""
-    return ClassTable.of(mix).pick(rng.random())
 
 
 def catalog_from_json(obj: Mapping) -> dict[SliceClass, ClassSpec]:

@@ -27,7 +27,7 @@ from bisect import insort
 from dataclasses import dataclass, field
 from typing import Container, Mapping, Sequence
 
-from .nspr import SliceRequest
+from .nspr import SliceRequest, VlDemand
 from .topology import SCALE, PhysicalNetwork, Run, Server, to_units
 
 LATENCY_EPS = 1e-9
@@ -368,9 +368,9 @@ def _relay_reach(psn: PhysicalNetwork, src: int, bw: float,
     or more links) within `limit`, over links with residual bandwidth >= bw;
     src is always present, at 0.
 
-    The one Dijkstra behind both `feasible_servers` and the exact search's
-    candidate lists (`exact._later_candidates`), each of which reads the
-    one-link servers from the runs anchored at the relays it reaches;
+    The one Dijkstra behind `_reached_runs`, the reach step of both
+    `feasible_servers` and the exact search's candidate lists, which read
+    the one-link servers from the runs anchored at the relays reached;
     `latency_reach`, which no code of the package calls, runs it too. A
     leaf relays nothing, so leaves never enter the heap: the cost is one
     heap operation per reached relay node, whatever the number of servers.
@@ -391,6 +391,22 @@ def _relay_reach(psn: PhysicalNetwork, src: int, bw: float,
                 dist[v] = nd
                 heapq.heappush(pq, (nd, v))
     return dist
+
+
+def _reached_runs(psn: PhysicalNetwork, src: int, vl: VlDemand,
+                  limit: float) -> tuple[dict[int, float], list[int]]:
+    """The one reach step of `feasible_servers` and the exact search's
+    candidate lists: `_relay_reach` from src within limit over links that
+    carry vl, and, ascending, the indices of the runs (`topology.Run`)
+    anchored at a reached relay whose uplink latency keeps the sum within
+    limit (`d + lat <= limit`, the compare `latency_reach` makes). A run's
+    servers are reached only if their uplinks carry vl too."""
+    relay = _relay_reach(psn, src, vl.bw, limit)
+    anchor_runs = psn.index().anchor_runs
+    reached = [k for u, d in relay.items() for lat, k in anchor_runs.get(u, ())
+               if d + lat <= limit]
+    reached.sort()
+    return relay, reached
 
 
 def latency_reach(psn: PhysicalNetwork, src: int, bw: float,
@@ -634,18 +650,7 @@ def feasible_servers(psn: PhysicalNetwork, request: SliceRequest, v: int,
         vl = vls[v - 2]
         reach_bw = vl.bw_units
         limit = min(vl.budget_ms, request.e2e_budget_ms - used_e2e_ms) + LATENCY_EPS
-        relay = _relay_reach(psn, last_s, vl.bw, limit)
-        # `lat <= limit - d` decides as `d + lat <= limit` does: exactly for
-        # a zero-latency link, and elsewhere unless d + lat lies within
-        # rounding of the limit, which the LATENCY_EPS margin keeps away from
-        # sums of latencies given to a few decimals
-        anchor_runs = idx.anchor_runs
-        reached: list[int] = []
-        for u, d in relay.items():
-            for lat, k in anchor_runs.get(u, ()):
-                if lat <= limit - d:
-                    reached.append(k)
-        reached.sort()
+        relay, reached = _reached_runs(psn, last_s, vl, limit)
         # Only last_s's own DC applies the lookahead, and only when VL v
         # needs more than VL v-1. Otherwise it is implied before the final
         # VNF: every reached server but last_s was entered over a link with

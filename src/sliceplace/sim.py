@@ -208,7 +208,7 @@ class _Accounting:
     CPU units, GB and Gbps."""
 
     def __init__(self, net: PhysicalNetwork, warmup: float, horizon: float,
-                 series_interval: float | None) -> None:
+                 series_interval: float) -> None:
         self.warmup = warmup
         self.horizon = horizon
         slot = {key: k for k, key in enumerate(_SLOTS)}
@@ -244,10 +244,9 @@ class _Accounting:
 
     def advance(self, t: float) -> None:
         t = min(t, self.horizon)
-        if self.interval is not None:
-            while self.next_sample <= t + 1e-12 and self.next_sample <= self.horizon:
-                self._rows_at(self.next_sample)
-                self.next_sample += self.interval
+        while self.next_sample <= t + 1e-12 and self.next_sample <= self.horizon:
+            self._rows_at(self.next_sample)
+            self.next_sample += self.interval
         lo = max(self.last_t, self.warmup)
         if t > lo:
             dt = t - lo
@@ -275,7 +274,7 @@ class _Accounting:
 
     def finish(self) -> None:
         self.advance(self.horizon)
-        if self.interval is not None and self.next_sample > self.horizon:
+        if self.next_sample > self.horizon:
             last_rows = [r for r in self.series if r[0] == self.horizon]
             if not last_rows:
                 self._rows_at(self.horizon)

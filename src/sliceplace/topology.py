@@ -292,12 +292,12 @@ class PhysicalNetwork:
     through two unit-level writes, each of which checks every slot before
     it writes one: `hold`, which takes one VNF's units on a server and one
     VL's on each link of a path (the exact search's frames and P2C's
-    per-VNF step hold through it; `allocate` takes a VNF's demand through
-    it, `allocate_bw` one link's), and `write_units`, which takes or
-    returns a whole placement's summed units (`release`/`release_bw`
-    return one demand through it). Inside a (nestable) transaction,
-    `mark = begin()` then `commit(mark)` or `rollback(mark)`, each write
-    logs (array, slot, old units) for a rollback to write back.
+    per-VNF step hold through it), and `write_units`, which takes or
+    returns whole units on the servers and links it is given: a whole
+    placement's sums, or the one demand of a float wrapper (`allocate`,
+    `allocate_bw`, `release`, `release_bw`). Inside a (nestable)
+    transaction, `mark = begin()` then `commit(mark)` or `rollback(mark)`,
+    each write logs (array, slot, old units) for a rollback to write back.
     `snapshot`/`restore` copy the arrays whole.
 
     `index()` returns the one `StructureIndex`, built in one pass on first
@@ -505,19 +505,14 @@ class PhysicalNetwork:
 
     # -- capacity bookkeeping ----------------------------------------------
 
-    def _set(self, store: array, i: int, units: int) -> None:
-        if self._marks:
-            self._undo.append((store, i, store[i]))
-        store[i] = units
-
     def hold(self, server_id: int, cpu: int, ram: int, path: Sequence[int], bw: int) -> None:
         """Take whole, non-negative units: a VNF's CPU and RAM on server
         server_id and a VL's bandwidth `bw` on each link of path, whose
         links are distinct (a simple path). Every slot is checked before any
         is written, so a refusal writes nothing: TopologyError for a node
         that is not a server or a link unknown or without bandwidth
-        accounting, CapacityError when a slot is short. Each write logs as
-        `_set` logs."""
+        accounting, CapacityError when a slot is short. Inside a
+        transaction each write logs its slot's old units."""
         pos = self.index().pos
         p = pos[server_id] if 0 <= server_id < len(pos) else -1
         if p < 0:
@@ -546,23 +541,14 @@ class PhysicalNetwork:
             bw_units[lid] -= bw
 
     def allocate(self, server_id: int, cpu: float, ram: float) -> None:
-        """Take one VNF's CPU units and GB on a server (`hold`, no path)."""
-        self.hold(server_id, to_units(cpu), to_units(ram), (), 0)
+        """Take one VNF's CPU units and GB on a server (`write_units`)."""
+        self.write_units(-1, {server_id: (to_units(cpu), to_units(ram))}, {})
 
     def release(self, server_id: int, cpu: float, ram: float) -> None:
         self.write_units(1, {server_id: (to_units(cpu), to_units(ram))}, {})
 
-    def _link_units(self, link_id: int) -> int:
-        units = self.bw_units[self.link(link_id).id]
-        if units < 0:
-            raise TopologyError(f"link {link_id} carries no bandwidth accounting")
-        return units
-
     def allocate_bw(self, link_id: int, bw: float) -> None:
-        need, free = to_units(bw), self._link_units(link_id)
-        if free < need:
-            raise CapacityError(f"link {link_id}: need {bw}, free {free / SCALE}")
-        self._set(self.bw_units, link_id, free - need)
+        self.write_units(-1, {}, {link_id: to_units(bw)})
 
     def release_bw(self, link_id: int, bw: float) -> None:
         self.write_units(1, {}, {link_id: to_units(bw)})
@@ -575,9 +561,9 @@ class PhysicalNetwork:
         so a refusal writes nothing: CapacityError when a take exceeds what
         is free, ReleaseError when a return exceeds capacity, TopologyError
         for a node that is not a server or a link without bandwidth
-        accounting. Then each slot is written once, logged as `_set` logs."""
-        # the checks of `_pos` and `_link_units` and the log of `_set`, inline:
-        # every departure of a run writes through here
+        accounting. Then each slot is written once; inside a transaction
+        each write logs (array, slot, old units)."""
+        # the check of `_pos`, inline: every departure of a run writes through here
         cpu_units, ram_units, bw_units = self.cpu_units, self.ram_units, self.bw_units
         idx = self.index()
         pos, cpu_cap, ram_cap, bw_cap = idx.pos, idx.cpu_cap, idx.ram_cap, idx.bw_cap

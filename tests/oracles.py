@@ -168,21 +168,16 @@ def brute_force(psn: PhysicalNetwork, request: SliceRequest, *,
 
 
 def paths_to(psn: PhysicalNetwork, src: int, dst: int, bw: float,
-             budget_ms: float, max_paths: int | None) -> tuple[list[tuple[int, ...]], bool]:
+             budget_ms: float) -> list[tuple[int, ...]]:
     """All simple paths src -> dst over links with residual >= bw and total
-    latency within budget, ordered by (hops, latency, link ids). The search
-    stops at max_paths paths and then reports truncation."""
+    latency within budget, ordered by (hops, latency, link ids)."""
     if src == dst:
-        return ([()] if budget_ms >= -LATENCY_EPS else []), False
+        return [()] if budget_ms >= -LATENCY_EPS else []
     found: list[tuple[int, float, tuple[int, ...]]] = []
-    truncated = False
     visited = {src}
     trail: list[int] = []
 
     def dfs(u: int, lat: float) -> None:
-        nonlocal truncated
-        if truncated:
-            return
         for v, lid in psn.adj[u]:
             if v in visited:
                 continue
@@ -194,21 +189,16 @@ def paths_to(psn: PhysicalNetwork, src: int, dst: int, bw: float,
                 continue
             if v == dst:
                 found.append((len(trail) + 1, nl, tuple(trail) + (lid,)))
-                if max_paths is not None and len(found) >= max_paths:
-                    truncated = True
-                    return
                 continue
             visited.add(v)
             trail.append(lid)
             dfs(v, nl)
             trail.pop()
             visited.discard(v)
-            if truncated:
-                return
 
     dfs(src, 0.0)
     found.sort()
-    return [p for _, _, p in found], truncated
+    return [p for _, _, p in found]
 
 
 def plain_reach(net: PhysicalNetwork, src: int, bw: float,

@@ -120,17 +120,36 @@ class TestPathSearch:
         dsts = data.draw(st.one_of(st.just(set(nodes)), st.sets(st.sampled_from(nodes))))
         bw = data.draw(st.sampled_from([0.0] + LINK_BWS))
         budget = data.draw(st.sampled_from([-0.5, 0.0, 0.1, 0.33, 1.0, 5.0]))
-        max_paths = data.draw(st.sampled_from([None, 1, 2]))
-        by_dst, truncated = _enumerate_paths(net, src, dsts, bw, budget, max_paths)
-        assert src not in by_dst and src not in truncated
-        assert all(by_dst.values()) and truncated <= set(by_dst)
+        by_dst, _ = _enumerate_paths(net, src, dsts, bw, budget)
+        assert src not in by_dst and all(by_dst.values())
         for dst in dsts - {src}:
-            paths, trunc = paths_to(net, src, dst, bw, budget, max_paths)
-            assert [p for p, _ in by_dst.get(dst, [])] == paths
-            assert (dst in truncated) == trunc
+            assert [p for p, _ in by_dst.get(dst, [])] == paths_to(net, src, dst, bw, budget)
         for found in by_dst.values():
             # each latency is the float the search summed, first link to last
             assert all(lat == sum(net.links[lid].latency_ms for lid in p) for p, lat in found)
+
+    def test_every_path_behind_one_switch_and_an_empty_second_value(self):
+        """Behind the CDC switch sit leaf servers c0 and c1 and a relay
+        server c2, linked to the EDC switch as well; the switch is reached
+        over three routes, so each destination behind it has several paths,
+        all of them kept. The result is (paths, an empty set): the
+        benchmark's path span unpacks two values."""
+        net = make_pair(edc_servers=1, cdc_servers=3, km=10)
+        (e0,) = net.data_centers["edc0"].servers
+        c0, c1, c2 = sorted(net.data_centers["cdc0"].servers)
+        sw_e, sw_c = net.data_centers["edc0"].switch, net.data_centers["cdc0"].switch
+        router = net.add_node("r", NodeKind.ROUTER)
+        net.add_link(sw_e, router, 0.05, LinkKind.TRANSPORT, 10.0)
+        net.add_link(router, sw_c, 0.05, LinkKind.TRANSPORT, 10.0)
+        net.add_link(sw_e, c2, 0.1, LinkKind.TRANSPORT, 10.0)
+        dsts = {c0, c1, c2}
+        result = _enumerate_paths(net, e0, dsts, 1.0, 1.0)
+        assert type(result) is tuple and len(result) == 2
+        by_dst, rest = result
+        assert type(by_dst) is dict and rest == set()
+        for dst in dsts:
+            assert [p for p, _ in by_dst[dst]] == paths_to(net, e0, dst, 1.0, 1.0)
+        assert len(by_dst[c0]) == 3
 
     def test_relays_through_a_multi_link_server(self):
         net = make_pair(edc_servers=2, cdc_servers=1, km=10)
@@ -140,18 +159,15 @@ class TestPathSearch:
         sw_c = net.data_centers["cdc0"].switch
         bridge = net.add_link(e1, sw_c, 0.1, LinkKind.TRANSPORT, 10.0)
         # e1 is a destination itself and the search meets it before the
-        # EDC-CDC link, so c0's first path relays through it
+        # EDC-CDC link, so c0's first path found relays through it
         relayed = (link_id(net, e0, sw_e), link_id(net, sw_e, e1), bridge,
                    link_id(net, sw_c, c0))
         direct = (link_id(net, e0, sw_e), link_id(net, sw_e, sw_c), link_id(net, sw_c, c0))
-        for max_paths, want, cut in ((None, [direct, relayed], False),
-                                     (1, [relayed], True), (2, [direct, relayed], True)):
-            by_dst, truncated = _enumerate_paths(net, e0, {e1, c0}, 1.0, 1.0, max_paths)
-            paths = {dst: [p for p, _ in found] for dst, found in by_dst.items()}
-            assert (paths[c0], c0 in truncated) == (want, cut)
-            for dst in (e1, c0):
-                assert (paths[dst], dst in truncated) == \
-                       paths_to(net, e0, dst, 1.0, 1.0, max_paths)
+        by_dst, _ = _enumerate_paths(net, e0, {e1, c0}, 1.0, 1.0)
+        paths = {dst: [p for p, _ in found] for dst, found in by_dst.items()}
+        assert paths[c0] == [direct, relayed]
+        for dst in (e1, c0):
+            assert paths[dst] == paths_to(net, e0, dst, 1.0, 1.0)
 
 
     def test_leaf_behind_a_multi_link_source(self):
@@ -162,10 +178,10 @@ class TestPathSearch:
         (c0,) = net.data_centers["cdc0"].servers
         w = net.add_server("edc0-w", "edc0", 50.0, 300.0)
         net.add_link(e0, w, 0.0, LinkKind.INTRA_DC, 10.0)
-        by_dst, truncated = _enumerate_paths(net, e0, {w, e1, c0}, 1.0, 1.0, None)
+        by_dst, _ = _enumerate_paths(net, e0, {w, e1, c0}, 1.0, 1.0)
         assert [p for p, _ in by_dst[w]] == [(link_id(net, e0, w),)]
         for dst in (w, e1, c0):
-            assert ([p for p, _ in by_dst[dst]], False) == paths_to(net, e0, dst, 1.0, 1.0, None)
+            assert [p for p, _ in by_dst[dst]] == paths_to(net, e0, dst, 1.0, 1.0)
 
     def test_leaf_on_a_thin_link_is_absent(self):
         """e1's one link has less than the demand left: no path reaches it,
@@ -174,31 +190,10 @@ class TestPathSearch:
         e0, e1 = sorted(net.data_centers["edc0"].servers)
         (c0,) = net.data_centers["cdc0"].servers
         net.allocate_bw(link_id(net, e1, net.data_centers["edc0"].switch), 9.5)
-        by_dst, truncated = _enumerate_paths(net, e0, {e1, c0}, 1.0, 1.0, None)
-        assert e1 not in by_dst and c0 in by_dst and not truncated
-        assert paths_to(net, e0, e1, 1.0, 1.0, None) == ([], False)
-        assert ([p for p, _ in by_dst[c0]], False) == paths_to(net, e0, c0, 1.0, 1.0, None)
-
-    @pytest.mark.parametrize("max_paths", [None, 1, 2, 3])
-    def test_truncation_behind_one_switch(self, max_paths):
-        """Behind the CDC switch sit leaf servers c0 and c1 and a relay
-        server c2, linked to the EDC switch as well; the switch is reached
-        over three routes, so each destination behind it has several paths
-        and a cap cuts them."""
-        net = make_pair(edc_servers=1, cdc_servers=3, km=10)
-        (e0,) = net.data_centers["edc0"].servers
-        c0, c1, c2 = sorted(net.data_centers["cdc0"].servers)
-        sw_e, sw_c = net.data_centers["edc0"].switch, net.data_centers["cdc0"].switch
-        router = net.add_node("r", NodeKind.ROUTER)
-        net.add_link(sw_e, router, 0.05, LinkKind.TRANSPORT, 10.0)
-        net.add_link(router, sw_c, 0.05, LinkKind.TRANSPORT, 10.0)
-        net.add_link(sw_e, c2, 0.1, LinkKind.TRANSPORT, 10.0)
-        dsts = {c0, c1, c2}
-        by_dst, truncated = _enumerate_paths(net, e0, dsts, 1.0, 1.0, max_paths)
-        for dst in dsts:
-            paths, cut = paths_to(net, e0, dst, 1.0, 1.0, max_paths)
-            assert ([p for p, _ in by_dst[dst]], dst in truncated) == (paths, cut)
-        assert len(by_dst[c0]) == (3 if max_paths is None else min(max_paths, 3))
+        by_dst, _ = _enumerate_paths(net, e0, {e1, c0}, 1.0, 1.0)
+        assert e1 not in by_dst and c0 in by_dst
+        assert paths_to(net, e0, e1, 1.0, 1.0) == []
+        assert [p for p, _ in by_dst[c0]] == paths_to(net, e0, c0, 1.0, 1.0)
 
 
 class TestCandidateList:
@@ -255,69 +250,19 @@ class TestCandidateList:
         assert keys == [res.placement.x[1]]
 
 
-class TestPathLimit:
-    """`max_paths_per_vl` caps the paths kept per virtual link; a capped
-    search claims no optimum and no infeasibility. Expected values were
-    recorded with the search per destination."""
-
-    def test_ilp1_truncated_keeps_best_known(self, ref):
-        req = make_request(SliceClass.URLLC, ref.uaps[0])
-        res = solve_ilp1(ref, req, max_paths_per_vl=1)
-        assert res.status is SolveStatus.BUDGET_EXCEEDED
-        assert res.objective == pytest.approx(2.0)
-        assert res.placement.x == {1: 73, 2: 73, 3: 73, 4: 74, 5: 74}
-        assert check_placement(ref, req, res.placement).ok
-
-    def test_ilp1_detour_hides_then_bounds(self):
-        net = detour_first_network()
-        req = short_request(net, SliceClass.URLLC)
-        res = solve_ilp1(net, req, max_paths_per_vl=1)
-        assert (res.status, res.placement, res.deepest_feasible_vnf) == \
-               (SolveStatus.BUDGET_EXCEEDED, None, 2)
-        res = solve_ilp1(net, req, max_paths_per_vl=2)
-        assert res.status is SolveStatus.BUDGET_EXCEEDED
-        assert res.objective == pytest.approx(7.0)
-        assert res.placement.x == {1: 1, 2: 5, 3: 7}
-
-    def test_ilp2_detour_hides_the_only_placement(self):
-        net = detour_first_network()
-        req = short_request(net, SliceClass.URLLC)
-        assert solve_ilp2(net, req).status is SolveStatus.OPTIMAL
-        res = solve_ilp2(net, req, max_paths_per_vl=1)
-        assert (res.status, res.placement, res.deepest_feasible_vnf) == \
-               (SolveStatus.BUDGET_EXCEEDED, None, 2)
-        # a first feasible placement claims no optimum, so a cap that still
-        # finds one is no reason to refuse it
-        res = solve_ilp2(net, req, max_paths_per_vl=2)
-        assert res.status is SolveStatus.OPTIMAL
-        assert res.placement.x == {1: 1, 2: 5, 3: 7}
-        assert res.placement.y == {1: [0, 6, 2], 2: [2, 5, 7, 3]}
-
-    def test_ilp1_cap_counts_only_searched_enumerations(self):
-        """A capped enumeration that the bound skips cannot hide a better
-        placement, so it does not turn ILP-1's verdict into BUDGET_EXCEEDED.
-        With a cap of 2, the one enumeration the search uses (from a, one
-        path to b) is whole; the one from b at VNF 3, where both of a's
-        paths fit VL 2's budget, would be cut, but the bound skips it."""
-        net, a, b = one_slot_and_two_slot_network()
-        req = two_slot_request(net, vl_budgets_ms=(0.33, 0.6))
-        res = solve_ilp1(net, req, max_paths_per_vl=2)
-        assert res.status is SolveStatus.OPTIMAL
-        assert (res.objective, res.placement.x) == (2.0, {1: a, 2: b, 3: b})
-        # a cap of 1 cuts the enumeration the search uses
-        assert solve_ilp1(net, req, max_paths_per_vl=1).status is SolveStatus.BUDGET_EXCEEDED
-
+class TestDetour:
     @pytest.mark.parametrize("solver", [solve_ilp1, solve_ilp2])
-    def test_large_cap_matches_unbounded(self, ref, solver):
+    def test_second_path_places_the_chain(self, solver):
+        """The search meets c's server first over the thin detour a-m-c;
+        the only feasible placement takes the direct a-c link, c's second
+        path, and both searches find it."""
         net = detour_first_network()
-        cases = [(ref, make_request(cls, ref.uaps[0])) for cls in SliceClass]
-        cases.append((net, short_request(net, SliceClass.URLLC)))
-        for psn, req in cases:
-            capped = solver(psn, req, max_paths_per_vl=1000)
-            free = solver(psn, req)
-            assert capped.status is free.status is SolveStatus.OPTIMAL
-            assert capped.objective == free.objective
-            assert capped.placement.x == free.placement.x
+        req = short_request(net, SliceClass.URLLC)
+        res = solver(net, req)
+        assert res.status is SolveStatus.OPTIMAL
+        assert (res.objective, res.placement.x, res.placement.y) == \
+               (pytest.approx(7.0), {1: 1, 2: 5, 3: 7}, {1: [0, 6, 2], 2: [2, 5, 7, 3]})
+        assert brute_force(net, req).objective == pytest.approx(7.0)
 
 
 class TestBound:
@@ -347,9 +292,10 @@ class TestBound:
         """From a, only b can take VNF 2, two links away: 2.0. With the root
         on b and VNF 2 colocated, b is full for VNF 3 and every other
         server is two links away, so neither VNF 3 nor, after it, VNF 2
-        builds a candidate list: the one path search runs from a."""
+        builds a candidate list: the one path search runs from a. With VL
+        2's budget at 0.6 ms both of a's paths would fit from b, and the
+        bound skips that enumeration all the same."""
         net, a, b = one_slot_and_two_slot_network()
-        req = two_slot_request(net)
         sources = []
 
         def enumerate_paths(psn, src, *args):
@@ -357,14 +303,38 @@ class TestBound:
             return _enumerate_paths(psn, src, *args)
 
         monkeypatch.setattr(exact, "_enumerate_paths", enumerate_paths)
-        res = solve_ilp1(net, req)
-        assert res.status is SolveStatus.OPTIMAL
-        assert (res.objective, res.placement.x) == (2.0, {1: a, 2: b, 3: b})
-        assert sources == [a]
-        assert brute_force(net, req).objective == pytest.approx(2.0)
+        for vl_budgets_ms in ((0.33, 0.33), (0.33, 0.6)):
+            req = two_slot_request(net, vl_budgets_ms)
+            sources.clear()
+            res = solve_ilp1(net, req)
+            assert res.status is SolveStatus.OPTIMAL
+            assert (res.objective, res.placement.x) == (2.0, {1: a, 2: b, 3: b})
+            assert sources == [a]
+            assert brute_force(net, req).objective == pytest.approx(2.0)
+
+
+# solver -> class -> (objective, x) on the empty scale-1 substrate, from
+# the first UAP
+REFERENCE_RESULTS = {
+    solve_ilp1: {SliceClass.BEST_EFFORT: (0.0, {1: 73, 2: 73, 3: 73, 4: 73, 5: 73}),
+                 SliceClass.URLLC: (2.0, {1: 73, 2: 73, 3: 73, 4: 74, 5: 74}),
+                 SliceClass.EMBB: (8.0, {1: 73, 2: 73, 3: 74, 4: 74, 5: 75})},
+    solve_ilp2: {SliceClass.BEST_EFFORT: (6.0, {1: 73, 2: 18, 3: 1, 4: 1, 5: 1}),
+                 SliceClass.URLLC: (5.0, {1: 73, 2: 18, 3: 18, 4: 18, 5: 19}),
+                 SliceClass.EMBB: (16.0, {1: 73, 2: 18, 3: 1, 4: 1, 5: 2})},
+}
 
 
 class TestReferenceOptima:
+    @pytest.mark.parametrize("solver", [solve_ilp1, solve_ilp2])
+    def test_recorded_results(self, ref, solver):
+        for cls, (objective, x) in REFERENCE_RESULTS[solver].items():
+            req = make_request(cls, ref.uaps[0])
+            res = solver(ref, req)
+            assert res.status is SolveStatus.OPTIMAL
+            assert (res.objective, res.placement.x) == (pytest.approx(objective), x)
+            assert check_placement(ref, req, res.placement).ok
+
     def test_urllc_ilp1(self, ref):
         res = solve_ilp1(ref, make_request(SliceClass.URLLC, ref.uaps[0]))
         assert res.status is SolveStatus.OPTIMAL

@@ -18,7 +18,6 @@ from sliceplace.nspr import (
     SliceClass,
     catalog_from_json,
     make_request,
-    sample_class,
 )
 
 
@@ -115,13 +114,19 @@ class TestMakeRequest:
         assert req.e2e_budget_ms == 9.0
 
 
+def draw(rng: np.random.Generator, mix) -> SliceClass:
+    """One class from a mix, drawn as `sim.run` draws it: a `ClassTable`
+    picks with one uniform."""
+    return ClassTable.of(mix).pick(rng.random())
+
+
 class TestSampleClass:
     def test_frequencies_match_mix(self):
         rng = np.random.default_rng(404)
         n = 100_000
         counts = {c: 0 for c in SliceClass}
         for _ in range(n):
-            counts[sample_class(rng, DEFAULT_MIX)] += 1
+            counts[draw(rng, DEFAULT_MIX)] += 1
         for cls, share in DEFAULT_MIX.items():
             assert abs(counts[cls] / n - share) < 0.01
 
@@ -130,33 +135,34 @@ class TestSampleClass:
                  SliceClass.URLLC: 0.11}
         mix_b = {SliceClass.URLLC: 0.11, SliceClass.BEST_EFFORT: 0.67,
                  SliceClass.EMBB: 0.22}
-        draws_a = [sample_class(np.random.default_rng(9), mix_a) for _ in range(1)]
+        assert ClassTable.of(mix_a) == ClassTable.of(mix_b)
         rng_a = np.random.default_rng(9)
         rng_b = np.random.default_rng(9)
-        draws_a = [sample_class(rng_a, mix_a) for _ in range(500)]
-        draws_b = [sample_class(rng_b, mix_b) for _ in range(500)]
+        draws_a = [draw(rng_a, mix_a) for _ in range(500)]
+        draws_b = [draw(rng_b, mix_b) for _ in range(500)]
         assert draws_a == draws_b
 
     def test_degenerate_mix(self):
         rng = np.random.default_rng(0)
         mix = {SliceClass.URLLC: 1.0}
-        assert all(sample_class(rng, mix) is SliceClass.URLLC for _ in range(50))
+        assert all(draw(rng, mix) is SliceClass.URLLC for _ in range(50))
 
     def test_bad_mix_rejected(self):
-        rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="sum to 0.5, need 1"):
-            sample_class(rng, {SliceClass.URLLC: 0.5})
+            ClassTable.of({SliceClass.URLLC: 0.5})
         with pytest.raises(ValueError, match="must be non-negative"):
-            sample_class(rng, {SliceClass.URLLC: 1.2, SliceClass.EMBB: -0.2})
+            ClassTable.of({SliceClass.URLLC: 1.2, SliceClass.EMBB: -0.2})
         with pytest.raises(ValueError, match="unknown classes"):
-            sample_class(rng, {SliceClass.URLLC: 0.5, "hologram": 0.5})
+            ClassTable.of({SliceClass.URLLC: 0.5, "hologram": 0.5})
 
     def test_one_uniform_per_draw(self):
+        """A draw consumes exactly one uniform of its stream: after 200
+        draws the stream is where 200 `random()` calls leave it."""
         mix = {SliceClass.URLLC: 0.3, SliceClass.EMBB: 0.7}
         rng, uniforms = np.random.default_rng(8), np.random.default_rng(8)
         table = ClassTable.of(mix)
         for _ in range(200):
-            assert sample_class(rng, mix) is table.pick(uniforms.random())
+            assert draw(rng, mix) is table.pick(uniforms.random())
         assert rng.bit_generator.state == uniforms.bit_generator.state
 
 

@@ -332,7 +332,7 @@ class TestHold:
         else:
             want = None
             ref.commit(mark)
-        # `allocate` itself holds, so its server verdict is checked on its own
+        # the server verdict is also checked on its own, against the plain rule
         if not (0 <= sid < len(net.nodes) and isinstance(net.nodes[sid], Server)):
             assert want is TopologyError
         elif not fits(net, sid, cpu / SCALE, ram / SCALE):
