@@ -292,10 +292,9 @@ class TestBound:
         """From a, only b can take VNF 2, two links away: 2.0. With the root
         on b and VNF 2 colocated, b is full for VNF 3 and every other
         server is two links away, so neither VNF 3 nor, after it, VNF 2
-        builds a candidate list: the one path search runs from a. With VL
-        2's budget at 0.6 ms both of a's paths would fit from b, and the
-        bound skips that enumeration all the same."""
+        builds a candidate list: the one path search runs from a."""
         net, a, b = one_slot_and_two_slot_network()
+        req = two_slot_request(net)
         sources = []
 
         def enumerate_paths(psn, src, *args):
@@ -303,14 +302,35 @@ class TestBound:
             return _enumerate_paths(psn, src, *args)
 
         monkeypatch.setattr(exact, "_enumerate_paths", enumerate_paths)
-        for vl_budgets_ms in ((0.33, 0.33), (0.33, 0.6)):
-            req = two_slot_request(net, vl_budgets_ms)
-            sources.clear()
-            res = solve_ilp1(net, req)
-            assert res.status is SolveStatus.OPTIMAL
-            assert (res.objective, res.placement.x) == (2.0, {1: a, 2: b, 3: b})
-            assert sources == [a]
-            assert brute_force(net, req).objective == pytest.approx(2.0)
+        res = solve_ilp1(net, req)
+        assert res.status is SolveStatus.OPTIMAL
+        assert (res.objective, res.placement.x) == (2.0, {1: a, 2: b, 3: b})
+        assert sources == [a]
+        assert brute_force(net, req).objective == pytest.approx(2.0)
+
+
+class TestPathLimit:
+    """ILP-1 enumerates paths only where the bound lets the search go, so
+    the path searches it runs are the ones its verdict rests on."""
+
+    def test_ilp1_cap_counts_only_searched_enumerations(self, monkeypatch):
+        """With VL 2's budget at 0.6 ms both of a's paths would fit from b
+        at VNF 3, but the bound skips that enumeration: the one path search
+        runs from a, and the optimum is the same 2.0."""
+        net, a, b = one_slot_and_two_slot_network()
+        req = two_slot_request(net, vl_budgets_ms=(0.33, 0.6))
+        sources = []
+
+        def enumerate_paths(psn, src, *args):
+            sources.append(src)
+            return _enumerate_paths(psn, src, *args)
+
+        monkeypatch.setattr(exact, "_enumerate_paths", enumerate_paths)
+        res = solve_ilp1(net, req)
+        assert res.status is SolveStatus.OPTIMAL
+        assert (res.objective, res.placement.x) == (2.0, {1: a, 2: b, 3: b})
+        assert sources == [a]
+        assert brute_force(net, req).objective == pytest.approx(2.0)
 
 
 # solver -> class -> (objective, x) on the empty scale-1 substrate, from
