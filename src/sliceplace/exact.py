@@ -69,7 +69,7 @@ from typing import Iterable, Iterator
 
 from .nspr import SliceRequest, VlDemand
 from .placement import (LATENCY_EPS, Placement, _reached_runs, bandwidth_cost,
-                        feasible_servers, lookahead_units)
+                        feasible_servers, lookahead_rule, lookahead_units)
 # unused here: kept for the benchmark, whose reach span and tests look it up in this module
 from .placement import latency_reach  # noqa: F401
 from .topology import PhysicalNetwork, to_units
@@ -277,7 +277,7 @@ def _solve(psn: PhysicalNetwork, request: SliceRequest, *, find_optimal: bool,
            max_nodes: int | None) -> SolveResult:
     n = request.n_vnfs
     net_nodes, adj, idx = psn.nodes, psn.adj, psn.index()
-    pos, cpu, ram, bw_units = idx.pos, psn.cpu_units, psn.ram_units, psn.bw_units
+    pos, cpu, ram = idx.pos, psn.cpu_units, psn.ram_units
 
     best_cost: float | None = None
     best_x: dict[int, int] | None = None
@@ -385,16 +385,7 @@ def _solve(psn: PhysicalNetwork, request: SliceRequest, *, find_optimal: bool,
                 rule = rules.get(v)
                 if rule is None:
                     rule = rules[v] = lookahead_units(request, v)
-                cpu_v, ram_v, ahead = rule
-                look = c >= cpu_v and r >= ram_v
-                if look and ahead is not None and (c < ahead[1] or r < ahead[2]):
-                    bw_next = ahead[0]
-                    for _, lid in adj[last_s]:
-                        if bw_units[lid] >= bw_next:
-                            break
-                    else:
-                        look = False
-                if look:
+                if lookahead_rule(psn, last_s, c, r, *rule):
                     branch(v, last_s, (), 0.0, used_e2e, committed)
                     tried = True
             if best_cost is not None:

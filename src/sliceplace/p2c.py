@@ -140,6 +140,7 @@ def place(psn: PhysicalNetwork, request: SliceRequest, policy: Policy,
     bit-identical to the pre-call state.
     """
     best_tier = policy is Policy.TIER_PREFERRED
+    vnfs, vls = request.vnfs, request.vls
     x: dict[int, int] = {}
     y: dict[int, list[int]] = {}
     cost = 0.0
@@ -148,20 +149,23 @@ def place(psn: PhysicalNetwork, request: SliceRequest, policy: Policy,
     mark = psn.begin()
     accepted = False
     try:
-        for v in range(1, request.n_vnfs + 1):
+        for v in range(1, len(vnfs) + 1):
             candidates = feasible_servers(psn, request, v, last_s, used_e2e_ms=used_e2e,
                                           best_tier=best_tier)
             if not candidates:
                 return PlacementOutcome(OutcomeStatus.REJECTED, None, 0.0, v)
             s1, s2 = get_two_candidates(candidates, stream)
-
-            path: list[int] = []
+            cpu, ram = vnfs[v - 1].units
             if v == 1:
-                chosen = s1
-            elif last_s in (s1, s2):
-                chosen = last_s
+                psn.hold(s1, cpu, ram, (), 0)
+                used_e2e = psn.access_latency(request.uap, psn.nodes[s1].dc)
+                x[1] = last_s = s1
+                continue
+
+            vl = vls[v - 2]
+            if last_s in (s1, s2):
+                chosen, path = last_s, []
             else:
-                vl = request.vl(v - 1)
                 eff_budget = min(vl.budget_ms, request.e2e_budget_ms - used_e2e)
                 p1 = min_cost_path(psn, last_s, s1, vl.bw, eff_budget)
                 p2 = p1 if s2 == s1 else min_cost_path(psn, last_s, s2, vl.bw, eff_budget)
@@ -171,20 +175,12 @@ def place(psn: PhysicalNetwork, request: SliceRequest, policy: Policy,
                     chosen, path = s1, p1
                 else:
                     chosen, path = s2, p2
-
-            cpu, ram = request.vnfs[v - 1].units
-            if v == 1:
-                psn.hold(chosen, cpu, ram, path, 0)
-                used_e2e = psn.access_latency(request.uap, psn.nodes[chosen].dc)
-            else:
-                vl = request.vls[v - 2]
-                psn.hold(chosen, cpu, ram, path, vl.bw_units)
-                for lid in path:
-                    used_e2e += psn.links[lid].latency_ms
-                y[v - 1] = path
-                cost += len(path) * vl.bw
-            x[v] = chosen
-            last_s = chosen
+            psn.hold(chosen, cpu, ram, path, vl.bw_units)
+            for lid in path:
+                used_e2e += psn.links[lid].latency_ms
+            y[v - 1] = path
+            cost += len(path) * vl.bw
+            x[v] = last_s = chosen
         accepted = True
         return PlacementOutcome(OutcomeStatus.ACCEPTED, Placement(x, y, cost), cost, None)
     finally:

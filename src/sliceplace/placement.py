@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Container, Mapping, Sequence
 
 from .nspr import SliceRequest, VlDemand
-from .topology import SCALE, PhysicalNetwork, Run, Server, to_units
+from .topology import SCALE, PhysicalNetwork, Run, Server, StructureIndex, to_units
 
 LATENCY_EPS = 1e-9
 
@@ -284,6 +284,11 @@ def min_cost_path(psn: PhysicalNetwork, src: int, dst: int, bw: float,
     back to the minimum-latency path, which exists within the budget or not at
     all, so the result is None exactly when no feasible path exists. src ==
     dst yields the empty path.
+
+    The BFS expands relay nodes alone: a leaf dst is reached through the
+    node across its one link, and a one-link src is entered at that node,
+    its first level. Either way the path and its latency are the plain
+    BFS's.
     """
     if src == dst:
         return [] if budget_ms >= -LATENCY_EPS else None
@@ -304,6 +309,15 @@ def min_cost_path(psn: PhysicalNetwork, src: int, dst: int, bw: float,
     if target != src:
         relay_adj = psn.index().relay_adj
         level, found = [src], False
+        if len(psn.adj[src]) == 1:
+            # a one-link source: the first level is its anchor alone, if
+            # that relays and its link carries bw
+            level = []
+            for v, lid in relay_adj[src]:
+                if bw_units[lid] >= need:
+                    parent[v] = (src, lid)
+                    found = v == target
+                    level.append(v)
         while level and not found:
             nxt_level = []
             for u in sorted(level) if len(level) > 1 else level:
@@ -374,11 +388,22 @@ def _relay_reach(psn: PhysicalNetwork, src: int, bw: float,
     `latency_reach`, which no code of the package calls, runs it too. A
     leaf relays nothing, so leaves never enter the heap: the cost is one
     heap operation per reached relay node, whatever the number of servers.
+    A one-link source (a server behind its switch) is entered at its
+    anchor, the node across its link, with the distance the source's pop
+    would push, so the source itself takes no heap operation.
     """
     relay_adj = psn.index().relay_adj
     links, bw_units, need = psn.links, psn.bw_units, to_units(bw)
     dist = {src: 0.0}
-    pq: list[tuple[float, int]] = [(0.0, src)]
+    if len(psn.adj[src]) == 1:
+        pq: list[tuple[float, int]] = []
+        for v, lid in relay_adj[src]:  # the anchor, unless it is a leaf too
+            nd = 0.0 + links[lid].latency_ms
+            if bw_units[lid] >= need and nd <= limit:
+                dist[v] = nd
+                pq.append((nd, v))
+    else:
+        pq = [(0.0, src)]
     while pq:
         d, u = heapq.heappop(pq)
         if d > dist[u]:
@@ -432,13 +457,6 @@ def latency_reach(psn: PhysicalNetwork, src: int, bw: float,
     return dist
 
 
-def _has_uplink(psn: PhysicalNetwork, server_id: int, need: int) -> bool:
-    for _, lid in psn.adj[server_id]:
-        if psn.bw_units[lid] >= need:
-            return True
-    return False
-
-
 def lookahead_units(request: SliceRequest, v: int
                     ) -> tuple[int, int, tuple[int, int, int] | None]:
     """The thresholds of the lookahead rule for VNF v, in residual units:
@@ -454,47 +472,87 @@ def lookahead_units(request: SliceRequest, v: int
     return cpu_v, ram_v, (request.vls[v - 1].bw_units, cpu_v + cpu_next, ram_v + ram_next)
 
 
+def lookahead_rule(psn: PhysicalNetwork, server_id: int, cpu: int, ram: int,
+                   cpu_v: int, ram_v: int, ahead: tuple[int, int, int] | None) -> bool:
+    """The one body of the scalar lookahead rule: whether server server_id,
+    with cpu and ram units left, has room for a VNF of cpu_v and ram_v units
+    and, with ahead = (bw, cpu, ram) from `lookahead_units`, room for the
+    next VNF too (cpu and ram) or an incident link with bw units left. ahead
+    None leaves the room test. Callers pass the residuals they have read."""
+    if cpu < cpu_v or ram < ram_v:
+        return False
+    if ahead is None or cpu >= ahead[1] and ram >= ahead[2]:
+        return True
+    bw_next, bw_units = ahead[0], psn.bw_units
+    for _, lid in psn.adj[server_id]:
+        if bw_units[lid] >= bw_next:
+            return True
+    return False
+
+
 def lookahead_at(psn: PhysicalNetwork, request: SliceRequest, v: int,
                  server_id: int) -> bool:
     """Whether server server_id may host VNF v, for v in 1..n: it has room
     for VNF v and, before the final VNF, room for VNF v+1 too or an incident
-    link that can carry VL v (thresholds from `lookahead_units`). The one
-    lookahead rule of P2C and the exact search, from scalar reads."""
+    link that can carry VL v. The one lookahead rule of P2C and the exact
+    search (`lookahead_rule`), read at one server."""
     p = psn.index().pos[server_id]
-    cpu_v, ram_v, ahead = lookahead_units(request, v)
-    cpu, ram = psn.cpu_units[p], psn.ram_units[p]
-    if cpu < cpu_v or ram < ram_v:
-        return False
-    if ahead is None:
-        return True
-    bw_next, cpu_both, ram_both = ahead
-    return (cpu >= cpu_both and ram >= ram_both) or _has_uplink(psn, server_id, bw_next)
+    return lookahead_rule(psn, server_id, psn.cpu_units[p], psn.ram_units[p],
+                          *lookahead_units(request, v))
 
 
-def _root_groups(psn: PhysicalNetwork, request: SliceRequest,
-                 best_tier: bool) -> tuple[tuple[int, tuple, tuple[int, ...]], ...]:
-    """Where the first VNF may go: the groups of `_slices` over the runs of
-    the data centers within the class's access bound of the request's UAP,
-    each with the positions of those data centers' servers outside every
-    run, best first. Cached per (UAP, bound, best_tier) in the index."""
+# Plans (`_store`) the structure index keeps; a full cache is emptied. The
+# number of plans grows with the run: a seed-1 MIX rho 1 P2C-1 run at scale
+# 1 met 2,532 distinct ones in 18,214 arrivals, the benchmark's scale-16
+# P2C-2 run 203 in 2,187
+PLANS_MAX = 4096
+
+
+def _store(idx: StructureIndex, key: tuple, by_rank: dict[int, list],
+           offs: tuple[tuple[int, int], ...]) -> tuple:
+    """Cache under key, and return, the plan of the slices by_rank of
+    `_slices`: (groups, ranks, offs), groups being (rank, slices, ()) in
+    ascending rank with each slice a tuple, as `_collect` reads them, ranks
+    their ranks, and offs (rank, position) of servers outside every run
+    that each call decides one at a time."""
+    plans = idx.plans
+    if len(plans) >= PLANS_MAX:
+        plans.clear()
+    groups = tuple([(r, tuple([(*sl[:4], tuple(sl[4])) for sl in by_rank[r]]), ())
+                    for r in sorted(by_rank)])
+    plan = plans[key] = (groups, frozenset(by_rank), offs)
+    return plan
+
+
+def _root_plan(psn: PhysicalNetwork, request: SliceRequest, best_tier: bool) -> tuple:
+    """Where the first VNF may go: the plan (`_store`) of the runs of the
+    data centers within the class's access bound of the request's UAP,
+    with the positions of those data centers' servers outside every run.
+    Cached per (UAP, bound, best_tier)."""
     idx = psn.index()
     key = (request.uap, request.alpha_max_ms, best_tier)
-    groups = idx.root_runs.get(key)
-    if groups is None:
+    plan = idx.plans.get(key)
+    if plan is None:
         bound = request.alpha_max_ms + LATENCY_EPS
         dcs = {dc_id for dc_id in psn.data_centers
                if psn.access_latency(request.uap, dc_id) <= bound}
-        by_key = _slices(idx.runs, [k for k, run in enumerate(idx.runs) if run.dc in dcs],
-                         best_tier, dcs)
-        for p in idx.off_run:
-            server = idx.servers[p]
-            if server.dc in dcs:
-                by_key.setdefault(idx.tier_rank[server.id] if best_tier else 0,
-                                  ([], []))[1].append(p)
-        groups = idx.root_runs[key] = tuple(
-            (r, tuple([(*sl[:4], tuple(sl[4])) for sl in by_key[r][0]]), tuple(by_key[r][1]))
-            for r in sorted(by_key))
-    return groups
+        offs = tuple([(idx.tier_rank[idx.servers[p].id] if best_tier else 0, p)
+                      for p in idx.off_run if idx.servers[p].dc in dcs])
+        plan = _store(idx, key, _slices(idx.runs, [k for k, run in enumerate(idx.runs)
+                                                   if run.dc in dcs], best_tier, dcs), offs)
+    return plan
+
+
+def _merged(groups: Sequence[tuple], extras: list[tuple[int, int]],
+            pin_rank: int | None) -> list[tuple]:
+    """groups with each (rank, id) of extras added to its rank's group and,
+    unless pin_rank is None, a group of that rank, ascending by rank."""
+    by_rank = {r: (slices, []) for r, slices, _ in groups}
+    for r, sid in extras:
+        by_rank.setdefault(r, ((), []))[1].append(sid)
+    if pin_rank is not None:
+        by_rank.setdefault(pin_rank, ((), []))
+    return [(r, *by_rank[r]) for r in sorted(by_rank)]
 
 
 # Slices at most this many positions apart are compared as one, the
@@ -510,22 +568,22 @@ SHORT_SLICE = 32
 
 
 def _slices(runs: Sequence[Run], ks: list[int], by_rank: bool,
-            look_dcs: Container[str | None]) -> dict[int, tuple[list, list]]:
+            look_dcs: Container[str | None]) -> dict[int, list[list]]:
     """Runs ks, ascending, merged into slices [start, stop, link, look,
     gaps]: look tells whether the slice's DCs are in look_dcs, and gaps
     lists the (start, stop) position ranges inside it that belong to none of
-    its runs. Grouped by tier rank with by_rank, else all under 0, each
-    group with an empty list for servers decided one at a time. A run joins
-    the group's last slice, with the same look, when it continues that
-    slice's links as it does its positions, at most BRIDGE positions on."""
-    groups: dict[int, tuple[list, list]] = {}
+    its runs. Grouped by tier rank with by_rank, else all under 0. A run
+    joins the group's last slice, with the same look, when it continues
+    that slice's links as it does its positions, at most BRIDGE positions
+    on."""
+    groups: dict[int, list[list]] = {}
     key = slices = cur = None
     for k in ks:
         start, stop, link, _, dc, rank, _ = runs[k]
         look = dc in look_dcs
         if by_rank and rank != key or slices is None:
             key = rank if by_rank else 0
-            slices = groups.setdefault(key, ([], []))[0]
+            slices = groups.setdefault(key, [])
             cur = slices[-1] if slices else None
         if (cur is not None and start - cur[1] <= BRIDGE and link - start == cur[2] - cur[0]
                 and cur[3] is look):
@@ -550,6 +608,7 @@ def _collect(psn: PhysicalNetwork, slices: Sequence[Sequence], extras: Sequence[
     few compares over zero-copy slices of the residual views, a shorter one
     by scalar reads of the residual arrays."""
     idx = psn.index()
+    servers = idx.servers
     cpu_units, ram_units, bw_units = psn.cpu_units, psn.ram_units, psn.bw_units
     bw_next, cpu_next, ram_next = ahead or (0, 0, 0)
     reach = -1 if reach_bw is None else reach_bw  # every residual is at least -1
@@ -567,7 +626,7 @@ def _collect(psn: PhysicalNetwork, slices: Sequence[Sequence], extras: Sequence[
                     up = bw_units[shift + p]
                     if up < reach or look and (c < cpu_next or r < ram_next) and up < bw_next:
                         continue
-                    out.append(idx.servers[p].id)
+                    out.append(servers[p].id)
                 lo = b
             continue
         cpu_view, ram_view, bw_view = psn.vectors()
@@ -617,37 +676,45 @@ def feasible_servers(psn: PhysicalNetwork, request: SliceRequest, v: int,
 
     Cost: O(relay nodes reached + runs reached) in Python plus, per slice,
     O(servers + BRIDGE) in C, or O(servers) in Python for a slice shorter
-    than SHORT_SLICE; for the first VNF, O(root runs) after a cache hit.
-    `_relay_reach` runs over the relay nodes only (switches, routers; no
-    server of the reference substrate). The one-link servers are held as
-    runs (`topology.Run`, one per DC on the reference substrate), and a run
-    is reached when its anchor is and the latency left there covers its
-    uplink's. Reached runs merge into slices (`_slices`), and a few integer
+    than SHORT_SLICE. `_relay_reach` runs over the relay nodes only
+    (switches, routers; no server of the reference substrate), from last_s's
+    anchor when last_s has one link. The one-link servers are held as runs
+    (`topology.Run`, one per DC on the reference substrate), and a run is
+    reached when its anchor is and the latency left there covers its
+    uplink's. What follows from the runs reached alone is a plan, cached in
+    the structure index: the reached runs merged into slices (`_slices`),
+    grouped by tier with `best_tier`. The first VNF's plan holds the runs of
+    the DCs within the access bound, keyed by (UAP, bound, `best_tier`); a
+    later VNF's is keyed by (runs reached, `best_tier`, the DC that applies
+    the lookahead, if any). A hit costs one dict lookup. A few integer
     compares over zero-copy slices of `psn.vectors()`, or scalar reads of a
-    short slice, decide their servers; `best_tier` merges and decides
-    tier by tier, best first, and stops at the first tier with an eligible
-    server. last_s and the servers without exactly one link (relays when
-    reached) are decided one at a time, by `lookahead_at` and the room
-    test. The result equals an all-server scan of the rule, list and order
-    alike.
+    short slice, then decide the servers; `best_tier` decides tier by tier,
+    best first, and stops at the first tier with an eligible server. last_s
+    and the servers without exactly one link (relays when reached) are
+    decided one at a time by `lookahead_rule`, from the thresholds read
+    once per call, and only when one of them needs a tier the plan lacks
+    are the groups built anew. The result equals an all-server scan of the
+    rule, list and order alike.
     """
-    vnfs, vls = request.vnfs, request.vls
+    vnfs = request.vnfs
     n = len(vnfs)
     if not 1 <= v <= n:
         raise ValueError(f"VNF index {v} outside chain 1..{n}")
     idx = psn.index()
     servers, tier_rank = idx.servers, idx.tier_rank
+    cpu_units, ram_units = psn.cpu_units, psn.ram_units
     cpu_v, ram_v, ahead = lookahead_units(request, v)
+    reach_bw = pin = pin_rank = new_rank = None
 
     if v == 1:
-        reach_bw = pin = pin_key = None
-        groups = [(key, slices, [servers[p].id for p in offs
-                                 if lookahead_at(psn, request, 1, servers[p].id)])
-                  for key, slices, offs in _root_groups(psn, request, best_tier)]
+        groups, _, offs = _root_plan(psn, request, best_tier)
+        extras = [(r, servers[p].id) for r, p in offs
+                  if lookahead_rule(psn, servers[p].id, cpu_units[p], ram_units[p],
+                                    cpu_v, ram_v, ahead)]
     else:
         if last_s is None:
             raise ValueError("last_s is required for VNFs beyond the first")
-        vl = vls[v - 2]
+        vl = request.vls[v - 2]
         reach_bw = vl.bw_units
         limit = min(vl.budget_ms, request.e2e_budget_ms - used_e2e_ms) + LATENCY_EPS
         relay, reached = _reached_runs(psn, last_s, vl, limit)
@@ -656,31 +723,32 @@ def feasible_servers(psn: PhysicalNetwork, request: SliceRequest, v: int,
         # VNF: every reached server but last_s was entered over a link with
         # residual >= bw(VL v-1) >= bw(VL v), its one link or, for a relay
         # server, a relay link; so it has a link that carries VL v.
-        last_dc = psn.nodes[last_s].dc
-        look = ahead is not None and ahead[0] > reach_bw
-        by_key = _slices(idx.runs, reached, best_tier, (last_dc,) if look else ())
-        cpu_units, ram_units = psn.cpu_units, psn.ram_units
+        look_dcs = (psn.nodes[last_s].dc,) if ahead is not None and ahead[0] > reach_bw else ()
+        key = (tuple(reached), best_tier, look_dcs)
+        groups, ranks, _ = idx.plans.get(key) or _store(
+            idx, key, _slices(idx.runs, reached, best_tier, look_dcs), ())
+        extras = []
         for p in idx.off_run:
             sid = servers[p].id
-            if sid != last_s and sid in relay and (
-                    lookahead_at(psn, request, v, sid) if look and servers[p].dc == last_dc
-                    else cpu_units[p] >= cpu_v and ram_units[p] >= ram_v):
-                by_key.setdefault(tier_rank[sid] if best_tier else 0, ([], []))[1].append(sid)
+            if sid != last_s and sid in relay and lookahead_rule(
+                    psn, sid, cpu_units[p], ram_units[p], cpu_v, ram_v,
+                    ahead if servers[p].dc in look_dcs else None):
+                extras.append((tier_rank[sid] if best_tier else 0, sid))
         # last_s is always reached, and needs the lookahead wherever it is;
-        # without room, or at the final VNF, that is the room test
-        pin = pin_key = None
+        # at the final VNF that is the room test
         p = idx.pos[last_s]
         if p >= 0:
-            pin = (p, last_s, cpu_units[p] >= cpu_v and ram_units[p] >= ram_v and (
-                v == n or lookahead_at(psn, request, v, last_s)))
-            pin_key = tier_rank[last_s] if best_tier else 0
-            if pin[2] and pin_key not in by_key:
-                by_key[pin_key] = ([], [])
-        groups = [(key, *by_key[key]) for key in sorted(by_key)]
+            pin = (p, last_s, lookahead_rule(psn, last_s, cpu_units[p], ram_units[p],
+                                             cpu_v, ram_v, ahead))
+            pin_rank = tier_rank[last_s] if best_tier else 0
+            if pin[2] and pin_rank not in ranks:
+                new_rank = pin_rank
+    if extras or new_rank is not None:
+        groups = _merged(groups, extras, new_rank)
 
-    for key, slices, extras in groups:
-        out = _collect(psn, slices, extras, reach_bw, cpu_v, ram_v, ahead,
-                       pin if key == pin_key else None)
+    for rank, slices, ids in groups:
+        out = _collect(psn, slices, ids, reach_bw, cpu_v, ram_v, ahead,
+                       pin if rank == pin_rank else None)
         if out or not best_tier:
             return out
     return []

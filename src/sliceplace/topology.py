@@ -262,10 +262,14 @@ class StructureIndex(NamedTuple):
     anchor_runs: dict[int, tuple[tuple[float, int], ...]]
     # positions of the servers outside every run: zero or several links
     off_run: tuple[int, ...]
-    # caches filled on use: UAP -> {DC id: access latency}, and for
-    # eligibility (UAP, access bound, best tier) -> `placement._root_groups`
+    # caches filled on use: UAP -> {DC id: access latency}, and the plans
+    # of eligibility (`placement._store`), what `feasible_servers` derives
+    # from the runs alone: the first VNF's under (UAP, access bound, best
+    # tier), a later VNF's under (indices of the runs reached, best tier,
+    # the DCs that apply the lookahead); the first key holds an int where
+    # the second holds a tuple, so the two never meet
     alpha: dict[int, dict[str, float]]
-    root_runs: dict[tuple[int, float, bool], tuple]
+    plans: dict[tuple, tuple]
 
 
 @dataclass(frozen=True)
@@ -419,7 +423,8 @@ class PhysicalNetwork:
 
     def index(self) -> StructureIndex:
         """The structure index, built on first use after a structural change.
-        One expression: every residual write and lookahead test calls it."""
+        One expression: every residual write and lookahead test reads it;
+        `hold`, on every step of every placement, inlines the expression."""
         return self._index or self._build_index()
 
     def _build_index(self) -> StructureIndex:
@@ -467,7 +472,7 @@ class PhysicalNetwork:
             anchor_runs={u: tuple(ks) for u, ks in anchor_runs.items()},
             off_run=tuple(off_run),
             alpha={},
-            root_runs={})
+            plans={})
         return self._index
 
     def vectors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -512,8 +517,8 @@ class PhysicalNetwork:
         is written, so a refusal writes nothing: TopologyError for a node
         that is not a server or a link unknown or without bandwidth
         accounting, CapacityError when a slot is short. Inside a
-        transaction each write logs its slot's old units."""
-        pos = self.index().pos
+        transaction each write logs its slot's old units as it writes."""
+        pos = (self._index or self._build_index()).pos
         p = pos[server_id] if 0 <= server_id < len(pos) else -1
         if p < 0:
             raise TopologyError(f"node {server_id} is not a server")
@@ -531,14 +536,18 @@ class PhysicalNetwork:
                 if free < 0:
                     raise TopologyError(f"link {lid} carries no bandwidth accounting")
                 raise CapacityError(f"link {lid}: need {bw / SCALE}, free {free / SCALE}")
+        cpu_units[p] = free_cpu - cpu
+        ram_units[p] = free_ram - ram
         if self._marks:
             undo = self._undo
             undo += ((cpu_units, p, free_cpu), (ram_units, p, free_ram))
-            undo += [(bw_units, lid, bw_units[lid]) for lid in path]
-        cpu_units[p] = free_cpu - cpu
-        ram_units[p] = free_ram - ram
-        for lid in path:
-            bw_units[lid] -= bw
+            for lid in path:
+                free = bw_units[lid]
+                undo.append((bw_units, lid, free))
+                bw_units[lid] = free - bw
+        else:
+            for lid in path:
+                bw_units[lid] -= bw
 
     def allocate(self, server_id: int, cpu: float, ram: float) -> None:
         """Take one VNF's CPU units and GB on a server (`write_units`)."""

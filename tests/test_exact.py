@@ -207,6 +207,14 @@ class TestCandidateList:
     def test_matches_the_passes(self, net, data):
         req = make_request(data.draw(st.sampled_from(list(SliceClass))),
                            net.uaps[data.draw(st.integers(0, len(net.uaps) - 1))])
+        # the substrates load RAM in proportion to CPU, and a class's VLs
+        # carry equal demands: draw the VNFs' RAM apart from their CPU and
+        # each VL's bandwidth, so that every part of the lookahead can bind
+        rams = st.sampled_from([30.0, 60.0, 150.0, 250.0])
+        bws = st.sampled_from([0.5, 1.0, 2.0, 10.0])
+        req = dataclasses.replace(
+            req, vnfs=tuple(dataclasses.replace(d, ram=data.draw(rams)) for d in req.vnfs),
+            vls=tuple(dataclasses.replace(vl, bw=data.draw(bws)) for vl in req.vls))
         assert list(exact._dedupe(net, feasible_servers(net, req, 1, None))) == \
                plain_dedupe(net, scan_feasible_servers(net, req, 1, None, 0.0))
         # from the whole budget down to none: the reach shrinks, and the

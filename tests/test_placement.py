@@ -768,19 +768,27 @@ class TestLookaheadMask:
     """The lookahead rule of P2C and the exact search, read at one server
     (`lookahead_at`) and as the mask `feasible_servers` computes with a few
     compares over run slices, equals the oracle's plain rule: servers with
-    several links, with none and outside any DC included."""
+    several links, with none and outside any DC included. The substrates
+    load RAM in proportion to CPU, so the requests' RAM is drawn apart
+    from their CPU, and either can bind."""
+
+    @staticmethod
+    def varied(request, data):
+        """request with unequal VL demands, some beyond a thin link's
+        residual, and VNF RAM drawn apart from CPU."""
+        rams = st.sampled_from([30.0, 60.0, 150.0, 250.0])
+        bws = st.sampled_from([0.5, 1.0, 2.0, 10.0])
+        return dataclasses.replace(
+            request, vnfs=tuple(dataclasses.replace(d, ram=data.draw(rams)) for d in request.vnfs),
+            vls=tuple(dataclasses.replace(vl, bw=data.draw(bws)) for vl in request.vls))
 
     @settings(max_examples=150, deadline=None)
     @given(loaded_substrates(), st.data())
     def test_matches_the_plain_rule(self, net, data):
         if data.draw(st.booleans()):
             add_dc_less_server(net, data)
-        request = make_request(data.draw(st.sampled_from(list(SliceClass))),
-                               data.draw(st.sampled_from(net.uaps)))
-        # unequal VL demands, some beyond a thin link's residual
-        request = dataclasses.replace(request, vls=tuple(
-            dataclasses.replace(vl, bw=data.draw(st.sampled_from([0.5, 1.0, 2.0, 10.0])))
-            for vl in request.vls))
+        request = self.varied(make_request(data.draw(st.sampled_from(list(SliceClass))),
+                                           data.draw(st.sampled_from(net.uaps))), data)
         for v in range(1, request.n_vnfs + 1):
             assert [lookahead_at(net, request, v, s.id) for s in net.servers()] == \
                    [lookahead(net, request, v, s.id) for s in net.servers()]
@@ -793,11 +801,8 @@ class TestLookaheadMask:
         listed exactly when `lookahead_at` passes it."""
         if data.draw(st.booleans()):
             add_dc_less_server(net, data)
-        request = make_request(data.draw(st.sampled_from(list(SliceClass))),
-                               data.draw(st.sampled_from(net.uaps)))
-        request = dataclasses.replace(request, vls=tuple(
-            dataclasses.replace(vl, bw=data.draw(st.sampled_from([0.5, 1.0, 2.0, 10.0])))
-            for vl in request.vls))
+        request = self.varied(make_request(data.draw(st.sampled_from(list(SliceClass))),
+                                           data.draw(st.sampled_from(net.uaps))), data)
         bound = request.alpha_max_ms + LATENCY_EPS
         servers = list(net.servers())
         lasts = [data.draw(st.sampled_from(servers)) for _ in range(2, request.n_vnfs + 1)]

@@ -578,8 +578,10 @@ class TestStructureIndex:
         twin = net.clone()
         twin_idx = twin.index()
         assert net.access_latency(uap, "cdc0") == pytest.approx(0.35)
-        roots = feasible_servers(net, request, 1, None)  # fills the root-run cache
-        assert net.index().root_runs
+        roots = feasible_servers(net, request, 1, None)  # fills the root plan
+        last = net.data_centers["edc0"].servers[0]
+        later = feasible_servers(net, request, 2, last)  # and a later VNF's
+        assert len(net.index().plans) == 2
         dc = net.add_data_center("cdc1", DCKind.CDC)
         # known but not linked yet: unreachable, not a stale cache entry
         assert net.access_latency(uap, "cdc1") == float("inf")
@@ -591,9 +593,12 @@ class TestStructureIndex:
         net.allocate(sid, 10.0, 60.0)
         assert net.access_latency(uap, "cdc1") == pytest.approx(0.05)
         assert feasible_servers(net, request, 1, None) == roots + [sid]
+        # reached from last now: a plan kept from before would lack its run
+        assert feasible_servers(net, request, 2, last) == later + [sid]
         fresh = PhysicalNetwork.from_json(net.to_json())
         fresh.access_latency(uap, "cdc1")
         feasible_servers(fresh, request, 1, None)
+        feasible_servers(fresh, request, 2, last)
         idx, want = net.index(), fresh.index()
         for name in StructureIndex._fields:
             got, exp = getattr(idx, name), getattr(want, name)
