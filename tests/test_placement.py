@@ -763,6 +763,20 @@ class TestReachBoundedEligibility:
         got = feasible_servers(net, req, 2, anchor, used_e2e_ms=0.02)
         assert got == [anchor] == scan_feasible_servers(net, req, 2, anchor, 0.02)
 
+    def test_a_full_plan_cache_starts_over(self, monkeypatch):
+        """At `PLANS_MAX` plans the cache is emptied before the next one is
+        kept; the lists stay those of the full scan."""
+        monkeypatch.setattr(placement, "PLANS_MAX", 2)
+        net = make_pair()
+        req = make_request(SliceClass.BEST_EFFORT, net.uaps[0])
+        # a spent budget keeps the reach inside last_s's DC: three keys
+        calls = [(v, s.id, spent) for v in (2, 3) for s in net.servers()
+                 for spent in (0.0, req.e2e_budget_ms - 0.1)]
+        for v, last_s, spent in calls:
+            got = feasible_servers(net, req, v, last_s, used_e2e_ms=spent)
+            assert got == scan_feasible_servers(net, req, v, last_s, spent)
+            assert len(net.index().plans) <= 2
+
 
 class TestLookaheadMask:
     """The lookahead rule of P2C and the exact search, read at one server
