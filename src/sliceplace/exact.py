@@ -40,10 +40,16 @@ pruned once the cost held plus its path's reaches the best found. ILP-1
 tests that bound before it builds a list: it tries colocation by the
 lookahead rule on the previous server alone (thresholds read once per
 solve), and builds the other candidates (the one pass, then the path
-search) only if a path of h links could still win, h being the fewest
-links from the previous server to another server (1 if a neighbour is a
-server, 2 otherwise). Every listed path has at least h links, so what the
-bound skips, the list's loop would have pruned.
+search) only if a path of h links could still win. h is the previous
+server's `StructureIndex.near_hops`, read from the index, which builds it
+with the rest of the structure: 1 if a neighbour is a server, 2 otherwise,
+never more than the fewest links to another server. Every listed path has
+at least h links, so what the bound skips, the list's loop would have
+pruned.
+
+A placement's cost is the search's own: the cost held at its leaf, which
+adds len(path) * bw per VL in chain order (a colocated VL adds nothing),
+the same float `placement.bandwidth_cost` sums for it.
 
 ILP-1's colocated tail in closed form: when colocation at VNF v may still
 win and the previous server has room for VNFs v..n together, the frames'
@@ -68,8 +74,8 @@ from enum import Enum
 from typing import Iterable, Iterator
 
 from .nspr import SliceRequest, VlDemand
-from .placement import (LATENCY_EPS, Placement, _reached_runs, bandwidth_cost,
-                        feasible_servers, lookahead_rule, lookahead_units)
+from .placement import (LATENCY_EPS, Placement, _reached_runs, feasible_servers,
+                        lookahead_rule, lookahead_units)
 # unused here: kept for the benchmark, whose reach span and tests look it up in this module
 from .placement import latency_reach  # noqa: F401
 from .topology import PhysicalNetwork, to_units
@@ -116,44 +122,52 @@ def _enumerate_paths(psn: PhysicalNetwork, src: int, dsts: Iterable[int], bw: fl
     relay degree plus the destinations behind it, whatever the number of
     servers there. A destination may relay to another one."""
     adj = psn.adj
-    targets = set(dsts) - {src}
-    behind: dict[int, list[tuple[int, int]]] = {}  # node -> (leaf destination, its link)
-    for d in targets:
-        if len(adj[d]) == 1:
-            (u, lid), = adj[d]
+    # destinations split once: leaves by the node across their one link,
+    # (leaf destination, its link); and relays, entered over relay_adj
+    behind: dict[int, list[tuple[int, int]]] = {}
+    relays: set[int] = set()
+    for d in set(dsts):
+        if d == src:
+            continue
+        entries = adj[d]
+        if len(entries) == 1:
+            (u, lid), = entries
             behind.setdefault(u, []).append((d, lid))
+        else:
+            relays.add(d)
     found: dict[int, list[tuple[int, float, tuple[int, ...]]]] = {}
     visited = {src}
     trail: list[int] = []
     relay_adj, links, bw_units = psn.index().relay_adj, psn.links, psn.bw_units
     need, limit = to_units(bw), budget_ms + LATENCY_EPS
 
-    def dfs(u: int, lat: float) -> None:
-        """Search on from u, reached at latency lat."""
+    def dfs(u: int, lat: float, hops: int) -> None:
+        """Search on from u, reached over hops links at latency lat."""
         for v, lid in behind.get(u, ()):
             if bw_units[lid] >= need:
                 nl = lat + links[lid].latency_ms
                 if nl <= limit:
-                    found.setdefault(v, []).append((len(trail) + 1, nl, tuple(trail) + (lid,)))
+                    found.setdefault(v, []).append((hops + 1, nl, (*trail, lid)))
         for v, lid in relay_adj[u]:
             if v in visited or bw_units[lid] < need:
                 continue
             nl = lat + links[lid].latency_ms
             if nl > limit:
                 continue
-            if v in targets:
-                found.setdefault(v, []).append((len(trail) + 1, nl, tuple(trail) + (lid,)))
+            if v in relays:
+                found.setdefault(v, []).append((hops + 1, nl, (*trail, lid)))
             visited.add(v)
             trail.append(lid)
-            dfs(v, nl)
+            dfs(v, nl, hops + 1)
             trail.pop()
             visited.discard(v)
 
-    if targets:
-        dfs(src, 0.0)
+    if behind or relays:
+        dfs(src, 0.0, 0)
     del dfs  # it refers to itself through its cell: see the note in _solve
     # always empty: the benchmark's path span unpacks (paths, truncated)
-    return {d: [(p, lat) for _, lat, p in sorted(f)] for d, f in found.items()}, set()
+    return {d: [(f[0][2], f[0][1])] if len(f) == 1 else [(p, lat) for _, lat, p in sorted(f)]
+            for d, f in found.items()}, set()
 
 
 def _twin_key(psn: PhysicalNetwork, sid: int, cpu: int, ram: int) -> tuple:
@@ -276,8 +290,8 @@ def _later_candidates(psn: PhysicalNetwork, request: SliceRequest, v: int, last_
 def _solve(psn: PhysicalNetwork, request: SliceRequest, *, find_optimal: bool,
            max_nodes: int | None) -> SolveResult:
     n = request.n_vnfs
-    net_nodes, adj, idx = psn.nodes, psn.adj, psn.index()
-    pos, cpu, ram = idx.pos, psn.cpu_units, psn.ram_units
+    net_nodes, idx = psn.nodes, psn.index()
+    pos, near_hops, cpu, ram = idx.pos, idx.near_hops, psn.cpu_units, psn.ram_units
 
     best_cost: float | None = None
     best_x: dict[int, int] | None = None
@@ -389,10 +403,9 @@ def _solve(psn: PhysicalNetwork, request: SliceRequest, *, find_optimal: bool,
                     branch(v, last_s, (), 0.0, used_e2e, committed)
                     tried = True
             if best_cost is not None:
-                # every other server is at least h links away, so no path of
-                # the list could beat the best
-                h = 1 if any(pos[nbr] >= 0 for nbr, _ in adj[last_s]) else 2
-                if committed + h * bw >= best_cost:
+                # every other server is at least near_hops links away, so
+                # no path of the list could beat the best
+                if committed + near_hops[last_s] * bw >= best_cost:
                     return
         for sid, paths in candidates(v, last_s, used_e2e, vl):
             if tried and sid == last_s:
@@ -421,9 +434,8 @@ def _solve(psn: PhysicalNetwork, request: SliceRequest, *, find_optimal: bool,
             status = SolveStatus.INFEASIBLE
         return SolveResult(status, None, None, nodes, deepest)
 
-    placement = Placement(best_x, best_y, 0.0)
-    placement.cost = bandwidth_cost(request, placement)
-    return SolveResult(status, placement, best_cost, nodes, deepest)
+    # best_cost adds len(path) * bw per VL in chain order, as bandwidth_cost does
+    return SolveResult(status, Placement(best_x, best_y, best_cost), best_cost, nodes, deepest)
 
 
 def solve_ilp1(psn: PhysicalNetwork, request: SliceRequest, *,

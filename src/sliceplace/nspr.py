@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, NamedTuple
 
-from .topology import to_units, typed
+from .topology import left_sum, to_units, typed
 
 
 class SliceClass(str, Enum):
@@ -63,7 +63,7 @@ class ClassSpec:
     def effective_e2e_ms(self) -> float:
         if self.e2e_budget_ms is not None:
             return self.e2e_budget_ms
-        return self.alpha_max_ms + sum(self.vl_budgets_ms)
+        return self.alpha_max_ms + left_sum(self.vl_budgets_ms)
 
     @functools.cached_property
     def chain(self) -> tuple[tuple[VnfDemand, ...], tuple[VlDemand, ...], float]:
@@ -187,8 +187,9 @@ class ClassTable(NamedTuple):
         probs = [mix[c] for c in classes]
         if not all(p >= 0 for p in probs):
             raise ValueError("mix probabilities must be non-negative")
-        if abs(sum(probs) - 1.0) > 1e-9:
-            raise ValueError(f"mix probabilities sum to {sum(probs)}, need 1")
+        total = left_sum(probs)
+        if abs(total - 1.0) > 1e-9:
+            raise ValueError(f"mix probabilities sum to {total}, need 1")
         return cls(classes, tuple(itertools.accumulate(probs)))
 
     def pick(self, u: float) -> SliceClass:

@@ -28,7 +28,8 @@ from dataclasses import dataclass, field
 from typing import Container, Mapping, Sequence
 
 from .nspr import SliceRequest, VlDemand
-from .topology import SCALE, PhysicalNetwork, Run, Server, StructureIndex, to_units
+from .topology import (SCALE, PhysicalNetwork, Run, Server, StructureIndex, left_sum,
+                       to_units)
 
 LATENCY_EPS = 1e-9
 
@@ -52,11 +53,20 @@ class MalformedPlacementError(ValueError):
 
 @dataclass
 class Placement:
-    """x: VNF index (1-based) -> server id; y: VL index (1-based) -> link ids."""
+    """x: VNF index (1-based) -> server id; y: VL index (1-based) -> link ids.
+
+    A held placement's x and y do not change: from `apply_placement`, or
+    from the commit of the search that found it, to `release_placement`.
+    `units` records the demand units `_demand_units` last summed, under the
+    request it summed them for, so a placement applied and released with
+    one request is summed once; it takes no part in equality, repr or JSON.
+    """
 
     x: dict[int, int]
     y: dict[int, list[int]]
     cost: float = 0.0
+    # (request, per-server [CPU, RAM] units, per-link units)
+    units: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def to_json(self, psn: PhysicalNetwork) -> dict:
         return {
@@ -246,7 +256,7 @@ def check_placement(psn: PhysicalNetwork, request: SliceRequest,
                 violations.append((4, f"VL {i}: link {lid} carries no bandwidth accounting"))
             else:
                 bw_load[lid] = bw_load.get(lid, 0) + d_bw
-        latency = sum(psn.links[lid].latency_ms for lid in path)
+        latency = left_sum(psn.links[lid].latency_ms for lid in path)
         if latency > request.vl(i).budget_ms + LATENCY_EPS:
             violations.append((8, f"VL {i}: latency {latency} exceeds budget {request.vl(i).budget_ms}"))
         total_path_latency += latency
@@ -269,9 +279,10 @@ def check_placement(psn: PhysicalNetwork, request: SliceRequest,
 
 
 def bandwidth_cost(request: SliceRequest, placement: Placement) -> float:
-    """Held substrate bandwidth: sum over VLs of path length times demand."""
-    return sum(len(placement.y.get(i, [])) * request.vl(i).bw
-               for i in range(1, request.n_vnfs))
+    """Held substrate bandwidth: sum over VLs of path length times demand,
+    added in chain order, as the solvers add their costs."""
+    return left_sum(len(placement.y.get(i, [])) * request.vl(i).bw
+                    for i in range(1, request.n_vnfs))
 
 
 def min_cost_path(psn: PhysicalNetwork, src: int, dst: int, bw: float,
@@ -756,10 +767,20 @@ def feasible_servers(psn: PhysicalNetwork, request: SliceRequest, v: int,
 
 def _demand_units(request: SliceRequest, placement: Placement
                   ) -> tuple[dict[int, list[int]], dict[int, int]]:
-    """A placement's demand units, summed per server ([CPU, RAM]) and per link."""
+    """A placement's demand units, summed per server ([CPU, RAM]) and per
+    link, and recorded on it (`Placement.units`): read back while the
+    request is the one they were summed for (by identity), summed afresh
+    for any other. A VNF or VL key outside the chain raises IndexError."""
+    record = placement.units
+    if record is not None and record[0] is request:
+        return record[1], record[2]
+    vnfs, vls = request.vnfs, request.vls
+    n_vnfs, n_vls = len(vnfs), len(vls)
     servers: dict[int, list[int]] = {}
     for v, s in placement.x.items():
-        cpu, ram = request.vnf(v).units
+        if not 1 <= v <= n_vnfs:
+            raise IndexError(f"VNF index {v} outside 1..{n_vnfs}")
+        cpu, ram = vnfs[v - 1].units
         held = servers.get(s)
         if held is None:
             servers[s] = [cpu, ram]
@@ -768,16 +789,21 @@ def _demand_units(request: SliceRequest, placement: Placement
             held[1] += ram
     links: dict[int, int] = {}
     for i, path in placement.y.items():
-        bw = request.vl(i).bw_units
+        if not 1 <= i <= n_vls:
+            raise IndexError(f"VL index {i} outside 1..{n_vls}")
+        bw = vls[i - 1].bw_units
         for lid in path:
             links[lid] = links.get(lid, 0) + bw
+    placement.units = (request, servers, links)
     return servers, links
 
 
 def apply_placement(psn: PhysicalNetwork, request: SliceRequest,
                     placement: Placement) -> None:
     """Commit a placement's resources, one write per server and per link.
-    Atomic: on failure nothing is held."""
+    Atomic: on failure nothing is held. The sums are recorded on the
+    placement (`Placement.units`), so its release with the same request
+    reads them back; its x and y must not change while it is held."""
     psn.write_units(-1, *_demand_units(request, placement))
 
 
@@ -785,5 +811,8 @@ def release_placement(psn: PhysicalNetwork, request: SliceRequest,
                       placement: Placement) -> None:
     """Return a placement's resources (exact inverse of apply_placement),
     one write per server and per link. Atomic: on failure nothing is
-    returned."""
+    returned. Reads the sums recorded under this request, if the
+    placement has them (`Placement.units`), and sums and records them
+    otherwise: a placement P2C committed through its transaction is
+    summed here, once."""
     psn.write_units(1, *_demand_units(request, placement))

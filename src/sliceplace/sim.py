@@ -35,7 +35,7 @@ from .nspr import (DEFAULT_CATALOG, DEFAULT_MIX, ClassSpec, ClassTable, SliceCla
 from .p2c import DrawStream, OutcomeStatus, PlacementOutcome, Policy, blocks, place
 from .placement import (Placement, apply_placement, check_placement,
                         release_placement)
-from .topology import SCALE, LinkKind, PhysicalNetwork
+from .topology import SCALE, LinkKind, PhysicalNetwork, left_sum
 
 TIER_GROUPS = ("EDC", "CDC", "CCP")
 ALL_GROUPS = TIER_GROUPS + ("transport",)
@@ -96,7 +96,7 @@ class Scenario:
             raise ValueError("replications must be >= 1")
         if not self.mix:
             raise ValueError("mix is empty")
-        total = sum(self.mix.values())
+        total = left_sum(self.mix.values())
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"mix sums to {total}, need 1")
 
@@ -294,9 +294,9 @@ class _Accounting:
                 total_bw += mean_held
         # whole-substrate roll-up: a resource's slots, one per group in order
         for r, res in enumerate(RESOURCES):
-            cap_total = sum(self.cap[r::len(RESOURCES)])
+            cap_total = left_sum(self.cap[r::len(RESOURCES)])
             if cap_total:
-                mean_held = sum(self.integral[r::len(RESOURCES)]) / duration
+                mean_held = left_sum(self.integral[r::len(RESOURCES)]) / duration
                 avg.setdefault("total", {})[res] = mean_held
                 util.setdefault("total", {})[res] = mean_held / cap_total
         return util, avg, total_bw
@@ -378,7 +378,7 @@ def run(psn: PhysicalNetwork, scenario: Scenario, algorithm: Algorithm | str,
         net, scenario.mix, scenario.target_load, catalog=catalog,
         mean_holding=scenario.mean_holding,
         include_holding_time=scenario.include_holding_time)
-    big_lambda = sum(rates.values())
+    big_lambda = left_sum(rates.values())
 
     ss = np.random.SeedSequence(seed)
     rng_arrival, rng_class, rng_uap, rng_hold, rng_place = (

@@ -22,7 +22,7 @@ from array import array
 from bisect import insort
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -90,6 +90,18 @@ def load_json(path: str, error: type[Exception] = TopologyError):
             return json.load(fh)
         except ValueError as exc:  # not JSON, or not text
             raise error(f"{path}: not valid JSON: {exc}") from exc
+
+
+def left_sum(values: Iterable[float]) -> float:
+    """The sum of values added one at a time, left to right, from 0.0. Every
+    float that reaches a report or a decision is summed through here:
+    since Python 3.12 `sum()` compensates float rounding (`sum([0.1] * 10)`
+    is 1.0 there, 0.9999999999999999 on 3.11), so its result depends on
+    the interpreter, and this one's does not."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 # Residual units per CPU unit, GB and Gbps: an amount given to six decimals
@@ -244,6 +256,9 @@ class StructureIndex(NamedTuple):
     leaf_adj: tuple[tuple[tuple[int, int], ...], ...]
     # node id -> server position, -1 for other nodes
     pos: tuple[int, ...]
+    # node id -> 1 if a neighbour is a server, else 2: the fewest links from
+    # it to any other server, or fewer (ILP-1's bound)
+    near_hops: tuple[int, ...]
     # node id -> rank of its DC's tier in TIER_ORDER, len(TIER_ORDER) outside any DC
     tier_rank: tuple[int, ...]
     # by server position: node id, and CPU and RAM capacity in units
@@ -461,6 +476,8 @@ class PhysicalNetwork:
             leaf_adj=tuple([tuple([e for e in entries if not relays[e[0]]])
                             for entries in self.adj]),
             pos=tuple(pos),
+            near_hops=tuple([1 if any(pos[nbr] >= 0 for nbr, _ in entries) else 2
+                             for entries in self.adj]),
             tier_rank=tier_rank,
             id=np.array([s.id for s in servers], dtype=np.intp),
             cpu_cap=cpu_cap,
@@ -506,7 +523,7 @@ class PhysicalNetwork:
         return self.data_centers[dc_id] if dc_id is not None else None
 
     def total_cpu_capacity(self) -> float:
-        return sum(s.cpu_capacity for s in self.servers())
+        return left_sum(s.cpu_capacity for s in self.servers())
 
     # -- capacity bookkeeping ----------------------------------------------
 

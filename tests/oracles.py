@@ -344,7 +344,12 @@ def loaded_substrates(draw):
 
     On some draws the whole substrate is `light`: every server and link is
     lightly loaded and every UAP sits within every class's access bound, so
-    that most episodes reach VNF 3 and later."""
+    that most episodes reach VNF 3 and later.
+
+    A server's RAM is loaded at six times its CPU load, the ratio of every
+    default class and of the servers' capacities; on some draws it is drawn
+    apart, so that some servers are short of RAM alone and others of CPU
+    alone, and a test can tell a CPU check from a RAM check."""
     net = PhysicalNetwork(TopologyParams())
     kinds = list(DCKind)
     unlinked = []
@@ -406,11 +411,12 @@ def loaded_substrates(draw):
     if draw(st.booleans()):  # load with views of the residual arrays out
         net.vectors()
     spare_id = spare_dc.id if spare_dc is not None else None
+    ram_apart = draw(st.booleans())  # RAM loaded apart from CPU
     for srv in net.servers():
         loads = ([0.0, 10.0] if light or srv.dc == spare_id
                  else [0.0, 10.0, 20.0, 30.0, 40.0, 50.0])
         cpu = draw(st.sampled_from(loads))
-        net.allocate(srv.id, cpu, cpu * 6)
+        net.allocate(srv.id, cpu, (draw(st.sampled_from(loads)) if ram_apart else cpu) * 6)
     for link in net.links:
         if link.bw_capacity is not None:
             if link.kind is LinkKind.INTRA_DC and net.nodes[link.a].dc == spare_id:

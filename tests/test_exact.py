@@ -361,6 +361,7 @@ class TestReferenceOptima:
             res = solver(ref, req)
             assert res.status is SolveStatus.OPTIMAL
             assert (res.objective, res.placement.x) == (pytest.approx(objective), x)
+            assert res.placement.cost == bandwidth_cost(req, res.placement)
             assert check_placement(ref, req, res.placement).ok
 
     def test_urllc_ilp1(self, ref):
@@ -687,12 +688,16 @@ class TestBudgetBoundary:
     def test_every_budget_pinned(self, monkeypatch):
         """ILP-1 on each boundary case at every node budget from 1 to one
         past the nodes the unbudgeted solve explores: where the budget
-        trips, what it reports and the best placement known by then."""
+        trips, what it reports and the best placement known by then. Each
+        placement's cost, and ILP-2's, is the float `bandwidth_cost` sums."""
         records = []
         for net, req, nodes in boundary_cases(monkeypatch):
+            plc = solve_ilp2(net, req).placement
+            assert plc is None or plc.cost == bandwidth_cost(req, plc)
             for budget in range(1, nodes + 2):
                 res = solve_ilp1(net, req, max_nodes=budget)
                 plc = res.placement
+                assert plc is None or plc.cost == bandwidth_cost(req, plc)
                 records.append((req.id, budget, res.status.value, res.objective,
                                 res.nodes_explored, res.deepest_feasible_vnf,
                                 plc and list(plc.x.items()),

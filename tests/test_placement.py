@@ -904,15 +904,22 @@ class TestApplyRelease:
         """Colocated VNFs and VLs that share links: each summed write leaves
         what one write per VNF and per hop left, refuses what it refused
         and then writes nothing, and apply then release restores the arrays
-        byte for byte, also inside a transaction that rolls back."""
+        byte for byte, also inside a transaction that rolls back. The
+        releases read the sums apply recorded, or, on some draws, are given
+        another request, whose own demands they must sum."""
         n = data.draw(st.integers(1, 5))
-        request = SliceRequest(
-            id=1, cls=SliceClass.URLLC, uap=net.uaps[0], alpha_max_ms=1.0, e2e_budget_ms=5.0,
-            vnfs=tuple(VnfDemand(*data.draw(st.sampled_from([(0.3, 0.1), (10.0, 60.0),
-                                                              (15.0, 90.0), (25.0, 150.0)])))
-                       for _ in range(n)),
-            vls=tuple(VlDemand(data.draw(st.sampled_from([0.1, 0.5, 1.0, 2.0])), 1.0)
-                      for _ in range(n - 1)))
+
+        def draw_request() -> SliceRequest:
+            return SliceRequest(
+                id=1, cls=SliceClass.URLLC, uap=net.uaps[0], alpha_max_ms=1.0, e2e_budget_ms=5.0,
+                vnfs=tuple(VnfDemand(*data.draw(st.sampled_from([(0.3, 0.1), (10.0, 60.0),
+                                                                  (15.0, 90.0), (25.0, 150.0)])))
+                           for _ in range(n)),
+                vls=tuple(VlDemand(data.draw(st.sampled_from([0.1, 0.5, 1.0, 2.0])), 1.0)
+                          for _ in range(n - 1)))
+
+        request = draw_request()
+        released = request if data.draw(st.booleans()) else draw_request()
         # few servers and links to draw from, so that repeats are common
         servers = [s.id for s in net.servers()][:3]
         links = [l.id for l in net.links if l.bw_capacity is not None][:4]
@@ -924,27 +931,76 @@ class TestApplyRelease:
         arrays = lambda: [list(a) for a in (net.cpu_units, net.ram_units, net.bw_units)]
         # apply, release, then release once more: an over-release where the
         # load left no room for it
-        for k, (sign, write, error) in enumerate(((-1, apply_placement, CapacityError),
-                                                  (1, release_placement, ReleaseError),
-                                                  (1, release_placement, ReleaseError))):
-            want, before = per_vnf_writes(net, request, plc, sign), residual_bytes(net)
+        for k, (sign, write, req, error) in enumerate((
+                (-1, apply_placement, request, CapacityError),
+                (1, release_placement, released, ReleaseError),
+                (1, release_placement, released, ReleaseError))):
+            want, before = per_vnf_writes(net, req, plc, sign), residual_bytes(net)
             if data.draw(st.booleans()):
                 mark = net.begin()
                 with contextlib.suppress(error):
-                    write(net, request, plc)
+                    write(net, req, plc)
                 net.rollback(mark)
                 assert residual_bytes(net) == before
             if want is None:
                 with pytest.raises(error):
-                    write(net, request, plc)
+                    write(net, req, plc)
                 assert residual_bytes(net) == before
                 continue
-            write(net, request, plc)
+            write(net, req, plc)
             assert arrays() == list(want)
             applied = applied or k == 0
-            if k == 1 and applied:
+            if k == 1 and applied and released is request:
                 assert residual_bytes(net) == start
         assert net._undo == [] and net._marks == []
+
+    def test_a_placement_is_summed_once_per_request(self, ref):
+        net = ref.clone()
+        req = make_request(SliceClass.URLLC, net.uaps[0])
+        root, s_b = servers_of(net, "edc0")[:2]
+        sw = net.data_centers["edc0"].switch
+        path = [link_id(net, root, sw), link_id(net, sw, s_b)]
+        plc = Placement(x={1: root, 2: root, 3: s_b, 4: s_b, 5: s_b},
+                        y={1: [], 2: path, 3: [], 4: []}, cost=2.0)
+        assert plc.units is None
+        apply_placement(net, req, plc)
+        record = plc.units
+        assert record == (req, {root: [2 * 15 * SCALE, 2 * 90 * SCALE],
+                                s_b: [3 * 15 * SCALE, 3 * 90 * SCALE]},
+                          {lid: SCALE for lid in path})
+        release_placement(net, req, plc)
+        assert plc.units is record
+        # an equal request that is another object is summed afresh
+        twin = dataclasses.replace(req)
+        apply_placement(net, twin, plc)
+        assert plc.units is not record and plc.units[0] is twin
+        assert plc.units[1:] == record[1:]
+        # so is one with other demands, and the release returns those
+        other = make_request(SliceClass.BEST_EFFORT, net.uaps[0])
+        want = per_vnf_writes(net, other, plc, 1)
+        release_placement(net, other, plc)
+        assert [list(a) for a in (net.cpu_units, net.ram_units, net.bw_units)] == list(want)
+        assert plc.units[0] is other
+        # the record takes no part in equality, repr or JSON
+        assert plc == Placement(dict(plc.x), dict(plc.y), plc.cost)
+        assert "units" not in repr(plc) and "units" not in plc.to_json(net)
+
+    @pytest.mark.parametrize("x_key, y_key", [(0, 1), (6, 1), (1, 0), (1, 5)])
+    @pytest.mark.parametrize("write", [apply_placement, release_placement])
+    def test_key_outside_the_chain_raises(self, ref, write, x_key, y_key):
+        """A VNF key outside 1..5 or a VL key outside 1..4 raises IndexError,
+        0 included, which would otherwise index from the end; nothing is
+        written or recorded."""
+        net = ref.clone()
+        req = make_request(SliceClass.URLLC, net.uaps[0])
+        root = servers_of(net, "edc0")[0]
+        net.allocate(root, 10, 60)
+        plc = Placement(x={1: root, x_key: root}, y={1: [], y_key: []}, cost=0.0)
+        before = residual_bytes(net)
+        with pytest.raises(IndexError):
+            write(net, req, plc)
+        assert residual_bytes(net) == before
+        assert plc.units is None
 
     def test_apply_is_atomic(self, ref):
         net = ref.clone()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import pickle
 
 import numpy as np
@@ -27,6 +28,7 @@ from sliceplace.topology import (
     TopologyError,
     TopologyParams,
     build_reference_psn,
+    left_sum,
 )
 
 from conftest import make_pair
@@ -191,6 +193,12 @@ class TestReferenceBuild:
     def test_scale_zero_rejected(self):
         with pytest.raises((ValueError, TopologyError)):
             build_reference_psn(0)
+
+
+def test_left_sum_adds_left_to_right():
+    """The 3.11 `sum()`'s float, which 3.12's compensated `sum()` is not."""
+    assert left_sum([0.1] * 10) == 0.9999999999999999
+    assert left_sum([]) == 0.0
 
 
 class TestCapacityAccounting:
@@ -671,10 +679,29 @@ def assert_index_matches(net: PhysicalNetwork) -> None:
         dc = net.data_centers.get(node.dc)
         assert rank == (TIER_ORDER.index(dc.kind) if dc else len(TIER_ORDER))
     assert_runs_match(net)
+    assert idx.near_hops == tuple([min(fewest_links_to_another_server(net, u), 2)
+                                   for u in range(len(net.nodes))])
     assert len(net.cpu_units) == len(net.ram_units) == len(servers)
     assert len(net.bw_units) == len(net.links)
     for view, store in zip(net.vectors(), (net.cpu_units, net.ram_units, net.bw_units)):
         assert view.tolist() == store.tolist()
+
+
+def fewest_links_to_another_server(net: PhysicalNetwork, u: int) -> float:
+    """Breadth-first from node u over every link: the hops to the nearest
+    server other than u, inf if none is connected."""
+    dist, level = {u: 0}, [u]
+    while level:
+        nxt = []
+        for w in level:
+            for nbr, _ in net.adj[w]:
+                if nbr not in dist:
+                    dist[nbr] = dist[w] + 1
+                    if isinstance(net.nodes[nbr], Server):
+                        return dist[nbr]
+                    nxt.append(nbr)
+        level = nxt
+    return math.inf
 
 
 def assert_runs_match(net: PhysicalNetwork) -> None:
