@@ -9,10 +9,10 @@ baseline `solve_ilp2` stops at the first complete placement. Determinism
 comes from fixed candidate and path orderings.
 
 Eligibility is P2C's, read from the same rules: VNF-1 candidates are
-`placement.feasible_servers`, and a later VNF's are the servers that
-`latency_reach` from the previous server would reach that pass the
-lookahead rule of `lookahead_at`, in every DC (P2C exempts the other DCs
-from the lookahead). Of interchangeable twin servers (`_twin_key`) only the
+`placement.feasible_servers`, and a later VNF's are the servers reached
+from the previous server, as `feasible_servers` reaches them, that pass
+`placement.lookahead_rule`, in every DC (P2C exempts the other DCs from
+the lookahead). Of interchangeable twin servers (`_twin_key`) only the
 first in search order is searched. Each search frame holds its VNF and path
 in residual units, through one `PhysicalNetwork.hold`, in a substrate
 transaction it rolls back; a solve converts the chain's demands to units
@@ -34,8 +34,8 @@ otherwise), and it dedupes the VNF-1 candidates lazily (`_dedupe`), so a
 search that ends under its first root computes one twin key.
 
 Search order: VNF-1 candidates, and ILP-2's later ones, in id order; ILP-1
-takes the previous server (colocation, at cost 0) first, then its DC, then
-the rest; each server's paths by (hops, latency, link ids). A branch is
+tries the previous server (colocation, at cost 0) before it lists its DC,
+then the rest; each server's paths by (hops, latency, link ids). A branch is
 pruned once the cost held plus its path's reaches the best found. ILP-1
 tests that bound before it builds a list: it tries colocation by the
 lookahead rule on the previous server alone (thresholds read once per
@@ -205,20 +205,19 @@ def _dedupe(psn: PhysicalNetwork, sids: Iterable[int]) -> Iterator[int]:
 def _later_candidates(psn: PhysicalNetwork, request: SliceRequest, v: int, last_s: int,
                       eff: float, dc_first: bool) -> list[int]:
     """VNF v's candidate servers, for v > 1, in search order, one per twin
-    class (`_twin_key`): the servers that `latency_reach` from last_s
-    within eff over links that carry VL v-1 would reach that pass
-    `lookahead_at`'s rule. In id order; with dc_first (ILP-1), last_s
-    first, then the rest of its DC, then the others. A class keeps its
-    first server in that order.
+    class (`_twin_key`): the servers reached from last_s within eff over
+    links that carry VL v-1 that pass `lookahead_rule`. In id order; with
+    dc_first (ILP-1), last_s's DC, then the others, less last_s's class,
+    which `_solve` tries first. A class keeps its first server in order.
 
     Reach is read as `feasible_servers` reads it, at relay and run grain,
     from the relays and runs of `_reached_runs`, each run server's uplink
     tested against VL v-1; plus the reached servers outside every run and
     last_s itself. One walk over those in position (= id) order decides
     each server's rule, from thresholds read once (`lookahead_units`), and
-    its key, which a run server takes from its run. Keys hold the DC, so the two groups share
-    none: each dedupes as it fills, and only last_s, which heads its DC's
-    group, can take a class from a server of lower id."""
+    its key, which a run server takes from its run. Keys hold the DC, so
+    the two groups share none: each dedupes as it fills, and with dc_first
+    last_s's class leaves its DC's group at the end."""
     idx = psn.index()
     pos, servers, runs = idx.pos, idx.servers, idx.runs
     cpu, ram, bw_units = psn.cpu_units, psn.ram_units, psn.bw_units
@@ -243,21 +242,14 @@ def _later_candidates(psn: PhysicalNetwork, request: SliceRequest, v: int, last_
         else:
             segments.append((start, stop, k))
     last_dc = psn.nodes[last_s].dc if dc_first else None
-    head = None  # last_s's key once it passes
+    head = None  # last_s's key once it passes, with dc_first
     near: dict[tuple, int] = {}  # last_s's DC, with dc_first
     far: dict[tuple, int] = {}
     for start, stop, k in sorted(segments):
         if k < 0:
-            c, r = cpu[start], ram[start]
-            if c < cpu_v or r < ram_v:
+            sid, c, r = servers[start].id, cpu[start], ram[start]
+            if not lookahead_rule(psn, sid, c, r, cpu_v, ram_v, ahead):
                 continue
-            sid = servers[start].id
-            if ahead is not None and (c < cpu_both or r < ram_both):
-                for _, lid in psn.adj[sid]:
-                    if bw_units[lid] >= bw_next:
-                        break
-                else:
-                    continue
             key = _twin_key(psn, sid, c, r)
             if dc_first and key[0] == last_dc:
                 if sid == last_s:
@@ -281,10 +273,8 @@ def _later_candidates(psn: PhysicalNetwork, request: SliceRequest, v: int, last_
             key = (dc, anchor, lat, c, r, up)
             if key not in group:
                 group[key] = servers[p].id
-    if head is None:
-        return [*near.values(), *far.values()]
     near.pop(head, None)
-    return [last_s, *near.values(), *far.values()]
+    return [*near.values(), *far.values()]
 
 
 def _solve(psn: PhysicalNetwork, request: SliceRequest, *, find_optimal: bool,
@@ -321,7 +311,7 @@ def _solve(psn: PhysicalNetwork, request: SliceRequest, *, find_optimal: bool,
         eff = min(vl.budget_ms, request.e2e_budget_ms - used_e2e)
         keep = _later_candidates(psn, request, v, last_s, eff, find_optimal)
         by_dst, _ = _enumerate_paths(psn, last_s, keep, vl.bw, eff)
-        if last_s in keep:
+        if last_s in keep:  # ILP-2's list, in id order
             by_dst[last_s] = [((), 0.0)]
         return [(sid, by_dst[sid]) for sid in keep if sid in by_dst]
 
@@ -375,7 +365,6 @@ def _solve(psn: PhysicalNetwork, request: SliceRequest, *, find_optimal: bool,
             return
         vl = vls[v - 2]
         bw = vl.bw
-        tried = False
         if find_optimal:
             if best_cost is None or committed < best_cost:
                 p = pos[last_s]
@@ -394,22 +383,19 @@ def _solve(psn: PhysicalNetwork, request: SliceRequest, *, find_optimal: bool,
                     if committed == 0.0:
                         raise _FoundFeasible
                     return
-                # ILP-1's list heads with last_s, at cost 0, exactly when
-                # last_s passes the lookahead: try it before building the list
+                # colocation at cost 0; the list comes only after this try
+                # (else the bound below returns), so it leaves last_s out
                 rule = rules.get(v)
                 if rule is None:
                     rule = rules[v] = lookahead_units(request, v)
                 if lookahead_rule(psn, last_s, c, r, *rule):
                     branch(v, last_s, (), 0.0, used_e2e, committed)
-                    tried = True
             if best_cost is not None:
                 # every other server is at least near_hops links away, so
                 # no path of the list could beat the best
                 if committed + near_hops[last_s] * bw >= best_cost:
                     return
         for sid, paths in candidates(v, last_s, used_e2e, vl):
-            if tried and sid == last_s:
-                continue  # its subtree rolled back, so the rest of the list is as before
             for path, lat in paths:
                 cost = committed + len(path) * bw
                 if best_cost is not None and cost >= best_cost:

@@ -396,7 +396,7 @@ def _relay_reach(psn: PhysicalNetwork, src: int, bw: float,
     The one Dijkstra behind `_reached_runs`, the reach step of both
     `feasible_servers` and the exact search's candidate lists, which read
     the one-link servers from the runs anchored at the relays reached;
-    `latency_reach`, which no code of the package calls, runs it too. A
+    `latency_reach`, which no code of the package calls, adds the leaves. A
     leaf relays nothing, so leaves never enter the heap: the cost is one
     heap operation per reached relay node, whatever the number of servers.
     A one-link source (a server behind its switch) is entered at its
@@ -450,17 +450,16 @@ def latency_reach(psn: PhysicalNetwork, src: int, bw: float,
     """Latency-shortest distance from src to every node within budget, over
     links with residual bandwidth >= bw. Nodes beyond the budget are absent.
 
-    `_relay_reach` finds the relay nodes; a leaf (a server behind its
-    switch, a UAP) is then recorded through its one link from the reached
-    node across it, with one dict write per reached leaf.
+    `_relay_reach` finds the relay nodes; a leaf (a node of degree 1: a
+    server behind its switch, a UAP) is then recorded through its one link
+    from the reached node across it, with one dict write per reached leaf.
     """
     limit = budget_ms + LATENCY_EPS
     dist = _relay_reach(psn, src, bw, limit)
-    leaf_adj = psn.index().leaf_adj
-    links, bw_units, need = psn.links, psn.bw_units, to_units(bw)
+    adj, links, bw_units, need = psn.adj, psn.links, psn.bw_units, to_units(bw)
     for u, d in list(dist.items()):
-        for v, lid in leaf_adj[u]:
-            if bw_units[lid] < need or v in dist:
+        for v, lid in adj[u]:
+            if len(adj[v]) != 1 or bw_units[lid] < need or v in dist:
                 continue
             nd = d + links[lid].latency_ms
             if nd <= limit:
@@ -499,17 +498,6 @@ def lookahead_rule(psn: PhysicalNetwork, server_id: int, cpu: int, ram: int,
         if bw_units[lid] >= bw_next:
             return True
     return False
-
-
-def lookahead_at(psn: PhysicalNetwork, request: SliceRequest, v: int,
-                 server_id: int) -> bool:
-    """Whether server server_id may host VNF v, for v in 1..n: it has room
-    for VNF v and, before the final VNF, room for VNF v+1 too or an incident
-    link that can carry VL v. The one lookahead rule of P2C and the exact
-    search (`lookahead_rule`), read at one server."""
-    p = psn.index().pos[server_id]
-    return lookahead_rule(psn, server_id, psn.cpu_units[p], psn.ram_units[p],
-                          *lookahead_units(request, v))
 
 
 # Plans (`_store`) the structure index keeps; a full cache is emptied. The
@@ -671,7 +659,7 @@ def feasible_servers(psn: PhysicalNetwork, request: SliceRequest, v: int,
 
     For the first VNF: the servers of the data centers within the class's
     access bound of the request's UAP that pass the lookahead rule
-    (`lookahead_at`): room for VNF 1 and either room for VNF 2 too or an
+    (`lookahead_rule`): room for VNF 1 and either room for VNF 2 too or an
     incident link that can carry VL 1. These are the exact search's VNF-1
     candidates too.
 

@@ -367,6 +367,7 @@ def run(psn: PhysicalNetwork, scenario: Scenario, algorithm: Algorithm | str,
     re-verifies every acceptance against the ledger's pre-commit state, and
     after every event every residual must equal the ledger's, in residual
     units, so a rejection that leaves a trace fails at its own event.
+    series_interval is None (a hundredth of the horizon) or positive and finite.
     """
     if isinstance(algorithm, str):
         algorithm = Algorithm.parse(algorithm)
@@ -390,7 +391,12 @@ def run(psn: PhysicalNetwork, scenario: Scenario, algorithm: Algorithm | str,
     place_draws = DrawStream(rng_place)
     pick_class = ClassTable.of(scenario.mix).pick
 
-    interval = scenario.horizon / 100.0 if series_interval is None else series_interval
+    if series_interval is None:
+        interval = scenario.horizon / 100.0
+    elif 0.0 < series_interval < math.inf:
+        interval = series_interval
+    else:
+        raise ValueError(f"series_interval must be positive and finite, got {series_interval}")
     acct = _Accounting(net, scenario.warmup, scenario.horizon, interval)
 
     report = MetricsReport(

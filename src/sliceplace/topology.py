@@ -252,8 +252,6 @@ class StructureIndex(NamedTuple):
     # node id -> its `adj` entries without those whose neighbor has degree 1
     # (a leaf relays nothing)
     relay_adj: tuple[tuple[tuple[int, int], ...], ...]
-    # the entries left out of relay_adj
-    leaf_adj: tuple[tuple[tuple[int, int], ...], ...]
     # node id -> server position, -1 for other nodes
     pos: tuple[int, ...]
     # node id -> 1 if a neighbour is a server, else 2: the fewest links from
@@ -473,8 +471,6 @@ class PhysicalNetwork:
             servers=servers,
             relay_adj=tuple([tuple([e for e in entries if relays[e[0]]])
                              for entries in self.adj]),
-            leaf_adj=tuple([tuple([e for e in entries if not relays[e[0]]])
-                            for entries in self.adj]),
             pos=tuple(pos),
             near_hops=tuple([1 if any(pos[nbr] >= 0 for nbr, _ in entries) else 2
                              for entries in self.adj]),

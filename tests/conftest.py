@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from sliceplace.topology import (
     DCKind,
@@ -12,6 +13,14 @@ from sliceplace.topology import (
     TopologyParams,
     build_reference_psn,
 )
+
+# The property tests draw a fixed set of examples, the same on every run, and
+# keep no example database, so a pass or a failure repeats. Hypothesis's own
+# defaults, which draw afresh, are the profile "fresh":
+# `pytest --hypothesis-profile=fresh`, which loads after this module.
+settings.register_profile("fresh", parent=settings.get_profile("default"))
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

@@ -308,16 +308,18 @@ def exact_candidates(net: PhysicalNetwork, request, v: int, last_s: int, budget_
     `plain_reach` from last_s within budget_ms over links that carry VL v-1,
     in id order, that pass `lookahead`; with dc_first, regrouped as ILP-1
     searches (last_s, then the rest of its DC, then the others); then
-    `plain_dedupe`."""
+    `plain_dedupe`. With dc_first, last_s is then dropped, after it has
+    hidden its twins: ILP-1 tries it before it builds the list."""
     reach = plain_reach(net, last_s, request.vl(v - 1).bw, budget_ms)
     cands = [sid for sid in sorted(reach)
              if isinstance(net.nodes[sid], Server) and lookahead(net, request, v, sid)]
-    if dc_first:
-        dc = net.nodes[last_s].dc
-        cands = ([sid for sid in cands if sid == last_s]
-                 + [sid for sid in cands if sid != last_s and net.nodes[sid].dc == dc]
-                 + [sid for sid in cands if net.nodes[sid].dc != dc])
-    return plain_dedupe(net, cands)
+    if not dc_first:
+        return plain_dedupe(net, cands)
+    dc = net.nodes[last_s].dc
+    cands = ([sid for sid in cands if sid == last_s]
+             + [sid for sid in cands if sid != last_s and net.nodes[sid].dc == dc]
+             + [sid for sid in cands if net.nodes[sid].dc != dc])
+    return [sid for sid in plain_dedupe(net, cands) if sid != last_s]
 
 
 LINK_LATENCIES = [0.0, 0.1, 0.33, 0.5, 1.0]

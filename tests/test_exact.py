@@ -232,14 +232,15 @@ class TestCandidateList:
                                exact_candidates(net, req, v, last_s, eff, dc_first)
 
     def test_last_s_takes_its_class_from_a_lower_id(self):
-        """a and b are twins and a has the lower id: ILP-2's list keeps a,
-        ILP-1's keeps b, which it searches first."""
+        """a and b are twins and a has the lower id: ILP-2's list keeps a;
+        ILP-1's is empty, since b, which it tries before the list, stands
+        for the class."""
         net = make_single_dc(servers=2)
         a, b = sorted(net.data_centers["dc0"].servers)
         req = make_request(SliceClass.BEST_EFFORT, net.uaps[0])
         assert exact._later_candidates(net, req, 2, b, 1.0, False) == [a]
-        assert exact._later_candidates(net, req, 2, b, 1.0, True) == [b]
-        assert exact_candidates(net, req, 2, b, 1.0, True) == [b]
+        assert exact._later_candidates(net, req, 2, b, 1.0, True) == []
+        assert exact_candidates(net, req, 2, b, 1.0, True) == []
 
 
     def test_root_dedupe_is_lazy(self, ref, monkeypatch):

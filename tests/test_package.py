@@ -1,4 +1,5 @@
-"""Package surface: the public names and the README's library example."""
+"""Package surface: the public names and the README's library example; and
+the Hypothesis profile the suite runs under."""
 
 from __future__ import annotations
 
@@ -7,6 +8,8 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+from hypothesis import settings
 
 import sliceplace
 
@@ -32,3 +35,20 @@ def test_import_leaves_the_test_oracles_out():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "False"
+
+
+def test_hypothesis_profile(pytestconfig):
+    """By default the property tests draw a fixed set of examples and keep
+    no database; `--hypothesis-profile=fresh` draws afresh."""
+    fresh = pytestconfig.getoption("--hypothesis-profile") == "fresh"
+    assert settings.default.derandomize is not fresh
+    assert (settings.default.database is None) is not fresh
+
+
+def test_fresh_profile_overrides_the_fixed_one():
+    out = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                          f"{__file__}::test_hypothesis_profile", "--hypothesis-profile=fresh"],
+                         capture_output=True, text=True, cwd=README.parent,
+                         env={**os.environ, "PYTHONPATH": str(README.parent / "src")})
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert "1 passed" in out.stdout

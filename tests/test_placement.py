@@ -25,7 +25,8 @@ from sliceplace.placement import (
     check_placement,
     feasible_servers,
     latency_reach,
-    lookahead_at,
+    lookahead_rule,
+    lookahead_units,
     min_cost_path,
     release_placement,
 )
@@ -778,13 +779,22 @@ class TestReachBoundedEligibility:
             assert len(net.index().plans) <= 2
 
 
+def lookahead_at(net: PhysicalNetwork, request, v: int, sid: int) -> bool:
+    """The scalar lookahead rule (`lookahead_rule`) at server sid, with its
+    residuals and the thresholds of `lookahead_units` for VNF v."""
+    p = net.index().pos[sid]
+    return lookahead_rule(net, sid, net.cpu_units[p], net.ram_units[p],
+                          *lookahead_units(request, v))
+
+
 class TestLookaheadMask:
     """The lookahead rule of P2C and the exact search, read at one server
-    (`lookahead_at`) and as the mask `feasible_servers` computes with a few
-    compares over run slices, equals the oracle's plain rule: servers with
-    several links, with none and outside any DC included. The substrates
-    load RAM in proportion to CPU, so the requests' RAM is drawn apart
-    from their CPU, and either can bind."""
+    (`lookahead_rule`, through `lookahead_at`) and as the mask
+    `feasible_servers` computes with a few compares over run slices, equals
+    the oracle's plain rule: servers with several links, with none and
+    outside any DC included. The substrates load RAM in proportion to CPU,
+    so the requests' RAM is drawn apart from their CPU, and either can
+    bind."""
 
     @staticmethod
     def varied(request, data):

@@ -452,6 +452,13 @@ class TestSeries:
         assert lines[0] == "time,dc_tier,resource,used,capacity"
         assert len(lines) == 1 + len(rep.series)
 
+    @pytest.mark.parametrize("interval", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_interval(self, net, interval):
+        """An interval of 0 or less, which would never pass the horizon,
+        and one that is not finite are refused."""
+        with pytest.raises(ValueError, match="series_interval"):
+            run(net, short_scenario(horizon=200.0), "p2c-1", 3, series_interval=interval)
+
     def test_default_interval_samples_horizon(self, net):
         rep = run(net, short_scenario(horizon=150.0), "p2c-1", 3)
         times = sorted({row[0] for row in rep.series})
