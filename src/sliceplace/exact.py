@@ -2,9 +2,9 @@
 
 Both solvers run a depth-first branch-and-bound over chain-order VNF-to-server
 assignments, branching over exhaustively enumerated feasible simple paths per
-virtual link. Each VNF expansion runs one path search from the previous VNF's
-server that serves every candidate server at once, relaying through candidates
-too. `solve_ilp1` minimizes the bandwidth objective; the feasibility
+virtual link. Each later VNF's expansion runs one search from the previous
+VNF's server: both its candidate list and every candidate's paths come from
+it. `solve_ilp1` minimizes the bandwidth objective; the feasibility
 baseline `solve_ilp2` stops at the first complete placement. Determinism
 comes from fixed candidate and path orderings.
 
@@ -19,19 +19,22 @@ transaction it rolls back; a solve converts the chain's demands to units
 once, and a path's latency is the one its enumeration summed.
 
 A later VNF's expansion follows relays and runs (`topology.Run`), never
-the graph node by node. Its list (`_later_candidates`) reads reach as
-`feasible_servers` does, from one `_reached_runs` from the previous
-server: the relays reached and the runs anchored at them. One walk over
-those servers in position (= id) order decides each one's reach, rule
-(thresholds read once per list, `lookahead_units`), twin class and group
-in the search order, with no per-server reach entry and no sort. The
-path search (`_enumerate_paths`) recurses over relay nodes alone and
-attaches each one-link candidate when the node across its link is
-visited. Nor does the root loop over the whole network in Python: its
-aggregate-capacity prune sums the residual views in numpy, exact while
-the capacities sum within int64 (`StructureIndex.sums_fit`; Python ints
-otherwise), and it dedupes the VNF-1 candidates lazily (`_dedupe`), so a
-search that ends under its first root computes one twin key.
+the graph node by node. Its list (`_later_candidates`) starts from one
+path search (`_enumerate_paths`) from the previous server, which recurses
+over relay nodes alone and keeps every path to each relay it meets. The
+relays it reaches, each at its smallest latency (`_reach`), are the
+distances `feasible_servers` reads from its Dijkstra, and `_reached_runs`
+keeps the runs anchored at them by the rule `feasible_servers` applies.
+One walk over those servers in position (= id) order decides each one's
+reach, rule (thresholds read once per list, `lookahead_units`), twin
+class and group in the search order, with no per-server reach entry and
+no sort. A listed run server's paths are its anchor's with its uplink
+added, kept within the budget and sorted once per run. Nor does the root
+loop over the whole network in Python: its aggregate-capacity prune sums
+the residual views in numpy, exact while the capacities sum within int64
+(`StructureIndex.sums_fit`; Python ints otherwise), and it dedupes the
+VNF-1 candidates lazily (`_dedupe`), so a search that ends under its
+first root computes one twin key.
 
 Search order: VNF-1 candidates, and ILP-2's later ones, in id order; ILP-1
 tries the previous server (colocation, at cost 0) before it lists its DC,
@@ -39,8 +42,8 @@ then the rest; each server's paths by (hops, latency, link ids). A branch is
 pruned once the cost held plus its path's reaches the best found. ILP-1
 tests that bound before it builds a list: it tries colocation by the
 lookahead rule on the previous server alone (thresholds read once per
-solve), and builds the other candidates (the one pass, then the path
-search) only if a path of h links could still win. h is the previous
+solve), and builds the other candidates (the path search, then the one
+pass) only if a path of h links could still win. h is the previous
 server's `StructureIndex.near_hops`, read from the index, which builds it
 with the rest of the structure: 1 if a neighbour is a server, 2 otherwise,
 never more than the fewest links to another server. Every listed path has
@@ -73,7 +76,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator
 
-from .nspr import SliceRequest, VlDemand
+from .nspr import SliceRequest
 from .placement import (LATENCY_EPS, Placement, _reached_runs, feasible_servers,
                         lookahead_rule, lookahead_units)
 # unused here: kept for the benchmark, whose reach span and tests look it up in this module
@@ -107,35 +110,21 @@ class _FoundFeasible(Exception):
     pass
 
 
-def _enumerate_paths(psn: PhysicalNetwork, src: int, dsts: Iterable[int], bw: float,
-                     budget_ms: float
-                     ) -> tuple[dict[int, list[tuple[tuple[int, ...], float]]], set[int]]:
-    """All simple paths from src to each node of dsts (src excluded) over
-    links with residual >= bw and total latency within budget, from one
-    search, each as (link ids, latency), the latency summed first link to
-    last. Each destination's paths are ordered by (hops, latency, link
-    ids); destinations without a path are left out.
+def _enumerate_paths(psn: PhysicalNetwork, src: int, bw: float, budget_ms: float
+                     ) -> tuple[dict[int, list[tuple[int, float, tuple[int, ...]]]], set[int]]:
+    """Every simple path from src to each relay node (one with two or more
+    links) over links with residual >= bw and total latency within budget,
+    from one search: relay -> [(hops, latency, link ids)] in the order met,
+    the latency summed first link to last; src holds (0, 0.0, ()). A leaf
+    relays nothing, so the search recurses over `relay_adj` alone.
 
-    The search recurses over `relay_adj` alone, since a leaf relays
-    nothing. A leaf destination (one link) is attached when the node across
-    its link is visited, one path per visit, so a visit costs that node's
-    relay degree plus the destinations behind it, whatever the number of
-    servers there. A destination may relay to another one."""
-    adj = psn.adj
-    # destinations split once: leaves by the node across their one link,
-    # (leaf destination, its link); and relays, entered over relay_adj
-    behind: dict[int, list[tuple[int, int]]] = {}
-    relays: set[int] = set()
-    for d in set(dsts):
-        if d == src:
-            continue
-        entries = adj[d]
-        if len(entries) == 1:
-            (u, lid), = entries
-            behind.setdefault(u, []).append((d, lid))
-        else:
-            relays.add(d)
-    found: dict[int, list[tuple[int, float, tuple[int, ...]]]] = {}
+    Its keys are the relays `_relay_reach` reaches, and the smallest latency
+    at each (`_reach`) is the distance that Dijkstra finds there, as the
+    same float: a rounded sum of non-negative latencies never decreases as
+    links are added, so the shortest left-to-right sum is one number either
+    way. A one-link server's paths are its anchor's, its link added
+    (`_later_candidates`)."""
+    found = {src: [(0, 0.0, ())]}
     visited = {src}
     trail: list[int] = []
     relay_adj, links, bw_units = psn.index().relay_adj, psn.links, psn.bw_units
@@ -143,31 +132,29 @@ def _enumerate_paths(psn: PhysicalNetwork, src: int, dsts: Iterable[int], bw: fl
 
     def dfs(u: int, lat: float, hops: int) -> None:
         """Search on from u, reached over hops links at latency lat."""
-        for v, lid in behind.get(u, ()):
-            if bw_units[lid] >= need:
-                nl = lat + links[lid].latency_ms
-                if nl <= limit:
-                    found.setdefault(v, []).append((hops + 1, nl, (*trail, lid)))
         for v, lid in relay_adj[u]:
             if v in visited or bw_units[lid] < need:
                 continue
             nl = lat + links[lid].latency_ms
             if nl > limit:
                 continue
-            if v in relays:
-                found.setdefault(v, []).append((hops + 1, nl, (*trail, lid)))
-            visited.add(v)
             trail.append(lid)
+            found.setdefault(v, []).append((hops + 1, nl, tuple(trail)))
+            visited.add(v)
             dfs(v, nl, hops + 1)
             trail.pop()
             visited.discard(v)
 
-    if behind or relays:
-        dfs(src, 0.0, 0)
+    dfs(src, 0.0, 0)
     del dfs  # it refers to itself through its cell: see the note in _solve
     # always empty: the benchmark's path span unpacks (paths, truncated)
-    return {d: [(f[0][2], f[0][1])] if len(f) == 1 else [(p, lat) for _, lat, p in sorted(f)]
-            for d, f in found.items()}, set()
+    return found, set()
+
+
+def _reach(found: dict[int, list[tuple[int, float, tuple[int, ...]]]]) -> dict[int, float]:
+    """Each relay of an `_enumerate_paths` result at its smallest latency:
+    `_relay_reach`'s distances."""
+    return {u: f[0][1] if len(f) == 1 else min([e[1] for e in f]) for u, f in found.items()}
 
 
 def _twin_key(psn: PhysicalNetwork, sid: int, cpu: int, ram: int) -> tuple:
@@ -203,21 +190,29 @@ def _dedupe(psn: PhysicalNetwork, sids: Iterable[int]) -> Iterator[int]:
 
 
 def _later_candidates(psn: PhysicalNetwork, request: SliceRequest, v: int, last_s: int,
-                      eff: float, dc_first: bool) -> list[int]:
+                      eff: float, dc_first: bool
+                      ) -> list[tuple[int, list[tuple[tuple[int, ...], float]]]]:
     """VNF v's candidate servers, for v > 1, in search order, one per twin
-    class (`_twin_key`): the servers reached from last_s within eff over
-    links that carry VL v-1 that pass `lookahead_rule`. In id order; with
-    dc_first (ILP-1), last_s's DC, then the others, less last_s's class,
-    which `_solve` tries first. A class keeps its first server in order.
+    class (`_twin_key`), each with its feasible (path, latency) pairs by
+    (hops, latency, link ids): the servers reached from last_s within eff
+    over links that carry VL v-1 that pass `lookahead_rule`. In id order;
+    with dc_first (ILP-1), last_s's DC, then the others, less last_s's
+    class, which `_solve` tries first. A class keeps its first server in
+    order.
 
-    Reach is read as `feasible_servers` reads it, at relay and run grain,
-    from the relays and runs of `_reached_runs`, each run server's uplink
-    tested against VL v-1; plus the reached servers outside every run and
-    last_s itself. One walk over those in position (= id) order decides
-    each server's rule, from thresholds read once (`lookahead_units`), and
-    its key, which a run server takes from its run. Keys hold the DC, so
-    the two groups share none: each dedupes as it fills, and with dc_first
-    last_s's class leaves its DC's group at the end."""
+    Reach and paths come from one `_enumerate_paths` from last_s: the
+    relays reached, at their distances (`_reach`), and the runs anchored at
+    them (`_reached_runs`, as `feasible_servers` reads them), each run
+    server's uplink tested against VL v-1; plus the reached servers outside
+    every run and last_s itself. One walk over those in position (= id)
+    order decides each server's rule, from thresholds read once
+    (`lookahead_units`), and its key, which a run server takes from its
+    run. Keys hold the DC, so the two groups share none: each dedupes as it
+    fills, and with dc_first last_s's class leaves its DC's group at the
+    end. A relay server's paths are its own; a run server's are its
+    anchor's within eff once the run's uplink latency is added, sorted once
+    per run, each with the server's link appended; last_s's is the empty
+    path."""
     idx = psn.index()
     pos, servers, runs = idx.pos, idx.servers, idx.runs
     cpu, ram, bw_units = psn.cpu_units, psn.ram_units, psn.bw_units
@@ -225,7 +220,8 @@ def _later_candidates(psn: PhysicalNetwork, request: SliceRequest, v: int, last_
     bw_next, cpu_both, ram_both = ahead or (0, 0, 0)
     vl = request.vls[v - 2]
     need, limit = vl.bw_units, eff + LATENCY_EPS
-    relay, reached = _reached_runs(psn, last_s, vl, limit)
+    found, _ = _enumerate_paths(psn, last_s, vl.bw, eff)
+    relay = _reach(found)
     # (start, stop, run index) of the run positions reached, and
     # (position, position + 1, -1) of each server decided alone: last_s,
     # reached whatever its links, and the relay servers reached
@@ -235,7 +231,7 @@ def _later_candidates(psn: PhysicalNetwork, request: SliceRequest, v: int, last_
         p = pos[u]
         if p >= 0 and u != last_s:
             segments.append((p, p + 1, -1))
-    for k in reached:
+    for k in _reached_runs(psn, relay, limit):
         start, stop = runs[k][:2]
         if start <= p_last < stop:  # last_s's run: last_s is decided alone
             segments += ((start, p_last, k), (p_last + 1, stop, k))
@@ -243,25 +239,28 @@ def _later_candidates(psn: PhysicalNetwork, request: SliceRequest, v: int, last_
             segments.append((start, stop, k))
     last_dc = psn.nodes[last_s].dc if dc_first else None
     head = None  # last_s's key once it passes, with dc_first
-    near: dict[tuple, int] = {}  # last_s's DC, with dc_first
-    far: dict[tuple, int] = {}
+    near: dict[tuple, tuple] = {}  # last_s's DC, with dc_first
+    far: dict[tuple, tuple] = {}
     for start, stop, k in sorted(segments):
         if k < 0:
             sid, c, r = servers[start].id, cpu[start], ram[start]
             if not lookahead_rule(psn, sid, c, r, cpu_v, ram_v, ahead):
                 continue
             key = _twin_key(psn, sid, c, r)
+            group = far
             if dc_first and key[0] == last_dc:
                 if sid == last_s:
                     head = key
-                elif key not in near:
-                    near[key] = sid
-            elif key not in far:
-                far[key] = sid
+                    continue
+                group = near
+            if key not in group:
+                group[key] = (sid, [((), 0.0)] if sid == last_s else
+                              [(path, lat) for _, lat, path in sorted(found[sid])])
             continue
-        first, _, link, anchor, dc, _, lat = runs[k]
+        first, _, link, anchor, dc, _, up_lat = runs[k]
         group = near if dc_first and dc == last_dc else far
         shift = link - first  # the uplink of position p is link shift + p
+        shared = None  # the anchor's paths on to the run
         for p in range(start, stop):
             c, r = cpu[p], ram[p]
             if c < cpu_v or r < ram_v:
@@ -270,9 +269,13 @@ def _later_candidates(psn: PhysicalNetwork, request: SliceRequest, v: int, last_
             if up < need or ahead is not None and (c < cpu_both or r < ram_both) and up < bw_next:
                 continue
             # `_twin_key` of a one-link server
-            key = (dc, anchor, lat, c, r, up)
+            key = (dc, anchor, up_lat, c, r, up)
             if key not in group:
-                group[key] = servers[p].id
+                if shared is None:
+                    shared = sorted([(hops, lat + up_lat, path) for hops, lat, path
+                                     in found[anchor] if lat + up_lat <= limit])
+                lid = shift + p
+                group[key] = (servers[p].id, [((*path, lid), lat) for _, lat, path in shared])
     near.pop(head, None)
     return [*near.values(), *far.values()]
 
@@ -303,17 +306,6 @@ def _solve(psn: PhysicalNetwork, request: SliceRequest, *, find_optimal: bool,
 
     x: dict[int, int] = {}
     y: dict[int, tuple[int, ...]] = {}
-
-    def candidates(v: int, last_s: int, used_e2e: float, vl: VlDemand
-                   ) -> list[tuple[int, list[tuple[tuple[int, ...], float]]]]:
-        """Eligible (server, feasible (path, latency) pairs) for VNF v > 1,
-        in search order."""
-        eff = min(vl.budget_ms, request.e2e_budget_ms - used_e2e)
-        keep = _later_candidates(psn, request, v, last_s, eff, find_optimal)
-        by_dst, _ = _enumerate_paths(psn, last_s, keep, vl.bw, eff)
-        if last_s in keep:  # ILP-2's list, in id order
-            by_dst[last_s] = [((), 0.0)]
-        return [(sid, by_dst[sid]) for sid in keep if sid in by_dst]
 
     def branch(v: int, sid: int, path: tuple[int, ...], lat: float, used_e2e: float,
                committed: float) -> None:
@@ -395,7 +387,8 @@ def _solve(psn: PhysicalNetwork, request: SliceRequest, *, find_optimal: bool,
                 # no path of the list could beat the best
                 if committed + near_hops[last_s] * bw >= best_cost:
                     return
-        for sid, paths in candidates(v, last_s, used_e2e, vl):
+        eff = min(vl.budget_ms, request.e2e_budget_ms - used_e2e)
+        for sid, paths in _later_candidates(psn, request, v, last_s, eff, find_optimal):
             for path, lat in paths:
                 cost = committed + len(path) * bw
                 if best_cost is not None and cost >= best_cost:

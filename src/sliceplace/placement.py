@@ -27,7 +27,7 @@ from bisect import insort
 from dataclasses import dataclass, field
 from typing import Container, Mapping, Sequence
 
-from .nspr import SliceRequest, VlDemand
+from .nspr import SliceRequest
 from .topology import (SCALE, PhysicalNetwork, Run, Server, StructureIndex, left_sum,
                        to_units)
 
@@ -393,10 +393,11 @@ def _relay_reach(psn: PhysicalNetwork, src: int, bw: float,
     or more links) within `limit`, over links with residual bandwidth >= bw;
     src is always present, at 0.
 
-    The one Dijkstra behind `_reached_runs`, the reach step of both
-    `feasible_servers` and the exact search's candidate lists, which read
-    the one-link servers from the runs anchored at the relays reached;
-    `latency_reach`, which no code of the package calls, adds the leaves. A
+    The reach step of `feasible_servers`, which reads the one-link servers
+    from the runs anchored at the relays reached (`_reached_runs`);
+    `latency_reach`, which no code of the package calls, adds the leaves.
+    The exact search reads the same distances from its path search
+    (`exact._enumerate_paths`), which it runs anyway. A
     leaf relays nothing, so leaves never enter the heap: the cost is one
     heap operation per reached relay node, whatever the number of servers.
     A one-link source (a server behind its switch) is entered at its
@@ -429,20 +430,19 @@ def _relay_reach(psn: PhysicalNetwork, src: int, bw: float,
     return dist
 
 
-def _reached_runs(psn: PhysicalNetwork, src: int, vl: VlDemand,
-                  limit: float) -> tuple[dict[int, float], list[int]]:
-    """The one reach step of `feasible_servers` and the exact search's
-    candidate lists: `_relay_reach` from src within limit over links that
-    carry vl, and, ascending, the indices of the runs (`topology.Run`)
-    anchored at a reached relay whose uplink latency keeps the sum within
-    limit (`d + lat <= limit`, the compare `latency_reach` makes). A run's
-    servers are reached only if their uplinks carry vl too."""
-    relay = _relay_reach(psn, src, vl.bw, limit)
+def _reached_runs(psn: PhysicalNetwork, relay: dict[int, float], limit: float) -> list[int]:
+    """The one run-grain reach rule of `feasible_servers` and the exact
+    search's candidate lists: given the relay distances reached within
+    limit (`_relay_reach`'s, or the exact search's, which are equal), the
+    indices, ascending, of the runs (`topology.Run`) anchored at a reached
+    relay whose uplink latency keeps the sum within limit (`d + lat <=
+    limit`, the compare `latency_reach` makes). A run's servers are reached
+    only if their uplinks carry the VL too."""
     anchor_runs = psn.index().anchor_runs
     reached = [k for u, d in relay.items() for lat, k in anchor_runs.get(u, ())
                if d + lat <= limit]
     reached.sort()
-    return relay, reached
+    return reached
 
 
 def latency_reach(psn: PhysicalNetwork, src: int, bw: float,
@@ -716,7 +716,8 @@ def feasible_servers(psn: PhysicalNetwork, request: SliceRequest, v: int,
         vl = request.vls[v - 2]
         reach_bw = vl.bw_units
         limit = min(vl.budget_ms, request.e2e_budget_ms - used_e2e_ms) + LATENCY_EPS
-        relay, reached = _reached_runs(psn, last_s, vl, limit)
+        relay = _relay_reach(psn, last_s, vl.bw, limit)
+        reached = _reached_runs(psn, relay, limit)
         # Only last_s's own DC applies the lookahead, and only when VL v
         # needs more than VL v-1. Otherwise it is implied before the final
         # VNF: every reached server but last_s was entered over a link with

@@ -6,7 +6,8 @@ shares no search code with `sliceplace.exact`.
 
 `paths_to` is the exact search's former path enumeration, one search per
 destination; the single search of `sliceplace.exact._enumerate_paths` must
-find what it finds for every destination.
+find what it finds for every relay node, and the candidate lists built on
+it (`sliceplace.exact._later_candidates`) for every server they list.
 
 `plain_reach`, `plain_hop_path`, `lookahead`, `scan_feasible_servers` and
 `narrow_to_best_tier` are plain one-pass versions of P2C's reach search,
@@ -16,7 +17,7 @@ by pass, and `plain_dedupe` drops twin servers by their incident links.
 `reference_place` and `reference_release` build whole P2C episodes from
 them, writing the residual arrays directly, with no transaction and no
 numpy view. `loaded_substrates` draws the small random substrates they run
-on.
+on, and `twinned` makes two servers of one of them twins.
 
 `per_vnf_writes` is a plain units model of `apply_placement` and
 `release_placement`: one write per VNF and per hop, as lists.
@@ -427,6 +428,36 @@ def loaded_substrates(draw):
                 shares = [0.0, 0.5] if light else [0.0, 0.5, 1.0]
             share = draw(st.sampled_from(shares))
             net.allocate_bw(link.id, link.bw_capacity * share)
+    return net
+
+
+@st.composite
+def twinned(draw, nets):
+    """A substrate of `nets` in which, on most draws, one server of a run
+    (`topology.Run`: same DC, anchor and uplink latency) takes the CPU, RAM
+    and uplink residuals of another server of that run, so that the two are
+    twins (`exact._twin_key`). The residuals go from the one whose uplink
+    has the smaller residual to the other, whose uplink capacity holds it;
+    servers have equal capacities, as `loaded_substrates` draws them."""
+    net = draw(nets)
+    idx = net.index()
+    runs = [run for run in idx.runs if run.stop - run.start > 1]
+    if not runs or not draw(st.integers(0, 3)):
+        return net
+    run = draw(st.sampled_from(runs))
+    p, q = draw(st.lists(st.integers(run.start, run.stop - 1), min_size=2, max_size=2,
+                         unique=True))
+    shift = run.link - run.start  # the uplink of position p is link shift + p
+    if net.bw_units[shift + p] > net.bw_units[shift + q]:
+        p, q = q, p
+    # q's residuals back to capacity, then down to p's
+    sid, up = idx.servers[q].id, shift + q
+    net.write_units(1, {sid: (idx.cpu_cap[q] - net.cpu_units[q],
+                              idx.ram_cap[q] - net.ram_units[q])},
+                    {up: idx.bw_cap[up] - net.bw_units[up]})
+    net.write_units(-1, {sid: (idx.cpu_cap[q] - net.cpu_units[p],
+                               idx.ram_cap[q] - net.ram_units[p])},
+                    {up: idx.bw_cap[up] - net.bw_units[shift + p]})
     return net
 
 

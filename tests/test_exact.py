@@ -16,13 +16,15 @@ from sliceplace import exact, sim
 from sliceplace.nspr import DEFAULT_CATALOG, SliceClass, VnfDemand, make_request
 from sliceplace.p2c import DrawStream, OutcomeStatus, Policy
 from sliceplace.p2c import place as p2c_place
-from sliceplace.placement import bandwidth_cost, check_placement, feasible_servers
+from sliceplace.placement import (LATENCY_EPS, _relay_reach, bandwidth_cost, check_placement,
+                                  feasible_servers)
 from sliceplace.topology import (SCALE, DCKind, LinkKind, NodeKind, PhysicalNetwork,
-                                 TopologyParams, build_reference_psn)
+                                 TopologyParams, build_reference_psn, left_sum)
 
 from conftest import make_pair, make_single_dc
 from oracles import (LINK_BWS, InstanceTooLargeError, brute_force, exact_candidates,
-                     loaded_substrates, paths_to, plain_dedupe, scan_feasible_servers)
+                     loaded_substrates, paths_to, plain_dedupe, scan_feasible_servers,
+                     twinned)
 from test_placement import link_id
 
 SHORT_CATALOG = {
@@ -108,32 +110,80 @@ def one_slot_and_two_slot_network() -> tuple[PhysicalNetwork, int, int]:
     return net, a, b
 
 
+def listed(net: PhysicalNetwork, src: int, bw: float, budget: float,
+           dc_first: bool = False) -> dict[int, list[tuple[tuple[int, ...], float]]]:
+    """Server -> its (path, latency) pairs on VNF 2's candidate list from
+    src within budget, for a request whose VNFs need 1 CPU and 6 GB of RAM
+    each and whose VL 1 carries bw."""
+    req = make_request(SliceClass.BEST_EFFORT, net.uaps[0])
+    req = dataclasses.replace(req, vnfs=tuple(VnfDemand(1.0, 6.0) for _ in req.vnfs),
+                              vls=(dataclasses.replace(req.vls[0], bw=bw), *req.vls[1:]))
+    return dict(exact._later_candidates(net, req, 2, src, budget, dc_first))
+
+
+def summed(net: PhysicalNetwork, path: tuple[int, ...]) -> float:
+    """A path's latency, summed first link to last."""
+    return left_sum(net.links[lid].latency_ms for lid in path)
+
+
 class TestPathSearch:
-    """One search from the previous server finds, for every destination,
-    what a search per destination finds."""
+    """One search from the previous server finds, for every relay node and
+    every server on the candidate list built on it, what a search per
+    destination finds."""
 
     @settings(max_examples=150, deadline=None)
     @given(loaded_substrates(), st.data())
     def test_matches_one_search_per_destination(self, net, data):
         nodes = range(len(net.nodes))
         src = data.draw(st.sampled_from(nodes))
-        dsts = data.draw(st.one_of(st.just(set(nodes)), st.sets(st.sampled_from(nodes))))
         bw = data.draw(st.sampled_from([0.0] + LINK_BWS))
         budget = data.draw(st.sampled_from([-0.5, 0.0, 0.1, 0.33, 1.0, 5.0]))
-        by_dst, _ = _enumerate_paths(net, src, dsts, bw, budget)
-        assert src not in by_dst and all(by_dst.values())
-        for dst in dsts - {src}:
-            assert [p for p, _ in by_dst.get(dst, [])] == paths_to(net, src, dst, bw, budget)
-        for found in by_dst.values():
+        found, rest = _enumerate_paths(net, src, bw, budget)
+        assert rest == set() and found[src] == [(0, 0.0, ())]
+        relays = {u for u in nodes if len(net.adj[u]) > 1}
+        assert set(found) <= relays | {src}
+        for u in relays - {src}:
+            assert [p for _, _, p in sorted(found.get(u, []))] == \
+                   paths_to(net, src, u, bw, budget)
+        for entries in found.values():
             # each latency is the float the search summed, first link to last
-            assert all(lat == sum(net.links[lid].latency_ms for lid in p) for p, lat in found)
+            assert all((hops, lat) == (len(p), summed(net, p)) for hops, lat, p in entries)
+        # the servers listed from a server: last_s at the empty path, the
+        # others at every path a search to them alone finds
+        last_s = data.draw(st.sampled_from([s.id for s in net.servers()]))
+        for dc_first in (True, False):
+            by_dst = listed(net, last_s, bw, budget, dc_first)
+            for dst, paths in by_dst.items():
+                assert [p for p, _ in paths] == \
+                       ([()] if dst == last_s else paths_to(net, last_s, dst, bw, budget))
+                assert all(lat == summed(net, p) for p, lat in paths)
+
+    @settings(max_examples=200, deadline=None)
+    @given(loaded_substrates(), st.data())
+    def test_reach_is_the_relay_dijkstra(self, net, data):
+        """The relays the search reaches, each at its smallest latency
+        (`exact._reach`), are `_relay_reach`'s, as the same floats. Relay
+        links are drawn thin, so that the bandwidth test binds, and the
+        limits from -0.5 to 5 ms."""
+        for link in net.links:
+            left = net.bw_residual(link.id)
+            if left and len(net.adj[link.a]) > 1 and len(net.adj[link.b]) > 1:
+                thin = data.draw(st.sampled_from([None, 0.0, 0.5, 1.0]))
+                if thin is not None and thin < left:
+                    net.allocate_bw(link.id, left - thin)
+        src = data.draw(st.sampled_from(range(len(net.nodes))))
+        bw = data.draw(st.sampled_from([0.0] + LINK_BWS))
+        budget = data.draw(st.floats(-0.5, 5.0))
+        found, _ = _enumerate_paths(net, src, bw, budget)
+        assert exact._reach(found) == _relay_reach(net, src, bw, budget + LATENCY_EPS)
 
     def test_every_path_behind_one_switch_and_an_empty_second_value(self):
         """Behind the CDC switch sit leaf servers c0 and c1 and a relay
         server c2, linked to the EDC switch as well; the switch is reached
-        over three routes, so each destination behind it has several paths,
-        all of them kept. The result is (paths, an empty set): the
-        benchmark's path span unpacks two values."""
+        over three routes, so each server behind it has several paths, all
+        of them kept, and c1, loaded apart from c0, is listed too. The
+        search's result is (paths by relay, an empty set): the benchmark's
+        path span unpacks two values."""
         net = make_pair(edc_servers=1, cdc_servers=3, km=10)
         (e0,) = net.data_centers["edc0"].servers
         c0, c1, c2 = sorted(net.data_centers["cdc0"].servers)
@@ -142,12 +192,16 @@ class TestPathSearch:
         net.add_link(sw_e, router, 0.05, LinkKind.TRANSPORT, 10.0)
         net.add_link(router, sw_c, 0.05, LinkKind.TRANSPORT, 10.0)
         net.add_link(sw_e, c2, 0.1, LinkKind.TRANSPORT, 10.0)
-        dsts = {c0, c1, c2}
-        result = _enumerate_paths(net, e0, dsts, 1.0, 1.0)
+        net.allocate(c1, 1.0, 6.0)
+        result = _enumerate_paths(net, e0, 1.0, 1.0)
         assert type(result) is tuple and len(result) == 2
-        by_dst, rest = result
-        assert type(by_dst) is dict and rest == set()
-        for dst in dsts:
+        found, rest = result
+        assert type(found) is dict and rest == set()
+        assert set(found) == {e0, sw_e, sw_c, router, c2}
+        assert len(found[sw_c]) == 3
+        by_dst = listed(net, e0, 1.0, 1.0)
+        assert set(by_dst) == {e0, c0, c1, c2}
+        for dst in (c0, c1, c2):
             assert [p for p, _ in by_dst[dst]] == paths_to(net, e0, dst, 1.0, 1.0)
         assert len(by_dst[c0]) == 3
 
@@ -158,39 +212,60 @@ class TestPathSearch:
         sw_e = net.data_centers["edc0"].switch
         sw_c = net.data_centers["cdc0"].switch
         bridge = net.add_link(e1, sw_c, 0.1, LinkKind.TRANSPORT, 10.0)
-        # e1 is a destination itself and the search meets it before the
-        # EDC-CDC link, so c0's first path found relays through it
+        # e1 is a relay and the search meets it before the EDC-CDC link, so
+        # the CDC switch's first path found relays through it
         relayed = (link_id(net, e0, sw_e), link_id(net, sw_e, e1), bridge,
                    link_id(net, sw_c, c0))
         direct = (link_id(net, e0, sw_e), link_id(net, sw_e, sw_c), link_id(net, sw_c, c0))
-        by_dst, _ = _enumerate_paths(net, e0, {e1, c0}, 1.0, 1.0)
-        paths = {dst: [p for p, _ in found] for dst, found in by_dst.items()}
+        found, _ = _enumerate_paths(net, e0, 1.0, 1.0)
+        assert [p for _, _, p in found[sw_c]] == [relayed[:3], direct[:2]]
+        paths = {dst: [p for p, _ in pairs] for dst, pairs in listed(net, e0, 1.0, 1.0).items()}
         assert paths[c0] == [direct, relayed]
         for dst in (e1, c0):
             assert paths[dst] == paths_to(net, e0, dst, 1.0, 1.0)
 
-
     def test_leaf_behind_a_multi_link_source(self):
         """The source e0 has two links, to its switch and to w, a server
-        whose one link is to e0: w is met at the source's own visit."""
+        whose one link is to e0: w's paths are the source's own entry, its
+        link added."""
         net = make_pair(edc_servers=2, cdc_servers=1)
         e0, e1 = sorted(net.data_centers["edc0"].servers)
         (c0,) = net.data_centers["cdc0"].servers
         w = net.add_server("edc0-w", "edc0", 50.0, 300.0)
         net.add_link(e0, w, 0.0, LinkKind.INTRA_DC, 10.0)
-        by_dst, _ = _enumerate_paths(net, e0, {w, e1, c0}, 1.0, 1.0)
+        by_dst = listed(net, e0, 1.0, 1.0)
         assert [p for p, _ in by_dst[w]] == [(link_id(net, e0, w),)]
         for dst in (w, e1, c0):
             assert [p for p, _ in by_dst[dst]] == paths_to(net, e0, dst, 1.0, 1.0)
 
+    def test_uplink_latency_bounds_each_path(self):
+        """c0 hangs off the CDC switch over a 0.5 ms uplink. The switch is
+        reached within 1 ms over the direct 0.03 ms link and over a 0.6 ms
+        detour, but only the direct path still fits once the uplink is
+        added: c0 has that one path."""
+        net = make_pair(edc_servers=1, cdc_servers=0, km=10)
+        (e0,) = net.data_centers["edc0"].servers
+        sw_e, sw_c = net.data_centers["edc0"].switch, net.data_centers["cdc0"].switch
+        c0 = net.add_server("cdc0-s00", "cdc0", 50.0, 300.0)
+        up = net.add_link(sw_c, c0, 0.5, LinkKind.TRANSPORT, 10.0)
+        router = net.add_node("r", NodeKind.ROUTER)
+        net.add_link(sw_e, router, 0.3, LinkKind.TRANSPORT, 10.0)
+        net.add_link(router, sw_c, 0.3, LinkKind.TRANSPORT, 10.0)
+        found, _ = _enumerate_paths(net, e0, 1.0, 1.0)
+        assert len(found[sw_c]) == 2
+        direct = (link_id(net, e0, sw_e), link_id(net, sw_e, sw_c), up)
+        assert [p for p, _ in listed(net, e0, 1.0, 1.0)[c0]] == [direct] == \
+               paths_to(net, e0, c0, 1.0, 1.0)
+
     def test_leaf_on_a_thin_link_is_absent(self):
-        """e1's one link has less than the demand left: no path reaches it,
-        while c0, behind the same kind of link with room, is reached."""
+        """e1's one link has less than the demand left: no path reaches it
+        and it is not listed, while c0, behind the same kind of link with
+        room, is."""
         net = make_pair(edc_servers=2, cdc_servers=1)
         e0, e1 = sorted(net.data_centers["edc0"].servers)
         (c0,) = net.data_centers["cdc0"].servers
         net.allocate_bw(link_id(net, e1, net.data_centers["edc0"].switch), 9.5)
-        by_dst, _ = _enumerate_paths(net, e0, {e1, c0}, 1.0, 1.0)
+        by_dst = listed(net, e0, 1.0, 1.0)
         assert e1 not in by_dst and c0 in by_dst
         assert paths_to(net, e0, e1, 1.0, 1.0) == []
         assert [p for p, _ in by_dst[c0]] == paths_to(net, e0, c0, 1.0, 1.0)
@@ -203,7 +278,7 @@ class TestCandidateList:
     same representatives."""
 
     @settings(max_examples=150, deadline=None)
-    @given(loaded_substrates(), st.data())
+    @given(twinned(loaded_substrates()), st.data())
     def test_matches_the_passes(self, net, data):
         req = make_request(data.draw(st.sampled_from(list(SliceClass))),
                            net.uaps[data.draw(st.integers(0, len(net.uaps) - 1))])
@@ -228,7 +303,8 @@ class TestCandidateList:
                 for used_e2e in used:
                     eff = min(vl.budget_ms, req.e2e_budget_ms - used_e2e)
                     for dc_first in (True, False):
-                        assert exact._later_candidates(net, req, v, last_s, eff, dc_first) == \
+                        assert [sid for sid, _ in exact._later_candidates(
+                                    net, req, v, last_s, eff, dc_first)] == \
                                exact_candidates(net, req, v, last_s, eff, dc_first)
 
     def test_last_s_takes_its_class_from_a_lower_id(self):
@@ -238,7 +314,7 @@ class TestCandidateList:
         net = make_single_dc(servers=2)
         a, b = sorted(net.data_centers["dc0"].servers)
         req = make_request(SliceClass.BEST_EFFORT, net.uaps[0])
-        assert exact._later_candidates(net, req, 2, b, 1.0, False) == [a]
+        assert [sid for sid, _ in exact._later_candidates(net, req, 2, b, 1.0, False)] == [a]
         assert exact._later_candidates(net, req, 2, b, 1.0, True) == []
         assert exact_candidates(net, req, 2, b, 1.0, True) == []
 
