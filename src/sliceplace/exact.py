@@ -58,8 +58,9 @@ ILP-1's colocated tail in closed form: when colocation at VNF v may still
 win and the previous server has room for VNFs v..n together, the frames'
 next leaf puts all of them there with empty paths at the cost held, the
 lookahead passing at every level; after it the bound prunes every sibling
-up to level v. That leaf is recorded directly, with the n - v + 1 nodes
-and the deepest VNF the frames would count, and ends level v (a leaf at
+up to level v. That leaf is reached directly: the frames' x and y filled
+in, the n - v nodes and the deepest VNF the frames would count added, and
+the leaf's own record, which counts its node. It ends level v (a leaf at
 its subtree's lower bound ends the subtree: A. H. Land and A. G. Doig,
 "An Automatic Method of Solving Discrete Programming Problems",
 Econometrica 28(3), 1960). Where those nodes would trip the budget the
@@ -363,17 +364,14 @@ def _solve(psn: PhysicalNetwork, request: SliceRequest, *, find_optimal: bool,
                 c, r = cpu[p], ram[p]
                 if c >= tail_cpu[v] and r >= tail_ram[v] and \
                         (max_nodes is None or nodes + n - v + 1 <= max_nodes):
-                    # the colocated tail in closed form (module docstring)
-                    nodes += n - v + 1
+                    # the colocated tail in closed form (module docstring):
+                    # levels v+1..n counted here, the leaf counts itself
+                    nodes += n - v
                     deepest = n
                     for k in range(v, n + 1):
                         x[k] = last_s
                         y[k - 1] = ()
-                    best_cost = committed
-                    best_x = dict(x)
-                    best_y = {i: list(q) for i, q in y.items()}
-                    if committed == 0.0:
-                        raise _FoundFeasible
+                    expand(n + 1, last_s, used_e2e, committed)
                     return
                 # colocation at cost 0; the list comes only after this try
                 # (else the bound below returns), so it leaves last_s out

@@ -511,14 +511,12 @@ def _store(idx: StructureIndex, key: tuple, by_rank: dict[int, list],
            offs: tuple[tuple[int, int], ...]) -> tuple:
     """Cache under key, and return, the plan of the slices by_rank of
     `_slices`: (groups, ranks, offs), groups being (rank, slices, ()) in
-    ascending rank with each slice a tuple, as `_collect` reads them, ranks
-    their ranks, and offs (rank, position) of servers outside every run
-    that each call decides one at a time."""
+    ascending rank, ranks their ranks, and offs (rank, position) of servers
+    outside every run that each call decides one at a time."""
     plans = idx.plans
     if len(plans) >= PLANS_MAX:
         plans.clear()
-    groups = tuple([(r, tuple([(*sl[:4], tuple(sl[4])) for sl in by_rank[r]]), ())
-                    for r in sorted(by_rank)])
+    groups = tuple([(r, tuple(by_rank[r]), ()) for r in sorted(by_rank)])
     plan = plans[key] = (groups, frozenset(by_rank), offs)
     return plan
 
@@ -554,10 +552,6 @@ def _merged(groups: Sequence[tuple], extras: list[tuple[int, int]],
     return [(r, *by_rank[r]) for r in sorted(by_rank)]
 
 
-# Slices at most this many positions apart are compared as one, the
-# positions between them masked off: a numpy pass costs about a microsecond
-# however short it is, as much as comparing some hundreds more entries
-BRIDGE = 256
 # Slices shorter than this are decided by scalar reads (`_collect`). On one
 # star DC of n servers, a third of them loaded, a URLLC root took 8.5-9.2 us
 # with numpy at every n from 4 to 40, and 3.1, 5.0, 7.7 and 8.7 us by scalar
@@ -567,31 +561,27 @@ SHORT_SLICE = 32
 
 
 def _slices(runs: Sequence[Run], ks: list[int], by_rank: bool,
-            look_dcs: Container[str | None]) -> dict[int, list[list]]:
-    """Runs ks, ascending, merged into slices [start, stop, link, look,
-    gaps]: look tells whether the slice's DCs are in look_dcs, and gaps
-    lists the (start, stop) position ranges inside it that belong to none of
-    its runs. Grouped by tier rank with by_rank, else all under 0. A run
-    joins the group's last slice, with the same look, when it continues
-    that slice's links as it does its positions, at most BRIDGE positions
-    on."""
-    groups: dict[int, list[list]] = {}
-    key = slices = cur = None
+            look_dcs: Container[str | None]) -> dict[int, list[tuple]]:
+    """Runs ks, ascending, merged into slices (start, stop, link, look):
+    positions start..stop-1 with uplinks link..link+stop-start-1, look
+    telling whether the slice's DCs are in look_dcs. Grouped by tier rank
+    with by_rank, else all under 0. A run joins its group's last slice only
+    where it meets it: at that slice's next position and next link id, with
+    the same look. A slice thus holds no position outside its runs."""
+    groups: dict[int, list[tuple]] = {}
+    key = slices = None
     for k in ks:
         start, stop, link, _, dc, rank, _ = runs[k]
         look = dc in look_dcs
         if by_rank and rank != key or slices is None:
             key = rank if by_rank else 0
             slices = groups.setdefault(key, [])
-            cur = slices[-1] if slices else None
-        if (cur is not None and start - cur[1] <= BRIDGE and link - start == cur[2] - cur[0]
-                and cur[3] is look):
-            if start > cur[1]:
-                cur[4].append((cur[1], start))
-            cur[1] = stop
-        else:
-            cur = [start, stop, link, look, []]
-            slices.append(cur)
+        if slices:
+            first, last, up, was = slices[-1]
+            if start == last and link == up + last - first and was is look:
+                slices[-1] = (first, stop, up, look)
+                continue
+        slices.append((start, stop, link, look))
     return groups
 
 
@@ -605,28 +595,27 @@ def _collect(psn: PhysicalNetwork, slices: Sequence[Sequence], extras: Sequence[
     ram left. pin = (position, id, verdict) decides one server, inside the
     slices or not. A slice of SHORT_SLICE positions or more is decided by a
     few compares over zero-copy slices of the residual views, a shorter one
-    by scalar reads of the residual arrays."""
+    by scalar reads of the residual arrays; every position of a slice is a
+    run server's."""
     idx = psn.index()
     servers = idx.servers
     cpu_units, ram_units, bw_units = psn.cpu_units, psn.ram_units, psn.bw_units
     bw_next, cpu_next, ram_next = ahead or (0, 0, 0)
     reach = -1 if reach_bw is None else reach_bw  # every residual is at least -1
     out: list[int] = []
-    for start, stop, link, look, gaps in slices:
+    for start, stop, link, look in slices:
         look = look and ahead is not None
         if stop - start < SHORT_SLICE:
             # the pin's position is skipped here and inserted below
-            skip, shift, lo = -1 if pin is None else pin[0], link - start, start
-            for a, b in (*gaps, (stop, stop)):
-                for p in range(lo, a):
-                    c, r = cpu_units[p], ram_units[p]
-                    if c < cpu or r < ram or p == skip:
-                        continue
-                    up = bw_units[shift + p]
-                    if up < reach or look and (c < cpu_next or r < ram_next) and up < bw_next:
-                        continue
-                    out.append(servers[p].id)
-                lo = b
+            skip, shift = -1 if pin is None else pin[0], link - start
+            for p in range(start, stop):
+                c, r = cpu_units[p], ram_units[p]
+                if c < cpu or r < ram or p == skip:
+                    continue
+                up = bw_units[shift + p]
+                if up < reach or look and (c < cpu_next or r < ram_next) and up < bw_next:
+                    continue
+                out.append(servers[p].id)
             continue
         cpu_view, ram_view, bw_view = psn.vectors()
         c, r, up = cpu_view[start:stop], ram_view[start:stop], bw_view[link:link + stop - start]
@@ -639,8 +628,6 @@ def _collect(psn: PhysicalNetwork, slices: Sequence[Sequence], extras: Sequence[
             more &= r >= ram_next
             more |= up >= bw_next
             ok &= more
-        for a, b in gaps:
-            ok[a - start:b - start] = False
         if pin is not None and start <= pin[0] < stop:
             ok[pin[0] - start] = pin[2]
             pin = None
@@ -674,26 +661,26 @@ def feasible_servers(psn: PhysicalNetwork, request: SliceRequest, v: int,
     P2C-2 draws from.
 
     Cost: O(relay nodes reached + runs reached) in Python plus, per slice,
-    O(servers + BRIDGE) in C, or O(servers) in Python for a slice shorter
-    than SHORT_SLICE. `_relay_reach` runs over the relay nodes only
-    (switches, routers; no server of the reference substrate), from last_s's
-    anchor when last_s has one link. The one-link servers are held as runs
+    O(servers) in C, or O(servers) in Python for a slice shorter than
+    SHORT_SLICE. `_relay_reach` runs over the relay nodes only (switches,
+    routers; no server of the reference substrate), from last_s's anchor
+    when last_s has one link. The one-link servers are held as runs
     (`topology.Run`, one per DC on the reference substrate), and a run is
     reached when its anchor is and the latency left there covers its
     uplink's. What follows from the runs reached alone is a plan, cached in
-    the structure index: the reached runs merged into slices (`_slices`),
-    grouped by tier with `best_tier`. The first VNF's plan holds the runs of
-    the DCs within the access bound, keyed by (UAP, bound, `best_tier`); a
-    later VNF's is keyed by (runs reached, `best_tier`, the DC that applies
-    the lookahead, if any). A hit costs one dict lookup. A few integer
-    compares over zero-copy slices of `psn.vectors()`, or scalar reads of a
-    short slice, then decide the servers; `best_tier` decides tier by tier,
-    best first, and stops at the first tier with an eligible server. last_s
-    and the servers without exactly one link (relays when reached) are
-    decided one at a time by `lookahead_rule`, from the thresholds read
-    once per call, and only when one of them needs a tier the plan lacks
-    are the groups built anew. The result equals an all-server scan of the
-    rule, list and order alike.
+    the structure index: the reached runs merged where they meet into
+    slices (`_slices`), grouped by tier with `best_tier`. The first VNF's
+    plan holds the runs of the DCs within the access bound, keyed by (UAP,
+    bound, `best_tier`); a later VNF's is keyed by (runs reached,
+    `best_tier`, the DC that applies the lookahead, if any). A hit costs one
+    dict lookup. A few integer compares over zero-copy slices of
+    `psn.vectors()`, or scalar reads of a short slice, then decide the
+    servers; `best_tier` decides tier by tier, best first, and stops at the
+    first tier with an eligible server. last_s and the servers without
+    exactly one link (relays when reached) are decided one at a time by
+    `lookahead_rule`, from the thresholds read once per call, and only when
+    one of them needs a tier the plan lacks are the groups built anew. The
+    result equals an all-server scan of the rule, list and order alike.
     """
     vnfs = request.vnfs
     n = len(vnfs)

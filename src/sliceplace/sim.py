@@ -125,6 +125,8 @@ def arrival_rates_for_load(psn: PhysicalNetwork, mix: Mapping[SliceClass, float]
     if not mix:
         raise ValueError("mix is empty")
     total_cpu = psn.total_cpu_capacity()
+    if total_cpu <= 0:
+        raise ValueError("substrate has no CPU capacity to load")
     hold = mean_holding if include_holding_time else 1.0
     denom = 0.0
     for cls_, share in mix.items():

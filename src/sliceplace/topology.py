@@ -714,8 +714,10 @@ class PhysicalNetwork:
     def validate(self) -> None:
         """Raise TopologyError unless residuals lie within capacities, each
         data center's `servers` lists exactly the servers that name it, in
-        id order, every switch and UAP entry names a node of that kind, no
-        UAP is listed twice, and the graph is connected."""
+        id order, every node's DC exists, only access links lack a capacity,
+        every intra-DC link has an end in a DC, every switch and UAP entry
+        names a node of that kind, no UAP is listed twice, and the graph is
+        connected."""
         dc_servers: dict[str, list[int]] = {dc_id: [] for dc_id in self.data_centers}
         idx = self.index()
         for p, s in enumerate(idx.servers):
@@ -725,11 +727,21 @@ class PhysicalNetwork:
             if s.dc not in dc_servers:
                 raise TopologyError(f"server {s.id} belongs to no data center")
             dc_servers[s.dc].append(s.id)
+        for node in self.nodes:
+            if node.dc is not None and node.dc not in dc_servers:
+                raise TopologyError(f"node {node.id} names no data center: {node.dc!r}")
         for link in self.links:
             units, cap = self.bw_units[link.id], idx.bw_cap[link.id]
             if not (units == cap == -1 or 0 <= units <= cap):
                 raise TopologyError(f"link {link.id}: bandwidth residual out of bounds "
                                     f"or without a capacity")
+            if cap == -1 and link.kind is not LinkKind.ACCESS:
+                raise TopologyError(f"link {link.id}: a {link.kind.value} link needs a "
+                                    f"bandwidth capacity")
+            if link.kind is LinkKind.INTRA_DC and self.nodes[link.a].dc is None \
+                    and self.nodes[link.b].dc is None:
+                raise TopologyError(f"link {link.id}: an intra_dc link needs an end in a "
+                                    f"data center")
         for dc in self.data_centers.values():
             if dc.servers != dc_servers[dc.id]:
                 raise TopologyError(f"data center {dc.id} must list its "

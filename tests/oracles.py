@@ -338,6 +338,13 @@ def loaded_substrates(draw):
     uplinks have latency, so that one switch holds servers of two uplink
     latencies. Those are what split `StructureIndex.runs`.
 
+    On some draws the first three of three or four DCs have their switches
+    joined pairwise, a triangle of unloaded 10 Gbps links, and the
+    triangle's links and every uplink outside `spare` have one latency, 0.1
+    or 0.33 ms: a switch is then reached over one link and over two, and
+    from a server behind another switch, within a budget of 0.33 or 1 ms,
+    only the one-link path leaves room for a run's uplink latency.
+
     On some draws one DC, `spare`, keeps room: its uplinks carry any demand
     and stay unloaded, its servers are lightly loaded, and the first UAP sits
     next to it within every class's access bound. More episodes then get
@@ -358,12 +365,13 @@ def loaded_substrates(draw):
     unlinked = []
     light = draw(st.booleans())
     spare = draw(st.one_of(st.none(), st.integers(0, 3)))
+    tri = draw(st.one_of(st.none(), st.sampled_from([0.1, 0.33])))  # triangle latency
     dcs = [net.add_data_center(f"dc{d}", draw(st.sampled_from(kinds)))
-           for d in range(draw(st.integers(1, 4)))]
+           for d in range(draw(st.integers(1 if tri is None else 3, 4)))]
     homes = [d for d in range(len(dcs)) for _ in range(draw(st.integers(1, 3)))]
     if draw(st.booleans()):
         homes = draw(st.permutations(homes))
-    lagged = draw(st.booleans())  # some uplinks with latency
+    lagged = tri is not None or draw(st.booleans())  # some uplinks with latency
     spare_cut = spare is not None and draw(st.booleans())  # spare's first server unlinked
     for i, d in enumerate(homes):
         dc = dcs[d]
@@ -371,21 +379,27 @@ def loaded_substrates(draw):
         if spare_cut and d == spare and sid == dc.servers[0]:
             unlinked.append(sid)
         elif draw(st.integers(0, 5)):  # an occasional server has no uplink
-            lat = draw(st.sampled_from(LINK_LATENCIES)) if lagged and d != spare else 0.0
+            if not lagged or d == spare:
+                lat = 0.0
+            else:
+                lat = tri if tri is not None else draw(st.sampled_from(LINK_LATENCIES))
             net.add_link(dc.switch, sid, lat,
                          LinkKind.INTRA_DC if lat == 0 else LinkKind.TRANSPORT,
                          draw(st.sampled_from(LINK_BWS[1:] if d == spare else LINK_BWS)))
         else:
             unlinked.append(sid)
     switches = [dc.switch for dc in net.data_centers.values()]
+    triangle: list[int] = []  # its links, which carry any demand and stay unloaded
     for sid in unlinked:
         if draw(st.booleans()):  # or one with latency, to any switch
             net.add_link(draw(st.sampled_from(switches)), sid,
                          draw(st.sampled_from(LINK_LATENCIES)), LinkKind.TRANSPORT,
                          draw(st.sampled_from(LINK_BWS)))
     for i, a in enumerate(switches):
-        for b in switches[i + 1:]:
-            if draw(st.booleans()):
+        for j, b in enumerate(switches[i + 1:], i + 1):
+            if tri is not None and j < 3:
+                triangle.append(net.add_link(a, b, tri, LinkKind.TRANSPORT, 10.0))
+            elif draw(st.booleans()):
                 net.add_link(a, b, draw(st.sampled_from(LINK_LATENCIES)),
                              LinkKind.TRANSPORT, draw(st.sampled_from(LINK_BWS)))
     for _ in range(draw(st.integers(0, 4))):
@@ -422,7 +436,8 @@ def loaded_substrates(draw):
         net.allocate(srv.id, cpu, (draw(st.sampled_from(loads)) if ram_apart else cpu) * 6)
     for link in net.links:
         if link.bw_capacity is not None:
-            if link.kind is LinkKind.INTRA_DC and net.nodes[link.a].dc == spare_id:
+            if link.kind is LinkKind.INTRA_DC and net.nodes[link.a].dc == spare_id \
+                    or link.id in triangle:
                 shares = [0.0]
             else:
                 shares = [0.0, 0.5] if light else [0.0, 0.5, 1.0]

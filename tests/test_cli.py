@@ -407,6 +407,48 @@ class TestSimulate:
         assert lines[0] == "time,dc_tier,resource,used,capacity"
         assert len(lines) > 1
 
+    @pytest.mark.parametrize("breakage, message", [
+        ("ghost_dc_router", "names no data center"),
+        ("intra_dc_outside_dcs", "needs an end in a data center"),
+        ("uncounted_transport", "needs a bandwidth capacity"),
+        ("no_server", "no CPU capacity"),
+    ], ids=["ghost_dc_router", "intra_dc_outside_dcs", "uncounted_transport", "no_server"])
+    def test_topology_that_cannot_be_simulated_exits_two(self, tmp_path, capsys, topo_file,
+                                                         breakage, message):
+        """Documents of connected graphs that the simulator's accounting or
+        arrival rates cannot read: refused with exit 2, not a traceback."""
+        doc = json.loads(open(topo_file).read())
+        nodes, links, uap = doc["nodes"], doc["links"], doc["uaps"][0]
+        transport = next(l for l in links if l["kind"] == "transport")
+
+        def add(kind: str, dc: str | None, link_kind: str, a: int) -> None:
+            nodes.append({"id": len(nodes), "label": "extra", "kind": kind, "dc": dc})
+            links.append({"id": len(links), "a": a, "b": len(nodes) - 1, "latency_ms": 0.0,
+                          "kind": link_kind, "bw_capacity": 10.0, "bw_residual": 10.0})
+
+        if breakage == "ghost_dc_router":
+            add("router", "ghost", "intra_dc", uap)
+        elif breakage == "intra_dc_outside_dcs":
+            assert nodes[uap]["dc"] is None
+            add("router", None, "intra_dc", uap)
+        elif breakage == "uncounted_transport":
+            transport["bw_capacity"] = transport["bw_residual"] = None
+        else:
+            doc = {"schema": "topology/1", "params": None,
+                   "nodes": [{"id": 0, "label": "sw", "kind": "switch", "dc": "edc0"},
+                             {"id": 1, "label": "uap", "kind": "uap", "dc": None}],
+                   "links": [{"id": 0, "a": 0, "b": 1, "latency_ms": 0.05, "kind": "access",
+                              "bw_capacity": None, "bw_residual": None}],
+                   "data_centers": [{"id": "edc0", "kind": "EDC", "switch": 0, "servers": []}],
+                   "uaps": [1]}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "simulate", "--topology", str(path),
+                                 "--algorithm", "p2c-1", *SIM_ARGS)
+        assert code == 2
+        assert out == ""
+        assert message in err and "Traceback" not in err
+
     def test_unknown_scenario(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--algorithm", "p2c-1",
                                "--scenario", "gaming", "--load", "0.4")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import random
 
@@ -148,10 +149,9 @@ class TestPathSearch:
         for entries in found.values():
             # each latency is the float the search summed, first link to last
             assert all((hops, lat) == (len(p), summed(net, p)) for hops, lat, p in entries)
-        # the servers listed from a server: last_s at the empty path, the
+        # the servers listed from each server: last_s at the empty path, the
         # others at every path a search to them alone finds
-        last_s = data.draw(st.sampled_from([s.id for s in net.servers()]))
-        for dc_first in (True, False):
+        for last_s, dc_first in itertools.product([s.id for s in net.servers()], (True, False)):
             by_dst = listed(net, last_s, bw, budget, dc_first)
             for dst, paths in by_dst.items():
                 assert [p for p, _ in paths] == \

@@ -596,17 +596,6 @@ def add_dc_less_server(net: PhysicalNetwork, data) -> None:
 
 
 @contextlib.contextmanager
-def bridge(width: int):
-    """`placement.BRIDGE` set to width: at 0 only adjacent runs merge; the
-    small substrates drawn here bridge every gap at the default width."""
-    saved, placement.BRIDGE = placement.BRIDGE, width
-    try:
-        yield
-    finally:
-        placement.BRIDGE = saved
-
-
-@contextlib.contextmanager
 def short_slice(width: int):
     """`placement.SHORT_SLICE` set to width: at 0 `_collect` decides every
     slice by numpy compares, above every slice's length by scalar reads."""
@@ -620,6 +609,50 @@ def short_slice(width: int):
 # both of `_collect`'s paths: the small substrates drawn here would
 # otherwise take the scalar one alone
 COLLECT_PATHS = (0, 10**9)
+
+
+class TestSlices:
+    """`placement._slices` on the reference substrate, whose runs (one per
+    DC: CCP, then the five CDCs, then the fifteen EDCs) each start at the
+    position and link id where the one before stops. A run joins the slice
+    before it only where it meets it; results alone cannot show this."""
+
+    @staticmethod
+    def runs() -> list:
+        return list(build_reference_psn(1).index().runs)
+
+    def test_all_runs_form_one_slice(self):
+        runs = self.runs()
+        assert placement._slices(runs, list(range(len(runs))), False, ()) == \
+               {0: [(0, 126, 0, False)]}
+
+    def test_one_slice_per_tier(self):
+        runs = self.runs()
+        assert placement._slices(runs, list(range(len(runs))), True, ()) == {
+            0: [(0, 16, 0, False)], 1: [(16, 66, 16, False)], 2: [(66, 126, 66, False)]}
+
+    def test_a_skipped_run_splits_the_slice(self):
+        runs = self.runs()
+        assert runs[2].dc == "cdc1"
+        ks = [k for k in range(len(runs)) if k != 2]
+        assert placement._slices(runs, ks, False, ()) == \
+               {0: [(0, 26, 0, False), (36, 126, 36, False)]}
+        assert placement._slices(runs, ks, True, ())[1] == \
+               [(16, 26, 16, False), (36, 66, 36, False)]
+
+    def test_a_run_whose_link_ids_jump_starts_a_slice(self):
+        runs = self.runs()
+        runs[2] = runs[2]._replace(link=runs[2].link + 1)
+        assert placement._slices(runs, [1, 2, 3], False, ()) == \
+               {0: [(16, 26, 16, False), (26, 36, 27, False), (36, 46, 36, False)]}
+
+    def test_a_look_dc_stands_alone(self):
+        runs = self.runs()
+        assert runs[9].dc == "edc3"
+        assert placement._slices(runs, list(range(len(runs))), False, ("edc3",)) == \
+               {0: [(0, 78, 0, False), (78, 82, 78, True), (82, 126, 82, False)]}
+        assert placement._slices(runs, list(range(len(runs))), True, ("edc3",))[2] == \
+               [(66, 78, 66, False), (78, 82, 78, True), (82, 126, 82, False)]
 
 
 class TestReachBoundedEligibility:
@@ -639,15 +672,14 @@ class TestReachBoundedEligibility:
         # beyond the end-to-end budget the slack turns negative
         used = [data.draw(st.sampled_from([0.0, 0.02, 0.7, 1.3, request.e2e_budget_ms + 0.5]))
                 for _ in range(2, request.n_vnfs + 1)]
-        with bridge(data.draw(st.sampled_from([0, 1, placement.BRIDGE]))):
-            for width in COLLECT_PATHS:
-                with short_slice(width):
-                    assert feasible_servers(net, request, 1, None) == \
-                           scan_feasible_servers(net, request, 1, None, 0.0)
-                    for v, spent in enumerate(used, 2):
-                        for last_s in (s.id for s in net.servers()):
-                            got = feasible_servers(net, request, v, last_s, used_e2e_ms=spent)
-                            assert got == scan_feasible_servers(net, request, v, last_s, spent)
+        for width in COLLECT_PATHS:
+            with short_slice(width):
+                assert feasible_servers(net, request, 1, None) == \
+                       scan_feasible_servers(net, request, 1, None, 0.0)
+                for v, spent in enumerate(used, 2):
+                    for last_s in (s.id for s in net.servers()):
+                        got = feasible_servers(net, request, v, last_s, used_e2e_ms=spent)
+                        assert got == scan_feasible_servers(net, request, v, last_s, spent)
 
     @settings(max_examples=150, deadline=None)
     @given(loaded_substrates(), st.data())
@@ -659,8 +691,7 @@ class TestReachBoundedEligibility:
         request = dataclasses.replace(request, vls=tuple(
             dataclasses.replace(vl, bw=data.draw(st.sampled_from([0.5, 1.0, 2.0])))
             for vl in request.vls))
-        with bridge(data.draw(st.sampled_from([0, 1, placement.BRIDGE]))), \
-                short_slice(data.draw(st.sampled_from(COLLECT_PATHS))):
+        with short_slice(data.draw(st.sampled_from(COLLECT_PATHS))):
             full = scan_feasible_servers(net, request, 1, None, 0.0)
             assert feasible_servers(net, request, 1, None, best_tier=True) == \
                    narrow_to_best_tier(net, full)
@@ -830,24 +861,23 @@ class TestLookaheadMask:
         bound = request.alpha_max_ms + LATENCY_EPS
         servers = list(net.servers())
         lasts = [data.draw(st.sampled_from(servers)) for _ in range(2, request.n_vnfs + 1)]
-        with bridge(data.draw(st.sampled_from([0, 1, placement.BRIDGE]))):
-            for width in COLLECT_PATHS:
-                with short_slice(width):
-                    got = set(feasible_servers(net, request, 1, None))
-                    ruled = [s.id for s in servers if s.dc is not None
-                             and net.access_latency(request.uap, s.dc) <= bound]
+        for width in COLLECT_PATHS:
+            with short_slice(width):
+                got = set(feasible_servers(net, request, 1, None))
+                ruled = [s.id for s in servers if s.dc is not None
+                         and net.access_latency(request.uap, s.dc) <= bound]
+                assert [sid in got for sid in ruled] == \
+                       [lookahead_at(net, request, 1, sid) for sid in ruled]
+                for v, last in enumerate(lasts, 2):
+                    vl = request.vl(v - 1)
+                    budget = min(vl.budget_ms, request.e2e_budget_ms)
+                    reach = plain_reach(net, last.id, vl.bw, budget)
+                    got = set(feasible_servers(net, request, v, last.id))
+                    ruled = [last.id] + [
+                        s.id for s in servers if s.id != last.id and s.dc == last.dc
+                        and reach.get(s.id, float("inf")) <= budget + LATENCY_EPS]
                     assert [sid in got for sid in ruled] == \
-                           [lookahead_at(net, request, 1, sid) for sid in ruled]
-                    for v, last in enumerate(lasts, 2):
-                        vl = request.vl(v - 1)
-                        budget = min(vl.budget_ms, request.e2e_budget_ms)
-                        reach = plain_reach(net, last.id, vl.bw, budget)
-                        got = set(feasible_servers(net, request, v, last.id))
-                        ruled = [last.id] + [
-                            s.id for s in servers if s.id != last.id and s.dc == last.dc
-                            and reach.get(s.id, float("inf")) <= budget + LATENCY_EPS]
-                        assert [sid in got for sid in ruled] == \
-                               [lookahead_at(net, request, v, sid) for sid in ruled]
+                           [lookahead_at(net, request, v, sid) for sid in ruled]
 
 
 class TestApplyRelease:
