@@ -15,44 +15,59 @@ from the previous server, as `feasible_servers` reaches them, that pass
 the lookahead). Of interchangeable twin servers (`_twin_key`) only the
 first in search order is searched. Each search frame holds its VNF and path
 in residual units, through one `PhysicalNetwork.hold`, in a substrate
-transaction it rolls back; a solve converts the chain's demands to units
-once, and a path's latency is the one its enumeration summed.
+transaction it rolls back; a path's latency is the one its enumeration
+summed.
+
+Per-chain constants (`_chain_plan`): the chain's demands in units, the
+units of each tail of the chain, each VNF's lookahead thresholds
+(`lookahead_units`) and each tail's floor are built once per chain and
+structure, not per solve. They are cached in the structure index's plans
+under the identity of the request's demand tuples, which every request of
+a class shares, so a structural change drops them.
 
 A later VNF's expansion follows relays and runs (`topology.Run`), never
 the graph node by node. Its list (`_later_candidates`) starts from one
-path search (`_enumerate_paths`) from the previous server, which recurses
-over relay nodes alone and keeps every path to each relay it meets. The
-relays it reaches, each at its smallest latency (`_reach`), are the
-distances `feasible_servers` reads from its Dijkstra, and `_reached_runs`
-keeps the runs anchored at them by the rule `feasible_servers` applies.
-One walk over those servers in position (= id) order decides each one's
-reach, rule (thresholds read once per list, `lookahead_units`), twin
-class and group in the search order, with no per-server reach entry and
-no sort. A listed run server's paths are its anchor's with its uplink
-added, kept within the budget and sorted once per run. Nor does the root
-loop over the whole network in Python: its aggregate-capacity prune sums
-the residual views in numpy, exact while the capacities sum within int64
-(`StructureIndex.sums_fit`; Python ints otherwise), and it dedupes the
-VNF-1 candidates lazily (`_dedupe`), so a search that ends under its
-first root computes one twin key.
+path search (`_enumerate_paths`) from the previous server, which walks
+relay nodes alone, depth first on its own stack, and keeps every path to
+each relay it meets. The relays it reaches, each at its smallest latency
+(`_reach`), are the distances `feasible_servers` reads from its Dijkstra,
+and `_reached_runs` keeps the runs anchored at them by the rule
+`feasible_servers` applies. One walk over those servers in position (= id)
+order decides each one's reach, rule (the chain's thresholds,
+`lookahead_units`), twin class and group in the search order, with no
+per-server reach entry and no sort. A listed run server's paths are its
+anchor's with its uplink added, kept within the budget and sorted once per
+run. Nor does the root loop over the whole network in Python: its
+aggregate-capacity prune sums the residual views in numpy, exact while the
+capacities sum within int64 (`StructureIndex.sums_fit`; Python ints
+otherwise), and it dedupes the VNF-1 candidates lazily (`_dedupe`), so a
+search that ends under its first root computes one twin key.
 
 Search order: VNF-1 candidates, and ILP-2's later ones, in id order; ILP-1
 tries the previous server (colocation, at cost 0) before it lists its DC,
-then the rest; each server's paths by (hops, latency, link ids). A branch is
-pruned once the cost held plus its path's reaches the best found. ILP-1
-tests that bound before it builds a list: it tries colocation by the
-lookahead rule on the previous server alone (thresholds read once per
-solve), and builds the other candidates (the path search, then the one
-pass) only if a path of h links could still win. h is the previous
+then the rest; each server's paths by (hops, latency, link ids).
+
+ILP-1's bounds add the floor of the chain's tail: floor[v], the least cost
+that VLs v..n-1 must hold whatever the placement (`_chain_plan`), from the
+cuts that runs of VNFs too large for the largest server force, each at
+least h links long. A branch at VNF v is pruned once the cost held plus
+its path's plus floor[v] reaches the best found. ILP-1 tests that bound
+before it builds a list: it tries colocation by the lookahead rule on the
+previous server alone, only while the cost held plus floor[v] is below the
+best, and builds the other candidates (the path search, then the one pass)
+only if a path of h links plus floor[v] could still win. h is the previous
 server's `StructureIndex.near_hops`, read from the index, which builds it
 with the rest of the structure: 1 if a neighbour is a server, 2 otherwise,
 never more than the fewest links to another server. Every listed path has
 at least h links, so what the bound skips, the list's loop would have
-pruned.
+pruned. A zero-cost leaf ends the search. A leaf at floor[1], the whole
+chain's floor, could end it as soundly; that was measured and left out
+(ROADMAP, "Measured and closed").
 
-A placement's cost is the search's own: the cost held at its leaf, which
-adds len(path) * bw per VL in chain order (a colocated VL adds nothing),
-the same float `placement.bandwidth_cost` sums for it.
+Costs are held in bandwidth units (`to_units`), integers, as the floors
+are, so the bounds compare exactly. A placement's cost is the float
+`placement.bandwidth_cost` sums for it once the search ends: len(path) *
+bw per VL in chain order.
 
 ILP-1's colocated tail in closed form: when colocation at VNF v may still
 win and the previous server has room for VNFs v..n together, the frames'
@@ -61,14 +76,18 @@ lookahead passing at every level; after it the bound prunes every sibling
 up to level v. That leaf is reached directly: the frames' x and y filled
 in, the n - v nodes and the deepest VNF the frames would count added, and
 the leaf's own record, which counts its node. It ends level v (a leaf at
-its subtree's lower bound ends the subtree: A. H. Land and A. G. Doig,
-"An Automatic Method of Solving Discrete Programming Problems",
-Econometrica 28(3), 1960). Where those nodes would trip the budget the
-frames run instead, so BUDGET_EXCEEDED is reported as they report it.
+its subtree's lower bound ends the subtree, the rule the floors apply to
+the chain's forced cuts: A. H. Land and A. G. Doig, "An Automatic Method
+of Solving Discrete Programming Problems", Econometrica 28(3), 1960).
+Where those nodes would trip the budget the frames run instead, so
+BUDGET_EXCEEDED is reported as they report it.
 
 Searches carry an explored-node budget, the one source of BUDGET_EXCEEDED:
 a tripped budget is reported as such, never as a silently suboptimal
 OPTIMAL, and any best-known placement found by then is still returned.
+The floors only remove nodes, so a budget that the search without them
+would exceed may now suffice: such a solve reports OPTIMAL, with the
+placement the search without a budget returns.
 """
 
 from __future__ import annotations
@@ -78,11 +97,11 @@ from enum import Enum
 from typing import Iterable, Iterator
 
 from .nspr import SliceRequest
-from .placement import (LATENCY_EPS, Placement, _reached_runs, feasible_servers,
-                        lookahead_rule, lookahead_units)
+from .placement import (LATENCY_EPS, PLANS_MAX, Placement, _reached_runs, bandwidth_cost,
+                        feasible_servers, lookahead_rule, lookahead_units)
 # unused here: kept for the benchmark, whose reach span and tests look it up in this module
 from .placement import latency_reach  # noqa: F401
-from .topology import PhysicalNetwork, to_units
+from .topology import PhysicalNetwork, StructureIndex, to_units
 
 DEFAULT_NODE_BUDGET = 200_000
 
@@ -117,7 +136,9 @@ def _enumerate_paths(psn: PhysicalNetwork, src: int, bw: float, budget_ms: float
     links) over links with residual >= bw and total latency within budget,
     from one search: relay -> [(hops, latency, link ids)] in the order met,
     the latency summed first link to last; src holds (0, 0.0, ()). A leaf
-    relays nothing, so the search recurses over `relay_adj` alone.
+    relays nothing, so the search follows `relay_adj` alone, depth first on
+    an explicit stack: a line of relays longer than the interpreter's
+    recursion limit is searched like any other.
 
     Its keys are the relays `_relay_reach` reaches, and the smallest latency
     at each (`_reach`) is the distance that Dijkstra finds there, as the
@@ -130,24 +151,28 @@ def _enumerate_paths(psn: PhysicalNetwork, src: int, bw: float, budget_ms: float
     trail: list[int] = []
     relay_adj, links, bw_units = psn.index().relay_adj, psn.links, psn.bw_units
     need, limit = to_units(bw), budget_ms + LATENCY_EPS
-
-    def dfs(u: int, lat: float, hops: int) -> None:
-        """Search on from u, reached over hops links at latency lat."""
-        for v, lid in relay_adj[u]:
+    # one frame per node on the trail: the node, its entries not yet tried
+    # and the latency it was reached at. A frame resumes its entries where
+    # its child left them, so paths are met in depth-first entry order
+    stack = [(src, iter(relay_adj[src]), 0.0)]
+    while stack:
+        u, entries, lat = stack[-1]
+        for v, lid in entries:
             if v in visited or bw_units[lid] < need:
                 continue
             nl = lat + links[lid].latency_ms
             if nl > limit:
                 continue
             trail.append(lid)
-            found.setdefault(v, []).append((hops + 1, nl, tuple(trail)))
+            found.setdefault(v, []).append((len(trail), nl, tuple(trail)))
             visited.add(v)
-            dfs(v, nl, hops + 1)
-            trail.pop()
-            visited.discard(v)
-
-    dfs(src, 0.0, 0)
-    del dfs  # it refers to itself through its cell: see the note in _solve
+            stack.append((v, iter(relay_adj[v]), nl))
+            break
+        else:
+            stack.pop()
+            if stack:
+                trail.pop()
+                visited.discard(u)
     # always empty: the benchmark's path span unpacks (paths, truncated)
     return found, set()
 
@@ -191,7 +216,7 @@ def _dedupe(psn: PhysicalNetwork, sids: Iterable[int]) -> Iterator[int]:
 
 
 def _later_candidates(psn: PhysicalNetwork, request: SliceRequest, v: int, last_s: int,
-                      eff: float, dc_first: bool
+                      eff: float, dc_first: bool, rule: tuple
                       ) -> list[tuple[int, list[tuple[tuple[int, ...], float]]]]:
     """VNF v's candidate servers, for v > 1, in search order, one per twin
     class (`_twin_key`), each with its feasible (path, latency) pairs by
@@ -206,7 +231,7 @@ def _later_candidates(psn: PhysicalNetwork, request: SliceRequest, v: int, last_
     them (`_reached_runs`, as `feasible_servers` reads them), each run
     server's uplink tested against VL v-1; plus the reached servers outside
     every run and last_s itself. One walk over those in position (= id)
-    order decides each server's rule, from thresholds read once
+    order decides each server's rule, from rule, VNF v's thresholds
     (`lookahead_units`), and its key, which a run server takes from its
     run. Keys hold the DC, so the two groups share none: each dedupes as it
     fills, and with dc_first last_s's class leaves its DC's group at the
@@ -217,7 +242,7 @@ def _later_candidates(psn: PhysicalNetwork, request: SliceRequest, v: int, last_
     idx = psn.index()
     pos, servers, runs = idx.pos, idx.servers, idx.runs
     cpu, ram, bw_units = psn.cpu_units, psn.ram_units, psn.bw_units
-    cpu_v, ram_v, ahead = lookahead_units(request, v)
+    cpu_v, ram_v, ahead = rule
     bw_next, cpu_both, ram_both = ahead or (0, 0, 0)
     vl = request.vls[v - 2]
     need, limit = vl.bw_units, eff + LATENCY_EPS
@@ -281,35 +306,75 @@ def _later_candidates(psn: PhysicalNetwork, request: SliceRequest, v: int, last_
     return [*near.values(), *far.values()]
 
 
-def _solve(psn: PhysicalNetwork, request: SliceRequest, *, find_optimal: bool,
-           max_nodes: int | None) -> SolveResult:
-    n = request.n_vnfs
-    net_nodes, idx = psn.nodes, psn.index()
-    pos, near_hops, cpu, ram = idx.pos, idx.near_hops, psn.cpu_units, psn.ram_units
+def _chain_plan(idx: StructureIndex, request: SliceRequest) -> tuple:
+    """The search's constants for the request's chain on the structure of
+    idx: (vnfs, vls, need, tail_cpu, tail_ram, rules, floor), where, per
+    VNF v, need[v - 1] holds VNF v's CPU and RAM units and VL v-1's
+    bandwidth units (0 for v = 1), tail_cpu[v] and tail_ram[v] the units of
+    VNFs v..n together, rules[v] VNF v's `lookahead_units` and floor[v]
+    the least cost, in bandwidth units, that VLs v..n-1 must hold.
 
-    best_cost: float | None = None
-    best_x: dict[int, int] | None = None
-    best_y: dict[int, list[int]] | None = None
-    nodes = 0
-    deepest = 0
+    floor[v] is the cheapest set of VLs to cut so that each run of VNFs
+    v..n between cuts fits the largest CPU and the largest RAM capacity of
+    any server (a lone VNF always counts as fitting); a cut VL costs its
+    bandwidth times h, the fewest links between two servers that
+    `StructureIndex.near_hops` admits. In a placement, each run of VNFs
+    joined by colocated VLs sits on one server, so the VLs given a path are
+    such a set of cuts, each path at least h links long: the placement
+    holds at least floor[v] on VLs v..n-1.
 
+    Cached in the index's plans under the identity of the request's demand
+    tuples, which every request of a class shares (`ClassSpec.chain`), and
+    checked with `is`; so a structural change, which builds a new index,
+    drops them, as a full cache does."""
     vnfs, vls = request.vnfs, request.vls
-    # per VNF v, what its frame holds: CPU, RAM and VL v-1's bandwidth
-    # units; and the CPU and RAM units of VNFs v..n together
+    key = ("chain", id(vnfs), id(vls))
+    plan = idx.plans.get(key)
+    if plan is not None and plan[0] is vnfs and plan[1] is vls:
+        return plan
+    n = len(vnfs)
     need = [(*vnfs[0].units, 0)] + [(*d.units, vl.bw_units) for d, vl in zip(vnfs[1:], vls)]
     tail_cpu, tail_ram = [0] * (n + 2), [0] * (n + 2)
     for v in range(n, 0, -1):
         tail_cpu[v] = tail_cpu[v + 1] + need[v - 1][0]
         tail_ram[v] = tail_ram[v + 1] + need[v - 1][1]
-    # VNF v -> its lookahead thresholds, read once per solve by ILP-1's
-    # colocation try
-    rules: dict[int, tuple] = {}
+    rules = [None] + [lookahead_units(request, v) for v in range(1, n + 1)]
+    cpu_max, ram_max = max(idx.cpu_cap, default=0), max(idx.ram_cap, default=0)
+    hops = min([idx.near_hops[s.id] for s in idx.servers], default=2)
+    floor = [0] * (n + 2)
+    for v in range(n - 1, 0, -1):
+        # the run v..e, then VL e cut and floor[e + 1] beyond it
+        least = hops * vls[v - 1].bw_units + floor[v + 1]
+        for e in range(v + 1, n + 1):
+            if tail_cpu[v] - tail_cpu[e + 1] > cpu_max or tail_ram[v] - tail_ram[e + 1] > ram_max:
+                break
+            least = min(least, 0 if e == n else hops * vls[e - 1].bw_units + floor[e + 1])
+        floor[v] = least
+    if len(idx.plans) >= PLANS_MAX:
+        idx.plans.clear()
+    plan = idx.plans[key] = (vnfs, vls, need, tail_cpu, tail_ram, rules, floor)
+    return plan
+
+
+def _solve(psn: PhysicalNetwork, request: SliceRequest, *, find_optimal: bool,
+           max_nodes: int | None) -> SolveResult:
+    n = request.n_vnfs
+    net_nodes, idx = psn.nodes, psn.index()
+    pos, near_hops, cpu, ram = idx.pos, idx.near_hops, psn.cpu_units, psn.ram_units
+    _, vls, need, tail_cpu, tail_ram, rules, floor = _chain_plan(idx, request)
+
+    # costs are held in bandwidth units, exact, as the floors are
+    best_cost: int | None = None
+    best_x: dict[int, int] | None = None
+    best_y: dict[int, list[int]] | None = None
+    nodes = 0
+    deepest = 0
 
     x: dict[int, int] = {}
     y: dict[int, tuple[int, ...]] = {}
 
     def branch(v: int, sid: int, path: tuple[int, ...], lat: float, used_e2e: float,
-               committed: float) -> None:
+               committed: int) -> None:
         """Hold VNF v on sid and VL v-1 on path, of latency lat, search on,
         roll back."""
         nonlocal deepest
@@ -331,7 +396,7 @@ def _solve(psn: PhysicalNetwork, request: SliceRequest, *, find_optimal: bool,
         finally:
             psn.rollback(mark)
 
-    def expand(v: int, last_s: int | None, used_e2e: float, committed: float) -> None:
+    def expand(v: int, last_s: int | None, used_e2e: float, committed: int) -> None:
         nonlocal nodes, best_cost, best_x, best_y, deepest
         nodes += 1
         if max_nodes is not None and nodes > max_nodes:
@@ -341,7 +406,7 @@ def _solve(psn: PhysicalNetwork, request: SliceRequest, *, find_optimal: bool,
                 best_cost = committed
                 best_x = dict(x)
                 best_y = {i: list(p) for i, p in y.items()}
-            if not find_optimal or best_cost == 0.0:
+            if not find_optimal or best_cost == 0:
                 raise _FoundFeasible
             return
         if v == 1:
@@ -354,12 +419,12 @@ def _solve(psn: PhysicalNetwork, request: SliceRequest, *, find_optimal: bool,
                 room = sum(cpu) >= tail_cpu[1] and sum(ram) >= tail_ram[1]
             if room:
                 for sid in _dedupe(psn, feasible_servers(psn, request, 1, None)):
-                    branch(1, sid, (), 0.0, 0.0, 0.0)
+                    branch(1, sid, (), 0.0, 0.0, 0)
             return
         vl = vls[v - 2]
-        bw = vl.bw
+        bw, rest = vl.bw_units, floor[v]
         if find_optimal:
-            if best_cost is None or committed < best_cost:
+            if best_cost is None or committed + rest < best_cost:
                 p = pos[last_s]
                 c, r = cpu[p], ram[p]
                 if c >= tail_cpu[v] and r >= tail_ram[v] and \
@@ -375,27 +440,25 @@ def _solve(psn: PhysicalNetwork, request: SliceRequest, *, find_optimal: bool,
                     return
                 # colocation at cost 0; the list comes only after this try
                 # (else the bound below returns), so it leaves last_s out
-                rule = rules.get(v)
-                if rule is None:
-                    rule = rules[v] = lookahead_units(request, v)
-                if lookahead_rule(psn, last_s, c, r, *rule):
+                if lookahead_rule(psn, last_s, c, r, *rules[v]):
                     branch(v, last_s, (), 0.0, used_e2e, committed)
             if best_cost is not None:
                 # every other server is at least near_hops links away, so
                 # no path of the list could beat the best
-                if committed + near_hops[last_s] * bw >= best_cost:
+                if committed + near_hops[last_s] * bw + rest >= best_cost:
                     return
         eff = min(vl.budget_ms, request.e2e_budget_ms - used_e2e)
-        for sid, paths in _later_candidates(psn, request, v, last_s, eff, find_optimal):
+        for sid, paths in _later_candidates(psn, request, v, last_s, eff, find_optimal,
+                                            rules[v]):
             for path, lat in paths:
                 cost = committed + len(path) * bw
-                if best_cost is not None and cost >= best_cost:
+                if best_cost is not None and cost + rest >= best_cost:
                     break  # paths sorted by hops; the rest cost at least this much
                 branch(v, sid, path, lat, used_e2e, cost)
 
     status = SolveStatus.OPTIMAL
     try:
-        expand(1, None, 0.0, 0.0)
+        expand(1, None, 0.0, 0)
     except _FoundFeasible:
         pass
     except _BudgetExhausted:
@@ -411,8 +474,9 @@ def _solve(psn: PhysicalNetwork, request: SliceRequest, *, find_optimal: bool,
             status = SolveStatus.INFEASIBLE
         return SolveResult(status, None, None, nodes, deepest)
 
-    # best_cost adds len(path) * bw per VL in chain order, as bandwidth_cost does
-    return SolveResult(status, Placement(best_x, best_y, best_cost), best_cost, nodes, deepest)
+    placement = Placement(best_x, best_y)
+    placement.cost = bandwidth_cost(request, placement)
+    return SolveResult(status, placement, placement.cost, nodes, deepest)
 
 
 def solve_ilp1(psn: PhysicalNetwork, request: SliceRequest, *,

@@ -500,10 +500,10 @@ def lookahead_rule(psn: PhysicalNetwork, server_id: int, cpu: int, ram: int,
     return False
 
 
-# Plans (`_store`) the structure index keeps; a full cache is emptied. The
-# number of plans grows with the run: a seed-1 MIX rho 1 P2C-1 run at scale
-# 1 met 2,532 distinct ones in 18,214 arrivals, the benchmark's scale-16
-# P2C-2 run 203 in 2,187
+# Plans (`_store`, and the exact search's chain constants) the structure
+# index keeps; a full cache is emptied. The number of plans grows with the
+# run: a seed-1 MIX rho 1 P2C-1 run at scale 1 met 2,532 distinct ones in
+# 18,214 arrivals, the benchmark's scale-16 P2C-2 run 203 in 2,187
 PLANS_MAX = 4096
 
 

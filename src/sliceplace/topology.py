@@ -279,8 +279,9 @@ class StructureIndex(NamedTuple):
     # of eligibility (`placement._store`), what `feasible_servers` derives
     # from the runs alone: the first VNF's under (UAP, access bound, best
     # tier), a later VNF's under (indices of the runs reached, best tier,
-    # the DCs that apply the lookahead); the first key holds an int where
-    # the second holds a tuple, so the two never meet
+    # the DCs that apply the lookahead); with them the exact search's chain
+    # constants (`exact._chain_plan`) under ("chain", ids of the demand
+    # tuples). The keys' first items, an int, a tuple and a str, never meet
     alpha: dict[int, dict[str, float]]
     plans: dict[tuple, tuple]
 

@@ -14,6 +14,7 @@ from sliceplace.nspr import SliceClass
 from sliceplace.topology import PhysicalNetwork, TopologyParams
 
 from conftest import make_single_dc
+from test_exact import relay_line_network
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -92,6 +93,18 @@ class TestPlace:
         doc = json.loads(out)
         assert doc["solver_status"] == "optimal"
         assert doc["cost"] == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("algorithm", ["ilp-1", "ilp-2"])
+    def test_exact_search_on_a_long_relay_line(self, tmp_path, capsys, algorithm):
+        """A line of 1,500 routers behind the switch: the exact search
+        places the request as P2C does, with no recursion error."""
+        path = tmp_path / "line.json"
+        path.write_text(json.dumps(relay_line_network().to_json()))
+        code, out, _ = run_cli(capsys, "place", "--topology", str(path),
+                               "--class", "urllc", "--algorithm", algorithm)
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["status"], doc["solver_status"]) == ("accepted", "optimal")
 
     def test_rejection_exits_one(self, tmp_path, capsys):
         # access latency beyond every class bound: nothing can host the root

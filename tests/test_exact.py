@@ -18,7 +18,7 @@ from sliceplace.nspr import DEFAULT_CATALOG, SliceClass, VnfDemand, make_request
 from sliceplace.p2c import DrawStream, OutcomeStatus, Policy
 from sliceplace.p2c import place as p2c_place
 from sliceplace.placement import (LATENCY_EPS, _relay_reach, bandwidth_cost, check_placement,
-                                  feasible_servers)
+                                  feasible_servers, lookahead_units)
 from sliceplace.topology import (SCALE, DCKind, LinkKind, NodeKind, PhysicalNetwork,
                                  TopologyParams, build_reference_psn, left_sum)
 
@@ -119,12 +119,55 @@ def listed(net: PhysicalNetwork, src: int, bw: float, budget: float,
     req = make_request(SliceClass.BEST_EFFORT, net.uaps[0])
     req = dataclasses.replace(req, vnfs=tuple(VnfDemand(1.0, 6.0) for _ in req.vnfs),
                               vls=(dataclasses.replace(req.vls[0], bw=bw), *req.vls[1:]))
-    return dict(exact._later_candidates(net, req, 2, src, budget, dc_first))
+    return dict(exact._later_candidates(net, req, 2, src, budget, dc_first,
+                                        lookahead_units(req, 2)))
 
 
 def summed(net: PhysicalNetwork, path: tuple[int, ...]) -> float:
     """A path's latency, summed first link to last."""
     return left_sum(net.links[lid].latency_ms for lid in path)
+
+
+def relay_line_network(length: int = 1500) -> PhysicalNetwork:
+    """Two 50-CPU servers behind one switch, which heads a line of length
+    routers joined by 10 Gbps links of no latency: a path search from a
+    server follows the line to its end, deeper than the interpreter's
+    default recursion limit of 1,000 frames."""
+    net = make_single_dc(servers=2)
+    prev = net.data_centers["dc0"].switch
+    for i in range(length):
+        router = net.add_node(f"r{i:04d}", NodeKind.ROUTER)
+        net.add_link(prev, router, 0.0, LinkKind.TRANSPORT, 10.0)
+        prev = router
+    net.validate()
+    return net
+
+
+def floor_of(net: PhysicalNetwork, req) -> float:
+    """The least cost of the request's whole chain that the search bounds
+    with (`exact._chain_plan`), in Gbps x hops."""
+    return exact._chain_plan(net.index(), req)[-1][1] / SCALE
+
+
+def zero_floor(solver, net: PhysicalNetwork, req, **kwargs):
+    """solver's result with every floor of the chain at zero: the bounds of
+    a search that counts no cut it has not made."""
+    chain_plan = exact._chain_plan
+
+    def plan(idx, request):
+        *head, floor = chain_plan(idx, request)
+        return (*head, [0] * len(floor))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exact, "_chain_plan", plan)
+        return solver(net, req, **kwargs)
+
+
+def outcome(res) -> tuple:
+    """What a solve reports, less the nodes it explored."""
+    plc = res.placement
+    return (res.status, res.objective, res.deepest_feasible_vnf,
+            plc and plc.x, plc and plc.y)
 
 
 class TestPathSearch:
@@ -304,7 +347,8 @@ class TestCandidateList:
                     eff = min(vl.budget_ms, req.e2e_budget_ms - used_e2e)
                     for dc_first in (True, False):
                         assert [sid for sid, _ in exact._later_candidates(
-                                    net, req, v, last_s, eff, dc_first)] == \
+                                    net, req, v, last_s, eff, dc_first,
+                                    lookahead_units(req, v))] == \
                                exact_candidates(net, req, v, last_s, eff, dc_first)
 
     def test_last_s_takes_its_class_from_a_lower_id(self):
@@ -314,8 +358,9 @@ class TestCandidateList:
         net = make_single_dc(servers=2)
         a, b = sorted(net.data_centers["dc0"].servers)
         req = make_request(SliceClass.BEST_EFFORT, net.uaps[0])
-        assert [sid for sid, _ in exact._later_candidates(net, req, 2, b, 1.0, False)] == [a]
-        assert exact._later_candidates(net, req, 2, b, 1.0, True) == []
+        rule = lookahead_units(req, 2)
+        assert [sid for sid, _ in exact._later_candidates(net, req, 2, b, 1.0, False, rule)] == [a]
+        assert exact._later_candidates(net, req, 2, b, 1.0, True, rule) == []
         assert exact_candidates(net, req, 2, b, 1.0, True) == []
 
 
@@ -392,6 +437,102 @@ class TestBound:
         assert (res.objective, res.placement.x) == (2.0, {1: a, 2: b, 3: b})
         assert sources == [a]
         assert brute_force(net, req).objective == pytest.approx(2.0)
+
+
+class TestRelayLine:
+    """The path search keeps its own stack: a line of relays deeper than
+    the recursion limit is searched like any other."""
+
+    @pytest.mark.parametrize("solver", [solve_ilp1, solve_ilp2])
+    def test_solves_past_the_recursion_limit(self, solver):
+        net = relay_line_network()
+        req = make_request(SliceClass.URLLC, net.uaps[0])
+        res = solver(net, req)
+        assert (res.status, res.objective) == (SolveStatus.OPTIMAL, 2.0)
+        assert check_placement(net, req, res.placement).ok
+
+
+class TestFloor:
+    """ILP-1 adds to each bound the least cost the rest of the chain must
+    still hold (`exact._chain_plan`): what it returns is what it returns
+    without them."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(twinned(loaded_substrates()), st.data())
+    def test_sound_on_loaded_substrates(self, net, data):
+        """Five-VNF chains of 10 to 25 CPU, whose VLs carry unequal
+        demands: the floors bind where the chain does not fit one server."""
+        req = make_request(data.draw(st.sampled_from(list(SliceClass))),
+                           net.uaps[data.draw(st.integers(0, len(net.uaps) - 1))])
+        cpu = data.draw(st.sampled_from([10.0, 15.0, 20.0, 25.0]))
+        bws = st.sampled_from([0.5, 1.0, 2.0])
+        req = dataclasses.replace(
+            req, vnfs=tuple(dataclasses.replace(d, cpu=cpu, ram=6 * cpu) for d in req.vnfs),
+            vls=tuple(dataclasses.replace(vl, bw=data.draw(bws)) for vl in req.vls))
+        floored, plain = solve_ilp1(net, req), zero_floor(solve_ilp1, net, req)
+        assert outcome(floored) == outcome(plain)
+        assert floored.nodes_explored <= plain.nodes_explored
+        if floored.objective is not None:
+            assert floored.objective >= floor_of(net, req)
+
+    @pytest.mark.parametrize("cls, want", [(SliceClass.EMBB, 8.0), (SliceClass.URLLC, 2.0),
+                                           (SliceClass.BEST_EFFORT, 0.0)])
+    def test_reference_floors(self, ref, cls, want):
+        """On 50-CPU, 300-GB servers two links apart, eMBB's five 25-CPU
+        VNFs cut two 2 Gbps VLs, URLLC's five 15-CPU ones one 1 Gbps VL,
+        and best effort's fit one server. Each optimum sits at its floor."""
+        req = make_request(cls, ref.uaps[0])
+        assert floor_of(ref, req) == want
+        res = solve_ilp1(ref, req)
+        assert res.objective == want
+        assert res.nodes_explored <= zero_floor(solve_ilp1, ref, req).nodes_explored
+
+    @pytest.mark.parametrize("bws, cut", [((5.0, 3.0, 2.0, 5.0), 3), ((5.0, 2.0, 3.0, 5.0), 2)])
+    def test_unequal_bandwidths_take_the_cheaper_cut(self, ref, bws, cut):
+        """URLLC fits three VNFs to a server: one cut, at VL 2 or VL 3,
+        whichever carries less, two links long."""
+        req = make_request(SliceClass.URLLC, ref.uaps[0])
+        req = dataclasses.replace(req, vls=tuple(dataclasses.replace(vl, bw=bw)
+                                                 for vl, bw in zip(req.vls, bws)))
+        assert floor_of(ref, req) == 4.0
+        res = solve_ilp1(ref, req)
+        assert res.objective == 4.0
+        assert [i for i, path in res.placement.y.items() if path] == [cut]
+
+    def test_one_link_between_servers(self):
+        """On the network of `TestBound.test_one_link_to_a_server_neighbour`
+        two servers share a link, so a cut costs one link: the chain's
+        floor is VL 1's 1.0, the optimum."""
+        net = make_single_dc(servers=2)
+        a, b = sorted(net.data_centers["dc0"].servers)
+        net.add_link(a, b, 0.0, LinkKind.TRANSPORT, 10.0)
+        req = two_slot_request(net)
+        req = dataclasses.replace(req, vls=(req.vls[0], dataclasses.replace(req.vls[1], bw=1.5)))
+        assert min(net.index().near_hops[s.id] for s in net.servers()) == 1
+        assert floor_of(net, req) == 1.0
+        assert solve_ilp1(net, req).objective == 1.0
+
+    def test_structural_change_drops_the_floors(self):
+        """Requests of one class share their floors. A server of twice the
+        capacity, added after a solve, holds four eMBB VNFs: the next solve
+        reads one cut, not two, and finds the 4.0 a stale floor of 8.0
+        would have pruned."""
+        net = build_reference_psn(1)
+        req = make_request(SliceClass.EMBB, net.uaps[0])
+        res = solve_ilp1(net, req)
+        assert res.objective == 8.0
+        plan = exact._chain_plan(net.index(), req)
+        assert exact._chain_plan(net.index(), make_request(SliceClass.EMBB, net.uaps[1])) is plan
+        root = res.placement.x[1]
+        (switch, uplink), = net.adj[root]
+        dc = net.nodes[root].dc
+        big = net.add_server("big", dc, 100.0, 600.0)
+        net.add_link(switch, big, net.links[uplink].latency_ms, LinkKind.INTRA_DC,
+                     net.links[uplink].bw_capacity)
+        assert floor_of(net, req) == 4.0
+        res = solve_ilp1(net, req)
+        assert res.objective == 4.0
+        assert outcome(res) == outcome(zero_floor(solve_ilp1, net, req))
 
 
 class TestPathLimit:
@@ -707,13 +848,13 @@ def search_records(monkeypatch, scale: int, horizon: float) -> list[tuple]:
 
 
 # scale -> (horizon, solves, ILP-2 nodes, ILP-1 nodes, sha256 of the
-# records' JSON), as the search explored them before its candidate list was
-# built in one pass. The results digests see only placements; these see the
-# search: a twin representative or candidate order that changes which
-# branches are explored changes them.
+# records' JSON), as the search explored them once ILP-1 bounded with the
+# chain's floors. The results digests see only placements; these see the
+# search: a twin representative, candidate order or bound that changes
+# which branches are explored changes them.
 SEARCH_GOLDEN = {
-    1: (400.0, 363, 1453, 1970, "f64c85ebf3b3e15379885768a03736223fc92f4c48355cd60afa0eb8c006f6d0"),
-    2: (200.0, 363, 1628, 2633, "aa7953f12ac6b8035391e99ecba98ba63c9a009c43b98f4bef4462fd641ba72a"),
+    1: (400.0, 363, 1453, 1678, "eecf8497e2f4020a328a9271240c06a67be9b0115e3b6f108d477caa58068d40"),
+    2: (200.0, 363, 1628, 2191, "0a96d382dccf71b44ea79e2982d1f6f4b8984bc89c2c98f873f7b32569310415"),
 }
 
 
@@ -756,9 +897,9 @@ def boundary_cases(monkeypatch) -> list[tuple]:
             for case in kinds[kind][:k]]
 
 
-# (records, sha256 of their JSON) of `TestBudgetBoundary`, recorded before
-# ILP-1's colocated tail was taken in closed form
-BOUNDARY_GOLDEN = (243, "0cd57508353be7f941f8a2f97c0bfe8a7bccfd6061b722f266e3e10110f83234")
+# (records, sha256 of their JSON) of `TestBudgetBoundary`, recorded once
+# ILP-1 bounded with the chain's floors
+BOUNDARY_GOLDEN = (173, "dc1afb1e5974ac4366c482b3280686982ded9ca3be3e2614ef3a1498cfa1c5d3")
 
 
 class TestBudgetBoundary:
@@ -781,3 +922,23 @@ class TestBudgetBoundary:
                                 plc and [(i, list(p)) for i, p in plc.y.items()]))
         assert (len(records), hashlib.sha256(json.dumps(records).encode()).hexdigest()) == \
                BOUNDARY_GOLDEN
+
+    def test_the_floor_loses_no_optimum(self, monkeypatch):
+        """At every budget up to one past the nodes the search without
+        floors explores: wherever that search does not trip its budget, the
+        floored one reports the same, from no more nodes. Where it trips,
+        the floored search, which skips nodes, may already have finished,
+        and then reports OPTIMAL, not BUDGET_EXCEEDED: on some budget it
+        does."""
+        upgraded = 0
+        for net, req, _ in boundary_cases(monkeypatch):
+            nodes = zero_floor(solve_ilp1, net, req, max_nodes=None).nodes_explored
+            for budget in range(1, nodes + 2):
+                floored = solve_ilp1(net, req, max_nodes=budget)
+                plain = zero_floor(solve_ilp1, net, req, max_nodes=budget)
+                if plain.status is SolveStatus.BUDGET_EXCEEDED:
+                    upgraded += floored.status is SolveStatus.OPTIMAL
+                    continue
+                assert outcome(floored) == outcome(plain)
+                assert floored.nodes_explored <= plain.nodes_explored
+        assert upgraded > 0
