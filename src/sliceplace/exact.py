@@ -82,6 +82,10 @@ of Solving Discrete Programming Problems", Econometrica 28(3), 1960).
 Where those nodes would trip the budget the frames run instead, so
 BUDGET_EXCEEDED is reported as they report it.
 
+The search recurses two frames per VNF, so a chain longer than
+MAX_CHAIN_VNFS raises ValueError before anything is held: the residuals
+and the transaction state stay as they were. P2C takes such chains.
+
 Searches carry an explored-node budget, the one source of BUDGET_EXCEEDED:
 a tripped budget is reported as such, never as a silently suboptimal
 OPTIMAL, and any best-known placement found by then is still returned.
@@ -104,6 +108,13 @@ from .placement import latency_reach  # noqa: F401
 from .topology import PhysicalNetwork, StructureIndex, to_units
 
 DEFAULT_NODE_BUDGET = 200_000
+
+# The longest chain the search takes. It recurses two frames per VNF
+# (`expand`, `branch`): at Python's default recursion limit of 1,000 a
+# script's top-level solve of a chain that never fits one server failed
+# from 497 VNFs on. A longer chain is refused before anything is held, and
+# the caller keeps half the stack
+MAX_CHAIN_VNFS = 256
 
 
 class SolveStatus(str, Enum):
@@ -359,6 +370,9 @@ def _chain_plan(idx: StructureIndex, request: SliceRequest) -> tuple:
 def _solve(psn: PhysicalNetwork, request: SliceRequest, *, find_optimal: bool,
            max_nodes: int | None) -> SolveResult:
     n = request.n_vnfs
+    if n > MAX_CHAIN_VNFS:
+        raise ValueError(f"a chain of {n} VNFs exceeds the exact search's limit "
+                         f"of {MAX_CHAIN_VNFS} VNFs")
     net_nodes, idx = psn.nodes, psn.index()
     pos, near_hops, cpu, ram = idx.pos, idx.near_hops, psn.cpu_units, psn.ram_units
     _, vls, need, tail_cpu, tail_ram, rules, floor = _chain_plan(idx, request)
@@ -483,7 +497,8 @@ def solve_ilp1(psn: PhysicalNetwork, request: SliceRequest, *,
                max_nodes: int | None = DEFAULT_NODE_BUDGET) -> SolveResult:
     """Minimum-bandwidth placement of the whole chain: each virtual link
     costs its demand times its path length. The substrate is left
-    untouched; callers apply the returned placement explicitly."""
+    untouched; callers apply the returned placement explicitly. A chain of
+    more than MAX_CHAIN_VNFS VNFs raises ValueError."""
     return _solve(psn, request, find_optimal=True, max_nodes=max_nodes)
 
 
@@ -491,5 +506,6 @@ def solve_ilp2(psn: PhysicalNetwork, request: SliceRequest, *,
                max_nodes: int | None = DEFAULT_NODE_BUDGET) -> SolveResult:
     """First complete feasible placement in ascending-server-id order,
     realizing the accept-whenever-possible baseline. OPTIMAL here just means
-    a feasible placement was found."""
+    a feasible placement was found. A chain of more than MAX_CHAIN_VNFS
+    VNFs raises ValueError."""
     return _solve(psn, request, find_optimal=False, max_nodes=max_nodes)

@@ -8,6 +8,11 @@ favor the first draw; landing on the previous server itself costs nothing
 and wins outright). The episode runs in one substrate transaction: rejection
 at any VNF rolls it back to the exact pre-episode state and reports the
 blocking VNF index.
+
+It reads only what two choices need: the eligible ids come as one
+`array('q')` (`feasible_servers`), of which the draw reads the length and
+two entries, and a candidate behind the previous server's switch is joined
+by `min_cost_path`'s closed form, without a search.
 """
 
 from __future__ import annotations
@@ -109,8 +114,11 @@ class PlacementOutcome:
 
 def get_two_candidates(candidates: Sequence[int],
                        stream: DrawStream) -> tuple[int, int]:
-    """Draw two distinct candidates from a list; a single candidate is
-    returned twice, without a draw.
+    """Draw two distinct candidates from a sequence, reading its length
+    and the two entries drawn, as Python ints from the `array('q')` that
+    `feasible_servers` returns; a single candidate is returned twice,
+    without a draw. A list of the same ids gives the same pair from the
+    same raw values.
 
     The draw is the one `rng.choice(len(candidates), 2, replace=False)`
     makes on the stream's generator, value for value and with as many raw

@@ -23,6 +23,7 @@ runs on integer counts of 1/SCALE CPU units, GB or Gbps (`to_units`).
 from __future__ import annotations
 
 import heapq
+from array import array
 from bisect import insort
 from dataclasses import dataclass, field
 from typing import Container, Mapping, Sequence
@@ -296,6 +297,12 @@ def min_cost_path(psn: PhysicalNetwork, src: int, dst: int, bw: float,
     all, so the result is None exactly when no feasible path exists. src ==
     dst yields the empty path.
 
+    Two one-link nodes behind the same anchor (two servers of one star DC)
+    are joined in closed form: [src link, dst link] when both links carry
+    bw and their latency, summed from 0.0 first link to last, fits the
+    budget. That is the one path between them and the BFS's result; every
+    other case, these two nodes' misses among them, runs the search.
+
     The BFS expands relay nodes alone: a leaf dst is reached through the
     node across its one link, and a one-link src is entered at that node,
     its first level. Either way the path and its latency are the plain
@@ -304,14 +311,21 @@ def min_cost_path(psn: PhysicalNetwork, src: int, dst: int, bw: float,
     if src == dst:
         return [] if budget_ms >= -LATENCY_EPS else None
 
-    need, bw_units, links = to_units(bw), psn.bw_units, psn.links
+    need, bw_units, links, adj = to_units(bw), psn.bw_units, psn.links, psn.adj
+    if len(adj[src]) == 1 == len(adj[dst]):
+        (anchor, first), = adj[src]
+        (other, last), = adj[dst]
+        if anchor == other and bw_units[first] >= need and bw_units[last] >= need:
+            latency = 0.0 + links[first].latency_ms + links[last].latency_ms
+            if latency <= budget_ms + LATENCY_EPS:
+                return [first, last]
 
     # a leaf dst is entered only over its one link, so the search needs to
     # reach only the node across it; a leaf relays nothing, so the BFS
     # expands relay entries alone
     target, last_hop = dst, -1
-    if len(psn.adj[dst]) == 1:
-        target, last_hop = psn.adj[dst][0]
+    if len(adj[dst]) == 1:
+        target, last_hop = adj[dst][0]
         if bw_units[last_hop] < need:
             return None
 
@@ -320,7 +334,7 @@ def min_cost_path(psn: PhysicalNetwork, src: int, dst: int, bw: float,
     if target != src:
         relay_adj = psn.index().relay_adj
         level, found = [src], False
-        if len(psn.adj[src]) == 1:
+        if len(adj[src]) == 1:
             # a one-link source: the first level is its anchor alone, if
             # that relays and its link carries bw
             level = []
@@ -374,7 +388,7 @@ def min_cost_path(psn: PhysicalNetwork, src: int, dst: int, bw: float,
                 path.append(lid)
             path.reverse()
             return path
-        for v, lid in psn.adj[u]:
+        for v, lid in adj[u]:
             if bw_units[lid] < need:
                 continue
             nd = d + links[lid].latency_ms
@@ -553,11 +567,15 @@ def _merged(groups: Sequence[tuple], extras: list[tuple[int, int]],
 
 
 # Slices shorter than this are decided by scalar reads (`_collect`). On one
-# star DC of n servers, a third of them loaded, a URLLC root took 8.5-9.2 us
-# with numpy at every n from 4 to 40, and 3.1, 5.0, 7.7 and 8.7 us by scalar
-# reads at 4, 16, 32 and 40; VNF 2's list from one of its servers broke even
-# between 24 and 32 (CPython 3.11, one x86-64 core)
-SHORT_SLICE = 32
+# star DC of n servers, a third of them loaded, a URLLC root list and VNF
+# 2's list from one of its servers each took 7.8-8.8 us with numpy at every
+# n from 4 to 40. By scalar reads, at n = 4, 16, 24, 32 and 40, the root
+# took 3.0, 5.1-5.4, 6.5-6.9, 7.8-8.3 and 9.2-9.8 us and VNF 2 4.7-5.1,
+# 7.2-7.9, 8.4-8.5, 9.6-10.6 and 11.0-11.7 us, breaking even between 20 and
+# 24. A five-VNF chain asks four later lists per root list, so the later
+# lists set the value (CPython 3.11, one x86-64 core, min of 7 batches of
+# 2,000 calls)
+SHORT_SLICE = 24
 
 
 def _slices(runs: Sequence[Run], ks: list[int], by_rank: bool,
@@ -587,22 +605,25 @@ def _slices(runs: Sequence[Run], ks: list[int], by_rank: bool,
 
 def _collect(psn: PhysicalNetwork, slices: Sequence[Sequence], extras: Sequence[int],
              reach_bw: int | None, cpu: int, ram: int, ahead: tuple[int, int, int] | None,
-             pin: tuple[int, int, bool] | None) -> list[int]:
-    """Ids, ascending, of `extras` (servers decided already) and of the
-    servers of `slices` that have `cpu` and `ram` units left and, with
-    `reach_bw`, a link that carries it. In a look slice, with ahead = (bw,
-    cpu, ram), a server's link must also carry bw or the server have cpu and
-    ram left. pin = (position, id, verdict) decides one server, inside the
-    slices or not. A slice of SHORT_SLICE positions or more is decided by a
-    few compares over zero-copy slices of the residual views, a shorter one
-    by scalar reads of the residual arrays; every position of a slice is a
-    run server's."""
+             pin: tuple[int, int, bool] | None) -> array:
+    """Ids, ascending, in one `array('q')`, of `extras` (servers decided
+    already) and of the servers of `slices` that have `cpu` and `ram` units
+    left and, with `reach_bw`, a link that carries it. In a look slice, with
+    ahead = (bw, cpu, ram), a server's link must also carry bw or the server
+    have cpu and ram left. pin = (position, id, verdict) decides one server,
+    inside the slices or not. A slice of SHORT_SLICE positions or more is
+    decided by a few compares over zero-copy slices of the residual views,
+    and its ids pass from the masked id slice to the array as bytes, never
+    as Python ints; a shorter one by scalar reads of the residual arrays.
+    Every position of a slice is a run server's."""
     idx = psn.index()
     servers = idx.servers
     cpu_units, ram_units, bw_units = psn.cpu_units, psn.ram_units, psn.bw_units
     bw_next, cpu_next, ram_next = ahead or (0, 0, 0)
     reach = -1 if reach_bw is None else reach_bw  # every residual is at least -1
-    out: list[int] = []
+    # ids holds the short slices' ids not yet in out: a list takes an int in
+    # half the time an array does, and the array takes a list in one call
+    out, ids = array("q"), []
     for start, stop, link, look in slices:
         look = look and ahead is not None
         if stop - start < SHORT_SLICE:
@@ -615,7 +636,7 @@ def _collect(psn: PhysicalNetwork, slices: Sequence[Sequence], extras: Sequence[
                 up = bw_units[shift + p]
                 if up < reach or look and (c < cpu_next or r < ram_next) and up < bw_next:
                     continue
-                out.append(servers[p].id)
+                ids.append(servers[p].id)
             continue
         cpu_view, ram_view, bw_view = psn.vectors()
         c, r, up = cpu_view[start:stop], ram_view[start:stop], bw_view[link:link + stop - start]
@@ -631,7 +652,11 @@ def _collect(psn: PhysicalNetwork, slices: Sequence[Sequence], extras: Sequence[
         if pin is not None and start <= pin[0] < stop:
             ok[pin[0] - start] = pin[2]
             pin = None
-        out += idx.id[start:stop][ok].tolist()
+        if ids:
+            out.fromlist(ids)
+            ids = []
+        out.frombytes(idx.id[start:stop][ok].tobytes())
+    out.fromlist(ids)
     if pin is not None and pin[2]:
         insort(out, pin[1])
     for sid in extras:
@@ -641,8 +666,12 @@ def _collect(psn: PhysicalNetwork, slices: Sequence[Sequence], extras: Sequence[
 
 def feasible_servers(psn: PhysicalNetwork, request: SliceRequest, v: int,
                      last_s: int | None, *, used_e2e_ms: float = 0.0,
-                     best_tier: bool = False) -> list[int]:
-    """Servers eligible to host VNF v, ascending by id.
+                     best_tier: bool = False) -> array:
+    """Servers eligible to host VNF v, ascending by id, as one
+    `array('q')` of server ids: a C-level sequence whose `len`, indexing
+    and iteration give Python ints. P2C reads its length and two entries
+    (`p2c.get_two_candidates`), the exact search iterates it for its VNF-1
+    roots; `list(...)` gives the plain list.
 
     For the first VNF: the servers of the data centers within the class's
     access bound of the request's UAP that pass the lookahead rule
@@ -675,12 +704,14 @@ def feasible_servers(psn: PhysicalNetwork, request: SliceRequest, v: int,
     `best_tier`, the DC that applies the lookahead, if any). A hit costs one
     dict lookup. A few integer compares over zero-copy slices of
     `psn.vectors()`, or scalar reads of a short slice, then decide the
-    servers; `best_tier` decides tier by tier, best first, and stops at the
-    first tier with an eligible server. last_s and the servers without
-    exactly one link (relays when reached) are decided one at a time by
-    `lookahead_rule`, from the thresholds read once per call, and only when
-    one of them needs a tier the plan lacks are the groups built anew. The
-    result equals an all-server scan of the rule, list and order alike.
+    servers, and a long slice's ids reach the array as bytes, so no
+    per-id Python int is made (`_collect`); `best_tier` decides tier by
+    tier, best first, and stops at the first tier with an eligible server.
+    last_s and the servers without exactly one link (relays when reached)
+    are decided one at a time by `lookahead_rule`, from the thresholds read
+    once per call, and only when one of them needs a tier the plan lacks
+    are the groups built anew. The result equals an all-server scan of the
+    rule, ids and order alike.
     """
     vnfs = request.vnfs
     n = len(vnfs)
@@ -738,7 +769,7 @@ def feasible_servers(psn: PhysicalNetwork, request: SliceRequest, v: int,
                        pin if rank == pin_rank else None)
         if out or not best_tier:
             return out
-    return []
+    return array("q")
 
 
 def _demand_units(request: SliceRequest, placement: Placement

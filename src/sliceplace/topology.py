@@ -259,7 +259,8 @@ class StructureIndex(NamedTuple):
     near_hops: tuple[int, ...]
     # node id -> rank of its DC's tier in TIER_ORDER, len(TIER_ORDER) outside any DC
     tier_rank: tuple[int, ...]
-    # by server position: node id, and CPU and RAM capacity in units
+    # by server position: node id (int64, the item of `feasible_servers`'
+    # array('q')), and CPU and RAM capacity in units
     id: np.ndarray
     cpu_cap: tuple[int, ...]
     ram_cap: tuple[int, ...]
@@ -476,7 +477,7 @@ class PhysicalNetwork:
             near_hops=tuple([1 if any(pos[nbr] >= 0 for nbr, _ in entries) else 2
                              for entries in self.adj]),
             tier_rank=tier_rank,
-            id=np.array([s.id for s in servers], dtype=np.intp),
+            id=np.array([s.id for s in servers], dtype=np.int64),
             cpu_cap=cpu_cap,
             ram_cap=ram_cap,
             bw_cap=tuple([-1 if link.bw_capacity is None else to_units(link.bw_capacity)

@@ -106,6 +106,23 @@ class TestPlace:
         doc = json.loads(out)
         assert (doc["status"], doc["solver_status"]) == ("accepted", "optimal")
 
+    def test_a_chain_too_long_for_the_exact_search(self, tmp_path, capsys, topo_file):
+        """800 VNFs: the exact search refuses the chain with exit 2 and a
+        message that names its length and the limit; P2C places it."""
+        cfg = tmp_path / "long.json"
+        cfg.write_text(json.dumps({"catalog": bef_only_catalog(
+            cpu_per_vnf=0.05, ram_per_vnf=0.3, vl_budgets_ms=[1.0] * 799)}))
+        for algorithm in ("ilp-1", "ilp-2"):
+            code, out, err = run_cli(capsys, "place", "--config", str(cfg), "--topology",
+                                     topo_file, "--class", "best_effort",
+                                     "--algorithm", algorithm)
+            assert (code, out) == (2, "")
+            assert "800 VNFs" in err and "limit of 256" in err and "Traceback" not in err
+        code, out, _ = run_cli(capsys, "place", "--config", str(cfg), "--topology",
+                               topo_file, "--class", "best_effort", "--algorithm", "p2c-1")
+        assert code == 0
+        assert json.loads(out)["status"] == "accepted"
+
     def test_rejection_exits_one(self, tmp_path, capsys):
         # access latency beyond every class bound: nothing can host the root
         net = make_single_dc(servers=2, params=TopologyParams(access_latency_ms=0.05))

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from sliceplace.exact import SolveStatus, _enumerate_paths, solve_ilp1, solve_ilp2
 from sliceplace import exact, sim
-from sliceplace.nspr import DEFAULT_CATALOG, SliceClass, VnfDemand, make_request
+from sliceplace.nspr import DEFAULT_CATALOG, ClassSpec, SliceClass, VnfDemand, make_request
 from sliceplace.p2c import DrawStream, OutcomeStatus, Policy
 from sliceplace.p2c import place as p2c_place
 from sliceplace.placement import (LATENCY_EPS, _relay_reach, bandwidth_cost, check_placement,
@@ -24,8 +24,8 @@ from sliceplace.topology import (SCALE, DCKind, LinkKind, NodeKind, PhysicalNetw
 
 from conftest import make_pair, make_single_dc
 from oracles import (LINK_BWS, InstanceTooLargeError, brute_force, exact_candidates,
-                     loaded_substrates, paths_to, plain_dedupe, scan_feasible_servers,
-                     twinned)
+                     loaded_substrates, paths_to, plain_dedupe, residual_bytes,
+                     scan_feasible_servers, twinned)
 from test_placement import link_id
 
 SHORT_CATALOG = {
@@ -450,6 +450,43 @@ class TestRelayLine:
         res = solver(net, req)
         assert (res.status, res.objective) == (SolveStatus.OPTIMAL, 2.0)
         assert check_placement(net, req, res.placement).ok
+
+
+def one_unit_chain(net, n: int):
+    """A best-effort request of n VNFs of 1 CPU and 1 GB each."""
+    spec = ClassSpec(cpu_per_vnf=1.0, ram_per_vnf=1.0, bw_per_vl=1.0, alpha_max_ms=0.07,
+                     vl_budgets_ms=(1.0,) * (n - 1))
+    return make_request(SliceClass.BEST_EFFORT, net.uaps[0],
+                        catalog={**DEFAULT_CATALOG, SliceClass.BEST_EFFORT: spec})
+
+
+class TestLongChain:
+    """The search recurses two frames per VNF, so it refuses a chain longer
+    than `exact.MAX_CHAIN_VNFS` before anything is held."""
+
+    @pytest.mark.parametrize("solver", [solve_ilp1, solve_ilp2])
+    def test_refused_with_nothing_held(self, solver):
+        net = build_reference_psn(1)
+        outer = net.begin()  # an enclosing transaction stays as it was
+        before = residual_bytes(net), list(net._marks), len(net._undo)
+        with pytest.raises(ValueError, match=r"800 VNFs exceeds .* limit of 256 VNFs"):
+            solver(net, one_unit_chain(net, 800))
+        assert (residual_bytes(net), list(net._marks), len(net._undo)) == before
+        net.rollback(outer)
+        res = solver(net, make_request(SliceClass.BEST_EFFORT, net.uaps[0]))
+        assert res.status is SolveStatus.OPTIMAL
+
+    @pytest.mark.parametrize("solver", [solve_ilp1, solve_ilp2])
+    def test_the_longest_chain_is_searched(self, solver):
+        """Two servers, each one VNF short of the chain, so no colocated
+        tail ends the recursion early: it goes MAX_CHAIN_VNFS levels deep."""
+        n = exact.MAX_CHAIN_VNFS
+        net = make_single_dc(servers=2, cpu=float(n - 1), ram=float(n - 1))
+        req = one_unit_chain(net, n)
+        res = solver(net, req)
+        assert res.status is SolveStatus.OPTIMAL and res.deepest_feasible_vnf == n
+        assert check_placement(net, req, res.placement).ok
+        assert net._marks == [] and net._undo == []
 
 
 class TestFloor:

@@ -6,6 +6,7 @@ import collections
 import copy
 import dataclasses
 import json
+from array import array
 
 import numpy as np
 import pytest
@@ -122,6 +123,20 @@ class TestGetTwoCandidates:
         b = [get_two_candidates(pool, DrawStream(np.random.default_rng(7))) for _ in range(1)]
         assert a == b
 
+    @pytest.mark.parametrize("n", [1, 2, 300])
+    def test_an_array_draws_as_the_equal_list(self, n):
+        """`feasible_servers` hands the draw an array('q'): the same pairs,
+        as Python ints, from as many raw values as the equal list takes."""
+        ids = [73 + 5 * i for i in range(n)]
+        for seed in range(20):
+            from_list = DrawStream(np.random.default_rng(seed))
+            from_array = DrawStream(np.random.default_rng(seed))
+            for _ in range(5):
+                got = get_two_candidates(array("q", ids), from_array)
+                assert got == get_two_candidates(ids, from_list)
+                assert all(type(sid) is int for sid in got)
+            assert from_array.raw() == from_list.raw()
+
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError):
             get_two_candidates([], DrawStream(np.random.default_rng(0)))
@@ -164,14 +179,14 @@ class TestBestTierPool:
                                     best_tier=best_tier)
 
         stream = DrawStream(np.random.default_rng(3))
-        assert pool(best_tier=False) == edc + cdc + ccp  # two servers each in EDC, CDC, CCP
+        assert list(pool(best_tier=False)) == edc + cdc + ccp  # two servers each in EDC, CDC, CCP
         for want, kind in ((ccp, DCKind.CCP), (cdc, DCKind.CDC), (edc, DCKind.EDC)):
-            assert pool() == want
+            assert list(pool()) == want
             for _ in range(50):
                 pair = get_two_candidates(pool(), stream)
                 assert {net.dc_of(s).kind for s in pair} == {kind}
             drain_dc(net, f"{kind.value.lower()}0")
-        assert pool() == pool(best_tier=False) == []
+        assert list(pool()) == list(pool(best_tier=False)) == []
 
     def test_singleton_preferred_tier_duplicates(self):
         net = make_three_tiers()
@@ -182,7 +197,7 @@ class TestBestTierPool:
         net.release(last, 50.0, 300.0)
         anchor = net.data_centers["edc0"].servers[0]
         pool = feasible_servers(net, req, 2, anchor, used_e2e_ms=0.02, best_tier=True)
-        assert pool == [last]
+        assert list(pool) == [last]
         assert get_two_candidates(pool, DrawStream(np.random.default_rng(3))) == (last, last)
 
 

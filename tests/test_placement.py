@@ -6,6 +6,7 @@ import contextlib
 import dataclasses
 import json
 import random
+from array import array
 
 import networkx as nx
 import pytest
@@ -484,6 +485,53 @@ def _is_walk(net: PhysicalNetwork, src: int, dst: int, links: list[int]) -> bool
     return at == dst
 
 
+class TestSameSwitchPath:
+    """`min_cost_path`'s closed form: two servers behind one switch are
+    joined by their two uplinks, or by nothing."""
+
+    LAT = 0.33  # every uplink's latency
+
+    def star(self, bws=(10.0, 10.0, 10.0)):
+        net = PhysicalNetwork(TopologyParams())
+        dc = net.add_data_center("dc0", DCKind.EDC)
+        ids, ups = [], []
+        for i, bw in enumerate(bws):
+            ids.append(net.add_server(f"dc0-s{i}", "dc0", 50.0, 300.0))
+            ups.append(net.add_link(dc.switch, ids[-1], self.LAT, LinkKind.TRANSPORT, bw))
+        return net, ids, ups
+
+    def test_both_uplinks_within_the_budget(self):
+        net, (a, b, _), (up_a, up_b, _) = self.star()
+        twice = 0.0 + self.LAT + self.LAT
+        assert min_cost_path(net, a, b, 1.0, twice) == [up_a, up_b]
+        assert min_cost_path(net, b, a, 1.0, twice) == [up_b, up_a]
+        assert min_cost_path(net, a, b, 1.0, twice - 0.01) is None
+        assert min_cost_path(net, a, b, 1.0, twice - 2 * LATENCY_EPS) is None
+
+    def test_at_the_budget_the_search_is_not_entered(self, monkeypatch):
+        """A path whose latency equals the budget plus LATENCY_EPS fits,
+        and the closed form decides it: the search reads the structure
+        index, which this network refuses."""
+        net, (a, b, _), (up_a, up_b, _) = self.star()
+        twice = 0.0 + self.LAT + self.LAT
+        budget = twice - LATENCY_EPS
+        assert budget + LATENCY_EPS == twice  # the boundary itself
+
+        def refused():
+            raise AssertionError("the search ran")
+        monkeypatch.setattr(net, "index", refused)
+        assert min_cost_path(net, a, b, 1.0, budget) == [up_a, up_b]
+
+    @pytest.mark.parametrize("short", [0, 1])
+    def test_either_uplink_short_of_bw(self, short):
+        bws = [10.0, 10.0, 10.0]
+        bws[short] = 0.5
+        net, (a, b, _), _ = self.star(bws)
+        assert min_cost_path(net, a, b, 1.0, 5.0) is None
+        assert min_cost_path(net, b, a, 1.0, 5.0) is None
+        assert min_cost_path(net, a, b, 0.5, 5.0) is not None
+
+
 class TestLatencyReach:
     def test_reach_tiers(self, ref):
         s = servers_of(ref, "edc0")[0]
@@ -509,17 +557,17 @@ class TestFeasibleServers:
     def test_root_restricted_to_home_edc(self, ref):
         for cls in SliceClass:
             req = make_request(cls, ref.uaps[0])
-            assert feasible_servers(ref, req, 1, None) == servers_of(ref, "edc0")
+            assert list(feasible_servers(ref, req, 1, None)) == servers_of(ref, "edc0")
 
     def test_root_respects_other_uaps(self, ref):
         req = make_request(SliceClass.URLLC, ref.uaps[7])
-        assert feasible_servers(ref, req, 1, None) == servers_of(ref, "edc7")
+        assert list(feasible_servers(ref, req, 1, None)) == servers_of(ref, "edc7")
 
     def test_drained_home_means_no_root(self):
         net = build_reference_psn()
         drain_dc(net, "edc0")
         req = make_request(SliceClass.URLLC, net.uaps[0])
-        assert feasible_servers(net, req, 1, None) == []
+        assert list(feasible_servers(net, req, 1, None)) == []
 
     def test_interior_home_plus_parent(self):
         net = build_reference_psn()
@@ -611,6 +659,71 @@ def short_slice(width: int):
 COLLECT_PATHS = (0, 10**9)
 
 
+class TestEligibleArray:
+    """`feasible_servers` returns one array('q') of ids, whichever path of
+    `_collect` decided them, with or without `best_tier`, and when empty."""
+
+    @pytest.mark.parametrize("best_tier", [False, True])
+    @pytest.mark.parametrize("width", [0, 10**9])  # numpy compares, scalar reads
+    def test_an_array_on_either_path(self, ref, width, best_tier):
+        req = make_request(SliceClass.BEST_EFFORT, ref.uaps[0])
+        root = servers_of(ref, "edc0")[0]
+        with short_slice(width):
+            for got in (feasible_servers(ref, req, 1, None, best_tier=best_tier),
+                        feasible_servers(ref, req, 2, root, used_e2e_ms=0.02,
+                                         best_tier=best_tier)):
+                assert type(got) is array and got.typecode == "q" and len(got) > 0
+                assert all(type(sid) is int for sid in got)
+                assert list(got) == sorted(got)
+
+    @pytest.mark.parametrize("best_tier", [False, True])
+    def test_an_empty_array(self, best_tier):
+        net = build_reference_psn()
+        drain_dc(net, "edc0")
+        req = make_request(SliceClass.URLLC, net.uaps[0])
+        got = feasible_servers(net, req, 1, None, best_tier=best_tier)
+        assert type(got) is array and got.typecode == "q" and not got
+
+
+class TestMixedSlices:
+    """One call whose slices straddle SHORT_SLICE decides the short ones by
+    scalar reads and the long ones by numpy compares, and its ids come out
+    in order: the scalar ids wait in a list that is flushed into the array
+    before each long slice's ids and at the end."""
+
+    @pytest.mark.parametrize("width", [5, 11])
+    def test_matches_all_server_scan(self, width, monkeypatch):
+        net = build_reference_psn()
+        rng = random.Random(width)
+        for server in net.servers():
+            cpu = rng.choice([0.0, 0.0, 20.0, 45.0])
+            net.allocate(server.id, cpu, 6 * cpu)
+        lengths = []
+        collect = placement._collect
+
+        def spy(psn, slices, *args):
+            lengths.append({stop - start < width for start, stop, _, _ in slices})
+            return collect(psn, slices, *args)
+        monkeypatch.setattr(placement, "_collect", spy)
+        with short_slice(width):
+            for cls in SliceClass:
+                for uap in net.uaps[:4]:
+                    req = make_request(cls, uap)
+                    for best_tier in (False, True):
+                        def narrow(ids):
+                            return narrow_to_best_tier(net, ids) if best_tier else ids
+                        roots = scan_feasible_servers(net, req, 1, None, 0.0)
+                        assert list(feasible_servers(net, req, 1, None, best_tier=best_tier)) \
+                            == narrow(roots)
+                        for last_s in roots[:2]:
+                            used = net.access_latency(uap, net.nodes[last_s].dc)
+                            got = feasible_servers(net, req, 2, last_s, used_e2e_ms=used,
+                                                   best_tier=best_tier)
+                            assert list(got) == narrow(
+                                scan_feasible_servers(net, req, 2, last_s, used))
+        assert {True, False} in lengths  # some call held both kinds
+
+
 class TestSlices:
     """`placement._slices` on the reference substrate, whose runs (one per
     DC: CCP, then the five CDCs, then the fifteen EDCs) each start at the
@@ -674,12 +787,12 @@ class TestReachBoundedEligibility:
                 for _ in range(2, request.n_vnfs + 1)]
         for width in COLLECT_PATHS:
             with short_slice(width):
-                assert feasible_servers(net, request, 1, None) == \
+                assert list(feasible_servers(net, request, 1, None)) == \
                        scan_feasible_servers(net, request, 1, None, 0.0)
                 for v, spent in enumerate(used, 2):
                     for last_s in (s.id for s in net.servers()):
                         got = feasible_servers(net, request, v, last_s, used_e2e_ms=spent)
-                        assert got == scan_feasible_servers(net, request, v, last_s, spent)
+                        assert list(got) == scan_feasible_servers(net, request, v, last_s, spent)
 
     @settings(max_examples=150, deadline=None)
     @given(loaded_substrates(), st.data())
@@ -693,7 +806,7 @@ class TestReachBoundedEligibility:
             for vl in request.vls))
         with short_slice(data.draw(st.sampled_from(COLLECT_PATHS))):
             full = scan_feasible_servers(net, request, 1, None, 0.0)
-            assert feasible_servers(net, request, 1, None, best_tier=True) == \
+            assert list(feasible_servers(net, request, 1, None, best_tier=True)) == \
                    narrow_to_best_tier(net, full)
             servers = [s.id for s in net.servers()]
             for v in range(2, request.n_vnfs + 1):
@@ -702,7 +815,7 @@ class TestReachBoundedEligibility:
                 full = scan_feasible_servers(net, request, v, last_s, used)
                 got = feasible_servers(net, request, v, last_s, used_e2e_ms=used,
                                        best_tier=True)
-                assert got == narrow_to_best_tier(net, full)
+                assert list(got) == narrow_to_best_tier(net, full)
 
     @settings(max_examples=150, deadline=None)
     @given(loaded_substrates(), st.data())
@@ -757,13 +870,13 @@ class TestReachBoundedEligibility:
         net.allocate(e0, 45.0, 10.0)
         assert sorted(net.index().off_run) == sorted(
             net.index().pos[s] for s in (e1, e2, c0, loose))
-        assert feasible_servers(net, req, 1, None) == scan_feasible_servers(net, req, 1, None, 0.0)
+        assert list(feasible_servers(net, req, 1, None)) == scan_feasible_servers(net, req, 1, None, 0.0)
         e2e = req.e2e_budget_ms
         for v in range(2, req.n_vnfs + 1):
             for last_s in [s.id for s in net.servers()]:
                 for used in (0.0, 0.02, 1.0, e2e - 0.6, e2e - 0.4):
                     got = feasible_servers(net, req, v, last_s, used_e2e_ms=used)
-                    assert got == scan_feasible_servers(net, req, v, last_s, used)
+                    assert list(got) == scan_feasible_servers(net, req, v, last_s, used)
         assert loose in feasible_servers(net, req, 2, loose, used_e2e_ms=0.02)
         assert loose not in feasible_servers(net, req, 2, e0, used_e2e_ms=0.02)
 
@@ -783,7 +896,7 @@ class TestReachBoundedEligibility:
             net.allocate_bw(lid, net.bw_residual(lid) - 1.5)  # carries VL 1, not VL 2
         got = feasible_servers(net, req, 2, anchor, used_e2e_ms=0.02)
         assert far in got and twin not in got
-        assert got == scan_feasible_servers(net, req, 2, anchor, 0.02)
+        assert list(got) == scan_feasible_servers(net, req, 2, anchor, 0.02)
 
     def test_unreachable_last_s(self):
         net = make_pair()
@@ -793,7 +906,7 @@ class TestReachBoundedEligibility:
         net.allocate_bw(link_id(net, anchor, sw), 10.0)
         assert latency_reach(net, anchor, 1.0, 5.0) == {anchor: 0.0}
         got = feasible_servers(net, req, 2, anchor, used_e2e_ms=0.02)
-        assert got == [anchor] == scan_feasible_servers(net, req, 2, anchor, 0.02)
+        assert list(got) == [anchor] == scan_feasible_servers(net, req, 2, anchor, 0.02)
 
     def test_a_full_plan_cache_starts_over(self, monkeypatch):
         """At `PLANS_MAX` plans the cache is emptied before the next one is
@@ -806,7 +919,7 @@ class TestReachBoundedEligibility:
                  for spent in (0.0, req.e2e_budget_ms - 0.1)]
         for v, last_s, spent in calls:
             got = feasible_servers(net, req, v, last_s, used_e2e_ms=spent)
-            assert got == scan_feasible_servers(net, req, v, last_s, spent)
+            assert list(got) == scan_feasible_servers(net, req, v, last_s, spent)
             assert len(net.index().plans) <= 2
 
 

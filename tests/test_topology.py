@@ -599,9 +599,9 @@ class TestStructureIndex:
         net.add_link(net.data_centers["edc0"].switch, dc.switch, 0.03, LinkKind.TRANSPORT, 10.0)
         net.allocate(sid, 10.0, 60.0)
         assert net.access_latency(uap, "cdc1") == pytest.approx(0.05)
-        assert feasible_servers(net, request, 1, None) == roots + [sid]
+        assert list(feasible_servers(net, request, 1, None)) == list(roots) + [sid]
         # reached from last now: a plan kept from before would lack its run
-        assert feasible_servers(net, request, 2, last) == later + [sid]
+        assert list(feasible_servers(net, request, 2, last)) == list(later) + [sid]
         fresh = PhysicalNetwork.from_json(net.to_json())
         fresh.access_latency(uap, "cdc1")
         feasible_servers(fresh, request, 1, None)
