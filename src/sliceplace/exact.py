@@ -32,12 +32,13 @@ relay nodes alone, depth first on its own stack, and keeps every path to
 each relay it meets. The relays it reaches, each at its smallest latency
 (`_reach`), are the distances `feasible_servers` reads from its Dijkstra,
 and `_reached_runs` keeps the runs anchored at them by the rule
-`feasible_servers` applies. One walk over those servers in position (= id)
-order decides each one's reach, rule (the chain's thresholds,
-`lookahead_units`), twin class and group in the search order, with no
-per-server reach entry and no sort. A listed run server's paths are its
-anchor's with its uplink added, kept within the budget and sorted once per
-run. Nor does the root loop over the whole network in Python: its
+`feasible_servers` applies, and the reached servers outside every run
+(`StructureIndex.off_run`) are read as there. One walk over those servers
+in position (= id) order decides each one's reach, rule (the chain's
+thresholds, `lookahead_units`), twin class and group in the search order,
+with no per-server reach entry and no sort. A listed run server's paths
+are its anchor's with its uplink added, kept within the budget and sorted
+once per run. Nor does the root loop over the whole network in Python: its
 aggregate-capacity prune sums the residual views in numpy, exact while the
 capacities sum within int64 (`StructureIndex.sums_fit`; Python ints
 otherwise), and it dedupes the VNF-1 candidates lazily (`_dedupe`), so a
@@ -240,16 +241,16 @@ def _later_candidates(psn: PhysicalNetwork, request: SliceRequest, v: int, last_
     Reach and paths come from one `_enumerate_paths` from last_s: the
     relays reached, at their distances (`_reach`), and the runs anchored at
     them (`_reached_runs`, as `feasible_servers` reads them), each run
-    server's uplink tested against VL v-1; plus the reached servers outside
-    every run and last_s itself. One walk over those in position (= id)
-    order decides each server's rule, from rule, VNF v's thresholds
-    (`lookahead_units`), and its key, which a run server takes from its
-    run. Keys hold the DC, so the two groups share none: each dedupes as it
-    fills, and with dc_first last_s's class leaves its DC's group at the
-    end. A relay server's paths are its own; a run server's are its
-    anchor's within eff once the run's uplink latency is added, sorted once
-    per run, each with the server's link appended; last_s's is the empty
-    path."""
+    server's uplink tested against VL v-1; plus last_s itself and the
+    reached servers of `StructureIndex.off_run`, read as there. One walk
+    over those in position (= id) order decides each server's rule, from
+    rule, VNF v's thresholds (`lookahead_units`), and its key, which a run
+    server takes from its run. Keys hold the DC, so the two groups share
+    none: each dedupes as it fills, and with dc_first last_s's class leaves
+    its DC's group at the end. A relay server's paths are its own; a run
+    server's are its anchor's within eff once the run's uplink latency is
+    added, sorted once per run, each with the server's link appended;
+    last_s's is the empty path."""
     idx = psn.index()
     pos, servers, runs = idx.pos, idx.servers, idx.runs
     cpu, ram, bw_units = psn.cpu_units, psn.ram_units, psn.bw_units
@@ -261,13 +262,11 @@ def _later_candidates(psn: PhysicalNetwork, request: SliceRequest, v: int, last_
     relay = _reach(found)
     # (start, stop, run index) of the run positions reached, and
     # (position, position + 1, -1) of each server decided alone: last_s,
-    # reached whatever its links, and the relay servers reached
+    # reached whatever its links, and the reached servers outside every run
     p_last = pos[last_s]
     segments = [(p_last, p_last + 1, -1)]
-    for u in relay:
-        p = pos[u]
-        if p >= 0 and u != last_s:
-            segments.append((p, p + 1, -1))
+    segments += [(p, p + 1, -1) for p in idx.off_run
+                 if p != p_last and servers[p].id in relay]
     for k in _reached_runs(psn, relay, limit):
         start, stop = runs[k][:2]
         if start <= p_last < stop:  # last_s's run: last_s is decided alone

@@ -8,6 +8,7 @@ Chain length is the number of VL budgets plus one.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -198,10 +199,14 @@ class ClassTable(NamedTuple):
 
 def catalog_from_json(obj: Mapping) -> dict[SliceClass, ClassSpec]:
     """Classes from a JSON object: class name -> the `ClassSpec` fields, each
-    a JSON number (`typed`; `e2e_budget_ms` may be null or absent). Raises
-    KeyError, TypeError or ValueError."""
+    a JSON number (`typed`; `e2e_budget_ms` may be null or absent), and no
+    other field. Raises KeyError, TypeError or ValueError."""
+    names = {f.name for f in dataclasses.fields(ClassSpec)}
     catalog = {}
     for key, fields in obj.items():
+        unknown = set(fields) - names
+        if unknown:
+            raise ValueError(f"{key}: unknown fields {sorted(unknown)}")
         def number(value, name: str, nullable: bool = False) -> float | None:
             return typed(value, float, f"{key} {name}", ValueError, nullable=nullable)
 

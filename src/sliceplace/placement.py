@@ -304,8 +304,7 @@ def min_cost_path(psn: PhysicalNetwork, src: int, dst: int, bw: float,
     other case, these two nodes' misses among them, runs the search.
 
     The BFS expands relay nodes alone: a leaf dst is reached through the
-    node across its one link, and a one-link src is entered at that node,
-    its first level. Either way the path and its latency are the plain
+    node across its one link, so the path and its latency are the plain
     BFS's.
     """
     if src == dst:
@@ -320,9 +319,7 @@ def min_cost_path(psn: PhysicalNetwork, src: int, dst: int, bw: float,
             if latency <= budget_ms + LATENCY_EPS:
                 return [first, last]
 
-    # a leaf dst is entered only over its one link, so the search needs to
-    # reach only the node across it; a leaf relays nothing, so the BFS
-    # expands relay entries alone
+    # a leaf dst: the search reaches the node across its one link
     target, last_hop = dst, -1
     if len(adj[dst]) == 1:
         target, last_hop = adj[dst][0]
@@ -334,15 +331,6 @@ def min_cost_path(psn: PhysicalNetwork, src: int, dst: int, bw: float,
     if target != src:
         relay_adj = psn.index().relay_adj
         level, found = [src], False
-        if len(adj[src]) == 1:
-            # a one-link source: the first level is its anchor alone, if
-            # that relays and its link carries bw
-            level = []
-            for v, lid in relay_adj[src]:
-                if bw_units[lid] >= need:
-                    parent[v] = (src, lid)
-                    found = v == target
-                    level.append(v)
         while level and not found:
             nxt_level = []
             for u in sorted(level) if len(level) > 1 else level:

@@ -276,10 +276,8 @@ class _Accounting:
 
     def finish(self) -> None:
         self.advance(self.horizon)
-        if self.next_sample > self.horizon:
-            last_rows = [r for r in self.series if r[0] == self.horizon]
-            if not last_rows:
-                self._rows_at(self.horizon)
+        if not self.series or self.series[-1][0] != self.horizon:
+            self._rows_at(self.horizon)
 
     def summaries(self) -> tuple[dict, dict, float]:
         duration = self.horizon - self.warmup
@@ -408,25 +406,24 @@ def run(psn: PhysicalNetwork, scenario: Scenario, algorithm: Algorithm | str,
     per_class = {c.value: {"arrivals": 0, "accepted": 0, "rejected": 0}
                  for c in scenario.mix}
 
-    held: dict[int, tuple[SliceRequest, Placement]] = {}
     ledger = _Ledger(net) if validate else None
     total_cost = 0.0
     times_ms: list[float] = []
 
-    # heap rows: (time, kind, seq, request id); departures (kind 0) beat
-    # arrivals (kind 1) at equal times
-    events: list[tuple[float, int, int, int]] = []
-    seq = 0
-    heapq.heappush(events, (next(gaps), 1, seq, -1))
+    # one pending arrival, and the held slices as a heap of departure rows
+    # (time, request id, request, placement); one due at the arrival's time goes first
+    arrival = next(gaps)
+    departures: list[tuple[float, int, SliceRequest, Placement]] = []
 
-    while events:
-        t, kind, _, req_id = heapq.heappop(events)
+    while True:
+        depart = departures and departures[0][0] <= arrival
+        t = departures[0][0] if depart else arrival
         if t > scenario.horizon:
             break
         acct.advance(t)
 
-        if kind == 0:
-            request, placement = held.pop(req_id)
+        if depart:
+            _, _, request, placement = heapq.heappop(departures)
             release_placement(net, request, placement)
             acct.commit(request, placement, -1)
             if validate:
@@ -461,12 +458,10 @@ def run(psn: PhysicalNetwork, scenario: Scenario, algorithm: Algorithm | str,
                 report.accepted += 1
                 row["accepted"] += 1
                 total_cost += placement.cost
-                held[request.id] = (request, placement)
                 acct.commit(request, placement, +1)
                 if validate:
                     ledger.commit(request, placement, +1)
-                seq += 1
-                heapq.heappush(events, (t + holding, 0, seq, request.id))
+                heapq.heappush(departures, (t + holding, request.id, request, placement))
             else:
                 report.rejected += 1
                 row["rejected"] += 1
@@ -474,9 +469,7 @@ def run(psn: PhysicalNetwork, scenario: Scenario, algorithm: Algorithm | str,
                     report.rejected_budget += 1
                 report.blocking_attribution[outcome.blocking_vnf] = (
                     report.blocking_attribution.get(outcome.blocking_vnf, 0) + 1)
-
-            seq += 1
-            heapq.heappush(events, (t + next(gaps), 1, seq, -1))
+            arrival = t + next(gaps)
 
         if validate:
             ledger.audit(net)

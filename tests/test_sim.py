@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import statistics
 
@@ -25,6 +26,8 @@ from sliceplace.sim import (
     run,
 )
 from sliceplace.topology import SCALE, build_reference_psn
+
+from conftest import make_single_dc
 
 
 @pytest.fixture(scope="module")
@@ -334,6 +337,23 @@ class TestPlaceRequest:
         assert out.solver_status is SolveStatus.BUDGET_EXCEEDED
         assert out.blocking_vnf == 2
         assert work.snapshot() == before
+
+
+class TestEventOrder:
+    def test_departure_frees_capacity_before_a_simultaneous_arrival(self, monkeypatch):
+        """One server with room for exactly one BEF chain, arrivals every
+        1.0 and holding times of 1.0: each slice departs at the time the
+        next one arrives. Served departure first, every arrival fits; served
+        arrival first, every other one would find the server full."""
+        streams = iter([itertools.repeat(1.0),  # arrival gaps
+                        itertools.repeat(0.0),  # class uniforms
+                        itertools.repeat(0),  # UAP picks
+                        itertools.repeat(1.0)])  # holding times
+        monkeypatch.setattr(sim, "blocks", lambda draw: next(streams))
+        report = run(make_single_dc(servers=1), Scenario.named("BEF", 1.0, horizon=10.0),
+                     "p2c-1", 1, validate=True)
+        assert (report.arrivals, report.accepted, report.departures) == (10, 10, 9)
+        assert report.validated_accepted == 10
 
 
 class TestValidateAudit:
