@@ -30,19 +30,20 @@ the graph node by node. Its list (`_later_candidates`) starts from one
 path search (`_enumerate_paths`) from the previous server, which walks
 relay nodes alone, depth first on its own stack, and keeps every path to
 each relay it meets. The relays it reaches, each at its smallest latency
-(`_reach`), are the distances `feasible_servers` reads from its Dijkstra,
-and `_reached_runs` keeps the runs anchored at them by the rule
-`feasible_servers` applies, and the reached servers outside every run
-(`StructureIndex.off_run`) are read as there. One walk over those servers
-in position (= id) order decides each one's reach, rule (the chain's
-thresholds, `lookahead_units`), twin class and group in the search order,
-with no per-server reach entry and no sort. A listed run server's paths
-are its anchor's with its uplink added, kept within the budget and sorted
-once per run. Nor does the root loop over the whole network in Python: its
-aggregate-capacity prune sums the residual views in numpy, exact while the
-capacities sum within int64 (`StructureIndex.sums_fit`; Python ints
-otherwise), and it dedupes the VNF-1 candidates lazily (`_dedupe`), so a
-search that ends under its first root computes one twin key.
+(`_reach`), are the distances `feasible_servers` reads from the package's
+one latency search (`topology.relay_reach`), and `_reached_runs` keeps the
+runs anchored at them by the rule `feasible_servers` applies, and the
+reached servers outside every run (`StructureIndex.off_run`) are read as
+there. One walk over those servers in position (= id) order decides each
+one's reach, rule (the chain's thresholds, `lookahead_units`), twin class
+and group in the search order, with no per-server reach entry and no sort.
+A listed run server's paths are its anchor's with its uplink added, kept
+within the budget and sorted once per run. Nor does the root loop over the
+whole network in Python: its aggregate-capacity prune sums the residual
+views in numpy, exact while the capacities sum within int64
+(`StructureIndex.sums_fit`; Python ints otherwise), and it dedupes the
+VNF-1 candidates lazily (`_dedupe`), so a search that ends under its first
+root computes one twin key.
 
 Search order: VNF-1 candidates, and ILP-2's later ones, in id order; ILP-1
 tries the previous server (colocation, at cost 0) before it lists its DC,
@@ -102,7 +103,7 @@ from enum import Enum
 from typing import Iterable, Iterator
 
 from .nspr import SliceRequest
-from .placement import (LATENCY_EPS, PLANS_MAX, Placement, _reached_runs, bandwidth_cost,
+from .placement import (LATENCY_EPS, Placement, _keep_plan, _reached_runs, bandwidth_cost,
                         feasible_servers, lookahead_rule, lookahead_units)
 # unused here: kept for the benchmark, whose reach span and tests look it up in this module
 from .placement import latency_reach  # noqa: F401
@@ -152,11 +153,11 @@ def _enumerate_paths(psn: PhysicalNetwork, src: int, bw: float, budget_ms: float
     an explicit stack: a line of relays longer than the interpreter's
     recursion limit is searched like any other.
 
-    Its keys are the relays `_relay_reach` reaches, and the smallest latency
-    at each (`_reach`) is the distance that Dijkstra finds there, as the
-    same float: a rounded sum of non-negative latencies never decreases as
-    links are added, so the shortest left-to-right sum is one number either
-    way. A one-link server's paths are its anchor's, its link added
+    Its keys are the relays `topology.relay_reach` reaches, and the smallest
+    latency at each (`_reach`) is the distance that search finds there, as
+    the same float: a rounded sum of non-negative latencies never decreases
+    as links are added, so the shortest left-to-right sum is one number
+    either way. A one-link server's paths are its anchor's, its link added
     (`_later_candidates`)."""
     found = {src: [(0, 0.0, ())]}
     visited = {src}
@@ -191,7 +192,7 @@ def _enumerate_paths(psn: PhysicalNetwork, src: int, bw: float, budget_ms: float
 
 def _reach(found: dict[int, list[tuple[int, float, tuple[int, ...]]]]) -> dict[int, float]:
     """Each relay of an `_enumerate_paths` result at its smallest latency:
-    `_relay_reach`'s distances."""
+    `topology.relay_reach`'s distances."""
     return {u: f[0][1] if len(f) == 1 else min([e[1] for e in f]) for u, f in found.items()}
 
 
@@ -360,10 +361,7 @@ def _chain_plan(idx: StructureIndex, request: SliceRequest) -> tuple:
                 break
             least = min(least, 0 if e == n else hops * vls[e - 1].bw_units + floor[e + 1])
         floor[v] = least
-    if len(idx.plans) >= PLANS_MAX:
-        idx.plans.clear()
-    plan = idx.plans[key] = (vnfs, vls, need, tail_cpu, tail_ram, rules, floor)
-    return plan
+    return _keep_plan(idx, key, (vnfs, vls, need, tail_cpu, tail_ram, rules, floor))
 
 
 def _solve(psn: PhysicalNetwork, request: SliceRequest, *, find_optimal: bool,

@@ -198,12 +198,18 @@ class ClassTable(NamedTuple):
 
 
 def catalog_from_json(obj: Mapping) -> dict[SliceClass, ClassSpec]:
-    """Classes from a JSON object: class name -> the `ClassSpec` fields, each
-    a JSON number (`typed`; `e2e_budget_ms` may be null or absent), and no
-    other field. Raises KeyError, TypeError or ValueError."""
+    """Classes from a JSON object: class name -> an object of the
+    `ClassSpec` fields, each a JSON number (`typed`; `vl_budgets_ms` a list
+    of them, `e2e_budget_ms` null or absent too), and no other field.
+    Raises KeyError, TypeError or ValueError."""
     names = {f.name for f in dataclasses.fields(ClassSpec)}
     catalog = {}
     for key, fields in obj.items():
+        if not isinstance(fields, Mapping):
+            raise ValueError(f"{key} must be an object, got {fields!r}")
+        budgets = fields.get("vl_budgets_ms", [])
+        if not isinstance(budgets, list):
+            raise ValueError(f"{key} vl_budgets_ms must be a list, got {budgets!r}")
         unknown = set(fields) - names
         if unknown:
             raise ValueError(f"{key}: unknown fields {sorted(unknown)}")

@@ -22,7 +22,6 @@ runs on integer counts of 1/SCALE CPU units, GB or Gbps (`to_units`).
 
 from __future__ import annotations
 
-import heapq
 from array import array
 from bisect import insort
 from dataclasses import dataclass, field
@@ -30,7 +29,7 @@ from typing import Container, Mapping, Sequence
 
 from .nspr import SliceRequest
 from .topology import (SCALE, PhysicalNetwork, Run, Server, StructureIndex, left_sum,
-                       to_units)
+                       relay_reach, to_units)
 
 LATENCY_EPS = 1e-9
 
@@ -186,7 +185,7 @@ def check_placement(psn: PhysicalNetwork, request: SliceRequest,
     for i in y_paths:
         if not 1 <= i <= n - 1:
             raise MalformedPlacementError(f"VL index {i} outside chain 1..{n - 1}")
-    if psn.nodes[request.uap].kind.value != "uap":
+    if not _is_id(request.uap, len(psn.nodes)) or psn.nodes[request.uap].kind.value != "uap":
         raise MalformedPlacementError(f"request UAP {request.uap} is not a UAP node")
 
     violations: list[tuple[int, str]] = []
@@ -303,9 +302,10 @@ def min_cost_path(psn: PhysicalNetwork, src: int, dst: int, bw: float,
     budget. That is the one path between them and the BFS's result; every
     other case, these two nodes' misses among them, runs the search.
 
-    The BFS expands relay nodes alone: a leaf dst is reached through the
-    node across its one link, so the path and its latency are the plain
-    BFS's.
+    The BFS expands relay nodes alone, and the fallback is
+    `topology.relay_reach`, which pushes relay nodes alone: a leaf dst is
+    reached through the node across its one link, so the paths and their
+    latencies are those of the plain BFS and Dijkstra over every node.
     """
     if src == dst:
         return [] if budget_ms >= -LATENCY_EPS else None
@@ -361,85 +361,28 @@ def min_cost_path(psn: PhysicalNetwork, src: int, dst: int, bw: float,
     if latency <= budget_ms + LATENCY_EPS:
         return hop_path
 
-    # minimum latency, Dijkstra pruned at the budget
-    dist = {src: 0.0}
-    parent = {src: (-1, -1)}
-    pq: list[tuple[float, int]] = [(0.0, src)]
-    while pq:
-        d, u = heapq.heappop(pq)
-        if d > dist.get(u, float("inf")):
-            continue
-        if u == dst:
-            path = []
-            while u != src:
-                u, lid = parent[u]
-                path.append(lid)
-            path.reverse()
-            return path
-        for v, lid in adj[u]:
-            if bw_units[lid] < need:
-                continue
-            nd = d + links[lid].latency_ms
-            if nd > budget_ms + LATENCY_EPS:
-                continue
-            if nd < dist.get(v, float("inf")):
-                dist[v] = nd
-                parent[v] = (u, lid)
-                heapq.heappush(pq, (nd, v))
-    return None
-
-
-def _relay_reach(psn: PhysicalNetwork, src: int, bw: float,
-                 limit: float) -> dict[int, float]:
-    """Latency-shortest distance from src to every relay node (one with two
-    or more links) within `limit`, over links with residual bandwidth >= bw;
-    src is always present, at 0.
-
-    The reach step of `feasible_servers`, which reads the one-link servers
-    from the runs anchored at the relays reached (`_reached_runs`);
-    `latency_reach`, which no code of the package calls, adds the leaves.
-    The exact search reads the same distances from its path search
-    (`exact._enumerate_paths`), which it runs anyway. A
-    leaf relays nothing, so leaves never enter the heap: the cost is one
-    heap operation per reached relay node, whatever the number of servers.
-    A one-link source (a server behind its switch) is entered at its
-    anchor, the node across its link, with the distance the source's pop
-    would push, so the source itself takes no heap operation.
-    """
-    relay_adj = psn.index().relay_adj
-    links, bw_units, need = psn.links, psn.bw_units, to_units(bw)
-    dist = {src: 0.0}
-    if len(psn.adj[src]) == 1:
-        pq: list[tuple[float, int]] = []
-        for v, lid in relay_adj[src]:  # the anchor, unless it is a leaf too
-            nd = 0.0 + links[lid].latency_ms
-            if bw_units[lid] >= need and nd <= limit:
-                dist[v] = nd
-                pq.append((nd, v))
-    else:
-        pq = [(0.0, src)]
-    while pq:
-        d, u = heapq.heappop(pq)
-        if d > dist[u]:
-            continue
-        for v, lid in relay_adj[u]:
-            if bw_units[lid] < need:
-                continue
-            nd = d + links[lid].latency_ms
-            if nd <= limit and nd < dist.get(v, float("inf")):
-                dist[v] = nd
-                heapq.heappush(pq, (nd, v))
-    return dist
+    # minimum latency: the relay search, pruned at the budget, then the last
+    # hop, whose link already carries bw
+    limit, parent = budget_ms + LATENCY_EPS, {}
+    dist = relay_reach(psn, src, need, limit, parent)
+    if target not in dist or last_hop >= 0 and dist[target] + links[last_hop].latency_ms > limit:
+        return None
+    path, node = [last_hop] if last_hop >= 0 else [], target
+    while node != src:
+        node, lid = parent[node]
+        path.append(lid)
+    path.reverse()
+    return path
 
 
 def _reached_runs(psn: PhysicalNetwork, relay: dict[int, float], limit: float) -> list[int]:
     """The one run-grain reach rule of `feasible_servers` and the exact
     search's candidate lists: given the relay distances reached within
-    limit (`_relay_reach`'s, or the exact search's, which are equal), the
-    indices, ascending, of the runs (`topology.Run`) anchored at a reached
-    relay whose uplink latency keeps the sum within limit (`d + lat <=
-    limit`, the compare `latency_reach` makes). A run's servers are reached
-    only if their uplinks carry the VL too."""
+    limit (`topology.relay_reach`'s, or the exact search's, which are
+    equal), the indices, ascending, of the runs (`topology.Run`) anchored at
+    a reached relay whose uplink latency keeps the sum within limit (`d +
+    lat <= limit`, the compare `latency_reach` makes). A run's servers are
+    reached only if their uplinks carry the VL too."""
     anchor_runs = psn.index().anchor_runs
     reached = [k for u, d in relay.items() for lat, k in anchor_runs.get(u, ())
                if d + lat <= limit]
@@ -452,13 +395,15 @@ def latency_reach(psn: PhysicalNetwork, src: int, bw: float,
     """Latency-shortest distance from src to every node within budget, over
     links with residual bandwidth >= bw. Nodes beyond the budget are absent.
 
-    `_relay_reach` finds the relay nodes; a leaf (a node of degree 1: a
-    server behind its switch, a UAP) is then recorded through its one link
-    from the reached node across it, with one dict write per reached leaf.
+    `topology.relay_reach` finds the relay nodes; a leaf (a node of degree
+    1: a server behind its switch, a UAP) is then recorded through its one
+    link from the reached node across it, with one dict write per reached
+    leaf. No code of the package calls it; the benchmark's reach span and
+    the tests do.
     """
-    limit = budget_ms + LATENCY_EPS
-    dist = _relay_reach(psn, src, bw, limit)
-    adj, links, bw_units, need = psn.adj, psn.links, psn.bw_units, to_units(bw)
+    limit, need = budget_ms + LATENCY_EPS, to_units(bw)
+    dist = relay_reach(psn, src, need, limit)
+    adj, links, bw_units = psn.adj, psn.links, psn.bw_units
     for u, d in list(dist.items()):
         for v, lid in adj[u]:
             if len(adj[v]) != 1 or bw_units[lid] < need or v in dist:
@@ -509,18 +454,24 @@ def lookahead_rule(psn: PhysicalNetwork, server_id: int, cpu: int, ram: int,
 PLANS_MAX = 4096
 
 
+def _keep_plan(idx: StructureIndex, key: tuple, plan: tuple) -> tuple:
+    """Cache plan under key in the index's plans, emptying them first when
+    they hold PLANS_MAX, and return it: the one rule of the plan cache."""
+    plans = idx.plans
+    if len(plans) >= PLANS_MAX:
+        plans.clear()
+    plans[key] = plan
+    return plan
+
+
 def _store(idx: StructureIndex, key: tuple, by_rank: dict[int, list],
            offs: tuple[tuple[int, int], ...]) -> tuple:
     """Cache under key, and return, the plan of the slices by_rank of
     `_slices`: (groups, ranks, offs), groups being (rank, slices, ()) in
     ascending rank, ranks their ranks, and offs (rank, position) of servers
     outside every run that each call decides one at a time."""
-    plans = idx.plans
-    if len(plans) >= PLANS_MAX:
-        plans.clear()
     groups = tuple([(r, tuple(by_rank[r]), ()) for r in sorted(by_rank)])
-    plan = plans[key] = (groups, frozenset(by_rank), offs)
-    return plan
+    return _keep_plan(idx, key, (groups, frozenset(by_rank), offs))
 
 
 def _root_plan(psn: PhysicalNetwork, request: SliceRequest, best_tier: bool) -> tuple:
@@ -679,9 +630,9 @@ def feasible_servers(psn: PhysicalNetwork, request: SliceRequest, v: int,
 
     Cost: O(relay nodes reached + runs reached) in Python plus, per slice,
     O(servers) in C, or O(servers) in Python for a slice shorter than
-    SHORT_SLICE. `_relay_reach` runs over the relay nodes only (switches,
-    routers; no server of the reference substrate), from last_s's anchor
-    when last_s has one link. The one-link servers are held as runs
+    SHORT_SLICE. `topology.relay_reach` runs over the relay nodes only
+    (switches, routers; no server of the reference substrate), from last_s's
+    anchor when last_s has one link. The one-link servers are held as runs
     (`topology.Run`, one per DC on the reference substrate), and a run is
     reached when its anchor is and the latency left there covers its
     uplink's. What follows from the runs reached alone is a plan, cached in
@@ -722,7 +673,7 @@ def feasible_servers(psn: PhysicalNetwork, request: SliceRequest, v: int,
         vl = request.vls[v - 2]
         reach_bw = vl.bw_units
         limit = min(vl.budget_ms, request.e2e_budget_ms - used_e2e_ms) + LATENCY_EPS
-        relay = _relay_reach(psn, last_s, vl.bw, limit)
+        relay = relay_reach(psn, last_s, reach_bw, limit)
         reached = _reached_runs(psn, relay, limit)
         # Only last_s's own DC applies the lookahead, and only when VL v
         # needs more than VL v-1. Otherwise it is implied before the final

@@ -685,31 +685,32 @@ class PhysicalNetwork:
         """Latency of the shortest path from a UAP to a DC's switch (ms).
 
         Uses static link latencies only; bandwidth state does not matter for
-        access delay. Cached per UAP in the structure index. Unreachable DCs
-        report +inf.
+        access delay. One `relay_reach` from the UAP, over every link, fills
+        the UAP's latencies to every DC, cached per UAP in the structure
+        index; a switch with one link (a leaf, which the search does not
+        enter) takes its anchor's distance plus that link's latency.
+        Unreachable DCs report +inf. TopologyError for a node id that is not
+        a UAP's and for an unknown DC.
         """
-        if self.nodes[uap_id].kind is not NodeKind.UAP:
-            raise TopologyError(f"node {uap_id} is not a UAP")
-        if dc_id not in self.data_centers:
-            raise TopologyError(f"unknown data center {dc_id!r}")
         alpha = self.index().alpha
         cached = alpha.get(uap_id)
         if cached is None:
-            dist = [float("inf")] * len(self.nodes)
-            dist[uap_id] = 0.0
-            pq: list[tuple[float, int]] = [(0.0, uap_id)]
-            while pq:
-                d, u = heapq.heappop(pq)
-                if d > dist[u]:
-                    continue
-                for v, lid in self.adj[u]:
-                    nd = d + self.links[lid].latency_ms
-                    if nd < dist[v]:
-                        dist[v] = nd
-                        heapq.heappush(pq, (nd, v))
-            cached = {d.id: dist[d.switch] for d in self.data_centers.values()}
+            nodes, adj = self.nodes, self.adj
+            if not 0 <= uap_id < len(nodes) or nodes[uap_id].kind is not NodeKind.UAP:
+                raise TopologyError(f"node {uap_id} is not a UAP")
+            dist = relay_reach(self, uap_id, -1, float("inf"))
+            cached = {}
+            for dc in self.data_centers.values():
+                at, last = dc.switch, 0.0
+                if len(adj[at]) == 1:  # a leaf switch: its anchor's distance
+                    (at, lid), = adj[at]
+                    last = self.links[lid].latency_ms
+                cached[dc.id] = dist[at] + last if at in dist else float("inf")
             alpha[uap_id] = cached
-        return cached[dc_id]
+        try:
+            return cached[dc_id]
+        except KeyError:
+            raise TopologyError(f"unknown data center {dc_id!r}") from None
 
     # -- validation and serialization --------------------------------------
 
@@ -848,6 +849,60 @@ class PhysicalNetwork:
     @classmethod
     def load(cls, path: str) -> "PhysicalNetwork":
         return cls.from_json(load_json(path))
+
+
+def relay_reach(net: PhysicalNetwork, src: int, need: int, limit: float,
+                parent: dict[int, tuple[int, int]] | None = None) -> dict[int, float]:
+    """Latency-shortest distance from src to every relay node (one with two
+    or more links) within `limit`, over links with at least `need` residual
+    bandwidth units; src is always present, at 0. A `need` of -1 admits
+    every link, those without bandwidth accounting too. With `parent`, each
+    node reached but src is recorded there as (previous node, link).
+
+    The package's one latency search (E. W. Dijkstra, "A note on two
+    problems in connexion with graphs", Numer. Math. 1, 1959). Its callers:
+    `placement.feasible_servers`, which reads the one-link servers from the
+    runs anchored at the relays reached (`placement._reached_runs`);
+    `placement.latency_reach`, which adds the leaves; `min_cost_path`'s
+    minimum-latency fallback, which adds a leaf destination's last hop; and
+    `PhysicalNetwork.access_latency`, which adds a leaf switch's link. The
+    exact search reads the same distances from its path search
+    (`exact._enumerate_paths`), which it runs anyway.
+
+    A leaf relays nothing, so leaves never enter the heap: the cost is one
+    heap operation per reached relay node, whatever the number of servers.
+    A one-link source (a server behind its switch, a UAP) is entered at its
+    anchor, the node across its link, with the distance the source's pop
+    would push, so the source itself takes no heap operation.
+    """
+    relay_adj = net.index().relay_adj
+    links, bw_units = net.links, net.bw_units
+    dist = {src: 0.0}
+    if len(net.adj[src]) == 1:
+        pq: list[tuple[float, int]] = []
+        for v, lid in relay_adj[src]:  # the anchor, unless it is a leaf too
+            nd = 0.0 + links[lid].latency_ms
+            if bw_units[lid] >= need and nd <= limit:
+                dist[v] = nd
+                pq.append((nd, v))
+                if parent is not None:
+                    parent[v] = (src, lid)
+    else:
+        pq = [(0.0, src)]
+    while pq:
+        d, u = heapq.heappop(pq)
+        if d > dist[u]:
+            continue
+        for v, lid in relay_adj[u]:
+            if bw_units[lid] < need:
+                continue
+            nd = d + links[lid].latency_ms
+            if nd <= limit and nd < dist.get(v, float("inf")):
+                dist[v] = nd
+                heapq.heappush(pq, (nd, v))
+                if parent is not None:
+                    parent[v] = (u, lid)
+    return dist
 
 
 def _params_to_json(p: TopologyParams) -> dict:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import heapq
+
 import pytest
 from hypothesis import settings
 
@@ -106,3 +108,17 @@ def drain_dc(net: PhysicalNetwork, dc_id: str) -> None:
     """Allocate every server in a DC down to zero residual."""
     for sid in net.data_centers[dc_id].servers:
         net.allocate(sid, *net.residual(sid))
+
+
+def heap_pushes(monkeypatch) -> list[int]:
+    """Record, from now to the end of the test, the node of every (distance,
+    node) item pushed on a heap: `heapq.heappush` is patched in the heapq
+    module, which every latency search looks it up through."""
+    pushed: list[int] = []
+    push = heapq.heappush
+
+    def counted(heap, item):
+        pushed.append(item[1])
+        push(heap, item)
+    monkeypatch.setattr(heapq, "heappush", counted)
+    return pushed

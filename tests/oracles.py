@@ -12,6 +12,7 @@ it (`sliceplace.exact._later_candidates`) for every server they list.
 `plain_reach`, `plain_hop_path`, `lookahead`, `scan_feasible_servers` and
 `narrow_to_best_tier` are plain one-pass versions of P2C's reach search,
 hop search, lookahead rule, eligibility and tier narrowing.
+`plain_access_latency` is a plain Dijkstra for the access latencies.
 `exact_candidates` builds the exact search's later-VNF list from them, pass
 by pass, and `plain_dedupe` drops twin servers by their incident links.
 `reference_place` and `reference_release` build whole P2C episodes from
@@ -220,6 +221,24 @@ def plain_reach(net: PhysicalNetwork, src: int, bw: float,
                 dist[v] = nd
                 heapq.heappush(pq, (nd, v))
     return dist
+
+
+def plain_access_latency(net: PhysicalNetwork, uap: int) -> dict[str, float]:
+    """Reference for `PhysicalNetwork.access_latency`: a plain Dijkstra from
+    the UAP over every link, leaves and links without bandwidth accounting
+    included; each DC at its switch's distance, +inf where unreached."""
+    dist = {uap: 0.0}
+    pq = [(0.0, uap)]
+    while pq:
+        d, u = heapq.heappop(pq)
+        if d > dist[u]:
+            continue
+        for v, lid in net.adj[u]:
+            nd = d + net.links[lid].latency_ms
+            if nd < dist.get(v, float("inf")):
+                dist[v] = nd
+                heapq.heappush(pq, (nd, v))
+    return {dc.id: dist.get(dc.switch, float("inf")) for dc in net.data_centers.values()}
 
 
 def plain_hop_path(net: PhysicalNetwork, src: int, dst: int, bw: float) -> list[int] | None:

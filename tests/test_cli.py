@@ -529,11 +529,13 @@ class TestSimulate:
         (None, "catalog", bef_only_catalog(vl_budgets_ms=["inf", 1.0, 1.33, 1.33])),
         (None, "catalog", bef_only_catalog(cpu_per_vnf=0.1234567)),
         (None, "catalog", bef_only_catalog(e2e_budget=1.0)),
+        (None, "catalog", {"best_effort": "abc"}),
+        (None, "catalog", bef_only_catalog(vl_budgets_ms=5)),
     ], ids=["load", "horizon", "horizon_huge_int", "replications", "holding", "mix", "algorithm",
             "max_nodes", "catalog", "catalog_list", "jobs", "scale_float", "scale_bool",
             "servers_float", "round_float", "cpu_string", "catalog_nan_string",
             "catalog_bool", "catalog_inf_string", "catalog_below_the_unit",
-            "catalog_unknown_field"])
+            "catalog_unknown_field", "catalog_entry_string", "catalog_budgets_int"])
     def test_malformed_config_value_exits_two(self, tmp_path, capsys, section, key, value):
         doc = {"scenario": {"name": "URLLC", "target_load": 0.4, "horizon": 10.0},
                "algorithm": "ilp-1"}

@@ -17,10 +17,11 @@ from sliceplace import exact, sim
 from sliceplace.nspr import DEFAULT_CATALOG, ClassSpec, SliceClass, VnfDemand, make_request
 from sliceplace.p2c import DrawStream, OutcomeStatus, Policy
 from sliceplace.p2c import place as p2c_place
-from sliceplace.placement import (LATENCY_EPS, _relay_reach, bandwidth_cost, check_placement,
+from sliceplace.placement import (LATENCY_EPS, bandwidth_cost, check_placement,
                                   feasible_servers, lookahead_units)
 from sliceplace.topology import (SCALE, DCKind, LinkKind, NodeKind, PhysicalNetwork,
-                                 TopologyParams, build_reference_psn, left_sum)
+                                 TopologyParams, build_reference_psn, left_sum, relay_reach,
+                                 to_units)
 
 from conftest import make_pair, make_single_dc
 from oracles import (LINK_BWS, InstanceTooLargeError, brute_force, exact_candidates,
@@ -205,9 +206,9 @@ class TestPathSearch:
     @given(loaded_substrates(), st.data())
     def test_reach_is_the_relay_dijkstra(self, net, data):
         """The relays the search reaches, each at its smallest latency
-        (`exact._reach`), are `_relay_reach`'s, as the same floats. Relay
-        links are drawn thin, so that the bandwidth test binds, and the
-        limits from -0.5 to 5 ms."""
+        (`exact._reach`), are `topology.relay_reach`'s, as the same floats.
+        Relay links are drawn thin, so that the bandwidth test binds, and
+        the limits from -0.5 to 5 ms."""
         for link in net.links:
             left = net.bw_residual(link.id)
             if left and len(net.adj[link.a]) > 1 and len(net.adj[link.b]) > 1:
@@ -218,7 +219,7 @@ class TestPathSearch:
         bw = data.draw(st.sampled_from([0.0] + LINK_BWS))
         budget = data.draw(st.floats(-0.5, 5.0))
         found, _ = _enumerate_paths(net, src, bw, budget)
-        assert exact._reach(found) == _relay_reach(net, src, bw, budget + LATENCY_EPS)
+        assert exact._reach(found) == relay_reach(net, src, to_units(bw), budget + LATENCY_EPS)
 
     def test_every_path_behind_one_switch_and_an_empty_second_value(self):
         """Behind the CDC switch sit leaf servers c0 and c1 and a relay

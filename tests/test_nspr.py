@@ -254,10 +254,17 @@ class TestCatalogSerialization:
     @pytest.mark.parametrize("field, value", [
         ("cpu_per_vnf", True), ("cpu_per_vnf", "10"), ("alpha_max_ms", "0.03"),
         ("vl_budgets_ms", [0.33, True, 0.33, 0.33]), ("vl_budgets_ms", ["0.33"] * 4),
-        ("vl_budgets_ms", "0.33"), ("e2e_budget_ms", False)])
+        ("vl_budgets_ms", "0.33"), ("vl_budgets_ms", 5), ("e2e_budget_ms", False)])
     def test_non_number_rejected(self, field, value):
         """A boolean or a string is no number, read directly as through a
         config: float() would take true as 1.0 and "10" as 10.0."""
         doc = {**DEFAULT_CATALOG_DOC, "urllc": {**DEFAULT_CATALOG_DOC["urllc"], field: value}}
         with pytest.raises(ValueError, match=f"urllc {field}"):
             catalog_from_json(doc)
+
+    @pytest.mark.parametrize("entry", ["abc", ["cpu_per_vnf"], 5, None])
+    def test_entry_not_an_object_rejected(self, entry):
+        """A class entry must be an object: a string was read as its
+        characters, each an unknown field, and a list as its items."""
+        with pytest.raises(ValueError, match="urllc must be an object"):
+            catalog_from_json({**DEFAULT_CATALOG_DOC, "urllc": entry})

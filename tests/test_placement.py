@@ -44,7 +44,7 @@ from sliceplace.topology import (
     build_reference_psn,
 )
 
-from conftest import drain_dc, make_pair, make_single_dc
+from conftest import drain_dc, heap_pushes, make_pair, make_single_dc
 from oracles import (LINK_BWS, LINK_LATENCIES, loaded_substrates, lookahead,
                      narrow_to_best_tier, per_vnf_writes, plain_hop_path,
                      plain_min_cost_path, plain_reach, residual_bytes,
@@ -298,6 +298,17 @@ class TestChecker:
                 with pytest.raises(MalformedPlacementError):
                     check_placement(ref, req, plc)
 
+    @pytest.mark.parametrize("uap", [-1, "len"])
+    def test_request_uap_out_of_range_is_malformed(self, psn, uap):
+        """A request's UAP must be a node id: -1 would read the last node,
+        a UAP, and the node count would raise IndexError."""
+        uap = len(psn.nodes) if uap == "len" else uap
+        req = dataclasses.replace(make_request(SliceClass.URLLC, psn.uaps[0]), uap=uap)
+        s = servers_of(psn, "edc0")[0]
+        plc = Placement(x={v: s for v in range(1, 6)}, y={i: [] for i in range(1, 5)})
+        with pytest.raises(MalformedPlacementError, match="request UAP"):
+            check_placement(psn, req, plc)
+
     def test_verdict_json(self, ref):
         req = make_request(SliceClass.URLLC, ref.uaps[0])
         s = servers_of(ref, "edc0")[0]
@@ -401,6 +412,45 @@ class TestMinCostPath:
         assert len(min_cost_path(net, src, dst, 1.0, 5.0)) == 3
         assert min_cost_path(net, src, dst, 1.0, 0.5) == [src_up, *via[r1], dst_up]
         assert min_cost_path(net, dst, src, 1.0, 0.5) == [dst_up, via[r1][1], via[r1][0], src_up]
+
+    @staticmethod
+    def wide_star(servers: int, last_lat: float):
+        """Star DC a of `servers` servers and DC b of one server t, whose
+        uplink has latency last_lat; switches a and b joined directly at
+        10 ms and through router r at 1 ms a link. Returns the network, a's
+        first server s, t, and the links s-a, a-r, r-b and b-t."""
+        net = PhysicalNetwork(TopologyParams())
+        a, b = (net.add_data_center(d, DCKind.CDC).switch for d in ("a", "b"))
+        for i in range(servers):
+            sid = net.add_server(f"a-s{i}", "a", 50.0, 300.0)
+            net.add_link(a, sid, 0.0, LinkKind.INTRA_DC, 10.0)
+        t = net.add_server("b-s0", "b", 50.0, 300.0)
+        b_t = net.add_link(b, t, last_lat, LinkKind.TRANSPORT, 10.0)
+        net.add_link(a, b, 10.0, LinkKind.TRANSPORT, 10.0)
+        r = net.add_node("r", NodeKind.ROUTER)
+        a_r, r_b = (net.add_link(*ends, 1.0, LinkKind.TRANSPORT, 10.0)
+                    for ends in ((a, r), (r, b)))
+        s = net.data_centers["a"].servers[0]
+        return net, s, t, [link_id(net, s, a), a_r, r_b, b_t]
+
+    def test_latency_fallback_pushes_no_server(self, monkeypatch):
+        """The minimum-latency search behind a 200-server star enters relay
+        nodes alone: no server is pushed on its heap."""
+        net, s, t, via_r = self.wide_star(200, 0.0)
+        net.index()
+        pushed = heap_pushes(monkeypatch)
+        assert min_cost_path(net, s, t, 1.0, 5.0) == via_r
+        assert pushed and not any(net.nodes[u].kind is NodeKind.SERVER for u in pushed)
+
+    @pytest.mark.parametrize("budget", [2.0, 3.5, 4.0, 5.0, 6.0])
+    def test_latency_fallback_adds_the_last_hop_within_the_budget(self, budget):
+        """The search reaches t's switch at 2 ms; t's uplink of 3 ms then
+        fits a budget of 5 ms or more and no smaller one."""
+        net, s, t, via_r = self.wide_star(3, 3.0)
+        want = via_r if budget >= 5.0 else None
+        assert min_cost_path(net, s, t, 1.0, budget) == want
+        assert plain_min_cost_path(net, s, t, 1.0, budget) == want
+        assert min_cost_path(net, t, s, 1.0, budget) == (want and [via_r[k] for k in (3, 2, 1, 0)])
 
     def test_hop_search_expands_each_level_in_id_order(self):
         """Routers s < a < b < y < x < t: the second level is found as

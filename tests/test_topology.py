@@ -31,8 +31,9 @@ from sliceplace.topology import (
     left_sum,
 )
 
-from conftest import make_pair
-from oracles import fits, loaded_substrates, per_vnf_writes, residual_bytes
+from conftest import heap_pushes, make_pair
+from oracles import (LINK_LATENCIES, fits, loaded_substrates, per_vnf_writes,
+                     plain_access_latency, residual_bytes)
 
 
 class TestParams:
@@ -193,6 +194,52 @@ class TestReferenceBuild:
     def test_scale_zero_rejected(self):
         with pytest.raises((ValueError, TopologyError)):
             build_reference_psn(0)
+
+
+class TestAccessLatency:
+    @settings(max_examples=150, deadline=None)
+    @given(loaded_substrates(), st.data())
+    def test_is_the_plain_dijkstra(self, net, data):
+        """Every UAP's latency to every DC is a plain Dijkstra's over every
+        link, as the same float. Some draws add a DC whose switch's one link
+        goes to a router its servers hang off (a leaf switch, which the
+        relay search does not enter), some a DC with no link (+inf)."""
+        if data.draw(st.booleans()):
+            lats = st.sampled_from(LINK_LATENCIES)
+            router = net.add_node("r", NodeKind.ROUTER)
+            net.add_link(router, data.draw(st.sampled_from(range(len(net.nodes) - 1))),
+                         data.draw(lats), LinkKind.TRANSPORT, 10.0)
+            dc = net.add_data_center("leaf", data.draw(st.sampled_from(list(DCKind))))
+            net.add_link(router, dc.switch, data.draw(lats), LinkKind.TRANSPORT, 10.0)
+            for i in range(data.draw(st.integers(1, 2))):
+                sid = net.add_server(f"leaf-s{i}", "leaf", 50.0, 300.0)
+                net.add_link(router, sid, 0.0, LinkKind.INTRA_DC, 10.0)
+        if data.draw(st.booleans()):
+            net.add_data_center("cut", DCKind.EDC)
+        for uap in net.uaps:
+            assert {dc_id: net.access_latency(uap, dc_id) for dc_id in net.data_centers} \
+                == plain_access_latency(net, uap)
+
+    def test_one_fill_pushes_no_server(self, monkeypatch):
+        """A UAP's latencies come from a search over relay nodes alone: on
+        the scale-64 reference substrate (8,064 servers) its fill pushes
+        switches only."""
+        net = build_reference_psn(64)
+        net.index()
+        pushed = heap_pushes(monkeypatch)
+        assert net.access_latency(net.uaps[0], "ccp0") == pytest.approx(1.35, abs=1e-12)
+        assert pushed and all(net.nodes[u].kind is NodeKind.SWITCH for u in pushed)
+
+    @pytest.mark.parametrize("node", [-1, "len", "server", "switch"])
+    def test_only_a_uap_is_asked(self, psn, node):
+        """An id that is not a UAP's is refused, an out-of-range one
+        included: -1 would read the last node, a UAP, and cache its
+        latencies under -1."""
+        node = {"len": len(psn.nodes), "server": psn.servers()[0].id,
+                "switch": psn.data_centers["edc0"].switch}.get(node, node)
+        with pytest.raises(TopologyError, match="is not a UAP"):
+            psn.access_latency(node, "edc14")
+        assert node not in psn.index().alpha
 
 
 def test_left_sum_adds_left_to_right():
