@@ -37,13 +37,20 @@ reached servers outside every run (`StructureIndex.off_run`) are read as
 there. One walk over those servers in position (= id) order decides each
 one's reach, rule (the chain's thresholds, `lookahead_units`), twin class
 and group in the search order, with no per-server reach entry and no sort.
-A listed run server's paths are its anchor's with its uplink added, kept
-within the budget and sorted once per run. Nor does the root loop over the
-whole network in Python: its aggregate-capacity prune sums the residual
-views in numpy, exact while the capacities sum within int64
-(`StructureIndex.sums_fit`; Python ints otherwise), and it dedupes the
-VNF-1 candidates lazily (`_dedupe`), so a search that ends under its first
-root computes one twin key.
+A listed run server's paths are its anchor's, kept within the budget once
+the uplink's latency is added and sorted once per run, and listed with its
+uplink's id: the search prices each at one hop more and builds a path, the
+anchor's links and the uplink, only when it branches on it. Most listed
+paths are pruned by the bound unbuilt.
+
+Nor does the root loop over the whole network in Python. It reads its
+VNF-1 list (`feasible_servers`) first and ends on an empty one; only then
+does its aggregate-capacity prune sum the residual views in numpy, exact
+while the capacities sum within int64 (`StructureIndex.sums_fit`; Python
+ints otherwise). Either test alone ends the search with no node below the
+root, so their order changes no result. It dedupes the VNF-1 candidates
+lazily (`_dedupe`), so a search that ends under its first root computes
+one twin key.
 
 Search order: VNF-1 candidates, and ILP-2's later ones, in id order; ILP-1
 tries the previous server (colocation, at cost 0) before it lists its DC,
@@ -67,9 +74,10 @@ chain's floor, could end it as soundly; that was measured and left out
 (ROADMAP, "Measured and closed").
 
 Costs are held in bandwidth units (`to_units`), integers, as the floors
-are, so the bounds compare exactly. A placement's cost is the float
-`placement.bandwidth_cost` sums for it once the search ends: len(path) *
-bw per VL in chain order.
+are, so the bounds compare exactly: a path of h links costs h * bw units,
+and a listed run server's anchor path of h links, (h + 1) * bw. A
+placement's cost is the float `placement.bandwidth_cost` sums for it once
+the search ends: len(path) * bw per VL in chain order, from 0.0.
 
 ILP-1's colocated tail in closed form: when colocation at VNF v may still
 win and the previous server has room for VNFs v..n together, the frames'
@@ -230,14 +238,14 @@ def _dedupe(psn: PhysicalNetwork, sids: Iterable[int]) -> Iterator[int]:
 
 def _later_candidates(psn: PhysicalNetwork, request: SliceRequest, v: int, last_s: int,
                       eff: float, dc_first: bool, rule: tuple
-                      ) -> list[tuple[int, list[tuple[tuple[int, ...], float]]]]:
+                      ) -> list[tuple[int, list[tuple[int, float, tuple[int, ...]]], int]]:
     """VNF v's candidate servers, for v > 1, in search order, one per twin
-    class (`_twin_key`), each with its feasible (path, latency) pairs by
-    (hops, latency, link ids): the servers reached from last_s within eff
-    over links that carry VL v-1 that pass `lookahead_rule`. In id order;
-    with dc_first (ILP-1), last_s's DC, then the others, less last_s's
-    class, which `_solve` tries first. A class keeps its first server in
-    order.
+    class (`_twin_key`), each as (server, paths, uplink id), paths its
+    feasible (hops, latency, link ids) entries in that order: the servers
+    reached from last_s within eff over links that carry VL v-1 that pass
+    `lookahead_rule`. In id order; with dc_first (ILP-1), last_s's DC, then
+    the others, less last_s's class, which `_solve` tries first. A class
+    keeps its first server in order.
 
     Reach and paths come from one `_enumerate_paths` from last_s: the
     relays reached, at their distances (`_reach`), and the runs anchored at
@@ -248,10 +256,12 @@ def _later_candidates(psn: PhysicalNetwork, request: SliceRequest, v: int, last_
     rule, VNF v's thresholds (`lookahead_units`), and its key, which a run
     server takes from its run. Keys hold the DC, so the two groups share
     none: each dedupes as it fills, and with dc_first last_s's class leaves
-    its DC's group at the end. A relay server's paths are its own; a run
-    server's are its anchor's within eff once the run's uplink latency is
-    added, sorted once per run, each with the server's link appended;
-    last_s's is the empty path."""
+    its DC's group at the end. A server decided alone has its own paths,
+    last_s the empty one, and uplink id -1. A run server shares its anchor's
+    paths within eff, its run's uplink latency added to each latency,
+    sorted once per run; its uplink id is the server's link. Its path is
+    the anchor's links and then that one, hops + 1 links long, and is built
+    only by the search when it branches on it."""
     idx = psn.index()
     pos, servers, runs = idx.pos, idx.servers, idx.runs
     cpu, ram, bw_units = psn.cpu_units, psn.ram_units, psn.bw_units
@@ -291,8 +301,7 @@ def _later_candidates(psn: PhysicalNetwork, request: SliceRequest, v: int, last_
                     continue
                 group = near
             if key not in group:
-                group[key] = (sid, [((), 0.0)] if sid == last_s else
-                              [(path, lat) for _, lat, path in sorted(found[sid])])
+                group[key] = (sid, sorted(found[sid]), -1)
             continue
         first, _, link, anchor, dc, _, up_lat = runs[k]
         group = near if dc_first and dc == last_dc else far
@@ -311,8 +320,7 @@ def _later_candidates(psn: PhysicalNetwork, request: SliceRequest, v: int, last_
                 if shared is None:
                     shared = sorted([(hops, lat + up_lat, path) for hops, lat, path
                                      in found[anchor] if lat + up_lat <= limit])
-                lid = shift + p
-                group[key] = (servers[p].id, [((*path, lid), lat) for _, lat, path in shared])
+                group[key] = (servers[p].id, shared, shift + p)
     near.pop(head, None)
     return [*near.values(), *far.values()]
 
@@ -421,6 +429,9 @@ def _solve(psn: PhysicalNetwork, request: SliceRequest, *, find_optimal: bool,
                 raise _FoundFeasible
             return
         if v == 1:
+            roots = feasible_servers(psn, request, 1, None)
+            if not roots:
+                return
             # depth-invariant: deeper, residuals and demands drop by what is
             # held. A root branch holds no cost, and a zero best ends the search
             if idx.sums_fit:
@@ -429,7 +440,7 @@ def _solve(psn: PhysicalNetwork, request: SliceRequest, *, find_optimal: bool,
             else:
                 room = sum(cpu) >= tail_cpu[1] and sum(ram) >= tail_ram[1]
             if room:
-                for sid in _dedupe(psn, feasible_servers(psn, request, 1, None)):
+                for sid in _dedupe(psn, roots):
                     branch(1, sid, (), 0.0, 0.0, 0)
             return
         vl = vls[v - 2]
@@ -459,13 +470,16 @@ def _solve(psn: PhysicalNetwork, request: SliceRequest, *, find_optimal: bool,
                 if committed + near_hops[last_s] * bw + rest >= best_cost:
                     return
         eff = min(vl.budget_ms, request.e2e_budget_ms - used_e2e)
-        for sid, paths in _later_candidates(psn, request, v, last_s, eff, find_optimal,
-                                            rules[v]):
-            for path, lat in paths:
-                cost = committed + len(path) * bw
+        for sid, paths, up in _later_candidates(psn, request, v, last_s, eff, find_optimal,
+                                                rules[v]):
+            # a run server's path is its anchor's with its uplink up added,
+            # one hop more, and built only when the search branches on it
+            run = up >= 0
+            for hops, lat, path in paths:
+                cost = committed + (hops + run) * bw
                 if best_cost is not None and cost + rest >= best_cost:
                     break  # paths sorted by hops; the rest cost at least this much
-                branch(v, sid, path, lat, used_e2e, cost)
+                branch(v, sid, (*path, up) if run else path, lat, used_e2e, cost)
 
     status = SolveStatus.OPTIMAL
     try:

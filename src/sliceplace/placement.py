@@ -280,9 +280,13 @@ def check_placement(psn: PhysicalNetwork, request: SliceRequest,
 
 def bandwidth_cost(request: SliceRequest, placement: Placement) -> float:
     """Held substrate bandwidth: sum over VLs of path length times demand,
-    added in chain order, as the solvers add their costs."""
-    return left_sum(len(placement.y.get(i, [])) * request.vl(i).bw
-                    for i in range(1, request.n_vnfs))
+    added one at a time in chain order from 0.0, as `topology.left_sum`
+    adds and P2C adds its cost. An exact placement's cost is summed here
+    alone, once its search ends."""
+    y, total = placement.y, 0.0
+    for i, vl in enumerate(request.vls, 1):
+        total += len(y.get(i, ())) * vl.bw
+    return total
 
 
 def min_cost_path(psn: PhysicalNetwork, src: int, dst: int, bw: float,

@@ -116,12 +116,14 @@ def listed(net: PhysicalNetwork, src: int, bw: float, budget: float,
            dc_first: bool = False) -> dict[int, list[tuple[tuple[int, ...], float]]]:
     """Server -> its (path, latency) pairs on VNF 2's candidate list from
     src within budget, for a request whose VNFs need 1 CPU and 6 GB of RAM
-    each and whose VL 1 carries bw."""
+    each and whose VL 1 carries bw. A run server's entries hold its
+    anchor's links, and its path is those with its uplink appended."""
     req = make_request(SliceClass.BEST_EFFORT, net.uaps[0])
     req = dataclasses.replace(req, vnfs=tuple(VnfDemand(1.0, 6.0) for _ in req.vnfs),
                               vls=(dataclasses.replace(req.vls[0], bw=bw), *req.vls[1:]))
-    return dict(exact._later_candidates(net, req, 2, src, budget, dc_first,
-                                        lookahead_units(req, 2)))
+    return {sid: [((*path, up) if up >= 0 else path, lat) for _, lat, path in paths]
+            for sid, paths, up in exact._later_candidates(net, req, 2, src, budget, dc_first,
+                                                          lookahead_units(req, 2))}
 
 
 def summed(net: PhysicalNetwork, path: tuple[int, ...]) -> float:
@@ -347,7 +349,7 @@ class TestCandidateList:
                 for used_e2e in used:
                     eff = min(vl.budget_ms, req.e2e_budget_ms - used_e2e)
                     for dc_first in (True, False):
-                        assert [sid for sid, _ in exact._later_candidates(
+                        assert [sid for sid, _, _ in exact._later_candidates(
                                     net, req, v, last_s, eff, dc_first,
                                     lookahead_units(req, v))] == \
                                exact_candidates(net, req, v, last_s, eff, dc_first)
@@ -360,7 +362,7 @@ class TestCandidateList:
         a, b = sorted(net.data_centers["dc0"].servers)
         req = make_request(SliceClass.BEST_EFFORT, net.uaps[0])
         rule = lookahead_units(req, 2)
-        assert [sid for sid, _ in exact._later_candidates(net, req, 2, b, 1.0, False, rule)] == [a]
+        assert [sid for sid, _, _ in exact._later_candidates(net, req, 2, b, 1.0, False, rule)] == [a]
         assert exact._later_candidates(net, req, 2, b, 1.0, True, rule) == []
         assert exact_candidates(net, req, 2, b, 1.0, True) == []
 
@@ -666,6 +668,31 @@ class TestObjectives:
         assert res.objective == pytest.approx(bandwidth_cost(req, res.placement))
         assert res.placement.cost == pytest.approx(res.objective)
 
+    @settings(max_examples=60, deadline=None)
+    @given(twinned(loaded_substrates()), st.data())
+    def test_cost_is_the_chain_order_sum(self, net, data):
+        """Both searches report the float `bandwidth_cost` sums, and that
+        float is the chain-order sum from 0.0, exactly: VL demands such as
+        0.1 and 0.7 round differently in another order. Every path held,
+        a run server's uplink joined to its anchor's links, passes the
+        checker."""
+        req = make_request(data.draw(st.sampled_from(list(SliceClass))),
+                           net.uaps[data.draw(st.integers(0, len(net.uaps) - 1))])
+        cpu = data.draw(st.sampled_from([10.0, 15.0, 20.0, 25.0]))
+        bws = st.sampled_from([0.1, 0.3, 0.7, 1.1, 2.0])
+        req = dataclasses.replace(
+            req, vnfs=tuple(dataclasses.replace(d, cpu=cpu, ram=6 * cpu) for d in req.vnfs),
+            vls=tuple(dataclasses.replace(vl, bw=data.draw(bws)) for vl in req.vls))
+        for solver in (solve_ilp1, solve_ilp2):
+            res = solver(net, req)
+            plc = res.placement
+            if plc is None:
+                continue
+            in_order = left_sum(len(plc.y.get(i, [])) * req.vl(i).bw
+                                for i in range(1, req.n_vnfs))
+            assert res.objective == plc.cost == bandwidth_cost(req, plc) == in_order
+            assert check_placement(net, req, plc).ok
+
 
 class TestAgreement:
     @pytest.mark.parametrize("seed", range(60))
@@ -798,6 +825,30 @@ class TestInfeasibility:
         assert not net.index().sums_fit
         res = solve_ilp1(net, short_request(net, SliceClass.BEST_EFFORT))
         assert (res.status, res.objective, res.nodes_explored) == (SolveStatus.OPTIMAL, 0.0, 4)
+
+    def test_empty_root_list_ends_before_the_prune(self, monkeypatch):
+        """No server of the UAP's one DC has room for VNF 1, though the
+        four together hold the chain: the empty VNF-1 list ends both
+        searches at the root, and the aggregate-capacity prune never reads
+        the residual views."""
+        net = make_single_dc(servers=4)
+        for sid in net.data_centers["dc0"].servers:
+            net.allocate(sid, 36.0, 0.0)  # 14 CPU left, VNF 1 needs 15
+        req = short_request(net, SliceClass.URLLC)
+        assert req.vnfs[0].cpu > 14.0 and sum(d.cpu for d in req.vnfs) <= 4 * 14.0
+        reads = []
+        vectors = PhysicalNetwork.vectors
+
+        def counted(self):
+            reads.append(self)
+            return vectors(self)
+
+        monkeypatch.setattr(PhysicalNetwork, "vectors", counted)
+        for solver in (solve_ilp1, solve_ilp2):
+            res = solver(net, req)
+            assert (res.status, res.nodes_explored, res.deepest_feasible_vnf) == \
+                   (SolveStatus.INFEASIBLE, 1, 0)
+        assert reads == []
 
     def test_aggregate_capacity_prunes_at_root(self):
         net = make_single_dc(servers=1, cpu=30.0)
