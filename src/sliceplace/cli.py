@@ -16,6 +16,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -116,8 +117,11 @@ def _run_replications(net: PhysicalNetwork, scenario: Scenario,
     # one replication per seed; a worker gets the network pickled, as read
     replicate = functools.partial(run, net, scenario, algorithm, **options)
     seeds = [(scenario.base_seed, i) for i in range(scenario.replications)]
-    if cfg.jobs > 1 and scenario.replications > 1:
-        with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(seeds))) as pool:
+    # the pool forks every worker at once: no more than the CPUs this process may use
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(cfg.jobs, len(seeds), cpus or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(replicate, seeds))
     return list(map(replicate, seeds))
 
@@ -242,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--horizon", type=float)
         p.add_argument("--replications", type=int)
         p.add_argument("--seed", type=int, dest="seed", help="base seed")
-        p.add_argument("--jobs", type=int, help="parallel replications")
+        p.add_argument("--jobs", type=int, help="parallel replications, at most one per usable CPU")
         p.add_argument("--validate", action="store_true",
                        help="re-check every acceptance and audit conservation")
         p.add_argument("--measure-time", action="store_true")

@@ -44,13 +44,10 @@ anchor's links and the uplink, only when it branches on it. Most listed
 paths are pruned by the bound unbuilt.
 
 Nor does the root loop over the whole network in Python. It reads its
-VNF-1 list (`feasible_servers`) first and ends on an empty one; only then
-does its aggregate-capacity prune sum the residual views in numpy, exact
-while the capacities sum within int64 (`StructureIndex.sums_fit`; Python
-ints otherwise). Either test alone ends the search with no node below the
-root, so their order changes no result. It dedupes the VNF-1 candidates
+VNF-1 list (`feasible_servers`) and branches on each candidate, deduped
 lazily (`_dedupe`), so a search that ends under its first root computes
-one twin key.
+one twin key. A chain the network cannot hold is searched below the
+root, so `deepest_feasible_vnf` is the last VNF the search could hold.
 
 Search order: VNF-1 candidates, and ILP-2's later ones, in id order; ILP-1
 tries the previous server (colocation, at cost 0) before it lists its DC,
@@ -122,8 +119,9 @@ DEFAULT_NODE_BUDGET = 200_000
 # The longest chain the search takes. It recurses two frames per VNF
 # (`expand`, `branch`): at Python's default recursion limit of 1,000 a
 # script's top-level solve of a chain that never fits one server failed
-# from 497 VNFs on. A longer chain is refused before anything is held, and
-# the caller keeps half the stack
+# from 497 VNFs on (CHANGES.md, "P2C reads only what two choices need").
+# A longer chain is refused before anything is held, and the caller keeps
+# half the stack
 MAX_CHAIN_VNFS = 256
 
 
@@ -139,7 +137,8 @@ class SolveResult:
     placement: Placement | None
     objective: float | None
     nodes_explored: int
-    # deepest VNF index that was ever successfully committed (0 = none)
+    # deepest VNF index the search ever held (0 = none): a block falls at
+    # the next VNF, as P2C reports it
     deepest_feasible_vnf: int
 
 
@@ -429,19 +428,8 @@ def _solve(psn: PhysicalNetwork, request: SliceRequest, *, find_optimal: bool,
                 raise _FoundFeasible
             return
         if v == 1:
-            roots = feasible_servers(psn, request, 1, None)
-            if not roots:
-                return
-            # depth-invariant: deeper, residuals and demands drop by what is
-            # held. A root branch holds no cost, and a zero best ends the search
-            if idx.sums_fit:
-                cpu_view, ram_view, _ = psn.vectors()
-                room = cpu_view.sum() >= tail_cpu[1] and ram_view.sum() >= tail_ram[1]
-            else:
-                room = sum(cpu) >= tail_cpu[1] and sum(ram) >= tail_ram[1]
-            if room:
-                for sid in _dedupe(psn, roots):
-                    branch(1, sid, (), 0.0, 0.0, 0)
+            for sid in _dedupe(psn, feasible_servers(psn, request, 1, None)):
+                branch(1, sid, (), 0.0, 0.0, 0)
             return
         vl = vls[v - 2]
         bw, rest = vl.bw_units, floor[v]

@@ -455,6 +455,8 @@ def lookahead_rule(psn: PhysicalNetwork, server_id: int, cpu: int, ram: int,
 # index keeps; a full cache is emptied. The number of plans grows with the
 # run: a seed-1 MIX rho 1 P2C-1 run at scale 1 met 2,532 distinct ones in
 # 18,214 arrivals, the benchmark's scale-16 P2C-2 run 203 in 2,187
+# (CHANGES.md, "P2C steps read cached slice plans and enter their searches
+# at the anchor")
 PLANS_MAX = 4096
 
 
@@ -517,7 +519,7 @@ def _merged(groups: Sequence[tuple], extras: list[tuple[int, int]],
 # 7.2-7.9, 8.4-8.5, 9.6-10.6 and 11.0-11.7 us, breaking even between 20 and
 # 24. A five-VNF chain asks four later lists per root list, so the later
 # lists set the value (CPython 3.11, one x86-64 core, min of 7 batches of
-# 2,000 calls)
+# 2,000 calls; CHANGES.md, "P2C reads only what two choices need")
 SHORT_SLICE = 24
 
 

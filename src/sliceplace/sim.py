@@ -42,6 +42,12 @@ ALL_GROUPS = TIER_GROUPS + ("transport",)
 RESOURCES = ("cpu", "ram", "bw")
 # (group, resource) of each accounting slot
 _SLOTS = tuple((g, res) for g in ALL_GROUPS for res in RESOURCES)
+# `run` refuses more series samples than this (the default interval gives
+# 100), and more expected arrivals: a run so long would not end in practice,
+# and a sample or arrival time too close to the last one to add to it would
+# not end at all
+MAX_SERIES_SAMPLES = 100_000
+MAX_EXPECTED_ARRIVALS = 10**8
 
 
 class Algorithm(str, Enum):
@@ -367,7 +373,10 @@ def run(psn: PhysicalNetwork, scenario: Scenario, algorithm: Algorithm | str,
     re-verifies every acceptance against the ledger's pre-commit state, and
     after every event every residual must equal the ledger's, in residual
     units, so a rejection that leaves a trace fails at its own event.
-    series_interval is None (a hundredth of the horizon) or positive and finite.
+    series_interval is None (a hundredth of the horizon) or positive and
+    finite, and gives at most MAX_SERIES_SAMPLES samples; the scenario
+    expects at most MAX_EXPECTED_ARRIVALS arrivals. Either refusal raises
+    ValueError before the first event.
     """
     if isinstance(algorithm, str):
         algorithm = Algorithm.parse(algorithm)
@@ -380,6 +389,9 @@ def run(psn: PhysicalNetwork, scenario: Scenario, algorithm: Algorithm | str,
         mean_holding=scenario.mean_holding,
         include_holding_time=scenario.include_holding_time)
     big_lambda = left_sum(rates.values())
+    if big_lambda * scenario.horizon > MAX_EXPECTED_ARRIVALS:
+        raise ValueError(f"the load and horizon give {big_lambda * scenario.horizon:.3g} "
+                         f"expected arrivals, more than {MAX_EXPECTED_ARRIVALS:,}")
 
     ss = np.random.SeedSequence(seed)
     rng_arrival, rng_class, rng_uap, rng_hold, rng_place = (
@@ -397,6 +409,9 @@ def run(psn: PhysicalNetwork, scenario: Scenario, algorithm: Algorithm | str,
         interval = series_interval
     else:
         raise ValueError(f"series_interval must be positive and finite, got {series_interval}")
+    if scenario.horizon / interval > MAX_SERIES_SAMPLES:
+        raise ValueError(f"series_interval {interval} gives more than {MAX_SERIES_SAMPLES:,} "
+                         f"samples over the horizon {scenario.horizon}")
     acct = _Accounting(net, scenario.warmup, scenario.horizon, interval)
 
     report = MetricsReport(

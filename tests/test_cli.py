@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 
@@ -13,7 +14,7 @@ from sliceplace.config import ConfigError, RunConfig
 from sliceplace.nspr import SliceClass
 from sliceplace.topology import PhysicalNetwork, TopologyParams
 
-from conftest import make_single_dc
+from conftest import forbid_events, make_single_dc
 from test_exact import relay_line_network
 
 
@@ -324,6 +325,36 @@ class TestCheck:
         assert "error" in err
 
 
+def serial_pool(monkeypatch, cpus: int, affinity: bool = True) -> list[int]:
+    """Make `cli.ProcessPoolExecutor` a pool that records its size and maps
+    in this process, so no worker starts, on a process that may use cpus
+    CPUs: by its affinity, or, with affinity False, by `os.cpu_count` with
+    no `os.sched_getaffinity`. Returns the list of recorded sizes."""
+    workers = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr("sliceplace.cli.ProcessPoolExecutor", SerialPool)
+    if affinity:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    return workers
+
+
 SIM_ARGS = ["--scenario", "URLLC", "--load", "0.4", "--horizon", "60",
             "--replications", "2", "--seed", "3"]
 
@@ -359,24 +390,7 @@ class TestSimulate:
         assert serial.read_bytes() == parallel.read_bytes()
 
     def test_worker_pool_bounded_by_replications(self, tmp_path, capsys, monkeypatch):
-        workers = []
-
-        class SerialPool:
-            """Records its size and maps in this process: no worker starts."""
-
-            def __init__(self, max_workers):
-                workers.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr("sliceplace.cli.ProcessPoolExecutor", SerialPool)
+        workers = serial_pool(monkeypatch, cpus=4)
         serial, pooled = tmp_path / "serial.json", tmp_path / "pooled.json"
         assert main(["simulate", "--algorithm", "p2c-1", *SIM_ARGS,
                      "--jobs", "1", "--out", str(serial)]) == 0
@@ -385,6 +399,21 @@ class TestSimulate:
                      "--jobs", "64", "--out", str(pooled)]) == 0
         capsys.readouterr()
         assert workers == [2]  # SIM_ARGS asks for 2 replications
+        assert serial.read_bytes() == pooled.read_bytes()
+
+    @pytest.mark.parametrize("affinity", [True, False])
+    def test_worker_pool_bounded_by_cpus(self, tmp_path, capsys, monkeypatch, affinity):
+        """More jobs and replications than the two CPUs this process may use
+        (by its affinity, or the machine's count where that call is missing):
+        the pool gets two workers, and the results are the serial ones."""
+        workers = serial_pool(monkeypatch, cpus=2, affinity=affinity)
+        args = [*SIM_ARGS, "--horizon", "10", "--replications", "3"]
+        serial, pooled = tmp_path / "serial.json", tmp_path / "pooled.json"
+        assert main(["simulate", "--algorithm", "p2c-1", *args, "--out", str(serial)]) == 0
+        assert main(["simulate", "--algorithm", "p2c-1", *args,
+                     "--jobs", "5000", "--out", str(pooled)]) == 0
+        capsys.readouterr()
+        assert workers == [2]
         assert serial.read_bytes() == pooled.read_bytes()
 
     def test_validate_and_measure_time_flags(self, tmp_path, capsys):
@@ -426,6 +455,23 @@ class TestSimulate:
         assert code == 2
         assert out == ""
         assert "--jobs" in err
+
+    @pytest.mark.parametrize("scenario, extra", [
+        ({"target_load": 1e17}, {}),
+        ({}, {"series_interval": 1e-13}),
+    ], ids=["load", "series_interval"])
+    def test_run_without_end_exits_two(self, tmp_path, capsys, monkeypatch, scenario, extra):
+        """A load or series interval under which `sim.run` would not end is
+        refused with exit 2 before the first event."""
+        forbid_events(monkeypatch)
+        doc = {"scenario": {"name": "URLLC", "target_load": 0.4, "horizon": 10.0, **scenario},
+               "algorithm": "p2c-1", **extra}
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert "error" in err and "Traceback" not in err
 
     def test_series_csv(self, tmp_path, capsys):
         csv_path = tmp_path / "series.csv"

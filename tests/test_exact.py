@@ -8,6 +8,7 @@ import itertools
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -791,13 +792,13 @@ class TestInfeasibility:
             assert (res.status, res.deepest_feasible_vnf) == (SolveStatus.INFEASIBLE, 1)
 
     @pytest.mark.parametrize("resource", ["cpu", "ram"])
-    def test_root_prune_at_the_exact_total(self, resource):
+    def test_chain_at_the_exact_total(self, resource):
         """Two servers hold, between them, exactly the chain's CPU (or RAM):
-        two VNFs on a, one on b. One unit less and the root prune ends the
-        search before any node below the root."""
+        two VNFs on a, one on b. One unit less and the search holds VNFs 1
+        and 2 on a and finds no server for VNF 3."""
         # short units -> (status, nodes explored, deepest VNF) of ILP-1, ILP-2
         pins = {0: [("optimal", 5, 3), ("optimal", 4, 3)],
-                1: [("infeasible", 1, 0), ("infeasible", 1, 0)]}
+                1: [("infeasible", 3, 2), ("infeasible", 3, 2)]}
         for short, want in pins.items():
             net = make_single_dc(servers=2)
             a, b = sorted(net.data_centers["dc0"].servers)
@@ -814,7 +815,7 @@ class TestInfeasibility:
 
     def test_root_prune_sums_past_int64(self):
         """9,300 servers of the largest capacity a count admits hold more
-        CPU units than int64 can: the prune must not wrap."""
+        CPU units than int64 can: nothing the search reads may wrap."""
         net = PhysicalNetwork(TopologyParams())
         net.add_data_center("dc0", DCKind.EDC)
         for i in range(9300):
@@ -822,15 +823,14 @@ class TestInfeasibility:
         uap = net.add_node("uap0", NodeKind.UAP)
         net.add_link(uap, net.data_centers["dc0"].switch, 0.02, LinkKind.ACCESS, None)
         net.uaps.append(uap)
-        assert not net.index().sums_fit
+        assert sum(net.index().cpu_cap) >= 2**63
         res = solve_ilp1(net, short_request(net, SliceClass.BEST_EFFORT))
         assert (res.status, res.objective, res.nodes_explored) == (SolveStatus.OPTIMAL, 0.0, 4)
 
     def test_empty_root_list_ends_before_the_prune(self, monkeypatch):
         """No server of the UAP's one DC has room for VNF 1, though the
         four together hold the chain: the empty VNF-1 list ends both
-        searches at the root, and the aggregate-capacity prune never reads
-        the residual views."""
+        searches at the root, and nothing reads the residual views."""
         net = make_single_dc(servers=4)
         for sid in net.data_centers["dc0"].servers:
             net.allocate(sid, 36.0, 0.0)  # 14 CPU left, VNF 1 needs 15
@@ -850,12 +850,17 @@ class TestInfeasibility:
                    (SolveStatus.INFEASIBLE, 1, 0)
         assert reads == []
 
-    def test_aggregate_capacity_prunes_at_root(self):
-        net = make_single_dc(servers=1, cpu=30.0)
-        req = short_request(net, SliceClass.URLLC)
-        res = solve_ilp1(net, req)
-        assert res.status is SolveStatus.INFEASIBLE
-        assert res.deepest_feasible_vnf == 0
+    def test_every_algorithm_blocks_where_the_chain_stops_fitting(self):
+        """One 30-CPU server holds two of URLLC's 15-CPU VNFs, not three,
+        though VNF 1 has a candidate: all four algorithms block at VNF 3
+        and leave the residuals as they were."""
+        for algorithm in sim.Algorithm:
+            net = make_single_dc(servers=1, cpu=30.0)
+            req = make_request(SliceClass.URLLC, net.uaps[0])
+            before = residual_bytes(net)
+            out = sim.place_request(net, req, algorithm, DrawStream(np.random.default_rng(1)))
+            assert (out.status, out.blocking_vnf) == (OutcomeStatus.REJECTED, 3), algorithm
+            assert residual_bytes(net) == before
 
 
 class TestBudget:

@@ -27,7 +27,7 @@ from sliceplace.sim import (
 )
 from sliceplace.topology import SCALE, build_reference_psn
 
-from conftest import make_single_dc
+from conftest import forbid_events, make_single_dc
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +94,14 @@ class TestScenario:
     def test_bad_load(self, load):
         with pytest.raises(ValueError, match="target_load"):
             Scenario.named("mix", load)
+
+    def test_load_past_the_arrival_bound(self, net, monkeypatch):
+        """A load whose expected arrivals over the horizon pass
+        MAX_EXPECTED_ARRIVALS is refused before the first event: at 1e17
+        the arrival times stop adding up long before the horizon."""
+        forbid_events(monkeypatch)
+        with pytest.raises(ValueError, match="expected arrivals"):
+            run(net, Scenario.named("mix", 1e17, horizon=10.0, warmup=0.0), "p2c-1", 1)
 
     def test_mix_must_sum_to_one(self):
         with pytest.raises(ValueError, match="sums to"):
@@ -472,10 +480,13 @@ class TestSeries:
         assert lines[0] == "time,dc_tier,resource,used,capacity"
         assert len(lines) == 1 + len(rep.series)
 
-    @pytest.mark.parametrize("interval", [0.0, -1.0, float("nan"), float("inf")])
-    def test_bad_interval(self, net, interval):
+    @pytest.mark.parametrize("interval", [0.0, -1.0, float("nan"), float("inf"), 1e-13])
+    def test_bad_interval(self, net, monkeypatch, interval):
         """An interval of 0 or less, which would never pass the horizon,
-        and one that is not finite are refused."""
+        one that is not finite, and one that gives more than
+        MAX_SERIES_SAMPLES samples (1e-13 adds nothing to a sample time
+        past 1024) are refused, before the first event."""
+        forbid_events(monkeypatch)
         with pytest.raises(ValueError, match="series_interval"):
             run(net, short_scenario(horizon=200.0), "p2c-1", 3, series_interval=interval)
 
