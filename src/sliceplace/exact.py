@@ -2,11 +2,12 @@
 
 Both solvers run a depth-first branch-and-bound over chain-order VNF-to-server
 assignments, branching over exhaustively enumerated feasible simple paths per
-virtual link. Each later VNF's expansion runs one search from the previous
-VNF's server: both its candidate list and every candidate's paths come from
-it. `solve_ilp1` minimizes the bandwidth objective; the feasibility
-baseline `solve_ilp2` stops at the first complete placement. Determinism
-comes from fixed candidate and path orderings.
+virtual link. Each later VNF's expansion reads one search from the previous
+VNF's server, which the structure index keeps while its links carry the
+VL: both its candidate list and every candidate's paths come from it.
+`solve_ilp1` minimizes the bandwidth objective; the feasibility baseline
+`solve_ilp2` stops at the first complete placement. Determinism comes from
+fixed candidate and path orderings.
 
 Eligibility is P2C's, read from the same rules: VNF-1 candidates are
 `placement.feasible_servers`, and a later VNF's are the servers reached
@@ -26,20 +27,43 @@ under the identity of the request's demand tuples, which every request of
 a class shares, so a structural change drops them.
 
 A later VNF's expansion follows relays and runs (`topology.Run`), never
-the graph node by node. Its list (`_later_candidates`) starts from one
-path search (`_enumerate_paths`) from the previous server, which walks
-relay nodes alone, depth first on its own stack, and keeps every path to
-each relay it meets. The relays it reaches, each at its smallest latency
-(`_reach`), are the distances `feasible_servers` reads from the package's
-one latency search (`topology.relay_reach`), and `_reached_runs` keeps the
-runs anchored at them by the rule `feasible_servers` applies, and the
-reached servers outside every run (`StructureIndex.off_run`) are read as
-there. One walk over those servers in position (= id) order decides each
-one's reach, rule (the chain's thresholds, `lookahead_units`), twin class
-and group in the search order, with no per-server reach entry and no sort.
-A listed run server's paths are its anchor's, kept within the budget once
-the uplink's latency is added and sorted once per run, and listed with its
-uplink's id: the search prices each at one hop more and builds a path, the
+the graph node by node. Its list (`_later_candidates`) rests on one path
+search (`_enumerate_paths`) from where a search from the previous server
+enters the relay graph: the server itself, or, when its one link leads to
+a relay, that anchor, at the link's latency. The search walks relay nodes
+alone, depth first on its own stack, and keeps every path to each relay it
+meets. The relays it reaches, each at its smallest latency (`_reach`), are
+the distances `feasible_servers` reads from the package's one latency
+search (`topology.relay_reach`), and `_reached_runs` keeps the runs
+anchored at them by the rule `feasible_servers` applies, and the reached
+servers outside every run (`StructureIndex.off_run`) are read as there.
+What follows from the search alone, the skeleton (`_skeleton`), is those
+servers and runs in position order, each with its paths sorted: a run's
+are its anchor's, kept within the budget once the uplink's latency is
+added.
+
+The structure index keeps, with its plans, one entry per (entry node,
+latency there, budget): the skeleton of the search with no bandwidth
+filter and the relay links that search followed. A list whose budget is
+its VL's own (the latency slack has not cut it) reads the entry when each
+of those links still carries the VL, a check of a few reads: the filtered
+search would make the same moves in the same order. Otherwise it runs the
+filtered search and builds its own skeleton, and the entry stays for the
+lists after it; a list whose budget the slack cut searches as well. So a
+run searches about once per entry, not once per list, while the relay
+links carry its VLs. Virtual-network embedding does the same with
+substrate paths: it computes them once, as the topology is static, and
+checks residual bandwidth when it embeds (M. Yu, Y. Yi, J. Rexford and M.
+Chiang, "Rethinking Virtual Network Embedding: Substrate Support for Path
+Splitting and Migration", ACM SIGCOMM CCR 38(2), 2008).
+
+One walk over the skeleton's servers, the previous server put in its
+place, in position (= id) order decides each one's rule (the chain's
+thresholds, `lookahead_units`), twin class and group in the search order,
+with no per-server reach entry and no sort. A listed run server is listed
+with its run's paths and its uplink's id. The search prices each path at
+one hop more for that uplink, and one more for the previous server's link
+when the search entered at its anchor, and builds a path, that link, the
 anchor's links and the uplink, only when it branches on it. Most listed
 paths are pruned by the bound unbuilt.
 
@@ -103,8 +127,10 @@ placement the search without a budget returns.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .nspr import SliceRequest
@@ -150,31 +176,35 @@ class _FoundFeasible(Exception):
     pass
 
 
-def _enumerate_paths(psn: PhysicalNetwork, src: int, bw: float, budget_ms: float
+def _enumerate_paths(psn: PhysicalNetwork, src: int, bw: float | None, budget_ms: float,
+                     start: float = 0.0
                      ) -> tuple[dict[int, list[tuple[int, float, tuple[int, ...]]]], set[int]]:
     """Every simple path from src to each relay node (one with two or more
     links) over links with residual >= bw and total latency within budget,
     from one search: relay -> [(hops, latency, link ids)] in the order met,
-    the latency summed first link to last; src holds (0, 0.0, ()). A leaf
-    relays nothing, so the search follows `relay_adj` alone, depth first on
-    an explicit stack: a line of relays longer than the interpreter's
-    recursion limit is searched like any other.
+    the latency summed from start, first link to last; src holds (0, start,
+    ()). bw None follows every link (need -1, as `topology.relay_reach`
+    takes it). A leaf relays nothing, so the search follows `relay_adj`
+    alone, depth first on an explicit stack: a line of relays longer than
+    the interpreter's recursion limit is searched like any other.
 
     Its keys are the relays `topology.relay_reach` reaches, and the smallest
     latency at each (`_reach`) is the distance that search finds there, as
     the same float: a rounded sum of non-negative latencies never decreases
     as links are added, so the shortest left-to-right sum is one number
     either way. A one-link server's paths are its anchor's, its link added
-    (`_later_candidates`)."""
-    found = {src: [(0, 0.0, ())]}
+    (`_later_candidates`): a list's search from a one-link server starts at
+    its anchor, at the latency of its link, and the search without a
+    bandwidth filter fills the entry the index keeps for it."""
+    found = {src: [(0, start, ())]}
     visited = {src}
     trail: list[int] = []
     relay_adj, links, bw_units = psn.index().relay_adj, psn.links, psn.bw_units
-    need, limit = to_units(bw), budget_ms + LATENCY_EPS
+    need, limit = -1 if bw is None else to_units(bw), budget_ms + LATENCY_EPS
     # one frame per node on the trail: the node, its entries not yet tried
     # and the latency it was reached at. A frame resumes its entries where
     # its child left them, so paths are met in depth-first entry order
-    stack = [(src, iter(relay_adj[src]), 0.0)]
+    stack = [(src, iter(relay_adj[src]), start)]
     while stack:
         u, entries, lat = stack[-1]
         for v, lid in entries:
@@ -235,32 +265,77 @@ def _dedupe(psn: PhysicalNetwork, sids: Iterable[int]) -> Iterator[int]:
             yield sid
 
 
+def _skeleton(psn: PhysicalNetwork, found: dict[int, list[tuple[int, float, tuple[int, ...]]]],
+              limit: float) -> tuple[tuple[int, int, int, list], ...]:
+    """What a candidate list reads from a path search's result found, within
+    limit, before any residual but the search's own: segments (start, stop,
+    run index, paths) in position order. A reached server outside every run
+    (`StructureIndex.off_run`) is one segment, run index -1, with its own
+    paths sorted; a reached run (`_reached_runs`) is one, with its anchor's
+    paths, its uplink's latency added to each, kept within limit and
+    sorted. Every listed path is sorted by (hops, latency, link ids)."""
+    idx = psn.index()
+    servers, runs = idx.servers, idx.runs
+    relay = _reach(found)
+    segments = [(p, p + 1, -1, sorted(found[servers[p].id])) for p in idx.off_run
+                if servers[p].id in relay]
+    for k in _reached_runs(psn, relay, limit):
+        start, stop, _, anchor, _, _, up_lat = runs[k]
+        segments.append((start, stop, k, sorted([(hops, lat + up_lat, path)
+                                                 for hops, lat, path in found[anchor]
+                                                 if lat + up_lat <= limit])))
+    segments.sort(key=itemgetter(0))
+    return tuple(segments)
+
+
+# last_s's own entry on its list: the empty path
+_STAY = ((0, 0.0, ()),)
+
+
 def _later_candidates(psn: PhysicalNetwork, request: SliceRequest, v: int, last_s: int,
                       eff: float, dc_first: bool, rule: tuple
-                      ) -> list[tuple[int, list[tuple[int, float, tuple[int, ...]]], int]]:
-    """VNF v's candidate servers, for v > 1, in search order, one per twin
-    class (`_twin_key`), each as (server, paths, uplink id), paths its
-    feasible (hops, latency, link ids) entries in that order: the servers
-    reached from last_s within eff over links that carry VL v-1 that pass
-    `lookahead_rule`. In id order; with dc_first (ILP-1), last_s's DC, then
-    the others, less last_s's class, which `_solve` tries first. A class
-    keeps its first server in order.
+                      ) -> tuple[int, list[tuple[int, list[tuple[int, float, tuple[int, ...]]],
+                                                 int]]]:
+    """(lead, VNF v's candidate servers), for v > 1. The candidates come in
+    search order, one per twin class (`_twin_key`), each as (server, paths,
+    uplink id), paths its feasible (hops, latency, link ids) entries in that
+    order: the servers reached from last_s within eff over links that carry
+    VL v-1 that pass `lookahead_rule`. In id order; with dc_first (ILP-1),
+    last_s's DC, then the others, less last_s's class, which `_solve` tries
+    first. A class keeps its first server in order.
 
-    Reach and paths come from one `_enumerate_paths` from last_s: the
-    relays reached, at their distances (`_reach`), and the runs anchored at
-    them (`_reached_runs`, as `feasible_servers` reads them), each run
-    server's uplink tested against VL v-1; plus last_s itself and the
-    reached servers of `StructureIndex.off_run`, read as there. One walk
-    over those in position (= id) order decides each server's rule, from
-    rule, VNF v's thresholds (`lookahead_units`), and its key, which a run
-    server takes from its run. Keys hold the DC, so the two groups share
-    none: each dedupes as it fills, and with dc_first last_s's class leaves
-    its DC's group at the end. A server decided alone has its own paths,
-    last_s the empty one, and uplink id -1. A run server shares its anchor's
-    paths within eff, its run's uplink latency added to each latency,
-    sorted once per run; its uplink id is the server's link. Its path is
-    the anchor's links and then that one, hops + 1 links long, and is built
-    only by the search when it branches on it."""
+    The paths start where the search from last_s enters the relay graph: at
+    last_s, lead -1, or, when last_s's one link leads to a relay, at that
+    anchor, lead being the link, with its latency already in every latency
+    but the link in neither the hops nor the link ids. lead must carry VL
+    v-1 and fit eff, or last_s is listed alone. Every path but last_s's own
+    starts with lead: the search prices it one hop more and prepends it
+    only when it branches, as it appends a run server's uplink.
+
+    Reach and paths come from one path search (`_enumerate_paths`) from
+    that entry point, read as a skeleton (`_skeleton`): the reached servers
+    outside every run and the reached runs, in position order, each with
+    its paths sorted. When eff is the VL's own budget, the skeleton of the
+    search with no bandwidth filter is kept in the structure index's plans
+    under ("paths", entry node, latency there, eff), with the relay links
+    that search followed. A list reads it when each of those links still
+    carries VL v-1: the filtered search would then make the same moves in
+    the same order. Otherwise, and for an eff the latency slack cut, it
+    searches with the filter and builds its own skeleton; a kept skeleton
+    stays for later lists. The relay distances are `topology.relay_reach`'s
+    (`_reach`), and the runs those `feasible_servers` reads (`_reached_runs`).
+
+    One walk over the skeleton's servers, last_s put in its place and
+    decided alone, in position (= id) order decides each server's rule,
+    from rule, VNF v's thresholds (`lookahead_units`), and its key, which a
+    run server takes from its run; a run server's uplink must carry VL v-1.
+    Keys hold the DC, so the two groups share none: each dedupes as it
+    fills, and with dc_first last_s's class leaves its DC's group at the
+    end. A server decided alone has its own paths, last_s the empty one,
+    and uplink id -1. A run server shares its run's paths, and its uplink
+    id is the server's link. Its path is the anchor's links and then that
+    one, hops + 1 links long, and is built only by the search when it
+    branches on it."""
     idx = psn.index()
     pos, servers, runs = idx.pos, idx.servers, idx.runs
     cpu, ram, bw_units = psn.cpu_units, psn.ram_units, psn.bw_units
@@ -268,26 +343,50 @@ def _later_candidates(psn: PhysicalNetwork, request: SliceRequest, v: int, last_
     bw_next, cpu_both, ram_both = ahead or (0, 0, 0)
     vl = request.vls[v - 2]
     need, limit = vl.bw_units, eff + LATENCY_EPS
-    found, _ = _enumerate_paths(psn, last_s, vl.bw, eff)
-    relay = _reach(found)
-    # (start, stop, run index) of the run positions reached, and
-    # (position, position + 1, -1) of each server decided alone: last_s,
-    # reached whatever its links, and the reached servers outside every run
-    p_last = pos[last_s]
-    segments = [(p_last, p_last + 1, -1)]
-    segments += [(p, p + 1, -1) for p in idx.off_run
-                 if p != p_last and servers[p].id in relay]
-    for k in _reached_runs(psn, relay, limit):
-        start, stop = runs[k][:2]
-        if start <= p_last < stop:  # last_s's run: last_s is decided alone
-            segments += ((start, p_last, k), (p_last + 1, stop, k))
+    # where the search from last_s enters the relay graph: the relay across
+    # its one link, at that link's latency, or last_s itself
+    entries = idx.relay_adj[last_s]
+    if len(entries) == 1 and len(psn.adj[last_s]) == 1:
+        (node, lead), = entries
+        lat0 = 0.0 + psn.links[lead].latency_ms
+    else:
+        node, lat0, lead = last_s, 0.0, -1
+    if lead >= 0 and (bw_units[lead] < need or lat0 > limit):
+        segments = ()  # nothing is reached past last_s's link
+    else:
+        kept = None
+        if eff == vl.budget_ms:
+            key = ("paths", node, lat0, eff)
+            kept = idx.plans.get(key)
+            if kept is None:
+                found, _ = _enumerate_paths(psn, node, None, eff, lat0)
+                # the links the search followed: each ends a path it met
+                kept = _keep_plan(idx, key, (
+                    tuple({path[-1] for f in found.values() for _, _, path in f if path}),
+                    _skeleton(psn, found, limit)))
+            if min(map(bw_units.__getitem__, kept[0]), default=need) < need:
+                kept = None
+        if kept is None:
+            found, _ = _enumerate_paths(psn, node, vl.bw, eff, lat0)
+            segments = _skeleton(psn, found, limit)
         else:
-            segments.append((start, stop, k))
+            segments = kept[1]
+    # last_s in its place, decided alone: its own segment, or the run it
+    # splits, gives way to it
+    p_last = pos[last_s]
+    here = ((p_last, p_last + 1, -1, _STAY),)
+    i = j = bisect_right(segments, p_last, key=itemgetter(0))
+    if i and segments[i - 1][1] > p_last:
+        i -= 1
+        start, stop, k, paths = segments[i]
+        if k >= 0:
+            here = ((start, p_last, k, paths), *here, (p_last + 1, stop, k, paths))
+    segments = (*segments[:i], *here, *segments[j:])
     last_dc = psn.nodes[last_s].dc if dc_first else None
     head = None  # last_s's key once it passes, with dc_first
     near: dict[tuple, tuple] = {}  # last_s's DC, with dc_first
     far: dict[tuple, tuple] = {}
-    for start, stop, k in sorted(segments):
+    for start, stop, k, paths in segments:
         if k < 0:
             sid, c, r = servers[start].id, cpu[start], ram[start]
             if not lookahead_rule(psn, sid, c, r, cpu_v, ram_v, ahead):
@@ -300,12 +399,11 @@ def _later_candidates(psn: PhysicalNetwork, request: SliceRequest, v: int, last_
                     continue
                 group = near
             if key not in group:
-                group[key] = (sid, sorted(found[sid]), -1)
+                group[key] = (sid, paths, -1)
             continue
         first, _, link, anchor, dc, _, up_lat = runs[k]
         group = near if dc_first and dc == last_dc else far
         shift = link - first  # the uplink of position p is link shift + p
-        shared = None  # the anchor's paths on to the run
         for p in range(start, stop):
             c, r = cpu[p], ram[p]
             if c < cpu_v or r < ram_v:
@@ -316,12 +414,9 @@ def _later_candidates(psn: PhysicalNetwork, request: SliceRequest, v: int, last_
             # `_twin_key` of a one-link server
             key = (dc, anchor, up_lat, c, r, up)
             if key not in group:
-                if shared is None:
-                    shared = sorted([(hops, lat + up_lat, path) for hops, lat, path
-                                     in found[anchor] if lat + up_lat <= limit])
-                group[key] = (servers[p].id, shared, shift + p)
+                group[key] = (servers[p].id, paths, shift + p)
     near.pop(head, None)
-    return [*near.values(), *far.values()]
+    return lead, [*near.values(), *far.values()]
 
 
 def _chain_plan(idx: StructureIndex, request: SliceRequest) -> tuple:
@@ -458,16 +553,24 @@ def _solve(psn: PhysicalNetwork, request: SliceRequest, *, find_optimal: bool,
                 if committed + near_hops[last_s] * bw + rest >= best_cost:
                     return
         eff = min(vl.budget_ms, request.e2e_budget_ms - used_e2e)
-        for sid, paths, up in _later_candidates(psn, request, v, last_s, eff, find_optimal,
-                                                rules[v]):
-            # a run server's path is its anchor's with its uplink up added,
-            # one hop more, and built only when the search branches on it
-            run = up >= 0
+        lead, candidates = _later_candidates(psn, request, v, last_s, eff, find_optimal,
+                                             rules[v])
+        for sid, paths, up in candidates:
+            # a path leaves last_s over its link first, unless that is -1
+            # or the path is last_s's own, and reaches a run server over its
+            # uplink up last: each one hop more, and the path is built only
+            # when the search branches on it
+            first = lead if sid != last_s else -1
+            more = (first >= 0) + (up >= 0)
             for hops, lat, path in paths:
-                cost = committed + (hops + run) * bw
+                cost = committed + (hops + more) * bw
                 if best_cost is not None and cost + rest >= best_cost:
                     break  # paths sorted by hops; the rest cost at least this much
-                branch(v, sid, (*path, up) if run else path, lat, used_e2e, cost)
+                if first >= 0:
+                    path = (first, *path)
+                if up >= 0:
+                    path = (*path, up)
+                branch(v, sid, path, lat, used_e2e, cost)
 
     status = SolveStatus.OPTIMAL
     try:

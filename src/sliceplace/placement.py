@@ -451,12 +451,14 @@ def lookahead_rule(psn: PhysicalNetwork, server_id: int, cpu: int, ram: int,
     return False
 
 
-# Plans (`_store`, and the exact search's chain constants) the structure
-# index keeps; a full cache is emptied. The number of plans grows with the
-# run: a seed-1 MIX rho 1 P2C-1 run at scale 1 met 2,532 distinct ones in
-# 18,214 arrivals, the benchmark's scale-16 P2C-2 run 203 in 2,187
-# (CHANGES.md, "P2C steps read cached slice plans and enter their searches
-# at the anchor")
+# Plans (`_store`, and the exact search's chain constants and relay paths)
+# the structure index keeps; a full cache is emptied. The number of plans
+# grows with the run: a seed-1 MIX rho 1 P2C-1 run at scale 1 met 2,532
+# distinct ones in 18,214 arrivals, the benchmark's scale-16 P2C-2 run 203
+# in 2,187 (CHANGES.md, "P2C steps read cached slice plans and enter their
+# searches at the anchor"); the benchmark's scale-1 ILP-1 run keeps 103, 70
+# of them relay-path entries, and a seed-1 ILP-2 run at MIX rho 2, horizon
+# 1000, 110, 77 of them (`BENCH_35.json`, `plans`)
 PLANS_MAX = 4096
 
 

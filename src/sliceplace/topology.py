@@ -279,7 +279,9 @@ class StructureIndex(NamedTuple):
     # tier), a later VNF's under (indices of the runs reached, best tier,
     # the DCs that apply the lookahead); with them the exact search's chain
     # constants (`exact._chain_plan`) under ("chain", ids of the demand
-    # tuples). The keys' first items, an int, a tuple and a str, never meet
+    # tuples) and its relay paths (`exact._later_candidates`) under
+    # ("paths", entry node, latency there, budget). The keys' first items,
+    # an int, a tuple and a str naming the kind, never meet
     alpha: dict[int, dict[str, float]]
     plans: dict[tuple, tuple]
 

@@ -9,8 +9,9 @@ destination; the single search of `sliceplace.exact._enumerate_paths` must
 find what it finds for every relay node, and the candidate lists built on
 it (`sliceplace.exact._later_candidates`) for every server they list. A
 list holds a run server's path as its anchor's links and its uplink's id,
-and the search joins the two only when it branches on the path: the tests
-join them to compare.
+and a path from a server whose one link leads to a relay without that
+link, which the list returns as its lead; the search joins them only when
+it branches on the path: the tests join them to compare.
 
 `plain_reach`, `plain_hop_path`, `lookahead`, `scan_feasible_servers` and
 `narrow_to_best_tier` are plain one-pass versions of P2C's reach search,

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sliceplace.exact import SolveStatus, _enumerate_paths, solve_ilp1, solve_ilp2
-from sliceplace import exact, sim
+from sliceplace import exact, placement, sim
 from sliceplace.nspr import DEFAULT_CATALOG, ClassSpec, SliceClass, VnfDemand, make_request
 from sliceplace.p2c import DrawStream, OutcomeStatus, Policy
 from sliceplace.p2c import place as p2c_place
@@ -113,18 +113,59 @@ def one_slot_and_two_slot_network() -> tuple[PhysicalNetwork, int, int]:
     return net, a, b
 
 
-def listed(net: PhysicalNetwork, src: int, bw: float, budget: float,
-           dc_first: bool = False) -> dict[int, list[tuple[tuple[int, ...], float]]]:
-    """Server -> its (path, latency) pairs on VNF 2's candidate list from
-    src within budget, for a request whose VNFs need 1 CPU and 6 GB of RAM
-    each and whose VL 1 carries bw. A run server's entries hold its
-    anchor's links, and its path is those with its uplink appended."""
+def listed_request(net: PhysicalNetwork, bw: float, budget: float | None = None):
+    """A best-effort request from the first UAP whose VNFs need 1 CPU and 6
+    GB of RAM each and whose VL 1 carries bw, within budget if one is
+    given (its class's budget otherwise)."""
     req = make_request(SliceClass.BEST_EFFORT, net.uaps[0])
-    req = dataclasses.replace(req, vnfs=tuple(VnfDemand(1.0, 6.0) for _ in req.vnfs),
-                              vls=(dataclasses.replace(req.vls[0], bw=bw), *req.vls[1:]))
-    return {sid: [((*path, up) if up >= 0 else path, lat) for _, lat, path in paths]
-            for sid, paths, up in exact._later_candidates(net, req, 2, src, budget, dc_first,
-                                                          lookahead_units(req, 2))}
+    vl = dataclasses.replace(req.vls[0], bw=bw)
+    if budget is not None:
+        vl = dataclasses.replace(vl, budget_ms=budget)
+    return dataclasses.replace(req, vnfs=tuple(VnfDemand(1.0, 6.0) for _ in req.vnfs),
+                               vls=(vl, *req.vls[1:]))
+
+
+def listed(net: PhysicalNetwork, src: int, bw: float, budget: float,
+           dc_first: bool = False, kept: bool = False
+           ) -> dict[int, list[tuple[tuple[int, ...], float]]]:
+    """Server -> its (path, latency) pairs on VNF 2's candidate list from
+    src within budget, for `listed_request`; with kept, VL 1's own budget
+    is budget, so the list reads the path entries the structure index
+    keeps. A run server's entries hold its anchor's links, and its path is
+    those with its uplink appended. When src's one link leads to a relay,
+    the entries start past that link, and every path but src's own, the
+    empty one, has it prepended."""
+    req = listed_request(net, bw, budget if kept else None)
+    lead, candidates = exact._later_candidates(net, req, 2, src, budget, dc_first,
+                                               lookahead_units(req, 2))
+    if len(net.adj[src]) == 1 and len(net.adj[net.adj[src][0][0]]) > 1:
+        assert lead == net.adj[src][0][1]
+    else:
+        assert lead == -1
+    head = (lead,) if lead >= 0 else ()
+    return {sid: [((*(head if sid != src else ()), *path, *((up,) if up >= 0 else ())), lat)
+                  for _, lat, path in paths]
+            for sid, paths, up in candidates}
+
+
+def path_entries(net: PhysicalNetwork) -> dict[tuple, tuple]:
+    """The path entries of the network's structure index."""
+    return {k: e for k, e in net.index().plans.items() if k[0] == "paths"}
+
+
+def assert_kept_lists(net: PhysicalNetwork, bw: float, budget: float) -> None:
+    """Every server's VNF-2 lists, in both orders, read through the path
+    entries, are the oracle's (`exact_candidates`), each listed server at
+    the paths a search to it alone finds, summed first link to last."""
+    req = listed_request(net, bw, budget)
+    for last_s in (s.id for s in net.servers()):
+        for dc_first in (True, False):
+            by_dst = listed(net, last_s, bw, budget, dc_first, kept=True)
+            assert list(by_dst) == exact_candidates(net, req, 2, last_s, budget, dc_first)
+            for dst, paths in by_dst.items():
+                assert [p for p, _ in paths] == \
+                       ([()] if dst == last_s else paths_to(net, last_s, dst, bw, budget))
+                assert all(lat == summed(net, p) for p, lat in paths)
 
 
 def summed(net: PhysicalNetwork, path: tuple[int, ...]) -> float:
@@ -352,7 +393,7 @@ class TestCandidateList:
                     for dc_first in (True, False):
                         assert [sid for sid, _, _ in exact._later_candidates(
                                     net, req, v, last_s, eff, dc_first,
-                                    lookahead_units(req, v))] == \
+                                    lookahead_units(req, v))[1]] == \
                                exact_candidates(net, req, v, last_s, eff, dc_first)
 
     def test_last_s_takes_its_class_from_a_lower_id(self):
@@ -363,8 +404,9 @@ class TestCandidateList:
         a, b = sorted(net.data_centers["dc0"].servers)
         req = make_request(SliceClass.BEST_EFFORT, net.uaps[0])
         rule = lookahead_units(req, 2)
-        assert [sid for sid, _, _ in exact._later_candidates(net, req, 2, b, 1.0, False, rule)] == [a]
-        assert exact._later_candidates(net, req, 2, b, 1.0, True, rule) == []
+        assert [sid for sid, _, _ in exact._later_candidates(net, req, 2, b, 1.0, False, rule)[1]] \
+               == [a]
+        assert exact._later_candidates(net, req, 2, b, 1.0, True, rule)[1] == []
         assert exact_candidates(net, req, 2, b, 1.0, True) == []
 
 
@@ -382,6 +424,86 @@ class TestCandidateList:
         res = solve_ilp1(ref, make_request(SliceClass.BEST_EFFORT, ref.uaps[0]))
         assert (res.status, res.objective) == (SolveStatus.OPTIMAL, 0.0)
         assert keys == [res.placement.x[1]]
+
+
+class TestPathEntries:
+    """A list whose latency bound is its VL's own budget reads its relay
+    paths from the entry that the structure index keeps for where its
+    search enters the relay graph, while every relay link the entry's
+    search followed carries the VL. Whatever the residuals, the lists and
+    their paths are the plain searches'."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(twinned(loaded_substrates()), st.data())
+    def test_a_thinned_link_and_its_return(self, net, data):
+        """The lists of every server, then with one relay link or one
+        server's link to a relay thinned below the VL's need, then with it
+        restored. The entries stay while a list searches past them."""
+        bw = data.draw(st.sampled_from(LINK_BWS))
+        budget = data.draw(st.sampled_from([0.1, 0.33, 1.0, 5.0]))
+        assert_kept_lists(net, bw, budget)
+        # every link that carries the VL but one between two leaves
+        adj, need = net.adj, to_units(bw)
+        thinnable = [link.id for link in net.links if net.bw_units[link.id] >= need
+                     and max(len(adj[link.a]), len(adj[link.b])) > 1]
+        if not thinnable:
+            return
+        lid = data.draw(st.sampled_from(thinnable))
+        kept = path_entries(net)
+        mark = net.begin()
+        net.allocate_bw(lid, net.bw_residual(lid) - bw / 2)
+        assert net.bw_units[lid] < need
+        assert_kept_lists(net, bw, budget)
+        assert all(path_entries(net)[k] is e for k, e in kept.items())
+        net.rollback(mark)
+        assert_kept_lists(net, bw, budget)
+
+    def test_clones_read_their_own_residuals(self):
+        """Two clones share one index and its entries. On thin, the link
+        between the switches carries less than the VL: from e0 only e0's
+        own DC is listed there, and a CDC server is listed on wide."""
+        net = make_pair(edc_servers=2, cdc_servers=2, km=10)
+        wide, thin = net.clone(), net.clone()
+        sw_e, sw_c = net.data_centers["edc0"].switch, net.data_centers["cdc0"].switch
+        thin.allocate_bw(link_id(net, sw_e, sw_c), 9.5)
+        assert wide.index() is thin.index()
+        e0 = min(net.data_centers["edc0"].servers)
+        cdc = set(net.data_centers["cdc0"].servers)
+        seen = []
+        for clone in (thin, wide, thin, wide):
+            assert_kept_lists(clone, 1.0, 1.0)
+            seen.append(bool(set(listed(clone, e0, 1.0, 1.0, kept=True)) & cdc))
+        assert seen == [False, True, False, True]
+
+    def test_structural_change_drops_the_entries(self):
+        """A second EDC hangs off the CDC switch. Once the two EDC switches
+        are linked as well, a new index holds no entry of the old one, and
+        e1 is listed from e0 at the new direct path first."""
+        net = make_pair(edc_servers=1, cdc_servers=1, km=10)
+        (e0,) = net.data_centers["edc0"].servers
+        sw_e, sw_c = net.data_centers["edc0"].switch, net.data_centers["cdc0"].switch
+        sw_f = net.add_data_center("edc1", DCKind.EDC).switch
+        e1 = net.add_server("edc1-s00", "edc1", 50.0, 300.0)
+        up = net.add_link(sw_f, e1, 0.0, LinkKind.INTRA_DC, 10.0)
+        via_c = net.add_link(sw_c, sw_f, 0.05, LinkKind.TRANSPORT, 10.0)
+        assert_kept_lists(net, 1.0, 1.0)
+        first = (link_id(net, e0, sw_e), link_id(net, sw_e, sw_c), via_c, up)
+        assert [p for p, _ in listed(net, e0, 1.0, 1.0, kept=True)[e1]] == [first]
+        assert path_entries(net)
+        direct = net.add_link(sw_e, sw_f, 0.05, LinkKind.TRANSPORT, 10.0)
+        assert path_entries(net) == {}
+        assert [p for p, _ in listed(net, e0, 1.0, 1.0, kept=True)[e1]] == \
+               [(link_id(net, e0, sw_e), direct, up), first]
+        assert_kept_lists(net, 1.0, 1.0)
+
+    def test_a_full_plan_cache_starts_over(self, monkeypatch):
+        """At `PLANS_MAX` plans the cache is emptied before the next is
+        kept, path entries and all; the lists stay the oracle's."""
+        monkeypatch.setattr(placement, "PLANS_MAX", 2)
+        net = make_pair(edc_servers=3, cdc_servers=2, km=10)
+        for bw, budget in itertools.product((1.0, 10.0), (0.05, 1.0)):
+            assert_kept_lists(net, bw, budget)
+            assert len(net.index().plans) <= 2
 
 
 class TestDetour:

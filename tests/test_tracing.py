@@ -21,13 +21,14 @@ from spans import Tracer, instrument  # noqa: E402
 def traced_run(algorithm: str) -> tuple[sim.MetricsReport, dict[str, float]]:
     """A scale-1 MIX run, untraced, then traced under every layer span:
     asserts that every span resolves and that tracing changes no result,
-    and returns the untraced report and the layer metrics."""
-    psn = build_reference_psn(1)
+    and returns the untraced report and the layer metrics. Each run has a
+    network of its own: clones share the structure index and the plans it
+    keeps, so the traced run meets none that the untraced one filled."""
     scenario = sim.Scenario.named("MIX", 1.0, horizon=60.0)
-    plain = sim.run(psn, scenario, algorithm, 5)
+    plain = sim.run(build_reference_psn(1), scenario, algorithm, 5)
     tracer = Tracer()
     with instrument(tracer, layers.SPANS) as absent:
-        traced = sim.run(psn, scenario, algorithm, 5)
+        traced = sim.run(build_reference_psn(1), scenario, algorithm, 5)
     assert absent == []
     assert worker.digest(traced) == worker.digest(plain)
     return plain, layers.layer_metrics(tracer.stats)
