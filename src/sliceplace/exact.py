@@ -3,8 +3,9 @@
 Both solvers run a depth-first branch-and-bound over chain-order VNF-to-server
 assignments, branching over exhaustively enumerated feasible simple paths per
 virtual link. Each later VNF's expansion reads one search from the previous
-VNF's server, which the structure index keeps while its links carry the
-VL: both its candidate list and every candidate's paths come from it.
+VNF's server, which the structure index keeps: both its candidate list and
+every candidate's paths come from it, less the paths over links too thin
+for the VL.
 `solve_ilp1` minimizes the bandwidth objective; the feasibility baseline
 `solve_ilp2` stops at the first complete placement. Determinism comes from
 fixed candidate and path orderings.
@@ -43,19 +44,22 @@ are its anchor's, kept within the budget once the uplink's latency is
 added.
 
 The structure index keeps, with its plans, one entry per (entry node,
-latency there, budget): the skeleton of the search with no bandwidth
-filter and the relay links that search followed. A list whose budget is
-its VL's own (the latency slack has not cut it) reads the entry when each
-of those links still carries the VL, a check of a few reads: the filtered
-search would make the same moves in the same order. Otherwise it runs the
-filtered search and builds its own skeleton, and the entry stays for the
-lists after it; a list whose budget the slack cut searches as well. So a
-run searches about once per entry, not once per list, while the relay
-links carry its VLs. Virtual-network embedding does the same with
-substrate paths: it computes them once, as the topology is static, and
-checks residual bandwidth when it embeds (M. Yu, Y. Yi, J. Rexford and M.
-Chiang, "Rethinking Virtual Network Embedding: Substrate Support for Path
-Splitting and Migration", ACM SIGCOMM CCR 38(2), 2008).
+latency there, budget): the skeleton of the search, which has no
+bandwidth filter, and the relay links that search followed. Every list
+reads its entry; the search runs only to fill a missing one. A list whose
+budget is its VL's own reads the skeleton as it is while each of those
+links still carries the VL, a check of a few reads. Otherwise, when a
+link is too thin or the latency slack cut the budget, it keeps of each
+segment the paths that avoid the thin links and fit the budget, and drops
+a segment left with none. A search filtered by bandwidth and bounded by
+the cut budget meets exactly those paths: latencies are sums of
+non-negative terms, and a run's paths already carry its uplink's latency.
+So a run searches once per entry, not once per list. Virtual-network
+embedding does the same with substrate paths: it computes them once, as
+the topology is static, and checks residual bandwidth when it embeds (M.
+Yu, Y. Yi, J. Rexford and M. Chiang, "Rethinking Virtual Network
+Embedding: Substrate Support for Path Splitting and Migration", ACM
+SIGCOMM CCR 38(2), 2008).
 
 One walk over the skeleton's servers, the previous server put in its
 place, in position (= id) order decides each one's rule (the chain's
@@ -138,7 +142,7 @@ from .placement import (LATENCY_EPS, Placement, _keep_plan, _reached_runs, bandw
                         feasible_servers, lookahead_rule, lookahead_units)
 # unused here: kept for the benchmark, whose reach span and tests look it up in this module
 from .placement import latency_reach  # noqa: F401
-from .topology import PhysicalNetwork, StructureIndex, to_units
+from .topology import PhysicalNetwork, StructureIndex
 
 DEFAULT_NODE_BUDGET = 200_000
 
@@ -176,31 +180,29 @@ class _FoundFeasible(Exception):
     pass
 
 
-def _enumerate_paths(psn: PhysicalNetwork, src: int, bw: float | None, budget_ms: float,
-                     start: float = 0.0
+def _enumerate_paths(psn: PhysicalNetwork, src: int, budget_ms: float, start: float = 0.0
                      ) -> tuple[dict[int, list[tuple[int, float, tuple[int, ...]]]], set[int]]:
     """Every simple path from src to each relay node (one with two or more
-    links) over links with residual >= bw and total latency within budget,
-    from one search: relay -> [(hops, latency, link ids)] in the order met,
-    the latency summed from start, first link to last; src holds (0, start,
-    ()). bw None follows every link (need -1, as `topology.relay_reach`
-    takes it). A leaf relays nothing, so the search follows `relay_adj`
-    alone, depth first on an explicit stack: a line of relays longer than
-    the interpreter's recursion limit is searched like any other.
+    links) within budget, over any residual, from one search: relay ->
+    [(hops, latency, link ids)] in the order met, the latency summed from
+    start, first link to last; src holds (0, start, ()). A leaf relays
+    nothing, so the search follows `relay_adj` alone, depth first on an
+    explicit stack: a line of relays longer than the interpreter's
+    recursion limit is searched like any other.
 
-    Its keys are the relays `topology.relay_reach` reaches, and the smallest
-    latency at each (`_reach`) is the distance that search finds there, as
-    the same float: a rounded sum of non-negative latencies never decreases
-    as links are added, so the shortest left-to-right sum is one number
-    either way. A one-link server's paths are its anchor's, its link added
-    (`_later_candidates`): a list's search from a one-link server starts at
-    its anchor, at the latency of its link, and the search without a
-    bandwidth filter fills the entry the index keeps for it."""
+    Its keys are the relays `topology.relay_reach` reaches with need -1, and
+    the smallest latency at each (`_reach`) is the distance that search
+    finds there, as the same float: a rounded sum of non-negative latencies
+    never decreases as links are added, so the shortest left-to-right sum
+    is one number either way. A one-link server's paths are its anchor's,
+    its link added (`_later_candidates`): a list's search from a one-link
+    server starts at its anchor, at the latency of its link. It fills the
+    path entry the index keeps for that start, which every list reads."""
     found = {src: [(0, start, ())]}
     visited = {src}
     trail: list[int] = []
-    relay_adj, links, bw_units = psn.index().relay_adj, psn.links, psn.bw_units
-    need, limit = -1 if bw is None else to_units(bw), budget_ms + LATENCY_EPS
+    relay_adj, links = psn.index().relay_adj, psn.links
+    limit = budget_ms + LATENCY_EPS
     # one frame per node on the trail: the node, its entries not yet tried
     # and the latency it was reached at. A frame resumes its entries where
     # its child left them, so paths are met in depth-first entry order
@@ -208,7 +210,7 @@ def _enumerate_paths(psn: PhysicalNetwork, src: int, bw: float | None, budget_ms
     while stack:
         u, entries, lat = stack[-1]
         for v, lid in entries:
-            if v in visited or bw_units[lid] < need:
+            if v in visited:
                 continue
             nl = lat + links[lid].latency_ms
             if nl > limit:
@@ -268,8 +270,8 @@ def _dedupe(psn: PhysicalNetwork, sids: Iterable[int]) -> Iterator[int]:
 def _skeleton(psn: PhysicalNetwork, found: dict[int, list[tuple[int, float, tuple[int, ...]]]],
               limit: float) -> tuple[tuple[int, int, int, list], ...]:
     """What a candidate list reads from a path search's result found, within
-    limit, before any residual but the search's own: segments (start, stop,
-    run index, paths) in position order. A reached server outside every run
+    limit, before any residual: segments (start, stop, run index, paths) in
+    position order. A reached server outside every run
     (`StructureIndex.off_run`) is one segment, run index -1, with its own
     paths sorted; a reached run (`_reached_runs`) is one, with its anchor's
     paths, its uplink's latency added to each, kept within limit and
@@ -315,15 +317,17 @@ def _later_candidates(psn: PhysicalNetwork, request: SliceRequest, v: int, last_
     Reach and paths come from one path search (`_enumerate_paths`) from
     that entry point, read as a skeleton (`_skeleton`): the reached servers
     outside every run and the reached runs, in position order, each with
-    its paths sorted. When eff is the VL's own budget, the skeleton of the
-    search with no bandwidth filter is kept in the structure index's plans
-    under ("paths", entry node, latency there, eff), with the relay links
-    that search followed. A list reads it when each of those links still
-    carries VL v-1: the filtered search would then make the same moves in
-    the same order. Otherwise, and for an eff the latency slack cut, it
-    searches with the filter and builds its own skeleton; a kept skeleton
-    stays for later lists. The relay distances are `topology.relay_reach`'s
-    (`_reach`), and the runs those `feasible_servers` reads (`_reached_runs`).
+    its paths sorted. The structure index keeps the skeleton in its plans
+    under ("paths", entry node, latency there, budget), budget the larger
+    of eff and the VL's own, with the relay links the search followed; the
+    search, which has no bandwidth filter, runs only to fill a missing
+    entry. When each of those links carries VL v-1 and eff is the budget,
+    the list reads the skeleton as it is. Otherwise it keeps of each
+    segment the paths within eff over no link too thin for VL v-1, in
+    order, and drops a segment left with none: what a search bounded by
+    eff over links that carry the VL would list. The relay distances are
+    `topology.relay_reach`'s (`_reach`), and the runs those
+    `feasible_servers` reads (`_reached_runs`).
 
     One walk over the skeleton's servers, last_s put in its place and
     decided alone, in position (= id) order decides each server's rule,
@@ -354,23 +358,26 @@ def _later_candidates(psn: PhysicalNetwork, request: SliceRequest, v: int, last_
     if lead >= 0 and (bw_units[lead] < need or lat0 > limit):
         segments = ()  # nothing is reached past last_s's link
     else:
-        kept = None
-        if eff == vl.budget_ms:
-            key = ("paths", node, lat0, eff)
-            kept = idx.plans.get(key)
-            if kept is None:
-                found, _ = _enumerate_paths(psn, node, None, eff, lat0)
-                # the links the search followed: each ends a path it met
-                kept = _keep_plan(idx, key, (
-                    tuple({path[-1] for f in found.values() for _, _, path in f if path}),
-                    _skeleton(psn, found, limit)))
-            if min(map(bw_units.__getitem__, kept[0]), default=need) < need:
-                kept = None
+        budget = max(eff, vl.budget_ms)
+        key = ("paths", node, lat0, budget)
+        kept = idx.plans.get(key)
         if kept is None:
-            found, _ = _enumerate_paths(psn, node, vl.bw, eff, lat0)
-            segments = _skeleton(psn, found, limit)
-        else:
-            segments = kept[1]
+            found, _ = _enumerate_paths(psn, node, budget, lat0)
+            # the links the search followed: each ends a path it met
+            kept = _keep_plan(idx, key, (
+                tuple({path[-1] for f in found.values() for _, _, path in f if path}),
+                _skeleton(psn, found, budget + LATENCY_EPS)))
+        followed, segments = kept
+        if min(map(bw_units.__getitem__, followed), default=need) < need or eff < budget:
+            # the kept paths within eff over no thin link; a segment left
+            # with none is not reached
+            thin = {lid for lid in followed if bw_units[lid] < need}
+            filtered = []
+            for start, stop, k, paths in segments:
+                left = [e for e in paths if e[1] <= limit and thin.isdisjoint(e[2])]
+                if left:
+                    filtered.append((start, stop, k, left))
+            segments = filtered
     # last_s in its place, decided alone: its own segment, or the run it
     # splits, gives way to it
     p_last = pos[last_s]

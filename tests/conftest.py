@@ -135,3 +135,15 @@ def forbid_events(monkeypatch) -> None:
         raise AssertionError("the run reached its first event")
     monkeypatch.setattr(sim._Accounting, "_rows_at", started)
     monkeypatch.setattr(sim, "place_request", started)
+
+
+def forbid_build(monkeypatch) -> None:
+    """Make the reference generator raise AssertionError at its first data
+    center (`PhysicalNetwork.add_data_center`), from now to the end of the
+    test. Parameters that would build without end then fail instead of
+    hanging."""
+    from sliceplace.topology import PhysicalNetwork
+
+    def started(*args, **kwargs):
+        raise AssertionError("the builder added a data center")
+    monkeypatch.setattr(PhysicalNetwork, "add_data_center", started)

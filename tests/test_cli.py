@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -14,7 +15,7 @@ from sliceplace.config import ConfigError, RunConfig
 from sliceplace.nspr import SliceClass
 from sliceplace.topology import PhysicalNetwork, TopologyParams
 
-from conftest import forbid_events, make_single_dc
+from conftest import forbid_build, forbid_events, make_single_dc
 from test_exact import relay_line_network
 
 
@@ -73,6 +74,42 @@ class TestGenerate:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+class TestSubstrateBound:
+    """Parameters that would build more than `topology.MAX_GENERATED`
+    servers or links exit 2 before the generator adds anything, however
+    they arrive."""
+
+    @pytest.mark.parametrize("argv", [
+        ("generate",),
+        ("place", "--class", "urllc"),
+        ("simulate", "--algorithm", "p2c-1"),
+        ("compare",),
+    ], ids=["generate", "place", "simulate", "compare"])
+    def test_huge_scale_exits_two(self, capsys, monkeypatch, argv):
+        forbid_build(monkeypatch)
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv, "--scale", str(2**70))
+        assert time.perf_counter() - started < 1.0
+        assert (code, out) == (2, "")
+        assert "at most 100000" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("topology", [
+        {"scale": 2**70},
+        {"servers_per_edc": 2**70},
+        {"cdc_count": 500, "edc_count": 500},
+    ], ids=["scale", "servers_per_edc", "cdc_mesh"])
+    def test_huge_config_exits_two(self, tmp_path, capsys, monkeypatch, topology):
+        forbid_build(monkeypatch)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"topology": topology}))
+        for argv in (("generate",), ("simulate", "--algorithm", "p2c-1")):
+            started = time.perf_counter()
+            code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+            assert time.perf_counter() - started < 1.0
+            assert (code, out) == (2, "")
+            assert "at most 100000" in err and "Traceback" not in err
 
 
 class TestPlace:

@@ -27,7 +27,7 @@ from sliceplace.topology import (SCALE, DCKind, LinkKind, NodeKind, PhysicalNetw
 from conftest import make_pair, make_single_dc
 from oracles import (LINK_BWS, InstanceTooLargeError, brute_force, exact_candidates,
                      loaded_substrates, paths_to, plain_dedupe, residual_bytes,
-                     scan_feasible_servers, twinned)
+                     scan_feasible_servers, twinned, usable)
 from test_placement import link_id
 
 SHORT_CATALOG = {
@@ -130,13 +130,21 @@ def listed(net: PhysicalNetwork, src: int, bw: float, budget: float,
            ) -> dict[int, list[tuple[tuple[int, ...], float]]]:
     """Server -> its (path, latency) pairs on VNF 2's candidate list from
     src within budget, for `listed_request`; with kept, VL 1's own budget
-    is budget, so the list reads the path entries the structure index
-    keeps. A run server's entries hold its anchor's links, and its path is
-    those with its uplink appended. When src's one link leads to a relay,
-    the entries start past that link, and every path but src's own, the
-    empty one, has it prepended."""
-    req = listed_request(net, bw, budget if kept else None)
-    lead, candidates = exact._later_candidates(net, req, 2, src, budget, dc_first,
+    is budget, so the list reads the path entry the structure index keeps
+    for budget as it is while the entry's links carry bw; without, VL 1
+    keeps its class's budget, which budget may cut or exceed. A run
+    server's entries hold its anchor's links, and its path is those with
+    its uplink appended. When src's one link leads to a relay, the
+    entries start past that link, and every path but src's own, the empty
+    one, has it prepended."""
+    return listed_for(net, listed_request(net, bw, budget if kept else None), src, budget,
+                      dc_first)
+
+
+def listed_for(net: PhysicalNetwork, req, src: int, eff: float, dc_first: bool = False
+               ) -> dict[int, list[tuple[tuple[int, ...], float]]]:
+    """`listed` for the request req, its VNF-2 list from src within eff."""
+    lead, candidates = exact._later_candidates(net, req, 2, src, eff, dc_first,
                                                lookahead_units(req, 2))
     if len(net.adj[src]) == 1 and len(net.adj[net.adj[src][0][0]]) > 1:
         assert lead == net.adj[src][0][1]
@@ -154,17 +162,26 @@ def path_entries(net: PhysicalNetwork) -> dict[tuple, tuple]:
 
 
 def assert_kept_lists(net: PhysicalNetwork, bw: float, budget: float) -> None:
-    """Every server's VNF-2 lists, in both orders, read through the path
-    entries, are the oracle's (`exact_candidates`), each listed server at
-    the paths a search to it alone finds, summed first link to last."""
-    req = listed_request(net, bw, budget)
+    """`assert_lists` for `listed_request` within VL 1's own budget, so that
+    every list reads its path entry as it is while the entry's links carry
+    bw."""
+    assert_lists(net, listed_request(net, bw, budget), lambda last_s: budget)
+
+
+def assert_lists(net: PhysicalNetwork, req, eff_at) -> None:
+    """Every server's VNF-2 lists for req, in both orders, each within
+    eff_at(server), are the oracle's (`exact_candidates`), each listed
+    server at the paths a search to it alone finds, summed first link to
+    last."""
+    bw = req.vls[0].bw
     for last_s in (s.id for s in net.servers()):
+        eff = eff_at(last_s)
         for dc_first in (True, False):
-            by_dst = listed(net, last_s, bw, budget, dc_first, kept=True)
-            assert list(by_dst) == exact_candidates(net, req, 2, last_s, budget, dc_first)
+            by_dst = listed_for(net, req, last_s, eff, dc_first)
+            assert list(by_dst) == exact_candidates(net, req, 2, last_s, eff, dc_first)
             for dst, paths in by_dst.items():
                 assert [p for p, _ in paths] == \
-                       ([()] if dst == last_s else paths_to(net, last_s, dst, bw, budget))
+                       ([()] if dst == last_s else paths_to(net, last_s, dst, bw, eff))
                 assert all(lat == summed(net, p) for p, lat in paths)
 
 
@@ -227,12 +244,15 @@ class TestPathSearch:
         src = data.draw(st.sampled_from(nodes))
         bw = data.draw(st.sampled_from([0.0] + LINK_BWS))
         budget = data.draw(st.sampled_from([-0.5, 0.0, 0.1, 0.33, 1.0, 5.0]))
-        found, rest = _enumerate_paths(net, src, bw, budget)
+        found, rest = _enumerate_paths(net, src, budget)
         assert rest == set() and found[src] == [(0, 0.0, ())]
         relays = {u for u in nodes if len(net.adj[u]) > 1}
         assert set(found) <= relays | {src}
+        # the search follows every link; its paths over links with bw left
+        # are those a search to each relay alone over such links finds
         for u in relays - {src}:
-            assert [p for _, _, p in sorted(found.get(u, []))] == \
+            assert [p for _, _, p in sorted(found.get(u, []))
+                    if all(usable(net, lid, bw) for lid in p)] == \
                    paths_to(net, src, u, bw, budget)
         for entries in found.values():
             # each latency is the float the search summed, first link to last
@@ -250,9 +270,10 @@ class TestPathSearch:
     @given(loaded_substrates(), st.data())
     def test_reach_is_the_relay_dijkstra(self, net, data):
         """The relays the search reaches, each at its smallest latency
-        (`exact._reach`), are `topology.relay_reach`'s, as the same floats.
-        Relay links are drawn thin, so that the bandwidth test binds, and
-        the limits from -0.5 to 5 ms."""
+        (`exact._reach`), are `topology.relay_reach`'s over every link, as
+        the same floats; and those its paths over links that carry bw
+        reach are `relay_reach`'s at bw. Relay links are drawn thin, so
+        that the bandwidth test binds, and the limits from -0.5 to 5 ms."""
         for link in net.links:
             left = net.bw_residual(link.id)
             if left and len(net.adj[link.a]) > 1 and len(net.adj[link.b]) > 1:
@@ -262,8 +283,15 @@ class TestPathSearch:
         src = data.draw(st.sampled_from(range(len(net.nodes))))
         bw = data.draw(st.sampled_from([0.0] + LINK_BWS))
         budget = data.draw(st.floats(-0.5, 5.0))
-        found, _ = _enumerate_paths(net, src, bw, budget)
-        assert exact._reach(found) == relay_reach(net, src, to_units(bw), budget + LATENCY_EPS)
+        found, _ = _enumerate_paths(net, src, budget)
+        assert exact._reach(found) == relay_reach(net, src, -1, budget + LATENCY_EPS)
+        need = to_units(bw)
+        carried = {}
+        for u, entries in found.items():
+            entries = [e for e in entries if all(net.bw_units[lid] >= need for lid in e[2])]
+            if entries:
+                carried[u] = entries
+        assert exact._reach(carried) == relay_reach(net, src, need, budget + LATENCY_EPS)
 
     def test_every_path_behind_one_switch_and_an_empty_second_value(self):
         """Behind the CDC switch sit leaf servers c0 and c1 and a relay
@@ -281,7 +309,7 @@ class TestPathSearch:
         net.add_link(router, sw_c, 0.05, LinkKind.TRANSPORT, 10.0)
         net.add_link(sw_e, c2, 0.1, LinkKind.TRANSPORT, 10.0)
         net.allocate(c1, 1.0, 6.0)
-        result = _enumerate_paths(net, e0, 1.0, 1.0)
+        result = _enumerate_paths(net, e0, 1.0)
         assert type(result) is tuple and len(result) == 2
         found, rest = result
         assert type(found) is dict and rest == set()
@@ -305,7 +333,7 @@ class TestPathSearch:
         relayed = (link_id(net, e0, sw_e), link_id(net, sw_e, e1), bridge,
                    link_id(net, sw_c, c0))
         direct = (link_id(net, e0, sw_e), link_id(net, sw_e, sw_c), link_id(net, sw_c, c0))
-        found, _ = _enumerate_paths(net, e0, 1.0, 1.0)
+        found, _ = _enumerate_paths(net, e0, 1.0)
         assert [p for _, _, p in found[sw_c]] == [relayed[:3], direct[:2]]
         paths = {dst: [p for p, _ in pairs] for dst, pairs in listed(net, e0, 1.0, 1.0).items()}
         assert paths[c0] == [direct, relayed]
@@ -339,7 +367,7 @@ class TestPathSearch:
         router = net.add_node("r", NodeKind.ROUTER)
         net.add_link(sw_e, router, 0.3, LinkKind.TRANSPORT, 10.0)
         net.add_link(router, sw_c, 0.3, LinkKind.TRANSPORT, 10.0)
-        found, _ = _enumerate_paths(net, e0, 1.0, 1.0)
+        found, _ = _enumerate_paths(net, e0, 1.0)
         assert len(found[sw_c]) == 2
         direct = (link_id(net, e0, sw_e), link_id(net, sw_e, sw_c), up)
         assert [p for p, _ in listed(net, e0, 1.0, 1.0)[c0]] == [direct] == \
@@ -504,6 +532,51 @@ class TestPathEntries:
         for bw, budget in itertools.product((1.0, 10.0), (0.05, 1.0)):
             assert_kept_lists(net, bw, budget)
             assert len(net.index().plans) <= 2
+
+    @settings(max_examples=100, deadline=None)
+    @given(twinned(loaded_substrates()), st.data())
+    def test_a_budget_the_slack_cut(self, net, data):
+        """A class whose end-to-end budget leaves VL 1 less than its own
+        budget once VNF 1's access latency is spent: every list keeps of
+        the entry for VL 1's budget the paths within the cut. The lists
+        of every server, then with one relay link or one server's link to
+        a relay thinned below the VL's need, then with it restored."""
+        bw = data.draw(st.sampled_from(LINK_BWS))
+        budget = data.draw(st.sampled_from([0.33, 1.0, 5.0]))
+        cut = data.draw(st.sampled_from([0.0, 0.3, 0.7]))
+        spec = ClassSpec(cpu_per_vnf=1.0, ram_per_vnf=6.0, bw_per_vl=bw, alpha_max_ms=0.07,
+                         vl_budgets_ms=(budget,) * 4, e2e_budget_ms=0.07 + cut * budget)
+        req = make_request(SliceClass.BEST_EFFORT,
+                           net.uaps[data.draw(st.integers(0, len(net.uaps) - 1))],
+                           catalog={**DEFAULT_CATALOG, SliceClass.BEST_EFFORT: spec})
+
+        def eff_at(last_s: int) -> float:
+            """What the end-to-end budget leaves VL 1 with VNF 1 on last_s,
+            as `_solve` computes it: less than VL 1's own budget."""
+            used = net.access_latency(req.uap, net.nodes[last_s].dc)
+            eff = min(budget, req.e2e_budget_ms - used)
+            assert eff < budget
+            return eff
+
+        def assert_cut_lists() -> None:
+            assert_lists(net, req, eff_at)
+            assert {k[3] for k in path_entries(net)} <= {budget}
+
+        assert_cut_lists()
+        adj, need = net.adj, to_units(bw)
+        thinnable = [link.id for link in net.links if net.bw_units[link.id] >= need
+                     and max(len(adj[link.a]), len(adj[link.b])) > 1]
+        if not thinnable:
+            return
+        lid = data.draw(st.sampled_from(thinnable))
+        kept = path_entries(net)
+        mark = net.begin()
+        net.allocate_bw(lid, net.bw_residual(lid) - bw / 2)
+        assert net.bw_units[lid] < need
+        assert_cut_lists()
+        assert path_entries(net) == kept
+        net.rollback(mark)
+        assert_cut_lists()
 
 
 class TestDetour:
@@ -720,6 +793,24 @@ class TestPathLimit:
         assert (res.objective, res.placement.x) == (2.0, {1: a, 2: b, 3: b})
         assert sources == [a]
         assert brute_force(net, req).objective == pytest.approx(2.0)
+
+    def test_a_saturating_run_searches_once_per_entry(self, monkeypatch):
+        """Seed 1, ILP-2 at MIX rho 2 on the scale-1 substrate, 371
+        arrivals: relay links run out of bandwidth, yet every list reads a
+        path entry, and a path search runs only to fill one. Searching
+        afresh for each list whose entry's links no longer all carry its
+        VL would make 670."""
+        searches = []
+
+        def enumerate_paths(psn, src, *args):
+            searches.append(src)
+            return _enumerate_paths(psn, src, *args)
+
+        monkeypatch.setattr(exact, "_enumerate_paths", enumerate_paths)
+        net = build_reference_psn(1)
+        report = sim.run(net, sim.Scenario.named("MIX", 2.0, horizon=200.0), "ilp-2", 1)
+        assert (report.arrivals, report.accepted) == (371, 225)
+        assert len(searches) == len(path_entries(net)) == 74
 
 
 # solver -> class -> (objective, x) on the empty scale-1 substrate, from

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sliceplace import topology
 from sliceplace.nspr import SliceClass, make_request
 from sliceplace.placement import Placement, feasible_servers, latency_reach
 from sliceplace.topology import (
@@ -31,7 +32,7 @@ from sliceplace.topology import (
     left_sum,
 )
 
-from conftest import heap_pushes, make_pair
+from conftest import forbid_build, heap_pushes, make_pair
 from oracles import (LINK_LATENCIES, fits, loaded_substrates, per_vnf_writes,
                      plain_access_latency, residual_bytes)
 
@@ -71,6 +72,32 @@ class TestParams:
         p = dataclasses.replace(TopologyParams(), **{field: value})
         with pytest.raises((ValueError, TopologyError)):
             p.validate()
+
+    @pytest.mark.parametrize("params", [
+        TopologyParams(),
+        TopologyParams(scale=3, ccp_count=2, cdc_count=3, edc_count=9, servers_per_ccp=1),
+        TopologyParams(cdc_count=7, edc_count=7, servers_per_cdc=1, servers_per_edc=2),
+    ], ids=["reference", "two_ccps", "cdc_mesh"])
+    def test_size_bound_counts_what_is_built(self, monkeypatch, params):
+        """`validate` refuses parameters whose substrate would have more
+        than MAX_GENERATED links (no fewer than servers), counted exactly:
+        a bound at the built count passes, one below it is refused."""
+        links = len(build_reference_psn(params.scale, params).links)
+        monkeypatch.setattr(topology, "MAX_GENERATED", links)
+        params.validate()
+        monkeypatch.setattr(topology, "MAX_GENERATED", links - 1)
+        with pytest.raises(TopologyError, match=f"and {links} links; at most {links - 1}"):
+            params.validate()
+
+    def test_reference_bound(self, monkeypatch):
+        """The default parameters build up to scale 793 (99,918 servers,
+        99,963 links); scale 794 and 2**70 are refused before anything is
+        built."""
+        TopologyParams(scale=793).validate()
+        forbid_build(monkeypatch)
+        for scale in (794, 2**70):
+            with pytest.raises(TopologyError, match="at most 100000"):
+                build_reference_psn(scale)
 
 
 class TestReferenceBuild:
