@@ -16,8 +16,9 @@ from the previous server, as `feasible_servers` reaches them, that pass
 `placement.lookahead_rule`, in every DC (P2C exempts the other DCs from
 the lookahead). Of interchangeable twin servers (`_twin_key`) only the
 first in search order is searched. Each search frame holds its VNF and path
-in residual units, through one `PhysicalNetwork.hold`, in a substrate
-transaction it rolls back; a path's latency is the one its enumeration
+in residual units, through one `PhysicalNetwork.hold`, and gives the same
+units back through `give_back` when it returns or raises, so a solve leaves
+the residuals as it found them; a path's latency is the one its enumeration
 summed.
 
 Per-chain constants (`_chain_plan`): the chain's demands in units, the
@@ -119,7 +120,7 @@ BUDGET_EXCEEDED is reported as they report it.
 
 The search recurses two frames per VNF, so a chain longer than
 MAX_CHAIN_VNFS raises ValueError before anything is held: the residuals
-and the transaction state stay as they were. P2C takes such chains.
+stay as they were. P2C takes such chains.
 
 Searches carry an explored-node budget, the one source of BUDGET_EXCEEDED:
 a tripped budget is reported as such, never as a silently suboptimal
@@ -496,12 +497,11 @@ def _solve(psn: PhysicalNetwork, request: SliceRequest, *, find_optimal: bool,
     def branch(v: int, sid: int, path: tuple[int, ...], lat: float, used_e2e: float,
                committed: int) -> None:
         """Hold VNF v on sid and VL v-1 on path, of latency lat, search on,
-        roll back."""
+        give the hold back."""
         nonlocal deepest
-        mark = psn.begin()
+        cpu_v, ram_v, bw_v = need[v - 1]
+        psn.hold(sid, cpu_v, ram_v, path, bw_v)
         try:
-            cpu_v, ram_v, bw_v = need[v - 1]
-            psn.hold(sid, cpu_v, ram_v, path, bw_v)
             # a frame overwrites its own keys and a leaf reads keys 1..n of
             # its path only, so nothing is popped on the way back
             x[v] = sid
@@ -514,7 +514,7 @@ def _solve(psn: PhysicalNetwork, request: SliceRequest, *, find_optimal: bool,
                 deepest = v
             expand(v + 1, sid, next_e2e, committed)
         finally:
-            psn.rollback(mark)
+            psn.give_back(sid, cpu_v, ram_v, path, bw_v)
 
     def expand(v: int, last_s: int | None, used_e2e: float, committed: int) -> None:
         nonlocal nodes, best_cost, best_x, best_y, deepest

@@ -162,11 +162,21 @@ class SliceRequest:
 def make_request(cls: SliceClass, uap: int, *, request_id: int = 0,
                  arrival_time: float = 0.0, holding_time: float = 0.0,
                  catalog: Mapping[SliceClass, ClassSpec] = DEFAULT_CATALOG) -> SliceRequest:
+    """A request of class cls at uap, equal to, hash-equal to and printed as
+    `SliceRequest(...)` with the same fields. Its chain is the class's
+    shared one (`ClassSpec.chain`), which holds one more VNF than VLs by
+    construction, so the instance dict is filled directly, without the
+    frozen initializer's checks and per-field `object.__setattr__`; it
+    stays frozen."""
     spec = catalog[cls]
     vnfs, vls, e2e_budget_ms = spec.chain
-    return SliceRequest(id=request_id, cls=cls, uap=uap, vnfs=vnfs, vls=vls,
-                        alpha_max_ms=spec.alpha_max_ms, e2e_budget_ms=e2e_budget_ms,
-                        arrival_time=arrival_time, holding_time=holding_time)
+    request = object.__new__(SliceRequest)
+    # in field order, as the initializer fills it
+    d = request.__dict__
+    d["id"], d["cls"], d["uap"], d["vnfs"], d["vls"] = request_id, cls, uap, vnfs, vls
+    d["alpha_max_ms"], d["e2e_budget_ms"] = spec.alpha_max_ms, e2e_budget_ms
+    d["arrival_time"], d["holding_time"] = arrival_time, holding_time
+    return request
 
 
 class ClassTable(NamedTuple):

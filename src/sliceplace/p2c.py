@@ -5,9 +5,10 @@ TIER_PREFERRED only those of the best tier present), draws two candidates
 without replacement from a `DrawStream`, and keeps the one whose
 virtual-link path from the previous VNF's server holds less bandwidth (ties
 favor the first draw; landing on the previous server itself costs nothing
-and wins outright). The episode runs in one substrate transaction: rejection
-at any VNF rolls it back to the exact pre-episode state and reports the
-blocking VNF index.
+and wins outright). Each step holds its VNF and VL through one
+`PhysicalNetwork.hold`; rejection at any VNF, or an error, gives the steps
+held back (`give_back`), newest first, which leaves the exact pre-episode
+state, and reports the blocking VNF index.
 
 It reads only what two choices need: the eligible ids come as one
 `array('q')` (`feasible_servers`), of which the draw reads the length and
@@ -124,28 +125,45 @@ def get_two_candidates(candidates: Sequence[int],
     makes on the stream's generator, value for value and with as many raw
     values taken: numpy draws two of n by Floyd's algorithm (one index
     below n - 1, then one below n that stands for n - 1 when it repeats the
-    first) and then shuffles the pair with one more bounded draw."""
+    first) and then shuffles the pair with one more bounded draw. The three
+    draws are `DrawStream.below(n - 1)`, `below(n)` and `below(2)`, written
+    out on the stream's raw values: for 2 the redraw threshold 2**32 % 2
+    is 0, so `below(2)` is the raw value's top bit."""
     if not candidates:
         raise ValueError("candidate list is empty")
     n = len(candidates)
     if n == 1:
         return candidates[0], candidates[0]
-    below = stream.below
-    i = below(n - 1)
-    j = below(n)
+    raw = stream.raw
+    k = n - 1
+    if k == 1:
+        i = 0
+    else:
+        m = raw() * k
+        if m & 0xFFFFFFFF < k:
+            floor = (1 << 32) % k
+            while m & 0xFFFFFFFF < floor:
+                m = raw() * k
+        i = m >> 32
+    m = raw() * n
+    if m & 0xFFFFFFFF < n:
+        floor = (1 << 32) % n
+        while m & 0xFFFFFFFF < floor:
+            m = raw() * n
+    j = m >> 32
     if j == i:
         j = n - 1
-    if below(2) == 0:
+    if raw() < 1 << 31:
         i, j = j, i
     return candidates[i], candidates[j]
 
 
 def place(psn: PhysicalNetwork, request: SliceRequest, policy: Policy,
           stream: DrawStream) -> PlacementOutcome:
-    """Place one request, committing resources on acceptance.
+    """Place one request, keeping its holds on acceptance.
 
-    On rejection the episode's transaction rolls back, so the substrate is
-    bit-identical to the pre-call state.
+    On rejection, or when a step raises, the steps held are given back, so
+    the substrate is bit-identical to the pre-call state.
     """
     best_tier = policy is Policy.TIER_PREFERRED
     vnfs, vls = request.vnfs, request.vls
@@ -154,7 +172,6 @@ def place(psn: PhysicalNetwork, request: SliceRequest, policy: Policy,
     cost = 0.0
     used_e2e = 0.0
     last_s: int | None = None
-    mark = psn.begin()
     accepted = False
     try:
         for v in range(1, len(vnfs) + 1):
@@ -166,8 +183,8 @@ def place(psn: PhysicalNetwork, request: SliceRequest, policy: Policy,
             cpu, ram = vnfs[v - 1].units
             if v == 1:
                 psn.hold(s1, cpu, ram, (), 0)
-                used_e2e = psn.access_latency(request.uap, psn.nodes[s1].dc)
                 x[1] = last_s = s1
+                used_e2e = psn.access_latency(request.uap, psn.nodes[s1].dc)
                 continue
 
             vl = vls[v - 2]
@@ -184,13 +201,17 @@ def place(psn: PhysicalNetwork, request: SliceRequest, policy: Policy,
                 else:
                     chosen, path = s2, p2
             psn.hold(chosen, cpu, ram, path, vl.bw_units)
+            x[v] = last_s = chosen
+            y[v - 1] = path
             for lid in path:
                 used_e2e += psn.links[lid].latency_ms
-            y[v - 1] = path
             cost += len(path) * vl.bw
-            x[v] = last_s = chosen
         accepted = True
         return PlacementOutcome(OutcomeStatus.ACCEPTED, Placement(x, y, cost), cost, None)
     finally:
-        # keep an accepted episode; undo a rejected or failed one
-        (psn.commit if accepted else psn.rollback)(mark)
+        # keep an accepted episode; give back the holds of a rejected or
+        # failed one, newest first: x and y record each step as it is held
+        if not accepted:
+            for v in reversed(x):
+                bw = vls[v - 2].bw_units if v > 1 else 0
+                psn.give_back(x[v], *vnfs[v - 1].units, y.get(v - 1, ()), bw)

@@ -767,6 +767,6 @@ def release_placement(psn: PhysicalNetwork, request: SliceRequest,
     one write per server and per link. Atomic: on failure nothing is
     returned. Reads the sums recorded under this request, if the
     placement has them (`Placement.units`), and sums and records them
-    otherwise: a placement P2C committed through its transaction is
-    summed here, once."""
+    otherwise: a placement P2C held step by step (`PhysicalNetwork.hold`)
+    is summed here, once."""
     psn.write_units(1, *_demand_units(request, placement))

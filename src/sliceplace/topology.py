@@ -331,10 +331,10 @@ class PhysicalNetwork:
     per-VNF step hold through it), and `write_units`, which takes or
     returns whole units on the servers and links it is given: a whole
     placement's sums, or the one demand of a float wrapper (`allocate`,
-    `allocate_bw`, `release`, `release_bw`). Inside a (nestable)
-    transaction, `mark = begin()` then `commit(mark)` or `rollback(mark)`,
-    each write logs (array, slot, old units) for a rollback to write back.
-    `snapshot`/`restore` copy the arrays whole.
+    `allocate_bw`, `release`, `release_bw`). What a `hold` took,
+    `give_back` with the same arguments returns, unchecked: its callers
+    give back what they held, newest first, so each slot returns to the
+    units it had. `snapshot`/`restore` copy the arrays whole.
 
     `index()` returns the one `StructureIndex`, built in one pass on first
     use after a structural change (`_append`, behind `add_node`,
@@ -363,9 +363,6 @@ class PhysicalNetwork:
         self.ram_units = array("q")
         self.bw_units = array("q")
         self._views: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        # (residual array, slot, old units); log length at each open begin
-        self._undo: list[tuple[array, int, int]] = []
-        self._marks: list[int] = []
         self._index: StructureIndex | None = None
 
     def __getstate__(self) -> dict:
@@ -378,9 +375,8 @@ class PhysicalNetwork:
         self._index = None
         if self._views is not None:
             self._views = None
-            fresh = {id(a): array("q", a) for a in self._stores()}
-            self._undo = [(fresh[id(a)], i, units) for a, i, units in self._undo]
-            self.cpu_units, self.ram_units, self.bw_units = fresh.values()
+            self.cpu_units, self.ram_units, self.bw_units = (
+                array("q", a) for a in self._stores())
 
     def _append(self, node: Node, cpu: int = 0, ram: int = 0) -> None:
         """Add a node; a server's residual units fill its new slots."""
@@ -547,8 +543,8 @@ class PhysicalNetwork:
         links are distinct (a simple path). Every slot is checked before any
         is written, so a refusal writes nothing: TopologyError for a node
         that is not a server or a link unknown or without bandwidth
-        accounting, CapacityError when a slot is short. Inside a
-        transaction each write logs its slot's old units as it writes."""
+        accounting, CapacityError when a slot is short. `give_back` with
+        the same arguments returns what it took."""
         pos = (self._index or self._build_index()).pos
         p = pos[server_id] if 0 <= server_id < len(pos) else -1
         if p < 0:
@@ -569,16 +565,19 @@ class PhysicalNetwork:
                 raise CapacityError(f"link {lid}: need {bw / SCALE}, free {free / SCALE}")
         cpu_units[p] = free_cpu - cpu
         ram_units[p] = free_ram - ram
-        if self._marks:
-            undo = self._undo
-            undo += ((cpu_units, p, free_cpu), (ram_units, p, free_ram))
-            for lid in path:
-                free = bw_units[lid]
-                undo.append((bw_units, lid, free))
-                bw_units[lid] = free - bw
-        else:
-            for lid in path:
-                bw_units[lid] -= bw
+        for lid in path:
+            bw_units[lid] -= bw
+
+    def give_back(self, server_id: int, cpu: int, ram: int, path: Sequence[int],
+                  bw: int) -> None:
+        """Return what `hold` took with the same arguments, checking
+        nothing: the caller gives back only holds it made on this network,
+        newest first. A checked return is `write_units(1, ...)`."""
+        p = (self._index or self._build_index()).pos[server_id]
+        self.cpu_units[p] += cpu
+        self.ram_units[p] += ram
+        for lid in path:
+            self.bw_units[lid] += bw
 
     def allocate(self, server_id: int, cpu: float, ram: float) -> None:
         """Take one VNF's CPU units and GB on a server (`write_units`)."""
@@ -601,8 +600,7 @@ class PhysicalNetwork:
         so a refusal writes nothing: CapacityError when a take exceeds what
         is free, ReleaseError when a return exceeds capacity, TopologyError
         for a node that is not a server or a link without bandwidth
-        accounting. Then each slot is written once; inside a transaction
-        each write logs (array, slot, old units)."""
+        accounting. Then each slot is written once."""
         # the check of `_pos`, inline: every departure of a run writes through here
         cpu_units, ram_units, bw_units = self.cpu_units, self.ram_units, self.bw_units
         idx = self.index()
@@ -634,31 +632,7 @@ class PhysicalNetwork:
             elif new > bw_cap[lid]:
                 raise ReleaseError(f"link {lid}: release exceeds capacity")
             writes.append((bw_units, lid, new))
-        if self._marks:
-            self._undo += [(store, i, store[i]) for store, i, _ in writes]
         for store, i, units in writes:
-            store[i] = units
-
-    def begin(self) -> int:
-        """Open a transaction; returns the mark that closes it."""
-        self._marks.append(len(self._undo))
-        return self._marks[-1]
-
-    def _close(self, mark: int) -> None:
-        if not self._marks or self._marks.pop() != mark:
-            raise TopologyError("transactions must close innermost first")
-
-    def commit(self, mark: int) -> None:
-        """Keep the changes since `mark`; an enclosing transaction may undo them."""
-        self._close(mark)
-        if not self._marks:
-            self._undo.clear()
-
-    def rollback(self, mark: int) -> None:
-        """Write back the residuals logged since `mark`, newest first."""
-        self._close(mark)
-        while len(self._undo) > mark:
-            store, i, units = self._undo.pop()
             store[i] = units
 
     def _stores(self) -> tuple[array, array, array]:

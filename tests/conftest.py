@@ -147,3 +147,23 @@ def forbid_build(monkeypatch) -> None:
     def started(*args, **kwargs):
         raise AssertionError("the builder added a data center")
     monkeypatch.setattr(PhysicalNetwork, "add_data_center", started)
+
+
+class HoldFailed(RuntimeError):
+    pass
+
+
+def fail_hold(monkeypatch, net: PhysicalNetwork, k: int) -> list[int]:
+    """Make net's k-th `hold` from now raise HoldFailed before it writes;
+    the holds before it write as usual. Returns a one-item list that counts
+    the holds made."""
+    made = [0]
+    hold = net.hold
+
+    def failing(*args):
+        if made[0] + 1 == k:
+            raise HoldFailed(f"hold {k}")
+        made[0] += 1
+        hold(*args)
+    monkeypatch.setattr(net, "hold", failing)
+    return made

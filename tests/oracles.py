@@ -20,8 +20,8 @@ hop search, lookahead rule, eligibility and tier narrowing.
 `exact_candidates` builds the exact search's later-VNF list from them, pass
 by pass, and `plain_dedupe` drops twin servers by their incident links.
 `reference_place` and `reference_release` build whole P2C episodes from
-them, writing the residual arrays directly, with no transaction and no
-numpy view. `loaded_substrates` draws the small random substrates they run
+them, writing the residual arrays directly, with no `hold`, no
+`give_back` and no numpy view. `loaded_substrates` draws the small random substrates they run
 on, and `twinned` makes two servers of one of them twins.
 
 `per_vnf_writes` is a plain units model of `apply_placement` and

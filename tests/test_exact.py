@@ -24,7 +24,7 @@ from sliceplace.topology import (SCALE, DCKind, LinkKind, NodeKind, PhysicalNetw
                                  TopologyParams, build_reference_psn, left_sum, relay_reach,
                                  to_units)
 
-from conftest import make_pair, make_single_dc
+from conftest import HoldFailed, fail_hold, make_pair, make_single_dc
 from oracles import (LINK_BWS, InstanceTooLargeError, brute_force, exact_candidates,
                      loaded_substrates, paths_to, plain_dedupe, residual_bytes,
                      scan_feasible_servers, twinned, usable)
@@ -478,12 +478,12 @@ class TestPathEntries:
             return
         lid = data.draw(st.sampled_from(thinnable))
         kept = path_entries(net)
-        mark = net.begin()
-        net.allocate_bw(lid, net.bw_residual(lid) - bw / 2)
+        thin = net.bw_residual(lid) - bw / 2
+        net.allocate_bw(lid, thin)
         assert net.bw_units[lid] < need
         assert_kept_lists(net, bw, budget)
         assert all(path_entries(net)[k] is e for k, e in kept.items())
-        net.rollback(mark)
+        net.release_bw(lid, thin)
         assert_kept_lists(net, bw, budget)
 
     def test_clones_read_their_own_residuals(self):
@@ -570,12 +570,12 @@ class TestPathEntries:
             return
         lid = data.draw(st.sampled_from(thinnable))
         kept = path_entries(net)
-        mark = net.begin()
-        net.allocate_bw(lid, net.bw_residual(lid) - bw / 2)
+        thin = net.bw_residual(lid) - bw / 2
+        net.allocate_bw(lid, thin)
         assert net.bw_units[lid] < need
         assert_cut_lists()
         assert path_entries(net) == kept
-        net.rollback(mark)
+        net.release_bw(lid, thin)
         assert_cut_lists()
 
 
@@ -666,12 +666,10 @@ class TestLongChain:
     @pytest.mark.parametrize("solver", [solve_ilp1, solve_ilp2])
     def test_refused_with_nothing_held(self, solver):
         net = build_reference_psn(1)
-        outer = net.begin()  # an enclosing transaction stays as it was
-        before = residual_bytes(net), list(net._marks), len(net._undo)
+        before = residual_bytes(net)
         with pytest.raises(ValueError, match=r"800 VNFs exceeds .* limit of 256 VNFs"):
             solver(net, one_unit_chain(net, 800))
-        assert (residual_bytes(net), list(net._marks), len(net._undo)) == before
-        net.rollback(outer)
+        assert residual_bytes(net) == before
         res = solver(net, make_request(SliceClass.BEST_EFFORT, net.uaps[0]))
         assert res.status is SolveStatus.OPTIMAL
 
@@ -682,10 +680,12 @@ class TestLongChain:
         n = exact.MAX_CHAIN_VNFS
         net = make_single_dc(servers=2, cpu=float(n - 1), ram=float(n - 1))
         req = one_unit_chain(net, n)
+        before = residual_bytes(net)
         res = solver(net, req)
         assert res.status is SolveStatus.OPTIMAL and res.deepest_feasible_vnf == n
         assert check_placement(net, req, res.placement).ok
-        assert net._marks == [] and net._undo == []
+        # every one of the n frames gave its hold back
+        assert residual_bytes(net) == before
 
 
 class TestFloor:
@@ -1091,6 +1091,41 @@ class TestBudget:
         res = solve_ilp1(ref, req, max_nodes=None)
         assert res.status is SolveStatus.OPTIMAL
         assert res.objective == pytest.approx(2.0)
+
+
+class TestGiveBack:
+    """Every search frame gives back what it held, however the search
+    ends: the residuals are the bytes the solve found."""
+
+    @staticmethod
+    def loaded():
+        """A partly loaded reference network and an eMBB request on it."""
+        net = build_reference_psn(1)
+        for i, sid in enumerate(s.id for s in net.servers()):
+            net.allocate(sid, 5.0 * (i % 7), 30.0 * (i % 5))
+        return net, make_request(SliceClass.EMBB, net.uaps[2])
+
+    @pytest.mark.parametrize("solver", [solve_ilp1, solve_ilp2])
+    @pytest.mark.parametrize("budget", [1, 2, 3, 5])
+    def test_a_budget_exceeded_solve(self, solver, budget):
+        net, req = self.loaded()
+        before = residual_bytes(net)
+        res = solver(net, req, max_nodes=budget)
+        assert res.status is SolveStatus.BUDGET_EXCEEDED
+        assert residual_bytes(net) == before
+
+    @pytest.mark.parametrize("solver", [solve_ilp1, solve_ilp2])
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_a_hold_that_raises_partway(self, solver, k, monkeypatch):
+        """An error in the k-th hold of the search unwinds every open
+        frame, and each gives back its hold."""
+        net, req = self.loaded()
+        before = residual_bytes(net)
+        made = fail_hold(monkeypatch, net, k)
+        with pytest.raises(HoldFailed):
+            solver(net, req)
+        assert made == [k - 1]
+        assert residual_bytes(net) == before
 
 
 class TestGuards:

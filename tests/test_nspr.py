@@ -16,6 +16,7 @@ from sliceplace.nspr import (
     ClassSpec,
     ClassTable,
     SliceClass,
+    SliceRequest,
     catalog_from_json,
     make_request,
 )
@@ -112,6 +113,42 @@ class TestMakeRequest:
                            catalog={SliceClass.URLLC: spec})
         assert req.n_vnfs == 3
         assert req.e2e_budget_ms == 9.0
+
+    CUSTOM = {
+        SliceClass.URLLC: ClassSpec(cpu_per_vnf=0.3, ram_per_vnf=0.1, bw_per_vl=0.7,
+                                    alpha_max_ms=0.5, vl_budgets_ms=(2.0,)),
+        SliceClass.EMBB: ClassSpec(cpu_per_vnf=1.0, ram_per_vnf=2.0, bw_per_vl=3.0,
+                                   alpha_max_ms=0.1, vl_budgets_ms=(0.5,) * 7,
+                                   e2e_budget_ms=2.0),
+    }
+
+    @pytest.mark.parametrize("catalog", [DEFAULT_CATALOG, CUSTOM], ids=["default", "custom"])
+    def test_same_request_as_the_initializer(self, catalog):
+        """Built without the initializer, a request is equal to, hashes as
+        and prints as the one `SliceRequest(...)` builds from the same
+        fields, and stays frozen."""
+        for cls, spec in catalog.items():
+            req = make_request(cls, 3, request_id=17, arrival_time=2.5, holding_time=40.0,
+                               catalog=catalog)
+            built = SliceRequest(
+                id=17, cls=cls, uap=3, vnfs=spec.chain[0], vls=spec.chain[1],
+                alpha_max_ms=spec.alpha_max_ms, e2e_budget_ms=spec.effective_e2e_ms(),
+                arrival_time=2.5, holding_time=40.0)
+            assert req == built and hash(req) == hash(built)
+            assert repr(req) == repr(built)
+            assert vars(req) == vars(built) and list(vars(req)) == list(vars(built))
+            assert dataclasses.replace(req, id=18) == dataclasses.replace(built, id=18)
+            for field in dataclasses.fields(SliceRequest):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(req, field.name, getattr(req, field.name))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                del req.id
+
+    def test_the_initializer_still_validates(self):
+        vnfs, vls, e2e = DEFAULT_CATALOG[SliceClass.URLLC].chain
+        with pytest.raises(ValueError, match="one more VNF than VLs"):
+            SliceRequest(id=0, cls=SliceClass.URLLC, uap=0, vnfs=vnfs[:-1], vls=vls,
+                         alpha_max_ms=0.03, e2e_budget_ms=e2e)
 
 
 def draw(rng: np.random.Generator, mix) -> SliceClass:

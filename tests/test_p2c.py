@@ -1,4 +1,4 @@
-"""Randomized placement heuristic: candidate policies, commit/rollback, costs."""
+"""Randomized placement heuristic: candidate policies, holds and their return, costs."""
 
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from sliceplace.placement import check_placement, feasible_servers, release_plac
 from sliceplace.topology import (DCKind, LinkKind, NodeKind, PhysicalNetwork, Server,
                                  TopologyParams, build_reference_psn)
 
-from conftest import drain_dc, make_pair, make_single_dc
+from conftest import HoldFailed, drain_dc, fail_hold, make_pair, make_single_dc
 from oracles import loaded_substrates, reference_place, reference_release
 
 
@@ -141,6 +141,24 @@ class TestGetTwoCandidates:
         with pytest.raises(ValueError):
             get_two_candidates([], DrawStream(np.random.default_rng(0)))
 
+    @pytest.mark.parametrize("sizes", [range(1, 300), [2**31 + 1, 3 * 2**30, 2**32 - 1]])
+    def test_pair_is_three_below_draws(self, sizes):
+        """The written-out draw is `below(n - 1)`, `below(n)` and
+        `below(2)`, value for value and raw value for raw value, from one
+        stream; the sizes near 2**32 redraw often."""
+        ours, theirs = (DrawStream(np.random.default_rng(11)) for _ in range(2))
+        for _ in range(20):
+            for n in sizes:
+                if n == 1:
+                    want = (0, 0)
+                else:
+                    i, j = theirs.below(n - 1), theirs.below(n)
+                    if j == i:
+                        j = n - 1
+                    want = (j, i) if theirs.below(2) == 0 else (i, j)
+                assert get_two_candidates(range(n), ours) == want
+                assert ours.raw() == theirs.raw()
+
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 10**6), st.integers(0, 2**63 - 1), st.integers(1, 4),
            st.integers(0, 3))
@@ -202,6 +220,21 @@ class TestBestTierPool:
 
 
 class TestPlace:
+    @pytest.mark.parametrize("policy", list(Policy))
+    @pytest.mark.parametrize("k", [1, 2, 4, 5])
+    def test_a_hold_that_raises_gives_the_episode_back(self, policy, k, monkeypatch):
+        """An error in the k-th step's hold leaves the bytes the episode
+        found: the k - 1 steps held are given back."""
+        net = build_reference_psn()
+        req = make_request(SliceClass.EMBB, net.uaps[4])
+        assert place(net.clone(), req, policy, DrawStream(np.random.default_rng(5))).accepted
+        before = snap_tuple(net)
+        made = fail_hold(monkeypatch, net, k)
+        with pytest.raises(HoldFailed):
+            place(net, req, policy, DrawStream(np.random.default_rng(5)))
+        assert made == [k - 1]
+        assert snap_tuple(net) == before
+
     def test_forced_colocation_costs_nothing(self):
         net = make_single_dc(servers=1)
         req = make_request(SliceClass.BEST_EFFORT, net.uaps[0])
@@ -345,8 +378,8 @@ def residuals(net: PhysicalNetwork) -> tuple[list, list]:
 
 class TestEpisodeOracle:
     """Whole arrival/departure sequences against `oracles.reference_place`:
-    a write that the structure index misses, or a rollback that leaves it
-    behind, shows only in a later episode."""
+    a write that the structure index misses, or a give-back that leaves
+    it behind, shows only in a later episode."""
 
     @pytest.mark.parametrize("policy", list(Policy))
     @settings(max_examples=300, deadline=None)
@@ -390,4 +423,5 @@ class TestEpisodeOracle:
             before = [bytes(a) for a in (net.cpu_units, net.ram_units, net.bw_units)]
             if not place(net, request, policy, stream).accepted:
                 assert [bytes(a) for a in (net.cpu_units, net.ram_units, net.bw_units)] == before
-            assert net._undo == []
+            # the episode leaves nothing on the network beside the arrays
+            assert vars(net).keys() == vars(PhysicalNetwork()).keys()

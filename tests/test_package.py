@@ -37,6 +37,21 @@ def test_import_leaves_the_test_oracles_out():
     assert out.stdout.strip() == "False"
 
 
+def test_a_timed_run_leaves_numpy_ma_out():
+    # np.median's NaN check imports numpy.ma, about 1.3 MB of a run's
+    # resident memory; the run's p50 is a statistics.median
+    code = ("import sys; from sliceplace import sim; "
+            "from sliceplace.topology import build_reference_psn; "
+            "scenario = sim.Scenario.named('MIX', 1.0, horizon=20.0); "
+            "[sim.run(build_reference_psn(1), scenario, a, 1, measure_time=True, validate=v) "
+            " for a in ('p2c-2', 'ilp-1') for v in (False, True)]; "
+            "print('numpy.ma' in sys.modules)")
+    src = str(Path(sliceplace.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
+
+
 def test_hypothesis_profile(pytestconfig):
     """By default the property tests draw a fixed set of examples and keep
     no database; `--hypothesis-profile=fresh` draws afresh."""

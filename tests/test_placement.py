@@ -1,4 +1,4 @@
-"""Placement model: checker, routing, feasibility rules, commit/rollback."""
+"""Placement model: checker, routing, feasibility rules, apply/release."""
 
 from __future__ import annotations
 
@@ -1084,7 +1084,10 @@ class TestApplyRelease:
             release_placement(net, req, plc)
         assert residual_bytes(net) == before
 
-    def test_release_in_a_transaction_rolls_back(self, ref):
+    def test_release_then_per_vnf_holds_restore_it(self, ref):
+        """A released placement held again one VNF at a time, as P2C holds
+        it, is back to the bytes it had held; given back, newest first, the
+        released bytes return."""
         net = ref.clone()
         req = make_request(SliceClass.URLLC, net.uaps[0])
         root, s_b = servers_of(net, "edc0")[:2]
@@ -1094,12 +1097,17 @@ class TestApplyRelease:
                            3: [], 4: []}, cost=2.0)
         apply_placement(net, req, plc)
         held = residual_bytes(net)
-        mark = net.begin()
         release_placement(net, req, plc)
-        assert residual_bytes(net) != held
-        net.rollback(mark)
+        released = residual_bytes(net)
+        assert released != held
+        steps = [(s, *req.vnf(v).units, plc.y.get(v - 1, ()),
+                  req.vl(v - 1).bw_units if v > 1 else 0) for v, s in plc.x.items()]
+        for step in steps:
+            net.hold(*step)
         assert residual_bytes(net) == held
-        assert net._undo == []
+        for step in reversed(steps):
+            net.give_back(*step)
+        assert residual_bytes(net) == released
 
     @settings(max_examples=150, deadline=None)
     @given(loaded_substrates(), st.data())
@@ -1107,7 +1115,8 @@ class TestApplyRelease:
         """Colocated VNFs and VLs that share links: each summed write leaves
         what one write per VNF and per hop left, refuses what it refused
         and then writes nothing, and apply then release restores the arrays
-        byte for byte, also inside a transaction that rolls back. The
+        byte for byte, also a write undone at once by the inverse write of
+        the sums it recorded (`Placement.units`). The
         releases read the sums apply recorded, or, on some draws, are given
         another request, whose own demands they must sum."""
         n = data.draw(st.integers(1, 5))
@@ -1140,10 +1149,9 @@ class TestApplyRelease:
                 (1, release_placement, released, ReleaseError))):
             want, before = per_vnf_writes(net, req, plc, sign), residual_bytes(net)
             if data.draw(st.booleans()):
-                mark = net.begin()
                 with contextlib.suppress(error):
                     write(net, req, plc)
-                net.rollback(mark)
+                    net.write_units(-sign, *plc.units[1:])
                 assert residual_bytes(net) == before
             if want is None:
                 with pytest.raises(error):
@@ -1155,7 +1163,6 @@ class TestApplyRelease:
             applied = applied or k == 0
             if k == 1 and applied and released is request:
                 assert residual_bytes(net) == start
-        assert net._undo == [] and net._marks == []
 
     def test_a_placement_is_summed_once_per_request(self, ref):
         net = ref.clone()

@@ -25,7 +25,7 @@ from sliceplace.sim import (
     place_request,
     run,
 )
-from sliceplace.topology import SCALE, build_reference_psn
+from sliceplace.topology import SCALE, PhysicalNetwork, build_reference_psn
 
 from conftest import forbid_events, make_single_dc
 
@@ -333,7 +333,7 @@ class TestPlaceRequest:
         else:
             assert out.solver_status is SolveStatus.OPTIMAL
             assert out.to_json(work)["solver_status"] == "optimal"
-        assert work._undo == []
+        assert vars(work).keys() == vars(PhysicalNetwork()).keys()
 
     def test_budget_rejection_leaves_substrate(self, net):
         work = net.clone()
@@ -367,7 +367,7 @@ class TestEventOrder:
 class TestValidateAudit:
     def test_rejection_that_leaks_is_caught(self, net, monkeypatch):
         # a placer that holds resources yet reports rejection; the ledger
-        # audit must see it without trusting the transaction log
+        # audit must see it without trusting the placer's own writes
         def leaky(psn, request, policy, rng):
             psn.allocate(psn.servers()[0].id, 1.0, 1.0)
             return PlacementOutcome(OutcomeStatus.REJECTED, None, 0.0, 1)
@@ -396,7 +396,7 @@ class TestValidateAudit:
 
     def test_residual_written_behind_the_network_is_caught(self, net, monkeypatch):
         # a departure that also takes one CPU unit off the store directly,
-        # past release and the transaction log: the ledger never held it
+        # past release: the ledger never held it
         released = []
 
         def sneaky(psn, request, placement):

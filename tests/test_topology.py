@@ -30,6 +30,7 @@ from sliceplace.topology import (
     TopologyParams,
     build_reference_psn,
     left_sum,
+    to_units,
 )
 
 from conftest import forbid_build, heap_pushes, make_pair
@@ -401,19 +402,16 @@ class TestHold:
         cpu, ram = data.draw(_HOLD_UNITS), data.draw(_HOLD_UNITS)
         path = data.draw(st.lists(st.integers(-1, len(net.links)), unique=True, max_size=4))
         bw = data.draw(_HOLD_BW)
-        # the float calls, one demand at a time, in a transaction on a clone
+        # the float calls, one demand at a time, on a clone
         ref = net.clone()
-        mark = ref.begin()
         try:
             ref.allocate(sid, cpu / SCALE, ram / SCALE)
             for lid in path:
                 ref.allocate_bw(lid, bw / SCALE)
         except (TopologyError, CapacityError) as exc:
             want = type(exc)
-            ref.rollback(mark)
         else:
             want = None
-            ref.commit(mark)
         # the server verdict is also checked on its own, against the plain rule
         if not (0 <= sid < len(net.nodes) and isinstance(net.nodes[sid], Server)):
             assert want is TopologyError
@@ -423,71 +421,72 @@ class TestHold:
         if want is None:
             net.hold(sid, cpu, ram, path, bw)
             assert residual_bytes(net) == residual_bytes(ref)
+            net.give_back(sid, cpu, ram, path, bw)
         else:
             with pytest.raises((TopologyError, CapacityError)) as info:
                 net.hold(sid, cpu, ram, path, bw)
             assert type(info.value) is want
-            assert residual_bytes(net) == before
-        assert net._undo == []
+        assert residual_bytes(net) == before
 
-    def test_logs_only_inside_a_transaction(self):
+    def test_give_back_returns_what_hold_took(self):
         net = make_pair()
         sid = net.data_centers["edc0"].servers[0]
         path = [lid for _, lid in net.adj[sid]] + [
             next(l.id for l in net.links if l.kind == LinkKind.TRANSPORT)]
         before = residual_bytes(net)
-        mark = net.begin()
         net.hold(sid, 15 * SCALE, 90 * SCALE, path, SCALE)
         net.hold(sid, 15 * SCALE, 90 * SCALE, path, SCALE)
         assert net.residual(sid) == (20.0, 120.0)
         assert [net.bw_residual(lid) for lid in path] == [8.0, 8.0]
-        net.rollback(mark)
-        assert residual_bytes(net) == before and net._undo == []
+        net.give_back(sid, 15 * SCALE, 90 * SCALE, path, SCALE)
+        net.give_back(sid, 15 * SCALE, 90 * SCALE, path, SCALE)
+        assert residual_bytes(net) == before
         net.hold(sid, 15 * SCALE, 90 * SCALE, path, SCALE)
-        assert net._undo == []
         assert net.residual(sid) == (35.0, 210.0)
+        # the network keeps no record of the holds beside the arrays
+        assert vars(net).keys() == vars(PhysicalNetwork()).keys()
 
     @settings(max_examples=150, deadline=None)
     @given(loaded_substrates(), st.data())
     def test_nested_holds_roll_back_and_commit_as_per_vnf_writes(self, net, data):
-        """A chain's holds, each in a transaction opened or not before it,
-        inside one outer transaction: rolled back they leave the starting
-        bytes; committed, the residuals a plain per-VNF model writes."""
+        """A chain's holds, nested as the placers nest them: kept, they
+        leave the residuals a plain per-VNF model writes; the newest k
+        given back, newest first, those of the chain's first n - k VNFs;
+        all given back, the starting bytes."""
         req = make_request(data.draw(st.sampled_from(list(SliceClass))), net.uaps[0])
         servers = [s.id for s in net.servers()]
         accounted = [l.id for l in net.links if l.bw_capacity is not None]
         x = {v: data.draw(st.sampled_from(servers)) for v in range(1, req.n_vnfs + 1)}
         y = {i: data.draw(st.lists(st.sampled_from(accounted), unique=True, max_size=3))
              if accounted else [] for i in range(1, req.n_vnfs)}
-        start = residual_bytes(net)
-        want = per_vnf_writes(net, req, Placement(x, y, 0.0), -1)
-        outer = net.begin()
-        marks = []
-        held = True
+        start, at_start = residual_bytes(net), net.clone()
+        arrays = lambda: [list(a) for a in (net.cpu_units, net.ram_units, net.bw_units)]
+
+        def writes(n: int):
+            """The per-VNF model's residuals with VNFs 1..n held."""
+            return per_vnf_writes(at_start, req, Placement(
+                {v: x[v] for v in range(1, n + 1)},
+                {i: y[i] for i in range(1, n)}, 0.0), -1)
+
+        held = []
         for v, sid in x.items():
-            if data.draw(st.booleans()):
-                marks.append(net.begin())
             cpu, ram = req.vnfs[v - 1].units
             path, bw = (y[v - 1], req.vls[v - 2].bw_units) if v > 1 else ((), 0)
             try:
                 net.hold(sid, cpu, ram, path, bw)
             except CapacityError:
-                held = False
                 break
-        assert held == (want is not None)
-        commit = held and data.draw(st.booleans())
-        for mark in reversed(marks):
-            if commit or data.draw(st.booleans()):
-                net.commit(mark)
-            else:
-                net.rollback(mark)
-        if commit:
-            net.commit(outer)
-            assert [list(a) for a in (net.cpu_units, net.ram_units, net.bw_units)] == list(want)
-        else:
-            net.rollback(outer)
+            held.append((sid, cpu, ram, path, bw))
+        want = writes(req.n_vnfs)
+        assert (len(held) == req.n_vnfs) == (want is not None)
+        assert arrays() == list(writes(len(held)))
+        for _ in range(data.draw(st.integers(0, len(held)))):
+            net.give_back(*held.pop())
+            assert arrays() == list(writes(len(held)))
+        if not data.draw(st.booleans()):
+            while held:
+                net.give_back(*held.pop())
             assert residual_bytes(net) == start
-        assert net._undo == []
 
 
 class TestSnapshotRestore:
@@ -538,17 +537,26 @@ class TestSnapshotRestore:
 
 
 # one step of a random substrate workload: capacity calls on a fixed pool of
-# servers and links, with fractional demands, and transaction boundaries
+# servers and links, with fractional demands, holds of fractional units, and
+# the newest hold given back or kept
 _TX_OPS = st.one_of(
     st.tuples(st.sampled_from(["allocate", "release"]), st.integers(0, 3),
               st.sampled_from([0.1, 0.3, 0.7, 2.5]), st.sampled_from([0.1, 0.3, 1.7])),
     st.tuples(st.sampled_from(["allocate_bw", "release_bw"]), st.integers(0, 3),
               st.sampled_from([0.1, 0.3, 0.7])),
-    st.tuples(st.sampled_from(["begin", "commit", "rollback"])),
+    st.tuples(st.just("hold"), st.integers(0, 3),
+              st.sampled_from([100_000, 300_000, 700_000, 2_500_000]),
+              st.sampled_from([100_000, 300_000, 1_700_000]),
+              st.lists(st.integers(0, 3), unique=True, max_size=3),
+              st.sampled_from([0, 100_000, 300_000, 700_000])),
+    st.tuples(st.sampled_from(["give_back", "keep"])),
 )
 
 
 class TestTransactions:
+    """A hold and its `give_back` bracket a transaction of one step: the
+    placers give back only what they held, newest first."""
+
     @settings(max_examples=80, deadline=None)
     @given(st.lists(_TX_OPS, max_size=40), st.lists(st.booleans(), max_size=40))
     def test_rollback_restores_exactly(self, ops, closes):
@@ -556,37 +564,49 @@ class TestTransactions:
         servers = sorted(net.data_centers["edc0"].servers
                          + net.data_centers["cdc0"].servers)
         links = [l.id for l in net.links if l.bw_capacity is not None]
-        # (mark, full document at begin) per open transaction, innermost last
-        open_tx: list[tuple[int, str]] = []
+        # (hold arguments, full document before the hold) per open hold,
+        # newest last; a write between a hold and its return keeps the
+        # document from coming back, so an open hold's entry is cleared
+        open_tx: list[tuple[tuple, str | None]] = []
 
-        def close(commit: bool) -> None:
-            mark, before = open_tx.pop()
-            if commit:
-                net.commit(mark)
+        def close(give_back: bool) -> None:
+            args, before = open_tx.pop()
+            if give_back:
+                net.give_back(*args)
+                if before is not None:
+                    assert json.dumps(net.to_json()) == before
             else:
-                net.rollback(mark)
-                assert json.dumps(net.to_json()) == before
+                open_tx[:] = [(a, None) for a, _ in open_tx]
 
         for op in ops:
             name = op[0]
-            if name == "begin":
-                open_tx.append((net.begin(), json.dumps(net.to_json())))
-            elif name in ("commit", "rollback"):
+            if name == "hold":
+                args = (servers[op[1] % len(servers)], op[2], op[3],
+                        list(dict.fromkeys(links[k % len(links)] for k in op[4])), op[5])
+                before = json.dumps(net.to_json())
+                try:
+                    net.hold(*args)
+                except CapacityError:
+                    assert json.dumps(net.to_json()) == before
+                else:
+                    open_tx.append((args, before))
+            elif name in ("give_back", "keep"):
                 if open_tx:
-                    close(name == "commit")
-            else:
+                    close(name == "give_back")
+            elif name.startswith("allocate") or not open_tx:
+                # a release while a hold is open could return the hold's
+                # units, which only its give_back may
                 pool = servers if name in ("allocate", "release") else links
                 try:
                     getattr(net, name)(pool[op[1] % len(pool)], *op[2:])
                 except (CapacityError, ReleaseError):
                     pass
-            if not open_tx:
-                assert net._undo == []
-        for commit in closes + [False] * len(open_tx):
+                else:
+                    open_tx[:] = [(a, None) for a, _ in open_tx]
+        for give_back in closes + [True] * len(open_tx):
             if not open_tx:
                 break
-            close(commit)
-        assert net._undo == []
+            close(give_back)
         net.validate()
 
     def test_fractional_rollback_is_exact(self):
@@ -595,23 +615,14 @@ class TestTransactions:
         lid = next(l.id for l in net.links if l.kind == LinkKind.TRANSPORT)
         net.allocate(sid, 0.3, 0.1)
         before = json.dumps(net.to_json())
-        mark = net.begin()
-        for _ in range(7):
-            net.allocate(sid, 0.1, 0.3)
-            net.allocate_bw(lid, 0.1)
-        net.release(sid, 0.7, 2.1)
-        net.rollback(mark)
+        held = [(sid, to_units(0.1), to_units(0.3), [lid], to_units(0.1)),
+                (sid, to_units(0.7), to_units(2.1), [], 0)] * 7
+        for args in held:
+            net.hold(*args)
+        assert net.residual(sid) == (44.1, 283.1)
+        for args in reversed(held):
+            net.give_back(*args)
         assert json.dumps(net.to_json()) == before
-
-    def test_marks_close_innermost_first(self):
-        net = make_pair()
-        outer = net.begin()
-        net.allocate(net.data_centers["edc0"].servers[0], 10, 60)
-        net.begin()
-        with pytest.raises(TopologyError):
-            net.commit(outer)
-        with pytest.raises(TopologyError):
-            make_pair().rollback(0)
 
 
 class TestStructureIndex:
@@ -814,13 +825,17 @@ def assert_runs_match(net: PhysicalNetwork) -> None:
 
 
 # one step of a random workload against the residual store: capacity calls
-# with fractional demands drawn in units, transactions, copies and a new link
+# with fractional demands drawn in units, holds and their return, copies and
+# a new link
 _STORE_OPS = st.one_of(
     st.tuples(st.sampled_from(["allocate", "release"]), st.integers(0, 7),
               st.integers(0, 3_000_000), st.integers(0, 9_000_000)),
     st.tuples(st.sampled_from(["allocate_bw", "release_bw"]), st.integers(0, 7),
               st.integers(0, 2_500_000)),
-    st.tuples(st.sampled_from(["begin", "commit", "rollback", "snapshot", "restore",
+    st.tuples(st.just("hold"), st.integers(0, 7), st.integers(0, 3_000_000),
+              st.integers(0, 9_000_000), st.lists(st.integers(0, 7), unique=True, max_size=3),
+              st.integers(0, 2_500_000)),
+    st.tuples(st.sampled_from(["give_back", "keep", "snapshot", "restore",
                                "clone", "twin_allocate", "add_link"])),
 )
 
@@ -830,15 +845,16 @@ class TestResidualArrays:
     @given(st.lists(_STORE_OPS, max_size=40), st.data())
     def test_residual_arrays_follow_every_write(self, ops, data):
         """Against a plain dict model in units: every capacity call succeeds
-        or fails as the model says and moves the units it says, a rollback
-        and a restore (outside transactions) bring back the model's saved
-        state, and a clone's writes and the parent's never meet."""
+        or fails as the model says and moves the units it says, a hold
+        given back returns the units it took, a restore (with no hold open)
+        brings back the model's saved state, and a clone's writes and the
+        parent's never meet."""
         net = make_pair(cpu=5.0, ram=30.0, edc_bw=2.0, cdc_bw=2.0)
         units = {("cpu", p): 5 * SCALE for p in range(4)}
         units.update({("ram", p): 30 * SCALE for p in range(4)})
         units.update({("bw", l.id): 2 * SCALE for l in net.links if l.bw_capacity})
         cap = dict(units)
-        marks: list[tuple[int, dict]] = []
+        held: list[tuple] = []  # the open holds' arguments, newest last
         snaps = [(net.snapshot(), dict(units))]
         twins: list[tuple[PhysicalNetwork, dict]] = []  # (clone, its model)
 
@@ -852,18 +868,23 @@ class TestResidualArrays:
             name = op[0]
             servers = [s.id for s in net.servers()]
             links = sorted(i for kind, i in units if kind == "bw")
-            if name == "begin":
-                marks.append((net.begin(), dict(units)))
-            elif name in ("commit", "rollback"):
-                if marks:
-                    mark, saved = marks.pop()
-                    getattr(net, name)(mark)
-                    if name == "rollback":
-                        units = saved
+            if name == "give_back":
+                if held:
+                    args = held.pop()
+                    net.give_back(*args)
+                    sid, cpu, ram, path, bw = args
+                    p = servers.index(sid)
+                    units[("cpu", p)] += cpu
+                    units[("ram", p)] += ram
+                    for lid in path:
+                        units[("bw", lid)] += bw
+            elif name == "keep":
+                if held:
+                    held.pop()
             elif name == "snapshot":
                 snaps.append((net.snapshot(), dict(units)))
             elif name == "restore":
-                if not marks:  # a rollback undoes logged writes, not a restore
+                if not held:  # a hold is given back on the state it left
                     snap, saved = data.draw(st.sampled_from(snaps))
                     net.restore(snap)
                     units = dict(saved)
@@ -890,8 +911,22 @@ class TestResidualArrays:
                     lid = net.add_link(a, b, 0.0, LinkKind.TRANSPORT, 1.5)
                     units[("bw", lid)] = cap[("bw", lid)] = 1_500_000
                     snaps = [(net.snapshot(), dict(units))]
-                    marks = [(m, {**saved, ("bw", lid): 1_500_000}) for m, saved in marks]
-            else:
+            elif name == "hold":
+                p = op[1] % len(servers)
+                path = list(dict.fromkeys(links[k % len(links)] for k in op[4]))
+                moves = {("cpu", p): op[2], ("ram", p): op[3]}
+                moves.update({("bw", lid): op[5] for lid in path})
+                if all(units[k] >= u for k, u in moves.items()):
+                    net.hold(servers[p], op[2], op[3], path, op[5])
+                    held.append((servers[p], op[2], op[3], path, op[5]))
+                    for k, u in moves.items():
+                        units[k] -= u
+                else:
+                    with pytest.raises(CapacityError):
+                        net.hold(servers[p], op[2], op[3], path, op[5])
+            elif name.startswith("allocate") or not held:
+                # a release while a hold is open could return the hold's
+                # units, which only its give_back may
                 sign = -1 if name.startswith("allocate") else 1
                 if name in ("allocate", "release"):
                     p = op[1] % len(servers)
@@ -910,10 +945,6 @@ class TestResidualArrays:
                         call()
             assert residuals(net) == units
             assert_index_matches(net)
-        while marks:
-            mark, units = marks.pop()
-            net.rollback(mark)
-            assert residuals(net) == units
         for twin, model in twins:
             assert residuals(twin) == model
             assert_index_matches(twin)
@@ -955,20 +986,24 @@ class TestResidualArrays:
         assert twin.vectors()[0][0] == 40 * SCALE
         assert net.vectors()[0][0] == 50 * SCALE
 
-    def test_structural_change_inside_a_transaction(self):
-        # the arrays are carried over to fresh ones; the undo log follows them
+    def test_structural_change_between_hold_and_give_back(self):
+        # the arrays are carried over to fresh ones and the index rebuilt;
+        # a hold made before is given back into them
         net = make_pair()
         sid = net.servers()[0].id
+        lid = net.adj[sid][0][1]
         net.vectors()
-        mark = net.begin()
-        net.allocate(sid, 0.3, 0.1)
+        net.hold(sid, to_units(0.3), to_units(0.1), [lid], to_units(0.1))
         edc = net.data_centers["edc0"]
         new = net.add_server("edc0-s99", "edc0", 5.0, 30.0)
-        net.add_link(edc.switch, new, 0.0, LinkKind.INTRA_DC, 10.0)
-        net.allocate(new, 1.0, 1.0)
-        net.rollback(mark)
+        new_link = net.add_link(edc.switch, new, 0.0, LinkKind.INTRA_DC, 10.0)
+        net.hold(new, to_units(1.0), to_units(1.0), [new_link, lid], to_units(0.5))
+        net.add_node("uap99", NodeKind.UAP)  # no index at the returns
+        net.give_back(new, to_units(1.0), to_units(1.0), [new_link, lid], to_units(0.5))
+        net.give_back(sid, to_units(0.3), to_units(0.1), [lid], to_units(0.1))
         assert net.residual(sid) == (50.0, 300.0)
         assert net.residual(new) == (5.0, 30.0)
+        assert net.bw_residual(lid) == net.bw_residual(new_link) == 10.0
         assert_index_matches(net)
 
 
