@@ -172,10 +172,10 @@ def cmd_compare(args) -> int:
     _apply_sim_flags(cfg, args)
     scenario = _scenario_from(cfg, args)
     net = _load_topology(args, cfg)
-    table = {}
+    table, runs = {}, {}
     for algorithm in Algorithm:
-        reports = _run_replications(net, scenario, algorithm, cfg)
-        table[algorithm.value] = aggregate(reports)
+        runs[algorithm.value] = _run_replications(net, scenario, algorithm, cfg)
+        table[algorithm.value] = aggregate(runs[algorithm.value])
 
     cols = ["blocking_ratio", "acceptance_ratio", "mean_cost_accepted",
             "held_bw_total_time_avg", "utilization[total.cpu]"]
@@ -190,7 +190,10 @@ def cmd_compare(args) -> int:
         lines.append(f"{name:<10}" + "".join(cells))
     sys.stdout.write("\n".join(lines) + "\n")
     if cfg.out_metrics:
-        _emit({name: agg.to_json() for name, agg in table.items()}, cfg.out_metrics)
+        # each algorithm's aggregate, with its replications' reports in seed
+        # order, from which paired differences can be read
+        _emit({name: {**agg.to_json(), "reports": [r.to_json() for r in runs[name]]}
+               for name, agg in table.items()}, cfg.out_metrics)
     return 0
 
 

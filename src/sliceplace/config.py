@@ -67,6 +67,8 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "RunConfig":
+        """The run configuration a JSON document gives, validated without
+        building or running anything. Raises ConfigError."""
         if not isinstance(obj, Mapping):
             raise ConfigError("config root must be an object")
         _require_keys(obj, _TOP_KEYS, "config")

@@ -164,13 +164,20 @@ class SolveStatus(str, Enum):
 
 @dataclass
 class SolveResult:
+    """What a search returns: its status, the best placement found (None
+    when none was), whose cost is the objective, and how far it got."""
+
     status: SolveStatus
     placement: Placement | None
-    objective: float | None
     nodes_explored: int
     # deepest VNF index the search ever held (0 = none): a block falls at
     # the next VNF, as P2C reports it
     deepest_feasible_vnf: int
+
+    @property
+    def objective(self) -> float | None:
+        """The placement's bandwidth cost; None when no placement was found."""
+        return None if self.placement is None else self.placement.cost
 
 
 class _BudgetExhausted(Exception):
@@ -595,11 +602,11 @@ def _solve(psn: PhysicalNetwork, request: SliceRequest, *, find_optimal: bool,
     if best_cost is None:
         if status is SolveStatus.OPTIMAL:
             status = SolveStatus.INFEASIBLE
-        return SolveResult(status, None, None, nodes, deepest)
+        return SolveResult(status, None, nodes, deepest)
 
     placement = Placement(best_x, best_y)
     placement.cost = bandwidth_cost(request, placement)
-    return SolveResult(status, placement, placement.cost, nodes, deepest)
+    return SolveResult(status, placement, nodes, deepest)
 
 
 def solve_ilp1(psn: PhysicalNetwork, request: SliceRequest, *,

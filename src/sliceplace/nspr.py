@@ -139,8 +139,6 @@ class SliceRequest:
     def __post_init__(self) -> None:
         if len(self.vnfs) != len(self.vls) + 1:
             raise ValueError("chain must have one more VNF than VLs")
-        if len(self.vnfs) < 1:
-            raise ValueError("chain must hold at least one VNF")
 
     @property
     def n_vnfs(self) -> int:

@@ -2,13 +2,15 @@
 
 Walks the chain head to tail. Per VNF it collects eligible servers (under
 TIER_PREFERRED only those of the best tier present), draws two candidates
-without replacement from a `DrawStream`, and keeps the one whose
+without replacement, as numpy's `Generator.choice(n, 2, replace=False)`
+draws them, from a `DrawStream`'s raw values, and keeps the one whose
 virtual-link path from the previous VNF's server holds less bandwidth (ties
 favor the first draw; landing on the previous server itself costs nothing
 and wins outright). Each step holds its VNF and VL through one
 `PhysicalNetwork.hold`; rejection at any VNF, or an error, gives the steps
 held back (`give_back`), newest first, which leaves the exact pre-episode
-state, and reports the blocking VNF index.
+state. The `PlacementOutcome` holds the placement, or None and the
+blocking VNF index; its status and cost are read from the placement.
 
 It reads only what two choices need: the eligible ids come as one
 `array('q')` (`feasible_servers`), of which the draw reads the length and
@@ -43,33 +45,19 @@ def blocks(draw: Callable[[int], np.ndarray]) -> Iterator:
 
 
 class DrawStream:
-    """P2C's bounded integer draws, value for value those of
-    `Generator.integers(0, n)` on the generator it is built from.
+    """P2C's source of raw uint32 values, drawn from the generator it is
+    built from.
 
-    Raw uint32 values come from the generator in blocks, so the generator
-    runs up to a block ahead of the values handed out; `raw()` hands out the
-    next one. `below(n)` reduces them as numpy does, by D. Lemire's
-    method ("Fast Random Integer Generation in an Interval", ACM TOMACS
-    29(1), 2019): the high word of u * n, with u redrawn while the low word
-    falls below 2**32 % n, a test made only when the low word is below n.
-    n == 1 draws nothing."""
+    The values come from `Generator.integers(2**32, dtype=np.uint32)` in
+    blocks, so the generator runs up to a block ahead of the values handed
+    out; `raw()` hands out the next one. `get_two_candidates` reduces them
+    to numpy's own two-of-n draw."""
 
     __slots__ = ("raw",)
 
     def __init__(self, rng: np.random.Generator) -> None:
         self.raw: Callable[[], int] = blocks(
             lambda k: rng.integers(1 << 32, size=k, dtype=np.uint32)).__next__
-
-    def below(self, n: int) -> int:
-        """A uniform integer in [0, n), for 1 <= n < 2**32."""
-        if n == 1:
-            return 0
-        m = self.raw() * n
-        if m & 0xFFFFFFFF < n:
-            floor = (1 << 32) % n
-            while m & 0xFFFFFFFF < floor:
-                m = self.raw() * n
-        return m >> 32
 
 
 class Policy(Enum):
@@ -89,17 +77,27 @@ class OutcomeStatus(str, Enum):
 
 @dataclass
 class PlacementOutcome:
-    status: OutcomeStatus
+    """What one placement returns: the placement held, or None when the
+    request is rejected. Status, cost and acceptance are read from it."""
+
     placement: Placement | None
-    cost: float
     # VNF index the episode failed at; None when accepted
-    blocking_vnf: int | None
+    blocking_vnf: int | None = None
     # exact-search verdict; None for the heuristic
     solver_status: SolveStatus | None = None
 
     @property
     def accepted(self) -> bool:
-        return self.status is OutcomeStatus.ACCEPTED
+        return self.placement is not None
+
+    @property
+    def status(self) -> OutcomeStatus:
+        return OutcomeStatus.REJECTED if self.placement is None else OutcomeStatus.ACCEPTED
+
+    @property
+    def cost(self) -> float:
+        """The placement's bandwidth cost; 0.0 when rejected."""
+        return 0.0 if self.placement is None else self.placement.cost
 
     def to_json(self, psn: PhysicalNetwork) -> dict:
         obj = {
@@ -125,10 +123,13 @@ def get_two_candidates(candidates: Sequence[int],
     makes on the stream's generator, value for value and with as many raw
     values taken: numpy draws two of n by Floyd's algorithm (one index
     below n - 1, then one below n that stands for n - 1 when it repeats the
-    first) and then shuffles the pair with one more bounded draw. The three
-    draws are `DrawStream.below(n - 1)`, `below(n)` and `below(2)`, written
-    out on the stream's raw values: for 2 the redraw threshold 2**32 % 2
-    is 0, so `below(2)` is the raw value's top bit."""
+    first) and then shuffles the pair with one more draw below 2. Each
+    bounded draw reduces raw values as `Generator.integers(0, k)` does, by
+    D. Lemire's method ("Fast Random Integer Generation in an Interval",
+    ACM TOMACS 29(1), 2019): the high word of u * k, with u redrawn while
+    the low word falls below 2**32 % k, a test made only when the low word
+    is below k. k == 1 draws nothing, and for k == 2 the threshold is 0, so
+    the draw is the raw value's top bit."""
     if not candidates:
         raise ValueError("candidate list is empty")
     n = len(candidates)
@@ -178,7 +179,7 @@ def place(psn: PhysicalNetwork, request: SliceRequest, policy: Policy,
             candidates = feasible_servers(psn, request, v, last_s, used_e2e_ms=used_e2e,
                                           best_tier=best_tier)
             if not candidates:
-                return PlacementOutcome(OutcomeStatus.REJECTED, None, 0.0, v)
+                return PlacementOutcome(None, v)
             s1, s2 = get_two_candidates(candidates, stream)
             cpu, ram = vnfs[v - 1].units
             if v == 1:
@@ -195,7 +196,7 @@ def place(psn: PhysicalNetwork, request: SliceRequest, policy: Policy,
                 p1 = min_cost_path(psn, last_s, s1, vl.bw, eff_budget)
                 p2 = p1 if s2 == s1 else min_cost_path(psn, last_s, s2, vl.bw, eff_budget)
                 if p1 is None and p2 is None:
-                    return PlacementOutcome(OutcomeStatus.REJECTED, None, 0.0, v)
+                    return PlacementOutcome(None, v)
                 if p2 is None or (p1 is not None and len(p1) * vl.bw <= len(p2) * vl.bw):
                     chosen, path = s1, p1
                 else:
@@ -207,7 +208,7 @@ def place(psn: PhysicalNetwork, request: SliceRequest, policy: Policy,
                 used_e2e += psn.links[lid].latency_ms
             cost += len(path) * vl.bw
         accepted = True
-        return PlacementOutcome(OutcomeStatus.ACCEPTED, Placement(x, y, cost), cost, None)
+        return PlacementOutcome(Placement(x, y, cost))
     finally:
         # keep an accepted episode; give back the holds of a rejected or
         # failed one, newest first: x and y record each step as it is held

@@ -79,8 +79,14 @@ class Placement:
 
 @dataclass
 class Verdict:
-    ok: bool
+    """The checker's findings: (constraint number, detail) per violation.
+    A placement passes when there are none."""
+
     violations: list[tuple[int, str]] = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
     def codes(self) -> set[int]:
         return {code for code, _ in self.violations}
@@ -275,7 +281,7 @@ def check_placement(psn: PhysicalNetwork, request: SliceRequest,
             violations.append((10, f"end-to-end latency {alpha + total_path_latency} "
                                    f"exceeds budget {request.e2e_budget_ms}"))
 
-    return Verdict(ok=not violations, violations=violations)
+    return Verdict(violations)
 
 
 def bandwidth_cost(request: SliceRequest, placement: Placement) -> float:

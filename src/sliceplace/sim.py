@@ -32,7 +32,7 @@ import numpy as np
 from .exact import DEFAULT_NODE_BUDGET, SolveStatus, solve_ilp1, solve_ilp2
 from .nspr import (DEFAULT_CATALOG, DEFAULT_MIX, ClassSpec, ClassTable, SliceClass,
                    SliceRequest, make_request)
-from .p2c import DrawStream, OutcomeStatus, PlacementOutcome, Policy, blocks, place
+from .p2c import DrawStream, PlacementOutcome, Policy, blocks, place
 from .placement import (Placement, apply_placement, check_placement,
                         release_placement)
 from .topology import SCALE, LinkKind, PhysicalNetwork, left_sum
@@ -354,10 +354,9 @@ def place_request(net: PhysicalNetwork, request: SliceRequest, algorithm: Algori
     result = solver(net, request, max_nodes=max_nodes)
     if result.status is SolveStatus.OPTIMAL:
         apply_placement(net, request, result.placement)
-        return PlacementOutcome(OutcomeStatus.ACCEPTED, result.placement,
-                                result.placement.cost, None, result.status)
+        return PlacementOutcome(result.placement, None, result.status)
     blocking = min(result.deepest_feasible_vnf + 1, request.n_vnfs)
-    return PlacementOutcome(OutcomeStatus.REJECTED, None, 0.0, blocking, result.status)
+    return PlacementOutcome(None, blocking, result.status)
 
 
 def run(psn: PhysicalNetwork, scenario: Scenario, algorithm: Algorithm | str,

@@ -44,7 +44,7 @@ from hypothesis import strategies as st
 
 from sliceplace.exact import SolveResult, SolveStatus
 from sliceplace.nspr import SliceRequest
-from sliceplace.p2c import OutcomeStatus, PlacementOutcome, Policy
+from sliceplace.p2c import PlacementOutcome, Policy
 from sliceplace.placement import LATENCY_EPS, Placement, bandwidth_cost
 from sliceplace.topology import (TIER_ORDER, DCKind, LinkKind, NodeKind, PhysicalNetwork,
                                  Server, TopologyParams, to_units)
@@ -167,10 +167,10 @@ def brute_force(psn: PhysicalNetwork, request: SliceRequest, *,
                         {i: list(p) for i, p in enumerate(combo, start=1)})
 
     if best is None:
-        return SolveResult(SolveStatus.INFEASIBLE, None, None, nodes, deepest)
+        return SolveResult(SolveStatus.INFEASIBLE, None, nodes, deepest)
     placement = Placement(best[0], best[1], 0.0)
     placement.cost = bandwidth_cost(request, placement)
-    return SolveResult(SolveStatus.OPTIMAL, placement, best_cost, nodes, deepest)
+    return SolveResult(SolveStatus.OPTIMAL, placement, nodes, deepest)
 
 
 def paths_to(psn: PhysicalNetwork, src: int, dst: int, bw: float,
@@ -566,7 +566,7 @@ def reference_place(psn: PhysicalNetwork, request: SliceRequest, policy: Policy,
     def reject(v: int) -> PlacementOutcome:
         for (k, i), units in old.items():
             stores[k][i] = units
-        return PlacementOutcome(OutcomeStatus.REJECTED, None, 0.0, v)
+        return PlacementOutcome(None, v)
 
     x: dict[int, int] = {}
     y: dict[int, list[int]] = {}
@@ -614,7 +614,7 @@ def reference_place(psn: PhysicalNetwork, request: SliceRequest, policy: Policy,
             cost += len(path) * vl.bw
         x[v] = chosen
         last_s = chosen
-    return PlacementOutcome(OutcomeStatus.ACCEPTED, Placement(x, y, cost), cost, None)
+    return PlacementOutcome(Placement(x, y, cost))
 
 
 def residual_bytes(net: PhysicalNetwork) -> tuple[bytes, bytes, bytes]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 import subprocess
@@ -9,11 +10,13 @@ import sys
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sliceplace.cli import main
 from sliceplace.config import ConfigError, RunConfig
-from sliceplace.nspr import SliceClass
-from sliceplace.topology import PhysicalNetwork, TopologyParams
+from sliceplace.nspr import SliceClass, catalog_from_json
+from sliceplace.topology import PhysicalNetwork, TopologyError, TopologyParams, params_from_json
 
 from conftest import forbid_build, forbid_events, make_single_dc
 from test_exact import relay_line_network
@@ -653,6 +656,127 @@ class TestSimulate:
         assert doc["aggregate"]["algorithm"] == "p2c-1"
 
 
+# the documents the parse-level mutants start from: every config section,
+# every topology parameter and a catalog entry per class
+BASE_PARAMS = {key: getattr(TopologyParams(), key)
+               for key in TopologyParams.__dataclass_fields__}
+BASE_CATALOG = {
+    **BEF_ONLY_CATALOG,
+    "urllc": {"cpu_per_vnf": 5.0, "ram_per_vnf": 30.0, "bw_per_vl": 0.5,
+              "alpha_max_ms": 0.04, "vl_budgets_ms": [0.33, 0.33], "e2e_budget_ms": 1.0},
+    "embb": {"cpu_per_vnf": 20.0, "ram_per_vnf": 120.0, "bw_per_vl": 2.0,
+             "alpha_max_ms": 0.1, "vl_budgets_ms": [1.0, 1.0, 1.0]},
+}
+BASE_CONFIG = {
+    "topology": {**BASE_PARAMS, "file": None},
+    "scenario": {"name": "MIX", "target_load": 0.4, "horizon": 10.0, "mean_holding": 1.0,
+                 "replications": 2, "base_seed": 3, "warmup": 1.0,
+                 "include_holding_time": True, "mix": {"urllc": 0.5, "embb": 0.5}},
+    "algorithm": "ilp-1", "catalog": BASE_CATALOG, "solver": {"max_nodes": 100},
+    "validate": True, "measure_time": False, "jobs": 1, "series_interval": 1.0,
+    "output": {"metrics": "m.json", "series": None},
+}
+# what a mutant puts in place of a value; DELETE removes it
+DELETE = object()
+REPLACEMENTS = [DELETE, None, True, False, "", "x", "1", [], {}, [1.0], {"x": 1}, 0, -0.0,
+                -1, 1, 2.5, 1e-300, 1e308, 2**70, -(2**70), 10**400, float("nan"),
+                float("inf"), float("-inf")]
+
+
+def value_paths(doc, path=()) -> list[tuple]:
+    """The path of every value in a JSON document, its root included."""
+    paths = [path]
+    items = doc.items() if isinstance(doc, dict) else \
+        enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        paths += value_paths(value, (*path, key))
+    return paths
+
+
+def holds(node, key) -> bool:
+    """Whether node is a JSON object or array with key among its keys or
+    indices."""
+    return isinstance(node, dict) and key in node or \
+        isinstance(node, list) and isinstance(key, int) and key < len(node)
+
+
+def mutants(doc, *, keep_root: bool = False):
+    """Copies of doc with one to three values replaced, deleted or given an
+    unknown key beside them; keep_root keeps the root an object."""
+    paths = value_paths(doc)[1 if keep_root else 0:]
+    # one edit in four adds an unknown key, which every parser refuses
+    edit = st.tuples(st.sampled_from(paths), st.sampled_from(REPLACEMENTS),
+                     st.sampled_from([False, False, False, True]))
+
+    def apply(edits):
+        out = copy.deepcopy(doc)
+        for path, value, add_key in edits:
+            value = 1 if value is DELETE and add_key else value
+            if not path:
+                out = {} if value is DELETE else copy.deepcopy(value)
+                continue
+            *head, key = path
+            parent = out
+            for k in head:
+                if not holds(parent, k):
+                    break  # an earlier edit took the path away
+                parent = parent[k]
+            else:
+                if add_key and isinstance(parent, dict):
+                    parent["unknown_key"] = copy.deepcopy(value)
+                elif holds(parent, key):
+                    if value is DELETE:
+                        del parent[key]
+                    else:
+                        parent[key] = copy.deepcopy(value)
+        return out
+    return st.lists(edit, min_size=1, max_size=3).map(apply)
+
+
+# the patches that forbid building and running are the same for every example
+MUTANT_SETTINGS = settings(max_examples=400, deadline=None,
+                           suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestParseMutants:
+    """Mutated documents read by the three parsers raise only their
+    documented errors, and nothing is built or run while they are read."""
+
+    @MUTANT_SETTINGS
+    @given(mutants(BASE_CONFIG))
+    def test_config(self, monkeypatch, doc):
+        forbid_build(monkeypatch)
+        forbid_events(monkeypatch)
+        try:
+            RunConfig.from_json(doc)
+        except ConfigError:
+            pass
+
+    @MUTANT_SETTINGS
+    @given(mutants(BASE_PARAMS))
+    def test_topology_parameters(self, monkeypatch, doc):
+        forbid_build(monkeypatch)
+        try:
+            params_from_json(doc)
+        except TopologyError:
+            pass
+
+    @MUTANT_SETTINGS
+    @given(mutants(BASE_CATALOG, keep_root=True))
+    def test_catalog(self, monkeypatch, doc):
+        forbid_build(monkeypatch)
+        try:
+            catalog_from_json(doc)
+        except (KeyError, TypeError, ValueError):
+            pass
+
+    def test_base_documents_parse(self):
+        cfg = RunConfig.from_json(BASE_CONFIG)
+        assert cfg.topology_params == TopologyParams()
+        assert set(cfg.catalog) == set(SliceClass)
+        assert params_from_json(BASE_PARAMS) == TopologyParams()
+
+
 class TestCompare:
     def test_table_and_json(self, tmp_path, capsys):
         out_path = tmp_path / "table.json"
@@ -666,6 +790,29 @@ class TestCompare:
         assert "blocking_ratio" in out
         doc = json.loads(out_path.read_text())
         assert set(doc) == {"p2c-1", "p2c-2", "ilp-1", "ilp-2"}
+
+    def test_json_holds_each_replication(self, tmp_path, capsys):
+        """Each algorithm's object keeps the aggregate's keys and adds, under
+        `reports`, the reports `simulate` writes for the same seeds, in seed
+        order, so a paired difference can be read from it."""
+        argv = ("--scenario", "URLLC", "--load", "0.4", "--horizon", "40",
+                "--replications", "2", "--seed", "2")
+        code, _, _ = run_cli(capsys, "compare", *argv, "--out", str(tmp_path / "c.json"))
+        assert code == 0
+        doc = json.loads((tmp_path / "c.json").read_text())
+        for name, obj in doc.items():
+            assert set(obj) == {"schema", "scenario", "algorithm", "replications",
+                                "confidence", "metrics", "reports"}
+            assert obj["replications"] == len(obj["reports"]) == 2
+            assert [(r["algorithm"], r["seed"]) for r in obj["reports"]] == \
+                [(name, [2, 0]), (name, [2, 1])]
+            ratios = [r["blocking_ratio"] for r in obj["reports"]]
+            assert obj["metrics"]["blocking_ratio"]["mean"] == pytest.approx(sum(ratios) / 2)
+        code, _, _ = run_cli(capsys, "simulate", "--algorithm", "ilp-1", *argv,
+                             "--out", str(tmp_path / "s.json"))
+        assert code == 0
+        simulated = json.loads((tmp_path / "s.json").read_text())
+        assert doc["ilp-1"]["reports"] == simulated["replications"]
 
 
 class TestEntryPoint:

@@ -49,48 +49,6 @@ def make_three_tiers() -> PhysicalNetwork:
     return net
 
 
-# bounds for `DrawStream.below`: any, and just above 2**31, where about
-# half the raw values fall in the rejection zone, and just below 2**32
-BOUNDS = st.one_of(st.integers(1, 2**32 - 1), st.integers(2**31 + 1, 2**31 + 2**20),
-                   st.integers(2**32 - 2**20, 2**32 - 1), st.integers(1, 8))
-
-
-class TestDrawStream:
-    """P2C's draws come from `DrawStream`, which must give what numpy's
-    `Generator.integers(0, n)` gives on the same generator."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.integers(0, 2**63 - 1), st.lists(BOUNDS, min_size=1, max_size=40),
-           st.integers(0, 3))
-    def test_below_equals_generator_integers(self, seed, bounds, warmup):
-        rng, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-        for _ in range(warmup):  # an odd count leaves half a 64-bit word buffered
-            rng.integers(0, 7)
-            theirs.integers(0, 7)
-        stream = DrawStream(rng)
-        for n in bounds:
-            assert stream.below(n) == theirs.integers(0, n)
-        # as many raw values taken as numpy took
-        assert stream.raw() == theirs.integers(1 << 32, dtype=np.uint32)
-
-    def test_one_value_draws_nothing(self):
-        stream = DrawStream(np.random.default_rng(5))
-        assert [stream.below(1) for _ in range(3)] == [0, 0, 0]
-        assert stream.raw() == np.random.default_rng(5).integers(1 << 32, dtype=np.uint32)
-
-    def test_rejections_take_more_raw_values(self):
-        """Just above 2**31 about half the raw values are redrawn; the draws
-        still agree with numpy's, and more raw values than draws went."""
-        n, k = 2**31 + 1, 64
-        stream = DrawStream(np.random.default_rng(11))
-        theirs = np.random.default_rng(11)
-        assert [stream.below(n) for _ in range(k)] == [theirs.integers(0, n) for _ in range(k)]
-        nxt = stream.raw()
-        assert nxt == theirs.integers(1 << 32, dtype=np.uint32)
-        raw = np.random.default_rng(11).integers(1 << 32, size=4 * k, dtype=np.uint32)
-        assert raw.tolist().index(nxt) > k
-
-
 class TestGetTwoCandidates:
     def test_singleton_duplicates(self):
         stream = DrawStream(np.random.default_rng(0))
@@ -142,22 +100,17 @@ class TestGetTwoCandidates:
             get_two_candidates([], DrawStream(np.random.default_rng(0)))
 
     @pytest.mark.parametrize("sizes", [range(1, 300), [2**31 + 1, 3 * 2**30, 2**32 - 1]])
-    def test_pair_is_three_below_draws(self, sizes):
-        """The written-out draw is `below(n - 1)`, `below(n)` and
-        `below(2)`, value for value and raw value for raw value, from one
-        stream; the sizes near 2**32 redraw often."""
-        ours, theirs = (DrawStream(np.random.default_rng(11)) for _ in range(2))
+    def test_pair_runs_equal_generator_choice(self, sizes):
+        """Pair after pair, the draw gives what `Generator.choice(n, 2,
+        replace=False)` gives on an equal generator, and each side takes
+        as many raw values as the other; the sizes near 2**32 redraw
+        often."""
+        ours, theirs = DrawStream(np.random.default_rng(11)), np.random.default_rng(11)
         for _ in range(20):
             for n in sizes:
-                if n == 1:
-                    want = (0, 0)
-                else:
-                    i, j = theirs.below(n - 1), theirs.below(n)
-                    if j == i:
-                        j = n - 1
-                    want = (j, i) if theirs.below(2) == 0 else (i, j)
+                want = (0, 0) if n == 1 else tuple(theirs.choice(n, 2, replace=False).tolist())
                 assert get_two_candidates(range(n), ours) == want
-                assert ours.raw() == theirs.raw()
+                assert ours.raw() == theirs.integers(1 << 32, dtype=np.uint32)
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 10**6), st.integers(0, 2**63 - 1), st.integers(1, 4),

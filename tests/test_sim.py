@@ -370,7 +370,7 @@ class TestValidateAudit:
         # audit must see it without trusting the placer's own writes
         def leaky(psn, request, policy, rng):
             psn.allocate(psn.servers()[0].id, 1.0, 1.0)
-            return PlacementOutcome(OutcomeStatus.REJECTED, None, 0.0, 1)
+            return PlacementOutcome(None, 1)
 
         monkeypatch.setattr(sim, "place", leaky)
         sc = short_scenario(horizon=50.0, warmup=0.0)
@@ -386,7 +386,7 @@ class TestValidateAudit:
             plc = Placement(x={v: s for v in range(1, request.n_vnfs + 1)},
                             y={i: [] for i in range(1, request.n_vnfs)})
             apply_placement(psn, request, plc)
-            return PlacementOutcome(OutcomeStatus.ACCEPTED, plc, 0.0, None)
+            return PlacementOutcome(plc)
 
         monkeypatch.setattr(sim, "place_request", far)
         sc = short_scenario("BEF", horizon=50.0, warmup=0.0)

@@ -30,6 +30,7 @@ from sliceplace.topology import (
     TopologyParams,
     build_reference_psn,
     left_sum,
+    params_from_json,
     to_units,
 )
 
@@ -150,6 +151,21 @@ class TestReferenceBuild:
         assert by_pair[frozenset((DCKind.CDC, DCKind.EDC))] == {0.33}
         assert by_pair[frozenset((DCKind.CDC, DCKind.CCP))] == {1.0}
         assert by_pair[frozenset((DCKind.CDC,))] == {1.0}
+
+    def test_transport_latencies_unrounded(self):
+        """`latency_round_decimals: null` leaves each transport latency as
+        km / propagation: 100 km at 3.0e8 m/s is 1/3 ms, not 0.33."""
+        params = params_from_json({"latency_round_decimals": None})
+        assert params.link_latency_ms(100) == 1 / 3
+        net = build_reference_psn(1, params)
+        by_pair = {}
+        for link in net.links:
+            if link.kind == LinkKind.TRANSPORT:
+                kinds = frozenset((net.dc_of(link.a).kind, net.dc_of(link.b).kind))
+                by_pair.setdefault(kinds, set()).add(link.latency_ms)
+        assert by_pair == {frozenset((DCKind.CDC, DCKind.EDC)): {1 / 3},
+                           frozenset((DCKind.CDC, DCKind.CCP)): {1.0},
+                           frozenset((DCKind.CDC,)): {1.0}}
 
     def test_transport_bw_capped_by_slower_tier(self, ref):
         for link in ref.links:
