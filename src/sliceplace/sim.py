@@ -14,6 +14,14 @@ across algorithms while placement draws stay independent. All five are
 drawn in blocks, which give the values one draw at a time would give: the
 first four as their own values, the placement stream as raw 32-bit values
 that `p2c.DrawStream` reduces to P2C's bounded draws.
+
+The time averages are areas under piecewise-constant curves: each tier's
+held units times the time until the next event. The event loop only logs
+each event's time and each slice's units when it arrives or leaves
+(`_Accounting`); every FOLD_EVENTS events, and at the horizon, numpy folds
+the log into the integrals, adding the same float terms in the same event
+order as a fold at every event would, so the results do not depend on
+FOLD_EVENTS.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ import csv
 import heapq
 import math
 import time
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from statistics import NormalDist, median
@@ -48,6 +57,13 @@ _SLOTS = tuple((g, res) for g in ALL_GROUPS for res in RESOURCES)
 # not end at all
 MAX_SERIES_SAMPLES = 100_000
 MAX_EXPECTED_ARRIVALS = 10**8
+# `Scenario` refuses more replications than this. A command keeps every
+# replication's report: about 130 KB each with the default series (101
+# samples of 10 rows), so `compare`, which keeps four algorithms' reports,
+# holds about 0.5 GB at the bound
+MAX_REPLICATIONS = 1_000
+# events `_Accounting` logs between two folds
+FOLD_EVENTS = 256
 
 
 class Algorithm(str, Enum):
@@ -98,8 +114,8 @@ class Scenario:
             raise ValueError("horizon and mean_holding must be positive and finite")
         if not 0 <= self.warmup < self.horizon:
             raise ValueError("warmup must lie in [0, horizon)")
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
+        if not 1 <= self.replications <= MAX_REPLICATIONS:
+            raise ValueError(f"replications must lie in 1..{MAX_REPLICATIONS:,}")
         if not self.mix:
             raise ValueError("mix is empty")
         total = left_sum(self.mix.values())
@@ -213,7 +229,18 @@ class _Accounting:
     """Tier-grouped capacity bookkeeping plus time-weighted integrals, one
     slot per (group, resource) of `_SLOTS`. Held amounts are exact counts of
     residual units (`to_units`); series rows and the integrals read them in
-    CPU units, GB and Gbps."""
+    CPU units, GB and Gbps.
+
+    The event loop only logs: `advance` appends each event's time, and
+    `commit` a placement's slot vector (`units_of`, summed once per held
+    placement), its sign and the event it falls in. Every FOLD_EVENTS
+    events, and at `finish`, `_fold` rebuilds the units held before each
+    logged event with an int64 cumulative sum, writes the series rows due
+    at those events, and adds each event's `held / SCALE * dt` to the
+    integrals with `np.add.accumulate` along the events: the float terms
+    of one addition per slot and event, in event order, so the integrals
+    are those of a fold at every event, float for float
+    (`tests/oracles.ReferenceAccounting`). Its buffers are allocated once."""
 
     def __init__(self, net: PhysicalNetwork, warmup: float, horizon: float,
                  series_interval: float) -> None:
@@ -221,76 +248,161 @@ class _Accounting:
         self.horizon = horizon
         slot = {key: k for k, key in enumerate(_SLOTS)}
         self.cap = [0.0] * len(_SLOTS)
-        # node id -> its group's CPU slot (RAM is the next); link id -> its
-        # group's bandwidth slot, -1 for a link outside every group
+        # node id -> its group's CPU slot (RAM is the next, bandwidth the
+        # one after); link id -> its group's bandwidth slot, -1 for a link
+        # outside every group
+        dc_slot = {dc_id: slot[(dc.kind.value, "cpu")]
+                   for dc_id, dc in net.data_centers.items()}
         self.server_slot = [-1] * len(net.nodes)
         self.link_slot = [-1] * len(net.links)
+        nodes, cap = net.nodes, self.cap
         for srv in net.servers():
-            k = self.server_slot[srv.id] = slot[(net.dc_of(srv.id).kind.value, "cpu")]
-            self.cap[k] += srv.cpu_capacity
-            self.cap[k + 1] += srv.ram_capacity
+            k = self.server_slot[srv.id] = dc_slot[srv.dc]
+            cap[k] += srv.cpu_capacity
+            cap[k + 1] += srv.ram_capacity
+        transport, intra = LinkKind.TRANSPORT, LinkKind.INTRA_DC
         for link in net.links:
-            if link.kind is LinkKind.TRANSPORT:
-                g = "transport"
-            elif link.kind is LinkKind.INTRA_DC:
-                g = net.data_centers[net.nodes[link.a].dc or net.nodes[link.b].dc].kind.value
+            if link.kind is transport:
+                k = slot[("transport", "bw")]
+            elif link.kind is intra:
+                k = dc_slot[nodes[link.a].dc or nodes[link.b].dc] + 2
             else:
                 continue
-            k = self.link_slot[link.id] = slot[(g, "bw")]
-            self.cap[k] += link.bw_capacity
-        self.held = [0] * len(_SLOTS)
-        self.integral = [0.0] * len(_SLOTS)
-        self.last_t = 0.0
+            self.link_slot[link.id] = k
+            cap[k] += link.bw_capacity
         self.series: list[tuple[float, str, str, float, float]] = []
         self.interval = series_interval
         self.next_sample = 0.0
+        # the log since the last fold: each event's time; each commit's
+        # row (the events logged up to it, its own included), sign and
+        # slot vector
+        self.times = array("d")
+        self.rows = array("q")
+        self.signs = array("q")
+        self.units = array("q")
+        # the state after the last fold: the units held, the integrals and
+        # the time they run to, from the warmup on
+        width = len(_SLOTS)
+        self.held = np.zeros(width, np.int64)
+        self.integral = np.zeros(width)
+        self.counted_to = warmup
+        # the fold's buffers. The commits' grows only past FOLD_EVENTS + 1
+        # commits between two folds, which a run, with one commit per event
+        # at most, never logs
+        self._steps = np.arange(FOLD_EVENTS + 1)
+        self._held = np.empty((FOLD_EVENTS + 1, width), np.int64)
+        self._signed = np.empty((FOLD_EVENTS + 1, width), np.int64)
+        self._latest = np.empty(FOLD_EVENTS + 1)
+        self._dt = np.empty(FOLD_EVENTS)
+        self._area = np.empty((FOLD_EVENTS + 1, width))
+        self._reach = np.empty(FOLD_EVENTS)
 
-    def _rows_at(self, t: float) -> None:
-        for (g, res), capacity, units in zip(_SLOTS, self.cap, self.held):
+    def units_of(self, request: SliceRequest, placement: Placement) -> array:
+        """A placement's units per slot: from the sums `apply_placement`
+        recorded on it for this request (`Placement.units`), and from its x
+        and y otherwise."""
+        vec = [0] * len(_SLOTS)
+        server_slot, link_slot = self.server_slot, self.link_slot
+        record = placement.units
+        if record is not None and record[0] is request:
+            for s, (cpu, ram) in record[1].items():
+                k = server_slot[s]
+                vec[k] += cpu
+                vec[k + 1] += ram
+            for lid, units in record[2].items():
+                k = link_slot[lid]
+                if k >= 0:
+                    vec[k] += units
+        else:
+            vnfs, vls = request.vnfs, request.vls
+            for v, s in placement.x.items():
+                cpu, ram = vnfs[v - 1].units
+                k = server_slot[s]
+                vec[k] += cpu
+                vec[k + 1] += ram
+            for i, path in placement.y.items():
+                units = vls[i - 1].bw_units
+                for lid in path:
+                    k = link_slot[lid]
+                    if k >= 0:
+                        vec[k] += units
+        return array("q", vec)
+
+    def advance(self, t: float) -> None:
+        """Log an event at time t; the held units before it count up to t."""
+        times = self.times
+        if len(times) == FOLD_EVENTS:
+            self._fold()
+        times.append(t)
+
+    def commit(self, units: array, sign: int) -> None:
+        """Log a hold (sign 1) or a return (sign -1) of a placement's units
+        (`units_of`) at the latest event."""
+        self.rows.append(len(self.times))
+        self.signs.append(sign)
+        self.units.extend(units)
+
+    def _fold(self) -> None:
+        n, m = len(self.times), len(self.signs)
+        width = len(_SLOTS)
+        if m >= len(self._signed):
+            self._signed = np.empty((2 * m + 1, width), np.int64)
+        # held[e]: the units held before event e, and after the last (e = n)
+        signed = self._signed[:m + 1]
+        signed[0] = self.held
+        np.multiply(np.frombuffer(self.units, np.int64).reshape(m, width),
+                    np.frombuffer(self.signs, np.int64)[:, None], out=signed[1:])
+        np.cumsum(signed, axis=0, out=signed)
+        held = np.take(signed, np.searchsorted(np.frombuffer(self.rows, np.int64),
+                                                self._steps[:n + 1], side="right"),
+                       axis=0, out=self._held[:n + 1], mode="clip")
+        # the event times clipped to the horizon; a sample is due at the
+        # first event whose time reaches it
+        latest = self._latest[:n + 1]
+        np.minimum(np.frombuffer(self.times), self.horizon, out=latest[1:])
+        reach = np.maximum.accumulate(latest[1:], out=self._reach[:n])
+        reach += 1e-12
+        # each event counts from the latest time before it, and not before
+        # the warmup, to its own time, if that is later
+        latest[0] = self.counted_to
+        np.maximum.accumulate(latest, out=latest)
+        dt = np.subtract(latest[1:], latest[:n], out=self._dt[:n])
+        area = self._area[:n + 1]
+        area[0] = self.integral
+        np.divide(held[:n], SCALE, out=area[1:])
+        area[1:] *= dt[:, None]
+        np.add.accumulate(area, axis=0, out=area)
+        s = self.next_sample
+        while s <= self.horizon:
+            e = int(reach.searchsorted(s))
+            if e == n:
+                break
+            self._rows_at(s, held[e].tolist())
+            s += self.interval
+        self.next_sample = s
+        self.held[:] = held[n]
+        self.integral[:] = area[n]
+        self.counted_to = float(latest[n])
+        del self.times[:], self.rows[:], self.signs[:], self.units[:]
+
+    def _rows_at(self, t: float, held: list[int]) -> None:
+        for (g, res), capacity, units in zip(_SLOTS, self.cap, held):
             if capacity != 0.0:
                 self.series.append((t, g, res, units / SCALE, capacity))
 
-    def advance(self, t: float) -> None:
-        t = min(t, self.horizon)
-        while self.next_sample <= t + 1e-12 and self.next_sample <= self.horizon:
-            self._rows_at(self.next_sample)
-            self.next_sample += self.interval
-        lo = max(self.last_t, self.warmup)
-        if t > lo:
-            dt = t - lo
-            integral = self.integral
-            for k, units in enumerate(self.held):
-                if units:
-                    integral[k] += units / SCALE * dt
-        self.last_t = max(self.last_t, t)
-
-    def commit(self, request: SliceRequest, placement: Placement,
-               sign: int) -> None:
-        held, server_slot, link_slot = self.held, self.server_slot, self.link_slot
-        vnfs, vls = request.vnfs, request.vls
-        for v, s in placement.x.items():
-            cpu, ram = vnfs[v - 1].units
-            k = server_slot[s]
-            held[k] += sign * cpu
-            held[k + 1] += sign * ram
-        for i, path in placement.y.items():
-            units = sign * vls[i - 1].bw_units
-            for lid in path:
-                k = link_slot[lid]
-                if k >= 0:
-                    held[k] += units
-
     def finish(self) -> None:
         self.advance(self.horizon)
+        self._fold()
         if not self.series or self.series[-1][0] != self.horizon:
-            self._rows_at(self.horizon)
+            self._rows_at(self.horizon, self.held.tolist())
 
     def summaries(self) -> tuple[dict, dict, float]:
         duration = self.horizon - self.warmup
+        integrals = self.integral.tolist()
         util: dict[str, dict[str, float]] = {}
         avg: dict[str, dict[str, float]] = {}
         total_bw = 0.0
-        for (g, res), capacity, integral in zip(_SLOTS, self.cap, self.integral):
+        for (g, res), capacity, integral in zip(_SLOTS, self.cap, integrals):
             if capacity == 0.0:
                 continue
             mean_held = integral / duration
@@ -302,7 +414,7 @@ class _Accounting:
         for r, res in enumerate(RESOURCES):
             cap_total = left_sum(self.cap[r::len(RESOURCES)])
             if cap_total:
-                mean_held = left_sum(self.integral[r::len(RESOURCES)]) / duration
+                mean_held = left_sum(integrals[r::len(RESOURCES)]) / duration
                 avg.setdefault("total", {})[res] = mean_held
                 util.setdefault("total", {})[res] = mean_held / cap_total
         return util, avg, total_bw
@@ -426,9 +538,10 @@ def run(psn: PhysicalNetwork, scenario: Scenario, algorithm: Algorithm | str,
     times_ms: list[float] = []
 
     # one pending arrival, and the held slices as a heap of departure rows
-    # (time, request id, request, placement); one due at the arrival's time goes first
+    # (time, request id, request, placement, its slot units); one due at
+    # the arrival's time goes first
     arrival = next(gaps)
-    departures: list[tuple[float, int, SliceRequest, Placement]] = []
+    departures: list[tuple[float, int, SliceRequest, Placement, array]] = []
 
     while True:
         depart = departures and departures[0][0] <= arrival
@@ -438,9 +551,9 @@ def run(psn: PhysicalNetwork, scenario: Scenario, algorithm: Algorithm | str,
         acct.advance(t)
 
         if depart:
-            _, _, request, placement = heapq.heappop(departures)
+            _, _, request, placement, units = heapq.heappop(departures)
             release_placement(net, request, placement)
-            acct.commit(request, placement, -1)
+            acct.commit(units, -1)
             if validate:
                 ledger.commit(request, placement, -1)
             report.departures += 1
@@ -473,10 +586,12 @@ def run(psn: PhysicalNetwork, scenario: Scenario, algorithm: Algorithm | str,
                 report.accepted += 1
                 row["accepted"] += 1
                 total_cost += placement.cost
-                acct.commit(request, placement, +1)
+                units = acct.units_of(request, placement)
+                acct.commit(units, 1)
                 if validate:
                     ledger.commit(request, placement, +1)
-                heapq.heappush(departures, (t + holding, request.id, request, placement))
+                heapq.heappush(departures,
+                               (t + holding, request.id, request, placement, units))
             else:
                 report.rejected += 1
                 row["rejected"] += 1

@@ -126,14 +126,15 @@ def heap_pushes(monkeypatch) -> list[int]:
 
 def forbid_events(monkeypatch) -> None:
     """Make `sim.run` raise AssertionError at its first event, from now to
-    the end of the test: the first series row (`_Accounting._rows_at`) or
-    the first placement (`sim.place_request`). A run that an input would
-    keep from ending then fails instead of hanging."""
+    the end of the test: the first event the accounting logs
+    (`_Accounting.advance`, before any fold writes a series row) or the
+    first placement (`sim.place_request`). A run that an input would keep
+    from ending then fails instead of hanging."""
     from sliceplace import sim
 
     def started(*args, **kwargs):
         raise AssertionError("the run reached its first event")
-    monkeypatch.setattr(sim._Accounting, "_rows_at", started)
+    monkeypatch.setattr(sim._Accounting, "advance", started)
     monkeypatch.setattr(sim, "place_request", started)
 
 

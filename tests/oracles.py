@@ -28,6 +28,12 @@ on, and `twinned` makes two servers of one of them twins.
 `release_placement`: one write per VNF and per hop, as lists.
 `residual_bytes` gives the bytes of the three residual arrays.
 
+`ReferenceAccounting` is the simulator's former accounting: it folds the
+held units into the time-weighted integrals at every event, one addition
+per slot, and writes the series rows due at an event when it happens.
+`sliceplace.sim._Accounting`, which logs the events and folds them in
+bulk, must give the same integrals, summaries and series, float for float.
+
 The oracles read residuals through `PhysicalNetwork.residual` and
 `bw_residual`, in CPU units, GB and Gbps, and compare them with demands as
 floats.
@@ -46,8 +52,10 @@ from sliceplace.exact import SolveResult, SolveStatus
 from sliceplace.nspr import SliceRequest
 from sliceplace.p2c import PlacementOutcome, Policy
 from sliceplace.placement import LATENCY_EPS, Placement, bandwidth_cost
-from sliceplace.topology import (TIER_ORDER, DCKind, LinkKind, NodeKind, PhysicalNetwork,
-                                 Server, TopologyParams, to_units)
+from sliceplace.sim import _SLOTS, RESOURCES
+from sliceplace.topology import (SCALE, TIER_ORDER, DCKind, LinkKind, NodeKind,
+                                 PhysicalNetwork, Server, TopologyParams, left_sum,
+                                 to_units)
 
 
 class InstanceTooLargeError(ValueError):
@@ -654,3 +662,99 @@ def reference_release(psn: PhysicalNetwork, request: SliceRequest,
     for i, path in sorted(placement.y.items()):
         for lid in path:
             psn.bw_units[lid] += to_units(request.vl(i).bw)
+
+
+class ReferenceAccounting:
+    """Tier-grouped capacity bookkeeping plus time-weighted integrals, one
+    slot per (group, resource) of `sim._SLOTS`, folded at every event:
+    `advance(t)` writes the series rows due by t and adds each slot's held
+    units times the time since the last event, `commit` adds or takes a
+    placement's units from the held amounts."""
+
+    def __init__(self, net: PhysicalNetwork, warmup: float, horizon: float,
+                 series_interval: float) -> None:
+        self.warmup = warmup
+        self.horizon = horizon
+        slot = {key: k for k, key in enumerate(_SLOTS)}
+        self.cap = [0.0] * len(_SLOTS)
+        self.server_slot = [-1] * len(net.nodes)
+        self.link_slot = [-1] * len(net.links)
+        for srv in net.servers():
+            k = self.server_slot[srv.id] = slot[(net.dc_of(srv.id).kind.value, "cpu")]
+            self.cap[k] += srv.cpu_capacity
+            self.cap[k + 1] += srv.ram_capacity
+        for link in net.links:
+            if link.kind is LinkKind.TRANSPORT:
+                g = "transport"
+            elif link.kind is LinkKind.INTRA_DC:
+                g = net.data_centers[net.nodes[link.a].dc or net.nodes[link.b].dc].kind.value
+            else:
+                continue
+            k = self.link_slot[link.id] = slot[(g, "bw")]
+            self.cap[k] += link.bw_capacity
+        self.held = [0] * len(_SLOTS)
+        self.integral = [0.0] * len(_SLOTS)
+        self.last_t = 0.0
+        self.series: list[tuple[float, str, str, float, float]] = []
+        self.interval = series_interval
+        self.next_sample = 0.0
+
+    def _rows_at(self, t: float) -> None:
+        for (g, res), capacity, units in zip(_SLOTS, self.cap, self.held):
+            if capacity != 0.0:
+                self.series.append((t, g, res, units / SCALE, capacity))
+
+    def advance(self, t: float) -> None:
+        t = min(t, self.horizon)
+        while self.next_sample <= t + 1e-12 and self.next_sample <= self.horizon:
+            self._rows_at(self.next_sample)
+            self.next_sample += self.interval
+        lo = max(self.last_t, self.warmup)
+        if t > lo:
+            dt = t - lo
+            integral = self.integral
+            for k, units in enumerate(self.held):
+                if units:
+                    integral[k] += units / SCALE * dt
+        self.last_t = max(self.last_t, t)
+
+    def commit(self, request: SliceRequest, placement: Placement, sign: int) -> None:
+        held, server_slot, link_slot = self.held, self.server_slot, self.link_slot
+        vnfs, vls = request.vnfs, request.vls
+        for v, s in placement.x.items():
+            cpu, ram = vnfs[v - 1].units
+            k = server_slot[s]
+            held[k] += sign * cpu
+            held[k + 1] += sign * ram
+        for i, path in placement.y.items():
+            units = sign * vls[i - 1].bw_units
+            for lid in path:
+                k = link_slot[lid]
+                if k >= 0:
+                    held[k] += units
+
+    def finish(self) -> None:
+        self.advance(self.horizon)
+        if not self.series or self.series[-1][0] != self.horizon:
+            self._rows_at(self.horizon)
+
+    def summaries(self) -> tuple[dict, dict, float]:
+        duration = self.horizon - self.warmup
+        util: dict[str, dict[str, float]] = {}
+        avg: dict[str, dict[str, float]] = {}
+        total_bw = 0.0
+        for (g, res), capacity, integral in zip(_SLOTS, self.cap, self.integral):
+            if capacity == 0.0:
+                continue
+            mean_held = integral / duration
+            avg.setdefault(g, {})[res] = mean_held
+            util.setdefault(g, {})[res] = mean_held / capacity
+            if res == "bw":
+                total_bw += mean_held
+        for r, res in enumerate(RESOURCES):
+            cap_total = left_sum(self.cap[r::len(RESOURCES)])
+            if cap_total:
+                mean_held = left_sum(self.integral[r::len(RESOURCES)]) / duration
+                avg.setdefault("total", {})[res] = mean_held
+                util.setdefault("total", {})[res] = mean_held / cap_total
+        return util, avg, total_bw

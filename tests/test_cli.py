@@ -513,6 +513,31 @@ class TestSimulate:
         assert out == ""
         assert "error" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_too_many_replications_exit_two(self, capsys, monkeypatch, command):
+        """More replications than `sim.MAX_REPLICATIONS` are refused with
+        exit 2 before any run starts; the seed list of 10**10 replications
+        alone would not fit in memory."""
+        forbid_events(monkeypatch)
+        code, out, err = run_cli(capsys, command, "--scenario", "BEF", "--load", "0.1",
+                                 "--horizon", "1", "--replications", "10000000000",
+                                 "--seed", "1")
+        assert code == 2
+        assert out == ""
+        assert "replications" in err and "Traceback" not in err
+
+    def test_too_many_replications_in_a_config_exit_two(self, tmp_path, capsys, monkeypatch):
+        forbid_events(monkeypatch)
+        doc = {"scenario": {"name": "BEF", "target_load": 0.1, "horizon": 1.0,
+                            "replications": 10**10},
+               "algorithm": "p2c-1"}
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert "replications" in err and "Traceback" not in err
+
     def test_series_csv(self, tmp_path, capsys):
         csv_path = tmp_path / "series.csv"
         code, _, _ = run_cli(capsys, "simulate", "--algorithm", "p2c-1",

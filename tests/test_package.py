@@ -37,19 +37,23 @@ def test_import_leaves_the_test_oracles_out():
     assert out.stdout.strip() == "False"
 
 
-def test_a_timed_run_leaves_numpy_ma_out():
-    # np.median's NaN check imports numpy.ma, about 1.3 MB of a run's
-    # resident memory; the run's p50 is a statistics.median
-    code = ("import sys; from sliceplace import sim; "
+def test_a_run_imports_nothing_new():
+    """A timed run and a validated run import no module that `import
+    sliceplace` did not, beyond `numpy.random`, which numpy loads on first
+    use and the run's streams need. A lazy import in a run, as np.median's
+    of numpy.ma (about 1.3 MB of resident memory), would add its setup
+    time and memory to the first run unnoticed."""
+    code = ("import sys, sliceplace, numpy.random; loaded = set(sys.modules); "
+            "from sliceplace import sim; "
             "from sliceplace.topology import build_reference_psn; "
             "scenario = sim.Scenario.named('MIX', 1.0, horizon=20.0); "
             "[sim.run(build_reference_psn(1), scenario, a, 1, measure_time=True, validate=v) "
             " for a in ('p2c-2', 'ilp-1') for v in (False, True)]; "
-            "print('numpy.ma' in sys.modules)")
+            "print(sorted(set(sys.modules) - loaded))")
     src = str(Path(sliceplace.__file__).resolve().parent.parent)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def test_hypothesis_profile(pytestconfig):

@@ -6,16 +6,19 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import random
 import statistics
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sliceplace.sim as sim
 from sliceplace.exact import SolveStatus
 from sliceplace.nspr import DEFAULT_CATALOG, DEFAULT_MIX, SliceClass, make_request
 from sliceplace.p2c import BLOCK, DrawStream, OutcomeStatus, PlacementOutcome, blocks
-from sliceplace.placement import Placement, apply_placement
+from sliceplace.placement import Placement, _demand_units, apply_placement
 from sliceplace.sim import (
     Algorithm,
     Scenario,
@@ -28,6 +31,7 @@ from sliceplace.sim import (
 from sliceplace.topology import SCALE, PhysicalNetwork, build_reference_psn
 
 from conftest import forbid_events, make_single_dc
+from oracles import ReferenceAccounting
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +106,15 @@ class TestScenario:
         forbid_events(monkeypatch)
         with pytest.raises(ValueError, match="expected arrivals"):
             run(net, Scenario.named("mix", 1e17, horizon=10.0, warmup=0.0), "p2c-1", 1)
+
+    @pytest.mark.parametrize("replications", [0, sim.MAX_REPLICATIONS + 1, 10**10])
+    def test_replications_bounded(self, replications):
+        with pytest.raises(ValueError, match="replications"):
+            Scenario.named("mix", 0.5, replications=replications)
+
+    def test_replications_at_the_bound(self):
+        sc = Scenario.named("mix", 0.5, replications=sim.MAX_REPLICATIONS)
+        assert sc.replications == sim.MAX_REPLICATIONS
 
     def test_mix_must_sum_to_one(self):
         with pytest.raises(ValueError, match="sums to"):
@@ -456,6 +469,124 @@ def fractional_catalog() -> dict:
     catalog[SliceClass.BEST_EFFORT] = dataclasses.replace(
         catalog[SliceClass.BEST_EFFORT], cpu_per_vnf=0.3, bw_per_vl=0.1)
     return catalog
+
+
+def fold_logs():
+    """(horizon, warmup share, series interval share, event count, sorted,
+    seed) of one accounting log: runs that end before, at and past a fold
+    (`sim.FOLD_EVENTS`), with and without a warmup. The seed draws the
+    events and their commits."""
+    fold = sim.FOLD_EVENTS
+    return st.tuples(st.sampled_from([100.0, 37.5]), st.sampled_from([0.0, 0.25]),
+                     st.sampled_from([1.0, 0.073, 0.5]),
+                     st.sampled_from([0, 1, 2, fold - 1, fold, fold + 1, 2 * fold + 3]),
+                     st.booleans(), st.integers(0, 2**32 - 1))
+
+
+class TestAccountingFold:
+    """`sim._Accounting` logs the events and folds them in bulk; it must
+    give the integrals, summaries and series of `ReferenceAccounting`,
+    which folds at every event, float for float."""
+
+    @staticmethod
+    def event_times(rnd, n, horizon, warmup, interval) -> list[float]:
+        # the sample times as the accounting steps through them
+        samples = [0.0]
+        while samples[-1] <= horizon:
+            samples.append(samples[-1] + interval)
+        times = []
+        for _ in range(n):
+            kind = rnd.randrange(6)
+            if kind == 0:
+                t = rnd.choice(samples) + rnd.choice((-1e-12, 0.0, 1e-12))
+            elif kind == 1:
+                t = rnd.choice((warmup, horizon, horizon + rnd.random()))
+            elif kind == 2 and times:
+                t = times[-1]
+            else:
+                t = rnd.uniform(0.0, horizon * 1.05)
+            times.append(max(t, 0.0))
+        return times
+
+    @staticmethod
+    def placement(rnd, net, catalogs):
+        """A request of any class of a catalog (best effort fractional in
+        one) and a placement of its chain on any servers and links, with
+        the units `apply_placement` records on it, for it or for another
+        request, or none."""
+        cls_ = rnd.choice(list(SliceClass))
+        request = make_request(cls_, net.uaps[0], catalog=rnd.choice(catalogs))
+        servers = net.servers()
+        x = {v: rnd.choice(servers).id for v in range(1, request.n_vnfs + 1)}
+        y = {i: rnd.sample(range(len(net.links)), rnd.randrange(5))
+             for i in range(1, request.n_vnfs)}
+        placement = Placement(x, y)
+        record = rnd.randrange(3)
+        if record == 1:
+            _demand_units(request, placement)
+        elif record == 2:
+            _demand_units(make_request(cls_, net.uaps[0], catalog=catalogs[0]), placement)
+        return request, placement
+
+    @settings(max_examples=100, deadline=None)
+    @given(fold_logs())
+    def test_matches_the_fold_at_every_event(self, net, log):
+        horizon, share, interval, n, in_order, seed = log
+        rnd = random.Random(seed)
+        warmup = horizon * share
+        interval *= horizon
+        catalogs = (DEFAULT_CATALOG, fractional_catalog())
+        ref = ReferenceAccounting(net, warmup, horizon, interval)
+        acct = sim._Accounting(net, warmup, horizon, interval)
+        times = self.event_times(rnd, n, horizon, warmup, interval)
+        if in_order:
+            times.sort()
+        held = []
+
+        def commits(k):
+            for _ in range(k):
+                if held and rnd.random() < 0.4:
+                    request, placement, units = held.pop(rnd.randrange(len(held)))
+                    ref.commit(request, placement, -1)
+                    acct.commit(units, -1)
+                else:
+                    request, placement = self.placement(rnd, net, catalogs)
+                    units = acct.units_of(request, placement)
+                    ref.commit(request, placement, 1)
+                    acct.commit(units, 1)
+                    held.append((request, placement, units))
+
+        commits(rnd.randrange(2))
+        for t in times:
+            ref.advance(t)
+            acct.advance(t)
+            commits(rnd.randrange(3))
+        ref.finish()
+        acct.finish()
+        assert acct.held.tolist() == ref.held
+        assert acct.integral.tolist() == ref.integral
+        assert acct.summaries() == ref.summaries()
+        assert acct.series == ref.series
+
+    @pytest.mark.parametrize("scale", [1, 4])
+    def test_slot_tables_match_the_reference(self, scale):
+        psn = build_reference_psn(scale)
+        ref = ReferenceAccounting(psn, 0.0, 1.0, 1.0)
+        acct = sim._Accounting(psn, 0.0, 1.0, 1.0)
+        assert (acct.cap, acct.server_slot, acct.link_slot) == (
+            ref.cap, ref.server_slot, ref.link_slot)
+
+    def test_forbid_events_stops_a_run_before_its_first_fold(self, net, monkeypatch):
+        """`conftest.forbid_events` stops a run at its first event through
+        the accounting alone, before it folds and writes a series row."""
+        folds = []
+        monkeypatch.setattr(sim._Accounting, "_fold", lambda acct: folds.append(acct))
+        place = sim.place_request
+        forbid_events(monkeypatch)
+        monkeypatch.setattr(sim, "place_request", place)
+        with pytest.raises(AssertionError, match="first event"):
+            run(net, short_scenario(), "p2c-1", 3)
+        assert folds == []
 
 
 class TestWarmup:
